@@ -452,7 +452,7 @@ let run_stats measured =
 (* ------------------------------------------------------------------ *)
 
 (* The lint pass is part of every `dune runtest` (and of editor loops
-   via @lint-v2-check), so its full-tree wall time is a developer-facing
+   via `dune build @lint`), so its full-tree wall time is a developer-facing
    latency.  One row keeps it visible in the telemetry artifact: a
    parse-cache regression or an accidentally quadratic check shows up in
    bench_compare.sh like any other slowdown.  The tree is located the

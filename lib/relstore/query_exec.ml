@@ -163,17 +163,6 @@ let note_estimate ~op table where ~actual =
             ]
       end
 
-let rows_of_access table = function
-  | A_eq (idx, key) ->
-    List.map (fun rowid -> (rowid, Table.get table rowid)) (Index.find idx key)
-  | A_range (idx, lo, hi) ->
-    let hits =
-      fold_bound_range idx lo hi ~init:[] ~f:(fun acc _key rowid ->
-          (rowid, Table.get table rowid) :: acc)
-    in
-    List.rev hits
-  | A_scan -> Table.rows table
-
 (* --- instrumentation ------------------------------------------------ *)
 
 type exec_stats = {
@@ -199,7 +188,7 @@ let query_span_threshold_ns = ref 100_000
 
 let set_query_span_threshold_ns n = query_span_threshold_ns := n
 
-let executed ~op ~table_name ?(detail = fun () -> "") run =
+let executed ~op ~table_name ~detail run =
   if not (Obs.Metrics.enabled ()) then begin
     let result, plan, scanned, returned = run () in
     (result, { plan; rows_scanned = scanned; rows_returned = returned; elapsed_ns = 0 })
@@ -242,12 +231,12 @@ let executed ~op ~table_name ?(detail = fun () -> "") run =
 
 (* --- result cache --------------------------------------------------- *)
 
-(* The plain [select]/[count]/[group_count] entry points consult a
+(* At level [Off], [select]/[count]/[group_count] consult a
    process-wide LRU keyed by (table uid, op, predicate, order, limit)
-   and validated against the table's modification epoch.  The [*_stats]
-   and [*_profiled] variants never do: their callers asked to see the
-   execution, so they always run it.  Predicates containing a [Custom]
-   closure are uncacheable and bypass the cache entirely. *)
+   and validated against the table's modification epoch.  Instrumented
+   levels never do: their callers asked to see the execution, so they
+   always run it.  Predicates containing a [Custom] closure are
+   uncacheable and bypass the cache entirely. *)
 
 let m_cache_hits = Obs.Metrics.counter Obs.Names.query_cache_hits
 let m_cache_misses = Obs.Metrics.counter Obs.Names.query_cache_misses
@@ -264,7 +253,7 @@ let cache_length () = Query_cache.length cache
 let clear_cache () = Query_cache.clear cache
 
 (* None = this query cannot be keyed (Custom predicate): run cold. *)
-let cache_key ~op ?(aux = "") ~order_by ~limit table where =
+let cache_key ~op ~aux ~order_by ~limit table where =
   let buf = Buffer.create 64 in
   Varint.write_unsigned buf (Table.uid table);
   Codec.write_string buf op;
@@ -290,25 +279,22 @@ let cache_key ~op ?(aux = "") ~order_by ~limit table where =
     Some (Buffer.contents buf)
   end
 
-(* Serve from the cache or run [cold] and fill.  [decode] projects the
-   stored payload back out; the op tag inside the key guarantees the
-   constructor matches. *)
-let with_cache ~key ~table ~decode ~encode cold =
+(* Serve a keyed query's payload from the cache, or run [cold] and fill. *)
+let with_cache ~key ~table cold =
   match key with
   | None -> cold ()
   | Some key ->
     let epoch = Table.epoch table in
     let miss () =
       Obs.Metrics.incr m_cache_misses;
-      let result = cold () in
-      let evicted = Query_cache.put cache ~key ~epoch (encode result) in
-      Obs.Metrics.add m_cache_evictions evicted;
-      result
+      let payload = cold () in
+      Obs.Metrics.add m_cache_evictions (Query_cache.put cache ~key ~epoch payload);
+      payload
     in
     (match Query_cache.find cache ~key ~epoch with
     | Query_cache.Hit payload ->
       Obs.Metrics.incr m_cache_hits;
-      decode payload
+      payload
     | Query_cache.Stale ->
       Obs.Metrics.incr m_cache_invalidations;
       miss ()
@@ -363,7 +349,96 @@ let matview_lookup ~op ~aux table where ~order_by ~limit =
     | Some _ | None -> None)
   | _ -> None
 
-(* --- execution ------------------------------------------------------ *)
+(* --- the pipeline ------------------------------------------------------ *)
+
+type profile = {
+  op : string;
+  detail : string;
+  rows_in : int;
+  rows_out : int;
+  est_rows : int option;  (* catalog estimate of rows_out, with fresh stats *)
+  dur_ns : int;
+  children : profile list;
+}
+
+type _ level =
+  | Off : unit level
+  | Stats : exec_stats level
+  | Profile : (exec_stats * profile) level
+
+(* Every operation is one pipeline — probe → fetch → filter →
+   aggregate/sort → limit — whose first three stages are fused into a
+   single fold over the access path.  The level decides only whether
+   phase boundaries read the clock and a profile is built (Profile),
+   and whether the matview and result-cache funnels may answer (Off).
+
+   The phase clock: untimed, a lap is one branch; timed, it charges the
+   time since the previous lap to a slot.  Consecutive laps share a
+   timestamp, so the slots tile the run exactly however finely the fused
+   fold interleaves them.  Slots: probe, fetch, filter (or aggregate),
+   sort, limit; a join uses the first three for its left input, hash
+   build and probe. *)
+type meter = {
+  timed : bool;
+  spent : int array;
+  mutable mark : int64;
+  mutable scanned : int;  (* candidates the access path produced *)
+  mutable matched : int;  (* candidates satisfying the predicate *)
+}
+
+let ph_probe, ph_fetch, ph_filter, ph_sort, ph_limit = (0, 1, 2, 3, 4)
+
+(* Untimed runs allocate no slots: nothing reads them. *)
+let meter ~timed =
+  if timed then
+    { timed; spent = Array.make 5 0; mark = Provkit_util.Timing.now_ns (); scanned = 0; matched = 0 }
+  else { timed; spent = [||]; mark = 0L; scanned = 0; matched = 0 }
+
+let[@inline] lap m slot =
+  if m.timed then begin
+    let now = Provkit_util.Timing.now_ns () in
+    m.spent.(slot) <- m.spent.(slot) + Int64.to_int (Int64.sub now m.mark);
+    m.mark <- now
+  end
+
+(* Probe → fetch → filter as one fold: [f] sees each candidate row that
+   satisfies [where].  An excluded range boundary is skipped inside
+   [fold_bound_range], so it never counts as scanned. *)
+let fold_matches m table access where ~init ~f =
+  let schema = Table.schema table in
+  let visit acc rowid row =
+    m.scanned <- m.scanned + 1;
+    lap m ph_fetch;
+    let acc =
+      if Predicate.eval where schema row then begin
+        m.matched <- m.matched + 1;
+        f acc rowid row
+      end
+      else acc
+    in
+    lap m ph_filter;
+    acc
+  in
+  let fetch acc rowid =
+    lap m ph_probe;
+    visit acc rowid (Table.get table rowid)
+  in
+  let acc =
+    match access with
+    | A_scan -> Table.fold table ~init ~f:visit
+    | A_eq (idx, key) -> List.fold_left fetch init (Index.find idx key)
+    | A_range (idx, lo, hi) -> fold_bound_range idx lo hi ~init ~f:(fun acc _ rowid -> fetch acc rowid)
+  in
+  (* The walk past the last candidate: the heap for a scan, else the index. *)
+  lap m (match access with A_scan -> ph_fetch | A_eq _ | A_range _ -> ph_probe);
+  acc
+
+let leaf m ?est op detail rows_in rows_out slot =
+  { op; detail; rows_in; rows_out; est_rows = est; dur_ns = m.spent.(slot); children = [] }
+
+let root m ?est op detail rows_in rows_out children =
+  let dur_ns = Array.fold_left ( + ) 0 m.spent in
+  { op; detail; rows_in; rows_out; est_rows = est; dur_ns; children }
 
 let compare_rows schema order_by (ra_id, ra) (rb_id, rb) =
   let rec go = function
@@ -375,84 +450,136 @@ let compare_rows schema order_by (ra_id, ra) (rb_id, rb) =
   in
   go order_by
 
+let by_count_desc (ka, na) (kb, nb) =
+  let c = Int.compare nb na in
+  if c <> 0 then c else Value.compare ka kb
+
 (* Rendered lazily: only queries that cross the slowlog threshold pay
    for pretty-printing their predicate. *)
 let pred_detail where () = Format.asprintf "%a" Predicate.pp where
 
-let select_stats ?(where = Predicate.True) ?(order_by = []) ?limit table =
-  let schema = Table.schema table in
-  executed ~op:"select" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
+(* The profile builder of an untimed run: no level asks for it. *)
+let untimed () = invalid_arg "Query_exec: an untimed run has no profile"
+
+(* What a single-table query computes after the fused fold. *)
+type shape = Select of order list * int option | Count | Group_count of string
+
+let op_name = function Select _ -> "select" | Count -> "count" | Group_count _ -> "group_count"
+
+(* The single-table pipeline inside the metrics funnel: the result as a
+   cache payload with its profile builder, and its stats. *)
+let run_table shape where table ~timed =
+  let op = op_name shape in
+  let schema = Table.schema table and table_rows = Table.row_count table in
+  executed ~op ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
+      let m = meter ~timed in
       let access = access_for table where in
-      let cands = rows_of_access table access in
-      let hits =
-        List.filter (fun (_, row) -> Predicate.eval where schema row) cands
+      lap m ph_probe;
+      let payload =
+        match shape with
+        | Select (order_by, limit) ->
+          let hits =
+            fold_matches m table access where ~init:[] ~f:(fun acc rowid row -> (rowid, row) :: acc)
+          in
+          let sorted =
+            match order_by with
+            | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
+            | _ :: _ -> List.sort (compare_rows schema order_by) hits
+          in
+          lap m ph_sort;
+          let final =
+            match limit with None -> sorted | Some n -> List.filteri (fun i _ -> i < n) sorted
+          in
+          lap m ph_limit;
+          Query_cache.Rows final
+        | Count ->
+          fold_matches m table access where ~init:() ~f:(fun () _ _ -> ());
+          Query_cache.Count m.matched
+        | Group_count by ->
+          let counts = Hashtbl.create 64 in
+          fold_matches m table access where ~init:() ~f:(fun () _ row ->
+              let key = Row.get schema row by in
+              Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)));
+          let groups = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
+          lap m ph_filter;
+          let sorted = List.sort by_count_desc groups in
+          lap m ph_sort;
+          Query_cache.Groups sorted
       in
-      let sorted =
-        match order_by with
-        | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
-        | _ -> List.sort (compare_rows schema order_by) hits
-      in
-      let final =
-        match limit with
-        | None -> sorted
-        | Some n -> List.filteri (fun i _ -> i < n) sorted
-      in
-      (final, plan_of_access access, List.length cands, List.length final))
-
-let select ?(where = Predicate.True) ?(order_by = []) ?limit table =
-  if not !cache_enabled then fst (select_stats ~where ~order_by ?limit table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"select" ~order_by ~limit table where)
-      ~table
-      ~decode:(fun payload ->
+      let returned =
         match payload with
-        | Query_cache.Rows rows -> rows
-        | Query_cache.Count _ | Query_cache.Groups _ -> assert false)
-      ~encode:(fun rows -> Query_cache.Rows rows)
-      (fun () -> fst (select_stats ~where ~order_by ?limit table))
-
-let count_stats ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  executed ~op:"count" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
-      let access = access_for table where in
-      let cands = rows_of_access table access in
-      let n =
-        List.length (List.filter (fun (_, row) -> Predicate.eval where schema row) cands)
+        | Query_cache.Rows rows -> List.length rows
+        | Query_cache.Count _ -> 1
+        | Query_cache.Groups groups -> List.length groups
       in
-      (n, plan_of_access access, List.length cands, 1))
+      let profile =
+        if not timed then untimed
+        else fun () ->
+          note_estimate ~op table where ~actual:m.matched;
+          let ts = Stats.fresh table in
+          let round f = int_of_float (Float.round f) in
+          let est f = Option.map (fun ts -> round (f ts)) ts in
+          let filter_est = est (fun ts -> Stats.estimate_rows ts where) in
+          let filter = leaf m ?est:filter_est "filter" "residual_predicate" m.scanned m.matched in
+          let tail =
+            match shape with
+            | Select (order_by, limit) ->
+              [
+                filter ph_filter;
+                leaf m "sort"
+                  (match order_by with [] -> "rowid_order" | _ :: _ -> "order_by")
+                  m.matched m.matched ph_sort;
+                leaf m "limit"
+                  (match limit with None -> "none" | Some n -> string_of_int n)
+                  m.matched returned ph_limit;
+              ]
+            | Count -> [ filter ph_filter ]
+            | Group_count by ->
+              (* Groups, not rows: the filter estimate capped by the NDV. *)
+              let est =
+                match (ts, filter_est) with
+                | Some ts, Some e ->
+                  Option.map
+                    (fun cs -> round (Float.min cs.Stats.cs_ndv (float_of_int e)))
+                    (List.assoc_opt by ts.Stats.ts_columns)
+                | _ -> None
+              in
+              [
+                leaf m ?est "aggregate" ("group_by(" ^ by ^ ")") m.scanned returned ph_filter;
+                leaf m "sort" "count_desc" returned returned ph_sort;
+              ]
+          in
+          root m
+            ?est:(match shape with Select _ -> filter_est | Count | Group_count _ -> None)
+            op (Table.name table) table_rows returned
+            (leaf m
+               ?est:(est (fun ts -> estimate_access ts access ~table_rows))
+               "probe"
+               (match access with
+               | A_scan -> "heap_scan"
+               | A_eq (idx, _) -> "index_eq(" ^ Index.name idx ^ ")"
+               | A_range (idx, _, _) -> "index_range(" ^ Index.name idx ^ ")")
+               table_rows m.scanned ph_probe
+            :: leaf m "fetch"
+                 (match access with A_scan -> "heap_scan" | A_eq _ | A_range _ -> "rowid_fetch")
+                 m.scanned m.scanned ph_fetch
+            :: tail)
+      in
+      ((payload, profile), plan_of_access access, m.scanned, returned))
 
-let count ?(where = Predicate.True) table =
-  match matview_lookup ~op:"count" ~aux:"" table where ~order_by:[] ~limit:None with
-  | Some (Query_cache.Count n) -> n
-  | Some (Query_cache.Rows _ | Query_cache.Groups _) -> assert false
-  | None ->
-  if not !cache_enabled then fst (count_stats ~where table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"count" ~order_by:[] ~limit:None table where)
-      ~table
-      ~decode:(fun payload ->
-        match payload with
-        | Query_cache.Count n -> n
-        | Query_cache.Rows _ | Query_cache.Groups _ -> assert false)
-      ~encode:(fun n -> Query_cache.Count n)
-      (fun () -> fst (count_stats ~where table))
-
-let join_stats ?(where_left = Predicate.True) ?(where_right = Predicate.True)
-    ~on left right =
+(* The reported plan is the right side's probe path — the decision this
+   executor makes (each input select records its own).  Rows scanned
+   counts the probed or hashed right rows. *)
+let run_join ~input ~where_left ~where_right ~on left right ~timed =
   let left_cols = List.map fst on and right_cols = List.map snd on in
-  let lschema = Table.schema left in
-  let rschema = Table.schema right in
-  (* The reported plan is the right side's probe path — the decision
-     this executor makes (the left side records its own select).  Rows
-     scanned counts the probed/hashed right rows. *)
-  let scanned = ref 0 in
+  let lschema = Table.schema left and rschema = Table.schema right in
   executed ~op:"join" ~table_name:(Table.name right)
-    ~detail:(fun () -> "on " ^ String.concat "," (List.map snd on))
+    ~detail:(fun () -> "on " ^ String.concat "," right_cols)
     (fun () ->
-      let left_rows = select ~where:where_left left in
-      let key_of_left (_, row) = List.map (Row.get lschema row) left_cols in
+      let m = meter ~timed in
+      let left_rows = input where_left left in
+      let n_left = List.length left_rows in
+      lap m 0;
       let plan, right_matches =
         match Table.find_index_on right right_cols with
         | Some idx ->
@@ -460,377 +587,110 @@ let join_stats ?(where_left = Predicate.True) ?(where_right = Predicate.True)
             fun key ->
               List.filter_map
                 (fun rowid ->
-                  incr scanned;
+                  m.scanned <- m.scanned + 1;
                   let row = Table.get right rowid in
                   if Predicate.eval where_right rschema row then Some (rowid, row) else None)
                 (Index.find idx key) )
         | None ->
-          (* Build a one-shot hash join table. *)
           let tbl = Hashtbl.create 256 in
           List.iter
             (fun (rowid, row) ->
-              incr scanned;
-              let key = List.map (Row.get rschema row) right_cols in
-              Hashtbl.add tbl key (rowid, row))
-            (select ~where:where_right right);
+              m.scanned <- m.scanned + 1;
+              Hashtbl.add tbl (List.map (Row.get rschema row) right_cols) (rowid, row))
+            (input where_right right);
+          lap m 1;
           (Full_scan, fun key -> List.rev (Hashtbl.find_all tbl key))
       in
       let pairs =
         List.concat_map
-          (fun l -> List.map (fun r -> (l, r)) (right_matches (key_of_left l)))
+          (fun ((_, row) as l) ->
+            List.map (fun r -> (l, r)) (right_matches (List.map (Row.get lschema row) left_cols)))
           left_rows
       in
-      (pairs, plan, !scanned, List.length pairs))
+      lap m 2;
+      let n_pairs = List.length pairs in
+      let profile =
+        if not timed then untimed
+        else fun () ->
+          root m "join"
+            (Printf.sprintf "%s x %s" (Table.name left) (Table.name right))
+            n_left n_pairs
+            (leaf m "left_input" (Table.name left) (Table.row_count left) n_left 0
+            ::
+            (match plan with
+            | Index_eq name -> [ leaf m "probe" ("index_eq(" ^ name ^ ")") n_left n_pairs 2 ]
+            | Full_scan | Index_range _ ->
+              [
+                leaf m "build" "hash_table" m.scanned m.scanned 1;
+                leaf m "probe" "hash_probe" n_left n_pairs 2;
+              ]))
+      in
+      ((pairs, profile), plan, m.scanned, n_pairs))
+
+(* --- entry points ------------------------------------------------------ *)
+
+(* A single-table query at a level: at Off a fresh matview source, then
+   the result cache, may answer in place of the cold run; the other
+   levels always run it, and only Profile reads phase clocks and builds
+   the tree. *)
+let query : type i. i level -> shape -> Predicate.t -> Table.t -> Query_cache.payload * i =
+ fun level shape where table ->
+  match level with
+  | Off ->
+    let cold () = fst (fst (run_table shape where table ~timed:false)) in
+    let op = op_name shape in
+    let aux, order_by, limit =
+      match shape with
+      | Select (order_by, limit) -> ("", order_by, limit)
+      | Count -> ("", [], None)
+      | Group_count by -> (by, [], None)
+    in
+    ( (match matview_lookup ~op ~aux table where ~order_by ~limit with
+      | Some payload -> payload
+      | None when not !cache_enabled -> cold ()
+      | None -> with_cache ~key:(cache_key ~op ~aux ~order_by ~limit table where) ~table cold),
+      () )
+  | Stats ->
+    let (payload, _), stats = run_table shape where table ~timed:false in
+    (payload, stats)
+  | Profile ->
+    let (payload, profile), stats = run_table shape where table ~timed:true in
+    (payload, (stats, profile ()))
+
+let select_at level ?(where = Predicate.True) ?(order_by = []) ?limit table =
+  match query level (Select (order_by, limit)) where table with
+  | Query_cache.Rows rows, inst -> (rows, inst)
+  | (Query_cache.Count _ | Query_cache.Groups _), _ -> assert false
+
+let count_at level ?(where = Predicate.True) table =
+  match query level Count where table with
+  | Query_cache.Count n, inst -> (n, inst)
+  | (Query_cache.Rows _ | Query_cache.Groups _), _ -> assert false
+
+let group_count_at level ~by ?(where = Predicate.True) table =
+  match query level (Group_count by) where table with
+  | Query_cache.Groups groups, inst -> (groups, inst)
+  | (Query_cache.Rows _ | Query_cache.Count _), _ -> assert false
+
+let select ?where ?order_by ?limit table = fst (select_at Off ?where ?order_by ?limit table)
+let count ?where table = fst (count_at Off ?where table)
+let group_count ~by ?where table = fst (group_count_at Off ~by ?where table)
+
+(* A join's inputs follow its caching: served from the cache at Off,
+   run cold at Stats and Profile, so an instrumented join never times a
+   cache hit as its input. *)
+let join_at (type i) (level : i level) ?(where_left = Predicate.True)
+    ?(where_right = Predicate.True) ~on left right : _ * i =
+  let run = run_join ~where_left ~where_right ~on left right in
+  let cold where table = fst (select_at Stats ~where table) in
+  match level with
+  | Off -> (fst (fst (run ~input:(fun where table -> select ~where table) ~timed:false)), ())
+  | Stats -> (match run ~input:cold ~timed:false with (pairs, _), stats -> (pairs, stats))
+  | Profile ->
+    (match run ~input:cold ~timed:true with (pairs, profile), stats -> (pairs, (stats, profile ())))
 
 let join ?where_left ?where_right ~on left right =
-  fst (join_stats ?where_left ?where_right ~on left right)
-
-let group_count_stats ~by ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  executed ~op:"group_count" ~table_name:(Table.name table) ~detail:(pred_detail where)
-    (fun () ->
-      let access = access_for table where in
-      let cands = rows_of_access table access in
-      let counts = Hashtbl.create 64 in
-      List.iter
-        (fun (_, row) ->
-          if Predicate.eval where schema row then begin
-            let key = Row.get schema row by in
-            let n = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-            Hashtbl.replace counts key (n + 1)
-          end)
-        cands;
-      let pairs = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
-      let sorted =
-        List.sort
-          (fun (ka, na) (kb, nb) ->
-            let c = Int.compare nb na in
-            if c <> 0 then c else Value.compare ka kb)
-          pairs
-      in
-      (sorted, plan_of_access access, List.length cands, List.length sorted))
-
-let group_count ~by ?(where = Predicate.True) table =
-  match matview_lookup ~op:"group_count" ~aux:by table where ~order_by:[] ~limit:None with
-  | Some (Query_cache.Groups groups) -> groups
-  | Some (Query_cache.Rows _ | Query_cache.Count _) -> assert false
-  | None ->
-  if not !cache_enabled then fst (group_count_stats ~by ~where table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"group_count" ~aux:by ~order_by:[] ~limit:None table where)
-      ~table
-      ~decode:(fun payload ->
-        match payload with
-        | Query_cache.Groups groups -> groups
-        | Query_cache.Rows _ | Query_cache.Count _ -> assert false)
-      ~encode:(fun groups -> Query_cache.Groups groups)
-      (fun () -> fst (group_count_stats ~by ~where table))
-
-(* --- profiling (EXPLAIN ANALYZE) ------------------------------------ *)
-
-type profile = {
-  op : string;
-  detail : string;
-  rows_in : int;
-  rows_out : int;
-  est_rows : int option;
-      (* catalog estimate of rows_out, present when fresh stats existed *)
-  dur_ns : int;
-  children : profile list;
-}
-
-(* Profiled variants re-run the same operator sequence with a clock
-   read at every phase boundary.  Consecutive phases share boundary
-   timestamps, so leaf durations tile the root interval exactly: the
-   sum of leaf dur_ns equals the root dur_ns up to clock monotonicity.
-   Unlike [exec_stats.elapsed_ns], profile timing does not depend on
-   the observability switch — calling a [*_profiled] entry point is the
-   opt-in. *)
-
-let now_ns () = Provkit_util.Timing.now_ns ()
-
-let ns_between a b = Int64.to_int (Int64.sub b a)
-
-let access_detail = function
-  | A_scan -> "heap_scan"
-  | A_eq (idx, _) -> Printf.sprintf "index_eq(%s)" (Index.name idx)
-  | A_range (idx, _, _) -> Printf.sprintf "index_range(%s)" (Index.name idx)
-
-let leaf ?est op detail rows_in rows_out a b =
-  { op; detail; rows_in; rows_out; est_rows = est; dur_ns = ns_between a b; children = [] }
-
-(* Per-operator estimates for the profiled variants, all from one
-   fresh-stats lookup: the probe phase gets the access-path estimate,
-   the filter phase (and the root) the post-predicate estimate. *)
-let round_est f = Some (int_of_float (Float.round f))
-
-let profile_estimates table where access =
-  match Stats.fresh table with
-  | None -> (None, None)
-  | Some ts ->
-    ( round_est (estimate_access ts access ~table_rows:(Table.row_count table)),
-      round_est (Stats.estimate_rows ts where) )
-
-(* Resolve the access path to candidate rowids without touching the row
-   heap ([None] = scan: every rowid, enumerated by the fetch phase). *)
-let probe_rowids access =
-  match access with
-  | A_scan -> None
-  | A_eq (idx, key) -> Some (Index.find idx key)
-  | A_range (idx, lo, hi) ->
-      Some (List.rev (fold_bound_range idx lo hi ~init:[] ~f:(fun acc _key rowid -> rowid :: acc)))
-
-let fetch_rows table rowids =
-  match rowids with
-  | Some ids -> List.map (fun rowid -> (rowid, Table.get table rowid)) ids
-  | None -> Table.rows table
-
-let fetch_detail access =
-  match access with A_scan -> "heap_scan" | A_eq _ | A_range _ -> "rowid_fetch"
-
-let select_profiled ?(where = Predicate.True) ?(order_by = []) ?limit table =
-  let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let final, stats =
-    executed ~op:"select" ~table_name:(Table.name table) ~detail:(pred_detail where)
-      (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
-        let hits = List.filter (fun (_, row) -> Predicate.eval where schema row) cands in
-        let n_hits = List.length hits in
-        let t3 = now_ns () in
-        let sorted =
-          match order_by with
-          | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
-          | _ :: _ -> List.sort (compare_rows schema order_by) hits
-        in
-        let t4 = now_ns () in
-        let final =
-          match limit with
-          | None -> sorted
-          | Some n -> List.filteri (fun i _ -> i < n) sorted
-        in
-        let t5 = now_ns () in
-        let n_final = List.length final in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"select" table where ~actual:n_hits;
-        profile :=
-          Some
-            {
-              op = "select";
-              detail = Table.name table;
-              rows_in = table_rows;
-              rows_out = n_final;
-              est_rows = filter_est;
-              dur_ns = ns_between t0 t5;
-              children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:filter_est "filter" "residual_predicate" n_cands n_hits t2 t3;
-                  leaf "sort"
-                    (match order_by with [] -> "rowid_order" | _ :: _ -> "order_by")
-                    n_hits n_hits t3 t4;
-                  leaf "limit"
-                    (match limit with None -> "none" | Some n -> string_of_int n)
-                    n_hits n_final t4 t5;
-                ];
-            };
-        (final, plan_of_access access, n_cands, n_final))
-  in
-  match !profile with Some p -> (final, stats, p) | None -> assert false
-
-let count_profiled ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let n, stats =
-    executed ~op:"count" ~table_name:(Table.name table) ~detail:(pred_detail where)
-      (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
-        let n =
-          List.length (List.filter (fun (_, row) -> Predicate.eval where schema row) cands)
-        in
-        let t3 = now_ns () in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"count" table where ~actual:n;
-        profile :=
-          Some
-            {
-              op = "count";
-              detail = Table.name table;
-              rows_in = table_rows;
-              rows_out = 1;
-              est_rows = None;
-              dur_ns = ns_between t0 t3;
-              children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:filter_est "filter" "residual_predicate" n_cands n t2 t3;
-                ];
-            };
-        (n, plan_of_access access, n_cands, 1))
-  in
-  match !profile with Some p -> (n, stats, p) | None -> assert false
-
-let group_count_profiled ~by ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let pairs, stats =
-    executed ~op:"group_count" ~table_name:(Table.name table) ~detail:(pred_detail where)
-      (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        (* The aggregate phase's output is groups, not rows: cap the
-           filtered-row estimate by the grouping column's NDV. *)
-        let group_est =
-          match (Stats.fresh table, filter_est) with
-          | Some ts, Some est -> begin
-            match List.assoc_opt by ts.Stats.ts_columns with
-            | Some cs -> round_est (Float.min cs.Stats.cs_ndv (float_of_int est))
-            | None -> None
-          end
-          | _ -> None
-        in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
-        let counts = Hashtbl.create 64 in
-        let matched = ref 0 in
-        List.iter
-          (fun (_, row) ->
-            if Predicate.eval where schema row then begin
-              incr matched;
-              let key = Row.get schema row by in
-              let n = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-              Hashtbl.replace counts key (n + 1)
-            end)
-          cands;
-        let groups = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
-        let n_groups = List.length groups in
-        let t3 = now_ns () in
-        let sorted =
-          List.sort
-            (fun (ka, na) (kb, nb) ->
-              let c = Int.compare nb na in
-              if c <> 0 then c else Value.compare ka kb)
-            groups
-        in
-        let t4 = now_ns () in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"group_count" table where ~actual:!matched;
-        profile :=
-          Some
-            {
-              op = "group_count";
-              detail = Table.name table;
-              rows_in = table_rows;
-              rows_out = n_groups;
-              est_rows = None;
-              dur_ns = ns_between t0 t4;
-              children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:group_est "aggregate" ("group_by(" ^ by ^ ")") n_cands n_groups t2
-                    t3;
-                  leaf "sort" "count_desc" n_groups n_groups t3 t4;
-                ];
-            };
-        (sorted, plan_of_access access, n_cands, n_groups))
-  in
-  match !profile with Some p -> (pairs, stats, p) | None -> assert false
-
-let join_profiled ?(where_left = Predicate.True) ?(where_right = Predicate.True) ~on left right =
-  let left_cols = List.map fst on and right_cols = List.map snd on in
-  let lschema = Table.schema left in
-  let rschema = Table.schema right in
-  let scanned = ref 0 in
-  let profile = ref None in
-  let pairs, stats =
-    executed ~op:"join" ~table_name:(Table.name right) (fun () ->
-        let t0 = now_ns () in
-        let left_rows = select ~where:where_left left in
-        let n_left = List.length left_rows in
-        let t1 = now_ns () in
-        let key_of_left (_, row) = List.map (Row.get lschema row) left_cols in
-        let plan, build_leaf, probe_detail, right_matches, t2 =
-          match Table.find_index_on right right_cols with
-          | Some idx ->
-              let matches key =
-                List.filter_map
-                  (fun rowid ->
-                    incr scanned;
-                    let row = Table.get right rowid in
-                    if Predicate.eval where_right rschema row then Some (rowid, row) else None)
-                  (Index.find idx key)
-              in
-              ( Index_eq (Index.name idx),
-                None,
-                Printf.sprintf "index_eq(%s)" (Index.name idx),
-                matches,
-                t1 )
-          | None ->
-              let tbl = Hashtbl.create 256 in
-              let built = select ~where:where_right right in
-              List.iter
-                (fun (rowid, row) ->
-                  incr scanned;
-                  let key = List.map (Row.get rschema row) right_cols in
-                  Hashtbl.add tbl key (rowid, row))
-                built;
-              let t2 = now_ns () in
-              ( Full_scan,
-                Some
-                  (leaf "build" "hash_table" (List.length built) (Hashtbl.length tbl) t1 t2),
-                "hash_probe",
-                (fun key -> List.rev (Hashtbl.find_all tbl key)),
-                t2 )
-        in
-        let pairs =
-          List.concat_map
-            (fun l -> List.map (fun r -> (l, r)) (right_matches (key_of_left l)))
-            left_rows
-        in
-        let t3 = now_ns () in
-        let n_pairs = List.length pairs in
-        profile :=
-          Some
-            {
-              op = "join";
-              detail = Printf.sprintf "%s x %s" (Table.name left) (Table.name right);
-              rows_in = n_left;
-              rows_out = n_pairs;
-              est_rows = None;
-              dur_ns = ns_between t0 t3;
-              children =
-                [ leaf "left_input" (Table.name left) (Table.row_count left) n_left t0 t1 ]
-                @ (match build_leaf with None -> [] | Some b -> [ b ])
-                @ [ leaf "probe" probe_detail n_left n_pairs t2 t3 ];
-            };
-        (pairs, plan, !scanned, n_pairs))
-  in
-  match !profile with Some p -> (pairs, stats, p) | None -> assert false
+  fst (join_at Off ?where_left ?where_right ~on left right)
 
 (* --- profile rendering ---------------------------------------------- *)
 

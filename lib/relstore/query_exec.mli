@@ -1,11 +1,13 @@
 (** Query execution over tables: selection with index acceleration,
-    ordering, limits, and equi-joins.
+    ordering, limits, counts, grouped counts and equi-joins.
 
-    Every operation is instrumented through {!Provkit_obs}: the chosen
-    plan, rows scanned vs. returned, and a latency histogram are
-    recorded per query (one branch of overhead when observability is
-    off).  The [*_stats] variants additionally return that information
-    to the caller — the [EXPLAIN] surface builds on them. *)
+    Each operation has one implementation, a pipeline run at an
+    instrumentation {!level}: its plain entry point ([select], …) runs
+    it at [Off], its [_at] entry point at any level — [Stats] backs the
+    [EXPLAIN] surface, [Profile] EXPLAIN ANALYZE.  Every execution, at
+    any level, records the chosen plan, rows scanned vs. returned, and a
+    latency histogram through {!Provkit_obs} (one branch of overhead
+    when observability is off). *)
 
 type order = Asc of string | Desc of string
 
@@ -60,76 +62,6 @@ type exec_stats = {
   elapsed_ns : int;  (** [0] when observability is disabled *)
 }
 
-val select :
-  ?where:Predicate.t ->
-  ?order_by:order list ->
-  ?limit:int ->
-  Table.t ->
-  (int * Row.t) list
-(** Rows satisfying [where] (default all), ordered by [order_by] (default
-    row id), truncated to [limit].
-
-    Served from the epoch-validated result cache when possible (see
-    {!set_cache_enabled}): a repeat of a query against an unmodified
-    table returns the stored result without touching the heap, and is
-    observationally identical to a cold run.  Predicates containing
-    [Predicate.Custom] always run cold.  Cached rows alias the rows a
-    cold run would have returned — treat them as read-only, exactly as
-    rows fetched from the table itself. *)
-
-val select_stats :
-  ?where:Predicate.t ->
-  ?order_by:order list ->
-  ?limit:int ->
-  Table.t ->
-  (int * Row.t) list * exec_stats
-(** {!select} plus the execution statistics for this query. *)
-
-val count : ?where:Predicate.t -> Table.t -> int
-
-val count_stats : ?where:Predicate.t -> Table.t -> int * exec_stats
-
-val join :
-  ?where_left:Predicate.t ->
-  ?where_right:Predicate.t ->
-  on:(string * string) list ->
-  Table.t ->
-  Table.t ->
-  ((int * Row.t) * (int * Row.t)) list
-(** Equi-join: pairs where each [on] column of the left row equals the
-    matching column of the right row.  Probes a right-table index when
-    one covers the join columns, else builds a hash table on the fly. *)
-
-val join_stats :
-  ?where_left:Predicate.t ->
-  ?where_right:Predicate.t ->
-  on:(string * string) list ->
-  Table.t ->
-  Table.t ->
-  ((int * Row.t) * (int * Row.t)) list * exec_stats
-(** {!join} plus statistics.  The reported plan is the right side's
-    probe path ([Index_eq] when an index covers the join columns, else
-    [Full_scan] for the hash build); [rows_scanned] counts the right
-    rows probed or hashed. *)
-
-val group_count : by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list
-(** Row counts grouped by a column's value, sorted descending by count.
-    Goes through the same plan selection as {!select}: an index
-    satisfying [where] narrows the scanned candidates. *)
-
-val group_count_stats :
-  by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * exec_stats
-
-(** {2 Profiling (EXPLAIN ANALYZE)}
-
-    The [*_profiled] variants run the same operator sequence with a
-    clock read at every phase boundary and return a per-operator
-    {!profile} tree alongside the result.  Consecutive phases share
-    boundary timestamps, so the sum of leaf [dur_ns] values tiles the
-    root's interval exactly.  Unlike [exec_stats.elapsed_ns], profile
-    timing does not depend on the observability switch — calling a
-    profiled entry point is the opt-in. *)
-
 type profile = {
   op : string;  (** operator: [select]/[probe]/[fetch]/[filter]/[sort]/[limit]/… *)
   detail : string;  (** e.g. [index_eq(node_url)], [residual_predicate] *)
@@ -144,30 +76,101 @@ type profile = {
   children : profile list;
 }
 
-val select_profiled :
+(** {2 Levels and profiling (EXPLAIN ANALYZE)}
+
+    Every operation runs as one pipeline — probe → fetch → filter →
+    aggregate/sort → limit, the first three fused into a single fold
+    over the access path — at one of three instrumentation levels.  The
+    level decides only three things: whether phase boundaries read the
+    clock, whether a {!profile} tree is built, and whether the
+    matview-source and result-cache funnels may answer.  Every run that
+    executes feeds the [prov.query.*] metrics and the slow-query log the
+    same way, whatever its level.
+
+    - [Off]: the plain entry points.  A fresh matview source or the
+      result cache may answer; nothing is returned besides the result.
+    - [Stats]: always executes, and returns the {!exec_stats}.
+    - [Profile]: always executes, reads the clock at every phase
+      boundary, and returns the stats plus the operator profile.  Laps
+      share boundary timestamps, so the leaves tile the root's [dur_ns]
+      exactly; inside the fused fold a boundary falls on every row, so
+      profile timings include those clock reads.  Profile timing does
+      not depend on the observability switch, and a profiled run feeds
+      the misestimate detector (see {!set_misestimate_threshold}). *)
+
+type _ level =
+  | Off : unit level
+  | Stats : exec_stats level
+  | Profile : (exec_stats * profile) level
+
+val select :
   ?where:Predicate.t ->
   ?order_by:order list ->
   ?limit:int ->
   Table.t ->
-  (int * Row.t) list * exec_stats * profile
-(** {!select_stats} plus an operator profile with children
+  (int * Row.t) list
+(** Rows satisfying [where] (default all), ordered by [order_by] (default
+    row id), truncated to [limit]: {!select_at} [Off].
+
+    Served from the epoch-validated result cache when possible (see
+    {!set_cache_enabled}): a repeat of a query against an unmodified
+    table returns the stored result without touching the heap, and is
+    observationally identical to a cold run.  Predicates containing
+    [Predicate.Custom] always run cold.  Cached rows alias the rows a
+    cold run would have returned — treat them as read-only, exactly as
+    rows fetched from the table itself. *)
+
+val select_at :
+  'i level ->
+  ?where:Predicate.t ->
+  ?order_by:order list ->
+  ?limit:int ->
+  Table.t ->
+  (int * Row.t) list * 'i
+(** {!select} at a level.  The [Profile] tree has children
     [probe; fetch; filter; sort; limit]. *)
 
-val count_profiled : ?where:Predicate.t -> Table.t -> int * exec_stats * profile
-(** Children: [probe; fetch; filter]. *)
+val count : ?where:Predicate.t -> Table.t -> int
 
-val group_count_profiled :
-  by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * exec_stats * profile
-(** Children: [probe; fetch; aggregate; sort]. *)
+val count_at : 'i level -> ?where:Predicate.t -> Table.t -> int * 'i
+(** Profile children: [probe; fetch; filter].  Counts inside the fold,
+    without materializing candidate rows. *)
 
-val join_profiled :
+val group_count : by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list
+(** Row counts grouped by a column's value, sorted descending by count.
+    Goes through the same plan selection as {!select}: an index
+    satisfying [where] narrows the scanned candidates. *)
+
+val group_count_at :
+  'i level -> by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * 'i
+(** Profile children: [probe; fetch; aggregate; sort]. *)
+
+val join :
   ?where_left:Predicate.t ->
   ?where_right:Predicate.t ->
   on:(string * string) list ->
   Table.t ->
   Table.t ->
-  ((int * Row.t) * (int * Row.t)) list * exec_stats * profile
-(** Children: [left_input; probe] on the index path,
+  ((int * Row.t) * (int * Row.t)) list
+(** Equi-join: pairs where each [on] column of the left row equals the
+    matching column of the right row.  Probes a right-table index when
+    one covers the join columns, else builds a hash table on the fly. *)
+
+val join_at :
+  'i level ->
+  ?where_left:Predicate.t ->
+  ?where_right:Predicate.t ->
+  on:(string * string) list ->
+  Table.t ->
+  Table.t ->
+  ((int * Row.t) * (int * Row.t)) list * 'i
+(** {!join} at a level.  The reported plan is the right side's probe
+    path ([Index_eq] when an index covers the join columns, else
+    [Full_scan] for the hash build); [rows_scanned] counts the right
+    rows probed or hashed.  The input selects follow the join's
+    caching: at [Off] they may be cache hits, at [Stats] and [Profile]
+    they execute (uninstrumented by the profile clock).  Profile
+    children: [left_input; probe] on the index path,
     [left_input; build; probe] on the hash path. *)
 
 val profile_to_json : profile -> string
@@ -195,8 +198,8 @@ val set_query_span_threshold_ns : int -> unit
     consult a process-wide bounded LRU keyed by (table uid, operation,
     predicate, order, limit) and validated against {!Table.epoch}: any
     mutation of the table invalidates its cached results on the next
-    lookup.  The [*_stats] and [*_profiled] variants never consult the
-    cache — their callers asked to observe the execution.  Hits,
+    lookup.  Only level [Off] consults the cache — instrumented callers
+    asked to observe the execution.  Hits,
     misses, evictions and invalidations tick the
     [prov.query.cache.*] metrics. *)
 

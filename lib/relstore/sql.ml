@@ -401,13 +401,18 @@ let validate db ast =
   | `Aggregate (Sum c | Avg c | Min c | Max c) -> check c
   | `Aggregate Count_star -> ())
 
-let execute_stats db ast =
+(* The one dispatch from a parsed query to the executor, at any level:
+   [Stats] for EXPLAIN, [Profile] for EXPLAIN ANALYZE.  Result shaping
+   (projection, aggregate folds, the GROUP BY limit) runs outside the
+   executor, so a profile root covers the executor work only — which is
+   what the rendered latency reports. *)
+let execute_at level db ast =
   let table = Database.table db ast.table in
   let schema = Table.schema table in
   validate db ast;
   match (ast.group_by, ast.projection) with
   | Some group, _ ->
-    let groups, stats = Query_exec.group_count_stats ~by:group ~where:ast.where table in
+    let groups, inst = Query_exec.group_count_at level ~by:group ~where:ast.where table in
     let groups =
       match ast.limit with
       | None -> groups
@@ -417,17 +422,17 @@ let execute_stats db ast =
         columns = [ group; "count" ];
         rows = List.map (fun (v, n) -> [ v; Value.Int n ]) groups;
       },
-      stats )
+      inst )
   | None, `Aggregate Count_star ->
-    let n, stats = Query_exec.count_stats ~where:ast.where table in
-    ({ columns = [ "count" ]; rows = [ [ Value.Int n ] ] }, stats)
+    let n, inst = Query_exec.count_at level ~where:ast.where table in
+    ({ columns = [ "count" ]; rows = [ [ Value.Int n ] ] }, inst)
   | None, `Aggregate agg ->
     let col =
       match agg with
       | Sum c | Avg c | Min c | Max c -> c
       | Count_star -> assert false
     in
-    let hits, stats = Query_exec.select_stats ~where:ast.where table in
+    let hits, inst = Query_exec.select_at level ~where:ast.where table in
     let cells =
       List.filter_map
         (fun (_, row) ->
@@ -452,10 +457,10 @@ let execute_stats db ast =
         ("max", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v r)
       | Count_star -> assert false
     in
-    ({ columns = [ name ]; rows = [ [ value ] ] }, stats)
+    ({ columns = [ name ]; rows = [ [ value ] ] }, inst)
   | None, ((`All | `Columns _) as projection) ->
-    let hits, stats =
-      Query_exec.select_stats ~where:ast.where ~order_by:ast.order_by ?limit:ast.limit table
+    let hits, inst =
+      Query_exec.select_at level ~where:ast.where ~order_by:ast.order_by ?limit:ast.limit table
     in
     let columns =
       match projection with
@@ -468,87 +473,9 @@ let execute_stats db ast =
       | `All -> Value.Int rowid :: Array.to_list row
       | `Columns cols -> List.map (fun c -> Row.get schema row c) cols
     in
-    ({ columns; rows = List.map project hits }, stats)
+    ({ columns; rows = List.map project hits }, inst)
 
-(* EXPLAIN ANALYZE: the same dispatch as [execute_stats], but through
-   the executor's profiled entry points, so the caller additionally
-   gets the per-operator profile tree.  The result-shaping code
-   (projection, aggregate folds) runs outside the profile; the profile
-   root covers the executor work, which is what the rendered latency
-   reports. *)
-let execute_profiled db ast =
-  let table = Database.table db ast.table in
-  let schema = Table.schema table in
-  validate db ast;
-  match (ast.group_by, ast.projection) with
-  | Some group, _ ->
-    let groups, stats, profile =
-      Query_exec.group_count_profiled ~by:group ~where:ast.where table
-    in
-    let groups =
-      match ast.limit with
-      | None -> groups
-      | Some n -> List.filteri (fun i _ -> i < n) groups
-    in
-    ( {
-        columns = [ group; "count" ];
-        rows = List.map (fun (v, n) -> [ v; Value.Int n ]) groups;
-      },
-      stats,
-      profile )
-  | None, `Aggregate Count_star ->
-    let n, stats, profile = Query_exec.count_profiled ~where:ast.where table in
-    ({ columns = [ "count" ]; rows = [ [ Value.Int n ] ] }, stats, profile)
-  | None, `Aggregate agg ->
-    let col =
-      match agg with
-      | Sum c | Avg c | Min c | Max c -> c
-      | Count_star -> assert false
-    in
-    let hits, stats, profile = Query_exec.select_profiled ~where:ast.where table in
-    let cells =
-      List.filter_map
-        (fun (_, row) ->
-          let v = Row.get schema row col in
-          if Value.is_null v then None else Some v)
-        hits
-    in
-    let name, value =
-      match agg with
-      | Sum _ ->
-        ("sum", Value.Real (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells))
-      | Avg _ ->
-        ( "avg",
-          if cells = [] then Value.Null
-          else
-            Value.Real
-              (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells
-              /. float_of_int (List.length cells)) )
-      | Min _ ->
-        ("min", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v r)
-      | Max _ ->
-        ("max", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v r)
-      | Count_star -> assert false
-    in
-    ({ columns = [ name ]; rows = [ [ value ] ] }, stats, profile)
-  | None, ((`All | `Columns _) as projection) ->
-    let hits, stats, profile =
-      Query_exec.select_profiled ~where:ast.where ~order_by:ast.order_by ?limit:ast.limit table
-    in
-    let columns =
-      match projection with
-      | `All ->
-        "rowid" :: Array.to_list (Array.map (fun (c : Column.t) -> c.Column.name) (Schema.columns schema))
-      | `Columns cols -> cols
-    in
-    let project (rowid, row) =
-      match projection with
-      | `All -> Value.Int rowid :: Array.to_list row
-      | `Columns cols -> List.map (fun c -> Row.get schema row c) cols
-    in
-    ({ columns; rows = List.map project hits }, stats, profile)
-
-let execute db ast = fst (execute_stats db ast)
+let execute db ast = fst (execute_at Query_exec.Stats db ast)
 let query db input = execute db (parse input)
 
 let render result =
@@ -581,7 +508,7 @@ let explain_query db input =
   let ast = parse input in
   let table = Database.table db ast.table in
   let detail = Query_exec.plan_detail table ast.where in
-  let _, stats = execute_stats db ast in
+  let _, stats = execute_at Query_exec.Stats db ast in
   { table = ast.table; plan = stats.Query_exec.plan;
     estimated_rows = detail.Query_exec.estimated_rows;
     est_from_stats = detail.Query_exec.est_from_stats; stats }
@@ -620,7 +547,7 @@ let analyze_query db input =
      when its entry is missing or stale. *)
   if Option.is_none (Stats.fresh table) then ignore (Stats.analyze table);
   let detail = Query_exec.plan_detail table ast.where in
-  let _, stats, profile = execute_profiled db ast in
+  let _, (stats, profile) = execute_at Query_exec.Profile db ast in
   {
     a_table = ast.table;
     a_plan = stats.Query_exec.plan;

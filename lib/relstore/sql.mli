@@ -42,12 +42,18 @@ val parse : string -> ast
 type result = { columns : string list; rows : Value.t list list }
 
 val execute : Database.t -> ast -> result
-(** Raises {!Errors.No_such_table} / {!Errors.No_such_column} for
-    references the schema cannot satisfy. *)
+(** {!execute_at} [Stats] without the stats: a statement always
+    executes, never answered from the result cache.  Raises
+    {!Errors.No_such_table} / {!Errors.No_such_column} for references
+    the schema cannot satisfy. *)
 
-val execute_stats : Database.t -> ast -> result * Query_exec.exec_stats
-(** {!execute} plus the executor's statistics (plan used, rows scanned
-    vs. returned, latency) for the query's table access. *)
+val execute_at : 'i Query_exec.level -> Database.t -> ast -> result * 'i
+(** {!execute} at an executor level: [Stats] adds the executor's
+    statistics (plan used, rows scanned vs. returned, latency) for the
+    query's table access, [Profile] also the per-operator profile tree,
+    whose root covers the executor work (result shaping — projection,
+    aggregate folds — happens outside it).  [Off] may be answered by
+    the executor's result cache. *)
 
 val query : Database.t -> string -> result
 (** [parse] + [execute]. *)
@@ -78,12 +84,6 @@ val explain_query : Database.t -> string -> explain_report
 val render_explain : explain_report -> string
 (** Multi-line human-readable rendering of a report. *)
 
-val execute_profiled : Database.t -> ast -> result * Query_exec.exec_stats * Query_exec.profile
-(** {!execute_stats} through the executor's profiled entry points: the
-    same result, plus the per-operator profile tree.  The profile root
-    covers the executor work (result shaping — projection, aggregate
-    folds — happens outside it). *)
-
 type analyze_report = {
   a_table : string;
   a_plan : Query_exec.plan;
@@ -95,7 +95,7 @@ type analyze_report = {
 
 val analyze_query : Database.t -> string -> analyze_report
 (** EXPLAIN ANALYZE: parse, plan, and execute the query through
-    {!execute_profiled} — the [provctl sql --analyze] surface.
+    {!execute_at} [Profile] — the [provctl sql --analyze] surface.
     Analyzes the table into the statistics catalog first when its entry
     is missing or stale, so the report's estimates (and the profile's
     per-operator [est_rows]) always come from fresh statistics. *)

@@ -51,7 +51,7 @@ let plan_t =
 (* Assert plan, exact candidate count, and row parity with a naive
    filter in one go. *)
 let check t msg ~plan ~scanned where =
-  let rows, stats = Q.select_stats ~where t in
+  let rows, stats = Q.select_at Q.Stats ~where t in
   Alcotest.check plan_t (msg ^ ": plan") plan stats.Q.plan;
   Alcotest.(check int) (msg ^ ": rows_scanned") scanned stats.Q.rows_scanned;
   let naive =

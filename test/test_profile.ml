@@ -1,5 +1,5 @@
 (* EXPLAIN ANALYZE: the per-operator profile trees returned by the
-   [*_profiled] executor entry points.  The contract under test is that
+   executor at level [Profile].  The contract under test is that
    the children tile the root — leaf durations share boundary
    timestamps, so their sum matches the root's latency (the acceptance
    bar is 5%; shared boundaries make it exact up to clock granularity) —
@@ -69,7 +69,7 @@ let check_rows_flow path p =
 let select_spine = [ "probe"; "fetch"; "filter"; "sort"; "limit" ]
 
 let profiled_select t where =
-  let rows, stats, profile = Q.select_profiled ~where t in
+  let rows, (stats, profile) = Q.select_at Q.Profile ~where t in
   check_tiling ~pct:5 profile.Q.op profile;
   check_rows_flow profile.Q.op profile;
   (rows, stats, profile)
@@ -115,8 +115,8 @@ let test_index_range_profile () =
 
 let test_sort_limit_profile () =
   let t = fixture () in
-  let rows, _, profile =
-    Q.select_profiled
+  let rows, (_, profile) =
+    Q.select_at Q.Profile
       ~where:(P.Cmp (P.Ge, "day", Value.Int 0))
       ~order_by:[ Q.Desc "day" ]
       ~limit:7 t
@@ -129,11 +129,11 @@ let test_sort_limit_profile () =
 
 let test_count_group_profiles () =
   let t = fixture () in
-  let n, _, cp = Q.count_profiled ~where:(P.Eq ("day", Value.Int 4)) t in
+  let n, (_, cp) = Q.count_at Q.Profile ~where:(P.Eq ("day", Value.Int 4)) t in
   check_tiling ~pct:5 cp.Q.op cp;
   Alcotest.(check (list string)) "count spine" [ "probe"; "fetch"; "filter" ] (ops cp);
   Alcotest.(check int) "count matches" 10 n;
-  let groups, _, gp = Q.group_count_profiled ~by:"tab" t in
+  let groups, (_, gp) = Q.group_count_at Q.Profile ~by:"tab" t in
   check_tiling ~pct:5 gp.Q.op gp;
   Alcotest.(check (list string)) "group spine" [ "probe"; "fetch"; "aggregate"; "sort" ]
     (ops gp);
@@ -142,7 +142,7 @@ let test_count_group_profiles () =
 let test_join_profile () =
   let left = fixture () in
   let right = fixture () in
-  let _, _, jp = Q.join_profiled ~on:[ ("day", "day") ] left right in
+  let _, (_, jp) = Q.join_at Q.Profile ~on:[ ("day", "day") ] left right in
   check_tiling ~pct:5 jp.Q.op jp;
   let spine = ops jp in
   Alcotest.(check bool) "join spine starts with the left input" true
@@ -181,7 +181,7 @@ let test_analyze_all_plan_kinds () =
 
 let test_profile_render_and_fold () =
   let t = fixture () in
-  let _, _, profile = Q.select_profiled ~where:(P.Eq ("day", Value.Int 4)) t in
+  let _, (_, profile) = Q.select_at Q.Profile ~where:(P.Eq ("day", Value.Int 4)) t in
   let folded = Q.fold_profile profile in
   Alcotest.(check bool) "fold is pre-order from the root" true
     (match folded with (root, _) :: _ -> root = profile.Q.op | [] -> false);

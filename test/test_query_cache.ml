@@ -1,8 +1,9 @@
 (* The epoch-validated query-result cache: the LRU container itself,
    its Query_exec integration (hit/miss/invalidation counters against
-   ground truth), and a seeded property sweep asserting the cached
-   entry points answer identically to cold execution across randomized
-   interleavings of queries and table mutations. *)
+   ground truth), and a seeded property sweep asserting that every
+   executor level — cached [Off], [Stats], [Profile] — answers
+   identically across randomized interleavings of queries and table
+   mutations. *)
 
 module R = Relstore
 module QC = Relstore.Query_cache
@@ -11,7 +12,7 @@ module Prng = Provkit_util.Prng
 
 let kv_schema () =
   R.Schema.make ~name:"kv"
-    [ R.Column.make "k" R.Value.Tint; R.Column.make "v" R.Value.Ttext ]
+    [ R.Column.make "k" R.Value.Tint; R.Column.make ~nullable:true "v" R.Value.Ttext ]
 
 let kv_table ?(index = false) () =
   let t = R.Table.create (kv_schema ()) in
@@ -158,29 +159,91 @@ let test_eviction_bound_via_query_exec () =
   Alcotest.(check int) "live entries bounded by capacity" 4 (QE.cache_length ());
   Alcotest.(check int) "the overflow was evicted, and counted" (e0 + 16) (evictions ())
 
-(* --- the property sweep: cached ≡ cold --- *)
+(* An instrumented join runs its inputs cold: repeating it on
+   unmodified tables must not read them back from the result cache. *)
+let test_instrumented_join_bypasses_cache () =
+  with_clean_cache @@ fun () ->
+  with_metrics_on @@ fun () ->
+  let left = kv_table () and right = kv_table () in
+  for i = 0 to 9 do
+    ignore (R.Table.insert_fields left (kv (i mod 3) "l"));
+    ignore (R.Table.insert_fields right (kv (i mod 5) "r"))
+  done;
+  let hits = counter Provkit_obs.Names.query_cache_hits in
+  let on = [ ("k", "k") ] in
+  let first, _ = QE.join_at QE.Stats ~on left right in
+  let h0 = hits () in
+  let again, _ = QE.join_at QE.Stats ~on left right in
+  let profiled, _ = QE.join_at QE.Profile ~on left right in
+  Alcotest.(check int) "no input served from the cache" h0 (hits ());
+  Alcotest.(check int) "each left row meets two right rows" 20 (List.length first);
+  Alcotest.(check bool) "every run joins the same pairs" true (first = again && again = profiled)
+
+(* --- the property sweep: every level agrees, cached or cold --- *)
+
+let same_stats (a : QE.exec_stats) (b : QE.exec_stats) =
+  a.QE.plan = b.QE.plan
+  && a.QE.rows_scanned = b.QE.rows_scanned
+  && a.QE.rows_returned = b.QE.rows_returned
+
+(* Off (cache on), Stats and Profile must return the same result, and
+   Stats and Profile the same stats up to the clock.  The profile must
+   account for those stats: a single-table profile leads with the probe
+   leaf, which emits the scanned candidates, and every root emits the
+   returned rows. *)
+let check_levels step what off (stats_result, stats) (profile_result, (profile_stats, profile)) =
+  if off <> stats_result || off <> profile_result then
+    Alcotest.failf "%s: levels returned different results at step %d" what step;
+  if not (same_stats stats profile_stats) then
+    Alcotest.failf "%s: Stats and Profile exec_stats differ at step %d" what step;
+  (match profile.QE.children with
+  | { QE.op = "probe"; rows_out; _ } :: _ when rows_out <> stats.QE.rows_scanned ->
+    Alcotest.failf "%s: probe emitted %d rows but %d were scanned at step %d" what rows_out
+      stats.QE.rows_scanned step
+  | _ -> ());
+  if profile.QE.rows_out <> stats.QE.rows_returned then
+    Alcotest.failf "%s: profile root emitted %d rows but %d were returned at step %d" what
+      profile.QE.rows_out stats.QE.rows_returned step
 
 let test_property_cached_equals_cold () =
   with_clean_cache @@ fun () ->
   let rng = Test_seed.prng ~salt:91 in
   let t = kv_table ~index:true () in
+  (* Unindexed: joins into [t] probe its index, joins into [u] hash. *)
+  let u = kv_table () in
   let live = ref [] in
   let vals = [| "ant"; "bee"; "cat"; "dog"; "eel" |] in
+  let key () = R.Value.Int (Prng.int rng 8) in
+  let insert table =
+    let v = if Prng.int rng 6 = 0 then R.Value.Null else R.Value.Text (Prng.pick rng vals) in
+    R.Table.insert_fields table [ ("k", key ()); ("v", v) ]
+  in
   let random_pred () =
-    match Prng.int rng 6 with
+    match Prng.int rng 11 with
     | 0 -> R.Predicate.True
-    | 1 -> R.Predicate.Eq ("k", R.Value.Int (Prng.int rng 8))
-    | 2 -> R.Predicate.Cmp (R.Predicate.Ge, "k", R.Value.Int (Prng.int rng 8))
+    | 1 -> R.Predicate.Eq ("k", key ())
+    | 2 -> R.Predicate.Cmp (R.Predicate.Ge, "k", key ())
     | 3 ->
       R.Predicate.Between
         ("k", R.Value.Int (Prng.int rng 4), R.Value.Int (4 + Prng.int rng 4))
     | 4 -> R.Predicate.Like ("v", String.sub (Prng.pick rng vals) 0 2)
-    | _ ->
+    | 5 ->
       R.Predicate.Or
         [
-          R.Predicate.Eq ("k", R.Value.Int (Prng.int rng 8));
+          R.Predicate.Eq ("k", key ());
           R.Predicate.Eq ("v", R.Value.Text (Prng.pick rng vals));
         ]
+    | 6 ->
+      let op = if Prng.int rng 2 = 0 then R.Predicate.Lt else R.Predicate.Gt in
+      R.Predicate.Cmp (op, "k", key ())
+    | 7 ->
+      (* Two bounds on one column merge into a single index range. *)
+      let lo = key () in
+      let hi = key () in
+      R.Predicate.And [ R.Predicate.Cmp (R.Predicate.Gt, "k", lo); R.Predicate.Cmp (R.Predicate.Le, "k", hi) ]
+    | 8 -> R.Predicate.Not (R.Predicate.Eq ("k", key ()))
+    | 9 -> R.Predicate.Is_null "v"
+    | _ -> R.Predicate.Custom ("odd_k", fun schema row -> R.Row.int schema row "k" mod 2 = 1)
   in
   let random_order () =
     match Prng.int rng 3 with
@@ -192,11 +255,8 @@ let test_property_cached_equals_cold () =
   let queries = ref 0 in
   for step = 1 to 600 do
     match Prng.int rng 10 with
-    | 0 | 1 ->
-      let id = R.Table.insert_fields t (kv (Prng.int rng 8) (Prng.pick rng vals)) in
-      live := id :: !live
-    | 2 when !live <> [] ->
-      R.Table.update_field t (pick_live ()) "k" (R.Value.Int (Prng.int rng 8))
+    | 0 | 1 -> if Prng.int rng 4 = 0 then ignore (insert u) else live := insert t :: !live
+    | 2 when !live <> [] -> R.Table.update_field t (pick_live ()) "k" (key ())
     | 3 when !live <> [] ->
       let id = pick_live () in
       R.Table.delete t id;
@@ -204,22 +264,26 @@ let test_property_cached_equals_cold () =
     | _ -> begin
       incr queries;
       let where = random_pred () in
-      match Prng.int rng 3 with
+      match Prng.int rng 4 with
       | 0 ->
         let order_by = random_order () in
         let limit = if Prng.int rng 2 = 0 then None else Some (Prng.int rng 6) in
-        let cached = QE.select ?order_by ~where ?limit t in
-        let cold, _ = QE.select_stats ?order_by ~where ?limit t in
-        if cached <> cold then Alcotest.failf "select diverged at step %d" step
+        let run level = QE.select_at level ?order_by ~where ?limit t in
+        check_levels step "select" (fst (run QE.Off)) (run QE.Stats) (run QE.Profile)
       | 1 ->
-        let cached = QE.count ~where t in
-        let cold, _ = QE.count_stats ~where t in
-        if cached <> cold then Alcotest.failf "count diverged at step %d" step
-      | _ ->
+        let run level = QE.count_at level ~where t in
+        check_levels step "count" (fst (run QE.Off)) (run QE.Stats) (run QE.Profile)
+      | 2 ->
         let by = if Prng.int rng 2 = 0 then "k" else "v" in
-        let cached = QE.group_count ~by ~where t in
-        let cold, _ = QE.group_count_stats ~by ~where t in
-        if cached <> cold then Alcotest.failf "group_count diverged at step %d" step
+        let run level = QE.group_count_at level ~by ~where t in
+        check_levels step "group_count" (fst (run QE.Off)) (run QE.Stats) (run QE.Profile)
+      | _ ->
+        let left, right = if Prng.int rng 2 = 0 then (u, t) else (t, u) in
+        let where_right = random_pred () in
+        let run level =
+          QE.join_at level ~where_left:where ~where_right ~on:[ ("k", "k") ] left right
+        in
+        check_levels step "join" (fst (run QE.Off)) (run QE.Stats) (run QE.Profile)
     end
   done;
   Alcotest.(check bool) "sweep ran a meaningful number of queries" true (!queries > 300);
@@ -237,6 +301,8 @@ let suite =
     Alcotest.test_case "disabled cache bypasses" `Quick test_cache_disabled_bypasses;
     Alcotest.test_case "eviction bound via Query_exec" `Quick
       test_eviction_bound_via_query_exec;
+    Alcotest.test_case "instrumented join bypasses the cache" `Quick
+      test_instrumented_join_bypasses_cache;
     Alcotest.test_case "property: cached = cold under interleaved mutation" `Quick
       test_property_cached_equals_cold;
   ]

@@ -185,8 +185,8 @@ let test_executor_feeds_log () =
   done;
   let where = R.Predicate.Eq ("qty", R.Value.Int 1) in
   (* *_stats bypasses the result cache, so each run truly executes. *)
-  ignore (R.Query_exec.select_stats ~where t);
-  ignore (R.Query_exec.select_stats ~where t);
+  ignore (R.Query_exec.(select_at Stats) ~where t);
+  ignore (R.Query_exec.(select_at Stats) ~where t);
   let e =
     match
       List.find_opt
@@ -201,18 +201,39 @@ let test_executor_feeds_log () =
   Alcotest.check Alcotest.int "rows returned recorded" 5 e.Slowlog.e_rows_returned;
   (* The predicate shape is part of the fingerprint: a different filter
      lands in a different entry. *)
-  ignore (R.Query_exec.select_stats ~where:(R.Predicate.Eq ("qty", R.Value.Int 2)) t);
+  ignore (R.Query_exec.(select_at Stats) ~where:(R.Predicate.Eq ("qty", R.Value.Int 2)) t);
   let selects =
     List.filter (fun e -> String.equal e.Slowlog.e_table "items") (Slowlog.entries ())
   in
   Alcotest.check Alcotest.int "distinct predicate, distinct entry" 2
     (List.length selects)
 
+(* One join, whatever the instrumentation level, is one slow-log entry:
+   every level notes the same "on <cols>" detail. *)
+let test_join_levels_share_fingerprint () =
+  with_slowlog ~threshold:0 @@ fun () ->
+  let days () =
+    let t = R.Table.create (R.Schema.make ~name:"days" [ R.Column.make "day" R.Value.Tint ]) in
+    for i = 1 to 12 do
+      ignore (R.Table.insert_fields t [ ("day", R.Value.Int (i mod 4)) ])
+    done;
+    t
+  in
+  let left = days () and right = days () in
+  let on = [ ("day", "day") ] in
+  ignore (R.Query_exec.(join_at Stats) ~on left right);
+  ignore (R.Query_exec.(join_at Profile) ~on left right);
+  match List.filter (fun e -> String.equal e.Slowlog.e_op "join") (Slowlog.entries ()) with
+  | [ e ] ->
+    Alcotest.check Alcotest.int "both runs merged" 2 e.Slowlog.e_count;
+    Alcotest.check Alcotest.string "detail names the join columns" "on day" e.Slowlog.e_detail
+  | joins -> Alcotest.failf "expected one join entry, got %d" (List.length joins)
+
 let test_threshold_filters () =
   with_slowlog ~threshold:Slowlog.max_threshold_ns @@ fun () ->
   let t = R.Table.create (R.Schema.make ~name:"items" [ R.Column.make "qty" R.Value.Tint ]) in
   ignore (R.Table.insert_fields t [ ("qty", R.Value.Int 1) ]);
-  ignore (R.Query_exec.select_stats t);
+  ignore (R.Query_exec.(select_at Stats) t);
   Alcotest.check Alcotest.int "fast queries not noted" 0 (Slowlog.length ())
 
 let suite =
@@ -229,5 +250,7 @@ let suite =
     Alcotest.test_case "invalid knobs rejected" `Quick test_invalid_knobs;
     Alcotest.test_case "PROV_SLOWLOG_NS parsing" `Quick test_threshold_env_parsing;
     Alcotest.test_case "executor feeds the log" `Quick test_executor_feeds_log;
+    Alcotest.test_case "join levels share a fingerprint" `Quick
+      test_join_levels_share_fingerprint;
     Alcotest.test_case "threshold filters fast queries" `Quick test_threshold_filters;
   ]

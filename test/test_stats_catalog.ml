@@ -316,7 +316,7 @@ let test_misestimate_detector () =
   let where = R.Predicate.Eq ("zip2", R.Value.Int 0) in
   let mis_before = Metrics.counter_value Names.stats_misestimates in
   let incidents_before = Flight.recorded () in
-  let rows, _, profile = R.Query_exec.select_profiled ~where t in
+  let rows, (_, profile) = R.Query_exec.(select_at Profile) ~where t in
   Alcotest.check Alcotest.int "hitter rows returned"
     (actual_rows t where) (List.length rows);
   if Metrics.counter_value Names.stats_misestimates <= mis_before then
@@ -332,7 +332,7 @@ let test_misestimate_detector () =
   | None -> Alcotest.fail "profiled run with fresh stats lost est_rows");
   (* A well-estimated query must not trip the detector. *)
   let mis_mid = Metrics.counter_value Names.stats_misestimates in
-  ignore (R.Query_exec.select_profiled ~where:(R.Predicate.Eq ("rank", R.Value.Int 0)) t);
+  ignore (R.Query_exec.(select_at Profile) ~where:(R.Predicate.Eq ("rank", R.Value.Int 0)) t);
   Alcotest.check Alcotest.int "accurate estimate stays quiet" mis_mid
     (Metrics.counter_value Names.stats_misestimates);
   Stats.invalidate t
