@@ -28,6 +28,7 @@ let () =
       ("relstore.sql", Test_relstore_sql.suite);
       ("relstore.query_plan", Test_query_plan.suite);
       ("relstore.planner_regression", Test_planner_regression.suite);
+      ("relstore.pipeline", Test_pipeline.suite);
       ("relstore.profile", Test_profile.suite);
       ("relstore.stats_catalog", Test_stats_catalog.suite);
       ("relstore.slowlog", Test_slowlog.suite);
