@@ -618,6 +618,53 @@ let run_range measured =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Part 1.98: provd publish — snapshot cost against image size          *)
+(* ------------------------------------------------------------------ *)
+
+(* provd publishes [Database.snapshot] of its live relational image.
+   The pair times it on images of ~1k and ~100k rows, folded from a
+   synthetic visit stream; O(tables + indexes) publishing keeps the two
+   within 2x of each other, where the export it replaced grew with the
+   history. *)
+let measure_snapshot () =
+  let image_of ~rows =
+    let image = Core.Prov_schema.image () in
+    let store = Core.Prov_store.create () in
+    Core.Prov_store.set_observer store (Core.Prov_schema.apply image);
+    let db = Core.Prov_schema.database image in
+    let total () =
+      List.fold_left (fun acc t -> acc + Relstore.Table.row_count t) 0 (Relstore.Database.tables db)
+    in
+    let prev = ref None in
+    let i = ref 0 in
+    while total () < rows do
+      incr i;
+      let visit =
+        Core.Prov_store.add_visit store ~engine_visit:!i
+          ~url:(Printf.sprintf "https://bench.example/%d" (!i mod 500))
+          ~title:"bench" ~transition:Browser.Transition.Link ~tab:1 ~time:!i
+      in
+      Option.iter
+        (fun src -> Core.Prov_store.add_edge store ~src ~dst:visit Core.Prov_edge.Link_traversal ~time:!i)
+        !prev;
+      prev := Some visit
+    done;
+    db
+  in
+  let iters = if quick then 20_000 else 100_000 in
+  List.map
+    (fun (name, rows) ->
+      let db = image_of ~rows in
+      (name, iters, time_per_op iters 1 (fun () -> ignore (Relstore.Database.snapshot db))))
+    [ ("snapshot-publish-1k", 1_000); ("snapshot-publish-100k", 100_000) ]
+
+let run_snapshot measured =
+  print_endline "== provd publish (Database.snapshot of the live image; ns/publish) ==\n";
+  Provkit_util.Table_fmt.print ~header:[ "image"; "ns/publish" ]
+    (List.map (fun (name, _, ns) -> [ name; Printf.sprintf "%.0f" ns ]) measured);
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: experiment tables                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -650,7 +697,7 @@ let iso_date () =
   let tm = Unix.localtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
-let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~overhead =
+let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~overhead =
   let ds = Lazy.force dataset in
   let path =
     match Sys.getenv_opt "BENCH_OUT" with
@@ -670,7 +717,7 @@ let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~over
   Buffer.add_string buf "  \"rows\": [\n";
   let all_rows =
     List.map (fun (name, ns) -> (name, micro_iters, ns)) micro
-    @ hot @ matview @ stats @ lint @ alert @ daemon @ range
+    @ hot @ matview @ stats @ lint @ alert @ daemon @ range @ snapshot
   in
   List.iteri
     (fun i (name, iters, ns) ->
@@ -723,8 +770,10 @@ let () =
   run_daemon daemon;
   let range = measure_range () in
   run_range range;
+  let snapshot = measure_snapshot () in
+  run_snapshot snapshot;
   let overhead = measure_obs_overhead () in
   run_obs_overhead overhead;
   if json_mode then
-    write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~overhead
+    write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~overhead
   else run_experiments ()

@@ -1322,7 +1322,9 @@ let serve_analyze_arg =
   Arg.(
     value & opt int 8
     & info [ "analyze-every" ] ~docv:"N"
-        ~doc:"Background stats analyze every N batches (0 disables).")
+        ~doc:
+          "Every N batches, analyze the latest snapshot's stats if its row count has at \
+           least doubled since the last analyze (0 disables).")
 
 let serve_compact_arg =
   Arg.(

@@ -2,7 +2,7 @@ module V = Relstore.Varint
 module C = Relstore.Codec
 module Obs = Provkit_obs
 
-type op =
+type op = Prov_store.mutation =
   | Add_node of Prov_node.t
   | Add_edge of { src : int; dst : int; edge : Prov_edge.t }
   | Close_node of { id : int; time : int }
@@ -225,10 +225,7 @@ let to_bytes_v1 t =
   List.iter (encode_op buf) (ops t);
   Buffer.contents buf
 
-let op_of_mutation = function
-  | Prov_store.M_node n -> Add_node n
-  | Prov_store.M_edge (src, dst, edge) -> Add_edge { src; dst; edge }
-  | Prov_store.M_close (id, time) -> Close_node { id; time }
+let op_of_mutation (m : Prov_store.mutation) : op = m
 
 let apply_op store op =
   match op with
@@ -240,25 +237,13 @@ let apply_op store op =
     | None -> ()
   end
 
-(* A canonical op stream equivalent to a store's current contents:
-   every node (close time already baked in) in id order, then every
-   edge.  Replaying it into an empty store reproduces the source, and
-   refolding it into matview registries leaves them snapshot-consistent
-   with the store — the WAL recovery path hands exactly this stream to
-   [Segmented.recover]'s [?views]. *)
+(* Refolding this stream into matview registries leaves them
+   snapshot-consistent with the store — the WAL recovery path hands
+   exactly this stream to [Segmented.recover]'s [?views]. *)
 let ops_of_store store =
-  let g = Prov_store.graph store in
-  let nodes =
-    List.map
-      (fun id -> Add_node (Prov_store.node store id))
-      (List.sort Int.compare (Provgraph.Digraph.nodes g))
-  in
-  let edges =
-    List.rev
-      (Provgraph.Digraph.fold_edges g ~init:[] ~f:(fun acc src dst edge ->
-           Add_edge { src; dst; edge } :: acc))
-  in
-  nodes @ edges
+  let ops = ref [] in
+  Prov_store.iter_contents store (fun op -> ops := op :: !ops);
+  List.rev !ops
 
 let recording_store () =
   let store = Prov_store.create () in

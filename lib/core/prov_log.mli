@@ -25,7 +25,7 @@
     Experiments E14/E16 measure the per-event cost of this path and its
     behaviour across a sweep of injected crash points. *)
 
-type op =
+type op = Prov_store.mutation =
   | Add_node of Prov_node.t
   | Add_edge of { src : int; dst : int; edge : Prov_edge.t }
   | Close_node of { id : int; time : int }
@@ -37,7 +37,8 @@ val decode_op : string -> int ref -> op
 
 val op_of_mutation : Prov_store.mutation -> op
 (** The journal record for a store mutation (what {!recording_store}
-    and {!Segmented.attach} append). *)
+    and {!Segmented.attach} append): the identity, since the two types
+    are one. *)
 
 val apply_op : Prov_store.t -> op -> unit
 (** Apply one recorded operation through the restore path (no observer

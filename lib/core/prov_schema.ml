@@ -71,7 +71,17 @@ let node_row ~page (n : Prov_node.t) =
     ("close_time", vint_opt n.Prov_node.close_time);
   ]
 
-let to_database store =
+(* --- the op -> row mapping ----------------------------------------- *)
+
+type image = {
+  db : R.Database.t;
+  nodes : R.Table.t;
+  edges : R.Table.t;
+  attrs : R.Table.t;
+  rowid_of : int -> int;  (* node id -> prov_node rowid *)
+}
+
+let make_image ~rowid_of =
   let db = R.Database.create ~name:"browser_provenance" in
   let nodes = R.Database.create_table db node_schema in
   R.Table.add_index nodes ~name:"node_url" ~columns:[ "url" ];
@@ -80,49 +90,85 @@ let to_database store =
   R.Table.add_index edges ~name:"edge_dst" ~columns:[ "dst" ];
   let attrs = R.Database.create_table db attr_schema in
   R.Table.add_index attrs ~name:"attr_node" ~columns:[ "node" ];
-  let g = Prov_store.graph store in
-  (* Node ids are the rowids; stores whose id space became sparse (e.g.
-     after {!Retention.expire}) are compacted on the way out, keeping
-     the rowid-as-id invariant of the SQLite-style format.  For a
-     contiguous store the remapping is the identity. *)
-  let remap = Hashtbl.create (Digraph.node_count g) in
-  List.iteri (fun i id -> Hashtbl.replace remap id (i + 1)) (Digraph.nodes g);
-  let new_id id = Hashtbl.find remap id in
-  List.iter
-    (fun id ->
-      let n = Digraph.node g id in
-      let page =
-        if Prov_node.is_visit n then
-          Option.map new_id (Prov_store.page_of_visit store id)
-        else None
-      in
-      let rowid = R.Table.insert_fields nodes (node_row ~page n) in
-      assert (rowid = new_id id);
+  { db; nodes; edges; attrs; rowid_of }
+
+let image () = make_image ~rowid_of:Fun.id
+let database img = img.db
+
+let visit_kind = 1 (* [Prov_node.kind_code] of a visit, as in [kind_of_row] *)
+
+let apply img (op : Prov_store.mutation) =
+  match op with
+  | Prov_store.Add_node n -> begin
+    let rowid = img.rowid_of n.Prov_node.id in
+    match R.Table.get_opt img.nodes rowid with
+    | Some old ->
+      (* A re-added node (a page whose title was refreshed) keeps the
+         page reference an Instance edge filled in. *)
+      let page = R.Row.int_opt node_schema old "page" in
+      R.Table.update img.nodes rowid (R.Row.of_alist node_schema (node_row ~page n))
+    | None -> (
+      (* Node ids are rowids: a new node must land on the next one. *)
+      let got = R.Table.insert_fields img.nodes (node_row ~page:None n) in
+      if got <> rowid then
+        R.Errors.corrupt "prov_node: node %d would get rowid %d, not %d" n.Prov_node.id got
+          rowid;
       match n.Prov_node.kind with
       | Prov_node.Form_submission { fields } ->
         List.iter
           (fun (name, value) ->
             ignore
-              (R.Table.insert_fields attrs
+              (R.Table.insert_fields img.attrs
                  [ ("node", vint rowid); ("name", vtext name); ("value", vtext value) ]))
           fields
-      | _ -> ())
-    (Digraph.nodes g);
-  (* Same_time edges are derivable from the visit open/close stamps
-     (§3.2) and are session data — not persisted (see {!Time_edges});
-     Instance edges are factorized into the visit rows' [page] column. *)
-  Digraph.iter_edges g (fun src dst (e : Prov_edge.t) ->
-      if e.Prov_edge.kind <> Prov_edge.Same_time && e.Prov_edge.kind <> Prov_edge.Instance
-      then
-        ignore
-          (R.Table.insert_fields edges
-             [
-               ("src", vint (new_id src));
-               ("dst", vint (new_id dst));
-               ("kind", vint (Prov_edge.kind_code e.Prov_edge.kind));
-               ("time", vint e.Prov_edge.time);
-             ]));
-  db
+      | Prov_node.Page _ | Prov_node.Visit _ | Prov_node.Bookmark _ | Prov_node.Download _
+      | Prov_node.Search_term _ -> ())
+  end
+  | Prov_store.Add_edge { src; dst; edge } -> begin
+    match edge.Prov_edge.kind with
+    (* Same_time edges are derivable from the visit open/close stamps
+       (§3.2) and are session data — not persisted (see {!Time_edges}). *)
+    | Prov_edge.Same_time -> ()
+    (* Instance edges are factorized into the visit row's [page] column;
+       a visit's first Instance edge names its page, as in
+       {!Prov_store.page_of_visit}. *)
+    | Prov_edge.Instance -> (
+      let visit = img.rowid_of dst in
+      match R.Table.get_opt img.nodes visit with
+      | Some row
+        when R.Row.int node_schema row "kind" = visit_kind
+             && R.Row.int_opt node_schema row "page" = None ->
+        R.Table.update_field img.nodes visit "page" (vint (img.rowid_of src))
+      | Some _ | None -> ())
+    | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
+    | Prov_edge.Bookmarked_from | Prov_edge.Redirect | Prov_edge.Embed | Prov_edge.Form_source
+    | Prov_edge.Form_result | Prov_edge.Download_source | Prov_edge.Download_fetch
+    | Prov_edge.Search_query | Prov_edge.Searched_from | Prov_edge.Tab_spawn | Prov_edge.Reload ->
+      ignore
+        (R.Table.insert_fields img.edges
+           [
+             ("src", vint (img.rowid_of src));
+             ("dst", vint (img.rowid_of dst));
+             ("kind", vint (Prov_edge.kind_code edge.Prov_edge.kind));
+             ("time", vint edge.Prov_edge.time);
+           ])
+  end
+  | Prov_store.Close_node { id; time } ->
+    let rowid = img.rowid_of id in
+    if R.Table.mem img.nodes rowid then R.Table.update_field img.nodes rowid "close_time" (vint time)
+
+let to_database store =
+  (* Node ids are the rowids; stores whose id space became sparse (e.g.
+     after {!Retention.expire}) are compacted on the way out, keeping
+     the rowid-as-id invariant of the SQLite-style format.  For a
+     contiguous store the remapping is the identity. *)
+  let remap = Hashtbl.create (Prov_store.node_count store) in
+  List.iteri
+    (fun i id -> Hashtbl.replace remap id (i + 1))
+    (Digraph.nodes (Prov_store.graph store));
+  let img = make_image ~rowid_of:(Hashtbl.find remap) in
+  Prov_store.iter_contents store (apply img);
+  img.db
 
 let require_text what = function
   | Some s -> s

@@ -8,12 +8,44 @@
     come from {!Relstore.Database.total_size}, so the E2 overhead
     measurement compares like with like. *)
 
+(** {2 The op fold}
+
+    The relational image is one more fold over the store's mutation
+    stream ({!Prov_log.op}).  {!apply} is the whole op → row mapping:
+
+    - a new [Add_node] inserts a [prov_node] row whose rowid is the node
+      id (plus its [prov_attr] rows for a form submission); a re-added
+      node rewrites its row but keeps the [page] column;
+    - an [Instance] edge fills the visit row's [page] column, so visit
+      rows do not repeat their page's url/title;
+    - a [Same_time] edge is dropped: it is derivable from the persisted
+      open/close stamps ({!Time_edges});
+    - every other edge inserts a [prov_edge] row;
+    - [Close_node] sets [close_time].
+
+    provd keeps one image live, applying each batch's ops, and publishes
+    {!Relstore.Database.snapshot} of it in O(tables + indexes). *)
+
+type image
+
+val image : unit -> image
+(** An empty image: the three tables and their indexes, no rows. *)
+
+val apply : image -> Prov_store.mutation -> unit
+(** Fold one op into the image.  Raises {!Relstore.Errors.Corrupt} when
+    a new node's id is not the next free rowid (ops out of id order). *)
+
+val database : image -> Relstore.Database.t
+(** The image's live database: mutated by every later {!apply}, so
+    readers on other domains must get a {!Relstore.Database.snapshot}. *)
+
 val to_database : Prov_store.t -> Relstore.Database.t
-(** Serialize the store into a fresh relational database.  Two
-    normalizations keep the image Places-comparable: visit rows do not
-    repeat their page's url/title (recovered through the [Instance]
-    edge), and [Same_time] edges are not written at all — they are
-    derivable from the persisted open/close stamps ({!Time_edges}). *)
+(** The store's image in a fresh database: {!apply} over
+    {!Prov_store.iter_contents}.  Stores whose id space became sparse
+    (e.g. after {!Retention.expire}) are renumbered densely in id order,
+    keeping rowid = node id.  Edge rowids follow adjacency order here,
+    and op order in a live image, so the two agree on node and attr
+    rowids and on the edge rows as a multiset. *)
 
 val of_database : Relstore.Database.t -> Prov_store.t
 (** Rebuild an in-memory store (graph + URL/query lookup tables) from a

@@ -1,9 +1,9 @@
 module Digraph = Provgraph.Digraph
 
 type mutation =
-  | M_node of Prov_node.t
-  | M_edge of int * int * Prov_edge.t
-  | M_close of int * int
+  | Add_node of Prov_node.t
+  | Add_edge of { src : int; dst : int; edge : Prov_edge.t }
+  | Close_node of { id : int; time : int }
 
 type t = {
   graph : (Prov_node.t, Prov_edge.t) Digraph.t;
@@ -45,7 +45,7 @@ let insert t kind ~time =
   let id = fresh t in
   let node = { Prov_node.id; kind; time = Some time; close_time = None } in
   Digraph.add_node t.graph id node;
-  notify t (M_node node);
+  notify t (Add_node node);
   id
 
 let add_page t ~url ~title ~time =
@@ -57,7 +57,7 @@ let add_page t ~url ~title ~time =
     | Prov_node.Page { url = u; title = old } when title <> "" && title <> old ->
       let updated = { n with Prov_node.kind = Prov_node.Page { url = u; title } } in
       Digraph.add_node t.graph id updated;
-      notify t (M_node updated)
+      notify t (Add_node updated)
     | _ -> ());
     id
   | None ->
@@ -68,7 +68,7 @@ let add_page t ~url ~title ~time =
 let add_edge t ~src ~dst kind ~time =
   let edge = { Prov_edge.kind; time } in
   Digraph.add_edge t.graph ~src ~dst edge;
-  notify t (M_edge (src, dst, edge))
+  notify t (Add_edge { src; dst; edge })
 
 let add_visit t ~engine_visit ~url ~title ~transition ~tab ~time =
   let page = add_page t ~url ~title ~time in
@@ -83,7 +83,7 @@ let close_visit t ~engine_visit ~time =
   | Some id ->
     let n = Digraph.node t.graph id in
     Digraph.add_node t.graph id { n with Prov_node.close_time = Some time };
-    notify t (M_close (id, time))
+    notify t (Close_node { id; time })
 
 let add_bookmark t ~engine_bookmark ~url ~title ~time =
   let id = insert t (Prov_node.Bookmark { title; url }) ~time in
@@ -119,6 +119,13 @@ let restore_node t (n : Prov_node.t) =
   | Prov_node.Form_submission _ -> ()
 
 let restore_edge t ~src ~dst (e : Prov_edge.t) = Digraph.add_edge t.graph ~src ~dst e
+
+(* Nodes ascending by id, then edges in adjacency order: the order
+   [Prov_schema.to_database] assigns rowids in, so both it and
+   [Prov_log.ops_of_store] walk this one stream. *)
+let iter_contents t f =
+  List.iter (fun id -> f (Add_node (Digraph.node t.graph id))) (Digraph.nodes t.graph);
+  Digraph.iter_edges t.graph (fun src dst edge -> f (Add_edge { src; dst; edge }))
 
 let node t id = Digraph.node t.graph id
 let node_opt t id = Digraph.node_opt t.graph id

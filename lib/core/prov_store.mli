@@ -51,9 +51,10 @@ val add_edge : t -> src:int -> dst:int -> Prov_edge.kind -> time:int -> unit
     the replay path itself. *)
 
 type mutation =
-  | M_node of Prov_node.t  (** inserted or payload-replaced *)
-  | M_edge of int * int * Prov_edge.t
-  | M_close of int * int  (** node id, close time *)
+  | Add_node of Prov_node.t  (** inserted or payload-replaced *)
+  | Add_edge of { src : int; dst : int; edge : Prov_edge.t }
+  | Close_node of { id : int; time : int }
+(** Also the journal's record type ({!Prov_log.op}). *)
 
 val set_observer : t -> (mutation -> unit) -> unit
 (** At most one observer; setting replaces. *)
@@ -68,6 +69,12 @@ val clear_observer : t -> unit
 
 val restore_node : t -> Prov_node.t -> unit
 val restore_edge : t -> src:int -> dst:int -> Prov_edge.t -> unit
+
+val iter_contents : t -> (mutation -> unit) -> unit
+(** A canonical mutation stream equivalent to the store's current
+    contents: every node (close time baked in) in ascending id order,
+    then every edge in adjacency order.  Applying it to an empty store
+    reproduces this one. *)
 
 (** {2 Lookup} *)
 

@@ -6,9 +6,11 @@
    - N producer sessions pushing deterministic browsing events into a
      bounded {!Event_queue} (back-pressure, never drop), interleaved
      with snapshot reads according to the configured mix;
-   - ONE ingest loop — the sole owner of the store, the WAL handle and
-     the matview registry — draining the queue in batches through
-     [Capture.handle_batch] and the WAL group-commit path
+   - ONE ingest loop — the sole owner of the store, the WAL handle,
+     the matview registry and the live relational image — draining the
+     queue in batches through [Capture.handle_batch], folding each
+     batch's ops into the matviews and the image ([Prov_schema.apply]),
+     appending them through the WAL group-commit path
      ([Segmented.append_batch]), and publishing immutable read
      snapshots at a batch-boundary cadence;
    - M read workers serving queries against the latest published
@@ -19,11 +21,13 @@
      store (WAL compaction, matview rebuild) are *requested* via flags
      and executed by the ingest loop at a batch boundary.
 
-   Snapshots are whole [Relstore.Database.t] values built by
-   [Prov_schema.to_database] and published through an [Atomic.t];
-   readers pay one atomic load, no lock, and every snapshot's [seq] is
-   a batch boundary — the isolation property the property tests pin
-   bit-for-bit. *)
+   The image's tables are persistent maps, so publishing is
+   [Relstore.Database.snapshot] of the live image: O(tables + indexes)
+   whatever the history's size, and immutable by construction.  The
+   snapshot goes out through an [Atomic.t]; readers pay one atomic
+   load, no lock, and every snapshot's [seq] is a batch boundary — the
+   isolation property the property tests pin bit-for-bit against a
+   serial fold of the same ops. *)
 
 module Obs = Provkit_obs
 module Event = Browser.Event
@@ -48,7 +52,9 @@ type config = {
   snapshot_every : int;  (** publish a read snapshot every N batches *)
   read_workers : int;
   read_mix : float;  (** per pushed event, probability a session also reads *)
-  analyze_every : int;  (** background stats analyze every N batches; 0 = never *)
+  analyze_every : int;
+      (** every N batches, analyze the snapshot if its rows have doubled
+          since the last analyze; 0 = never *)
   compact_every : int;  (** request WAL compaction every N batches; 0 = never *)
   seed : int;
   wal_dir : string option;
@@ -122,7 +128,7 @@ type t = {
   started_ns : int64;
   producers : int list Domain.t list;  (** each returns its read latencies *)
   readers : int list Domain.t list;
-  ingest : (ingest_state * int * (int * int) list * (int * int) list) Domain.t;
+  ingest : (ingest_state * int * (int * int) list * (int * int) list) Worker_pool.job;
   background : int Domain.t;
 }
 
@@ -193,11 +199,11 @@ let producer_loop ctl ~session =
 
 (* --- ingest ----------------------------------------------------------- *)
 
-let publish state ctl store =
+let publish state ctl image =
   Obs.Trace.with_span Obs.Names.span_daemon_snapshot
     ~attrs:[ ("seq", string_of_int state.seq) ]
     (fun () ->
-      let db = Core.Prov_schema.to_database store in
+      let db = Relstore.Database.snapshot (Core.Prov_schema.database image) in
       state.generation <- state.generation + 1;
       Atomic.set ctl.c_published
         (Some { db; seq = state.seq; generation = state.generation });
@@ -208,6 +214,7 @@ let ingest_loop ctl =
   let capture, _feed = Core.Capture.observer () in
   let store = Core.Capture.store capture in
   let views, v_nodes, v_edges = Core.Store_views.standard () in
+  let image = Core.Prov_schema.image () in
   let wal =
     match cfg.wal_dir with
     | None -> None
@@ -244,6 +251,7 @@ let ingest_loop ctl =
           Core.Capture.handle_batch capture batch;
           let ops = List.rev !pending in
           Relstore.Matview.feed_batch views ops;
+          List.iter (Core.Prov_schema.apply image) ops;
           match wal with
           | Some h -> PL.Segmented.append_batch h ops
           | None -> ());
@@ -268,7 +276,7 @@ let ingest_loop ctl =
         state.owner_jobs <- state.owner_jobs + 1;
         Obs.Metrics.incr m_jobs
       end;
-      if state.batches mod cfg.snapshot_every = 0 then publish state ctl store;
+      if state.batches mod cfg.snapshot_every = 0 then publish state ctl image;
       Mutex.protect ctl.c_bg_lock (fun () ->
           ctl.c_bg_batches <- state.batches;
           Condition.signal ctl.c_bg_cond);
@@ -278,7 +286,7 @@ let ingest_loop ctl =
   (* The queue is closed and drained: publish the final snapshot (so
      readers and the equivalence tests see every event), make the WAL
      durable, and hand the owner state to the supervisor. *)
-  publish state ctl store;
+  publish state ctl image;
   Obs.Metrics.set_gauge g_depth 0.0;
   let wal_appended =
     match wal with
@@ -298,6 +306,7 @@ let background_loop ctl =
   let jobs = ref 0 in
   let last_seen = ref 0 in
   let last_analyze = ref 0 in
+  let analyzed_rows = ref 0 in
   let last_compact = ref 0 in
   let running = ref true in
   while !running do
@@ -316,16 +325,27 @@ let background_loop ctl =
       incr jobs;
       Obs.Metrics.incr m_jobs;
       (* Stats analyze runs against the *snapshot*, never the live
-         store: the ingest loop keeps mutating the store, but a
-         published database is immutable. *)
+         image: the ingest loop keeps mutating the image, but a
+         published database is immutable.  An analyze costs O(rows) and
+         its stats are fresh only until the next publish, so it runs
+         only once the history has doubled since the last one: O(rows)
+         in total over a run, not O(rows) per check. *)
       (if cfg.analyze_every > 0 && batches - !last_analyze >= cfg.analyze_every then begin
          last_analyze := batches;
          match Atomic.get ctl.c_published with
          | None -> ()
          | Some snap ->
-           ignore (Relstore.Stats.analyze_database snap.db);
-           incr jobs;
-           Obs.Metrics.incr m_jobs
+           let rows =
+             List.fold_left
+               (fun acc tbl -> acc + Relstore.Table.row_count tbl)
+               0 (Relstore.Database.tables snap.db)
+           in
+           if rows > 0 && rows >= 2 * !analyzed_rows then begin
+             analyzed_rows := rows;
+             ignore (Relstore.Stats.analyze_database snap.db);
+             incr jobs;
+             Obs.Metrics.incr m_jobs
+           end
        end);
       if cfg.compact_every > 0 && batches - !last_compact >= cfg.compact_every then begin
         last_compact := batches;
@@ -367,8 +387,10 @@ let start cfg =
   let started_ns = Provkit_util.Timing.now_ns () in
   (* The ingest loop must exist before producers can make progress past
      one queue's worth of events, but spawn order is immaterial: the
-     queue is the only coupling. *)
-  let ingest = Domain.spawn (fun () -> ingest_loop ctl) in
+     queue is the only coupling.  The ingest owner, whose heap holds the
+     store and the image, runs on the domain {!Worker_pool} keeps from
+     one provd instance to the next. *)
+  let ingest = Worker_pool.spawn (fun () -> ingest_loop ctl) in
   let background = Domain.spawn (fun () -> background_loop ctl) in
   let producers =
     List.init cfg.sessions (fun session ->
@@ -395,7 +417,7 @@ let wait t =
      Nothing is dropped: close-then-drain, never drain-then-close. *)
   let producer_lats = List.concat_map Domain.join t.producers in
   Event_queue.close t.ctl.c_queue;
-  let state, wal_appended, node_kinds, edge_kinds = Domain.join t.ingest in
+  let state, wal_appended, node_kinds, edge_kinds = Worker_pool.join t.ingest in
   Mutex.protect t.ctl.c_bg_lock (fun () ->
       t.ctl.c_bg_done <- true;
       Condition.broadcast t.ctl.c_bg_cond);

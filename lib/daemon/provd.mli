@@ -2,12 +2,16 @@
 
     {!start} spawns, on OCaml domains: N deterministic producer
     sessions feeding a bounded queue; one ingest loop that owns the
-    store, drains the queue in batches through [Capture.handle_batch]
-    and the WAL group-commit path, and publishes immutable read
-    snapshots at batch boundaries; M read workers querying the latest
+    store, drains the queue in batches through [Capture.handle_batch],
+    folds each batch's ops into a live relational image
+    ({!Core.Prov_schema.apply}) and the WAL group-commit path, and
+    publishes immutable read snapshots of the image (O(1) in the
+    history's size) at batch boundaries; M read workers querying the latest
     snapshot lock-free; and a background job runner (stats analyze on
     the snapshot, telemetry pulse) that requests owner jobs (WAL
-    compaction, matview rebuild) instead of touching owner state.
+    compaction, matview rebuild) instead of touching owner state.  The
+    ingest loop's domain is not stopped with the instance: the next
+    {!start} reuses it ({!Worker_pool}).
 
     {!wait} runs the clean shutdown: sessions finish, the queue closes,
     the ingest loop drains every remaining event and makes the WAL
@@ -21,7 +25,11 @@ type config = {
   snapshot_every : int;  (** publish a read snapshot every N batches *)
   read_workers : int;
   read_mix : float;  (** per pushed event, probability a session also reads *)
-  analyze_every : int;  (** background stats analyze every N batches; 0 = never *)
+  analyze_every : int;
+      (** every N batches the background runner checks the latest
+          snapshot and runs a stats analyze on it when its total row
+          count is at least double the count at the previous analyze
+          (the first non-empty snapshot always qualifies); 0 = never *)
   compact_every : int;  (** request WAL compaction every N batches; 0 = never *)
   seed : int;
   wal_dir : string option;
@@ -32,7 +40,8 @@ val default : config
     2 read workers, 25% read mix, no WAL. *)
 
 type snapshot = {
-  db : Relstore.Database.t;  (** immutable once published *)
+  db : Relstore.Database.t;
+      (** a {!Relstore.Database.snapshot} of the live image: immutable *)
   seq : int;  (** events applied when it was built — always a batch boundary *)
   generation : int;  (** publish count, strictly increasing *)
 }

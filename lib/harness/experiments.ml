@@ -851,12 +851,7 @@ let e14_incremental_persistence (ds : Dataset.t) =
      the write path a real browser would use. *)
   let capture, feed = Core.Capture.observer () in
   let journal = Core.Prov_log.create () in
-  Core.Prov_store.set_observer (Core.Capture.store capture) (fun m ->
-      Core.Prov_log.append journal
-        (match m with
-        | Core.Prov_store.M_node n -> Core.Prov_log.Add_node n
-        | Core.Prov_store.M_edge (src, dst, edge) -> Core.Prov_log.Add_edge { src; dst; edge }
-        | Core.Prov_store.M_close (id, time) -> Core.Prov_log.Close_node { id; time }));
+  Core.Prov_store.set_observer (Core.Capture.store capture) (Core.Prov_log.append journal);
   let events = Browser.Engine.event_log ds.Dataset.engine in
   let (), log_ms = Timing.time_ms (fun () -> List.iter feed events) in
   let store = Core.Capture.store capture in

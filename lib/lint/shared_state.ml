@@ -101,6 +101,9 @@ let manifest =
       "tuning constant, never reassigned outside tests";
     e "lib/relstore/query_exec.ml" "query_span_threshold_ns" Read_only_after_init
       "tuning constant, never reassigned outside tests";
+    (* daemon *)
+    e "lib/daemon/worker_pool.ml" "spare" Needs_lock
+      "the parked worker domain, taken by provd start and returned when its ingest job ends; guarded by Worker_pool.lock";
     (* lint *)
     e "lib/lint/source.ml" "parse_cache" Single_writer
       "parse-once memo; provlint is a single-threaded batch tool";

@@ -23,23 +23,33 @@ let registers t = t.m
 (* FNV-1a 64-bit, then the splitmix64 finalizer: FNV alone has poor
    high-bit avalanche, and HLL reads both ends of the word (the top p
    bits index, the rest is rank material). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let fnv_basis = 0xcbf29ce484222325L
+let[@inline] fnv h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L
+
+(* Plain loops over a local ref let the compiler keep [h] unboxed; a
+   closure capturing it would box a fresh int64 for every byte. *)
 let hash_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+  let h = ref fnv_basis in
+  for i = 0 to String.length s - 1 do
+    h := fnv !h (String.unsafe_get s i)
+  done;
+  mix64 !h
+
+let[@inline] hash_buffer b =
+  let h = ref fnv_basis in
+  for i = 0 to Buffer.length b - 1 do
+    h := fnv !h (Buffer.nth b i)
+  done;
   mix64 !h
 
 (* Rank: 1 + number of leading zeros of the (64-p)-bit remainder,
    capped so it always fits the register byte. *)
-let rank_of t hash =
+let[@inline] rank_of t hash =
   let rest = Int64.shift_left hash t.p in
   if Int64.equal rest 0L then 64 - t.p + 1
   else begin
@@ -52,13 +62,14 @@ let rank_of t hash =
     !r
   end
 
-let add_hash t hash =
+let[@inline] add_hash t hash =
   let idx = Int64.to_int (Int64.shift_right_logical hash (64 - t.p)) in
   let rank = rank_of t hash in
   if rank > Char.code (Bytes.get t.regs idx) then
     Bytes.set t.regs idx (Char.chr rank)
 
 let add_string t s = add_hash t (hash_string s)
+let add_buffer t b = add_hash t (hash_buffer b)
 
 let alpha m =
   match m with

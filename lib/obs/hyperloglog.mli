@@ -32,6 +32,9 @@ val hash_string : string -> int64
 (** FNV-1a over the bytes, finalized with the splitmix64 mixer —
     deterministic across runs and platforms. *)
 
+val add_buffer : t -> Buffer.t -> unit
+(** [add_string t (Buffer.contents b)] without copying the bytes. *)
+
 val estimate : t -> float
 (** Estimated number of distinct items added.  Uses the standard
     HyperLogLog estimator with the linear-counting correction for

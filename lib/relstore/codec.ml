@@ -7,26 +7,29 @@ let tag_blob = 4
 let tag_false = 5
 let tag_true = 6
 
+(* A top-level helper, not a local closure over [buf]: writing a value
+   allocates nothing. *)
+let tag buf t = Buffer.add_char buf (Char.chr t)
+
 let write_value buf v =
-  let tag t = Buffer.add_char buf (Char.chr t) in
   match (v : Value.t) with
-  | Null -> tag tag_null
+  | Null -> tag buf tag_null
   | Int n ->
-    tag tag_int;
+    tag buf tag_int;
     Varint.write_signed buf n
   | Real f ->
-    tag tag_real;
+    tag buf tag_real;
     Buffer.add_int64_le buf (Int64.bits_of_float f)
   | Text s ->
-    tag tag_text;
+    tag buf tag_text;
     Varint.write_unsigned buf (String.length s);
     Buffer.add_string buf s
   | Blob b ->
-    tag tag_blob;
+    tag buf tag_blob;
     Varint.write_unsigned buf (Bytes.length b);
     Buffer.add_bytes buf b
-  | Bool false -> tag tag_false
-  | Bool true -> tag tag_true
+  | Bool false -> tag buf tag_false
+  | Bool true -> tag buf tag_true
 
 let read_bytes s pos n =
   if n < 0 || !pos + n > String.length s then

@@ -13,6 +13,11 @@ let create_table t schema =
   Hashtbl.replace t.tables tname table;
   table
 
+let snapshot t =
+  let tables = Hashtbl.create (Hashtbl.length t.tables) in
+  Hashtbl.iter (fun tname tbl -> Hashtbl.replace tables tname (Table.snapshot tbl)) t.tables;
+  { name = t.name; tables }
+
 let table_opt t tname = Hashtbl.find_opt t.tables tname
 
 let table t tname =

@@ -25,6 +25,10 @@ val tables : t -> Table.t list
 val drop_table : t -> string -> unit
 (** Raises {!Errors.No_such_table}. *)
 
+val snapshot : t -> t
+(** {!Table.snapshot} of every table: O(tables + indexes), independent
+    of the row count, and unaffected by later writes to [t]. *)
+
 (** {2 Persistence} *)
 
 val to_bytes : t -> string

@@ -33,6 +33,10 @@ let create ?(unique = false) ~name ~columns schema =
   in
   { name; columns; positions; unique; entries = Kmap.empty; cardinal = 0 }
 
+(* [entries] is persistent, so copying the record is a complete,
+   independent copy. *)
+let copy t = { t with entries = t.entries }
+
 let name t = t.name
 let column_names t = t.columns
 let is_unique t = t.unique
@@ -75,9 +79,21 @@ let find_one t key =
 
 let mem t key = Kmap.mem key t.entries
 
-let fold_range ?lo ?hi t ~init ~f =
-  let in_lo key = match lo with None -> true | Some l -> Key.compare key l >= 0 in
-  let in_hi key = match hi with None -> true | Some h -> Key.compare key h <= 0 in
+let fold_range ?lo ?(lo_inclusive = true) ?hi ?(hi_inclusive = true) t ~init ~f =
+  let in_lo key =
+    match lo with
+    | None -> true
+    | Some l ->
+      let c = Key.compare key l in
+      c > 0 || (c = 0 && lo_inclusive)
+  in
+  let in_hi key =
+    match hi with
+    | None -> true
+    | Some h ->
+      let c = Key.compare key h in
+      c < 0 || (c = 0 && hi_inclusive)
+  in
   (* Seek to the lower bound, then stream until past the upper bound. *)
   let seq =
     match lo with

@@ -10,6 +10,10 @@ val create : ?unique:bool -> name:string -> columns:string list -> Schema.t -> t
 (** Raises {!Errors.No_such_column} if a column does not exist.
     [unique] (default false) enforces at-most-one row id per key. *)
 
+val copy : t -> t
+(** An independent copy in O(1): the entries are a persistent map, so
+    neither side's later {!add}/{!remove} is visible to the other. *)
+
 val name : t -> string
 val column_names : t -> string list
 val is_unique : t -> bool
@@ -33,10 +37,18 @@ val find_one : t -> Value.t list -> int option
 val mem : t -> Value.t list -> bool
 
 val fold_range :
-  ?lo:Value.t list -> ?hi:Value.t list -> t -> init:'a -> f:('a -> Value.t list -> int -> 'a) -> 'a
-(** Fold over entries with keys in \[lo, hi\] (inclusive, lexicographic);
-    omitted bounds are unbounded.  Visits keys in ascending order and row
-    ids ascending within a key. *)
+  ?lo:Value.t list ->
+  ?lo_inclusive:bool ->
+  ?hi:Value.t list ->
+  ?hi_inclusive:bool ->
+  t ->
+  init:'a ->
+  f:('a -> Value.t list -> int -> 'a) ->
+  'a
+(** Fold over entries with keys between [lo] and [hi] (lexicographic);
+    omitted bounds are unbounded, and a bound includes its own key
+    unless its [_inclusive] flag (default true) is false.  Visits keys
+    in ascending order and row ids ascending within a key. *)
 
 val cardinal : t -> int
 (** Number of (key, rowid) entries. *)

@@ -49,6 +49,54 @@ let rec eval t schema row =
   | Not p -> not (eval p schema row)
   | Custom (_, f) -> f schema row
 
+(* [eval] with every column name resolved to a position once, up front:
+   the per-row closure does array reads only.  An unknown column raises
+   when a row is tested, as [eval] does, not at compile time. *)
+let rec compile t schema =
+  let at col k =
+    match Schema.column_index schema col with
+    | pos -> k pos
+    | exception e -> fun _ -> raise e
+  in
+  match t with
+  | True -> fun _ -> true
+  | Eq (col, v) -> at col (fun pos row -> Value.equal row.(pos) v)
+  | Cmp (op, col, v) ->
+    let holds =
+      match op with
+      | Lt -> fun c -> c < 0
+      | Le -> fun c -> c <= 0
+      | Gt -> fun c -> c > 0
+      | Ge -> fun c -> c >= 0
+      | Ne -> fun c -> c <> 0
+    in
+    at col (fun pos row ->
+        let cell = row.(pos) in
+        (not (Value.is_null cell)) && holds (Value.compare cell v))
+  | Between (col, lo, hi) ->
+    at col (fun pos row ->
+        let cell = row.(pos) in
+        (not (Value.is_null cell)) && Value.compare cell lo >= 0 && Value.compare cell hi <= 0)
+  | Is_null col -> at col (fun pos row -> Value.is_null row.(pos))
+  | Not_null col -> at col (fun pos row -> not (Value.is_null row.(pos)))
+  | Like (col, needle) ->
+    let needle = String.lowercase_ascii needle in
+    at col (fun pos row ->
+        match row.(pos) with
+        | Value.Text s ->
+          Provkit_util.Strutil.contains_substring ~needle (String.lowercase_ascii s)
+        | _ -> false)
+  | And ps ->
+    let tests = List.map (fun p -> compile p schema) ps in
+    fun row -> List.for_all (fun test -> test row) tests
+  | Or ps ->
+    let tests = List.map (fun p -> compile p schema) ps in
+    fun row -> List.exists (fun test -> test row) tests
+  | Not p ->
+    let test = compile p schema in
+    fun row -> not (test row)
+  | Custom (_, f) -> f schema
+
 let rec conjunctive_eqs = function
   | Eq (col, v) -> [ (col, v) ]
   | And ps -> List.concat_map conjunctive_eqs ps

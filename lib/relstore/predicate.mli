@@ -21,6 +21,12 @@ type t =
 
 val eval : t -> Schema.t -> Row.t -> bool
 
+val compile : t -> Schema.t -> Row.t -> bool
+(** [compile p schema] resolves [p]'s column names against [schema]
+    once and returns a row test equal to [eval p schema]: the executor
+    compiles a query's predicate once and tests every row with it.  An
+    unknown column raises when a row is tested, as with {!eval}. *)
+
 val conjunctive_eqs : t -> (string * Value.t) list
 (** Column=value pairs guaranteed by the predicate (those at the top
     level of a conjunction), usable for index lookups. *)

@@ -15,21 +15,15 @@ type access =
   | A_range of Index.t * (Value.t * bool) option * (Value.t * bool) option
       (* bounds carry an inclusivity flag; see Predicate.conjunctive_range *)
 
-(* Run a possibly-exclusive single-column range over the (inclusive)
-   index fold: seek with the boundary values, then skip entries sitting
-   exactly on an excluded boundary.  The skip happens inside the fold
-   callback, so an excluded boundary key is never counted as a scanned
-   candidate — [exec_stats.rows_scanned] reflects the strict range, not
-   the widened one. *)
+(* Run a possibly-exclusive single-column range over the index.  An
+   excluded boundary key is skipped by the index walk itself, so it is
+   never counted as a scanned candidate — [exec_stats.rows_scanned]
+   reflects the strict range, not the widened one. *)
 let fold_bound_range idx lo hi ~init ~f =
   let key_of = Option.map (fun (v, _) -> [ v ]) in
-  let excluded bound key =
-    match (bound, key) with
-    | Some (v, false), first :: _ -> Value.compare first v = 0
-    | _ -> false
-  in
-  Index.fold_range ?lo:(key_of lo) ?hi:(key_of hi) idx ~init ~f:(fun acc key rowid ->
-      if excluded lo key || excluded hi key then acc else f acc key rowid)
+  let inclusive = Option.fold ~none:true ~some:snd in
+  Index.fold_range ?lo:(key_of lo) ~lo_inclusive:(inclusive lo) ?hi:(key_of hi)
+    ~hi_inclusive:(inclusive hi) idx ~init ~f
 
 let eq_index table where =
   let eqs = Predicate.conjunctive_eqs where in
@@ -405,12 +399,12 @@ let[@inline] lap m slot =
    satisfies [where].  An excluded range boundary is skipped inside
    [fold_bound_range], so it never counts as scanned. *)
 let fold_matches m table access where ~init ~f =
-  let schema = Table.schema table in
+  let test = Predicate.compile where (Table.schema table) in
   let visit acc rowid row =
     m.scanned <- m.scanned + 1;
     lap m ph_fetch;
     let acc =
-      if Predicate.eval where schema row then begin
+      if test row then begin
         m.matched <- m.matched + 1;
         f acc rowid row
       end
@@ -450,6 +444,26 @@ let compare_rows schema order_by (ra_id, ra) (rb_id, rb) =
   in
   go order_by
 
+(* Candidates in ascending rowid order, from the reversed fold output.
+   Every access path yields ascending rowid runs — one for a heap scan
+   or an equality probe, one per key for a range — so this merges the
+   runs, O(n log runs), instead of sorting. *)
+let rowid_order hits =
+  let rec split runs run = function
+    | [] -> run :: runs
+    | ((id, _) as hit) :: rest -> (
+      match run with
+      | (prev, _) :: _ when id > prev -> split (run :: runs) [ hit ] rest
+      | _ -> split runs (hit :: run) rest)
+  in
+  let by_rowid (a, _) (b, _) = compare (a : int) b in
+  let rec pairs = function
+    | a :: b :: rest -> List.merge by_rowid a b :: pairs rest
+    | runs -> runs
+  in
+  let rec merge = function [] -> [] | [ run ] -> run | runs -> merge (pairs runs) in
+  merge (split [] [] hits)
+
 let by_count_desc (ka, na) (kb, nb) =
   let c = Int.compare nb na in
   if c <> 0 then c else Value.compare ka kb
@@ -483,7 +497,7 @@ let run_table shape where table ~timed =
           in
           let sorted =
             match order_by with
-            | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
+            | [] -> rowid_order hits
             | _ :: _ -> List.sort (compare_rows schema order_by) hits
           in
           lap m ph_sort;
@@ -496,11 +510,15 @@ let run_table shape where table ~timed =
           fold_matches m table access where ~init:() ~f:(fun () _ _ -> ());
           Query_cache.Count m.matched
         | Group_count by ->
+          (* One hash per row: a group's counter is bumped in place. *)
+          let pos = Schema.column_index schema by in
           let counts = Hashtbl.create 64 in
           fold_matches m table access where ~init:() ~f:(fun () _ row ->
-              let key = Row.get schema row by in
-              Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)));
-          let groups = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
+              let key = row.(pos) in
+              match Hashtbl.find_opt counts key with
+              | Some n -> incr n
+              | None -> Hashtbl.add counts key (ref 1));
+          let groups = Hashtbl.fold (fun k n acc -> (k, !n) :: acc) counts [] in
           lap m ph_filter;
           let sorted = List.sort by_count_desc groups in
           lap m ph_sort;
@@ -583,13 +601,14 @@ let run_join ~input ~where_left ~where_right ~on left right ~timed =
       let plan, right_matches =
         match Table.find_index_on right right_cols with
         | Some idx ->
+          let test = Predicate.compile where_right rschema in
           ( Index_eq (Index.name idx),
             fun key ->
               List.filter_map
                 (fun rowid ->
                   m.scanned <- m.scanned + 1;
                   let row = Table.get right rowid in
-                  if Predicate.eval where_right rschema row then Some (rowid, row) else None)
+                  if test row then Some (rowid, row) else None)
                 (Index.find idx key) )
         | None ->
           let tbl = Hashtbl.create 256 in

@@ -2,13 +2,13 @@ type t = Value.t array
 
 let of_alist schema fields =
   let row = Array.make (Schema.arity schema) Value.Null in
-  let seen = Hashtbl.create 8 in
+  let seen = Array.make (Schema.arity schema) false in
   List.iter
     (fun (name, v) ->
-      if Hashtbl.mem seen name then
-        invalid_arg ("Row.of_alist: duplicate field " ^ name);
-      Hashtbl.add seen name ();
-      row.(Schema.column_index schema name) <- v)
+      let i = Schema.column_index schema name in
+      if seen.(i) then invalid_arg ("Row.of_alist: duplicate field " ^ name);
+      seen.(i) <- true;
+      row.(i) <- v)
     fields;
   row
 

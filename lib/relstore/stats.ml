@@ -47,15 +47,20 @@ let equi_depth ~buckets values =
     Some { hb_min = values.(0); hb_bounds = bounds; hb_rows = n }
   end
 
-let summarize_column ~buckets ~indexed schema rows col =
+(* [iter_rows f] applies [f] to each of the [rows] rows summarized. *)
+let summarize_column ~buckets ~indexed ~rows schema iter_rows col =
   let ci = Schema.column_index schema col in
   let nulls = ref 0 in
   let vmin = ref Value.Null and vmax = ref Value.Null in
   let hll = Obs.Hyperloglog.create () in
-  let non_null = ref [] in
+  (* An indexed column's non-null values fill [non_null] from the end,
+     so its tail holds them in reverse row order: [Array.sort] is not
+     stable, and that is the order the histogram has always sorted. *)
+  let non_null = if indexed then Array.make rows Value.Null else [||] in
+  let kept = ref 0 in
   let examined = ref 0 in
   let buf = Buffer.create 32 in
-  List.iter
+  iter_rows
     (fun (row : Row.t) ->
       incr examined;
       let v = row.(ci) in
@@ -65,10 +70,12 @@ let summarize_column ~buckets ~indexed schema rows col =
         if Value.is_null !vmax || Value.compare v !vmax > 0 then vmax := v;
         Buffer.clear buf;
         Codec.write_value buf v;
-        Obs.Hyperloglog.add_string hll (Buffer.contents buf);
-        if indexed then non_null := v :: !non_null
-      end)
-    rows;
+        Obs.Hyperloglog.add_buffer hll buf;
+        if indexed then begin
+          incr kept;
+          non_null.(rows - !kept) <- v
+        end
+      end);
   let examined = !examined in
   {
     cs_column = col;
@@ -78,7 +85,7 @@ let summarize_column ~buckets ~indexed schema rows col =
     cs_max = !vmax;
     cs_ndv = (if examined = !nulls then 0.0 else Float.max 1.0 (Obs.Hyperloglog.estimate hll));
     cs_histogram =
-      (if indexed then equi_depth ~buckets (Array.of_list !non_null) else None);
+      (if indexed then equi_depth ~buckets (Array.sub non_null (rows - !kept) !kept) else None);
   }
 
 let catalog : (int, table_stats) Hashtbl.t = Hashtbl.create 16
@@ -95,15 +102,21 @@ let analyze ?sample ?(buckets = 32) ?(seed = 42) table =
       ~attrs:[ ("table", Table.name table) ]
       (fun () ->
         let schema = Table.schema table in
-        let all_rows = List.map snd (Table.rows table) in
-        let total = List.length all_rows in
-        let rows =
+        let total = Table.row_count table in
+        (* A full analyze walks the table in place, once per column: a
+           list of every row would cost several words per row, and under
+           provd that garbage lands while readers wait on the collector. *)
+        let sampled, iter_rows =
           match sample with
           | Some n when n < total ->
-            Provkit_util.Prng.sample_without_replacement
-              (Provkit_util.Prng.create seed)
-              n (Array.of_list all_rows)
-          | _ -> all_rows
+            let picked =
+              Provkit_util.Prng.sample_without_replacement
+                (Provkit_util.Prng.create seed)
+                n
+                (Array.of_list (List.map snd (Table.rows table)))
+            in
+            (List.length picked, fun f -> List.iter f picked)
+          | _ -> (total, fun f -> Table.iter table (fun _ row -> f row))
         in
         let indexed_cols =
           List.concat_map Index.column_names (Table.indexes table)
@@ -114,14 +127,14 @@ let analyze ?sample ?(buckets = 32) ?(seed = 42) table =
                  ( c.Column.name,
                    summarize_column ~buckets
                      ~indexed:(List.mem c.Column.name indexed_cols)
-                     schema rows c.Column.name ))
+                     ~rows:sampled schema iter_rows c.Column.name ))
         in
         {
           ts_table = Table.name table;
           ts_uid = Table.uid table;
           ts_epoch = Table.epoch table;
           ts_rows = total;
-          ts_sampled = List.length rows;
+          ts_sampled = sampled;
           ts_columns = columns;
         })
   in

@@ -1,6 +1,15 @@
+(* The row heap is a persistent map and the indexes hold persistent
+   maps too, so a table is a handful of root pointers: {!snapshot}
+   copies them in O(indexes) and the copy shares every row with the
+   live table.  [count] caches the heap's cardinality.  Heap writes go
+   through the table's own [edit] token, so between two snapshots they
+   update in place the trie nodes they made instead of copying a path
+   per write. *)
 type t = {
   schema : Schema.t;
-  rows : (int, Row.t) Hashtbl.t;
+  mutable rows : Row.t Intmap.t;
+  edit : Intmap.edit;
+  mutable count : int;
   mutable next_id : int;
   mutable indexes : Index.t list;
   uid : int;
@@ -9,17 +18,39 @@ type t = {
 
 (* Process-unique table identity, so caches keyed by table survive a
    table being garbage-collected and another allocated at the same
-   address: a uid is never reused.  Atomic because provd snapshot
-   rebuilds create tables on more than one domain. *)
+   address: a uid is never reused.  Atomic because provd's ingest
+   domain takes snapshots while reader domains create tables. *)
 let next_uid = Atomic.make 0
+let fresh_uid () = Atomic.fetch_and_add next_uid 1 + 1
 
 let create schema =
-  let uid = Atomic.fetch_and_add next_uid 1 + 1 in
-  { schema; rows = Hashtbl.create 64; next_id = 1; indexes = []; uid; epoch = 0 }
+  {
+    schema;
+    rows = Intmap.empty;
+    edit = Intmap.edit ();
+    count = 0;
+    next_id = 1;
+    indexes = [];
+    uid = fresh_uid ();
+    epoch = 0;
+  }
+
+(* A fresh uid keeps the copy's (uid, epoch) cache keys disjoint from
+   the source's, whichever of the two is mutated afterwards.  Freezing
+   the source's token keeps either side from writing the nodes they
+   share in place; the copy writes through a token of its own. *)
+let snapshot t =
+  Intmap.freeze t.edit;
+  {
+    t with
+    uid = fresh_uid ();
+    edit = Intmap.edit ();
+    indexes = List.map Index.copy t.indexes;
+  }
 
 let schema t = t.schema
 let name t = Schema.name t.schema
-let row_count t = Hashtbl.length t.rows
+let row_count t = t.count
 let uid t = t.uid
 let epoch t = t.epoch
 let bump t = t.epoch <- t.epoch + 1
@@ -30,7 +61,7 @@ let insert t row =
   (* A live row at next_id means the id counter is corrupt (e.g. a
      doctored serialized image): overwriting would silently destroy
      data, so refuse. *)
-  if Hashtbl.mem t.rows rowid then
+  if Intmap.mem rowid t.rows then
     Errors.corrupt "table %s: fresh rowid %d already occupied (corrupt next_id)"
       (name t) rowid;
   (* Check unique indexes before mutating anything so a violation leaves
@@ -44,7 +75,8 @@ let insert t row =
             (name t) (Index.name idx)
       end)
     t.indexes;
-  Hashtbl.replace t.rows rowid row;
+  t.rows <- Intmap.add ~edit:t.edit rowid row t.rows;
+  t.count <- t.count + 1;
   List.iter (fun idx -> Index.add idx rowid row) t.indexes;
   t.next_id <- rowid + 1;
   bump t;
@@ -52,14 +84,14 @@ let insert t row =
 
 let insert_fields t fields = insert t (Row.of_alist t.schema fields)
 
-let get_opt t rowid = Hashtbl.find_opt t.rows rowid
+let get_opt t rowid = Intmap.find_opt rowid t.rows
 
 let get t rowid =
-  match get_opt t rowid with
-  | Some row -> row
-  | None -> raise (Errors.No_such_row rowid)
+  match Intmap.find rowid t.rows with
+  | row -> row
+  | exception Not_found -> raise (Errors.No_such_row rowid)
 
-let mem t rowid = Hashtbl.mem t.rows rowid
+let mem t rowid = Intmap.mem rowid t.rows
 
 let update t rowid row =
   let old_row = get t rowid in
@@ -75,9 +107,17 @@ let update t rowid row =
         | _ -> ()
       end)
     t.indexes;
-  List.iter (fun idx -> Index.remove idx rowid old_row) t.indexes;
-  Hashtbl.replace t.rows rowid row;
-  List.iter (fun idx -> Index.add idx rowid row) t.indexes;
+  (* An index whose key the update leaves alone keeps its entry: a
+     point update of an unindexed column touches no index. *)
+  let moved =
+    List.filter
+      (fun idx ->
+        not (List.equal Value.equal (Index.key_of_row idx old_row) (Index.key_of_row idx row)))
+      t.indexes
+  in
+  List.iter (fun idx -> Index.remove idx rowid old_row) moved;
+  t.rows <- Intmap.add ~edit:t.edit rowid row t.rows;
+  List.iter (fun idx -> Index.add idx rowid row) moved;
   bump t
 
 let update_field t rowid column v =
@@ -87,17 +127,13 @@ let update_field t rowid column v =
 let delete t rowid =
   let row = get t rowid in
   List.iter (fun idx -> Index.remove idx rowid row) t.indexes;
-  Hashtbl.remove t.rows rowid;
+  t.rows <- Intmap.remove ~edit:t.edit rowid t.rows;
+  t.count <- t.count - 1;
   bump t
 
-let iter t f = Hashtbl.iter f t.rows
-
-let fold t ~init ~f =
-  Hashtbl.fold (fun rowid row acc -> f acc rowid row) t.rows init
-
-let rows t =
-  let all = fold t ~init:[] ~f:(fun acc rowid row -> (rowid, row) :: acc) in
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) all
+let iter t f = Intmap.iter f t.rows
+let fold t ~init ~f = Intmap.fold (fun rowid row acc -> f acc rowid row) t.rows init
+let rows t = Intmap.bindings t.rows
 
 let add_index ?unique t ~name:iname ~columns =
   if List.exists (fun idx -> Index.name idx = iname) t.indexes then
@@ -164,9 +200,10 @@ let deserialize s pos =
     let rowid = Varint.read_unsigned s pos in
     let row = Codec.read_row s pos in
     Schema.validate_row schema row;
-    if Hashtbl.mem t.rows rowid then
+    if Intmap.mem rowid t.rows then
       Errors.corrupt "table %s: duplicate rowid %d" (Schema.name schema) rowid;
-    Hashtbl.replace t.rows rowid row;
+    t.rows <- Intmap.add ~edit:t.edit rowid row t.rows;
+    t.count <- t.count + 1;
     if rowid > !max_rowid then max_rowid := rowid
   done;
   (* Never trust the stored counter below the loaded rows: a corrupt or

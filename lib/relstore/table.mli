@@ -1,9 +1,19 @@
 (** Tables: a heap of rows addressed by integer row id, plus secondary
-    indexes kept in sync on every mutation. *)
+    indexes kept in sync on every mutation.
+
+    The heap and the indexes are persistent maps, so {!snapshot} is
+    O(number of indexes) however many rows the table holds, and the
+    snapshot is immutable with respect to the source: later writes to
+    either side are invisible to the other. *)
 
 type t
 
 val create : Schema.t -> t
+
+val snapshot : t -> t
+(** A copy sharing every row with [t], taken in O(indexes).  It keeps
+    [t]'s epoch and gets a fresh {!uid}, so a cached result for one of
+    the two can never be served for the other. *)
 
 val schema : t -> Schema.t
 val name : t -> string
@@ -44,7 +54,11 @@ val delete : t -> int -> unit
 (** Raises {!Errors.No_such_row}. *)
 
 val iter : t -> (int -> Row.t -> unit) -> unit
+(** Visits rows in ascending row id order. *)
+
 val fold : t -> init:'a -> f:('a -> int -> Row.t -> 'a) -> 'a
+(** Folds over rows in ascending row id order. *)
+
 val rows : t -> (int * Row.t) list
 (** All rows, ascending row id. *)
 

@@ -10,15 +10,14 @@ let size_unsigned n =
 
 let size_signed n = size_unsigned (zigzag n)
 
-let write_unsigned buf n =
-  let rec go n =
-    if n lsr 7 = 0 then Buffer.add_char buf (Char.chr (n land 127))
-    else begin
-      Buffer.add_char buf (Char.chr (128 lor (n land 127)));
-      go (n lsr 7)
-    end
-  in
-  go n
+(* Recursing on [write_unsigned] itself, not a local closure over
+   [buf], keeps a write allocation-free. *)
+let rec write_unsigned buf n =
+  if n lsr 7 = 0 then Buffer.add_char buf (Char.chr (n land 127))
+  else begin
+    Buffer.add_char buf (Char.chr (128 lor (n land 127)));
+    write_unsigned buf (n lsr 7)
+  end
 
 let write_signed buf n = write_unsigned buf (zigzag n)
 

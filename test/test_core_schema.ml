@@ -208,6 +208,51 @@ let test_rebuild_time_index_matches () =
   Alcotest.(check int) "same interval count" (Core.Time_index.size live)
     (Core.Time_index.size rebuilt)
 
+(* The op fold, one op kind at a time. *)
+let test_apply_maps_each_op () =
+  let image = PS.image () in
+  let node id kind = { PN.id; kind; time = Some id; close_time = None } in
+  let visit =
+    PN.Visit { url = "u"; title = "t"; transition = Browser.Transition.Link; tab = 1 }
+  in
+  let edge kind src dst = Store.Add_edge { src; dst; edge = { PE.kind; time = 7 } } in
+  List.iter (PS.apply image)
+    [
+      Store.Add_node (node 1 (PN.Page { url = "u"; title = "t" }));
+      Store.Add_node (node 2 visit);
+      edge PE.Instance 1 2;
+      Store.Add_node (node 3 (PN.Form_submission { fields = [ ("q", "a"); ("r", "b") ] }));
+      edge PE.Same_time 2 3;
+      edge PE.Form_source 2 3;
+      Store.Close_node { id = 2; time = 9 };
+      (* A re-add rewrites the row but keeps the page reference. *)
+      Store.Add_node (node 2 visit);
+      Store.Add_node (node 1 (PN.Page { url = "u"; title = "renamed" }));
+    ];
+  let db = PS.database image in
+  let table = Relstore.Database.table db in
+  let nodes = table PS.node_table in
+  let schema = Relstore.Table.schema nodes in
+  let col id name = Relstore.Row.get schema (Relstore.Table.get nodes id) name in
+  Alcotest.(check (list int)) "node rowids are node ids" [ 1; 2; 3 ]
+    (List.map fst (Relstore.Table.rows nodes));
+  Alcotest.(check bool) "Instance fills the visit's page" true
+    (Relstore.Value.equal (col 2 "page") (Relstore.Value.Int 1));
+  Alcotest.(check bool) "a re-add replaces the close stamp with the payload's" true
+    (Relstore.Value.is_null (col 2 "close_time"));
+  Alcotest.(check bool) "a re-added page takes its new title" true
+    (Relstore.Value.equal (col 1 "label") (Relstore.Value.Text "renamed"));
+  Alcotest.(check int) "form fields become attr rows" 2
+    (Relstore.Table.row_count (table PS.attr_table));
+  Alcotest.(check int) "Instance and Same_time write no edge row" 1
+    (Relstore.Table.row_count (table PS.edge_table));
+  PS.apply image (Store.Close_node { id = 2; time = 9 });
+  Alcotest.(check bool) "Close_node sets close_time" true
+    (Relstore.Value.equal (col 2 "close_time") (Relstore.Value.Int 9));
+  Alcotest.check_raises "a new node off the next rowid is refused"
+    (Relstore.Errors.Corrupt "prov_node: node 5 would get rowid 4, not 5") (fun () ->
+      PS.apply image (Store.Add_node (node 5 (PN.Search_term { query = "q" }))))
+
 let suite =
   [
     Alcotest.test_case "roundtrip preserves graph" `Quick test_roundtrip_preserves_graph;
@@ -215,6 +260,7 @@ let suite =
     Alcotest.test_case "visit rows normalized" `Quick test_visit_rows_are_normalized;
     Alcotest.test_case "same-time not persisted" `Quick test_no_same_time_rows_persisted;
     Alcotest.test_case "form fields attr table" `Quick test_form_fields_in_attr_table;
+    Alcotest.test_case "apply maps each op" `Quick test_apply_maps_each_op;
     Alcotest.test_case "versioning comparison" `Quick test_versioned_store_acyclic_projection_not;
     Alcotest.test_case "page projection mapping" `Quick test_page_projection_mapping;
     Alcotest.test_case "causal projection" `Quick test_causal_projection_strips_time_edges;

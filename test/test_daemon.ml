@@ -51,7 +51,9 @@ let cfg ?(wal_dir = None) ?(compact_every = 0) ?(events = 150) () =
   }
 
 (* Serial ground truth: apply [events] on this single domain through a
-   fresh capture, exactly as the ingest loop does. *)
+   fresh capture, and fold the recorded ops, in applied order, into the
+   matviews and a fresh relational image — the same folds the ingest
+   loop runs, here on one domain and in one batch. *)
 let serial_replay events =
   let capture, _feed = Core.Capture.observer () in
   let views, v_nodes, v_edges = Core.Store_views.standard () in
@@ -59,9 +61,11 @@ let serial_replay events =
   Core.Prov_store.set_observer (Core.Capture.store capture) (fun m ->
       pending := PL.op_of_mutation m :: !pending);
   Core.Capture.handle_batch capture events;
-  Matview.feed_batch views (List.rev !pending);
-  let db = Core.Prov_schema.to_database (Core.Capture.store capture) in
-  (db, Matview.value v_nodes, Matview.value v_edges)
+  let ops = List.rev !pending in
+  Matview.feed_batch views ops;
+  let image = Core.Prov_schema.image () in
+  List.iter (Core.Prov_schema.apply image) ops;
+  (Core.Prov_schema.database image, Matview.value v_nodes, Matview.value v_edges)
 
 let db_bytes = Database.to_bytes
 
@@ -179,6 +183,50 @@ let test_final_snapshot_bitwise () =
     Alcotest.(check bool) "final snapshot equals serial replay bit-for-bit" true
       (String.equal (db_bytes serial_db) (db_bytes s.D.db))
 
+(* --- the live image against the export -------------------------------- *)
+
+(* Each table's rows as a sorted multiset, rowids dropped. *)
+let sorted_rows db =
+  List.map
+    (fun t ->
+      let rows = ref [] in
+      Relstore.Table.iter t (fun _id row -> rows := Array.to_list row :: !rows);
+      (Relstore.Table.name t, List.sort compare !rows))
+    (Database.tables db)
+
+(* A live image and [Prov_schema.to_database] of the same store agree
+   as row multisets, and node rowids are node ids in both.  Edge rowids
+   may differ: they follow op order in the image and adjacency order in
+   the export. *)
+let check_same_image ~what ~image ~export =
+  Alcotest.(check bool) (what ^ ": same rows per table") true
+    (sorted_rows image = sorted_rows export);
+  let nodes db = Relstore.Table.rows (Database.table db Core.Prov_schema.node_table) in
+  Alcotest.(check bool) (what ^ ": same node rowids and rows") true
+    (nodes image = nodes export)
+
+let test_image_matches_export () =
+  let c = cfg () in
+  let events =
+    List.concat
+      (List.init c.D.sessions (fun session ->
+           Daemon.Loadgen.session_events ~seed:c.D.seed ~session ~events:c.D.events_per_session))
+  in
+  let capture, _feed = Core.Capture.observer () in
+  let store = Core.Capture.store capture in
+  let image = Core.Prov_schema.image () in
+  Core.Prov_store.set_observer store (Core.Prov_schema.apply image);
+  Core.Capture.handle_batch capture events;
+  let image = Core.Prov_schema.database image in
+  let export = Core.Prov_schema.to_database store in
+  let nodes = Database.table image Core.Prov_schema.node_table in
+  Alcotest.(check bool) "node rowids are node ids" true
+    (Relstore.Table.rows nodes
+    |> List.for_all (fun (rowid, _) -> Core.Prov_store.node_opt store rowid <> None));
+  Alcotest.(check int) "one node row per node" (Core.Prov_store.node_count store)
+    (Relstore.Table.row_count nodes);
+  check_same_image ~what:"image vs export" ~image ~export
+
 (* --- clean shutdown and WAL parity ----------------------------------- *)
 
 let test_shutdown_drains_and_wal_recovers () =
@@ -200,8 +248,8 @@ let test_shutdown_drains_and_wal_recovers () =
   (match D.current_snapshot t with
   | None -> Alcotest.fail "no final snapshot"
   | Some s ->
-    Alcotest.(check bool) "recovered database equals final snapshot" true
-      (String.equal (db_bytes s.D.db) (db_bytes recovered_db)));
+    check_same_image ~what:"recovered store vs final snapshot" ~image:s.D.db
+      ~export:recovered_db);
   (* The queue health check reads Ok once the daemon drained cleanly. *)
   let h = Provkit_obs.Health.run () in
   let cr =
@@ -217,18 +265,8 @@ let test_shutdown_drains_and_wal_recovers () =
 (* Compaction replaces the WAL prefix with a relational snapshot, and
    restoring that snapshot re-derives Instance/Same_time edges rather
    than replaying them, so edge rowids are assigned in a different
-   order than a pure serial build.  Parity across compaction is
-   therefore the row *multiset* per table, not the byte image — same
-   standard the WAL suite's own compaction test applies, tightened
-   from counts to full row contents. *)
-let sorted_rows db =
-  List.map
-    (fun t ->
-      let rows = ref [] in
-      Relstore.Table.iter t (fun _id row -> rows := Array.to_list row :: !rows);
-      (Relstore.Table.name t, List.sort compare !rows))
-    (Database.tables db)
-
+   order than a serial fold.  Parity across compaction is therefore the
+   row multiset per table, not the byte image. *)
 let test_background_compaction_parity () =
   with_temp_dir @@ fun dir ->
   let c = cfg ~wal_dir:(Some dir) ~compact_every:3 ~events:120 () in
@@ -247,6 +285,37 @@ let test_reads_served () =
   Alcotest.(check bool) "p99 is measured" true (report.D.r_read_p99_ns > 0);
   Alcotest.(check bool) "snapshots were published" true (report.D.r_snapshots > 0)
 
+(* The worker that ran a job is parked when [join] returns, so the next
+   job runs on the same domain; a job's exception reaches [join] and
+   leaves the worker usable; jobs running at once get domains of their
+   own, and only one worker stays parked after them. *)
+let test_worker_reused () =
+  let module W = Daemon.Worker_pool in
+  let self () = (Domain.self () :> int) in
+  let first = W.join (W.spawn self) in
+  Alcotest.(check bool) "worker parked after join" true (W.parked ());
+  Alcotest.(check int) "next job runs on the same domain" first (W.join (W.spawn self));
+  (match W.join (W.spawn (fun () -> failwith "job failed")) with
+  | () -> Alcotest.fail "the job's exception was lost"
+  | exception Failure m -> Alcotest.(check string) "job exception re-raised" "job failed" m);
+  Alcotest.(check int) "a failed job leaves its worker usable" first (W.join (W.spawn self));
+  let gate = Atomic.make false in
+  let a =
+    W.spawn (fun () ->
+        while not (Atomic.get gate) do
+          Domain.cpu_relax ()
+        done;
+        self ())
+  in
+  let b =
+    W.spawn (fun () ->
+        Atomic.set gate true;
+        self ())
+  in
+  let da = W.join a and db = W.join b in
+  Alcotest.(check bool) "concurrent jobs on distinct domains" true (da <> db);
+  Alcotest.(check bool) "one worker parked after them" true (W.parked ())
+
 let suite =
   [
     Alcotest.test_case "queue fifo + close" `Quick test_queue_fifo_and_close;
@@ -254,9 +323,11 @@ let suite =
     Alcotest.test_case "snapshot isolation" `Slow test_snapshot_isolation;
     Alcotest.test_case "serial equivalence" `Quick test_serial_equivalence;
     Alcotest.test_case "final snapshot bitwise" `Quick test_final_snapshot_bitwise;
+    Alcotest.test_case "live image matches export" `Quick test_image_matches_export;
     Alcotest.test_case "shutdown drains + WAL parity" `Quick
       test_shutdown_drains_and_wal_recovers;
     Alcotest.test_case "background compaction parity" `Quick
       test_background_compaction_parity;
     Alcotest.test_case "reads served" `Quick test_reads_served;
+    Alcotest.test_case "ingest worker reused" `Quick test_worker_reused;
   ]

@@ -216,8 +216,23 @@ let run_case op ~indexed (where, plan, probe) () =
             Q.join_at level ~where_left:where ~where_right:where ~on:[ ("k", "k") ] left t);
       }
 
+(* The executor tests rows with [Predicate.compile]; the reference
+   above uses [Predicate.eval].  They agree on every fixture row. *)
+let compile_case where () =
+  let t = fixture ~indexed:false in
+  let schema = R.Table.schema t in
+  let test = P.compile where schema in
+  R.Table.iter t (fun rowid row ->
+      Alcotest.(check bool)
+        (Printf.sprintf "row %d" rowid)
+        (P.eval where schema row) (test row))
+
 let suite =
-  List.concat_map
+  List.map
+    (fun (name, (where, _, _)) ->
+      Alcotest.test_case ("compile " ^ name) `Quick (compile_case where))
+    shapes
+  @ List.concat_map
     (fun op ->
       List.concat_map
         (fun indexed ->

@@ -108,12 +108,7 @@ let test_journal_under_full_capture () =
      capture's own store after simulated browsing. *)
   let capture, feed = Core.Capture.observer () in
   let journal = PL.create () in
-  Store.set_observer (Core.Capture.store capture) (fun m ->
-      PL.append journal
-        (match m with
-        | Store.M_node n -> PL.Add_node n
-        | Store.M_edge (src, dst, edge) -> PL.Add_edge { src; dst; edge }
-        | Store.M_close (id, time) -> PL.Close_node { id; time }));
+  Store.set_observer (Core.Capture.store capture) (PL.append journal);
   let _web, engine, _api, _trace = F.simulated ~seed:31 ~days:1 () in
   List.iter feed (Browser.Engine.event_log engine);
   let original = Core.Capture.store capture in

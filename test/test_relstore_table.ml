@@ -169,6 +169,9 @@ let test_table_indexes_maintained () =
   let _id2 = R.Table.insert_fields t (person "bob" 30) in
   Alcotest.(check int) "two at 30" 2
     (List.length (R.Table.find_by t ~columns:[ "age" ] [ R.Value.Int 30 ]));
+  R.Table.update_field t id1 "email" (R.Value.Text "a@x");
+  Alcotest.(check int) "an unindexed update keeps the entry" 2
+    (List.length (R.Table.find_by t ~columns:[ "age" ] [ R.Value.Int 30 ]));
   R.Table.update_field t id1 "age" (R.Value.Int 99);
   Alcotest.(check int) "one at 30 after update" 1
     (List.length (R.Table.find_by t ~columns:[ "age" ] [ R.Value.Int 30 ]));
@@ -195,6 +198,91 @@ let test_table_unique_insert_rejected_atomically () =
      Alcotest.fail "unique violated"
    with R.Errors.Constraint_violation _ -> ());
   Alcotest.(check int) "failed insert left no row" 1 (R.Table.row_count t)
+
+(* --- snapshots --- *)
+
+let count_matching t where =
+  List.length
+    (List.filter (fun (_, row) -> R.Predicate.eval where (R.Table.schema t) row) (R.Table.rows t))
+
+(* Writes to either side of a snapshot are invisible to the other, and
+   the two never share a cache entry. *)
+let test_table_snapshot_immutable () =
+  let t = R.Table.create (people_schema ()) in
+  R.Table.add_index t ~name:"by_age" ~columns:[ "age" ];
+  (* Enough rows for a multi-level heap. *)
+  let ids =
+    List.init 100 (fun i -> R.Table.insert_fields t (person (Printf.sprintf "p%d" i) (i mod 7 * 10)))
+  in
+  let snap = R.Table.snapshot t in
+  let by_age = R.Table.index snap "by_age" in
+  let find () = R.Index.find by_age [ R.Value.Int 30 ] in
+  let range () =
+    R.Index.fold_range ~lo:[ R.Value.Int 10 ] ~hi:[ R.Value.Int 40 ] by_age ~init:[]
+      ~f:(fun acc key rowid -> (key, rowid) :: acc)
+  in
+  let rows0 = R.Table.rows snap
+  and count0 = R.Table.row_count snap
+  and epoch0 = R.Table.epoch snap
+  and find0 = find ()
+  and range0 = range () in
+  Alcotest.(check int) "snapshot keeps the epoch" (R.Table.epoch t) epoch0;
+  Alcotest.(check bool) "snapshot gets a fresh uid" true (R.Table.uid snap <> R.Table.uid t);
+  Alcotest.(check int) "snapshot has every row" 100 count0;
+  let unchanged what =
+    Alcotest.(check bool) (what ^ ": rows") true (R.Table.rows snap = rows0);
+    Alcotest.(check int) (what ^ ": row_count") count0 (R.Table.row_count snap);
+    Alcotest.(check (list int)) (what ^ ": Index.find") find0 (find ());
+    Alcotest.(check bool) (what ^ ": Index.fold_range") true (range () = range0);
+    Alcotest.(check int) (what ^ ": epoch") epoch0 (R.Table.epoch snap);
+    Alcotest.(check (list string)) (what ^ ": indexes") [ "by_age" ]
+      (List.map R.Index.name (R.Table.indexes snap))
+  in
+  R.Table.update_field t (List.nth ids 3) "age" (R.Value.Int 31);
+  R.Table.delete t (List.nth ids 10);
+  ignore (R.Table.insert_fields t (person "late" 30));
+  R.Table.add_index t ~name:"by_name" ~columns:[ "name" ];
+  unchanged "after live writes";
+  Alcotest.(check int) "the live table took its writes" 100 (R.Table.row_count t);
+  (* Writes to the snapshot stay out of the live table. *)
+  let live_rows = R.Table.rows t in
+  let live_find () = R.Index.find (R.Table.index t "by_age") [ R.Value.Int 30 ] in
+  let live_find0 = live_find () in
+  ignore (R.Table.insert_fields snap (person "snap-only" 30));
+  R.Table.delete snap (List.nth ids 0);
+  Alcotest.(check bool) "live rows untouched by snapshot writes" true (R.Table.rows t = live_rows);
+  Alcotest.(check (list int)) "live index untouched by snapshot writes" live_find0 (live_find ());
+  Alcotest.(check bool) "snapshot-only name absent from the live table" true
+    (R.Table.find_by t ~columns:[ "name" ] [ R.Value.Text "snap-only" ] = []);
+  (* Same epoch on both sides of a fresh snapshot after one write each:
+     a cache keyed by anything but the uid would serve one side's count
+     for the other. *)
+  let side = R.Table.snapshot t in
+  let where = R.Predicate.Eq ("age", R.Value.Int 30) in
+  ignore (R.Table.insert_fields side (person "side" 30));
+  ignore (R.Table.insert_fields t (person "main" 70));
+  Alcotest.(check int) "both sides at the same epoch" (R.Table.epoch t) (R.Table.epoch side);
+  let on_side = R.Query_exec.count ~where side in
+  let on_side_again = R.Query_exec.count ~where side in
+  let on_live = R.Query_exec.count ~where t in
+  Alcotest.(check int) "snapshot count" (count_matching side where) on_side;
+  Alcotest.(check int) "cached snapshot count" on_side on_side_again;
+  Alcotest.(check int) "live count is its own" (count_matching t where) on_live;
+  Alcotest.(check bool) "the two counts differ" true (on_side <> on_live)
+
+let test_database_snapshot () =
+  let db = R.Database.create ~name:"d" in
+  let t = R.Database.create_table db (people_schema ()) in
+  R.Table.add_index t ~name:"by_age" ~columns:[ "age" ];
+  ignore (R.Table.insert_fields t (person "ann" 30));
+  let snap = R.Database.snapshot db in
+  let bytes0 = R.Database.to_bytes snap in
+  Alcotest.(check string) "snapshot serializes like its source" (R.Database.to_bytes db) bytes0;
+  ignore (R.Table.insert_fields t (person "bob" 40));
+  R.Database.drop_table db "people";
+  Alcotest.(check string) "snapshot unaffected by later writes" bytes0 (R.Database.to_bytes snap);
+  Alcotest.(check int) "snapshot keeps the table" 1
+    (R.Table.row_count (R.Database.table snap "people"))
 
 let test_table_find_without_index_scans () =
   let t = R.Table.create (people_schema ()) in
@@ -338,6 +426,8 @@ let suite =
     Alcotest.test_case "table indexes maintained" `Quick test_table_indexes_maintained;
     Alcotest.test_case "index backfill" `Quick test_table_index_built_over_existing;
     Alcotest.test_case "unique insert atomic" `Quick test_table_unique_insert_rejected_atomically;
+    Alcotest.test_case "snapshot immutable" `Quick test_table_snapshot_immutable;
+    Alcotest.test_case "database snapshot" `Quick test_database_snapshot;
     Alcotest.test_case "find without index" `Quick test_table_find_without_index_scans;
     Alcotest.test_case "table serialize roundtrip" `Quick test_table_serialize_roundtrip;
     Alcotest.test_case "find_by arity mismatch" `Quick test_find_by_arity_mismatch;
