@@ -268,13 +268,9 @@ let firefox_keeps_referrer = function
 
 let record_visit t (v : Event.visit) =
   let url = Webmodel.Url.to_string v.url in
-  let hidden =
-    match v.transition with
-    | Transition.Embed | Transition.Redirect_permanent | Transition.Redirect_temporary -> true
-    | Transition.Link | Transition.Typed | Transition.Bookmark | Transition.Download
-    | Transition.Framed_link | Transition.Form_submit | Transition.Reload -> false
+  let place_id =
+    find_or_create_place t ~url ~title:v.title ~hidden:(Transition.hidden v.transition)
   in
-  let place_id = find_or_create_place t ~url ~title:v.title ~hidden in
   let places_tbl = table t "moz_places" in
   let prow = R.Table.get places_tbl place_id in
   let counted = v.transition <> Transition.Embed in

@@ -71,17 +71,11 @@ let awesome_place st ~url ~hidden =
     Hashtbl.replace st.aw_by_url url p;
     p
 
-let visit_hidden (transition : Transition.t) =
-  match transition with
-  | Transition.Embed | Transition.Redirect_permanent | Transition.Redirect_temporary -> true
-  | Transition.Link | Transition.Typed | Transition.Bookmark | Transition.Download
-  | Transition.Framed_link | Transition.Form_submit | Transition.Reload -> false
-
 let awesome_fold st (ev : Event.t) =
   (match ev with
   | Event.Visit v ->
     let p =
-      awesome_place st ~url:(U.to_string v.url) ~hidden:(visit_hidden v.transition)
+      awesome_place st ~url:(U.to_string v.url) ~hidden:(Transition.hidden v.transition)
     in
     if v.transition <> Transition.Embed then p.ap_visit_count <- p.ap_visit_count + 1;
     p.ap_last <- Some v.time;

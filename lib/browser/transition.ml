@@ -52,6 +52,15 @@ let is_redirect = function
   | Link | Typed | Bookmark | Embed | Download | Framed_link | Form_submit | Reload ->
     false
 
+let hidden = function
+  | Embed | Redirect_permanent | Redirect_temporary -> true
+  | Link | Typed | Bookmark | Download | Framed_link | Form_submit | Reload -> false
+
+let displayed = function
+  | Embed | Download -> false
+  | Link | Typed | Bookmark | Redirect_permanent | Redirect_temporary | Framed_link
+  | Form_submit | Reload -> true
+
 let is_user_initiated = function
   | Link | Typed | Bookmark | Download | Form_submit | Reload -> true
   | Embed | Redirect_permanent | Redirect_temporary | Framed_link -> false

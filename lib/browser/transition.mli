@@ -23,6 +23,16 @@ val of_code : int -> t
 val name : t -> string
 
 val is_redirect : t -> bool
+
+val hidden : t -> bool
+(** True for embeds and redirect hops: the visits Places marks [hidden]
+    and keeps out of history search.  A page all of whose visits are
+    hidden is hidden. *)
+
+val displayed : t -> bool
+(** True for visits the user saw as a top-level page: everything but
+    embeds and downloads (a redirect hop is displayed, if briefly). *)
+
 val is_user_initiated : t -> bool
 (** True for transitions caused by an explicit user action (link, typed,
     bookmark, download, form submit); false for redirects and embeds —

@@ -67,20 +67,22 @@ let textual_only ?(limit = 10) index query =
     (Prov_text_index.search ~limit:(limit * 4) index query);
   rank_results ~limit scored
 
+(* The edges the config lets graph scoring walk. *)
+let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
+  match e.Prov_edge.kind with
+  | Prov_edge.Same_time -> config.follow_time_edges
+  | Prov_edge.Redirect | Prov_edge.Embed -> config.follow_non_user_edges
+  | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
+  | Prov_edge.Bookmarked_from | Prov_edge.Form_source | Prov_edge.Form_result
+  | Prov_edge.Download_source | Prov_edge.Download_fetch | Prov_edge.Search_query
+  | Prov_edge.Searched_from | Prov_edge.Instance | Prov_edge.Tab_spawn
+  | Prov_edge.Reload -> true
+
 (* The Kleinberg-style focused subgraph: the seeds plus everything
    within [max_hops], with only the edges the config permits. *)
 let focused_subgraph config ~budget_nodes store seeds =
   let graph = Prov_store.graph store in
-  let follow ~src:_ ~dst:_ (e : Prov_edge.t) =
-    match e.Prov_edge.kind with
-    | Prov_edge.Same_time -> config.follow_time_edges
-    | Prov_edge.Redirect | Prov_edge.Embed -> config.follow_non_user_edges
-    | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
-    | Prov_edge.Bookmarked_from | Prov_edge.Form_source | Prov_edge.Form_result
-    | Prov_edge.Download_source | Prov_edge.Download_fetch | Prov_edge.Search_query
-    | Prov_edge.Searched_from | Prov_edge.Instance | Prov_edge.Tab_spawn
-    | Prov_edge.Reload -> true
-  in
+  let follow = follow config in
   let outcome =
     Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both
       ~max_depth:config.max_hops ?budget:budget_nodes ~follow graph
@@ -97,8 +99,8 @@ let focused_subgraph config ~budget_nodes store seeds =
       then Provgraph.Digraph.add_edge sub ~src ~dst e);
   (sub, outcome.Provgraph.Traversal.truncated)
 
-(* Shared post-processing for the alternative algorithms: combine text
-   scores and a graph score table onto visible pages. *)
+(* Shared post-processing for every algorithm: combine text scores and
+   a graph score table onto visible pages. *)
 let respond config ~limit ~running ~truncated store hits graph_scores =
   let scored = Hashtbl.create 64 in
   let bump page ~text ~graph_mass =
@@ -172,20 +174,9 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
     index query =
   let running = Query_budget.start budget in
   let store = Prov_text_index.store index in
-  let graph = Prov_store.graph store in
   let hits = Prov_text_index.search ~limit:(max (limit * 4) (config.seed_count * 4)) index query in
-  let seeds = List.filteri (fun i _ -> i < config.seed_count) hits in
-  let follow ~src:_ ~dst:_ (e : Prov_edge.t) =
-    match e.Prov_edge.kind with
-    | Prov_edge.Same_time -> config.follow_time_edges
-    | Prov_edge.Redirect | Prov_edge.Embed -> config.follow_non_user_edges
-    | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
-    | Prov_edge.Bookmarked_from | Prov_edge.Form_source | Prov_edge.Form_result
-    | Prov_edge.Download_source | Prov_edge.Download_fetch | Prov_edge.Search_query
-    | Prov_edge.Searched_from | Prov_edge.Instance | Prov_edge.Tab_spawn
-    | Prov_edge.Reload -> true
-  in
-  let expansion, expansion_truncated =
+  let seeds = seeds_of config hits in
+  let expansion, truncated =
     if Query_budget.out_of_time running then (Hashtbl.create 1, true)
     else begin
       let nconfig =
@@ -197,38 +188,12 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
           degree_normalize = config.degree_normalize;
         }
       in
-      let scores, truncated = Neighborhood.expand ~config:nconfig ~follow graph ~seeds in
+      let scores, truncated =
+        Neighborhood.expand ~config:nconfig ~follow:(follow config) (Prov_store.graph store)
+          ~seeds
+      in
       Query_budget.consume_nodes running (Hashtbl.length scores);
       (scores, truncated)
     end
   in
-  (* Fold both signals onto page nodes. *)
-  let scored = Hashtbl.create 64 in
-  let bump page ~text ~graph_mass =
-    let s, ts, gs = Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt scored page) in
-    Hashtbl.replace scored page
-      ( s +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass),
-        ts +. text,
-        gs +. graph_mass )
-  in
-  List.iter
-    (fun (node, s) ->
-      match page_target store node (Prov_store.node store node) with
-      | Some page -> bump page ~text:s ~graph_mass:0.0
-      | None -> ())
-    hits;
-  Hashtbl.iter
-    (fun node mass ->
-      match Prov_store.node_opt store node with
-      | None -> ()
-      | Some n -> begin
-        match page_target store node n with
-        | Some page -> bump page ~text:0.0 ~graph_mass:mass
-        | None -> ()
-      end)
-    expansion;
-  {
-    results = rank_results ~limit scored;
-    truncated = Query_budget.was_truncated running expansion_truncated;
-    elapsed_ms = Query_budget.elapsed_ms running;
-  }
+  respond config ~limit ~running ~truncated store hits expansion

@@ -2,34 +2,19 @@ module Traversal = Provgraph.Traversal
 
 type recognizer = int -> bool
 
-let default_recognizer ?(min_visits = 3) store =
-  let typed_pages = Hashtbl.create 64 in
-  Provgraph.Digraph.iter_nodes (Prov_store.graph store) (fun id n ->
-      match n.Prov_node.kind with
-      | Prov_node.Visit { transition = Browser.Transition.Typed; _ } -> begin
-        match Prov_store.page_of_visit store id with
-        | Some page -> Hashtbl.replace typed_pages page ()
-        | None -> ()
-      end
-      | _ -> ());
-  let displayed_visits page =
-    List.length
-      (List.filter
-         (fun v -> Time_edges.displayed_visit (Prov_store.node store v))
-         (Prov_store.visits_of_page store page))
-  in
-  fun id ->
-    match Prov_store.node_opt store id with
-    | None -> false
-    | Some n -> begin
-      match n.Prov_node.kind with
-      | Prov_node.Page _ ->
-        (* Only visits the user actually saw count: a file fetched five
-           times was never *seen* five times. *)
-        displayed_visits id >= min_visits || Hashtbl.mem typed_pages id
-      | Prov_node.Bookmark _ | Prov_node.Search_term _ -> true
-      | Prov_node.Visit _ | Prov_node.Download _ | Prov_node.Form_submission _ -> false
-    end
+let default_recognizer ?(min_visits = 3) store id =
+  match Prov_store.node_opt store id with
+  | None -> false
+  | Some n -> begin
+    match n.Prov_node.kind with
+    | Prov_node.Page _ ->
+      (* Only visits the user actually saw count: a file fetched five
+         times was never *seen* five times. *)
+      Prov_store.page_displayed_visit_count store id >= min_visits
+      || Prov_store.page_typed store id
+    | Prov_node.Bookmark _ | Prov_node.Search_term _ -> true
+    | Prov_node.Visit _ | Prov_node.Download _ | Prov_node.Form_submission _ -> false
+  end
 
 let causal_follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind
 

@@ -5,8 +5,21 @@ type mutation =
   | Add_edge of { src : int; dst : int; edge : Prov_edge.t }
   | Close_node of { id : int; time : int }
 
+(* What the history queries ask of a page, kept current as its
+   [Instance] edges arrive: every visit instance, the ones that are not
+   embeds or redirect hops, the ones the user saw, and whether any of
+   its visits was typed. *)
+type page_facts = {
+  mutable visits : int;
+  mutable shown : int;
+  mutable displayed : int;
+  mutable typed : bool;
+}
+
 type t = {
   graph : (Prov_node.t, Prov_edge.t) Digraph.t;
+  page_of_visit : (int, int) Hashtbl.t;  (* visit -> its first [Instance] page *)
+  page_facts : (int, page_facts) Hashtbl.t;
   mutable next_id : int;
   page_by_url : (string, int) Hashtbl.t;
   visit_by_engine : (int, int) Hashtbl.t;
@@ -20,6 +33,8 @@ type t = {
 let create () =
   {
     graph = Digraph.create ~initial_capacity:4096 ();
+    page_of_visit = Hashtbl.create 4096;
+    page_facts = Hashtbl.create 1024;
     next_id = 1;
     page_by_url = Hashtbl.create 1024;
     visit_by_engine = Hashtbl.create 4096;
@@ -65,9 +80,35 @@ let add_page t ~url ~title ~time =
     Hashtbl.replace t.page_by_url url id;
     id
 
+(* Every edge enters the store through here, live or restored.  The
+   store never removes a node or an edge and a visit's transition never
+   changes, so facts folded in edge by edge stay exact. *)
+let note_edge t ~src ~dst (e : Prov_edge.t) =
+  Digraph.add_edge t.graph ~src ~dst e;
+  if e.Prov_edge.kind = Prov_edge.Instance then begin
+    let f =
+      match Hashtbl.find_opt t.page_facts src with
+      | Some f -> f
+      | None ->
+        let f = { visits = 0; shown = 0; displayed = 0; typed = false } in
+        Hashtbl.add t.page_facts src f;
+        f
+    in
+    (* A visit belongs to its first page: only there is it typed. *)
+    let first = not (Hashtbl.mem t.page_of_visit dst) in
+    if first then Hashtbl.add t.page_of_visit dst src;
+    f.visits <- f.visits + 1;
+    match (Digraph.node t.graph dst).Prov_node.kind with
+    | Prov_node.Visit { transition; _ } ->
+      if not (Browser.Transition.hidden transition) then f.shown <- f.shown + 1;
+      if Browser.Transition.displayed transition then f.displayed <- f.displayed + 1;
+      if first && transition = Browser.Transition.Typed then f.typed <- true
+    | _ -> f.shown <- f.shown + 1
+  end
+
 let add_edge t ~src ~dst kind ~time =
   let edge = { Prov_edge.kind; time } in
-  Digraph.add_edge t.graph ~src ~dst edge;
+  note_edge t ~src ~dst edge;
   notify t (Add_edge { src; dst; edge })
 
 let add_visit t ~engine_visit ~url ~title ~transition ~tab ~time =
@@ -118,7 +159,7 @@ let restore_node t (n : Prov_node.t) =
   | Prov_node.Visit _ | Prov_node.Bookmark _ | Prov_node.Download _
   | Prov_node.Form_submission _ -> ()
 
-let restore_edge t ~src ~dst (e : Prov_edge.t) = Digraph.add_edge t.graph ~src ~dst e
+let restore_edge = note_edge
 
 (* Nodes ascending by id, then edges in adjacency order: the order
    [Prov_schema.to_database] assigns rowids in, so both it and
@@ -136,11 +177,7 @@ let download_node t engine_id = Hashtbl.find_opt t.download_by_engine engine_id
 let term_node t query = Hashtbl.find_opt t.term_by_query (String.lowercase_ascii (String.trim query))
 let form_node t engine_id = Hashtbl.find_opt t.form_by_engine engine_id
 
-let page_of_visit t visit =
-  List.find_map
-    (fun (src, (e : Prov_edge.t)) ->
-      if e.Prov_edge.kind = Prov_edge.Instance then Some src else None)
-    (Digraph.in_edges t.graph visit)
+let page_of_visit t visit = Hashtbl.find_opt t.page_of_visit visit
 
 let visits_of_page t page =
   List.sort Int.compare
@@ -149,25 +186,17 @@ let visits_of_page t page =
          if e.Prov_edge.kind = Prov_edge.Instance then Some dst else None)
        (Digraph.out_edges t.graph page))
 
-let page_visit_count t page = List.length (visits_of_page t page)
+let fact t page field ~none =
+  match Hashtbl.find_opt t.page_facts page with Some f -> field f | None -> none
+
+let page_visit_count t page = fact t page (fun f -> f.visits) ~none:0
+let page_displayed_visit_count t page = fact t page (fun f -> f.displayed) ~none:0
+let page_typed t page = fact t page (fun f -> f.typed) ~none:false
 
 let page_hidden t page =
   match node_opt t page with
   | Some n when Prov_node.is_page n ->
-    let hop_only visit =
-      match (Digraph.node t.graph visit).Prov_node.kind with
-      | Prov_node.Visit { transition; _ } -> begin
-        match transition with
-        | Browser.Transition.Embed | Browser.Transition.Redirect_permanent
-        | Browser.Transition.Redirect_temporary -> true
-        | Browser.Transition.Link | Browser.Transition.Typed | Browser.Transition.Bookmark
-        | Browser.Transition.Download | Browser.Transition.Framed_link
-        | Browser.Transition.Form_submit | Browser.Transition.Reload -> false
-      end
-      | _ -> false
-    in
-    let visits = visits_of_page t page in
-    visits <> [] && List.for_all hop_only visits
+    fact t page (fun f -> f.visits > 0 && f.shown = 0) ~none:false
   | _ -> false
 
 let nodes_of_kind t pred = Digraph.filter_nodes t.graph (fun _ n -> pred n)

@@ -91,20 +91,35 @@ val download_node : t -> int -> int option
 val term_node : t -> string -> int option
 val form_node : t -> int -> int option
 
+(** {2 Page facts}
+
+    All but {!visits_of_page} are kept current by every edge insert,
+    live or restored, so each is O(1) and never rescans the graph. *)
+
 val page_of_visit : t -> int -> int option
-(** The page node this visit instantiates. *)
+(** The page node this visit instantiates: the source of its first
+    [Instance] edge. *)
 
 val visits_of_page : t -> int -> int list
-(** Visit instances of a page node, ascending node id. *)
+(** Visit instances of a page node, ascending node id (one entry per
+    [Instance] edge).  Walks the page's adjacency list. *)
 
 val page_visit_count : t -> int -> int
-(** Number of visit instances — the "user is likely to recognize"
-    signal of §2.4. *)
+(** [List.length (visits_of_page t page)]. *)
+
+val page_displayed_visit_count : t -> int -> int
+(** Visit instances the user saw ({!Browser.Transition.displayed}) —
+    the "user is likely to recognize" signal of §2.4. *)
+
+val page_typed : t -> int -> bool
+(** True when a typed visit instantiates this page (as its first
+    page). *)
 
 val page_hidden : t -> int -> bool
-(** True when every visit instance of the page is an embed or a redirect
-    hop — the pages Places marks [hidden] and keeps out of history
-    search results.  Non-page nodes are not hidden. *)
+(** True when the page has visit instances and every one is an embed or
+    a redirect hop ({!Browser.Transition.hidden}) — the pages Places
+    marks [hidden] and keeps out of history search results.  Non-page
+    nodes are not hidden. *)
 
 (** {2 Enumeration and statistics} *)
 

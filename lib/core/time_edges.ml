@@ -1,13 +1,6 @@
 let displayed_visit (n : Prov_node.t) =
   match n.Prov_node.kind with
-  | Prov_node.Visit { transition; _ } -> begin
-    match transition with
-    | Browser.Transition.Embed | Browser.Transition.Download -> false
-    | Browser.Transition.Link | Browser.Transition.Typed | Browser.Transition.Bookmark
-    | Browser.Transition.Redirect_permanent | Browser.Transition.Redirect_temporary
-    | Browser.Transition.Framed_link | Browser.Transition.Form_submit
-    | Browser.Transition.Reload -> true
-  end
+  | Prov_node.Visit { transition; _ } -> Browser.Transition.displayed transition
   | _ -> false
 
 let visit_intervals store =

@@ -41,6 +41,7 @@ let () =
       ("browser.places_queries", Test_places_queries.suite);
       ("browser.event_codec", Test_event_codec.suite);
       ("core.store", Test_core_store.suite);
+      ("core.history_facts", Test_history_facts.suite);
       ("core.capture", Test_core_capture.suite);
       ("core.schema", Test_core_schema.suite);
       ("core.queries", Test_core_queries.suite);
