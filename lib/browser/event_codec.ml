@@ -1,22 +1,18 @@
-module V = Relstore.Varint
+module V = Provkit_util.Varint
 module C = Relstore.Codec
+module Frame = Provkit_util.Frame
 
 (* v1: bare event encodings after the magic.  v2 frames every event
-   with a length prefix and CRC-32 (Relstore.Codec.write_frame) so a
-   damaged byte anywhere ends the readable prefix instead of silently
-   garbling the rest of the trace.  Both load; we always write v2. *)
+   with a length prefix and CRC-32 (Provkit_util.Frame) so a damaged
+   byte anywhere ends the readable prefix instead of silently garbling
+   the rest of the trace.  Both load; we always write v2. *)
 let magic_v1 = "BROWSEVT1"
 let magic_v2 = "BROWSEVT2"
 
 let format_version s =
-  let probe m = String.length s >= String.length m && String.sub s 0 (String.length m) = m in
-  if probe magic_v2 then Some 2 else if probe magic_v1 then Some 1 else None
-
-let write_opt_int buf = function
-  | None -> Buffer.add_char buf '\000'
-  | Some n ->
-    Buffer.add_char buf '\001';
-    V.write_signed buf n
+  if String.starts_with ~prefix:magic_v2 s then Some 2
+  else if String.starts_with ~prefix:magic_v1 s then Some 1
+  else None
 
 let read_byte s pos =
   if !pos >= String.length s then Relstore.Errors.corrupt "event: truncated byte"
@@ -25,12 +21,6 @@ let read_byte s pos =
     incr pos;
     c
   end
-
-let read_opt_int s pos =
-  match read_byte s pos with
-  | '\000' -> None
-  | '\001' -> Some (V.read_signed s pos)
-  | _ -> Relstore.Errors.corrupt "event: bad option tag"
 
 let write_url buf url = C.write_string buf (Webmodel.Url.to_string url)
 let read_url s pos = Webmodel.Url.of_string (C.read_string s pos)
@@ -42,12 +32,12 @@ let encode_event buf (event : Event.t) =
     V.write_unsigned buf v.Event.visit_id;
     V.write_signed buf v.Event.time;
     V.write_unsigned buf v.Event.tab;
-    write_opt_int buf v.Event.page;
+    C.write_opt_int buf v.Event.page;
     write_url buf v.Event.url;
     C.write_string buf v.Event.title;
     V.write_unsigned buf (Transition.to_code v.Event.transition);
-    write_opt_int buf v.Event.referrer;
-    write_opt_int buf v.Event.via_bookmark
+    C.write_opt_int buf v.Event.referrer;
+    C.write_opt_int buf v.Event.via_bookmark
   | Event.Close { time; tab; visit_id } ->
     Buffer.add_char buf '\001';
     V.write_signed buf time;
@@ -57,7 +47,7 @@ let encode_event buf (event : Event.t) =
     Buffer.add_char buf '\002';
     V.write_signed buf time;
     V.write_unsigned buf tab;
-    write_opt_int buf opener_tab
+    C.write_opt_int buf opener_tab
   | Event.Tab_closed { time; tab } ->
     Buffer.add_char buf '\003';
     V.write_signed buf time;
@@ -102,12 +92,12 @@ let decode_event s pos : Event.t =
     let visit_id = V.read_unsigned s pos in
     let time = V.read_signed s pos in
     let tab = V.read_unsigned s pos in
-    let page = read_opt_int s pos in
+    let page = C.read_opt_int s pos in
     let url = read_url s pos in
     let title = C.read_string s pos in
     let transition = Transition.of_code (V.read_unsigned s pos) in
-    let referrer = read_opt_int s pos in
-    let via_bookmark = read_opt_int s pos in
+    let referrer = C.read_opt_int s pos in
+    let via_bookmark = C.read_opt_int s pos in
     Event.Visit
       { Event.visit_id; time; tab; page; url; title; transition; referrer; via_bookmark }
   | '\001' ->
@@ -118,7 +108,7 @@ let decode_event s pos : Event.t =
   | '\002' ->
     let time = V.read_signed s pos in
     let tab = V.read_unsigned s pos in
-    let opener_tab = read_opt_int s pos in
+    let opener_tab = C.read_opt_int s pos in
     Event.Tab_opened { time; tab; opener_tab }
   | '\003' ->
     let time = V.read_signed s pos in
@@ -168,7 +158,7 @@ let to_bytes events =
     (fun event ->
       Buffer.clear scratch;
       encode_event scratch event;
-      C.write_frame buf (Buffer.contents scratch))
+      Frame.write Varint buf (Buffer.contents scratch))
     events;
   Buffer.contents buf
 
@@ -178,35 +168,13 @@ let to_bytes_v1 events =
   List.iter (encode_event buf) events;
   Buffer.contents buf
 
-let of_bytes ?(tolerate_truncation = true) s =
-  let decode_one_v2 s pos =
-    let payload = C.read_frame s pos in
-    let p = ref 0 in
-    let event = decode_event payload p in
-    if !p <> String.length payload then
-      Relstore.Errors.corrupt "event log: %d trailing bytes inside frame"
-        (String.length payload - !p);
-    event
-  in
-  let decode_one =
-    match format_version s with
-    | Some 2 -> decode_one_v2
-    | Some 1 -> decode_event
-    | _ -> Relstore.Errors.corrupt "event log: bad magic"
-  in
-  let pos = ref 9 (* both magics are 9 bytes *) in
-  let events = ref [] in
-  (try
-     while !pos < String.length s do
-       let start = !pos in
-       match decode_one s pos with
-       | event -> events := event :: !events
-       | exception Relstore.Errors.Corrupt _ when tolerate_truncation ->
-         pos := start;
-         raise Exit
-     done
-   with Exit -> ());
-  List.rev !events
+let read_prefix s =
+  match format_version s with
+  | Some 1 -> Frame.walk ~magic:magic_v1 decode_event s
+  | Some _ -> Frame.walk ~magic:magic_v2 ~frames:Varint decode_event s
+  | None -> Relstore.Errors.corrupt "event log: bad magic"
+
+let of_bytes s = (read_prefix s).Frame.records
 
 let save ~path events =
   let oc = open_out_bin path in

@@ -23,9 +23,13 @@ val to_bytes_v1 : Event.t list -> string
 (** The legacy unframed image, kept for overhead measurement and the
     compatibility tests. *)
 
-val of_bytes : ?tolerate_truncation:bool -> string -> Event.t list
-(** Accepts v1 and v2. [tolerate_truncation] defaults to true: the scan
-    ends cleanly at the first record that fails verification. *)
+val read_prefix : string -> Event.t Provkit_util.Frame.prefix
+(** Decode a v1 or v2 trace up to its first record that fails
+    verification; [clean] says whether anything was cut.  Raises
+    {!Relstore.Errors.Corrupt} on an image without a whole trace magic. *)
+
+val of_bytes : string -> Event.t list
+(** {!read_prefix}'s events. *)
 
 val save : path:string -> Event.t list -> unit
 val load : path:string -> Event.t list

@@ -163,8 +163,8 @@ let storage_comparison store t =
     Hashtbl.fold
       (fun id n acc ->
         acc
-        + Relstore.Varint.size_unsigned id
-        + Relstore.Varint.size_unsigned (Option.value ~default:0 n.parent)
+        + Provkit_util.Varint.size_unsigned id
+        + Provkit_util.Varint.size_unsigned (Option.value ~default:0 n.parent)
         + 1)
       t.nodes 0
   in

@@ -1,4 +1,5 @@
-module V = Relstore.Varint
+module V = Provkit_util.Varint
+module Frame = Provkit_util.Frame
 module C = Relstore.Codec
 module Obs = Provkit_obs
 
@@ -8,23 +9,6 @@ type op = Prov_store.mutation =
   | Close_node of { id : int; time : int }
 
 (* --- op codec --- *)
-
-let write_opt_int buf = function
-  | None -> Buffer.add_char buf '\000'
-  | Some n ->
-    Buffer.add_char buf '\001';
-    V.write_signed buf n
-
-let read_opt_int s pos =
-  if !pos >= String.length s then Relstore.Errors.corrupt "prov_log: truncated option"
-  else begin
-    let c = s.[!pos] in
-    incr pos;
-    match c with
-    | '\000' -> None
-    | '\001' -> Some (V.read_signed s pos)
-    | _ -> Relstore.Errors.corrupt "prov_log: bad option tag"
-  end
 
 let write_kind buf (kind : Prov_node.kind) =
   V.write_unsigned buf (Prov_node.kind_code kind);
@@ -89,8 +73,8 @@ let encode_op buf = function
     Buffer.add_char buf '\000';
     V.write_unsigned buf n.Prov_node.id;
     write_kind buf n.Prov_node.kind;
-    write_opt_int buf n.Prov_node.time;
-    write_opt_int buf n.Prov_node.close_time
+    C.write_opt_int buf n.Prov_node.time;
+    C.write_opt_int buf n.Prov_node.close_time
   | Add_edge { src; dst; edge } ->
     Buffer.add_char buf '\001';
     V.write_unsigned buf src;
@@ -111,8 +95,8 @@ let decode_op s pos =
     | '\000' ->
       let id = V.read_unsigned s pos in
       let kind = read_kind s pos in
-      let time = read_opt_int s pos in
-      let close_time = read_opt_int s pos in
+      let time = C.read_opt_int s pos in
+      let close_time = C.read_opt_int s pos in
       Add_node { Prov_node.id; kind; time; close_time }
     | '\001' ->
       let src = V.read_unsigned s pos in
@@ -138,8 +122,9 @@ let magic_v1 = "PROVLOG1"
 let magic_v2 = "PROVLOG2"
 
 let format_version s =
-  let probe m = String.length s >= String.length m && String.sub s 0 (String.length m) = m in
-  if probe magic_v2 then Some 2 else if probe magic_v1 then Some 1 else None
+  if String.starts_with ~prefix:magic_v2 s then Some 2
+  else if String.starts_with ~prefix:magic_v1 s then Some 1
+  else None
 
 type t = { buf : Buffer.t; scratch : Buffer.t; mutable count : int }
 
@@ -148,24 +133,15 @@ let create () =
   Buffer.add_string buf magic_v2;
   { buf; scratch = Buffer.create 128; count = 0 }
 
-let encode_framed_op scratch op =
+let op_payload scratch op =
   Buffer.clear scratch;
   encode_op scratch op;
   Buffer.contents scratch
 
-let decode_framed_op s pos =
-  let payload = C.read_frame s pos in
-  let p = ref 0 in
-  let op = decode_op payload p in
-  if !p <> String.length payload then
-    Relstore.Errors.corrupt "prov_log: %d trailing bytes inside frame"
-      (String.length payload - !p);
-  op
-
 let m_journal_appends = Obs.Metrics.counter Obs.Names.journal_appends
 
 let append t op =
-  C.write_frame t.buf (encode_framed_op t.scratch op);
+  Frame.write Varint t.buf (op_payload t.scratch op);
   t.count <- t.count + 1;
   Obs.Metrics.incr m_journal_appends
 
@@ -173,51 +149,28 @@ let length t = t.count
 let byte_size t = Buffer.length t.buf
 let to_bytes t = Buffer.contents t.buf
 
-(* Decode every record of a journal image (either format).  Returns the
-   ops and whether the whole image was consumed cleanly; in tolerant
-   mode a bad record ends the scan (the crash-recovery prefix), in
-   strict mode it raises. *)
-let decode_prefix ~tolerate_truncation s =
-  let decode_one =
-    match format_version s with
-    | Some 2 -> decode_framed_op
-    | Some 1 -> decode_op
-    | _ -> Relstore.Errors.corrupt "prov_log: bad magic"
-  in
-  let pos = ref 8 (* both magics are 8 bytes *) in
-  let ops = ref [] in
-  let clean = ref true in
-  (try
-     while !pos < String.length s do
-       (* Remember where this record started: a damaged record decodes
-          partially and must be discarded wholesale. *)
-       let start = !pos in
-       match decode_one s pos with
-       | op -> ops := op :: !ops
-       | exception Relstore.Errors.Corrupt _ when tolerate_truncation ->
-         pos := start;
-         clean := false;
-         raise Exit
-     done
-   with Exit -> ());
-  (List.rev !ops, !clean)
+let read_prefix s =
+  match format_version s with
+  | Some 1 -> Frame.walk ~magic:magic_v1 decode_op s
+  | Some _ -> Frame.walk ~magic:magic_v2 ~frames:Varint decode_op s
+  | None -> Relstore.Errors.corrupt "prov_log: bad magic"
 
-let decode_all ~tolerate_truncation s = fst (decode_prefix ~tolerate_truncation s)
-
-let of_bytes ?(tolerate_truncation = true) s =
-  let ops, clean = decode_prefix ~tolerate_truncation s in
-  if not clean then
+let of_bytes s =
+  let p = read_prefix s in
+  if not p.Frame.clean then
     Obs.Flight.record "journal.load.truncated"
       ~attrs:
         [
-          ("ops_salvaged", string_of_int (List.length ops));
+          ("ops_salvaged", string_of_int (List.length p.Frame.records));
           ("bytes", string_of_int (String.length s));
         ];
   let t = create () in
-  List.iter (append t) ops;
+  List.iter (append t) p.Frame.records;
   t
 
-let ops t = decode_all ~tolerate_truncation:false (to_bytes t)
+(* The in-memory image is written only by [append], so it always reads
+   back whole. *)
+let ops t = (read_prefix (to_bytes t)).Frame.records
 
 let to_bytes_v1 t =
   let buf = Buffer.create (byte_size t) in
@@ -325,11 +278,10 @@ module Segmented = struct
     Buffer.contents buf
 
   let decode_manifest s =
-    let lm = String.length manifest_magic in
-    if String.length s < lm || String.sub s 0 lm <> manifest_magic then
+    if not (String.starts_with ~prefix:manifest_magic s) then
       Relstore.Errors.corrupt "wal: bad manifest magic";
-    let pos = ref lm in
-    let payload = C.read_frame s pos in
+    let pos = ref (String.length manifest_magic) in
+    let payload = Frame.read Varint s pos in
     let p = ref 0 in
     let generation = V.read_unsigned payload p in
     let snapshot =
@@ -359,7 +311,7 @@ module Segmented = struct
   let write_manifest ~dir m =
     let buf = Buffer.create 160 in
     Buffer.add_string buf manifest_magic;
-    C.write_frame buf (encode_manifest m);
+    Frame.write Varint buf (encode_manifest m);
     let tmp = Filename.concat dir (manifest_file ^ ".tmp") in
     let oc = open_out_bin tmp in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
@@ -482,7 +434,7 @@ module Segmented = struct
 
   let append h op =
     let frame = Buffer.create 160 in
-    C.write_frame frame (encode_framed_op h.scratch op);
+    Frame.write Varint frame (op_payload h.scratch op);
     Fio.write h.active (Buffer.contents frame);
     h.active_bytes <- h.active_bytes + Buffer.length frame;
     h.appended <- h.appended + 1;
@@ -501,7 +453,7 @@ module Segmented = struct
     | [] -> ()
     | _ :: _ ->
       let buf = Buffer.create 1024 in
-      List.iter (fun op -> C.write_frame buf (encode_framed_op h.scratch op)) ops;
+      List.iter (fun op -> Frame.write Varint buf (op_payload h.scratch op)) ops;
       let n = List.length ops in
       Fio.write h.active (Buffer.contents buf);
       h.active_bytes <- h.active_bytes + Buffer.length buf;
@@ -519,7 +471,7 @@ module Segmented = struct
     let sink = h.make_sink (Filename.concat h.dir name) in
     Fio.write sink snapshot_magic;
     let buf = Buffer.create 4096 in
-    C.write_frame buf (Relstore.Database.to_bytes (Prov_schema.to_database store));
+    Frame.write Varint buf (Relstore.Database.to_bytes (Prov_schema.to_database store));
     Fio.write sink (Buffer.contents buf);
     Fio.close sink;
     Obs.Metrics.incr m_snapshots;
@@ -559,11 +511,10 @@ module Segmented = struct
 
   let read_snapshot path =
     let s = read_file path in
-    let lm = String.length snapshot_magic in
-    if String.length s < lm || String.sub s 0 lm <> snapshot_magic then
+    if not (String.starts_with ~prefix:snapshot_magic s) then
       Relstore.Errors.corrupt "wal: bad snapshot magic";
-    let pos = ref lm in
-    Prov_schema.of_database (Relstore.Database.of_bytes (C.read_frame s pos))
+    let pos = ref (String.length snapshot_magic) in
+    Prov_schema.of_database (Relstore.Database.of_bytes (Frame.read Varint s pos))
 
   let recover ?views ~dir () =
     Obs.Trace.with_span Obs.Names.span_wal_recover ~attrs:[ ("dir", dir) ] (fun () ->
@@ -587,18 +538,18 @@ module Segmented = struct
              truncated := true;
              raise Exit
            end;
-           let ops, clean =
+           let { Frame.records; clean; _ } =
              (* A segment whose header itself is damaged contributes
                 nothing; recovery ends at the previous segment. *)
-             try decode_prefix ~tolerate_truncation:true (read_file path)
-             with Relstore.Errors.Corrupt _ -> ([], false)
+             try read_prefix (read_file path)
+             with Relstore.Errors.Corrupt _ -> { records = []; clean_bytes = 0; clean = false }
            in
            incr segments_read;
            List.iter
              (fun op ->
                apply_op store op;
                incr ops_applied)
-             ops;
+             records;
            if not clean then begin
              truncated := true;
              raise Exit

@@ -16,7 +16,7 @@
       segments under a manifest, with compaction and crash recovery.
 
     Storage format v2 frames every record with a length prefix and a
-    CRC-32 ({!Relstore.Codec.write_frame}), so corruption anywhere in
+    CRC-32 ({!Provkit_util.Frame}), so corruption anywhere in
     the file — a flipped byte, a torn write mid-file, not merely a
     truncated tail — is detected and recovery keeps exactly the longest
     verified prefix.  v1 journals (bare op encodings behind a
@@ -69,12 +69,17 @@ val to_bytes_v1 : t -> string
 (** The legacy unframed image — kept for the framing-overhead
     measurement (E16) and for exercising the v1 load path. *)
 
-val of_bytes : ?tolerate_truncation:bool -> string -> t
-(** Accepts v1 and v2 images (probed by magic).
-    [tolerate_truncation] (default true) stops cleanly at the last
-    verified record instead of raising — the crash-recovery behaviour.
-    Under v2 this also covers mid-file corruption: the first record
-    whose checksum fails ends the readable prefix. *)
+val read_prefix : string -> op Provkit_util.Frame.prefix
+(** Decode a v1 or v2 image (probed by magic) up to its first damaged
+    record.  Under v2 that covers mid-file corruption too: the first
+    record whose checksum fails ends the readable prefix.  [clean] says
+    whether anything was cut.  Raises {!Relstore.Errors.Corrupt} on an
+    image without a whole journal magic. *)
+
+val of_bytes : string -> t
+(** The journal holding {!read_prefix}'s records — the crash-recovery
+    load.  A cut tail records a [journal.load.truncated] flight
+    incident. *)
 
 val ops : t -> op list
 

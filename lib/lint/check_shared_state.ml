@@ -1,5 +1,6 @@
 (* shared-state-registry: every toplevel mutable binding under lib/ —
-   [ref], [Hashtbl.create], arrays, buffers, mutable-record literals —
+   [ref], [Hashtbl.create], [Ring.create], arrays, buffers,
+   mutable-record literals —
    must be declared in the [Shared_state] manifest with a guarding
    strategy, so the concurrent provd planned in ROADMAP item 3 starts
    from a complete audited inventory instead of a grep.  Unregistered
@@ -33,6 +34,7 @@ let constructor_calls =
     ("Queue", [ "create" ]);
     ("Stack", [ "create" ]);
     ("Atomic", [ "make" ]);
+    ("Ring", [ "create" ]);
     ("Array", [ "make"; "init"; "create_float"; "make_matrix" ]);
     ("Bytes", [ "create"; "make" ]);
   ]

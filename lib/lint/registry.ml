@@ -49,7 +49,8 @@ let critical_variants =
 
 (* --- codec modules (codec-symmetry) --- *)
 
-let codec_basenames = [ "codec.ml"; "event_codec.ml"; "prov_log.ml" ]
+let codec_basenames =
+  [ "codec.ml"; "event_codec.ml"; "prov_log.ml"; "telemetry_log.ml"; "frame.ml"; "varint.ml" ]
 
 (* --- sanctioned I/O layers (io-discipline) --- *)
 
@@ -100,6 +101,7 @@ let mutating_table_ops =
     ("Array", [ "set"; "fill"; "blit" ]);
     ("Bytes", [ "set"; "fill"; "blit" ]);
     ("Queue", [ "push"; "add"; "pop"; "take"; "clear" ]);
+    ("Ring", [ "push"; "touch"; "clear"; "resize" ]);
     ("Stack", [ "push"; "pop"; "clear" ]);
     ("Buffer", [ "add_string"; "add_char"; "add_bytes"; "clear"; "reset" ]);
   ]

@@ -55,12 +55,12 @@ let manifest =
     e "lib/obs/metrics.ml" "histograms" Needs_lock
       "hot-path observations from every instrumented subsystem";
     e "lib/obs/trace.ml" "ring" Needs_lock
-      "span ring buffer written on every span end; guarded by Trace.lock";
+      "span Ring written on every span end; guarded by Trace.lock";
     e "lib/obs/trace.ml" "sink" Single_writer "JSONL sink installed by the CLI before tracing";
     e "lib/obs/trace.ml" "id_rng" Needs_lock
       "id stream advanced on every span start; guarded by Trace.lock";
     e "lib/obs/flight.ml" "ring" Needs_lock
-      "incident ring written from crash paths anywhere; guarded by Flight.lock";
+      "incident Ring written from crash paths anywhere; guarded by Flight.lock";
     e "lib/obs/flight.ml" "total" Needs_lock
       "incident counter paired with the ring; guarded by Flight.lock";
     e "lib/obs/flight.ml" "context" Single_writer
@@ -73,7 +73,8 @@ let manifest =
     e "lib/obs/alert.ml" "rules" Single_writer
       "rule registry built by the CLI / tests before points flow";
     e "lib/obs/alert.ml" "log" Needs_lock
-      "bounded transition log appended from the pulse path (any ingesting thread)";
+      "transition Ring appended from the pulse path; guarded by the Timeseries ring lock, \
+       which Timeseries.record holds while it runs the alert observer";
     e "lib/obs/alert.ml" "log_total" Needs_lock "transition counter paired with the log";
     e "lib/obs/alert.ml" "prev_point" Needs_lock
       "previous-point cursor advanced on every recorded point";
@@ -90,9 +91,8 @@ let manifest =
     e "lib/relstore/stats.ml" "catalog" Needs_lock
       "analyze writes and planner reads race under concurrent queries; guarded by Stats.catalog_lock";
     e "lib/relstore/slowlog.ml" "threshold" Single_writer "config knob set by the CLI";
-    e "lib/relstore/slowlog.ml" "cap" Single_writer "config knob set by the CLI";
     e "lib/relstore/slowlog.ml" "ring" Needs_lock
-      "deduplicated slow-query ring fed by the executor funnel; guarded by Slowlog.lock";
+      "fingerprint-keyed slow-query Ring fed by the executor funnel; guarded by Slowlog.lock";
     e "lib/relstore/query_exec.ml" "cache_enabled" Single_writer
       "cache on/off knob set by the CLI before queries run";
     e "lib/relstore/query_exec.ml" "matview_sources" Single_writer

@@ -74,10 +74,10 @@ let g_firing = Metrics.gauge Names.alert_firing_open
 let log_cap = 64
 
 (* Engine state: the rule registry (insertion-ordered), the bounded
-   transition log (newest first; [log_total] keeps counting past the
-   cap), the previous point fed, and the installed/replaying flags. *)
+   transition log ([log_total] keeps counting past the cap), the
+   previous point fed, and the installed/replaying flags. *)
 let rules : (string * state) list ref = ref []
-let log : transition list ref = ref []
+let log : (unit, transition) Provkit_util.Ring.t = Provkit_util.Ring.create log_cap
 let log_total = ref 0
 let prev_point : Timeseries.point option ref = ref None
 let installed = ref false
@@ -107,14 +107,14 @@ let states () = List.map snd !rules
 let firing () = List.filter (fun st -> st.st_firing) (states ())
 let find id = List.assoc_opt id !rules
 
-let transitions () = List.rev !log
+let transitions () = Provkit_util.Ring.to_list log
 let transitions_recorded () = !log_total
 
 let add_transition_hook f = transition_hooks := !transition_hooks @ [ f ]
 let clear_transition_hooks () = transition_hooks := []
 
 let clear_log () =
-  log := [];
+  Provkit_util.Ring.clear log;
   log_total := 0
 
 let reset () =
@@ -213,11 +213,7 @@ let note_transition st kind now value =
       tr_severity = st.st_rule.r_severity;
     }
   in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-  in
-  log := tr :: take (log_cap - 1) !log;
+  ignore (Provkit_util.Ring.push log tr);
   if not !replaying then begin
     (match kind with Fire -> Metrics.incr m_fires | Resolve -> Metrics.incr m_resolves);
     Metrics.set_gauge g_firing (float_of_int (List.length (firing ())));

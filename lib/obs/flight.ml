@@ -26,11 +26,13 @@ type incident = {
 
 let m_incidents = Metrics.counter Names.flight_incidents
 
-(* Bounded ring of kept incidents; [total] keeps counting past it so
-   tests can assert on deltas even when old incidents have rolled off. *)
+(* Bounded ring of kept incidents, keyed by dedup key; [total] keeps
+   counting past it so tests can assert on deltas even when old
+   incidents have rolled off. *)
 let keep = 16
 let span_cap = 64
-let ring : incident list ref = ref [] (* newest first *)
+let ring : (string, incident) Provkit_util.Ring.t =
+  Provkit_util.Ring.create ~key:(fun i -> i.dedup) keep
 let total = ref 0
 let context : (string * string) list ref = ref []
 
@@ -45,13 +47,6 @@ let set_context kvs =
   Mutex.protect lock (fun () ->
       List.iter (fun (k, v) -> context := (k, v) :: List.remove_assoc k !context) kvs)
 
-let take_last n l =
-  let rec drop k = function xs when k <= 0 -> xs | [] -> [] | _ :: rest -> drop (k - 1) rest in
-  drop (List.length l - n) l
-
-let rec take_first n l =
-  match l with [] -> [] | x :: rest -> if n <= 0 then [] else x :: take_first (n - 1) rest
-
 let record ?(attrs = []) ?dedup reason =
   (* A repeated occurrence of a deduplicated incident (the same alert
      rule firing again, the same fault re-injected) must not consume
@@ -59,22 +54,19 @@ let record ?(attrs = []) ?dedup reason =
      interesting state, so later ones just bump its repeat count.
      [total] and the metric still count every occurrence. *)
   Mutex.protect lock (fun () ->
-      let existing =
-        match dedup with
-        | None -> None
-        | Some key -> List.find_opt (fun i -> i.dedup = Some key) !ring
-      in
-      (match existing with
+      (match Option.bind dedup (Provkit_util.Ring.find ring) with
       | Some i -> i.repeats <- i.repeats + 1
       | None ->
         let snap = Metrics.snapshot () in
+        let spans = Trace.recent () in
+        let skip = List.length spans - span_cap in
         let i =
           {
             seq = !total + 1;
             reason;
             attrs;
             ancestry = Trace.open_spans ();
-            spans = take_last span_cap (Trace.recent ());
+            spans = List.filteri (fun k _ -> k >= skip) spans;
             snapshot = snap;
             headline = Metrics.headline snap;
             context = List.rev !context;
@@ -82,18 +74,15 @@ let record ?(attrs = []) ?dedup reason =
             repeats = 0;
           }
         in
-        ring := i :: take_first (keep - 1) !ring);
+        ignore (Provkit_util.Ring.push ring i));
       total := !total + 1);
   Metrics.incr m_incidents
 
 let recorded () = Mutex.protect lock (fun () -> !total)
 
-let incidents () = Mutex.protect lock (fun () -> List.rev !ring)
-
-let latest () =
-  Mutex.protect lock (fun () -> match !ring with [] -> None | i :: _ -> Some i)
-
-let clear () = Mutex.protect lock (fun () -> ring := [])
+let incidents () = Mutex.protect lock (fun () -> Provkit_util.Ring.to_list ring)
+let latest () = List.nth_opt (List.rev (incidents ())) 0
+let clear () = Mutex.protect lock (fun () -> Provkit_util.Ring.clear ring)
 
 (* --- postmortem JSON --- *)
 

@@ -3,18 +3,14 @@
    `provctl top --since` and the alert engine can see history across
    restarts.
 
-   The framing discipline mirrors the WAL's v2 codec: a magic header,
-   then per record a 4-byte LE payload length, a 4-byte LE CRC-32 of
-   the payload, and the payload itself.  Replay verifies every frame
-   and keeps the longest clean prefix — a crash-truncated or corrupted
-   tail is detected, reported (flight incident +
+   The file is a PTJ1 magic header, then one {!Provkit_util.Frame} per
+   record with the format's 4-byte LE length.  Replay walks the frames
+   with the shared clean-prefix walker, so a crash-truncated or
+   corrupted tail is detected, reported (flight incident +
    {!Names.telemetry_journal_truncations}), and cut away on the next
-   {!open_} exactly like WAL recovery truncates a torn segment.
+   {!open_} exactly like WAL recovery truncates a torn segment. *)
 
-   This lives in lib/obs, which cannot depend on the relstore codec, so
-   the framing is implemented here against {!Provkit_util.Crc32}
-   directly; the discipline (length, checksum, clean-prefix recovery)
-   is the same. *)
+module Frame = Provkit_util.Frame
 
 let magic = "PTJ1\n"
 
@@ -32,236 +28,158 @@ let m_appends = Metrics.counter Names.telemetry_journal_appends
 let m_replays = Metrics.counter Names.telemetry_journal_replays
 let m_truncations = Metrics.counter Names.telemetry_journal_truncations
 
-(* --- payload encoding --- *)
+(* --- record encoding --- *)
+
+type record = Point of Timeseries.point | Transition of Alert.transition
 
 let tag_point = 1
 let tag_transition = 2
 
-let w_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let w_u32 buf v =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let w_i64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
-
+let w_u8 buf v = Buffer.add_uint8 buf (v land 0xff)
+let w_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
+let w_i64 = Buffer.add_int64_le
 let w_f64 buf v = w_i64 buf (Int64.bits_of_float v)
 
 let w_str buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
 
-let encode_point (pt : Timeseries.point) =
-  let buf = Buffer.create 512 in
-  w_u8 buf tag_point;
-  w_i64 buf pt.Timeseries.pt_ns;
-  let snap = pt.Timeseries.pt_snap in
-  w_u32 buf (List.length snap.Metrics.snap_counters);
-  List.iter
-    (fun (name, v) ->
-      w_str buf name;
-      w_i64 buf (Int64.of_int v))
-    snap.Metrics.snap_counters;
-  w_u32 buf (List.length snap.Metrics.snap_gauges);
-  List.iter
-    (fun (name, v) ->
-      w_str buf name;
-      w_f64 buf v)
-    snap.Metrics.snap_gauges;
-  w_u32 buf (List.length snap.Metrics.snap_histograms);
-  List.iter
-    (fun (name, (s : Metrics.hist_summary)) ->
-      w_str buf name;
-      w_i64 buf (Int64.of_int s.Metrics.hs_count);
-      w_f64 buf s.Metrics.hs_sum;
-      w_i64 buf (Int64.of_int s.Metrics.hs_min);
-      w_i64 buf (Int64.of_int s.Metrics.hs_max);
-      w_f64 buf s.Metrics.hs_p50;
-      w_f64 buf s.Metrics.hs_p95;
-      w_f64 buf s.Metrics.hs_p99)
-    snap.Metrics.snap_histograms;
-  Buffer.contents buf
+let w_list buf l write_one =
+  w_u32 buf (List.length l);
+  List.iter (write_one buf) l
 
-let encode_transition (tr : Alert.transition) =
-  let buf = Buffer.create 64 in
-  w_u8 buf tag_transition;
-  w_u32 buf tr.Alert.tr_seq;
-  w_str buf tr.Alert.tr_rule;
-  w_u8 buf (match tr.Alert.tr_kind with Alert.Fire -> 1 | Alert.Resolve -> 2);
-  w_i64 buf tr.Alert.tr_ns;
-  w_f64 buf tr.Alert.tr_value;
-  w_u8 buf
-    (match tr.Alert.tr_severity with
-    | Alert.Info -> 0
-    | Alert.Warning -> 1
-    | Alert.Critical -> 2);
-  Buffer.contents buf
+let encode_record buf = function
+  | Point pt ->
+    w_u8 buf tag_point;
+    w_i64 buf pt.Timeseries.pt_ns;
+    let snap = pt.Timeseries.pt_snap in
+    w_list buf snap.Metrics.snap_counters (fun buf (name, v) ->
+        w_str buf name;
+        w_i64 buf (Int64.of_int v));
+    w_list buf snap.Metrics.snap_gauges (fun buf (name, v) ->
+        w_str buf name;
+        w_f64 buf v);
+    w_list buf snap.Metrics.snap_histograms (fun buf (name, (h : Metrics.hist_summary)) ->
+        w_str buf name;
+        w_i64 buf (Int64.of_int h.Metrics.hs_count);
+        w_f64 buf h.Metrics.hs_sum;
+        w_i64 buf (Int64.of_int h.Metrics.hs_min);
+        w_i64 buf (Int64.of_int h.Metrics.hs_max);
+        w_f64 buf h.Metrics.hs_p50;
+        w_f64 buf h.Metrics.hs_p95;
+        w_f64 buf h.Metrics.hs_p99)
+  | Transition tr ->
+    w_u8 buf tag_transition;
+    w_u32 buf tr.Alert.tr_seq;
+    w_str buf tr.Alert.tr_rule;
+    w_u8 buf (match tr.Alert.tr_kind with Alert.Fire -> 1 | Alert.Resolve -> 2);
+    w_i64 buf tr.Alert.tr_ns;
+    w_f64 buf tr.Alert.tr_value;
+    w_u8 buf
+      (match tr.Alert.tr_severity with Alert.Info -> 0 | Alert.Warning -> 1 | Alert.Critical -> 2)
 
-(* --- payload decoding --- *)
+(* --- record decoding --- *)
 
-exception Bad_frame
+let corrupt = Provkit_util.Varint.corrupt
 
-type cursor = { src : string; mutable pos : int }
+let need s pos n =
+  if n < 0 || String.length s - !pos < n then corrupt "telemetry: truncated record at %d" !pos
 
-let r_u8 c =
-  if c.pos + 1 > String.length c.src then raise Bad_frame;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
+let r_u8 s pos =
+  need s pos 1;
+  incr pos;
+  Char.code s.[!pos - 1]
 
-let r_u32 c =
-  if c.pos + 4 > String.length c.src then raise Bad_frame;
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code c.src.[c.pos + i]
-  done;
-  c.pos <- c.pos + 4;
-  !v
+let r_u32 s pos =
+  need s pos 4;
+  pos := !pos + 4;
+  Int32.to_int (String.get_int32_le s (!pos - 4)) land 0xFFFF_FFFF
 
-let r_i64 c =
-  if c.pos + 8 > String.length c.src then raise Bad_frame;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.src.[c.pos + i]))
-  done;
-  c.pos <- c.pos + 8;
-  !v
+let r_i64 s pos =
+  need s pos 8;
+  pos := !pos + 8;
+  String.get_int64_le s (!pos - 8)
 
-let r_f64 c = Int64.float_of_bits (r_i64 c)
+let r_f64 s pos = Int64.float_of_bits (r_i64 s pos)
 
-let r_str c =
-  let len = r_u32 c in
-  if len < 0 || c.pos + len > String.length c.src then raise Bad_frame;
-  let s = String.sub c.src c.pos len in
-  c.pos <- c.pos + len;
-  s
+let r_str s pos =
+  let len = r_u32 s pos in
+  need s pos len;
+  pos := !pos + len;
+  String.sub s (!pos - len) len
 
-let r_list c read_one =
-  let n = r_u32 c in
-  if n < 0 || n > 1_000_000 then raise Bad_frame;
-  List.init n (fun _ -> read_one c)
+(* Every element takes at least one byte, so a count beyond what
+   remains is damage, caught before it sizes a list. *)
+let r_list s pos read_one =
+  let n = r_u32 s pos in
+  need s pos n;
+  List.init n (fun _ -> read_one s pos)
 
-let decode_point c =
-  let ns = r_i64 c in
-  let counters = r_list c (fun c ->
-      let name = r_str c in
-      (name, Int64.to_int (r_i64 c)))
-  in
-  let gauges = r_list c (fun c ->
-      let name = r_str c in
-      (name, r_f64 c))
-  in
-  let hists = r_list c (fun c ->
-      let name = r_str c in
-      let hs_count = Int64.to_int (r_i64 c) in
-      let hs_sum = r_f64 c in
-      let hs_min = Int64.to_int (r_i64 c) in
-      let hs_max = Int64.to_int (r_i64 c) in
-      let hs_p50 = r_f64 c in
-      let hs_p95 = r_f64 c in
-      let hs_p99 = r_f64 c in
-      ( name,
-        { Metrics.hs_count; hs_sum; hs_min; hs_max; hs_p50; hs_p95; hs_p99 } ))
-  in
-  {
-    Timeseries.pt_ns = ns;
-    pt_snap =
-      { Metrics.snap_counters = counters; snap_gauges = gauges; snap_histograms = hists };
-  }
-
-let decode_transition c =
-  let seq = r_u32 c in
-  let rule = r_str c in
-  let kind = match r_u8 c with 1 -> Alert.Fire | 2 -> Alert.Resolve | _ -> raise Bad_frame in
-  let ns = r_i64 c in
-  let value = r_f64 c in
-  let severity =
-    match r_u8 c with
-    | 0 -> Alert.Info
-    | 1 -> Alert.Warning
-    | 2 -> Alert.Critical
-    | _ -> raise Bad_frame
-  in
-  {
-    Alert.tr_seq = seq;
-    tr_rule = rule;
-    tr_kind = kind;
-    tr_ns = ns;
-    tr_value = value;
-    tr_severity = severity;
-  }
+let decode_record s pos =
+  match r_u8 s pos with
+  | t when t = tag_point ->
+    let pt_ns = r_i64 s pos in
+    let snap_counters = r_list s pos (fun s pos ->
+        let name = r_str s pos in
+        (name, Int64.to_int (r_i64 s pos)))
+    in
+    let snap_gauges = r_list s pos (fun s pos ->
+        let name = r_str s pos in
+        (name, r_f64 s pos))
+    in
+    let snap_histograms = r_list s pos (fun s pos ->
+        let name = r_str s pos in
+        let hs_count = Int64.to_int (r_i64 s pos) in
+        let hs_sum = r_f64 s pos in
+        let hs_min = Int64.to_int (r_i64 s pos) in
+        let hs_max = Int64.to_int (r_i64 s pos) in
+        let hs_p50 = r_f64 s pos in
+        let hs_p95 = r_f64 s pos in
+        let hs_p99 = r_f64 s pos in
+        (name, { Metrics.hs_count; hs_sum; hs_min; hs_max; hs_p50; hs_p95; hs_p99 }))
+    in
+    Point { Timeseries.pt_ns; pt_snap = { Metrics.snap_counters; snap_gauges; snap_histograms } }
+  | t when t = tag_transition ->
+    let tr_seq = r_u32 s pos in
+    let tr_rule = r_str s pos in
+    let tr_kind =
+      match r_u8 s pos with 1 -> Alert.Fire | 2 -> Alert.Resolve | k -> corrupt "telemetry: kind %d" k
+    in
+    let tr_ns = r_i64 s pos in
+    let tr_value = r_f64 s pos in
+    let tr_severity =
+      match r_u8 s pos with
+      | 0 -> Alert.Info
+      | 1 -> Alert.Warning
+      | 2 -> Alert.Critical
+      | k -> corrupt "telemetry: severity %d" k
+    in
+    Transition { Alert.tr_seq; tr_rule; tr_kind; tr_ns; tr_value; tr_severity }
+  | t -> corrupt "telemetry: unknown record tag %d" t
 
 (* --- replay --- *)
 
 let read_file path =
   if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all else ""
 
-(* Walk frames from the raw bytes, stopping at the first frame that is
-   short, fails its CRC, or does not decode.  Everything before the
-   stop point is the clean prefix. *)
+(* A missing or empty file is an empty journal; anything else must
+   start with the magic (or a torn piece of it). *)
 let parse raw =
-  let len = String.length raw in
-  let points = ref [] and transitions = ref [] and records = ref 0 in
-  let truncated = ref false in
-  let clean = ref 0 in
-  if len = 0 then ()
-  else if len < String.length magic || String.sub raw 0 (String.length magic) <> magic then
-    (* Not even a valid header: the whole file is a torn/foreign tail. *)
-    truncated := true
-  else begin
-    clean := String.length magic;
-    let pos = ref !clean in
-    let stop ~torn = if torn then truncated := true in
-    (try
-       while !pos < len do
-         if !pos + 8 > len then begin
-           stop ~torn:true;
-           raise Exit
-         end;
-         let plen =
-           let v = ref 0 in
-           for i = 3 downto 0 do
-             v := (!v lsl 8) lor Char.code raw.[!pos + i]
-           done;
-           !v
-         in
-         let crc = Provkit_util.Crc32.of_le_bytes raw (!pos + 4) in
-         if plen <= 0 || plen > 16_777_216 || !pos + 8 + plen > len then begin
-           stop ~torn:true;
-           raise Exit
-         end;
-         if Provkit_util.Crc32.digest ~pos:(!pos + 8) ~len:plen raw <> crc then begin
-           stop ~torn:true;
-           raise Exit
-         end;
-         let c = { src = String.sub raw (!pos + 8) plen; pos = 0 } in
-         (match r_u8 c with
-         | t when t = tag_point -> points := decode_point c :: !points
-         | t when t = tag_transition -> transitions := decode_transition c :: !transitions
-         | _ -> raise Bad_frame);
-         incr records;
-         pos := !pos + 8 + plen;
-         clean := !pos
-       done
-     with
-    | Exit -> ()
-    | Bad_frame -> stop ~torn:true)
-  end;
+  let p =
+    if raw = "" then { Frame.records = []; clean_bytes = 0; clean = true }
+    else Frame.walk ~magic ~frames:U32_le decode_record raw
+  in
   {
-    rp_points = List.rev !points;
-    rp_transitions = List.rev !transitions;
-    rp_records = !records;
-    rp_truncated = !truncated;
-    rp_clean_bytes = !clean;
+    rp_points = List.filter_map (function Point pt -> Some pt | Transition _ -> None) p.records;
+    rp_transitions =
+      List.filter_map (function Transition tr -> Some tr | Point _ -> None) p.records;
+    rp_records = List.length p.records;
+    rp_truncated = not p.clean;
+    rp_clean_bytes = p.clean_bytes;
   }
 
-let replay ~path =
-  let rp = parse (read_file path) in
+let replay_image ~path raw =
+  let rp = parse raw in
   Metrics.incr m_replays;
   if rp.rp_truncated then begin
     Metrics.incr m_truncations;
@@ -276,6 +194,8 @@ let replay ~path =
   end;
   rp
 
+let replay ~path = replay_image ~path (read_file path)
+
 let replay_into ring ~path =
   let rp = replay ~path in
   (* Timeseries.push, not record: replay must not re-snapshot, re-tick,
@@ -285,43 +205,32 @@ let replay_into ring ~path =
 
 (* --- the writer --- *)
 
-let write_frame oc payload =
-  let hdr = Buffer.create 8 in
-  w_u32 hdr (String.length payload);
-  Buffer.add_string hdr (Provkit_util.Crc32.to_le_bytes (Provkit_util.Crc32.digest payload));
-  output_string oc (Buffer.contents hdr);
-  output_string oc payload;
-  flush oc
-
 let open_ ~path =
   (* Recover first: cut any torn tail back to the clean prefix (the
-     same discipline as WAL segment recovery), then append after it. *)
+     same discipline as WAL segment recovery), then append after it.
+     A file that is not a journal raises here, before it is touched. *)
   let raw = read_file path in
-  let rp = if raw = "" then parse "" else replay ~path in
-  let clean =
-    if raw = "" then magic
-    else if rp.rp_truncated then (if rp.rp_clean_bytes = 0 then magic
-                                  else String.sub raw 0 rp.rp_clean_bytes)
-    else raw
-  in
+  let clean = if raw = "" then 0 else (replay_image ~path raw).rp_clean_bytes in
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path in
-  output_string oc clean;
+  output_string oc (if clean = 0 then magic else String.sub raw 0 clean);
   flush oc;
   { tj_path = path; tj_oc = oc; tj_closed = false }
 
 let path t = t.tj_path
 
-let append_point t pt =
+let append t record =
   if not t.tj_closed then begin
-    write_frame t.tj_oc (encode_point pt);
+    let payload = Buffer.create 512 in
+    encode_record payload record;
+    let frame = Buffer.create (Buffer.length payload + 8) in
+    Frame.write U32_le frame (Buffer.contents payload);
+    Buffer.output_buffer t.tj_oc frame;
+    flush t.tj_oc;
     Metrics.incr m_appends
   end
 
-let append_transition t tr =
-  if not t.tj_closed then begin
-    write_frame t.tj_oc (encode_transition tr);
-    Metrics.incr m_appends
-  end
+let append_point t pt = append t (Point pt)
+let append_transition t tr = append t (Transition tr)
 
 let close t =
   if not t.tj_closed then begin

@@ -3,15 +3,14 @@
     [provctl top --since <file>] and the alert engine see history
     across restarts.
 
-    On-disk format: a [PTJ1] magic header, then per record a 4-byte LE
-    payload length, a 4-byte LE CRC-32 of the payload, and the payload
-    (tag byte, then the point snapshot or the transition).  The framing
-    discipline is the WAL v2 codec's: {!replay} verifies every frame
-    and keeps the longest clean prefix, so a crash-truncated or
-    corrupted tail is detected (flight incident, deduplicated per path,
-    plus {!Names.telemetry_journal_truncations}) and {!open_} cuts it
-    away before appending — recovery semantics identical to a torn WAL
-    segment. *)
+    On-disk format: a [PTJ1] magic header, then per record a
+    {!Provkit_util.Frame} with a 4-byte LE payload length, a 4-byte LE
+    CRC-32 of the payload, and the payload (tag byte, then the point
+    snapshot or the transition).  {!replay} runs the same clean-prefix
+    walker as WAL recovery, so a crash-truncated or corrupted tail is
+    detected (flight incident, deduplicated per path, plus
+    {!Names.telemetry_journal_truncations}) and {!open_} cuts it away
+    before appending. *)
 
 type t
 (** An open journal (append handle). *)
@@ -27,7 +26,10 @@ type replay = {
 val open_ : path:string -> t
 (** Open for appending, creating the file (with its magic header) if
     missing.  An existing file is recovered first: the torn tail, if
-    any, is truncated back to the clean prefix, exactly once. *)
+    any, is truncated back to the clean prefix, exactly once.  A header
+    that is a proper prefix of the magic (a torn create) is rewritten;
+    a file that is not a journal at all raises
+    {!Provkit_util.Varint.Corrupt} and is left untouched. *)
 
 val path : t -> string
 
@@ -47,7 +49,9 @@ val attach : t -> unit
     {!Timeseries.clear_observers} / {!Alert.clear_transition_hooks}. *)
 
 val replay : path:string -> replay
-(** Decode the journal's clean prefix (a missing file reads as empty).
+(** Decode the journal's clean prefix (a missing or empty file reads as
+    empty; one that is not a journal raises
+    {!Provkit_util.Varint.Corrupt}).
     Ticks {!Names.telemetry_journal_replays}; a torn tail additionally
     ticks {!Names.telemetry_journal_truncations} and records a flight
     incident (deduplicated by path). *)

@@ -17,17 +17,16 @@ type series = {
   s_rate : float;
 }
 
-type t = { cap : int; lock : Mutex.t; q : point Queue.t }
+type t = { lock : Mutex.t; q : (unit, point) Provkit_util.Ring.t }
 
 let create ?(capacity = 240) () =
   if capacity <= 0 then invalid_arg "Timeseries.create: capacity must be positive";
-  (* The per-ring lock serializes Queue mutation (structurally unsafe
-     under domains) and, by running observers inside it, the alert
-     engine's state transitions when provd pulses from a background
-     domain. *)
-  { cap = capacity; lock = Mutex.create (); q = Queue.create () }
+  (* The per-ring lock serializes ring mutation and, by running
+     observers inside it, the alert engine's state transitions when
+     provd pulses from a background domain. *)
+  { lock = Mutex.create (); q = Provkit_util.Ring.create capacity }
 
-let capacity t = t.cap
+let capacity t = Provkit_util.Ring.capacity t.q
 
 let m_points = Metrics.counter Names.timeseries_points
 
@@ -39,11 +38,7 @@ let observers : (point -> unit) list ref = ref []
 let add_observer f = observers := !observers @ [ f ]
 let clear_observers () = observers := []
 
-let push t pt =
-  Queue.push pt t.q;
-  while Queue.length t.q > t.cap do
-    ignore (Queue.pop t.q)
-  done
+let push t pt = ignore (Provkit_util.Ring.push t.q pt)
 
 let record ?now_ns t =
   let now = match now_ns with Some n -> n | None -> Provkit_util.Timing.now_ns () in
@@ -54,9 +49,9 @@ let record ?now_ns t =
   Metrics.incr m_points;
   pt
 
-let points t = Mutex.protect t.lock (fun () -> List.of_seq (Queue.to_seq t.q))
-let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)
-let clear t = Mutex.protect t.lock (fun () -> Queue.clear t.q)
+let points t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.to_list t.q)
+let length t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.length t.q)
+let clear t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.clear t.q)
 
 (* --- deltas and rates --- *)
 

@@ -35,32 +35,24 @@ let m_dropped = Metrics.counter Names.trace_dropped
 
 let default_capacity = 1024
 
-type ring = { mutable slots : span option array; mutable next : int; mutable written : int }
-
-let ring = { slots = Array.make default_capacity None; next = 0; written = 0 }
+let ring : (unit, span) Provkit_util.Ring.t = Provkit_util.Ring.create default_capacity
 
 (* Serializes the ring and the id stream: under provd spans close on
-   every domain, and an unguarded slot/next update pair would tear. *)
+   every domain, and an unguarded ring update would tear. *)
 let lock = Mutex.create ()
 
 let sink : (span -> unit) option ref = ref None
 
 let set_sink f = sink := f
 
-let capacity () = Array.length ring.slots
+let capacity () = Mutex.protect lock (fun () -> Provkit_util.Ring.capacity ring)
+let clear () = Mutex.protect lock (fun () -> Provkit_util.Ring.clear ring)
 
 let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
   Mutex.protect lock (fun () ->
-      ring.slots <- Array.make n None;
-      ring.next <- 0;
-      ring.written <- 0)
-
-let clear () =
-  Mutex.protect lock (fun () ->
-      Array.fill ring.slots 0 (Array.length ring.slots) None;
-      ring.next <- 0;
-      ring.written <- 0)
+      Provkit_util.Ring.clear ring;
+      ignore (Provkit_util.Ring.resize ring n))
 
 (* --- span ids --- *)
 
@@ -106,11 +98,7 @@ let open_spans () =
 
 let push s =
   Mutex.protect lock (fun () ->
-      let cap = Array.length ring.slots in
-      if ring.written >= cap && ring.slots.(ring.next) <> None then Metrics.incr m_dropped;
-      ring.slots.(ring.next) <- Some s;
-      ring.next <- (ring.next + 1) mod cap;
-      ring.written <- ring.written + 1);
+      if Option.is_some (Provkit_util.Ring.push ring s) then Metrics.incr m_dropped);
   Metrics.incr m_spans;
   match !sink with None -> () | Some f -> f s
 
@@ -146,21 +134,8 @@ let with_span ?(attrs = []) name f =
   end
   else f ()
 
-(* Oldest-first contents of the ring. *)
-let recent () =
-  Mutex.protect lock (fun () ->
-      let cap = Array.length ring.slots in
-      let spans = ref [] in
-      (* slot [next] holds the oldest span; walking down from [next+cap-1]
-         and prepending yields oldest-first *)
-      for i = cap - 1 downto 0 do
-        match ring.slots.((ring.next + i) mod cap) with
-        | Some s -> spans := s :: !spans
-        | None -> ()
-      done;
-      !spans)
-
-let recorded () = Mutex.protect lock (fun () -> ring.written)
+let recent () = Mutex.protect lock (fun () -> Provkit_util.Ring.to_list ring)
+let recorded () = Mutex.protect lock (fun () -> Provkit_util.Ring.pushed ring)
 
 (* --- tree assembly --- *)
 
@@ -285,10 +260,10 @@ let span_to_json s =
   Buffer.add_string buf "}}";
   Buffer.contents buf
 
-(* Minimal JSON-object reader for span lines.  Handles exactly the
-   subset span_to_json emits (flat object, string/number/null values,
-   one nested "attrs" object) plus the v1 layout, which had no "v"
-   marker and no id fields. *)
+(* Minimal JSON-object reader for the flat lines this tree emits (span
+   lines, slow-log entries): string/number/null values plus one nested
+   "attrs" object.  Strings decode every escape Metrics.json_escape
+   writes, [\uXXXX] included. *)
 module Jsonl_reader = struct
   type tok = { src : string; mutable pos : int }
 
@@ -317,11 +292,18 @@ module Jsonl_reader = struct
       | '\\' ->
           if t.pos + 1 >= String.length t.src then raise Bad;
           (match t.src.[t.pos + 1] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
           | 'n' -> Buffer.add_char buf '\n'
           | 't' -> Buffer.add_char buf '\t'
           | 'r' -> Buffer.add_char buf '\r'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' ->
+              let hex = try String.sub t.src (t.pos + 2) 4 with Invalid_argument _ -> raise Bad in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              let cp = if String.for_all is_hex hex then int_of_string ("0x" ^ hex) else -1 in
+              if not (Uchar.is_valid cp) then raise Bad;
+              Buffer.add_utf_8_uchar buf (Uchar.of_int cp);
+              t.pos <- t.pos + 4
           | c -> Buffer.add_char buf c);
           t.pos <- t.pos + 2;
           go ()
@@ -338,62 +320,41 @@ module Jsonl_reader = struct
     let start = t.pos in
     while
       t.pos < String.length t.src
-      &&
-      match t.src.[t.pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'a' .. 'd' | 'f' .. 'z' -> true
-      | _ -> false
+      && match t.src.[t.pos] with '0' .. '9' | 'a' .. 'z' | 'E' | '-' | '+' | '.' -> true | _ -> false
     do
       t.pos <- t.pos + 1
     done;
     if t.pos = start then raise Bad;
     String.sub t.src start (t.pos - start)
 
-  (* Parse one span line; returns the field map.  Attrs come back in
-     emission order. *)
+  (* One object, calling [member key] positioned at each value. *)
+  let obj t member =
+    expect t '{';
+    skip_ws t;
+    if peek t = Some '}' then t.pos <- t.pos + 1
+    else
+      let rec members () =
+        let key = string t in
+        expect t ':';
+        skip_ws t;
+        member key;
+        skip_ws t;
+        match peek t with
+        | Some ',' ->
+            t.pos <- t.pos + 1;
+            skip_ws t;
+            members ()
+        | Some '}' -> t.pos <- t.pos + 1
+        | Some _ | None -> raise Bad
+      in
+      members ()
+
   let fields line =
     let t = { src = line; pos = 0 } in
     let scalars = ref [] and attrs = ref [] in
-    expect t '{';
-    let rec members () =
-      skip_ws t;
-      let key = string t in
-      expect t ':';
-      skip_ws t;
-      (if key = "attrs" then begin
-         expect t '{';
-         skip_ws t;
-         (if peek t = Some '}' then t.pos <- t.pos + 1
-          else
-            let rec attr_members () =
-              let k = string t in
-              expect t ':';
-              let v = string t in
-              attrs := (k, v) :: !attrs;
-              skip_ws t;
-              match peek t with
-              | Some ',' ->
-                  t.pos <- t.pos + 1;
-                  skip_ws t;
-                  attr_members ()
-              | Some '}' -> t.pos <- t.pos + 1
-              | Some _ | None -> raise Bad
-            in
-            attr_members ())
-       end
-       else
-         match peek t with
-         | Some '"' -> scalars := (key, string t) :: !scalars
-         | Some _ -> scalars := (key, scalar t) :: !scalars
-         | None -> raise Bad);
-      skip_ws t;
-      match peek t with
-      | Some ',' ->
-          t.pos <- t.pos + 1;
-          members ()
-      | Some '}' -> t.pos <- t.pos + 1
-      | Some _ | None -> raise Bad
-    in
-    members ();
+    obj t (fun key ->
+        if key = "attrs" then obj t (fun k -> attrs := (k, string t) :: !attrs)
+        else scalars := (key, if peek t = Some '"' then string t else scalar t) :: !scalars);
     (!scalars, List.rev !attrs)
 end
 

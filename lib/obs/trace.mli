@@ -96,6 +96,18 @@ val span_of_json : string -> span option
     the v1 layout (no ["v"] marker, no id fields — ids deserialize as
     [0]/[None]).  [None] on malformed input. *)
 
+(** The reader behind {!span_of_json}, shared with the slow-query log:
+    one flat JSON object per line, as this tree writes them. *)
+module Jsonl_reader : sig
+  exception Bad
+
+  val fields : string -> (string * string) list * (string * string) list
+  (** [(scalars, attrs)]: top-level members with string values decoded
+      (every escape {!Metrics.json_escape} writes, [\uXXXX] included)
+      and other values as their raw token, then the members of a nested
+      ["attrs"] object in order.  Raises {!Bad} on anything else. *)
+end
+
 val dump_jsonl : out_channel -> unit
 (** Write {!recent} to the channel, one {!span_to_json} line per span. *)
 

@@ -2,7 +2,8 @@
 
     The format is deterministic: the same logical database always encodes
     to the same bytes, which makes storage-overhead measurements exact
-    and reproducible. *)
+    and reproducible.  Checksummed framing of these encodings, and
+    recovery of a damaged log, live in {!Provkit_util.Frame}. *)
 
 val write_value : Buffer.t -> Value.t -> unit
 val read_value : string -> int ref -> Value.t
@@ -11,6 +12,12 @@ val write_string : Buffer.t -> string -> unit
 (** Length-prefixed. *)
 
 val read_string : string -> int ref -> string
+
+val write_opt_int : Buffer.t -> int option -> unit
+(** A tag byte, then a signed varint under [Some]: the optional fields
+    of the provenance journal and event-trace records. *)
+
+val read_opt_int : string -> int ref -> int option
 
 val write_row : Buffer.t -> Value.t array -> unit
 (** Arity-prefixed sequence of values. *)
@@ -25,20 +32,3 @@ val read_count : string -> int ref -> int
     every encoded element occupies at least one byte, so a larger (or
     negative) count raises {!Errors.Corrupt} before it can size an
     allocation. *)
-
-(** {2 Checksummed frames (storage format v2)}
-
-    A frame is [varint payload-length][CRC-32, 4 bytes LE][payload].
-    Framing every journal record lets recovery detect corruption
-    anywhere — a flipped byte, a torn write mid-file — rather than only
-    a truncated tail, and stop at the last verified prefix. *)
-
-val write_frame : Buffer.t -> string -> unit
-
-val read_frame : string -> int ref -> string
-(** Raises {!Errors.Corrupt} if the frame is truncated, overruns the
-    input, or fails its checksum; [pos] is advanced only past a fully
-    verified frame. *)
-
-val frame_size : int -> int
-(** Encoded size of a frame holding an [n]-byte payload. *)

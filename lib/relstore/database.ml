@@ -38,7 +38,7 @@ let to_bytes t =
   Buffer.add_string buf magic;
   Codec.write_string buf t.name;
   let tbls = tables t in
-  Varint.write_unsigned buf (List.length tbls);
+  Provkit_util.Varint.write_unsigned buf (List.length tbls);
   List.iter (fun tbl -> Table.serialize buf tbl) tbls;
   Buffer.contents buf
 
@@ -103,9 +103,9 @@ let size_breakdown t =
 
 let header_size t =
   String.length magic
-  + Varint.size_unsigned (String.length t.name)
+  + Provkit_util.Varint.size_unsigned (String.length t.name)
   + String.length t.name
-  + Varint.size_unsigned (Hashtbl.length t.tables)
+  + Provkit_util.Varint.size_unsigned (Hashtbl.length t.tables)
 
 let data_size t =
   List.fold_left (fun acc tbl -> acc + Table.data_size tbl) (header_size t) (tables t)

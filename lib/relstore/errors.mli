@@ -15,7 +15,9 @@ exception Arity_mismatch of string
     (e.g. {!Table.find_by} given two columns but one value). *)
 
 exception Corrupt of string
-(** Deserialization failed. *)
+(** Deserialization failed.  The same exception as
+    {!Provkit_util.Varint.Corrupt}, which the shared varint and frame
+    decoders raise. *)
 
 val type_mismatch : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val constraint_violation : ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -124,5 +124,7 @@ let serialized_size t =
       let key_size =
         List.fold_left (fun s v -> s + Value.serialized_size v) 0 key
       in
-      Iset.fold (fun rowid acc -> acc + key_size + Varint.size_unsigned rowid) set acc)
+      Iset.fold
+        (fun rowid acc -> acc + key_size + Provkit_util.Varint.size_unsigned rowid)
+        set acc)
     t.entries 0

@@ -167,7 +167,7 @@ let fingerprint buf p =
       true
     | Cmp (op, col, v) ->
       tag '\002';
-      Varint.write_unsigned buf (cmp_code op);
+      Provkit_util.Varint.write_unsigned buf (cmp_code op);
       Codec.write_string buf col;
       Codec.write_value buf v;
       true
@@ -192,11 +192,11 @@ let fingerprint buf p =
       true
     | And ps ->
       tag '\007';
-      Varint.write_unsigned buf (List.length ps);
+      Provkit_util.Varint.write_unsigned buf (List.length ps);
       List.for_all go ps
     | Or ps ->
       tag '\008';
-      Varint.write_unsigned buf (List.length ps);
+      Provkit_util.Varint.write_unsigned buf (List.length ps);
       List.for_all go ps
     | Not p ->
       tag '\009';

@@ -1,116 +1,62 @@
-(* Bounded LRU for query results: a hash table over an intrusive
-   doubly-linked recency list, so find/put are O(1) and eviction drops
-   the coldest entry.  Entries carry the table epoch they were computed
-   at; validation is a single integer compare, and a stale entry is
-   removed on sight (the table moved on, the old result can never
-   become valid again). *)
+(* Bounded LRU for query results: a keyed {!Provkit_util.Ring} whose
+   hits touch their entry, so eviction drops the coldest.  Entries carry
+   the table epoch they were computed at; validation is a single
+   integer compare, and a stale entry is removed on sight (the table
+   moved on, the old result can never become valid again). *)
+
+module Ring = Provkit_util.Ring
 
 type payload =
   | Rows of (int * Row.t) list
   | Count of int
   | Groups of (Value.t * int) list
 
-type node = {
-  key : string;
-  mutable epoch : int;
-  mutable payload : payload;
-  mutable prev : node option;
-  mutable next : node option;
-}
+type entry = { key : string; mutable epoch : int; mutable payload : payload }
 
 type t = {
   lock : Mutex.t;
-      (* every entry point below mutates the table or the recency list
-         structurally (find refreshes recency and drops stale entries),
-         so concurrent reader domains must serialize on this lock *)
-  mutable capacity : int;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;  (* most recently used *)
-  mutable tail : node option;  (* least recently used *)
+      (* every entry point below mutates the ring (find refreshes
+         recency and drops stale entries), so concurrent reader domains
+         must serialize on this lock *)
+  mutable capacity : int;  (* 0 stores nothing; the ring keeps one slot *)
+  ring : (string, entry) Ring.t;
 }
 
 let create ?(capacity = 512) () =
-  {
-    lock = Mutex.create ();
-    capacity = max 0 capacity;
-    tbl = Hashtbl.create 256;
-    head = None;
-    tail = None;
-  }
+  let capacity = max 0 capacity in
+  let ring = Ring.create ~key:(fun e -> Some e.key) (max 1 capacity) in
+  { lock = Mutex.create (); capacity; ring }
 
 let capacity t = Mutex.protect t.lock (fun () -> t.capacity)
-let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
-
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
-
-let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
-
-let remove t node =
-  unlink t node;
-  Hashtbl.remove t.tbl node.key
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.tbl;
-      t.head <- None;
-      t.tail <- None)
-
-(* Drop cold entries until the bound holds; returns how many went. *)
-let enforce_capacity t =
-  let evicted = ref 0 in
-  while Hashtbl.length t.tbl > t.capacity do
-    match t.tail with
-    | Some node ->
-      remove t node;
-      incr evicted
-    | None -> assert false
-  done;
-  !evicted
+let length t = Mutex.protect t.lock (fun () -> Ring.length t.ring)
+let clear t = Mutex.protect t.lock (fun () -> Ring.clear t.ring)
 
 let set_capacity t n =
   Mutex.protect t.lock (fun () ->
       t.capacity <- max 0 n;
-      ignore (enforce_capacity t))
+      if n <= 0 then Ring.clear t.ring else ignore (Ring.resize t.ring n))
 
 type lookup = Hit of payload | Stale | Absent
 
 let find t ~key ~epoch =
   Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.tbl key with
+      match Ring.find t.ring key with
       | None -> Absent
-      | Some node when node.epoch = epoch ->
-        unlink t node;
-        push_front t node;
-        Hit node.payload
-      | Some node ->
-        remove t node;
+      | Some e when e.epoch = epoch ->
+        Ring.touch t.ring key;
+        Hit e.payload
+      | Some _ ->
+        Ring.remove t.ring key;
         Stale)
 
 let put t ~key ~epoch payload =
   Mutex.protect t.lock (fun () ->
       if t.capacity = 0 then 0
-      else begin
-        (match Hashtbl.find_opt t.tbl key with
-        | Some node ->
-          node.epoch <- epoch;
-          node.payload <- payload;
-          unlink t node;
-          push_front t node
-        | None ->
-          let node = { key; epoch; payload; prev = None; next = None } in
-          Hashtbl.replace t.tbl key node;
-          push_front t node);
-        enforce_capacity t
-      end)
+      else
+        match Ring.find t.ring key with
+        | Some e ->
+          e.epoch <- epoch;
+          e.payload <- payload;
+          Ring.touch t.ring key;
+          0
+        | None -> if Option.is_some (Ring.push t.ring { key; epoch; payload }) then 1 else 0)

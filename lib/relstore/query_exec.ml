@@ -249,12 +249,12 @@ let clear_cache () = Query_cache.clear cache
 (* None = this query cannot be keyed (Custom predicate): run cold. *)
 let cache_key ~op ~aux ~order_by ~limit table where =
   let buf = Buffer.create 64 in
-  Varint.write_unsigned buf (Table.uid table);
+  Provkit_util.Varint.write_unsigned buf (Table.uid table);
   Codec.write_string buf op;
   Codec.write_string buf aux;
   if not (Predicate.fingerprint buf where) then None
   else begin
-    Varint.write_unsigned buf (List.length order_by);
+    Provkit_util.Varint.write_unsigned buf (List.length order_by);
     List.iter
       (fun spec ->
         match spec with
@@ -269,7 +269,7 @@ let cache_key ~op ~aux ~order_by ~limit table where =
     | None -> Buffer.add_char buf '\000'
     | Some n ->
       Buffer.add_char buf '\001';
-      Varint.write_unsigned buf n);
+      Provkit_util.Varint.write_unsigned buf n);
     Some (Buffer.contents buf)
   end
 

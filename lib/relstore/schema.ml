@@ -60,11 +60,11 @@ let ty_of_code = function
 
 let serialize buf t =
   Codec.write_string buf t.name;
-  Varint.write_unsigned buf (arity t);
+  Provkit_util.Varint.write_unsigned buf (arity t);
   Array.iter
     (fun (c : Column.t) ->
       Codec.write_string buf c.name;
-      Varint.write_unsigned buf (ty_code c.ty);
+      Provkit_util.Varint.write_unsigned buf (ty_code c.ty);
       Buffer.add_char buf (if c.nullable then '\001' else '\000'))
     t.columns
 
@@ -74,7 +74,7 @@ let deserialize s pos =
   let cols =
     List.init n (fun _ ->
         let cname = Codec.read_string s pos in
-        let ty = ty_of_code (Varint.read_unsigned s pos) in
+        let ty = ty_of_code (Provkit_util.Varint.read_unsigned s pos) in
         let nullable =
           if !pos >= String.length s then Errors.corrupt "schema: truncated"
           else begin

@@ -20,12 +20,14 @@ let m_notes = Obs.Metrics.counter Obs.Names.slowlog_notes
 let m_evictions = Obs.Metrics.counter Obs.Names.slowlog_evictions
 
 let threshold = ref 1_000_000
-let cap = ref 128
-let ring : (int, entry) Hashtbl.t = Hashtbl.create 64
 
-(* Serializes every structural access to [ring]: under provd the
-   executor funnel runs on any reader domain, and concurrent Hashtbl
-   mutation is memory-unsafe. *)
+(* Keyed by fingerprint; a repeat note touches its entry, so the ring's
+   oldest entry is always the least recently noted one. *)
+let ring : (int, entry) Provkit_util.Ring.t =
+  Provkit_util.Ring.create ~key:(fun e -> Some e.e_fingerprint) 128
+
+(* Serializes every access to [ring]: under provd the executor funnel
+   runs on any reader domain. *)
 let lock = Mutex.create ()
 
 let threshold_ns () = !threshold
@@ -55,7 +57,7 @@ let () =
   | None -> ()
   | Some s -> ( match threshold_of_env_string s with Some n -> threshold := n | None -> ())
 
-let capacity () = !cap
+let capacity () = Mutex.protect lock (fun () -> Provkit_util.Ring.capacity ring)
 
 let fingerprint ~table ~op ~plan ~detail =
   (* Length-prefixed so ("a","bc") and ("ab","c") cannot collide by
@@ -69,35 +71,15 @@ let fingerprint ~table ~op ~plan ~detail =
     [ table; op; plan; detail ];
   Provkit_util.Crc32.digest (Buffer.contents buf)
 
-let evict_oldest () =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with
-        | None -> Some e
-        | Some best ->
-          if Int64.compare e.e_last_ns_seen best.e_last_ns_seen < 0 then Some e else acc)
-      ring None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove ring e.e_fingerprint;
-    Obs.Metrics.incr m_evictions
-
 let set_capacity n =
   if n <= 0 then invalid_arg "Slowlog.set_capacity: must be positive";
-  Mutex.protect lock (fun () ->
-      cap := n;
-      while Hashtbl.length ring > !cap do
-        evict_oldest ()
-      done)
+  Mutex.protect lock (fun () -> Obs.Metrics.add m_evictions (Provkit_util.Ring.resize ring n))
 
 let note ~table ~op ~plan ~detail ~elapsed_ns ~rows_scanned ~rows_returned =
   let fp = fingerprint ~table ~op ~plan ~detail in
   let now = Provkit_util.Timing.now_ns () in
   Mutex.protect lock (fun () ->
-  match Hashtbl.find_opt ring fp with
+  match Provkit_util.Ring.find ring fp with
   | Some e ->
     e.e_count <- e.e_count + 1;
     e.e_total_ns <- e.e_total_ns + elapsed_ns;
@@ -105,33 +87,36 @@ let note ~table ~op ~plan ~detail ~elapsed_ns ~rows_scanned ~rows_returned =
     e.e_last_ns <- elapsed_ns;
     e.e_rows_scanned <- rows_scanned;
     e.e_rows_returned <- rows_returned;
-    e.e_last_ns_seen <- now
+    e.e_last_ns_seen <- now;
+    Provkit_util.Ring.touch ring fp
   | None ->
-    if Hashtbl.length ring >= !cap then evict_oldest ();
-    Hashtbl.replace ring fp
-      {
-        e_fingerprint = fp;
-        e_table = table;
-        e_op = op;
-        e_plan = plan;
-        e_detail = detail;
-        e_count = 1;
-        e_total_ns = elapsed_ns;
-        e_max_ns = elapsed_ns;
-        e_last_ns = elapsed_ns;
-        e_rows_scanned = rows_scanned;
-        e_rows_returned = rows_returned;
-        e_first_ns = now;
-        e_last_ns_seen = now;
-      });
+    let evicted =
+      Provkit_util.Ring.push ring
+        {
+          e_fingerprint = fp;
+          e_table = table;
+          e_op = op;
+          e_plan = plan;
+          e_detail = detail;
+          e_count = 1;
+          e_total_ns = elapsed_ns;
+          e_max_ns = elapsed_ns;
+          e_last_ns = elapsed_ns;
+          e_rows_scanned = rows_scanned;
+          e_rows_returned = rows_returned;
+          e_first_ns = now;
+          e_last_ns_seen = now;
+        }
+    in
+    if Option.is_some evicted then Obs.Metrics.incr m_evictions);
   Obs.Metrics.incr m_notes
 
 let entries () =
-  Mutex.protect lock (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) ring [])
+  Mutex.protect lock (fun () -> Provkit_util.Ring.to_list ring)
   |> List.sort (fun a b -> Int.compare b.e_total_ns a.e_total_ns)
 
-let length () = Mutex.protect lock (fun () -> Hashtbl.length ring)
-let clear () = Mutex.protect lock (fun () -> Hashtbl.reset ring)
+let length () = Mutex.protect lock (fun () -> Provkit_util.Ring.length ring)
+let clear () = Mutex.protect lock (fun () -> Provkit_util.Ring.clear ring)
 
 (* --- serialization --- *)
 
@@ -146,93 +131,10 @@ let to_json e =
     e.e_count e.e_total_ns e.e_max_ns e.e_last_ns e.e_rows_scanned e.e_rows_returned
     e.e_first_ns e.e_last_ns_seen
 
-(* Minimal flat-object JSON reader, the same discipline as
-   Trace.Jsonl_reader: handles exactly the subset to_json emits. *)
-module Reader = struct
-  type tok = { src : string; mutable pos : int }
-
-  exception Bad
-
-  let peek t = if t.pos < String.length t.src then Some t.src.[t.pos] else None
-
-  let skip_ws t =
-    while t.pos < String.length t.src && (t.src.[t.pos] = ' ' || t.src.[t.pos] = '\t') do
-      t.pos <- t.pos + 1
-    done
-
-  let expect t c =
-    skip_ws t;
-    match peek t with
-    | Some c' when c' = c -> t.pos <- t.pos + 1
-    | Some _ | None -> raise Bad
-
-  let string t =
-    expect t '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if t.pos >= String.length t.src then raise Bad;
-      match t.src.[t.pos] with
-      | '"' -> t.pos <- t.pos + 1
-      | '\\' ->
-        if t.pos + 1 >= String.length t.src then raise Bad;
-        (match t.src.[t.pos + 1] with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | c -> Buffer.add_char buf c);
-        t.pos <- t.pos + 2;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        t.pos <- t.pos + 1;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-
-  let scalar t =
-    skip_ws t;
-    let start = t.pos in
-    while
-      t.pos < String.length t.src
-      && match t.src.[t.pos] with '0' .. '9' | '-' | '+' -> true | _ -> false
-    do
-      t.pos <- t.pos + 1
-    done;
-    if t.pos = start then raise Bad;
-    String.sub t.src start (t.pos - start)
-
-  let fields line =
-    let t = { src = line; pos = 0 } in
-    let out = ref [] in
-    expect t '{';
-    let rec members () =
-      skip_ws t;
-      let key = string t in
-      expect t ':';
-      skip_ws t;
-      (match peek t with
-      | Some '"' -> out := (key, string t) :: !out
-      | Some _ -> out := (key, scalar t) :: !out
-      | None -> raise Bad);
-      skip_ws t;
-      match peek t with
-      | Some ',' ->
-        t.pos <- t.pos + 1;
-        members ()
-      | Some '}' -> t.pos <- t.pos + 1
-      | Some _ | None -> raise Bad
-    in
-    members ();
-    !out
-end
-
 let of_json line =
-  match Reader.fields line with
-  | exception Reader.Bad -> None
-  | fields -> (
+  match Obs.Trace.Jsonl_reader.fields line with
+  | exception Obs.Trace.Jsonl_reader.Bad -> None
+  | fields, _ -> (
     let str k = List.assoc_opt k fields in
     let num k = Option.bind (str k) int_of_string_opt in
     let num64 k = Option.bind (str k) Int64.of_string_opt in

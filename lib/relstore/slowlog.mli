@@ -5,9 +5,10 @@
     threshold.  Notes with the same fingerprint — table, operation,
     chosen plan and predicate shape — merge into one entry that
     accumulates occurrence count and latency totals, so a hot bad query
-    costs one slot however often it fires.  When the ring is full, the
-    entry with the oldest last occurrence is evicted (ticking
-    {!Provkit_obs.Names.slowlog_evictions}).
+    costs one slot however often it fires.  The entries live in a keyed
+    {!Provkit_util.Ring}, and a repeat note moves its entry to newest, so
+    when the ring is full the least recently noted entry is evicted
+    (ticking {!Provkit_obs.Names.slowlog_evictions}).
 
     Entries serialize one-per-line as JSON ({!to_json}/{!of_json}
     round-trip), the format [provctl slowlog --json] emits. *)
@@ -77,7 +78,8 @@ val to_json : entry -> string
 (** One flat JSON object on one line. *)
 
 val of_json : string -> entry option
-(** Inverse of {!to_json}; [None] on malformed input. *)
+(** Inverse of {!to_json}, read with {!Provkit_obs.Trace.Jsonl_reader};
+    [None] on malformed input. *)
 
 val dump_jsonl : Buffer.t -> unit
 (** Append every entry (worst first), one JSON object per line. *)

@@ -173,31 +173,31 @@ let find_one_by t ~columns key =
 
 let serialize buf t =
   Schema.serialize buf t.schema;
-  Varint.write_unsigned buf t.next_id;
-  Varint.write_unsigned buf (row_count t);
+  Provkit_util.Varint.write_unsigned buf t.next_id;
+  Provkit_util.Varint.write_unsigned buf (row_count t);
   List.iter
     (fun (rowid, row) ->
-      Varint.write_unsigned buf rowid;
+      Provkit_util.Varint.write_unsigned buf rowid;
       Codec.write_row buf row)
     (rows t);
   (* Index definitions travel with the table; entries are rebuilt. *)
-  Varint.write_unsigned buf (List.length t.indexes);
+  Provkit_util.Varint.write_unsigned buf (List.length t.indexes);
   List.iter
     (fun idx ->
       Codec.write_string buf (Index.name idx);
       Buffer.add_char buf (if Index.is_unique idx then '\001' else '\000');
-      Varint.write_unsigned buf (List.length (Index.column_names idx));
+      Provkit_util.Varint.write_unsigned buf (List.length (Index.column_names idx));
       List.iter (Codec.write_string buf) (Index.column_names idx))
     t.indexes
 
 let deserialize s pos =
   let schema = Schema.deserialize s pos in
-  let next_id = Varint.read_unsigned s pos in
+  let next_id = Provkit_util.Varint.read_unsigned s pos in
   let n = Codec.read_count s pos in
   let t = create schema in
   let max_rowid = ref 0 in
   for _ = 1 to n do
-    let rowid = Varint.read_unsigned s pos in
+    let rowid = Provkit_util.Varint.read_unsigned s pos in
     let row = Codec.read_row s pos in
     Schema.validate_row schema row;
     if Intmap.mem rowid t.rows then

@@ -91,7 +91,7 @@ let to_text_opt = function
 let serialized_size = function
   | Null -> 1
   | Bool _ -> 1
-  | Int n -> 1 + Varint.size_signed n
+  | Int n -> 1 + Provkit_util.Varint.size_signed n
   | Real _ -> 9
-  | Text s -> 1 + Varint.size_unsigned (String.length s) + String.length s
-  | Blob b -> 1 + Varint.size_unsigned (Bytes.length b) + Bytes.length b
+  | Text s -> 1 + Provkit_util.Varint.size_unsigned (String.length s) + String.length s
+  | Blob b -> 1 + Provkit_util.Varint.size_unsigned (Bytes.length b) + Bytes.length b

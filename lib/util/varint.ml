@@ -1,3 +1,7 @@
+exception Corrupt of string
+
+let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
+
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag u = (u lsr 1) lxor (-(u land 1))
 
@@ -24,11 +28,11 @@ let write_signed buf n = write_unsigned buf (zigzag n)
 let read_unsigned s pos =
   let len = String.length s in
   let rec go shift acc =
-    if !pos >= len then Errors.corrupt "varint: truncated at %d" !pos
+    if !pos >= len then corrupt "varint: truncated at %d" !pos
     else if shift > 56 then
       (* A valid encoding covers the 63-bit pattern in at most 9 groups;
          a longer run of continuation bits is corruption, not data. *)
-      Errors.corrupt "varint: overlong encoding at %d" !pos
+      corrupt "varint: overlong encoding at %d" !pos
     else begin
       let b = Char.code s.[!pos] in
       incr pos;

@@ -3,8 +3,9 @@
    varints, strings, values, rows and checksummed frames.  Each property
    is decode-after-encode identity plus exact size accounting. *)
 
-module V = Relstore.Varint
+module V = Provkit_util.Varint
 module C = Relstore.Codec
+module F = Provkit_util.Frame
 module Value = Relstore.Value
 module Prng = Provkit_util.Prng
 
@@ -121,15 +122,20 @@ let test_row_roundtrip_and_size () =
     Alcotest.(check int) "fully consumed" (String.length enc) !pos
   done
 
+(* Both length encodings: the varint one of the journals and WAL, and
+   the 4-byte one of the telemetry journal. *)
+let lengths = Provkit_util.Frame.[ Varint; U32_le ]
+
 let test_frame_roundtrip_and_size () =
   let rng = Test_seed.prng ~salt:25 in
-  for _ = 1 to cases do
+  for i = 1 to cases do
+    let length = List.nth lengths (i mod 2) in
     let payload = gen_string rng in
-    let enc = encode_with C.write_frame payload in
-    Alcotest.(check int) "frame_size is exact" (String.length enc)
-      (C.frame_size (String.length payload));
+    let enc = encode_with (F.write length) payload in
+    Alcotest.(check int) "frame size is exact" (String.length enc)
+      (F.size length (String.length payload));
     let pos = ref 0 in
-    Alcotest.(check string) "frame round trip" payload (C.read_frame enc pos);
+    Alcotest.(check string) "frame round trip" payload (F.read length enc pos);
     Alcotest.(check int) "fully consumed" (String.length enc) !pos
   done
 
@@ -137,14 +143,15 @@ let test_frames_concatenate () =
   (* Back-to-back frames on one wire: each read lands exactly on the
      next frame boundary. *)
   let rng = Test_seed.prng ~salt:26 in
-  for _ = 1 to 500 do
+  for i = 1 to 500 do
+    let length = List.nth lengths (i mod 2) in
     let payloads = List.init (1 + Prng.int rng 8) (fun _ -> gen_string rng) in
     Buffer.clear buf;
-    List.iter (C.write_frame buf) payloads;
+    List.iter (F.write length buf) payloads;
     let wire = Buffer.contents buf in
     let pos = ref 0 in
     List.iter
-      (fun expected -> Alcotest.(check string) "stream element" expected (C.read_frame wire pos))
+      (fun expected -> Alcotest.(check string) "stream element" expected (F.read length wire pos))
       payloads;
     Alcotest.(check int) "stream fully consumed" (String.length wire) !pos
   done

@@ -11,6 +11,8 @@ module Table = Relstore.Table
 module Value = Relstore.Value
 module PL = Core.Prov_log
 module EC = Browser.Event_codec
+module Frame = Provkit_util.Frame
+module TL = Provkit_obs.Telemetry_log
 
 let flip_patterns = [ 0xFF; 0x01 ]
 
@@ -97,16 +99,16 @@ let sample_journal () =
   journal
 
 (* Acceptance gate: the v2 journal detects 100% of single-byte flips —
-   strict decoding raises, tolerant decoding never returns the full
-   sequence. *)
+   the walker reports the image not clean (or rejects a damaged magic),
+   and the recovered journal never holds the full sequence. *)
 let test_journal_flip_matrix () =
   let journal = sample_journal () in
   let image = PL.to_bytes journal in
   let total = PL.length journal in
   for k = 0 to String.length image - 1 do
     let damaged = damage image k 0xFF in
-    (match PL.of_bytes ~tolerate_truncation:false damaged with
-    | _ -> Alcotest.failf "strict decode accepted a flip at byte %d" k
+    (match PL.read_prefix damaged with
+    | p -> if p.Frame.clean then Alcotest.failf "walker reported a flip at byte %d clean" k
     | exception Relstore.Errors.Corrupt _ -> ());
     match PL.of_bytes damaged with
     | recovered ->
@@ -128,14 +130,34 @@ let test_event_trace_flip_matrix () =
   let total = List.length events in
   for k = 0 to String.length image - 1 do
     let damaged = damage image k 0xFF in
-    (match EC.of_bytes ~tolerate_truncation:false damaged with
-    | _ -> Alcotest.failf "strict decode accepted a flip at byte %d" k
+    (match EC.read_prefix damaged with
+    | p -> if p.Frame.clean then Alcotest.failf "walker reported a flip at byte %d clean" k
     | exception Relstore.Errors.Corrupt _ -> ());
     match EC.of_bytes damaged with
     | recovered ->
       if List.length recovered >= total then
         Alcotest.failf "tolerant decode kept all %d events despite a flip at byte %d" total k
     | exception Relstore.Errors.Corrupt _ -> ()
+  done
+
+(* The telemetry journal recovers through the same walker with the
+   4-byte length: every flip is reported as a cut tail and never keeps
+   the whole journal. *)
+let test_telemetry_journal_flip_matrix () =
+  Test_wal.with_temp_dir @@ fun dir ->
+  let path = Test_telemetry_log.write_journal dir ~n_points:2 ~n_trs:2 () in
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let total = (TL.replay ~path).TL.rp_records in
+  let damaged_path = Filename.concat dir "damaged.ptj" in
+  for k = 0 to String.length image - 1 do
+    Out_channel.with_open_bin damaged_path (fun oc ->
+        Out_channel.output_string oc (damage image k 0xFF));
+    match TL.replay ~path:damaged_path with
+    | rp ->
+      if not rp.TL.rp_truncated then Alcotest.failf "flip at byte %d reported clean" k;
+      if rp.TL.rp_records >= total then
+        Alcotest.failf "flip at byte %d kept all %d records" k total
+    | exception Relstore.Errors.Corrupt _ -> () (* damage inside the magic *)
   done
 
 (* Random multi-byte damage on top of the exhaustive single-byte pass:
@@ -164,5 +186,7 @@ let suite =
     Alcotest.test_case "database single-byte flip matrix" `Slow test_database_flip_matrix;
     Alcotest.test_case "journal flips: 100% detected" `Slow test_journal_flip_matrix;
     Alcotest.test_case "event trace flips: 100% detected" `Slow test_event_trace_flip_matrix;
+    Alcotest.test_case "telemetry journal flips: 100% detected" `Slow
+      test_telemetry_journal_flip_matrix;
     Alcotest.test_case "database burst damage" `Quick test_database_random_burst_damage;
   ]

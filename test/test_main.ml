@@ -10,6 +10,7 @@ let () =
       ("util.zipf", Test_zipf.suite);
       ("util.table_fmt", Test_table_fmt.suite);
       ("util.crc32", Test_crc32.suite);
+      ("util.frame", Test_frame.suite);
       ("obs.metrics", Test_obs.suite);
       ("obs.hyperloglog", Test_hll.suite);
       ("obs.timeseries", Test_timeseries.suite);
@@ -33,6 +34,7 @@ let () =
       ("relstore.stats_catalog", Test_stats_catalog.suite);
       ("relstore.slowlog", Test_slowlog.suite);
       ("relstore.corruption", Test_corruption.suite);
+      ("compat", Test_compat.suite);
       ("textindex", Test_textindex.suite);
       ("graph.digraph", Test_digraph.suite);
       ("graph.algorithms", Test_graph_algorithms.suite);

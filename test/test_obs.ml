@@ -376,6 +376,29 @@ let test_trace_jsonl_versions () =
     Alcotest.(check string) "v1 attrs survive" "wal.d" (List.assoc "dir" s.T.attrs));
   Alcotest.(check bool) "garbage rejected" true (T.span_of_json "not json" = None)
 
+(* Control bytes leave span_to_json as \u00XX escapes and must come
+   back as themselves, in names, attr keys and attr values. *)
+let test_span_json_control_bytes () =
+  for c = 0 to 0x1f do
+    let v = Printf.sprintf "x%cy" (Char.chr c) in
+    let s =
+      { T.name = "n" ^ v; attrs = [ ("k" ^ v, v) ]; start_ns = 1L; dur_ns = 2L;
+        trace_id = 3L; span_id = 4L; parent_id = Some 5L }
+    in
+    if T.span_of_json (T.span_to_json s) <> Some s then
+      Alcotest.failf "byte 0x%02x did not round-trip" c
+  done;
+  let field line = List.assoc "a" (fst (T.Jsonl_reader.fields line)) in
+  Alcotest.(check string) "non-ASCII escapes decode to UTF-8" "\xc3\xa9A"
+    (field {|{"a":"\u00e9\u0041"}|});
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) ("rejects " ^ bad) true
+        (match T.Jsonl_reader.fields bad with
+        | _ -> false
+        | exception T.Jsonl_reader.Bad -> true))
+    [ {|{"a":"\u12"}|}; {|{"a":"\uzzzz"}|}; {|{"a":"\ud800"}|}; {|{"a":"\u+123"}|} ]
+
 (* --- flight recorder ---------------------------------------------------- *)
 
 module F = Provkit_obs.Flight
@@ -453,6 +476,7 @@ let suite =
     Alcotest.test_case "trace record clamping" `Quick test_trace_record_clamped;
     Alcotest.test_case "trace folded stacks" `Quick test_trace_folded;
     Alcotest.test_case "trace jsonl v1/v2" `Quick test_trace_jsonl_versions;
+    Alcotest.test_case "span json control bytes" `Quick test_span_json_control_bytes;
     Alcotest.test_case "flight ring bounds" `Quick test_flight_ring_bounds;
     Alcotest.test_case "flight fault postmortem" `Quick test_flight_fault_postmortem;
   ]

@@ -72,12 +72,9 @@ let test_truncation_tolerated () =
   (* Chop mid-final-record: replay keeps the intact prefix. *)
   let cut = PL.of_bytes (String.sub bytes 0 (String.length bytes - 2)) in
   Alcotest.(check int) "one record lost" (List.length sample_ops - 1) (PL.length cut);
-  (* Strict mode raises instead. *)
-  Alcotest.(check bool) "strict raises" true
-    (try
-       ignore (PL.of_bytes ~tolerate_truncation:false (String.sub bytes 0 (String.length bytes - 2)));
-       false
-     with Relstore.Errors.Corrupt _ -> true)
+  (* ... and the walker says a tail was cut. *)
+  Alcotest.(check bool) "not clean" false
+    (PL.read_prefix (String.sub bytes 0 (String.length bytes - 2))).Provkit_util.Frame.clean
 
 let test_bad_magic () =
   Alcotest.(check bool) "bad magic rejected" true

@@ -21,24 +21,24 @@ let varint_roundtrip =
   QCheck.Test.make ~name:"varint signed roundtrip" ~count:2000 (QCheck.make QCheck.Gen.int)
     (fun n ->
       let buf = Buffer.create 10 in
-      R.Varint.write_signed buf n;
+      Provkit_util.Varint.write_signed buf n;
       let s = Buffer.contents buf in
       let pos = ref 0 in
-      let decoded = R.Varint.read_signed s pos in
-      decoded = n && !pos = String.length s && String.length s = R.Varint.size_signed n)
+      let decoded = Provkit_util.Varint.read_signed s pos in
+      decoded = n && !pos = String.length s && String.length s = Provkit_util.Varint.size_signed n)
 
 let varint_unsigned_roundtrip =
   QCheck.Test.make ~name:"varint unsigned roundtrip" ~count:2000
     (QCheck.make QCheck.Gen.nat) (fun n ->
       let buf = Buffer.create 10 in
-      R.Varint.write_unsigned buf n;
+      Provkit_util.Varint.write_unsigned buf n;
       let s = Buffer.contents buf in
       let pos = ref 0 in
-      R.Varint.read_unsigned s pos = n && String.length s = R.Varint.size_unsigned n)
+      Provkit_util.Varint.read_unsigned s pos = n && String.length s = Provkit_util.Varint.size_unsigned n)
 
 let zigzag_inverse =
   QCheck.Test.make ~name:"zigzag/unzigzag inverse" ~count:2000 (QCheck.make QCheck.Gen.int)
-    (fun n -> R.Varint.unzigzag (R.Varint.zigzag n) = n)
+    (fun n -> Provkit_util.Varint.unzigzag (Provkit_util.Varint.zigzag n) = n)
 
 let value_roundtrip =
   QCheck.Test.make ~name:"value codec roundtrip" ~count:2000 value_arb (fun v ->

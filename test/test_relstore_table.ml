@@ -384,15 +384,15 @@ let test_deserialize_rejects_duplicate_rowid () =
   let id1 = R.Table.insert_fields t (person "ann" 30) in
   let buf = Buffer.create 256 in
   R.Schema.serialize buf (R.Table.schema t);
-  R.Varint.write_unsigned buf (id1 + 1);
-  R.Varint.write_unsigned buf 2;
+  Provkit_util.Varint.write_unsigned buf (id1 + 1);
+  Provkit_util.Varint.write_unsigned buf 2;
   (* two rows, same rowid *)
   let row = R.Table.get t id1 in
-  R.Varint.write_unsigned buf id1;
+  Provkit_util.Varint.write_unsigned buf id1;
   R.Codec.write_row buf row;
-  R.Varint.write_unsigned buf id1;
+  Provkit_util.Varint.write_unsigned buf id1;
   R.Codec.write_row buf row;
-  R.Varint.write_unsigned buf 0 (* no indexes *);
+  Provkit_util.Varint.write_unsigned buf 0 (* no indexes *);
   try
     ignore (R.Table.deserialize (Buffer.contents buf) (ref 0));
     Alcotest.fail "duplicate rowid must be rejected"

@@ -236,8 +236,27 @@ let test_threshold_filters () =
   ignore (R.Query_exec.(select_at Stats) t);
   Alcotest.check Alcotest.int "fast queries not noted" 0 (Slowlog.length ())
 
+(* Metrics.json_escape writes every control byte as \u00XX; the
+   reader must turn each one back into its byte. *)
+let test_control_bytes_round_trip () =
+  with_slowlog @@ fun () ->
+  for c = 0 to 0x1f do
+    Slowlog.note ~table:"t" ~op:"select" ~plan:"full_scan"
+      ~detail:(Printf.sprintf "a%cb%c" (Char.chr c) (Char.chr c))
+      ~elapsed_ns:2_000_000 ~rows_scanned:1 ~rows_returned:1
+  done;
+  let buf = Buffer.create 4096 in
+  Slowlog.dump_jsonl buf;
+  let details es = List.sort compare (List.map (fun e -> e.Slowlog.e_detail) es) in
+  Alcotest.(check (list string)) "every byte 0x00-0x1f survives load_jsonl"
+    (details (Slowlog.entries ()))
+    (details (Slowlog.load_jsonl (Buffer.contents buf)));
+  Alcotest.(check int) "all 32 entries" 32 (List.length (Slowlog.load_jsonl (Buffer.contents buf)))
+
 let suite =
   [
+    Alcotest.test_case "control bytes round-trip through jsonl" `Quick
+      test_control_bytes_round_trip;
     Alcotest.test_case "dedup merges by fingerprint" `Quick test_dedup_merges;
     Alcotest.test_case "distinct fingerprints, worst first" `Quick
       test_distinct_fingerprints;

@@ -244,9 +244,28 @@ let test_attach_wires_stream_and_transitions () =
     | Some st -> if Int64.equal st.Alert.st_last_ns 0L then 0 else 2
     | None -> 0)
 
+(* A WAL manifest handed to [provctl top --journal] by mistake must
+   survive: only a torn create (a proper prefix of the magic) is cut. *)
+let test_open_refuses_foreign_file () =
+  Test_wal.with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "MANIFEST" in
+  let foreign = "PROVMAN1\x1b\x8e\x02\x7f\x10\x00\x00\x01\x12segment-000000.log" in
+  write_file path foreign;
+  (match TL.open_ ~path with
+  | t ->
+    TL.close t;
+    Alcotest.fail "open_ accepted a file that is not a journal"
+  | exception Provkit_util.Varint.Corrupt _ -> ());
+  Alcotest.(check string) "foreign file untouched" foreign (read_file path);
+  write_file path "PTJ";
+  TL.close (TL.open_ ~path);
+  Alcotest.(check string) "torn header rewritten as the magic" "PTJ1\n" (read_file path)
+
 let suite =
   [
     Alcotest.test_case "round trip through a file" `Quick test_roundtrip;
+    Alcotest.test_case "open refuses a file that is not a journal" `Quick
+      test_open_refuses_foreign_file;
     Alcotest.test_case "missing file reads empty" `Quick test_missing_file_reads_empty;
     QCheck_alcotest.to_alcotest prop_any_truncation_recovers_prefix;
     Alcotest.test_case "torn tail dedups to one flight slot" `Quick
