@@ -375,5 +375,3 @@ let apply_event t event =
                  ("last_used", vint time);
                ]))
       fields
-
-let apply_events t events = List.iter (apply_event t) events

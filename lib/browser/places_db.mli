@@ -22,11 +22,6 @@ val apply_event : t -> Event.t -> unit
 (** Consume one browser event, updating the tables the way Firefox
     would (including dropping what Firefox drops). *)
 
-val apply_events : t -> Event.t list -> unit
-(** {!apply_event} over a whole recorded stream — the batch ingest
-    entry point, paired with {!Awesomebar}'s epoch-validated snapshot
-    so one rebuild serves the entire batch. *)
-
 val places_epoch : t -> int
 (** The [moz_places] table's modification epoch ({!Relstore.Table.epoch}):
     bumped by every visit, bookmark, hidden-flag or title change, so a

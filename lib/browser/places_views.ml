@@ -370,9 +370,9 @@ let visits_table t = R.Database.table (Places_db.database t.places) "moz_history
 let register_query_sources t =
   let table = visits_table t in
   let fresh () = R.Table.epoch table = t.stamped_epoch in
-  R.Query_exec.register_matview_source ~table ~op:"count" ~aux:"" ~fresh
+  R.Query_exec.register_matview_source ~table ~shape:R.Query_exec.Count ~fresh
     ~payload:(fun () -> R.Query_cache.Count (fst (R.Matview.value t.v_place_visits)));
-  R.Query_exec.register_matview_source ~table ~op:"group_count" ~aux:"place_id" ~fresh
+  R.Query_exec.register_matview_source ~table ~shape:(R.Query_exec.Group_count "place_id") ~fresh
     ~payload:(fun () -> R.Query_cache.Groups (snd (R.Matview.value t.v_place_visits)))
 
 let create ?(top_n = 10) ?(expected_urls = 4096) places =

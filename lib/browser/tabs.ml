@@ -27,4 +27,3 @@ let open_tabs t =
 let opener t tab = (state t tab).opener
 let current_visit t tab = (state t tab).current
 let set_current_visit t tab visit = (state t tab).current <- Some visit
-let count_open t = Hashtbl.length t.open_tabs

@@ -22,4 +22,3 @@ val current_visit : t -> int -> int option
 val set_current_visit : t -> int -> int -> unit
 (** Raises [Invalid_argument] on a closed tab. *)
 
-val count_open : t -> int

@@ -320,7 +320,6 @@ module Segmented = struct
   type handle = {
     dir : string;
     config : config;
-    make_sink : string -> Fio.sink;
     mutable manifest : manifest;
     mutable active : Fio.sink;
     mutable active_bytes : int;
@@ -338,7 +337,7 @@ module Segmented = struct
   let start_segment h =
     let name = segment_file h.next_index in
     h.next_index <- h.next_index + 1;
-    let sink = h.make_sink (Filename.concat h.dir name) in
+    let sink = Fio.to_file (Filename.concat h.dir name) in
     Fio.write sink magic_v2;
     Fio.flush sink;
     Obs.Metrics.incr m_fsyncs;
@@ -364,14 +363,13 @@ module Segmented = struct
         | None -> acc)
       0 manifest.segments
 
-  let open_ ?(config = default_config) ?(make_sink = fun path -> Fio.to_file path) dir =
+  let open_ ?(config = default_config) dir =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let manifest = read_manifest dir in
     let h =
       {
         dir;
         config;
-        make_sink;
         manifest;
         active = Fio.to_buffer (Buffer.create 1);
         active_bytes = 0;
@@ -468,7 +466,7 @@ module Segmented = struct
 
   let write_snapshot h store =
     let name = snapshot_file (h.manifest.generation + 1) in
-    let sink = h.make_sink (Filename.concat h.dir name) in
+    let sink = Fio.to_file (Filename.concat h.dir name) in
     Fio.write sink snapshot_magic;
     let buf = Buffer.create 4096 in
     Frame.write Varint buf (Relstore.Database.to_bytes (Prov_schema.to_database store));

@@ -139,13 +139,11 @@ module Segmented : sig
 
   type handle
 
-  val open_ :
-    ?config:config -> ?make_sink:(string -> Provkit_util.Faulty_io.sink) -> string -> handle
+  val open_ : ?config:config -> string -> handle
   (** Open (creating if needed) a WAL directory for appending.  A fresh
       active segment is always started: recovered segments may end in a
       torn frame, and nothing may be appended after unverifiable
-      bytes.  [make_sink] lets callers interpose fault injection on the
-      files being written. *)
+      bytes. *)
 
   val append : handle -> op -> unit
   (** Frame, checksum, and write one operation; flushed according to the

@@ -175,7 +175,6 @@ let visit_node t engine_id = Hashtbl.find_opt t.visit_by_engine engine_id
 let bookmark_node t engine_id = Hashtbl.find_opt t.bookmark_by_engine engine_id
 let download_node t engine_id = Hashtbl.find_opt t.download_by_engine engine_id
 let term_node t query = Hashtbl.find_opt t.term_by_query (String.lowercase_ascii (String.trim query))
-let form_node t engine_id = Hashtbl.find_opt t.form_by_engine engine_id
 
 let page_of_visit t visit = Hashtbl.find_opt t.page_of_visit visit
 

@@ -89,7 +89,6 @@ val visit_node : t -> int -> int option
 val bookmark_node : t -> int -> int option
 val download_node : t -> int -> int option
 val term_node : t -> string -> int option
-val form_node : t -> int -> int option
 
 (** {2 Page facts}
 

@@ -20,11 +20,6 @@ let search ?(limit = 20) t query =
     (fun (r : Textindex.Search.result) -> (r.Textindex.Search.doc, r.Textindex.Search.score))
     (Textindex.Search.query ~limit t.search_index query)
 
-let search_terms ?(limit = 20) t terms =
-  List.map
-    (fun (r : Textindex.Search.result) -> (r.Textindex.Search.doc, r.Textindex.Search.score))
-    (Textindex.Search.query_terms ~limit t.search_index terms)
-
 let score t ~node ~terms =
   Textindex.Scorer.score_document Textindex.Scorer.default_bm25
     (Textindex.Search.index t.search_index) ~terms ~doc:node

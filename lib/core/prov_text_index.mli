@@ -18,9 +18,6 @@ val store : t -> Prov_store.t
 val search : ?limit:int -> t -> string -> (int * float) list
 (** Ranked node ids ([limit] defaults to 20). *)
 
-val search_terms : ?limit:int -> t -> string list -> (int * float) list
-(** Search with pre-normalized terms. *)
-
 val score : t -> node:int -> terms:string list -> float
 (** Text relevance of one indexed node to a term bag (0.0 for nodes that
     are not indexed).  Lets time-contextual search score candidate pages

@@ -11,7 +11,6 @@ let causal_projection store =
   out
 
 let is_acyclic store = not (Cycle.has_cycle (causal_projection store))
-let find_causal_cycle store = Cycle.find_cycle (causal_projection store)
 
 type page_graph = {
   graph : (string, Prov_edge.t) Digraph.t;

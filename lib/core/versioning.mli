@@ -16,8 +16,6 @@ val is_acyclic : Prov_store.t -> bool
 (** True iff the causal projection is a DAG.  The versioned store must
     always satisfy this; it is asserted by the test suite. *)
 
-val find_causal_cycle : Prov_store.t -> int list option
-
 (** {2 The edge-timestamp alternative} *)
 
 type page_graph = {

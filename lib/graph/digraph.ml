@@ -55,25 +55,6 @@ let degree tbl id =
 let out_degree t id = degree t.out_adj id
 let in_degree t id = degree t.in_adj id
 
-let remove_node t id =
-  if mem_node t id then begin
-    (* Remove edges touching [id] from the opposite adjacency lists. *)
-    let prune tbl other =
-      match Hashtbl.find_opt tbl other with
-      | None -> ()
-      | Some cell -> cell := List.filter (fun (endpoint, _) -> endpoint <> id) !cell
-    in
-    let outs = out_edges t id and ins = in_edges t id in
-    List.iter (fun (dst, _) -> prune t.in_adj dst) outs;
-    List.iter (fun (src, _) -> prune t.out_adj src) ins;
-    (* Self-loops appear in both lists but are single edges. *)
-    let self = List.length (List.filter (fun (d, _) -> d = id) outs) in
-    t.edges <- t.edges - (List.length outs + List.length ins - self);
-    Hashtbl.remove t.out_adj id;
-    Hashtbl.remove t.in_adj id;
-    Hashtbl.remove t.payload id
-  end
-
 let node_count t = Hashtbl.length t.payload
 let edge_count t = t.edges
 

@@ -19,9 +19,6 @@ val node : ('n, 'e) t -> int -> 'n
 
 val node_opt : ('n, 'e) t -> int -> 'n option
 
-val remove_node : ('n, 'e) t -> int -> unit
-(** Removes the node and every incident edge.  No-op on unknown ids. *)
-
 val add_edge : ('n, 'e) t -> src:int -> dst:int -> 'e -> unit
 (** Multi-edges are allowed (two visits across the same link are two
     edges).  Both endpoints must exist; raises [Invalid_argument]

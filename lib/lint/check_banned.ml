@@ -14,17 +14,11 @@ open Parsetree
 
 let id = "banned-constructs"
 
-let flatten_last2 lid =
-  match List.rev (Longident.flatten lid) with
-  | last :: prev :: _ -> (prev, last)
-  | [ last ] -> ("", last)
-  | [] -> ("", "")
-
 let is_obj_magic lid =
-  match flatten_last2 lid with "Obj", "magic" -> true | _ -> false
+  match Source.flatten_last2 lid with "Obj", "magic" -> true | _ -> false
 
 let is_printf lid =
-  match flatten_last2 lid with "Printf", "printf" -> true | _ -> false
+  match Source.flatten_last2 lid with "Printf", "printf" -> true | _ -> false
 
 let poly_compare_ops = [ "="; "<>"; "=="; "!="; "compare" ]
 
@@ -35,12 +29,12 @@ let value_constructors = [ "Null"; "Int"; "Real"; "Text"; "Blob"; "Bool" ]
 let value_typed e =
   match e.pexp_desc with
   | Pexp_construct ({ txt = lid; _ }, _) -> begin
-    match flatten_last2 lid with
+    match Source.flatten_last2 lid with
     | "Value", c -> List.mem c value_constructors
     | _ -> false
   end
   | Pexp_constraint (_, { ptyp_desc = Ptyp_constr ({ txt = lid; _ }, _); _ }) -> begin
-    match flatten_last2 lid with ("Value" | "Row"), "t" -> true | _ -> false
+    match Source.flatten_last2 lid with ("Value" | "Row"), "t" -> true | _ -> false
   end
   | _ -> false
 
@@ -68,7 +62,7 @@ let run ~file structure =
               "Printf.printf in lib/: return values (or use Harness.Report); stdout belongs \
                to the binaries"
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt = op; _ }; _ }, args) ->
-            let _, op_name = flatten_last2 op in
+            let _, op_name = Source.flatten_last2 op in
             if
               List.mem op_name poly_compare_ops
               && List.exists (fun (_, arg) -> value_typed arg) args

@@ -18,15 +18,6 @@ let id = "epoch-discipline"
 
 let applies ~file = file = Registry.epoch_file
 
-let last lid =
-  match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
-
-let flatten_last2 lid =
-  match List.rev (Longident.flatten lid) with
-  | name :: m :: _ -> (m, name)
-  | [ name ] -> ("", name)
-  | [] -> ("", "")
-
 (* Evidence that an expression mutates table state somewhere. *)
 let mutates expr =
   let found = ref false in
@@ -37,10 +28,10 @@ let mutates expr =
         (fun it e ->
           (match e.pexp_desc with
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-            let m, name = flatten_last2 txt in
+            let m, name = Source.flatten_last2 txt in
             if m = "Hashtbl" && Registry.is_mutating_op ~module_:"Hashtbl" ~name then
               found := true
-          | Pexp_setfield (_, { txt; _ }, _) when last txt <> Registry.epoch_field ->
+          | Pexp_setfield (_, { txt; _ }, _) when Source.last txt <> Registry.epoch_field ->
             found := true
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
@@ -57,7 +48,7 @@ let run ~file structure =
     let bumping : (string, unit) Hashtbl.t = Hashtbl.create 16 in
     let bumps_directly e =
       match e.pexp_desc with
-      | Pexp_setfield (_, { txt; _ }, _) -> last txt = Registry.epoch_field
+      | Pexp_setfield (_, { txt; _ }, _) -> Source.last txt = Registry.epoch_field
       | _ -> false
     in
     let calls_bumping (f : Callgraph.fn) e =

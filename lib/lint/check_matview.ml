@@ -19,15 +19,6 @@ open Parsetree
 
 let id = "matview-purity"
 
-let last lid =
-  match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
-
-let flatten_last2 lid =
-  match List.rev (Longident.flatten lid) with
-  | name :: m :: _ -> (m, name)
-  | [ name ] -> ("", name)
-  | [] -> ("", "")
-
 let spec_labels = [ "init"; "fold"; "finalize" ]
 
 (* Collect (file, view-name-hint, fold expression) for every spec
@@ -41,10 +32,10 @@ let spec_folds file structure =
         (fun it e ->
           (match e.pexp_desc with
           | Pexp_record (fields, _) ->
-            let labels = List.map (fun ({ Location.txt; _ }, _) -> last txt) fields in
+            let labels = List.map (fun ({ Location.txt; _ }, _) -> Source.last txt) fields in
             if List.for_all (fun l -> List.mem l labels) spec_labels then begin
               match
-                List.find_opt (fun ({ Location.txt; _ }, _) -> last txt = "fold") fields
+                List.find_opt (fun ({ Location.txt; _ }, _) -> Source.last txt = "fold") fields
               with
               | Some (_, fold_expr) -> acc := (file, fold_expr) :: !acc
               | None -> ()
@@ -121,7 +112,7 @@ let run parsed =
                         recovery refolds"
                        (String.concat "." parts))
                 else if
-                  List.mem (last txt) Registry.matview_banned_prints
+                  List.mem (Source.last txt) Registry.matview_banned_prints
                   && (mods = [] || List.mem (List.hd (List.rev mods)) [ "Printf"; "Format" ])
                 then
                   emit loc
@@ -129,7 +120,7 @@ let run parsed =
                        (String.concat "." parts))
               | Pexp_setfield (target, _, _) -> check_target e.pexp_loc target "assigns"
               | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (_, arg0) :: _) -> begin
-                match flatten_last2 txt with
+                match Source.flatten_last2 txt with
                 | "", ":=" -> check_target e.pexp_loc arg0 "assigns"
                 | "", ("incr" | "decr") -> check_target e.pexp_loc arg0 "mutates"
                 | m, name when Registry.is_mutating_op ~module_:m ~name ->

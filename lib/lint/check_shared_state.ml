@@ -18,15 +18,6 @@ open Parsetree
 
 let id = "shared-state-registry"
 
-let last lid =
-  match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
-
-let flatten_last2 lid =
-  match List.rev (Longident.flatten lid) with
-  | name :: m :: _ -> (m, name)
-  | [ name ] -> ("", name)
-  | [] -> ("", "")
-
 let constructor_calls =
   [
     ("Hashtbl", [ "create" ]);
@@ -70,7 +61,7 @@ let mutable_labels structure =
 let is_mutable_rhs ~mutable_labels e =
   match (unconstrain e).pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> begin
-    match flatten_last2 txt with
+    match Source.flatten_last2 txt with
     | "", "ref" -> true
     | m, name -> begin
       match List.assoc_opt m constructor_calls with
@@ -80,7 +71,9 @@ let is_mutable_rhs ~mutable_labels e =
   end
   | Pexp_array _ -> true
   | Pexp_record (fields, _) ->
-    List.exists (fun ({ Location.txt; _ }, _) -> List.mem (last txt) mutable_labels) fields
+    List.exists
+      (fun ({ Location.txt; _ }, _) -> List.mem (Source.last txt) mutable_labels)
+      fields
   | _ -> false
 
 type binding = { b_file : string; b_name : string; b_line : int }

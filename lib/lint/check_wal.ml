@@ -23,17 +23,8 @@ let id = "wal-durability"
 
 let applies ~file = file = Registry.wal_file
 
-let last lid =
-  match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
-
-let flatten_last2 lid =
-  match List.rev (Longident.flatten lid) with
-  | name :: m :: _ -> (m, name)
-  | [ name ] -> ("", name)
-  | [] -> ("", "")
-
 let is_sink_op names lid =
-  let m, name = flatten_last2 lid in
+  let m, name = Source.flatten_last2 lid in
   List.mem m Registry.wal_sink_modules && List.mem name names
 
 let rec unconstrain e =
@@ -42,7 +33,7 @@ let rec unconstrain e =
 (* Is this argument the handle's active sink ([h.active])? *)
 let is_active_arg arg =
   match (unconstrain arg).pexp_desc with
-  | Pexp_field (_, { txt; _ }) -> last txt = Registry.wal_active_field
+  | Pexp_field (_, { txt; _ }) -> Source.last txt = Registry.wal_active_field
   | _ -> false
 
 (* may-reach: does [expr] contain a subexpression the predicate accepts
@@ -71,12 +62,12 @@ let is_zero e =
 let is_pending_increment e =
   match e.pexp_desc with
   | Pexp_setfield (_, { txt; _ }, rhs) ->
-    List.mem (last txt) Registry.wal_pending_fields && not (is_zero rhs)
+    List.mem (Source.last txt) Registry.wal_pending_fields && not (is_zero rhs)
   | _ -> false
 
 let is_active_assign e =
   match e.pexp_desc with
-  | Pexp_setfield (_, { txt; _ }, _) -> last txt = Registry.wal_active_field
+  | Pexp_setfield (_, { txt; _ }, _) -> Source.last txt = Registry.wal_active_field
   | _ -> false
 
 let run ~file structure =

@@ -10,9 +10,6 @@
 
 open Parsetree
 
-let last_component lid =
-  match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
-
 (* Strip the parameter prefix of a binding's right-hand side down to the
    body the function actually runs. *)
 let rec strip_params e =
@@ -28,7 +25,7 @@ let is_raising_name name = List.mem name Registry.raising_names
 let rec always_raises e =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-    is_raising_name (last_component txt)
+    is_raising_name (Source.last txt)
   | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
     ->
     true
@@ -45,7 +42,7 @@ let rec always_raises e =
 
 let is_call_through head =
   match head.pexp_desc with
-  | Pexp_ident { txt; _ } -> List.mem (last_component txt) Registry.call_through_names
+  | Pexp_ident { txt; _ } -> List.mem (Source.last txt) Registry.call_through_names
   | _ -> false
 
 let rec is_fun_literal e =

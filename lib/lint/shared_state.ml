@@ -97,10 +97,8 @@ let manifest =
       "cache on/off knob set by the CLI before queries run";
     e "lib/relstore/query_exec.ml" "matview_sources" Single_writer
       "view registrations happen during setup, reads on the query path";
-    e "lib/relstore/query_exec.ml" "misestimate_threshold" Read_only_after_init
-      "tuning constant, never reassigned outside tests";
     e "lib/relstore/query_exec.ml" "query_span_threshold_ns" Read_only_after_init
-      "tuning constant, never reassigned outside tests";
+      "span threshold, set once by provctl profile before its workload runs";
     (* daemon *)
     e "lib/daemon/worker_pool.ml" "spare" Needs_lock
       "the parked worker domain, taken by provd start and returned when its ingest job ends; guarded by Worker_pool.lock";

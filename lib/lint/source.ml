@@ -14,6 +14,16 @@ let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 let finding ~check ?severity ~file (loc : Location.t) message =
   Finding.v ~check ?severity ~file ~line:(line_of loc) ~col:(col_of loc) message
 
+(* A long identifier's last component, and its last two as
+   (qualifier, name); a missing qualifier is [""]. *)
+let last lid = match List.rev (Longident.flatten lid) with x :: _ -> x | [] -> ""
+
+let flatten_last2 lid =
+  match List.rev (Longident.flatten lid) with
+  | name :: m :: _ -> (m, name)
+  | [ name ] -> ("", name)
+  | [] -> ("", "")
+
 let parse_uncached ~filename source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf filename;

@@ -386,5 +386,3 @@ let span_of_json line =
       | _, _, _ -> None)
 
 let dump_jsonl oc = List.iter (fun s -> output_string oc (span_to_json s ^ "\n")) (recent ())
-
-let jsonl_sink_to_channel oc = Some (fun s -> output_string oc (span_to_json s ^ "\n"))

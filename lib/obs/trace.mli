@@ -1,8 +1,7 @@
 (** Span-based tracing: structured [(name, attrs, start_ns, dur_ns)]
     events in a bounded in-memory ring buffer, with an optional sink
-    invoked as each span closes (use {!jsonl_sink_to_channel} to stream
-    JSONL).  Recording obeys {!Metrics.enabled}; a traced path costs one
-    branch when observability is off.
+    invoked as each span closes.  Recording obeys {!Metrics.enabled};
+    a traced path costs one branch when observability is off.
 
     Spans form trees: {!with_span} keeps an ambient stack of open
     frames, so nested calls link automatically through [trace_id] /
@@ -110,6 +109,3 @@ end
 
 val dump_jsonl : out_channel -> unit
 (** Write {!recent} to the channel, one {!span_to_json} line per span. *)
-
-val jsonl_sink_to_channel : out_channel -> (span -> unit) option
-(** A sink streaming each span as a JSONL line, for {!set_sink}. *)

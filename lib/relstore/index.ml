@@ -116,7 +116,6 @@ let fold_range ?lo ?(lo_inclusive = true) ?hi ?(hi_inclusive = true) t ~init ~f 
   go init seq
 
 let cardinal t = t.cardinal
-let entry_count = cardinal
 
 let serialized_size t =
   Kmap.fold

@@ -53,9 +53,6 @@ val fold_range :
 val cardinal : t -> int
 (** Number of (key, rowid) entries. *)
 
-val entry_count : t -> int
-(** Alias of {!cardinal}. *)
-
 val serialized_size : t -> int
 (** Exact byte cost of persisting this index: per entry, the encoded key
     plus a varint row id.  Counted in database size accounting because a

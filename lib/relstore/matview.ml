@@ -64,10 +64,8 @@ let register t spec =
   { h_spec = spec; h_state = state; h_slot = slot }
 
 let value h = h.h_spec.finalize !(h.h_state)
-let view_name h = h.h_slot.s_name
 let folded h = h.h_slot.s_folded
 let events_seen t = t.events_seen
-let view_count t = List.length t.slots
 
 let max_staleness t =
   List.fold_left (fun acc s -> max acc (t.events_seen - s.s_folded)) 0 t.slots

@@ -148,62 +148,13 @@ let conjunctive_range p =
     in
     Some (col, lo, hi)
 
-(* Deterministic structural encoding for cache keys.  Every constructor
-   gets a tag byte and its fields are length-prefixed (Codec), so two
-   distinct predicates can never encode to the same bytes.  Returns
-   false — key unusable — when a [Custom] closure is anywhere in the
-   tree: a closure's behaviour is invisible to the encoding. *)
-let fingerprint buf p =
-  let tag c = Buffer.add_char buf c in
-  let cmp_code = function Lt -> 0 | Le -> 1 | Gt -> 2 | Ge -> 3 | Ne -> 4 in
-  let rec go = function
-    | True ->
-      tag '\000';
-      true
-    | Eq (col, v) ->
-      tag '\001';
-      Codec.write_string buf col;
-      Codec.write_value buf v;
-      true
-    | Cmp (op, col, v) ->
-      tag '\002';
-      Provkit_util.Varint.write_unsigned buf (cmp_code op);
-      Codec.write_string buf col;
-      Codec.write_value buf v;
-      true
-    | Between (col, lo, hi) ->
-      tag '\003';
-      Codec.write_string buf col;
-      Codec.write_value buf lo;
-      Codec.write_value buf hi;
-      true
-    | Is_null col ->
-      tag '\004';
-      Codec.write_string buf col;
-      true
-    | Not_null col ->
-      tag '\005';
-      Codec.write_string buf col;
-      true
-    | Like (col, needle) ->
-      tag '\006';
-      Codec.write_string buf col;
-      Codec.write_string buf needle;
-      true
-    | And ps ->
-      tag '\007';
-      Provkit_util.Varint.write_unsigned buf (List.length ps);
-      List.for_all go ps
-    | Or ps ->
-      tag '\008';
-      Provkit_util.Varint.write_unsigned buf (List.length ps);
-      List.for_all go ps
-    | Not p ->
-      tag '\009';
-      go p
-    | Custom _ -> false
-  in
-  go p
+(* A predicate is its own cache key, compared structurally, unless a
+   [Custom] closure anywhere in the tree hides its behaviour. *)
+let rec cacheable = function
+  | Custom _ -> false
+  | And ps | Or ps -> List.for_all cacheable ps
+  | Not p -> cacheable p
+  | True | Eq _ | Cmp _ | Between _ | Is_null _ | Not_null _ | Like _ -> true
 
 let rec pp ppf = function
   | True -> Format.pp_print_string ppf "TRUE"

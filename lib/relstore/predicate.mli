@@ -41,11 +41,10 @@ val conjunctive_range :
     merged to the tightest pair; on equal boundary values the exclusive
     bound wins.  The first constrained column is the one reported. *)
 
-val fingerprint : Buffer.t -> t -> bool
-(** Append a deterministic, unambiguous structural encoding of the
-    predicate (tagged, length-prefixed) to the buffer, for use in cache
-    keys.  Returns [false] — and the buffer contents must be discarded —
-    when the predicate contains a [Custom] closure, whose behaviour no
-    encoding can capture. *)
+val cacheable : t -> bool
+(** [false] when a [Custom] closure appears anywhere in the predicate.
+    Otherwise the predicate can key a cached result: it is compared
+    structurally, and two predicates that compare equal select the same
+    rows. *)
 
 val pp : Format.formatter -> t -> unit

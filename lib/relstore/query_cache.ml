@@ -11,15 +11,15 @@ type payload =
   | Count of int
   | Groups of (Value.t * int) list
 
-type entry = { key : string; mutable epoch : int; mutable payload : payload }
+type 'k entry = { key : 'k; mutable epoch : int; mutable payload : payload }
 
-type t = {
+type 'k t = {
   lock : Mutex.t;
       (* every entry point below mutates the ring (find refreshes
          recency and drops stale entries), so concurrent reader domains
          must serialize on this lock *)
   mutable capacity : int;  (* 0 stores nothing; the ring keeps one slot *)
-  ring : (string, entry) Ring.t;
+  ring : ('k, 'k entry) Ring.t;
 }
 
 let create ?(capacity = 512) () =

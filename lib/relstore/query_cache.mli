@@ -1,11 +1,12 @@
 (** Bounded LRU cache for query results, validated by table epoch.
 
-    Entries are keyed by an opaque string (built by {!Query_exec} from
-    the table's uid, the operation, the resolved plan, and the encoded
-    predicate/order/limit) and tagged with the {!Table.epoch} they were
-    computed at.  A lookup whose epoch no longer matches is reported
-    {!Stale} and dropped immediately: a table that has moved on can
-    never make an old result valid again.
+    Entries are keyed by a value of the caller's choosing, hashed with
+    [Hashtbl.hash] and compared with [compare] — {!Query_exec} keys by
+    the query itself: table uid, shape and predicate.  Each entry is
+    tagged with the {!Table.epoch} it was computed at.  A lookup whose
+    epoch no longer matches is reported {!Stale} and dropped
+    immediately: a table that has moved on can never make an old result
+    valid again.
 
     The cache itself ticks no metrics — the caller maps
     hit/stale/absent/evicted onto the obs counters it owns. *)
@@ -15,28 +16,28 @@ type payload =
   | Count of int
   | Groups of (Value.t * int) list  (** a [group_count] result *)
 
-type t
+type 'k t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'k t
 (** Default capacity 512 entries.  Capacity 0 stores nothing. *)
 
-val capacity : t -> int
+val capacity : 'k t -> int
 
-val set_capacity : t -> int -> unit
+val set_capacity : 'k t -> int -> unit
 (** Shrinking evicts cold entries immediately. *)
 
-val length : t -> int
+val length : 'k t -> int
 (** Live entries (including ones whose epoch is already stale). *)
 
-val clear : t -> unit
+val clear : 'k t -> unit
 
 type lookup =
   | Hit of payload  (** valid at this epoch; entry refreshed to most-recent *)
   | Stale  (** present but from an older epoch; entry has been removed *)
   | Absent
 
-val find : t -> key:string -> epoch:int -> lookup
+val find : 'k t -> key:'k -> epoch:int -> lookup
 
-val put : t -> key:string -> epoch:int -> payload -> int
+val put : 'k t -> key:'k -> epoch:int -> payload -> int
 (** Insert (or refresh) an entry; returns how many cold entries were
     evicted to stay within capacity. *)

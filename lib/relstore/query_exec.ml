@@ -130,11 +130,7 @@ let estimate_access ts access ~table_rows =
    actual row count disagrees by more than the threshold ratio in
    either direction, tick the counter and leave a flight-recorder
    incident pointing at the table (the cue to re-analyze). *)
-let misestimate_threshold = ref 10.0
-
-let set_misestimate_threshold r =
-  if r < 1.0 then invalid_arg "Query_exec.set_misestimate_threshold: must be >= 1.0";
-  misestimate_threshold := r
+let misestimate_threshold = 10.0
 
 let note_estimate ~op table where ~actual =
   if Obs.Metrics.enabled () then
@@ -144,7 +140,7 @@ let note_estimate ~op table where ~actual =
       let est = Float.max 1.0 (Stats.estimate_rows ts where) in
       let act = Float.max 1.0 (float_of_int actual) in
       let ratio = Float.max (act /. est) (est /. act) in
-      if ratio > !misestimate_threshold then begin
+      if ratio > misestimate_threshold then begin
         Obs.Metrics.incr m_misestimates;
         Obs.Flight.record "stats.misestimate"
           ~attrs:
@@ -225,19 +221,26 @@ let executed ~op ~table_name ~detail run =
 
 (* --- result cache --------------------------------------------------- *)
 
-(* At level [Off], [select]/[count]/[group_count] consult a
-   process-wide LRU keyed by (table uid, op, predicate, order, limit)
-   and validated against the table's modification epoch.  Instrumented
-   levels never do: their callers asked to see the execution, so they
-   always run it.  Predicates containing a [Custom] closure are
-   uncacheable and bypass the cache entirely. *)
+(* What a single-table query computes after the fused fold. *)
+type shape = Select of order list * int option | Count | Group_count of string
+
+let op_name = function Select _ -> "select" | Count -> "count" | Group_count _ -> "group_count"
+
+(* At level [Off] a single-table query is its own key: (table uid,
+   shape, predicate), hashed and compared structurally.  A predicate
+   holding a [Custom] closure has no key and always runs cold.  The key
+   finds a matview source, else an entry of a process-wide LRU validated
+   against the table's modification epoch.  Instrumented levels never
+   look: their callers asked to see the execution, so they always run
+   it. *)
+type key = int * shape * Predicate.t
 
 let m_cache_hits = Obs.Metrics.counter Obs.Names.query_cache_hits
 let m_cache_misses = Obs.Metrics.counter Obs.Names.query_cache_misses
 let m_cache_evictions = Obs.Metrics.counter Obs.Names.query_cache_evictions
 let m_cache_invalidations = Obs.Metrics.counter Obs.Names.query_cache_invalidations
 
-let cache = Query_cache.create ()
+let cache : key Query_cache.t = Query_cache.create ()
 let cache_enabled = ref true
 
 let set_cache_enabled b = cache_enabled := b
@@ -246,102 +249,48 @@ let cache_capacity () = Query_cache.capacity cache
 let cache_length () = Query_cache.length cache
 let clear_cache () = Query_cache.clear cache
 
-(* None = this query cannot be keyed (Custom predicate): run cold. *)
-let cache_key ~op ~aux ~order_by ~limit table where =
-  let buf = Buffer.create 64 in
-  Provkit_util.Varint.write_unsigned buf (Table.uid table);
-  Codec.write_string buf op;
-  Codec.write_string buf aux;
-  if not (Predicate.fingerprint buf where) then None
-  else begin
-    Provkit_util.Varint.write_unsigned buf (List.length order_by);
-    List.iter
-      (fun spec ->
-        match spec with
-        | Asc c ->
-          Buffer.add_char buf 'a';
-          Codec.write_string buf c
-        | Desc c ->
-          Buffer.add_char buf 'd';
-          Codec.write_string buf c)
-      order_by;
-    (match limit with
-    | None -> Buffer.add_char buf '\000'
-    | Some n ->
-      Buffer.add_char buf '\001';
-      Provkit_util.Varint.write_unsigned buf n);
-    Some (Buffer.contents buf)
-  end
-
-(* Serve a keyed query's payload from the cache, or run [cold] and fill. *)
-let with_cache ~key ~table cold =
-  match key with
-  | None -> cold ()
-  | Some key ->
-    let epoch = Table.epoch table in
-    let miss () =
-      Obs.Metrics.incr m_cache_misses;
-      let payload = cold () in
-      Obs.Metrics.add m_cache_evictions (Query_cache.put cache ~key ~epoch payload);
-      payload
-    in
-    (match Query_cache.find cache ~key ~epoch with
-    | Query_cache.Hit payload ->
-      Obs.Metrics.incr m_cache_hits;
-      payload
-    | Query_cache.Stale ->
-      Obs.Metrics.incr m_cache_invalidations;
-      miss ()
-    | Query_cache.Absent -> miss ())
+(* Serve a query's payload from the cache, or run [cold] and fill. *)
+let with_cache key ~table cold =
+  let epoch = Table.epoch table in
+  let miss () =
+    Obs.Metrics.incr m_cache_misses;
+    let payload = cold () in
+    Obs.Metrics.add m_cache_evictions (Query_cache.put cache ~key ~epoch payload);
+    payload
+  in
+  match Query_cache.find cache ~key ~epoch with
+  | Query_cache.Hit payload ->
+    Obs.Metrics.incr m_cache_hits;
+    payload
+  | Query_cache.Stale ->
+    Obs.Metrics.incr m_cache_invalidations;
+    miss ()
+  | Query_cache.Absent -> miss ()
 
 (* --- matview sources ------------------------------------------------ *)
 
-(* A registered materialized view can answer a whole query shape
-   without touching the table or the LRU cache.  Sources are keyed by
-   (table uid, op, aux) and only match the trivial shape — no residual
-   predicate, no ordering, no limit — anything else falls through cold.
-   Freshness is the source's own problem: [mv_fresh] typically compares
-   a stamped [Table.epoch] against the current one, so a direct table
-   mutation that bypassed the view's feed path disqualifies it. *)
+(* A registered materialized view answers one query — a shape over the
+   whole table, predicate [True] — without touching the table or the
+   LRU cache, found by key equality.  Freshness is the source's own
+   problem: [mv_fresh] typically compares a stamped [Table.epoch]
+   against the current one, so a direct table mutation that bypassed
+   the view's feed path disqualifies it. *)
 
 let m_matview_serves = Obs.Metrics.counter Obs.Names.matview_serves
 
-type matview_source = {
-  mv_table : int;
-  mv_op : string;
-  mv_aux : string;
-  mv_fresh : unit -> bool;
-  mv_payload : unit -> Query_cache.payload;
-}
+type matview_source =
+  { mv_key : key; mv_fresh : unit -> bool; mv_payload : unit -> Query_cache.payload }
 
 let matview_sources : matview_source list ref = ref []
 
-let register_matview_source ~table ~op ~aux ~fresh ~payload =
-  let uid = Table.uid table in
+let register_matview_source ~table ~shape ~fresh ~payload =
+  let key = (Table.uid table, shape, Predicate.True) in
   matview_sources :=
-    { mv_table = uid; mv_op = op; mv_aux = aux; mv_fresh = fresh; mv_payload = payload }
-    :: List.filter
-         (fun s ->
-           not (s.mv_table = uid && String.equal s.mv_op op && String.equal s.mv_aux aux))
-         !matview_sources
+    { mv_key = key; mv_fresh = fresh; mv_payload = payload }
+    :: List.filter (fun s -> compare s.mv_key key <> 0) !matview_sources
 
 let clear_matview_sources () = matview_sources := []
 let matview_source_count () = List.length !matview_sources
-
-let matview_lookup ~op ~aux table where ~order_by ~limit =
-  match (where, order_by, limit, !matview_sources) with
-  | Predicate.True, [], None, (_ :: _ as sources) ->
-    let uid = Table.uid table in
-    (match
-       List.find_opt
-         (fun s -> s.mv_table = uid && String.equal s.mv_op op && String.equal s.mv_aux aux)
-         sources
-     with
-    | Some s when s.mv_fresh () ->
-      Obs.Metrics.incr m_matview_serves;
-      Some (s.mv_payload ())
-    | Some _ | None -> None)
-  | _ -> None
 
 (* --- the pipeline ------------------------------------------------------ *)
 
@@ -474,11 +423,6 @@ let pred_detail where () = Format.asprintf "%a" Predicate.pp where
 
 (* The profile builder of an untimed run: no level asks for it. *)
 let untimed () = invalid_arg "Query_exec: an untimed run has no profile"
-
-(* What a single-table query computes after the fused fold. *)
-type shape = Select of order list * int option | Count | Group_count of string
-
-let op_name = function Select _ -> "select" | Count -> "count" | Group_count _ -> "group_count"
 
 (* The single-table pipeline inside the metrics funnel: the result as a
    cache payload with its profile builder, and its stats. *)
@@ -655,20 +599,20 @@ let run_join ~input ~where_left ~where_right ~on left right ~timed =
 let query : type i. i level -> shape -> Predicate.t -> Table.t -> Query_cache.payload * i =
  fun level shape where table ->
   match level with
-  | Off ->
+  | Off -> begin
     let cold () = fst (fst (run_table shape where table ~timed:false)) in
-    let op = op_name shape in
-    let aux, order_by, limit =
-      match shape with
-      | Select (order_by, limit) -> ("", order_by, limit)
-      | Count -> ("", [], None)
-      | Group_count by -> (by, [], None)
-    in
-    ( (match matview_lookup ~op ~aux table where ~order_by ~limit with
-      | Some payload -> payload
-      | None when not !cache_enabled -> cold ()
-      | None -> with_cache ~key:(cache_key ~op ~aux ~order_by ~limit table where) ~table cold),
-      () )
+    match !matview_sources with
+    | [] when not !cache_enabled -> (cold (), ())
+    | _ when not (Predicate.cacheable where) -> (cold (), ())
+    | sources -> begin
+      let key = (Table.uid table, shape, where) in
+      match List.find_opt (fun s -> compare s.mv_key key = 0) sources with
+      | Some s when s.mv_fresh () ->
+        Obs.Metrics.incr m_matview_serves;
+        (s.mv_payload (), ())
+      | Some _ | None -> ((if !cache_enabled then with_cache key ~table cold else cold ()), ())
+    end
+  end
   | Stats ->
     let (payload, _), stats = run_table shape where table ~timed:false in
     (payload, stats)

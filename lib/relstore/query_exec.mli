@@ -49,12 +49,6 @@ val plan_detail_heuristic : Table.t -> Predicate.t -> plan_detail
     compared against the stats-guided path.  Probes indexes (without
     touching the row heap) but never executes the query. *)
 
-val set_misestimate_threshold : float -> unit
-(** Ratio (either direction, default 10.0) between actual and
-    stats-estimated row counts beyond which a profiled query ticks
-    [prov.stats.misestimates.total] and records a [stats.misestimate]
-    flight-recorder incident.  Raises [Invalid_argument] below 1.0. *)
-
 type exec_stats = {
   plan : plan;  (** the access path actually used *)
   rows_scanned : int;  (** candidate rows the access path examined *)
@@ -96,7 +90,10 @@ type profile = {
       exactly; inside the fused fold a boundary falls on every row, so
       profile timings include those clock reads.  Profile timing does
       not depend on the observability switch, and a profiled run feeds
-      the misestimate detector (see {!set_misestimate_threshold}). *)
+      the misestimate detector: when the actual and stats-estimated
+      row counts differ by more than 10x in either direction, it ticks
+      [prov.stats.misestimates.total] and records a [stats.misestimate]
+      flight-recorder incident. *)
 
 type _ level =
   | Off : unit level
@@ -194,14 +191,23 @@ val set_query_span_threshold_ns : int -> unit
 
 (** {2 Result cache}
 
-    The plain {!select}, {!count} and {!group_count} entry points
-    consult a process-wide bounded LRU keyed by (table uid, operation,
-    predicate, order, limit) and validated against {!Table.epoch}: any
+    At level [Off] a single-table query is its own key: the value
+    (table uid, {!shape}, predicate), compared structurally.  The plain
+    {!select}, {!count} and {!group_count} entry points look it up in a
+    process-wide bounded LRU validated against {!Table.epoch}: any
     mutation of the table invalidates its cached results on the next
-    lookup.  Only level [Off] consults the cache — instrumented callers
-    asked to observe the execution.  Hits,
-    misses, evictions and invalidations tick the
+    lookup.  A predicate containing [Predicate.Custom] has no key (see
+    {!Predicate.cacheable}) and always runs cold.  Only level [Off]
+    consults the cache — instrumented callers asked to observe the
+    execution.  Hits, misses, evictions and invalidations tick the
     [prov.query.cache.*] metrics. *)
+
+type shape =
+  | Select of order list * int option  (** [select ~order_by ?limit] *)
+  | Count
+  | Group_count of string  (** [group_count ~by] *)
+(** What a single-table query computes after filtering: with the table
+    and the predicate, the query's key. *)
 
 val set_cache_enabled : bool -> unit
 (** Default enabled.  Disabling does not clear stored entries (they are
@@ -221,26 +227,23 @@ val clear_cache : unit -> unit
 
 (** {2 Materialized-view sources}
 
-    A registered matview source answers a whole query shape — currently
-    [count] (op ["count"], aux [""]) and [group_count ~by] (op
-    ["group_count"], aux [by]) — straight from incrementally maintained
-    state, before the LRU cache is even consulted.  Only the trivial
-    shape matches (predicate {!Predicate.True}, no ordering, no limit);
-    anything else, and any source whose [fresh] check fails, falls
-    through to the normal cold path.  Serves tick
-    [prov.matview.serves.total]. *)
+    A registered matview source answers one {!shape} over a whole table
+    (predicate {!Predicate.True}) straight from incrementally maintained
+    state, before the LRU cache is even consulted.  It is found by key
+    equality: a query with any other shape or predicate, and any query
+    while the source's [fresh] check fails, falls through to the cache
+    and the cold path.  Serves tick [prov.matview.serves.total]. *)
 
 val register_matview_source :
   table:Table.t ->
-  op:string ->
-  aux:string ->
+  shape:shape ->
   fresh:(unit -> bool) ->
   payload:(unit -> Query_cache.payload) ->
   unit
-(** Registering again for the same (table, op, aux) replaces the
-    previous source.  [fresh] should compare a stamped {!Table.epoch}
-    against the current one so direct table mutations that bypassed the
-    view's feed path disqualify it. *)
+(** Registering again for the same (table, shape) replaces the previous
+    source.  [fresh] should compare a stamped {!Table.epoch} against
+    the current one so direct table mutations that bypassed the view's
+    feed path disqualify it. *)
 
 val clear_matview_sources : unit -> unit
 

@@ -70,10 +70,6 @@ let to_text = function
   | Text s -> s
   | v -> Errors.type_mismatch "expected TEXT, got %a" pp v
 
-let to_blob = function
-  | Blob b -> b
-  | v -> Errors.type_mismatch "expected BLOB, got %a" pp v
-
 let to_bool = function
   | Bool b -> b
   | v -> Errors.type_mismatch "expected BOOL, got %a" pp v

@@ -33,7 +33,6 @@ val to_real : t -> float
 (** Accepts [Int] too, widening. *)
 
 val to_text : t -> string
-val to_blob : t -> bytes
 val to_bool : t -> bool
 
 (** Optional projections returning [None] on [Null]. *)

@@ -78,6 +78,3 @@ let postings t term =
   | Some docs -> Imap.bindings docs
 
 let vocabulary_size t = Hashtbl.length t.table
-
-let fold_terms t ~init ~f =
-  Hashtbl.fold (fun term docs acc -> f acc term (Imap.cardinal docs)) t.table init

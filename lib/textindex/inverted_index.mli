@@ -28,6 +28,3 @@ val postings : t -> string -> (int * int) list
 (** [(doc_id, tf)] pairs for a term, ascending doc id. *)
 
 val vocabulary_size : t -> int
-
-val fold_terms : t -> init:'a -> f:('a -> string -> int -> 'a) -> 'a
-(** Fold over (term, document frequency). *)

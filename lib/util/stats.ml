@@ -56,11 +56,6 @@ let summarize xs =
       p99 = percentile 99.0 xs;
     }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 let histogram ~buckets xs =
   let bounds = List.sort compare buckets @ [ infinity ] in
   let counts = Array.make (List.length bounds) 0 in

@@ -25,8 +25,6 @@ val percentile : float -> float list -> float
 val summarize : float list -> summary
 (** Full summary.  Raises [Invalid_argument] on empty input. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val histogram : buckets:float list -> float list -> (float * int) list
 (** [histogram ~buckets xs] counts samples [<=] each bucket upper bound,
     cumulative-exclusive: each sample lands in the first bucket whose

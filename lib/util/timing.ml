@@ -27,8 +27,3 @@ let time_ms f =
   let result = f () in
   let t1 = now_ns () in
   (result, Int64.to_float (Int64.sub t1 t0) /. 1e6)
-
-let repeat_time_ms n f =
-  List.init n (fun _ ->
-      let _, ms = time_ms f in
-      ms)

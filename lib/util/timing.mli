@@ -20,7 +20,3 @@ val now_ns : unit -> int64
 val time_ms : (unit -> 'a) -> 'a * float
 (** [time_ms f] runs [f ()] and returns its result with elapsed
     milliseconds. *)
-
-val repeat_time_ms : int -> (unit -> 'a) -> float list
-(** [repeat_time_ms n f] runs [f] [n] times and returns each elapsed
-    duration in milliseconds. *)

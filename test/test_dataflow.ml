@@ -19,7 +19,7 @@ let body_of src =
 let is_bump (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-    Dataflow.last_component txt = "bump"
+    Source.last txt = "bump"
   | _ -> false
 
 let must_reach src = Dataflow.must_reach ~matches:is_bump (body_of src)

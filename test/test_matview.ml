@@ -472,6 +472,13 @@ let test_query_fastpath () =
   (* A shaped query (non-trivial predicate) must bypass the source. *)
   let all_rows = R.Query_exec.count ~where:R.Predicate.True visits in
   Alcotest.(check int) "trivial predicate still matches the source" 40 all_rows;
+  let s_keyed = serves () in
+  let filtered = R.Predicate.Cmp (R.Predicate.Ge, "place_id", R.Value.Int 0) in
+  Alcotest.(check int) "a filtered count is answered cold" 40
+    (R.Query_exec.count ~where:filtered visits);
+  Alcotest.(check bool) "another grouping column is answered cold" true
+    (R.Query_exec.group_count ~by:"visit_type" visits <> snd (PV.place_visit_groups mv));
+  Alcotest.(check int) "neither read matched a source key" 0 (serves () - s_keyed);
   (* Mutate the table behind the view's back: the stamped epoch no
      longer matches, so reads must fall back to the cold path. *)
   PDB.apply_event places (mk_visit ~id:41 ~day:30 0);

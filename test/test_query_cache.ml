@@ -118,6 +118,7 @@ let test_select_hit_miss_invalidate_counters () =
 
 let test_custom_predicate_never_cached () =
   with_clean_cache @@ fun () ->
+  with_metrics_on @@ fun () ->
   let t = kv_table () in
   for i = 0 to 5 do
     ignore (R.Table.insert_fields t (kv i "x"))
@@ -125,11 +126,29 @@ let test_custom_predicate_never_cached () =
   let p =
     R.Predicate.Custom ("odd_k", fun schema row -> R.Row.int schema row "k" mod 2 = 1)
   in
+  let hits = counter Provkit_obs.Names.query_cache_hits in
+  let misses = counter Provkit_obs.Names.query_cache_misses in
+  let h0, m0 = (hits (), misses ()) in
   let r1 = QE.select ~where:p t in
   Alcotest.(check int) "closure predicates store nothing" 0 (QE.cache_length ());
   let r2 = QE.select ~where:p t in
   Alcotest.(check bool) "cold reruns agree" true (r1 = r2);
-  Alcotest.(check int) "three odd keys" 3 (List.length r1)
+  Alcotest.(check int) "three odd keys" 3 (List.length r1);
+  (* A closure anywhere in the tree makes the whole predicate keyless. *)
+  let nested =
+    [ R.Predicate.Not p; R.Predicate.And [ R.Predicate.Eq ("v", R.Value.Text "x"); p ] ]
+  in
+  List.iter
+    (fun where ->
+      for _ = 1 to 2 do
+        ignore (QE.select ~where t);
+        ignore (QE.count ~where t);
+        ignore (QE.group_count ~by:"v" ~where t)
+      done)
+    nested;
+  Alcotest.(check int) "nested closures store nothing" 0 (QE.cache_length ());
+  Alcotest.(check int) "no hit counted" h0 (hits ());
+  Alcotest.(check int) "no miss counted" m0 (misses ())
 
 let test_cache_disabled_bypasses () =
   with_clean_cache @@ fun () ->
@@ -218,8 +237,22 @@ let test_property_cached_equals_cold () =
     let v = if Prng.int rng 6 = 0 then R.Value.Null else R.Value.Text (Prng.pick rng vals) in
     R.Table.insert_fields table [ ("k", key ()); ("v", v) ]
   in
+  (* Constants whose keys differ structurally yet compare equal as
+     values (an Int and the Real of equal value), that compare equal as
+     keys ([0.0] and [-0.0]), or that equal nothing but themselves
+     ([nan]). *)
+  let num () =
+    match Prng.int rng 4 with
+    | 0 -> R.Value.Real 0.0
+    | 1 -> R.Value.Real (-0.0)
+    | 2 -> R.Value.Real Float.nan
+    | _ ->
+      let k = Prng.int rng 8 in
+      if Prng.int rng 2 = 0 then R.Value.Int k else R.Value.Real (float_of_int k)
+  in
+  let odd_k = R.Predicate.Custom ("odd_k", fun schema row -> R.Row.int schema row "k" mod 2 = 1) in
   let random_pred () =
-    match Prng.int rng 11 with
+    match Prng.int rng 15 with
     | 0 -> R.Predicate.True
     | 1 -> R.Predicate.Eq ("k", key ())
     | 2 -> R.Predicate.Cmp (R.Predicate.Ge, "k", key ())
@@ -243,7 +276,15 @@ let test_property_cached_equals_cold () =
       R.Predicate.And [ R.Predicate.Cmp (R.Predicate.Gt, "k", lo); R.Predicate.Cmp (R.Predicate.Le, "k", hi) ]
     | 8 -> R.Predicate.Not (R.Predicate.Eq ("k", key ()))
     | 9 -> R.Predicate.Is_null "v"
-    | _ -> R.Predicate.Custom ("odd_k", fun schema row -> R.Row.int schema row "k" mod 2 = 1)
+    | 10 -> R.Predicate.Eq ("k", num ())
+    | 11 ->
+      let op = if Prng.int rng 2 = 0 then R.Predicate.Le else R.Predicate.Gt in
+      R.Predicate.Cmp (op, "k", num ())
+    | 12 -> R.Predicate.Between ("k", num (), num ())
+    | 13 ->
+      if Prng.int rng 2 = 0 then R.Predicate.Not odd_k
+      else R.Predicate.And [ R.Predicate.Not_null "v"; odd_k ]
+    | _ -> odd_k
   in
   let random_order () =
     match Prng.int rng 3 with

@@ -337,11 +337,6 @@ let test_misestimate_detector () =
     (Metrics.counter_value Names.stats_misestimates);
   Stats.invalidate t
 
-let test_misestimate_threshold_validation () =
-  Alcotest.check_raises "below 1.0 rejected"
-    (Invalid_argument "Query_exec.set_misestimate_threshold: must be >= 1.0") (fun () ->
-      R.Query_exec.set_misestimate_threshold 0.5)
-
 (* --- rendering --- *)
 
 let test_json_and_render () =
@@ -372,7 +367,5 @@ let suite =
       test_freshness_and_fallback;
     Alcotest.test_case "sampled analyze extrapolates" `Quick test_sampled_analyze;
     Alcotest.test_case "misestimate detector" `Quick test_misestimate_detector;
-    Alcotest.test_case "misestimate threshold validation" `Quick
-      test_misestimate_threshold_validation;
     Alcotest.test_case "json and render" `Quick test_json_and_render;
   ]
