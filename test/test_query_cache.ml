@@ -150,6 +150,53 @@ let test_custom_predicate_never_cached () =
   Alcotest.(check int) "no hit counted" h0 (hits ());
   Alcotest.(check int) "no miss counted" m0 (misses ())
 
+let test_key_separates_table_and_shape () =
+  with_clean_cache @@ fun () ->
+  with_metrics_on @@ fun () ->
+  let fill t =
+    for i = 0 to 8 do
+      ignore (R.Table.insert_fields t (kv (i mod 3) (Printf.sprintf "row%d" i)))
+    done
+  in
+  let t1 = kv_table () and t2 = kv_table () in
+  fill t1;
+  fill t2;
+  let hits = counter Provkit_obs.Names.query_cache_hits in
+  let misses = counter Provkit_obs.Names.query_cache_misses in
+  let p = R.Predicate.Eq ("k", R.Value.Int 1) in
+  (* Each call is one key; [expect] says whether it must find an entry. *)
+  let run what expect f =
+    let h0, m0 = (hits (), misses ()) in
+    let r = f () in
+    Alcotest.(check (pair int int)) what
+      (if expect = `Hit then (h0 + 1, m0) else (h0, m0 + 1))
+      (hits (), misses ());
+    r
+  in
+  let r1 = run "t1 select misses" `Miss (fun () -> QE.select ~where:p t1) in
+  (* Same schema name, same rows, same epoch history: only the uid differs. *)
+  let r2 = run "equal twin table misses" `Miss (fun () -> QE.select ~where:p t2) in
+  Alcotest.(check bool) "twins agree" true (r1 = r2);
+  let n = run "count is its own shape" `Miss (fun () -> QE.count ~where:p t1) in
+  Alcotest.(check int) "count = select length" (List.length r1) n;
+  ignore (run "count hits" `Hit (fun () -> QE.count ~where:p t1));
+  let l1 = run "limit 1 misses" `Miss (fun () -> QE.select ~where:p ~limit:1 t1) in
+  let l2 = run "limit 2 misses" `Miss (fun () -> QE.select ~where:p ~limit:2 t1) in
+  Alcotest.(check (pair int int)) "limits honoured" (1, 2) (List.length l1, List.length l2);
+  let desc =
+    run "order is part of the key" `Miss (fun () ->
+        QE.select ~where:p ~order_by:[ QE.Desc "v" ] t1)
+  in
+  Alcotest.(check bool) "descending order" true (desc = List.rev r1);
+  ignore (run "group by k misses" `Miss (fun () -> QE.group_count ~by:"k" t1));
+  ignore (run "group by v misses" `Miss (fun () -> QE.group_count ~by:"v" t1));
+  ignore (run "group by k hits" `Hit (fun () -> QE.group_count ~by:"k" t1));
+  (* A snapshot gets a fresh uid: it never reads the source's entries. *)
+  let snap = R.Table.snapshot t1 in
+  let rs = run "snapshot misses" `Miss (fun () -> QE.select ~where:p snap) in
+  Alcotest.(check bool) "snapshot agrees" true (rs = r1);
+  ignore (run "source still hits" `Hit (fun () -> QE.select ~where:p t1))
+
 let test_cache_disabled_bypasses () =
   with_clean_cache @@ fun () ->
   let t = kv_table () in
@@ -339,6 +386,8 @@ let suite =
       test_select_hit_miss_invalidate_counters;
     Alcotest.test_case "custom predicates never cached" `Quick
       test_custom_predicate_never_cached;
+    Alcotest.test_case "key separates table, shape and order" `Quick
+      test_key_separates_table_and_shape;
     Alcotest.test_case "disabled cache bypasses" `Quick test_cache_disabled_bypasses;
     Alcotest.test_case "eviction bound via Query_exec" `Quick
       test_eviction_bound_via_query_exec;

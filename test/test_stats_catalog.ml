@@ -337,6 +337,35 @@ let test_misestimate_detector () =
     (Metrics.counter_value Names.stats_misestimates);
   Stats.invalidate t
 
+(* The detector fires on a ratio strictly above 10 and on nothing else.
+   zip2 has no index, so each of its values gets the same 1/ndv
+   estimate while the Zipf counts run from hundreds down to one: the
+   ratios cover both sides of the threshold. *)
+let test_misestimate_threshold () =
+  with_metrics_enabled @@ fun () ->
+  let t = zipf_table () in
+  let ts = Stats.analyze t in
+  let near_below = ref 0 and near_above = ref 0 in
+  for v = 0 to 199 do
+    let where = R.Predicate.Eq ("zip2", R.Value.Int v) in
+    let est = Float.max 1.0 (Stats.estimate_rows ts where) in
+    let act = Float.max 1.0 (float_of_int (actual_rows t where)) in
+    let ratio = Float.max (act /. est) (est /. act) in
+    if ratio > 5.0 && ratio <= 10.0 then incr near_below;
+    if ratio > 10.0 && ratio <= 20.0 then incr near_above;
+    let before = Metrics.counter_value Names.stats_misestimates in
+    ignore (R.Query_exec.(select_at Profile) ~where t);
+    let ticked = Metrics.counter_value Names.stats_misestimates > before in
+    if ticked <> (ratio > 10.0) then
+      Alcotest.failf "zip2 = %d: ratio %.2f, detector %s" v ratio
+        (if ticked then "fired" else "stayed quiet")
+  done;
+  (* Without ratios near the boundary a threshold of 5 or 20 would pass. *)
+  if !near_below = 0 || !near_above = 0 then
+    Alcotest.failf "no ratio near 10 (%d in (5, 10], %d in (10, 20])" !near_below
+      !near_above;
+  Stats.invalidate t
+
 (* --- rendering --- *)
 
 let test_json_and_render () =
@@ -367,5 +396,6 @@ let suite =
       test_freshness_and_fallback;
     Alcotest.test_case "sampled analyze extrapolates" `Quick test_sampled_analyze;
     Alcotest.test_case "misestimate detector" `Quick test_misestimate_detector;
+    Alcotest.test_case "misestimate threshold is 10x" `Quick test_misestimate_threshold;
     Alcotest.test_case "json and render" `Quick test_json_and_render;
   ]
