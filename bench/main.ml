@@ -601,15 +601,28 @@ let measure_range () =
   let indexed = Relstore.Predicate.Cmp (Relstore.Predicate.Lt, "day", Relstore.Value.Int 3) in
   let scanned = Relstore.Predicate.Cmp (Relstore.Predicate.Lt, "day_raw", Relstore.Value.Int 3) in
   let iters = if quick then 100 else 400 in
+  (* Each side is the median of interleaved repeats, so one descheduled
+     burst cannot swing the gated ratio; a full major collection first
+     keeps the GC debt of the earlier parts out of either side. *)
+  let repeats = 5 in
+  let scan = Array.make repeats 0.0 and index = Array.make repeats 0.0 in
   Relstore.Query_exec.set_cache_enabled false;
-  let scan_ns =
-    time_per_op iters 1 (fun () -> ignore (Relstore.Query_exec.select ~where:scanned t))
-  in
-  let index_ns =
-    time_per_op iters 1 (fun () -> ignore (Relstore.Query_exec.select ~where:indexed t))
-  in
+  Gc.full_major ();
+  for r = 0 to repeats - 1 do
+    scan.(r) <-
+      time_per_op iters 1 (fun () -> ignore (Relstore.Query_exec.select ~where:scanned t));
+    index.(r) <-
+      time_per_op iters 1 (fun () -> ignore (Relstore.Query_exec.select ~where:indexed t))
+  done;
   Relstore.Query_exec.set_cache_enabled true;
-  [ ("range-strict-full-scan", iters, scan_ns); ("range-strict-index", iters, index_ns) ]
+  let median a =
+    Array.sort Float.compare a;
+    a.(repeats / 2)
+  in
+  [
+    ("range-strict-full-scan", repeats * iters, median scan);
+    ("range-strict-index", repeats * iters, median index);
+  ]
 
 let run_range measured =
   print_endline "== strict-range planner (same selectivity; ns/query) ==\n";

@@ -230,7 +230,10 @@ module Segmented = struct
 
   (* WAL health metrics: every durability-relevant action ticks a
      counter, so `provctl stats` can report appends/fsyncs/rotations/
-     compactions and recovery outcomes without bespoke accounting. *)
+     compactions and recovery outcomes without bespoke accounting.
+     [m_fsyncs] ticks once per fsync(2): every sink flush, and the close
+     of each snapshot and manifest file.  Closing a segment after its
+     last commit has nothing left to sync. *)
   let m_appends = Obs.Metrics.counter Obs.Names.wal_appends
   let m_fsyncs = Obs.Metrics.counter Obs.Names.wal_fsyncs
   let m_rotations = Obs.Metrics.counter Obs.Names.wal_rotations
@@ -307,14 +310,17 @@ module Segmented = struct
 
   (* The manifest is tiny and names the live files, so it is replaced
      atomically (write-then-rename): a crash leaves either the old or
-     the new manifest, never a torn one. *)
+     the new manifest, never a torn one.  The sink's close syncs the
+     new file before the rename makes it the manifest. *)
   let write_manifest ~dir m =
     let buf = Buffer.create 160 in
     Buffer.add_string buf manifest_magic;
     Frame.write Varint buf (encode_manifest m);
     let tmp = Filename.concat dir (manifest_file ^ ".tmp") in
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (Buffer.contents buf));
+    let sink = Fio.to_file tmp in
+    Fio.write sink (Buffer.contents buf);
+    Fio.close sink;
+    Obs.Metrics.incr m_fsyncs;
     Sys.rename tmp (Filename.concat dir manifest_file)
 
   type handle = {
@@ -472,6 +478,7 @@ module Segmented = struct
     Frame.write Varint buf (Relstore.Database.to_bytes (Prov_schema.to_database store));
     Fio.write sink (Buffer.contents buf);
     Fio.close sink;
+    Obs.Metrics.incr m_fsyncs;
     Obs.Metrics.incr m_snapshots;
     Obs.Metrics.add m_bytes (String.length snapshot_magic + Buffer.length buf);
     name

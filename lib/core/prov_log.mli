@@ -117,17 +117,24 @@ val compact : Prov_store.t -> Relstore.Database.t * t
     optional compacted snapshot, and a list of v2 segment files.  The
     active segment rotates once it exceeds a configurable byte budget;
     {!Segmented.compact} replaces history with a fresh snapshot and
-    truncates the tail.  All writes go through {!Provkit_util.Faulty_io}
-    sinks, so tests (and [provctl wal --inject-fault]) can crash, tear,
-    or flip the stream and measure what {!Segmented.recover}
+    truncates the tail.
+
+    Every file is written through one append-only
+    {!Provkit_util.Faulty_io} sink.  A commit writes only the bytes
+    appended since the previous commit, once, and [fsync]s the segment;
+    snapshot and manifest files are synced when their sink closes,
+    before the manifest rename publishes them.  The same sinks carry the
+    fault model, so tests (and [provctl wal --inject-fault]) can crash,
+    tear, or flip the stream and measure what {!Segmented.recover}
     salvages. *)
 
 module Segmented : sig
   type config = {
     max_segment_bytes : int;  (** rotate beyond this size *)
     group_commit_ops : int;
-        (** flush once at least this many appends are pending; [1]
-            (the default) keeps every append individually durable *)
+        (** commit (write + [fsync]) once at least this many appends
+            are pending; [1] (the default) makes every append
+            individually durable before {!append} returns *)
     group_commit_bytes : int;
         (** ... or once this many pending bytes accumulate, whichever
             trigger fires first *)

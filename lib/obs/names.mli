@@ -32,7 +32,8 @@ val wal_appends : string
 (** Ops appended to a segmented WAL. *)
 
 val wal_fsyncs : string
-(** Sink flushes issued by the segmented WAL. *)
+(** [fsync(2)] calls issued by the segmented WAL: one per commit and
+    one per snapshot or manifest file written. *)
 
 val wal_rotations : string
 

@@ -105,6 +105,74 @@ let test_parse_fault () =
   Alcotest.(check bool) "garbage rejected" true (F.parse_fault "explode@9" = None);
   Alcotest.(check bool) "missing count rejected" true (F.parse_fault "crash@" = None)
 
+(* The sink against the whole-history reference fold: random write /
+   flush / arm sequences (every fault kind, armed up front or late,
+   repeated), on both destinations.  After every flush and at close the
+   destination must hold exactly the model's image. *)
+module Model = Faulty_io_model
+module Prng = Provkit_util.Prng
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let random_fault rng ~written ~flips =
+  match Prng.int rng 7 with
+  | 0 -> F.Crash_after_bytes (Prng.int rng (written + 16))
+  | 1 | 2 -> F.Torn_final_write (Prng.int rng 12)
+  | 3 when flips <> [] -> F.Flip_byte (Prng.pick_list rng flips)
+  | 3 | 4 | 5 -> F.Flip_byte (Prng.int rng (written + 8))
+  | _ -> F.Duplicate_flush
+
+let run_model_case rng ~to_file case =
+  let path = Filename.temp_file "faulty_io_model" ".bin" in
+  let buf = Buffer.create 64 in
+  let flips = ref [] in
+  let arm_one sink model ~written =
+    let f = random_fault rng ~written ~flips:!flips in
+    (match f with F.Flip_byte k -> flips := k :: !flips | _ -> ());
+    Option.iter (fun s -> F.arm s [ f ]) sink;
+    Model.arm model [ f ]
+  in
+  let model = Model.create () in
+  if Prng.int rng 3 = 0 then arm_one None model ~written:0;
+  let sink =
+    if to_file then F.to_file ~faults:model.Model.faults path
+    else F.to_buffer ~faults:model.Model.faults buf
+  in
+  let check what ~closing =
+    let got = if to_file then read_file path else Buffer.contents buf in
+    Alcotest.(check string)
+      (Printf.sprintf "case %d (%s): %s" case (if to_file then "file" else "buffer") what)
+      (Model.image ~closing model) got
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      for step = 1 to 1 + Prng.int rng 40 do
+        match Prng.int rng 20 with
+        | r when r < 11 ->
+          let s = String.init (Prng.int rng 25) (fun _ -> Char.chr (Prng.int rng 256)) in
+          F.write sink s;
+          Model.write model s
+        | r when r < 17 ->
+          F.flush sink;
+          Model.flush model;
+          check (Printf.sprintf "flush at step %d" step) ~closing:false
+        | _ -> arm_one (Some sink) model ~written:(F.bytes_written sink)
+      done;
+      F.close sink;
+      check "close" ~closing:true)
+
+let test_matches_reference_model () =
+  let rng = Test_seed.prng ~salt:27 in
+  for case = 1 to 300 do
+    run_model_case rng ~to_file:false case;
+    run_model_case rng ~to_file:true case
+  done
+
 let suite =
   [
     Alcotest.test_case "honest sink" `Quick test_honest_sink;
@@ -117,4 +185,5 @@ let suite =
     Alcotest.test_case "file destination" `Quick test_to_file;
     Alcotest.test_case "write after close" `Quick test_write_after_close_rejected;
     Alcotest.test_case "parse/print fault specs" `Quick test_parse_fault;
+    Alcotest.test_case "matches the reference model" `Quick test_matches_reference_model;
   ]

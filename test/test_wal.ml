@@ -54,6 +54,11 @@ let ensure_active_frame handle store =
        ~url:("http://pad.example/" ^ String.make 80 'x')
        ~title:"padding" ~time:999000)
 
+let with_metrics_on f =
+  let was = Provkit_obs.Metrics.enabled () in
+  Provkit_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Provkit_obs.Metrics.set_enabled was) f
+
 let check_parity ~msg live recovered =
   Alcotest.(check int) (msg ^ ": node parity") (Store.node_count live)
     (Store.node_count recovered);
@@ -93,10 +98,22 @@ let test_compaction () =
           feed event;
           if i = half then begin
             let before = List.length (Seg.segments handle) in
-            Seg.compact handle store;
+            let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs in
+            with_metrics_on (fun () ->
+                let c0 = fsyncs () in
+                Seg.compact handle store;
+                (* Snapshot close, new segment header, manifest close;
+                   the old segment was synced by its last commit. *)
+                Alcotest.(check int) "compaction syncs snapshot, segment and manifest" 3
+                  (fsyncs () - c0));
             Alcotest.(check int) "compaction bumps the generation" 1 (Seg.generation handle);
             Alcotest.(check bool) "compaction drops old segments" true
-              (List.length (Seg.segments handle) < before)
+              (List.length (Seg.segments handle) < before);
+            with_metrics_on (fun () ->
+                let c0 = fsyncs () in
+                Seg.rotate handle;
+                Alcotest.(check int) "rotation syncs segment header and manifest" 2
+                  (fsyncs () - c0))
           end)
         events;
       Seg.close handle;
@@ -286,11 +303,6 @@ let make_ops ~salt rounds =
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let with_metrics_on f =
-  let was = Provkit_obs.Metrics.enabled () in
-  Provkit_obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Provkit_obs.Metrics.set_enabled was) f
-
 (* One fsync per [group_commit_ops] appends, counted against the obs
    counter (the acceptance criterion's ground truth), plus the explicit
    [durable] barrier for the tail. *)
@@ -406,6 +418,58 @@ let test_append_batch_default_config () =
           List.iter (PL.apply_op store) ops;
           check_parity ~msg:"batch ingest" store r.Seg.store))
 
+(* Kill the writer between commits on the real sink.  One child process
+   (wal_writer.exe) appends a saved op list at group_commit_ops = 8 and
+   reports every commit; SIGKILL lands after a few reports.  Recovery
+   must return an op-prefix of the list that holds every op the child
+   reported committed. *)
+let test_kill_writer () =
+  with_temp_dir (fun dir ->
+      let ops = make_ops ~salt:28 2000 in
+      let journal = PL.create () in
+      List.iter (PL.append journal) ops;
+      let journal_path = Filename.concat dir "ops.journal" in
+      PL.save journal ~path:journal_path;
+      let wal = Filename.concat dir "wal" in
+      let helper = Filename.concat (Filename.dirname Sys.executable_name) "wal_writer.exe" in
+      let child_in, to_child = Unix.pipe ~cloexec:true () in
+      let from_child, child_out = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process helper [| helper; journal_path; wal |] child_in child_out Unix.stderr
+      in
+      Unix.close child_in;
+      Unix.close child_out;
+      let ic = Unix.in_channel_of_descr from_child in
+      let committed = ref 0 in
+      let rec read_reports n =
+        if n > 0 then
+          match In_channel.input_line ic with
+          | None | Some "done" -> ()
+          | Some line ->
+            committed := int_of_string line;
+            read_reports (n - 1)
+      in
+      read_reports 4;
+      Unix.kill pid Sys.sigkill;
+      let _, status = Unix.waitpid [] pid in
+      (* Reports the child managed to print before dying count too. *)
+      read_reports max_int;
+      close_in ic;
+      Unix.close to_child;
+      Alcotest.(check bool) "writer died of SIGKILL" true (status = Unix.WSIGNALED Sys.sigkill);
+      Alcotest.(check bool) "writer reported commits" true (!committed > 0);
+      let r = Seg.recover ~dir:wal () in
+      let k = r.Seg.ops_applied in
+      Printf.printf "killed after %d reported commits; recovered %d of %d ops\n" !committed k
+        (List.length ops);
+      if k < !committed || k > List.length ops then
+        Alcotest.failf "recovered %d ops; %d were reported committed, %d appended at most" k
+          !committed (List.length ops);
+      let expected = Store.create () in
+      List.iteri (fun i op -> if i < k then PL.apply_op expected op) ops;
+      Alcotest.(check bool) "recovered store is the first k ops" true
+        (PL.ops_of_store r.Seg.store = PL.ops_of_store expected))
+
 let suite =
   [
     Alcotest.test_case "segmented roundtrip" `Quick test_segmented_roundtrip;
@@ -422,4 +486,5 @@ let suite =
       test_group_commit_crash_loses_only_pending_tail;
     Alcotest.test_case "group commit: torn batch" `Quick test_group_commit_torn_batch;
     Alcotest.test_case "append_batch at default config" `Quick test_append_batch_default_config;
+    Alcotest.test_case "kill the writer between commits" `Quick test_kill_writer;
   ]
