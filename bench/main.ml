@@ -678,6 +678,38 @@ let run_snapshot measured =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Part 1.99: allocation per contextual search                          *)
+(* ------------------------------------------------------------------ *)
+
+(* "E3-contextual-words" reuses the ns_per_op field, like the
+   estimate-error rows, to carry a count: minor-heap words allocated
+   per Contextual_search.search over the dataset's search queries.  A
+   first pass warms lazily built state (the walk scratch, the time
+   index view), so the measured pass allocates the same words on every
+   run and bench_smoke.sh can gate the count without the noise of a
+   timing pair. *)
+let measure_contextual_words () =
+  let ds = Lazy.force dataset in
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let queries =
+    List.map
+      (fun (e : Browser.User_model.search_episode) -> e.Browser.User_model.query)
+      ds.Harness.Dataset.trace.Browser.User_model.searches
+  in
+  let pass () = List.iter (fun q -> ignore (Core.Contextual_search.search index q)) queries in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let n = List.length queries in
+  [ ("E3-contextual-words", n, (Gc.minor_words () -. before) /. float_of_int (max 1 n)) ]
+
+let run_contextual_words measured =
+  print_endline "== allocation (minor words per contextual search) ==\n";
+  Provkit_util.Table_fmt.print ~header:[ "row"; "words/query" ]
+    (List.map (fun (name, _, w) -> [ name; Printf.sprintf "%.0f" w ]) measured);
+  print_newline ()
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: experiment tables                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -710,7 +742,8 @@ let iso_date () =
   let tm = Unix.localtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
-let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~overhead =
+let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~words
+    ~overhead =
   let ds = Lazy.force dataset in
   let path =
     match Sys.getenv_opt "BENCH_OUT" with
@@ -730,7 +763,7 @@ let write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snap
   Buffer.add_string buf "  \"rows\": [\n";
   let all_rows =
     List.map (fun (name, ns) -> (name, micro_iters, ns)) micro
-    @ hot @ matview @ stats @ lint @ alert @ daemon @ range @ snapshot
+    @ hot @ matview @ stats @ lint @ alert @ daemon @ range @ snapshot @ words
   in
   List.iteri
     (fun i (name, iters, ns) ->
@@ -785,8 +818,11 @@ let () =
   run_range range;
   let snapshot = measure_snapshot () in
   run_snapshot snapshot;
+  let words = measure_contextual_words () in
+  run_contextual_words words;
   let overhead = measure_obs_overhead () in
   run_obs_overhead overhead;
   if json_mode then
-    write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~overhead
+    write_artifact ~micro ~hot ~matview ~stats ~lint ~alert ~daemon ~range ~snapshot ~words
+      ~overhead
   else run_experiments ()

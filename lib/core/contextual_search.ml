@@ -38,18 +38,30 @@ let page_target store id (n : Prov_node.t) =
   | Prov_node.Bookmark { url; _ } -> Option.bind (Prov_store.page_of_url store url) visible
   | Prov_node.Search_term _ | Prov_node.Download _ | Prov_node.Form_submission _ -> None
 
+(* A page's running score, its text part and its graph part. *)
+type sums = { mutable total : float; mutable text : float; mutable graph : float }
+
+(* The sums of [page], zero when it has none yet. *)
+let sums_of scored page =
+  match Hashtbl.find_opt scored page with
+  | Some r -> r
+  | None ->
+    let r = { total = 0.0; text = 0.0; graph = 0.0 } in
+    Hashtbl.add scored page r;
+    r
+
 let rank_results ?(limit = 10) scored =
   let all = Hashtbl.fold (fun page r acc -> (page, r) :: acc) scored [] in
   let sorted =
     List.sort
-      (fun (pa, (sa, _, _)) (pb, (sb, _, _)) ->
-        let c = Float.compare sb sa in
+      (fun (pa, a) (pb, b) ->
+        let c = Float.compare b.total a.total in
         if c <> 0 then c else Int.compare pa pb)
       all
   in
   List.filteri (fun i _ -> i < limit)
     (List.map
-       (fun (page, (score, text_score, graph_score)) -> { page; score; text_score; graph_score })
+       (fun (page, r) -> { page; score = r.total; text_score = r.text; graph_score = r.graph })
        sorted)
 
 let textual_only ?(limit = 10) index query =
@@ -59,10 +71,9 @@ let textual_only ?(limit = 10) index query =
     (fun (node, s) ->
       match page_target store node (Prov_store.node store node) with
       | Some page ->
-        let prev, pt, _ =
-          Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt scored page)
-        in
-        Hashtbl.replace scored page (prev +. s, pt +. s, 0.0)
+        let r = sums_of scored page in
+        r.total <- r.total +. s;
+        r.text <- r.text +. s
       | None -> ())
     (Prov_text_index.search ~limit:(limit * 4) index query);
   rank_results ~limit scored
@@ -104,11 +115,10 @@ let focused_subgraph config ~budget_nodes store seeds =
 let respond config ~limit ~running ~truncated store hits graph_scores =
   let scored = Hashtbl.create 64 in
   let bump page ~text ~graph_mass =
-    let s, ts, gs = Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt scored page) in
-    Hashtbl.replace scored page
-      ( s +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass),
-        ts +. text,
-        gs +. graph_mass )
+    let r = sums_of scored page in
+    r.total <- r.total +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass);
+    r.text <- r.text +. text;
+    r.graph <- r.graph +. graph_mass
   in
   List.iter
     (fun (node, s) ->

@@ -6,20 +6,21 @@ type mutation =
   | Close_node of { id : int; time : int }
 
 (* What the history queries ask of a page, kept current as its
-   [Instance] edges arrive: every visit instance, the ones that are not
-   embeds or redirect hops, the ones the user saw, and whether any of
-   its visits was typed. *)
-type page_facts = {
-  mutable visits : int;
-  mutable shown : int;
-  mutable displayed : int;
-  mutable typed : bool;
+   [Instance] edges arrive, in arrays indexed by node id: every visit
+   instance, the ones that are not embeds or redirect hops, the ones the
+   user saw, and whether any of its visits was typed.  [page_of_visit]
+   holds -1 for a node that is no visit instance. *)
+type facts = {
+  mutable page_of_visit : int array;
+  mutable visits : int array;
+  mutable shown : int array;
+  mutable displayed : int array;
+  mutable typed : Bytes.t;  (* '\001' for a typed page *)
 }
 
 type t = {
   graph : (Prov_node.t, Prov_edge.t) Digraph.t;
-  page_of_visit : (int, int) Hashtbl.t;  (* visit -> its first [Instance] page *)
-  page_facts : (int, page_facts) Hashtbl.t;
+  facts : facts;
   mutable next_id : int;
   page_by_url : (string, int) Hashtbl.t;
   visit_by_engine : (int, int) Hashtbl.t;
@@ -32,9 +33,15 @@ type t = {
 
 let create () =
   {
-    graph = Digraph.create ~initial_capacity:4096 ();
-    page_of_visit = Hashtbl.create 4096;
-    page_facts = Hashtbl.create 1024;
+    graph = Digraph.create ();
+    facts =
+      {
+        page_of_visit = [||];
+        visits = [||];
+        shown = [||];
+        displayed = [||];
+        typed = Bytes.empty;
+      };
     next_id = 1;
     page_by_url = Hashtbl.create 1024;
     visit_by_engine = Hashtbl.create 4096;
@@ -80,30 +87,44 @@ let add_page t ~url ~title ~time =
     Hashtbl.replace t.page_by_url url id;
     id
 
+(* Room for facts about every node id below [n]. *)
+let reserve_facts f n =
+  let have = Array.length f.visits in
+  if n > have then begin
+    let n = max n (2 * have) in
+    let extend a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 have;
+      b
+    in
+    f.page_of_visit <- extend f.page_of_visit (-1);
+    f.visits <- extend f.visits 0;
+    f.shown <- extend f.shown 0;
+    f.displayed <- extend f.displayed 0;
+    let typed = Bytes.make n '\000' in
+    Bytes.blit f.typed 0 typed 0 have;
+    f.typed <- typed
+  end
+
 (* Every edge enters the store through here, live or restored.  The
    store never removes a node or an edge and a visit's transition never
    changes, so facts folded in edge by edge stay exact. *)
 let note_edge t ~src ~dst (e : Prov_edge.t) =
   Digraph.add_edge t.graph ~src ~dst e;
   if e.Prov_edge.kind = Prov_edge.Instance then begin
-    let f =
-      match Hashtbl.find_opt t.page_facts src with
-      | Some f -> f
-      | None ->
-        let f = { visits = 0; shown = 0; displayed = 0; typed = false } in
-        Hashtbl.add t.page_facts src f;
-        f
-    in
+    let f = t.facts in
+    reserve_facts f (Digraph.bound t.graph);
     (* A visit belongs to its first page: only there is it typed. *)
-    let first = not (Hashtbl.mem t.page_of_visit dst) in
-    if first then Hashtbl.add t.page_of_visit dst src;
-    f.visits <- f.visits + 1;
+    let first = f.page_of_visit.(dst) < 0 in
+    if first then f.page_of_visit.(dst) <- src;
+    f.visits.(src) <- f.visits.(src) + 1;
     match (Digraph.node t.graph dst).Prov_node.kind with
     | Prov_node.Visit { transition; _ } ->
-      if not (Browser.Transition.hidden transition) then f.shown <- f.shown + 1;
-      if Browser.Transition.displayed transition then f.displayed <- f.displayed + 1;
-      if first && transition = Browser.Transition.Typed then f.typed <- true
-    | _ -> f.shown <- f.shown + 1
+      if not (Browser.Transition.hidden transition) then f.shown.(src) <- f.shown.(src) + 1;
+      if Browser.Transition.displayed transition then
+        f.displayed.(src) <- f.displayed.(src) + 1;
+      if first && transition = Browser.Transition.Typed then Bytes.set f.typed src '\001'
+    | _ -> f.shown.(src) <- f.shown.(src) + 1
   end
 
 let add_edge t ~src ~dst kind ~time =
@@ -176,7 +197,13 @@ let bookmark_node t engine_id = Hashtbl.find_opt t.bookmark_by_engine engine_id
 let download_node t engine_id = Hashtbl.find_opt t.download_by_engine engine_id
 let term_node t query = Hashtbl.find_opt t.term_by_query (String.lowercase_ascii (String.trim query))
 
-let page_of_visit t visit = Hashtbl.find_opt t.page_of_visit visit
+(* Ids at or past the facts' length have no [Instance] edge. *)
+let has_facts t id = id >= 0 && id < Array.length t.facts.visits
+
+let page_of_visit t visit =
+  if has_facts t visit && t.facts.page_of_visit.(visit) >= 0 then
+    Some t.facts.page_of_visit.(visit)
+  else None
 
 let visits_of_page t page =
   List.sort Int.compare
@@ -185,18 +212,18 @@ let visits_of_page t page =
          if e.Prov_edge.kind = Prov_edge.Instance then Some dst else None)
        (Digraph.out_edges t.graph page))
 
-let fact t page field ~none =
-  match Hashtbl.find_opt t.page_facts page with Some f -> field f | None -> none
+let page_visit_count t page = if has_facts t page then t.facts.visits.(page) else 0
 
-let page_visit_count t page = fact t page (fun f -> f.visits) ~none:0
-let page_displayed_visit_count t page = fact t page (fun f -> f.displayed) ~none:0
-let page_typed t page = fact t page (fun f -> f.typed) ~none:false
+let page_displayed_visit_count t page =
+  if has_facts t page then t.facts.displayed.(page) else 0
+
+let page_typed t page = has_facts t page && Bytes.get t.facts.typed page = '\001'
 
 let page_hidden t page =
-  match node_opt t page with
-  | Some n when Prov_node.is_page n ->
-    fact t page (fun f -> f.visits > 0 && f.shown = 0) ~none:false
-  | _ -> false
+  has_facts t page
+  && t.facts.visits.(page) > 0
+  && t.facts.shown.(page) = 0
+  && match node_opt t page with Some n -> Prov_node.is_page n | None -> false
 
 let nodes_of_kind t pred = Digraph.filter_nodes t.graph (fun _ n -> pred n)
 let node_count t = Digraph.node_count t.graph

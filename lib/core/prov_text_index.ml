@@ -20,9 +20,12 @@ let search ?(limit = 20) t query =
     (fun (r : Textindex.Search.result) -> (r.Textindex.Search.doc, r.Textindex.Search.score))
     (Textindex.Search.query ~limit t.search_index query)
 
-let score t ~node ~terms =
-  Textindex.Scorer.score_document Textindex.Scorer.default_bm25
-    (Textindex.Search.index t.search_index) ~terms ~doc:node
+let score t ~terms =
+  let score =
+    Textindex.Scorer.score_document Textindex.Scorer.default_bm25
+      (Textindex.Search.index t.search_index) ~terms
+  in
+  fun ~node -> score ~doc:node
 
 let idf t term = Textindex.Scorer.idf (Textindex.Search.index t.search_index) term
 let indexed_count t = Textindex.Search.document_count t.search_index

@@ -18,11 +18,12 @@ val store : t -> Prov_store.t
 val search : ?limit:int -> t -> string -> (int * float) list
 (** Ranked node ids ([limit] defaults to 20). *)
 
-val score : t -> node:int -> terms:string list -> float
+val score : t -> terms:string list -> node:int -> float
 (** Text relevance of one indexed node to a term bag (0.0 for nodes that
     are not indexed).  Lets time-contextual search score candidate pages
     that come from the temporal neighborhood rather than from the top of
-    the text ranking. *)
+    the text ranking.  Staged: [score t ~terms] looks the terms up once
+    for all the nodes it then scores. *)
 
 val idf : t -> string -> float
 (** Corpus rarity of a term within the user's own history — used to pick

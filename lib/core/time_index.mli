@@ -10,7 +10,9 @@ type t
 val create : unit -> t
 
 val add : t -> node:int -> opened:int -> unit
-(** Register a visit node's open time.  Re-adding replaces. *)
+(** Register a visit node's open time.  Re-adding replaces.  Node ids
+    index arrays, so they must be [>= 0] ([Invalid_argument]
+    otherwise). *)
 
 val close : t -> node:int -> closed:int -> unit
 (** Unknown nodes are ignored.  [closed] earlier than the open time is
@@ -29,7 +31,11 @@ val co_open : t -> node:int -> int list
 (** Nodes whose interval overlaps the given node's, excluding itself. *)
 
 val in_window : t -> start:int -> stop:int -> int list
-(** Nodes whose interval intersects \[start, stop\]. *)
+(** Nodes whose interval intersects \[start, stop\], ascending. *)
+
+val iter_window : t -> start:int -> stop:int -> (int -> unit) -> unit
+(** [f node] for the nodes {!in_window} returns, each once, in no
+    particular order, without building the list. *)
 
 val overlap : t -> int -> int -> bool
 val direction : t -> int -> int -> (int * int) option

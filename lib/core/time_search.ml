@@ -43,11 +43,63 @@ let context_visits store node =
     | _ -> []
   end
 
-let interval_gap (o1, c1) (o2, c2) =
-  let c1 = Option.value ~default:max_int c1 and c2 = Option.value ~default:max_int c2 in
-  if o1 <= c2 && o2 <= c1 then 0
-  else if o2 > c1 then o2 - c1
-  else o1 - c2
+(* The context as gaps are measured against it: its intervals' opening
+   times ascending (an unclosed interval closing at [max_int]), and at
+   each position the latest close among the intervals up to it. *)
+type context = { opens : int array; latest : int array }
+
+let context_of intervals =
+  let a =
+    Array.of_list (List.map (fun (o, c) -> (o, Option.value ~default:max_int c)) intervals)
+  in
+  Array.stable_sort (fun (o1, _) (o2, _) -> Int.compare o1 o2) a;
+  let latest = Array.map snd a in
+  for j = 1 to Array.length latest - 1 do
+    latest.(j) <- Int.max latest.(j - 1) latest.(j)
+  done;
+  { opens = Array.map fst a; latest }
+
+(* The smallest gap between [opened, closed] and a context interval.
+   Intervals close no earlier than they open (Time_index clamps), so
+   two intervals overlap (gap 0) unless the later-opening one opens
+   after the other closes, and then the gap is the time between.  So the
+   best context interval opened no later than this one is the one that
+   closes last, and the best opened after it is the first: one binary
+   search finds both. *)
+let gap_to ctx ~opened ~closed =
+  let n = Array.length ctx.opens in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ctx.opens.(mid) <= opened then lo := mid + 1 else hi := mid
+  done;
+  let before =
+    if !lo = 0 then max_int
+    else
+      let c = ctx.latest.(!lo - 1) in
+      if opened <= c then 0 else opened - c
+  in
+  let after =
+    if !lo = n then max_int
+    else
+      let o = ctx.opens.(!lo) in
+      if o <= closed then 0 else o - closed
+  in
+  Int.min before after
+
+(* The page's best gap over its visit instances, [None] when it has no
+   visit interval or the context none. *)
+let best_gap store time_index ctx page =
+  let best = ref max_int and any = ref false in
+  if Array.length ctx.opens > 0 then
+    Provgraph.Digraph.iter_out (Prov_store.graph store) page (fun v (e : Prov_edge.t) ->
+        if e.Prov_edge.kind = Prov_edge.Instance then
+          match Time_index.interval time_index v with
+          | Some (opened, closed) ->
+            any := true;
+            best := Int.min !best (gap_to ctx ~opened ~closed:(Option.value ~default:max_int closed))
+          | None -> ());
+  if !any then Some !best else None
 
 let proximity config gap =
   if gap = 0 then config.co_open_bonus
@@ -73,12 +125,12 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
      neighborhood of the context (the page the user half-remembers need
      not be a top-ranked text hit; being open next to the plane-ticket
      search is what identifies it). *)
+  (* Every page scored so far, with 0.0 for one that does not match the
+     query, so no page is scored twice. *)
   let primary = Hashtbl.create 64 in
+  let score = Prov_text_index.score index ~terms:query_terms in
   let consider page =
-    if not (Hashtbl.mem primary page) then begin
-      let s = Prov_text_index.score index ~node:page ~terms:query_terms in
-      if s > 0.0 then Hashtbl.replace primary page s
-    end
+    if not (Hashtbl.mem primary page) then Hashtbl.replace primary page (score ~node:page)
   in
   List.iter
     (fun (node, _) ->
@@ -97,49 +149,38 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
              (context_visits store node))
          context_hits)
   in
-  (* Temporal-neighborhood candidates. *)
+  (* Temporal-neighborhood candidates: every visit open within [reach]
+     of a context visit.  Overlapping windows are merged first, so no
+     stretch of the time index is read twice. *)
   let reach = int_of_float (3.0 *. config.proximity_tau) in
-  List.iter
-    (fun (opened, closed) ->
-      let stop = Option.value ~default:opened closed in
-      List.iter
-        (fun visit ->
-          match Prov_store.page_of_visit store visit with
-          | Some page -> consider page
-          | None -> ())
-        (Time_index.in_window time_index ~start:(opened - reach) ~stop:(stop + reach)))
-    context_intervals;
+  let consider_visit visit =
+    match Prov_store.page_of_visit store visit with Some page -> consider page | None -> ()
+  in
+  let rec scan = function
+    | (s1, e1) :: (s2, e2) :: rest when s2 <= e1 -> scan ((s1, max e1 e2) :: rest)
+    | (start, stop) :: rest ->
+      Time_index.iter_window time_index ~start ~stop consider_visit;
+      scan rest
+    | [] -> ()
+  in
+  scan
+    (List.sort compare
+       (List.map
+          (fun (opened, closed) ->
+            (opened - reach, Option.value ~default:opened closed + reach))
+          context_intervals));
   let truncated = Query_budget.out_of_time running in
+  let context = context_of context_intervals in
   let results =
     Hashtbl.fold
       (fun page text_score acc ->
-        let own_intervals =
-          List.filter_map
-            (fun v -> Time_index.interval time_index v)
-            (Prov_store.visits_of_page store page)
-        in
-        let best =
-          List.fold_left
-            (fun best own ->
-              List.fold_left
-                (fun best ctx ->
-                  let gap = interval_gap own ctx in
-                  match best with
-                  | Some b when b <= gap -> Some b
-                  | _ -> Some gap)
-                best context_intervals)
-            None own_intervals
-        in
-        match best with
-        | None -> acc
-        | Some gap ->
-          {
-            page;
-            score = text_score *. proximity config gap;
-            text_score;
-            best_gap = Some gap;
-          }
-          :: acc)
+        if not (text_score > 0.0) then acc
+        else
+          match best_gap store time_index context page with
+          | None -> acc
+          | Some gap ->
+            { page; score = text_score *. proximity config gap; text_score; best_gap = Some gap }
+            :: acc)
       primary []
   in
   {

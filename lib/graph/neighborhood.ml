@@ -17,19 +17,24 @@ let default_config =
     degree_normalize = false;
   }
 
-let neighbors direction g id =
-  match (direction : Traversal.direction) with
-  | Traversal.Forward -> Digraph.out_edges g id
-  | Traversal.Backward -> Digraph.in_edges g id
-  | Traversal.Both -> Digraph.out_edges g id @ Digraph.in_edges g id
+(* Adds [v] to a node's score, recording the node the first time. *)
+let[@inline] bump (s : Walk_scratch.t) ~call id v =
+  if s.seen.(id) = call then s.score.(id) <- s.score.(id) +. v
+  else begin
+    s.seen.(id) <- call;
+    s.score.(id) <- 0.0 +. v;
+    s.order.(s.scored) <- id;
+    s.scored <- s.scored + 1
+  end
 
 let expand ?(config = default_config) ?follow g ~seeds =
-  let scores = Hashtbl.create 128 in
-  let bump id v =
-    let prev = Option.value ~default:0.0 (Hashtbl.find_opt scores id) in
-    Hashtbl.replace scores id (prev +. v)
+  Walk_scratch.with_scratch ~bound:(Digraph.bound g) @@ fun s ->
+  let call = Walk_scratch.next_gen s in
+  s.scored <- 0;
+  let keep =
+    match follow with None -> fun _ _ _ -> true | Some f -> fun src dst e -> f ~src ~dst e
   in
-  let keep src dst e = match follow with None -> true | Some f -> f ~src ~dst e in
+  let neighbors = Traversal.iter_neighbors config.direction g in
   (* Per-seed BFS keeps "shortest hop from this seed" semantics additive
      across seeds.  Seeds are few (top-k text hits), so this stays cheap. *)
   let truncated = ref false in
@@ -39,57 +44,71 @@ let expand ?(config = default_config) ?follow g ~seeds =
     | None -> true
     | Some b -> if !expansions >= b then (truncated := true; false) else true
   in
+  (* The node being expanded, its depth, and in flow mode how many of its
+     edges [keep] admits: the neighbors its received mass is split
+     among, counted before any is visited. *)
+  let current = ref 0 and hop = ref 0 and fanout = ref 0 in
+  let count next e = if keep !current next e then incr fanout in
   List.iter
     (fun (seed, seed_score) ->
       if Digraph.mem_node g seed && seed_score > 0.0 then begin
-        bump seed seed_score;
-        let depth = Hashtbl.create 32 in
-        (* In flow mode [received] is the mass that reached each node
-           along its BFS discovery; it is what the node splits among its
-           own neighbors. *)
-        let received = Hashtbl.create 32 in
-        Hashtbl.replace depth seed 0;
-        Hashtbl.replace received seed seed_score;
-        let queue = Queue.create () in
-        Queue.push seed queue;
+        bump s ~call seed seed_score;
+        let gen = Walk_scratch.next_gen s in
+        s.stamp.(seed) <- gen;
+        s.depth.(seed) <- 0;
+        (* In flow mode [mass] is what reached each node along its BFS
+           discovery; it is what the node splits among its own
+           neighbors. *)
+        s.mass.(seed) <- seed_score;
+        s.queue.(0) <- seed;
+        let head = ref 0 and tail = ref 1 in
+        let visit next e =
+          if keep !current next e && s.stamp.(next) <> gen then begin
+            let hop = !hop in
+            s.stamp.(next) <- gen;
+            s.depth.(next) <- hop;
+            let mass =
+              if config.degree_normalize then
+                s.mass.(!current) *. config.decay *. config.edge_weight
+                /. float_of_int (max 1 !fanout)
+              else
+                seed_score
+                *. Float.pow config.decay (float_of_int hop)
+                *. Float.pow config.edge_weight (float_of_int hop)
+            in
+            s.mass.(next) <- mass;
+            bump s ~call next mass;
+            s.queue.(!tail) <- next;
+            incr tail
+          end
+        in
         let continue = ref true in
-        while !continue && not (Queue.is_empty queue) do
+        while !continue && !head < !tail do
           if not (budget_ok ()) then continue := false
           else begin
-            let current = Queue.pop queue in
+            current := s.queue.(!head);
+            incr head;
             incr expansions;
-            let d = Hashtbl.find depth current in
+            let d = s.depth.(!current) in
             if d < config.max_hops then begin
-              let nbrs =
-                List.filter
-                  (fun (next, e) -> keep current next e)
-                  (neighbors config.direction g current)
-              in
-              let fanout = float_of_int (max 1 (List.length nbrs)) in
-              List.iter
-                (fun (next, _) ->
-                  if not (Hashtbl.mem depth next) then begin
-                    let hop = d + 1 in
-                    Hashtbl.replace depth next hop;
-                    let mass =
-                      if config.degree_normalize then
-                        Hashtbl.find received current *. config.decay
-                        *. config.edge_weight /. fanout
-                      else
-                        seed_score
-                        *. Float.pow config.decay (float_of_int hop)
-                        *. Float.pow config.edge_weight (float_of_int hop)
-                    in
-                    Hashtbl.replace received next mass;
-                    bump next mass;
-                    Queue.push next queue
-                  end)
-                nbrs
+              hop := d + 1;
+              if config.degree_normalize then begin
+                fanout := 0;
+                neighbors !current count
+              end;
+              neighbors !current visit
             end
           end
         done
       end)
     seeds;
+  (* Filled in first-reach order, the table iterates exactly as one
+     built by bumping it along the walk would. *)
+  let scores = Hashtbl.create 128 in
+  for i = 0 to s.scored - 1 do
+    let id = s.order.(i) in
+    Hashtbl.add scores id s.score.(id)
+  done;
   (scores, !truncated)
 
 let ranked scores =

@@ -30,7 +30,16 @@ val expand :
 (** Propagate seed mass outward: a node at hop [h] from a seed with score
     [s] receives [s *. decay^h *. edge_weight^h], summed over seeds and
     shortest hops.  Returns the score table and a truncation flag (true
-    when the node budget stopped expansion). *)
+    when the node budget stopped expansion).
+
+    The walk allocates nothing per edge: it runs over this domain's
+    {!Walk_scratch} (visited stamps, depths, an int-array queue and a
+    dense score array), and only at the end fills the returned table,
+    created with [Hashtbl.create 128], in the order nodes were first
+    reached.  That table therefore iterates, and its scores sum, exactly
+    as one bumped node by node along the walk.  [follow] may be called
+    more than once per edge (in flow mode, once to count a node's
+    fan-out and once to visit), so it should be pure. *)
 
 val ranked : (int, float) Hashtbl.t -> (int * float) list
 (** Descending scores, ties by ascending id. *)

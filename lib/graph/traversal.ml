@@ -2,17 +2,20 @@ type direction = Forward | Backward | Both
 
 type 'a outcome = { visited : 'a; truncated : bool }
 
-let neighbors direction g id =
+let iter_neighbors direction g id f =
   match direction with
-  | Forward -> Digraph.out_edges g id
-  | Backward -> Digraph.in_edges g id
-  | Both -> Digraph.out_edges g id @ Digraph.in_edges g id
+  | Forward -> Digraph.iter_out g id f
+  | Backward -> Digraph.iter_in g id f
+  | Both ->
+    Digraph.iter_out g id f;
+    Digraph.iter_in g id f
 
 (* [follow] receives traversal endpoints oriented src=expanded node,
    dst=candidate, regardless of edge direction. *)
 let bfs ?(direction = Forward) ?max_depth ?budget ?follow g ~roots =
-  let depth = Hashtbl.create 64 in
-  let queue = Queue.create () in
+  Walk_scratch.with_scratch ~bound:(Digraph.bound g) @@ fun s ->
+  let gen = Walk_scratch.next_gen s in
+  let head = ref 0 and tail = ref 0 in
   let order = ref [] in
   let truncated = ref false in
   let expansions = ref 0 in
@@ -26,33 +29,31 @@ let bfs ?(direction = Forward) ?max_depth ?budget ?follow g ~roots =
     | None -> true
     | Some m -> if d >= m then (truncated := true; false) else true
   in
+  let reach id d =
+    s.stamp.(id) <- gen;
+    s.depth.(id) <- d;
+    s.queue.(!tail) <- id;
+    incr tail;
+    order := (id, d) :: !order
+  in
   List.iter
-    (fun root ->
-      if Digraph.mem_node g root && not (Hashtbl.mem depth root) then begin
-        Hashtbl.replace depth root 0;
-        Queue.push root queue;
-        order := (root, 0) :: !order
-      end)
+    (fun root -> if Digraph.mem_node g root && s.stamp.(root) <> gen then reach root 0)
     roots;
-  let keep_edge src dst e =
-    match follow with None -> true | Some f -> f ~src ~dst e
+  let current = ref 0 in
+  let visit next e =
+    if
+      s.stamp.(next) <> gen
+      && match follow with None -> true | Some f -> f ~src:!current ~dst:next e
+    then reach next (s.depth.(!current) + 1)
   in
   let continue = ref true in
-  while !continue && not (Queue.is_empty queue) do
+  while !continue && !head < !tail do
     if not (within_budget ()) then continue := false
     else begin
-      let current = Queue.pop queue in
+      current := s.queue.(!head);
+      incr head;
       incr expansions;
-      let d = Hashtbl.find depth current in
-      if within_depth d then
-        List.iter
-          (fun (next, e) ->
-            if (not (Hashtbl.mem depth next)) && keep_edge current next e then begin
-              Hashtbl.replace depth next (d + 1);
-              Queue.push next queue;
-              order := (next, d + 1) :: !order
-            end)
-          (neighbors direction g current)
+      if within_depth s.depth.(!current) then iter_neighbors direction g !current visit
     end
   done;
   { visited = List.rev !order; truncated = !truncated }

@@ -2,7 +2,12 @@
 
     Every traversal takes an optional [budget] — a cap on the number of
     node expansions — because the paper's queries must be boundable to a
-    fixed latency (§4).  Results report whether they were truncated. *)
+    fixed latency (§4).  Results report whether they were truncated.
+
+    {!bfs} (and everything built on it) marks visited nodes in this
+    domain's {!Walk_scratch} with a fresh generation stamp and queues
+    them in its int array, so a walk allocates per visited node only
+    the result list, never per edge. *)
 
 type direction = Forward | Backward | Both
 
@@ -41,3 +46,8 @@ val descendants :
 
 val dfs_postorder : ('n, 'e) Digraph.t -> roots:int list -> int list
 (** Iterative postorder over out-edges; each reachable node once. *)
+
+val iter_neighbors : direction -> ('n, 'e) Digraph.t -> int -> (int -> 'e -> unit) -> unit
+(** [f other label] for each edge the direction follows out of a node:
+    out-edges, in-edges, or out-edges then in-edges ({!Digraph.iter_out},
+    {!Digraph.iter_in}), without allocating. *)

@@ -647,18 +647,12 @@ let visit_components store =
         Hashtbl.replace seen root ();
         while not (Queue.is_empty queue) do
           let v = Queue.pop queue in
-          let neighbors =
-            List.filter_map
-              (fun (other, e) -> if traversal_edge e then Some other else None)
-              (Provgraph.Digraph.out_edges g v @ Provgraph.Digraph.in_edges g v)
-          in
-          List.iter
-            (fun other ->
-              if Hashtbl.mem visit_set other && not (Hashtbl.mem seen other) then begin
+          Provgraph.Digraph.fold_both g v ~init:() ~f:(fun () other e ->
+              if traversal_edge e && Hashtbl.mem visit_set other && not (Hashtbl.mem seen other)
+              then begin
                 Hashtbl.replace seen other ();
                 Queue.push other queue
               end)
-            neighbors
         done
       end)
     visits;

@@ -62,10 +62,10 @@ let add_document t doc terms =
   Hashtbl.replace t.doc_len doc len;
   t.total_len <- t.total_len + len
 
-let term_frequency t ~term ~doc =
+let term_frequency t ~term =
   match Hashtbl.find_opt t.table term with
-  | None -> 0
-  | Some docs -> Option.value ~default:0 (Imap.find_opt doc docs)
+  | None -> fun ~doc:_ -> 0
+  | Some docs -> fun ~doc -> Option.value ~default:0 (Imap.find_opt doc docs)
 
 let document_frequency t term =
   match Hashtbl.find_opt t.table term with

@@ -23,6 +23,9 @@ val document_length : t -> int -> int
 val average_length : t -> float
 
 val term_frequency : t -> term:string -> doc:int -> int
+(** Staged: [term_frequency t ~term] finds the term once, and the
+    function it returns looks documents up in its postings. *)
+
 val document_frequency : t -> string -> int
 val postings : t -> string -> (int * int) list
 (** [(doc_id, tf)] pairs for a term, ascending doc id. *)

@@ -19,13 +19,16 @@ let tf_weight scorer index ~doc tf =
     let avg = max 1.0 (Inverted_index.average_length index) in
     tf *. (k1 +. 1.0) /. (tf +. (k1 *. (1.0 -. b +. (b *. len /. avg))))
 
-let score_document scorer index ~terms ~doc =
-  List.fold_left
-    (fun acc term ->
-      let tf = Inverted_index.term_frequency index ~term ~doc in
-      if tf = 0 then acc
-      else acc +. (idf index term *. tf_weight scorer index ~doc tf))
-    0.0 terms
+let score_document scorer index ~terms =
+  let per_term =
+    List.map (fun term -> (Inverted_index.term_frequency index ~term, idf index term)) terms
+  in
+  fun ~doc ->
+    List.fold_left
+      (fun acc (tf_of, idf) ->
+        let tf = tf_of ~doc in
+        if tf = 0 then acc else acc +. (idf *. tf_weight scorer index ~doc tf))
+      0.0 per_term
 
 let scores scorer index ~terms =
   let acc = Hashtbl.create 64 in

@@ -10,7 +10,9 @@ val idf : Inverted_index.t -> string -> float
     index is empty. *)
 
 val score_document : t -> Inverted_index.t -> terms:string list -> doc:int -> float
-(** Score of one document against a bag of query terms. *)
+(** Score of one document against a bag of query terms.  Staged:
+    [score_document s index ~terms] looks the terms and their idf up
+    once, and the function it returns scores documents against them. *)
 
 val scores : t -> Inverted_index.t -> terms:string list -> (int * float) list
 (** All documents with a positive score, descending; ties broken by

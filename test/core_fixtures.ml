@@ -6,6 +6,12 @@ module Web = Webmodel.Web_graph
 module Page = Webmodel.Page_content
 module Engine = Browser.Engine
 
+(* A committed fixture under test/data.  Dune copies that directory
+   beside the test binary, so it is found from wherever the binary is
+   started. *)
+let data_path file =
+  Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "data") file
+
 let small_web_config =
   {
     Web.default_config with

@@ -1,0 +1,176 @@
+(* Reference models for the graph layer: the list-and-Hashtbl
+   [Digraph] and the Hashtbl-based [Neighborhood.expand] and
+   [Traversal.bfs] that the id-indexed arrays replaced.  They are kept
+   as written then, so the properties in Test_graph_model can compare
+   the arrays against the structure whose orders and float sums the
+   §2 answers were first pinned with.  Enumerations here follow hash
+   buckets; the tests sort where the real graph's order is ascending
+   ids. *)
+
+module Digraph = struct
+  type ('n, 'e) t = {
+    payload : (int, 'n) Hashtbl.t;
+    out_adj : (int, (int * 'e) list ref) Hashtbl.t;  (* stored reversed *)
+    in_adj : (int, (int * 'e) list ref) Hashtbl.t;
+    mutable edges : int;
+  }
+
+  let create () =
+    { payload = Hashtbl.create 16; out_adj = Hashtbl.create 16; in_adj = Hashtbl.create 16; edges = 0 }
+
+  let mem_node t id = Hashtbl.mem t.payload id
+  let node_opt t id = Hashtbl.find_opt t.payload id
+  let add_node t id payload = Hashtbl.replace t.payload id payload
+
+  let adj tbl id =
+    match Hashtbl.find_opt tbl id with
+    | Some cell -> cell
+    | None ->
+      let cell = ref [] in
+      Hashtbl.replace tbl id cell;
+      cell
+
+  let add_edge t ~src ~dst label =
+    if not (mem_node t src) then invalid_arg "Digraph.add_edge: unknown src";
+    if not (mem_node t dst) then invalid_arg "Digraph.add_edge: unknown dst";
+    let out = adj t.out_adj src in
+    out := (dst, label) :: !out;
+    let inc = adj t.in_adj dst in
+    inc := (src, label) :: !inc;
+    t.edges <- t.edges + 1
+
+  let edge_list tbl id =
+    match Hashtbl.find_opt tbl id with None -> [] | Some cell -> List.rev !cell
+
+  let out_edges t id = edge_list t.out_adj id
+  let in_edges t id = edge_list t.in_adj id
+  let distinct_endpoints edges = List.sort_uniq Int.compare (List.map fst edges)
+  let succ t id = distinct_endpoints (out_edges t id)
+  let pred t id = distinct_endpoints (in_edges t id)
+
+  let degree tbl id =
+    match Hashtbl.find_opt tbl id with None -> 0 | Some cell -> List.length !cell
+
+  let out_degree t id = degree t.out_adj id
+  let in_degree t id = degree t.in_adj id
+  let node_count t = Hashtbl.length t.payload
+  let edge_count t = t.edges
+  let nodes t = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.payload [])
+end
+
+type direction = Provgraph.Traversal.direction = Forward | Backward | Both
+
+let neighbors direction g id =
+  match direction with
+  | Forward -> Digraph.out_edges g id
+  | Backward -> Digraph.in_edges g id
+  | Both -> Digraph.out_edges g id @ Digraph.in_edges g id
+
+let expand ~(config : Provgraph.Neighborhood.config) ?follow g ~seeds =
+  let scores = Hashtbl.create 128 in
+  let bump id v =
+    let prev = Option.value ~default:0.0 (Hashtbl.find_opt scores id) in
+    Hashtbl.replace scores id (prev +. v)
+  in
+  let keep src dst e = match follow with None -> true | Some f -> f ~src ~dst e in
+  let truncated = ref false in
+  let expansions = ref 0 in
+  let budget_ok () =
+    match config.node_budget with
+    | None -> true
+    | Some b -> if !expansions >= b then (truncated := true; false) else true
+  in
+  List.iter
+    (fun (seed, seed_score) ->
+      if Digraph.mem_node g seed && seed_score > 0.0 then begin
+        bump seed seed_score;
+        let depth = Hashtbl.create 32 in
+        let received = Hashtbl.create 32 in
+        Hashtbl.replace depth seed 0;
+        Hashtbl.replace received seed seed_score;
+        let queue = Queue.create () in
+        Queue.push seed queue;
+        let continue = ref true in
+        while !continue && not (Queue.is_empty queue) do
+          if not (budget_ok ()) then continue := false
+          else begin
+            let current = Queue.pop queue in
+            incr expansions;
+            let d = Hashtbl.find depth current in
+            if d < config.max_hops then begin
+              let nbrs =
+                List.filter
+                  (fun (next, e) -> keep current next e)
+                  (neighbors config.direction g current)
+              in
+              let fanout = float_of_int (max 1 (List.length nbrs)) in
+              List.iter
+                (fun (next, _) ->
+                  if not (Hashtbl.mem depth next) then begin
+                    let hop = d + 1 in
+                    Hashtbl.replace depth next hop;
+                    let mass =
+                      if config.degree_normalize then
+                        Hashtbl.find received current *. config.decay
+                        *. config.edge_weight /. fanout
+                      else
+                        seed_score
+                        *. Float.pow config.decay (float_of_int hop)
+                        *. Float.pow config.edge_weight (float_of_int hop)
+                    in
+                    Hashtbl.replace received next mass;
+                    bump next mass;
+                    Queue.push next queue
+                  end)
+                nbrs
+            end
+          end
+        done
+      end)
+    seeds;
+  (scores, !truncated)
+
+let bfs ?(direction = Forward) ?max_depth ?budget ?follow g ~roots =
+  let depth = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let order = ref [] in
+  let truncated = ref false in
+  let expansions = ref 0 in
+  let within_budget () =
+    match budget with
+    | None -> true
+    | Some b -> if !expansions >= b then (truncated := true; false) else true
+  in
+  let within_depth d =
+    match max_depth with
+    | None -> true
+    | Some m -> if d >= m then (truncated := true; false) else true
+  in
+  List.iter
+    (fun root ->
+      if Digraph.mem_node g root && not (Hashtbl.mem depth root) then begin
+        Hashtbl.replace depth root 0;
+        Queue.push root queue;
+        order := (root, 0) :: !order
+      end)
+    roots;
+  let keep_edge src dst e = match follow with None -> true | Some f -> f ~src ~dst e in
+  let continue = ref true in
+  while !continue && not (Queue.is_empty queue) do
+    if not (within_budget ()) then continue := false
+    else begin
+      let current = Queue.pop queue in
+      incr expansions;
+      let d = Hashtbl.find depth current in
+      if within_depth d then
+        List.iter
+          (fun (next, e) ->
+            if (not (Hashtbl.mem depth next)) && keep_edge current next e then begin
+              Hashtbl.replace depth next (d + 1);
+              Queue.push next queue;
+              order := (next, d + 1) :: !order
+            end)
+          (neighbors direction g current)
+    end
+  done;
+  { Provgraph.Traversal.visited = List.rev !order; truncated = !truncated }

@@ -12,7 +12,7 @@ module Trace = Provkit_obs.Trace
 module Slowlog = Relstore.Slowlog
 module F = Provkit_util.Frame
 
-let data file = Filename.concat "data" file
+let data = Core_fixtures.data_path
 let read path = In_channel.with_open_bin path In_channel.input_all
 let lines s = List.filter (( <> ) "") (String.split_on_char '\n' s)
 

@@ -38,12 +38,14 @@ let () =
       ("textindex", Test_textindex.suite);
       ("graph.digraph", Test_digraph.suite);
       ("graph.algorithms", Test_graph_algorithms.suite);
+      ("graph.model", Test_graph_model.suite);
       ("webmodel", Test_webmodel.suite);
       ("browser", Test_browser.suite);
       ("browser.places_queries", Test_places_queries.suite);
       ("browser.event_codec", Test_event_codec.suite);
       ("core.store", Test_core_store.suite);
       ("core.history_facts", Test_history_facts.suite);
+      ("core.history_answers", Test_history_answers.suite);
       ("core.capture", Test_core_capture.suite);
       ("core.schema", Test_core_schema.suite);
       ("core.queries", Test_core_queries.suite);

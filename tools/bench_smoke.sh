@@ -38,7 +38,8 @@ for row in hot-select-cold hot-select-cached wal-ingest-unbatched wal-ingest-bat
            matview-update cold-rescan \
            stats-analyze estimate-error-heuristic estimate-error-stats \
            lint-full-tree alert-eval \
-           daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index; do
+           daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index \
+           E3-contextual-words; do
   grep -q "\"name\":\"$row\"" "$work/base.json" ||
     { echo "bench_smoke: artifact missing expected row $row"; exit 1; }
 done
@@ -69,6 +70,14 @@ heur_err="$(grep '"name":"estimate-error-heuristic"' "$work/base.json" | sed 's/
 stats_err="$(grep '"name":"estimate-error-stats"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
 awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
   { echo "bench_smoke: stats estimate error ($stats_err) not below heuristic ($heur_err)"; exit 1; }
+
+# E3-contextual-words stores a count (minor words allocated per
+# contextual search over the quick dataset's queries), not a latency.
+# The count repeats exactly, so it is gated against a fixed ceiling:
+# half of the 16,615 words/query the hash-table graph walks allocated.
+words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
+awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 16615 / 2) }' ||
+  { echo "bench_smoke: E3-contextual-words ($words words/query) above 8307 (half of 16615)"; exit 1; }
 
 # Alert rules run on every pulse point; evaluation must stay cheap in
 # absolute terms (ns per rule per point — 20 us is already two orders
