@@ -678,33 +678,48 @@ let run_snapshot measured =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 1.99: allocation per contextual search                          *)
+(* Part 1.99: allocation per query                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* "E3-contextual-words" reuses the ns_per_op field, like the
-   estimate-error rows, to carry a count: minor-heap words allocated
-   per Contextual_search.search over the dataset's search queries.  A
-   first pass warms lazily built state (the walk scratch, the time
-   index view), so the measured pass allocates the same words on every
-   run and bench_smoke.sh can gate the count without the noise of a
-   timing pair. *)
-let measure_contextual_words () =
-  let ds = Lazy.force dataset in
-  let index = Core.Api.text_index ds.Harness.Dataset.api in
-  let queries =
-    List.map
-      (fun (e : Browser.User_model.search_episode) -> e.Browser.User_model.query)
-      ds.Harness.Dataset.trace.Browser.User_model.searches
-  in
-  let pass () = List.iter (fun q -> ignore (Core.Contextual_search.search index q)) queries in
+(* The "-words" rows reuse the ns_per_op field, like the estimate-error
+   rows, to carry a count: minor-heap words allocated per call over the
+   quick dataset's inputs — Contextual_search.search over its search
+   queries (E3-contextual-words) and Lineage.first_recognizable over
+   its downloads (E7-lineage-words).  A first pass warms lazily built
+   state (the walk scratch, the time index view), so the measured pass
+   allocates the same words on every run and bench_smoke.sh can gate
+   the count without the noise of a timing pair. *)
+let words_per_call name f inputs =
+  let pass () = List.iter (fun x -> ignore (f x)) inputs in
   pass ();
   let before = Gc.minor_words () in
   pass ();
-  let n = List.length queries in
-  [ ("E3-contextual-words", n, (Gc.minor_words () -. before) /. float_of_int (max 1 n)) ]
+  let n = List.length inputs in
+  (name, n, (Gc.minor_words () -. before) /. float_of_int (max 1 n))
 
-let run_contextual_words measured =
-  print_endline "== allocation (minor words per contextual search) ==\n";
+let measure_words () =
+  let ds = Lazy.force dataset in
+  let trace = ds.Harness.Dataset.trace in
+  let store = Harness.Dataset.store ds in
+  let queries =
+    List.map (fun (e : Browser.User_model.search_episode) -> e.Browser.User_model.query)
+      trace.Browser.User_model.searches
+  in
+  let downloads =
+    List.filter_map
+      (fun (d : Browser.User_model.download_episode) ->
+        Core.Prov_store.download_node store d.Browser.User_model.download_id)
+      trace.Browser.User_model.downloads
+  in
+  [
+    words_per_call "E3-contextual-words"
+      (Core.Contextual_search.search (Core.Api.text_index ds.Harness.Dataset.api))
+      queries;
+    words_per_call "E7-lineage-words" (Core.Lineage.first_recognizable store) downloads;
+  ]
+
+let run_words measured =
+  print_endline "== allocation (minor words per query) ==\n";
   Provkit_util.Table_fmt.print ~header:[ "row"; "words/query" ]
     (List.map (fun (name, _, w) -> [ name; Printf.sprintf "%.0f" w ]) measured);
   print_newline ()
@@ -818,8 +833,8 @@ let () =
   run_range range;
   let snapshot = measure_snapshot () in
   run_snapshot snapshot;
-  let words = measure_contextual_words () in
-  run_contextual_words words;
+  let words = measure_words () in
+  run_words words;
   let overhead = measure_obs_overhead () in
   run_obs_overhead overhead;
   if json_mode then

@@ -78,21 +78,7 @@ type t = {
   pending_spawn : (int, int) Hashtbl.t;  (* fresh tab -> opener's engine visit *)
   open_order : (int, int) Hashtbl.t;  (* engine visit -> open sequence no. *)
   mutable open_seq : int;
-  (* Matview registries fed after each event's store mutations, so
-     incremental views stay in lockstep with the capture stream no
-     matter which entry point (engine subscription, [handle_batch],
-     WAL replay through an observer) delivered it. *)
-  mutable views : Event.t Relstore.Matview.t list;
 }
-
-(* Is this visit the page a tab displays (as opposed to a background
-   fetch)?  Embeds render inside their parent; downloads never render. *)
-let displayed transition =
-  match (transition : Transition.t) with
-  | Transition.Embed | Transition.Download -> false
-  | Transition.Link | Transition.Typed | Transition.Bookmark | Transition.Redirect_permanent
-  | Transition.Redirect_temporary | Transition.Framed_link | Transition.Form_submit
-  | Transition.Reload -> true
 
 let edge_kind_for config (transition : Transition.t) =
   match transition with
@@ -138,7 +124,7 @@ let handle_visit t (v : Event.visit) =
     | None -> ()
   end
   | _ -> ());
-  if displayed v.Event.transition then begin
+  if Transition.displayed v.Event.transition then begin
     (* Tab spawn: the first page of a tab descends from the opener's page. *)
     (match Hashtbl.find_opt t.pending_spawn v.Event.tab with
     | Some opener_visit when cfg.record_tab_spawn -> begin
@@ -274,8 +260,7 @@ let handle_event t event =
 
 let handle t event =
   count_event event;
-  handle_event t event;
-  List.iter (fun registry -> Relstore.Matview.feed registry event) t.views
+  handle_event t event
 
 (* Batch ingest: feed a recorded stream in one call.  The mutations
    still flow through the store observer one by one (ordering and
@@ -295,10 +280,7 @@ let make config =
     pending_spawn = Hashtbl.create 16;
     open_order = Hashtbl.create 4096;
     open_seq = 0;
-    views = [];
   }
-
-let attach_views t registries = t.views <- t.views @ registries
 
 let attach ?(config = full) engine =
   let t = make config in

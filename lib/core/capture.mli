@@ -44,12 +44,6 @@ val handle_batch : t -> Browser.Event.t list -> unit
     {!Prov_log.Segmented} WAL to amortize the fsync cost across the
     batch. *)
 
-val attach_views : t -> Browser.Event.t Relstore.Matview.t list -> unit
-(** Register matview registries to be fed after each event's store
-    mutations — every entry point ([attach] subscription, direct
-    [handle], [handle_batch]) flows through them, so incremental views
-    stay in lockstep with the capture stream. *)
-
 val config : t -> config
 val store : t -> Prov_store.t
 val time_index : t -> Time_index.t

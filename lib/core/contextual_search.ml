@@ -90,7 +90,10 @@ let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
   | Prov_edge.Reload -> true
 
 (* The Kleinberg-style focused subgraph: the seeds plus everything
-   within [max_hops], with only the edges the config permits. *)
+   within [max_hops], with only the edges the config permits.  Edges
+   are added by source in ascending id, each source's oldest first —
+   the order [Digraph.iter_edges] walks the whole graph in — since the
+   PageRank and HITS float sums follow it. *)
 let focused_subgraph config ~budget_nodes store seeds =
   let graph = Prov_store.graph store in
   let follow = follow config in
@@ -99,15 +102,19 @@ let focused_subgraph config ~budget_nodes store seeds =
       ~max_depth:config.max_hops ?budget:budget_nodes ~follow graph
       ~roots:(List.map fst seeds)
   in
-  let members = List.map fst outcome.Provgraph.Traversal.visited in
-  let sub = Provgraph.Digraph.create ~initial_capacity:(List.length members) () in
+  let members = List.sort Int.compare (List.map fst outcome.Provgraph.Traversal.visited) in
+  (* Sized once for the largest member id: growing by doubling would
+     copy every id-indexed array on the way up. *)
+  let sub =
+    Provgraph.Digraph.create ~initial_capacity:(1 + List.fold_left max 0 members) ()
+  in
   List.iter (fun id -> Provgraph.Digraph.add_node sub id (Prov_store.node store id)) members;
-  Provgraph.Digraph.iter_edges graph (fun src dst e ->
-      if
-        Provgraph.Digraph.mem_node sub src
-        && Provgraph.Digraph.mem_node sub dst
-        && follow ~src ~dst e
-      then Provgraph.Digraph.add_edge sub ~src ~dst e);
+  List.iter
+    (fun src ->
+      Provgraph.Digraph.iter_out graph src (fun dst e ->
+          if Provgraph.Digraph.mem_node sub dst && follow ~src ~dst e then
+            Provgraph.Digraph.add_edge sub ~src ~dst e))
+    members;
   (sub, outcome.Provgraph.Traversal.truncated)
 
 (* Shared post-processing for every algorithm: combine text scores and

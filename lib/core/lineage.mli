@@ -2,8 +2,12 @@
 
     "Find the first ancestor of this file that the user is likely to
     recognize" and "find all descendants of this page that are
-    downloads."  Both walk only causal edges ([Same_time] is contextual
-    and never part of lineage). *)
+    downloads."  Every query here is one {!Provgraph.Traversal} walk
+    over causal edges only ([Same_time] is contextual and never part of
+    lineage), bounded by the query budget's remaining nodes:
+    {!first_recognizable} is {!Provgraph.Traversal.first_match} over
+    in-edges, which stops at the nearest recognizable ancestor instead
+    of exhausting the ancestry, and charges the nodes it expanded. *)
 
 type recognizer = int -> bool
 (** Judges whether the user would recognize a node. *)

@@ -201,7 +201,7 @@ let ops_of_store store =
 let recording_store () =
   let store = Prov_store.create () in
   let journal = create () in
-  Prov_store.set_observer store (fun m -> append journal (op_of_mutation m));
+  Prov_store.set_observer store (append journal);
   (store, journal)
 
 let replay t =
@@ -468,7 +468,7 @@ module Segmented = struct
       Obs.Metrics.add m_bytes (Buffer.length buf);
       maybe_commit h
 
-  let attach h store = Prov_store.set_observer store (fun m -> append h (op_of_mutation m))
+  let attach h store = Prov_store.set_observer store (append h)
 
   let write_snapshot h store =
     let name = snapshot_file (h.manifest.generation + 1) in

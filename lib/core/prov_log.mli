@@ -36,9 +36,9 @@ val decode_op : string -> int ref -> op
     input. *)
 
 val op_of_mutation : Prov_store.mutation -> op
-(** The journal record for a store mutation (what {!recording_store}
-    and {!Segmented.attach} append): the identity, since the two types
-    are one. *)
+(** The identity: a store mutation is its own journal record, since the
+    two types are one.  Library code appends mutations directly; the
+    perfbench ingest replay still calls this. *)
 
 val apply_op : Prov_store.t -> op -> unit
 (** Apply one recorded operation through the restore path (no observer

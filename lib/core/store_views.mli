@@ -1,8 +1,9 @@
 (** Incremental views over the provenance op stream — the
     [Prov_log.op] instantiation of {!Relstore.Matview}.
 
-    Feed them from a store observer (via {!Prov_log.op_of_mutation}) or
-    let {!Prov_log.Segmented.recover} rebuild them after a crash; their
+    Feed them the mutations a store observer sees (a
+    {!Prov_store.mutation} is a {!Prov_log.op}) or let
+    {!Prov_log.Segmented.recover} rebuild them after a crash; their
     values match [Query_exec.group_count ~by:"kind"] over the
     relational export at every prefix. *)
 

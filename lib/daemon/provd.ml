@@ -228,8 +228,7 @@ let ingest_loop ctl =
       Some (PL.Segmented.open_ ~config:wcfg dir)
   in
   let pending = ref [] in
-  Core.Prov_store.set_observer store (fun m ->
-      pending := PL.op_of_mutation m :: !pending);
+  Core.Prov_store.set_observer store (fun m -> pending := m :: !pending);
   let state =
     {
       seq = 0;

@@ -2,16 +2,22 @@
 
     Every traversal takes an optional [budget] — a cap on the number of
     node expansions — because the paper's queries must be boundable to a
-    fixed latency (§4).  Results report whether they were truncated.
+    fixed latency (§4).  Results report how many nodes were expanded and
+    whether the walk was truncated.
 
-    {!bfs} (and everything built on it) marks visited nodes in this
-    domain's {!Walk_scratch} with a fresh generation stamp and queues
-    them in its int array, so a walk allocates per visited node only
-    the result list, never per edge. *)
+    {!bfs} and {!first_match} share one breadth-first loop.  It marks
+    visited nodes in this domain's {!Walk_scratch} with a fresh
+    generation stamp, queues them in its int array and keeps each one's
+    BFS parent there, so a walk allocates per visited node only its
+    result, never per edge. *)
 
 type direction = Forward | Backward | Both
 
-type 'a outcome = { visited : 'a; truncated : bool }
+type 'a outcome = {
+  visited : 'a;
+  expansions : int;  (** nodes taken off the queue and expanded *)
+  truncated : bool;  (** the budget or [max_depth] cut the walk short *)
+}
 
 val bfs :
   ?direction:direction ->
@@ -25,18 +31,35 @@ val bfs :
     filters which edges are traversed (default all).  Unknown roots are
     ignored. *)
 
-val reachable :
+type hit = {
+  node : int;
+  depth : int;  (** hops from the root *)
+  path : int list;  (** the BFS path from the root to [node], both included *)
+}
+
+val first_match :
   ?direction:direction ->
+  ?budget:int ->
+  ?follow:(src:int -> dst:int -> 'e -> bool) ->
+  ('n, 'e) Digraph.t ->
+  root:int ->
+  (int -> bool) ->
+  hit option outcome
+(** The first node {!bfs} would reach from [root] that satisfies the
+    predicate: the nearest one, and among those at one depth the first
+    reached.  The predicate is asked only about newly reached non-root
+    nodes, once each, as they are reached; the walk stops at the first
+    it accepts, so a match leaves [truncated] unset.  [None] when the
+    walk runs dry or the budget cuts it first; an unknown [root] expands
+    nothing. *)
+
+val ancestors :
   ?max_depth:int ->
   ?budget:int ->
   ?follow:(src:int -> dst:int -> 'e -> bool) ->
   ('n, 'e) Digraph.t ->
-  roots:int list ->
-  unit outcome * (int, int) Hashtbl.t
-(** Like {!bfs} but returns the depth table directly (node -> depth). *)
-
-val ancestors :
-  ?max_depth:int -> ?budget:int -> ('n, 'e) Digraph.t -> int -> (int * int) list outcome
+  int ->
+  (int * int) list outcome
 (** BFS over in-edges, excluding the start node: the transitive sources
     this node was derived from, with distances. *)
 

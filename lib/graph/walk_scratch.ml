@@ -1,6 +1,7 @@
 type t = {
   mutable stamp : int array;
   mutable depth : int array;
+  mutable parent : int array;
   mutable mass : float array;
   mutable queue : int array;
   mutable seen : int array;
@@ -16,6 +17,7 @@ let make n =
   {
     stamp = Array.make n 0;
     depth = Array.make n 0;
+    parent = Array.make n 0;
     mass = Array.make n 0.0;
     queue = Array.make n 0;
     seen = Array.make n 0;
@@ -30,6 +32,7 @@ let grow s n =
   let fresh = make n in
   s.stamp <- fresh.stamp;
   s.depth <- fresh.depth;
+  s.parent <- fresh.parent;
   s.mass <- fresh.mass;
   s.queue <- fresh.queue;
   s.seen <- fresh.seen;

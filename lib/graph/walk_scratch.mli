@@ -12,6 +12,7 @@
 type t = {
   mutable stamp : int array;  (** reached by BFS [g] iff [stamp.(id) = g] *)
   mutable depth : int array;  (** hop count from the BFS root *)
+  mutable parent : int array;  (** the node a BFS reached it from; a root's is itself *)
   mutable mass : float array;  (** mass a node received on discovery *)
   mutable queue : int array;  (** the BFS queue; each node enters once *)
   mutable seen : int array;  (** scored by call [c] iff [seen.(id) = c] *)

@@ -628,35 +628,20 @@ let connectivity store =
 
 let visit_components store =
   let g = Core.Prov_store.graph store in
-  let visits =
-    Provgraph.Digraph.filter_nodes g (fun _ n -> Core.Prov_node.is_visit n)
+  let is_visit id = Core.Prov_node.is_visit (Provgraph.Digraph.node g id) in
+  let follow ~src:_ ~dst (e : Core.Prov_edge.t) =
+    Core.Prov_edge.is_traversal e.Core.Prov_edge.kind && is_visit dst
   in
-  let visit_set = Hashtbl.create (List.length visits) in
-  List.iter (fun v -> Hashtbl.replace visit_set v ()) visits;
-  let seen = Hashtbl.create (List.length visits) in
-  let traversal_edge (e : Core.Prov_edge.t) =
-    Core.Prov_edge.is_traversal e.Core.Prov_edge.kind
-  in
-  let components = ref 0 in
-  List.iter
-    (fun root ->
-      if not (Hashtbl.mem seen root) then begin
-        incr components;
-        let queue = Queue.create () in
-        Queue.push root queue;
-        Hashtbl.replace seen root ();
-        while not (Queue.is_empty queue) do
-          let v = Queue.pop queue in
-          Provgraph.Digraph.fold_both g v ~init:() ~f:(fun () other e ->
-              if traversal_edge e && Hashtbl.mem visit_set other && not (Hashtbl.mem seen other)
-              then begin
-                Hashtbl.replace seen other ();
-                Queue.push other queue
-              end)
-        done
+  let seen = Array.make (Provgraph.Digraph.bound g) false in
+  Provgraph.Digraph.fold_nodes g ~init:0 ~f:(fun components root n ->
+      if (not (Core.Prov_node.is_visit n)) || seen.(root) then components
+      else begin
+        List.iter
+          (fun (id, _) -> seen.(id) <- true)
+          (Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~follow g ~roots:[ root ])
+            .Provgraph.Traversal.visited;
+        components + 1
       end)
-    visits;
-  !components
 
 let e11_capture_ablation ?(max_episodes = 150) (ds : Dataset.t) =
   let full_store = Dataset.store ds in
@@ -920,8 +905,7 @@ let is_op_prefix prefix full =
 let e16_crash_recovery ?(crash_points = 400) ?(flip_points = 400) (ds : Dataset.t) =
   let capture, feed = Core.Capture.observer () in
   let journal = Core.Prov_log.create () in
-  Core.Prov_store.set_observer (Core.Capture.store capture) (fun m ->
-      Core.Prov_log.append journal (Core.Prov_log.op_of_mutation m));
+  Core.Prov_store.set_observer (Core.Capture.store capture) (Core.Prov_log.append journal);
   let events = Browser.Engine.event_log ds.Dataset.engine in
   List.iter feed events;
   let full_ops = Core.Prov_log.ops journal in

@@ -1,9 +1,11 @@
 (* Reference models for the graph layer: the list-and-Hashtbl
    [Digraph] and the Hashtbl-based [Neighborhood.expand] and
-   [Traversal.bfs] that the id-indexed arrays replaced.  They are kept
-   as written then, so the properties in Test_graph_model can compare
-   the arrays against the structure whose orders and float sums the
-   §2 answers were first pinned with.  Enumerations here follow hash
+   [Traversal.bfs] that the id-indexed arrays replaced, and the
+   hand-rolled breadth-first search [Lineage.first_recognizable] ran
+   before it moved onto [Traversal.first_match].  They are kept as
+   written then, so the properties in Test_graph_model can compare the
+   arrays against the structure whose orders and float sums the §2
+   answers were first pinned with.  Enumerations here follow hash
    buckets; the tests sort where the real graph's order is ascending
    ids. *)
 
@@ -173,4 +175,49 @@ let bfs ?(direction = Forward) ?max_depth ?budget ?follow g ~roots =
           (neighbors direction g current)
     end
   done;
-  { Provgraph.Traversal.visited = List.rev !order; truncated = !truncated }
+  { Provgraph.Traversal.visited = List.rev !order; expansions = !expansions; truncated = !truncated }
+
+(* Lineage's search, with its direction, edge filter and node budget as
+   parameters (it walked in-edges under [Lineage.causal_follow] and the
+   query budget's remaining nodes).  The start node is never tested,
+   and an absent one is expanded like any other.  Returns the match as
+   (node, distance, path from [start]), the truncation flag and the
+   number of expansions. *)
+let first_match ~direction ?budget ?follow g ~start recognize =
+  let keep src dst e = match follow with None -> true | Some f -> f ~src ~dst e in
+  let depth = Hashtbl.create 64 in
+  let parent = Hashtbl.create 64 in
+  Hashtbl.replace depth start 0;
+  let queue = Queue.create () in
+  Queue.push start queue;
+  let found = ref None in
+  let truncated = ref false in
+  let expansions = ref 0 in
+  while !found = None && not (Queue.is_empty queue) do
+    (match budget with
+    | Some r when !expansions >= r ->
+      truncated := true;
+      Queue.clear queue
+    | _ -> ());
+    if not (Queue.is_empty queue) then begin
+      let current = Queue.pop queue in
+      incr expansions;
+      let d = Hashtbl.find depth current in
+      let parents =
+        List.filter_map
+          (fun (src, e) -> if keep current src e then Some src else None)
+          (neighbors direction g current)
+      in
+      List.iter
+        (fun ancestor ->
+          if !found = None && not (Hashtbl.mem depth ancestor) then begin
+            Hashtbl.replace depth ancestor (d + 1);
+            Hashtbl.replace parent ancestor current;
+            if recognize ancestor then found := Some (ancestor, d + 1)
+            else Queue.push ancestor queue
+          end)
+        parents
+    end
+  done;
+  let rec build acc v = if v = start then v :: acc else build (v :: acc) (Hashtbl.find parent v) in
+  (Option.map (fun (node, distance) -> (node, distance, build [] node)) !found, !truncated, !expansions)

@@ -59,7 +59,7 @@ let serial_replay events =
   let views, v_nodes, v_edges = Core.Store_views.standard () in
   let pending = ref [] in
   Core.Prov_store.set_observer (Core.Capture.store capture) (fun m ->
-      pending := PL.op_of_mutation m :: !pending);
+      pending := m :: !pending);
   Core.Capture.handle_batch capture events;
   let ops = List.rev !pending in
   Matview.feed_batch views ops;

@@ -3,7 +3,6 @@
 
 module G = Provgraph.Digraph
 module Tr = Provgraph.Traversal
-module P = Provgraph.Path
 module C = Provgraph.Cycle
 module Prng = Provkit_util.Prng
 
@@ -105,44 +104,21 @@ let test_dfs_postorder () =
   Alcotest.(check (list int)) "postorder of a chain" [ 4; 3; 2; 1 ]
     (Tr.dfs_postorder g ~roots:[ 1 ])
 
-(* --- paths --- *)
+(* --- first match --- *)
 
-let test_shortest_path () =
-  let g = diamond () in
-  (match P.shortest_path g ~src:1 ~dst:4 with
-  | Some [ 1; mid; 4 ] when mid = 2 || mid = 3 -> ()
-  | other ->
-    Alcotest.failf "unexpected path %s"
-      (match other with
-      | None -> "none"
-      | Some p -> String.concat "," (List.map string_of_int p)));
-  Alcotest.(check (option (list int))) "self path" (Some [ 1 ]) (P.shortest_path g ~src:1 ~dst:1);
-  Alcotest.(check (option (list int))) "unreachable" None (P.shortest_path g ~src:4 ~dst:1);
-  Alcotest.(check (option int)) "distance" (Some 2) (P.distance g ~src:1 ~dst:4)
-
-let test_shortest_path_backward () =
-  let g = diamond () in
-  match P.shortest_path ~direction:Tr.Backward g ~src:4 ~dst:1 with
-  | Some path -> Alcotest.(check int) "length 3" 3 (List.length path)
-  | None -> Alcotest.fail "backward path missing"
-
-let test_first_matching_ancestor () =
+let test_first_match () =
   let g = chain 6 in
-  (match P.first_matching_ancestor g ~start:6 ~matches:(fun n -> n <= 3) with
-  | Some (node, path) ->
+  (match (Tr.first_match ~direction:Tr.Backward g ~root:6 (fun n -> n <= 3)).Tr.visited with
+  | Some { Tr.node; depth; path } ->
     Alcotest.(check int) "nearest match" 3 node;
-    Alcotest.(check (list int)) "path from start back" [ 6; 5; 4; 3 ] path
+    Alcotest.(check int) "its depth" 3 depth;
+    Alcotest.(check (list int)) "path from the root back" [ 6; 5; 4; 3 ] path
   | None -> Alcotest.fail "no ancestor found");
-  Alcotest.(check bool) "no match is None" true
-    (P.first_matching_ancestor g ~start:3 ~matches:(fun n -> n > 90) = None)
-
-let test_all_paths () =
-  let g = diamond () in
-  let paths = P.all_paths g ~src:1 ~dst:4 in
-  Alcotest.(check int) "two simple paths" 2 (List.length paths);
-  let g2 = cycle3 () in
-  (* Cycles must not make this diverge. *)
-  Alcotest.(check int) "one simple path in cycle" 1 (List.length (P.all_paths g2 ~src:1 ~dst:3))
+  let none = Tr.first_match ~direction:Tr.Backward g ~root:3 (fun n -> n > 90) in
+  Alcotest.(check bool) "no match is None" true (none.Tr.visited = None);
+  Alcotest.(check int) "the walk ran dry" 3 none.Tr.expansions;
+  Alcotest.(check bool) "the root is never tested" true
+    ((Tr.first_match g ~root:1 (fun n -> n = 1)).Tr.visited = None)
 
 (* --- cycles / topo --- *)
 
@@ -280,18 +256,25 @@ let prop_random_dag_acyclic_and_sortable =
             if Hashtbl.find pos s >= Hashtbl.find pos d then ok := false);
         !ok)
 
+(* The oracle is the reference model's own breadth-first search for
+   each node, over a list-and-Hashtbl copy of the graph. *)
 let prop_bfs_depth_is_shortest =
   QCheck.Test.make ~name:"BFS depth equals shortest-path distance" ~count:40
     (QCheck.make dag_gen) (fun (seed, n) ->
       let rng = Prng.create seed in
       let g = random_dag rng n 0.2 in
+      let m = Graph_model.Digraph.create () in
+      G.iter_nodes g (fun id () -> Graph_model.Digraph.add_node m id ());
+      G.iter_edges g (fun src dst () -> Graph_model.Digraph.add_edge m ~src ~dst ());
+      let distance node =
+        if node = 1 then Some 0
+        else
+          match Graph_model.first_match ~direction:Tr.Forward m ~start:1 (( = ) node) with
+          | Some (_, d, _), _, _ -> Some d
+          | None, _, _ -> None
+      in
       let r = Tr.bfs g ~roots:[ 1 ] in
-      List.for_all
-        (fun (node, depth) ->
-          match P.distance g ~src:1 ~dst:node with
-          | Some d -> d = depth
-          | None -> false)
-        r.Tr.visited)
+      List.for_all (fun (node, depth) -> distance node = Some depth) r.Tr.visited)
 
 let prop_scc_partition =
   QCheck.Test.make ~name:"SCCs partition the node set" ~count:40 (QCheck.make dag_gen)
@@ -318,10 +301,7 @@ let suite =
     Alcotest.test_case "bfs multi-root" `Quick test_bfs_multiple_roots_and_unknown;
     Alcotest.test_case "ancestors/descendants" `Quick test_ancestors_descendants;
     Alcotest.test_case "dfs postorder" `Quick test_dfs_postorder;
-    Alcotest.test_case "shortest path" `Quick test_shortest_path;
-    Alcotest.test_case "shortest path backward" `Quick test_shortest_path_backward;
-    Alcotest.test_case "first matching ancestor" `Quick test_first_matching_ancestor;
-    Alcotest.test_case "all paths" `Quick test_all_paths;
+    Alcotest.test_case "first match" `Quick test_first_match;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "cycle witness" `Quick test_find_cycle_witness;
     Alcotest.test_case "self loop" `Quick test_self_loop_cycle;

@@ -14,7 +14,11 @@
    iteration order; Traversal.bfs must return the model's visit list.
    Walks alternate between two graphs, and one of them grows between
    walks, so a scratch reused with stale stamps or a stale size
-   shows. *)
+   shows.
+
+   Traversal.first_match must find what lineage's hand-rolled search
+   found (node, distance, path, truncation, expansions) and ask the
+   recognizer about the same nodes in the same order. *)
 
 module G = Provgraph.Digraph
 module M = Graph_model.Digraph
@@ -190,7 +194,49 @@ let check_bfs ~where rng p =
   let got = Tr.bfs ~direction ?max_depth ?budget ?follow p.g ~roots in
   let where = Printf.sprintf "%s: bfs from [%s]" where (String.concat " " (List.map string_of_int roots)) in
   Alcotest.(check bool) (where ^ ": truncated") want.Tr.truncated got.Tr.truncated;
+  Alcotest.(check int) (where ^ ": expansions") want.Tr.expansions got.Tr.expansions;
   Alcotest.(check (list (pair int int))) (where ^ ": visited") want.Tr.visited got.Tr.visited
+
+(* Accepts a random quarter of the ids (absent ones included). *)
+let random_recognizer rng p =
+  let accepted = Array.init (p.ids + 2) (fun _ -> Prng.int rng 4 = 0) in
+  fun id -> accepted.(id + 1)
+
+(* [recognize] wrapped to log the ids it is asked about. *)
+let logged recognize =
+  let asked = ref [] in
+  ((fun id -> asked := id :: !asked; recognize id), fun () -> List.rev !asked)
+
+let check_first_match ~where rng p =
+  let direction = Prng.pick rng [| Tr.Backward; Tr.Backward; Tr.Forward; Tr.Both |] in
+  let budget = Prng.pick rng [| None; None; Some 0; Some 1; Some 4 |] in
+  let follow = random_follow rng in
+  let recognize = random_recognizer rng p in
+  (* Now and then an id that is not in the graph, or not even an id. *)
+  let start = Prng.int rng (p.ids + 2) - 1 in
+  let model_recognize, model_asked = logged recognize in
+  let want, want_trunc, want_exp =
+    Graph_model.first_match ~direction ?budget ?follow p.m ~start model_recognize
+  in
+  let walk_recognize, walk_asked = logged recognize in
+  let got = Tr.first_match ~direction ?budget ?follow p.g ~root:start walk_recognize in
+  let where =
+    Printf.sprintf "%s: first_match from %d, budget %s" where start
+      (match budget with None -> "none" | Some b -> string_of_int b)
+  in
+  Alcotest.(check (option (triple int int (list int))))
+    (where ^ ": match")
+    want
+    (Option.map (fun { Tr.node; depth; path } -> (node, depth, path)) got.Tr.visited);
+  Alcotest.(check (list int)) (where ^ ": recognizer calls") (model_asked ()) (walk_asked ());
+  if M.mem_node p.m start then begin
+    Alcotest.(check bool) (where ^ ": truncated") want_trunc got.Tr.truncated;
+    Alcotest.(check int) (where ^ ": expansions") want_exp got.Tr.expansions
+  end
+  else
+    (* The model expands an absent start (it has no edges); the walk
+       ignores an unknown root, as bfs does. *)
+    Alcotest.(check int) (where ^ ": an absent root expands nothing") 0 got.Tr.expansions
 
 let grow rng p n =
   for _ = 1 to n do ignore (random_op rng p) done
@@ -198,8 +244,8 @@ let grow rng p n =
 (* Two graphs of different sizes; walks alternate at random between
    them, and the first keeps growing (new, larger ids included) between
    walks. *)
-let test_walks_against_model () =
-  let rng = Test_seed.prng ~salt:0x3a1c in
+let walks_against_model ~salt check () =
+  let rng = Test_seed.prng ~salt in
   for round = 1 to 30 do
     let a = pair (5 + Prng.int rng 40) and b = pair (2 + Prng.int rng 10) in
     grow rng a 40;
@@ -207,10 +253,16 @@ let test_walks_against_model () =
     for step = 1 to 25 do
       let p, name = if Prng.bool rng then (a, "graph a") else (b, "graph b") in
       let where = Printf.sprintf "round %d step %d, %s" round step name in
-      if Prng.bool rng then check_expand ~where rng p else check_bfs ~where rng p;
+      check ~where rng p;
       if Prng.int rng 3 = 0 then grow rng a (1 + Prng.int rng 6)
     done
   done
+
+let test_walks_against_model =
+  walks_against_model ~salt:0x3a1c (fun ~where rng p ->
+      if Prng.bool rng then check_expand ~where rng p else check_bfs ~where rng p)
+
+let test_first_match_against_model = walks_against_model ~salt:0x11e4 check_first_match
 
 (* A walk started from inside another walk's follow callback must
    neither disturb the outer walk nor be disturbed by it. *)
@@ -242,5 +294,7 @@ let suite =
     Alcotest.test_case "random ops: every view equals the model" `Quick test_ops_against_model;
     Alcotest.test_case "negative ids and absent endpoints" `Quick test_contract_errors;
     Alcotest.test_case "expand and bfs equal the models" `Quick test_walks_against_model;
+    Alcotest.test_case "first_match equals lineage's search" `Quick
+      test_first_match_against_model;
     Alcotest.test_case "a walk inside a walk's callback" `Quick test_nested_walk;
   ]

@@ -10,9 +10,15 @@
    which holds one digest (64 bits of its MD5) per input.  Elapsed
    times are not part of an answer.
 
-   To rewrite the file from the code under test (only when an answer is
-   meant to change), run the suite with PROV_WRITE_ANSWERS set to the
-   output path. *)
+   Experiment E12's graph-ranked variants of contextual search
+   (PageRank and HITS over the focused subgraph, whose float sums follow
+   the order the subgraph's edges were added in) answer the same
+   queries as E12 calls them, without a budget, pinned the same way in
+   data/e12_answers.txt.
+
+   To rewrite a file from the code under test (only when an answer is
+   meant to change), run the suite with PROV_WRITE_ANSWERS (or
+   PROV_WRITE_E12_ANSWERS) set to the output path. *)
 
 module UM = Browser.User_model
 module CS = Core.Contextual_search
@@ -21,8 +27,7 @@ module TS = Core.Time_search
 let days = 20
 let budget = Core.Query_budget.paper_default
 
-let contextual index q =
-  let r = CS.search ~budget index q in
+let ranked (r : CS.response) =
   String.concat ";"
     (Printf.sprintf "truncated=%b" r.CS.truncated
     :: List.map
@@ -74,7 +79,7 @@ let answers ds =
       (fun (d : UM.download_episode) -> Core.Prov_store.download_node store d.UM.download_id)
       trace.UM.downloads
   in
-  List.map (fun q -> ("contextual", q, contextual index q)) queries
+  List.map (fun q -> ("contextual", q, ranked (CS.search ~budget index q))) queries
   @ List.map (fun q -> ("personalize", q, personalize index q)) queries
   @ List.map
       (fun (q, c) ->
@@ -85,14 +90,17 @@ let answers ds =
 let line (kind, input, answer) =
   Printf.sprintf "%s\t%s\t%s" kind input (String.sub (Digest.to_hex (Digest.string answer)) 0 16)
 
-let golden = Core_fixtures.data_path "history_answers.txt"
+let e12_answers ds =
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let queries =
+    List.map (fun (e : UM.search_episode) -> e.UM.query) ds.Harness.Dataset.trace.UM.searches
+  in
+  List.map (fun q -> ("pagerank", q, ranked (CS.search_pagerank index q))) queries
+  @ List.map (fun q -> ("hits", q, ranked (CS.search_hits index q))) queries
 
-let test_answers () =
-  let ds = Harness.Dataset.with_days days in
-  Alcotest.(check bool) "at least 10 dual-topic contexts" true
-    (List.length ds.Harness.Dataset.trace.UM.duals >= 10);
-  let got = answers ds in
-  (match Sys.getenv_opt "PROV_WRITE_ANSWERS" with
+let check_golden ~file ~write_env got =
+  let golden = Core_fixtures.data_path file in
+  (match Sys.getenv_opt write_env with
   | Some path when path <> "" ->
     Out_channel.with_open_bin path (fun oc ->
         List.iter (fun a -> output_string oc (line a ^ "\n")) got)
@@ -108,4 +116,18 @@ let test_answers () =
         Alcotest.failf "%s %S: answer differs from %s\nnow: %s" kind input golden answer)
     want got
 
-let suite = [ Alcotest.test_case "every pool input, digest per answer" `Quick test_answers ]
+let test_answers () =
+  let ds = Harness.Dataset.with_days days in
+  Alcotest.(check bool) "at least 10 dual-topic contexts" true
+    (List.length ds.Harness.Dataset.trace.UM.duals >= 10);
+  check_golden ~file:"history_answers.txt" ~write_env:"PROV_WRITE_ANSWERS" (answers ds)
+
+let test_e12_answers () =
+  check_golden ~file:"e12_answers.txt" ~write_env:"PROV_WRITE_E12_ANSWERS"
+    (e12_answers (Harness.Dataset.with_days days))
+
+let suite =
+  [
+    Alcotest.test_case "every pool input, digest per answer" `Quick test_answers;
+    Alcotest.test_case "E12 PageRank and HITS answers" `Quick test_e12_answers;
+  ]

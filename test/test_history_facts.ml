@@ -141,7 +141,7 @@ let capture_ops ~after_op =
   let store = Core.Capture.store capture in
   let ops = ref [] in
   Store.set_observer store (fun m ->
-      ops := Core.Prov_log.op_of_mutation m :: !ops;
+      ops := m :: !ops;
       after_op (List.length !ops) store);
   List.iter feed (Lazy.force events);
   corner_cases store;

@@ -9,8 +9,8 @@
 
    Also here: the bloom filter's no-false-negative and bounded
    false-positive guarantees, torn-WAL recovery refolding the op-stream
-   views, sliding-window boundary regressions, the Query_exec
-   matview-source fast path, and Capture.attach_views wiring. *)
+   views, sliding-window boundary regressions and the Query_exec
+   matview-source fast path. *)
 
 module R = Relstore
 module E = Browser.Event
@@ -486,30 +486,6 @@ let test_query_fastpath () =
   Alcotest.(check int) "stale source falls back to a cold count" 41 (R.Query_exec.count visits);
   Alcotest.(check int) "the stale read did not serve" 0 (serves () - s1)
 
-(* ---- Capture wiring -------------------------------------------------- *)
-
-let test_capture_attach_views () =
-  let capture, feed = Core.Capture.observer () in
-  let registry = R.Matview.create () in
-  let visits_view : (E.t, int, int) R.Matview.spec =
-    {
-      R.Matview.name = "capture_visits";
-      init = (fun () -> 0);
-      fold = (fun n ev -> match ev with E.Visit _ -> n + 1 | _ -> n);
-      finalize = Fun.id;
-    }
-  in
-  let h = R.Matview.register registry visits_view in
-  Core.Capture.attach_views capture [ registry ];
-  let _web, engine, _api, _trace = Core_fixtures.simulated ~seed:19 ~days:1 () in
-  let events = Browser.Engine.event_log engine in
-  List.iter feed events;
-  Alcotest.(check int) "capture feeds every event through the registry" (List.length events)
-    (R.Matview.events_seen registry);
-  Alcotest.(check int) "the attached view counted the visits"
-    (List.length (List.filter (function E.Visit _ -> true | _ -> false) events))
-    (R.Matview.value h)
-
 (* ---- crash recovery rebuilds the op-stream views --------------------- *)
 
 let test_recovery_rebuilds_views () =
@@ -563,6 +539,5 @@ let suite =
     ("bloom: FP rate bounded at 2x target", `Quick, test_bloom_fp_rate_bounded);
     ("bloom: remember = mem then add", `Quick, test_bloom_remember);
     ("query_exec: matview source serves and goes stale", `Quick, test_query_fastpath);
-    ("capture: attach_views feeds registries", `Quick, test_capture_attach_views);
     ("wal: torn-tail recovery refolds the views", `Quick, test_recovery_rebuilds_views);
   ]

@@ -39,7 +39,7 @@ for row in hot-select-cold hot-select-cached wal-ingest-unbatched wal-ingest-bat
            stats-analyze estimate-error-heuristic estimate-error-stats \
            lint-full-tree alert-eval \
            daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index \
-           E3-contextual-words; do
+           E3-contextual-words E7-lineage-words; do
   grep -q "\"name\":\"$row\"" "$work/base.json" ||
     { echo "bench_smoke: artifact missing expected row $row"; exit 1; }
 done
@@ -78,6 +78,14 @@ awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
 words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
 awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 16615 / 2) }' ||
   { echo "bench_smoke: E3-contextual-words ($words words/query) above 8307 (half of 16615)"; exit 1; }
+
+# E7-lineage-words is the same kind of count for download lineage
+# (Lineage.first_recognizable over the quick dataset's downloads),
+# gated at the 335 words/query the hand-rolled Hashtbl/Queue search
+# allocated, as measured by this row.
+lineage_words="$(grep '"name":"E7-lineage-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
+awk -v w="$lineage_words" 'BEGIN { exit !(w > 0 && w <= 335) }' ||
+  { echo "bench_smoke: E7-lineage-words ($lineage_words words/query) above 335"; exit 1; }
 
 # Alert rules run on every pulse point; evaluation must stay cheap in
 # absolute terms (ns per rule per point — 20 us is already two orders
