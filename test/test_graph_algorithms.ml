@@ -120,6 +120,52 @@ let test_first_match () =
   Alcotest.(check bool) "the root is never tested" true
     ((Tr.first_match g ~root:1 (fun n -> n = 1)).Tr.visited = None)
 
+let hit_opt = Alcotest.(option (triple int int (list int)))
+
+let hit (o : Tr.hit option Tr.outcome) =
+  Option.map (fun { Tr.node; depth; path } -> (node, depth, path)) o.Tr.visited
+
+let test_first_match_paths () =
+  let g = diamond () in
+  Alcotest.(check hit_opt) "forward: the first branch reached" (Some (4, 2, [ 1; 2; 4 ]))
+    (hit (Tr.first_match g ~root:1 (( = ) 4)));
+  Alcotest.(check hit_opt) "backward: the path runs against the edges" (Some (1, 2, [ 4; 2; 1 ]))
+    (hit (Tr.first_match ~direction:Tr.Backward g ~root:4 (( = ) 1)));
+  Alcotest.(check hit_opt) "follow steers the path" (Some (4, 2, [ 1; 3; 4 ]))
+    (hit (Tr.first_match ~follow:(fun ~src:_ ~dst _ -> dst <> 2) g ~root:1 (( = ) 4)));
+  let g = cycle3 () in
+  Alcotest.(check hit_opt) "a cycle: the simple path" (Some (3, 2, [ 1; 2; 3 ]))
+    (hit (Tr.first_match g ~root:1 (( = ) 3)));
+  (* Cycles must not make this diverge. *)
+  let dry = Tr.first_match g ~root:1 (fun _ -> false) in
+  Alcotest.(check int) "a cycle: each node expanded once" 3 dry.Tr.expansions;
+  Alcotest.(check bool) "running dry is not truncation" false dry.Tr.truncated
+
+let test_first_match_budget () =
+  let g = chain 6 in
+  let run budget = Tr.first_match ~direction:Tr.Backward ~budget g ~root:6 (fun n -> n <= 3) in
+  List.iter
+    (fun (budget, want, expansions, truncated) ->
+      let o = run budget in
+      let where = Printf.sprintf "budget %d" budget in
+      Alcotest.(check hit_opt) (where ^ ": match") want (hit o);
+      Alcotest.(check int) (where ^ ": expansions") expansions o.Tr.expansions;
+      Alcotest.(check bool) (where ^ ": truncated") truncated o.Tr.truncated)
+    [
+      (0, None, 0, true);
+      (2, None, 2, true);
+      (* Expanding the third node reaches the match: the walk stops there. *)
+      (3, Some (3, 3, [ 6; 5; 4; 3 ]), 3, false);
+      (10, Some (3, 3, [ 6; 5; 4; 3 ]), 3, false);
+    ]
+
+let test_ancestors_follow () =
+  let g = diamond () in
+  let anc = Tr.ancestors ~follow:(fun ~src:_ ~dst _ -> dst <> 2) g 4 in
+  Alcotest.(check (list (pair int int))) "the filtered branch is not walked"
+    [ (3, 1); (1, 2) ]
+    anc.Tr.visited
+
 (* --- cycles / topo --- *)
 
 let test_cycle_detection () =
@@ -302,6 +348,9 @@ let suite =
     Alcotest.test_case "ancestors/descendants" `Quick test_ancestors_descendants;
     Alcotest.test_case "dfs postorder" `Quick test_dfs_postorder;
     Alcotest.test_case "first match" `Quick test_first_match;
+    Alcotest.test_case "first match paths" `Quick test_first_match_paths;
+    Alcotest.test_case "first match budget" `Quick test_first_match_budget;
+    Alcotest.test_case "ancestors follow filter" `Quick test_ancestors_follow;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "cycle witness" `Quick test_find_cycle_witness;
     Alcotest.test_case "self loop" `Quick test_self_loop_cycle;
