@@ -268,7 +268,7 @@ let group_commit_arg =
   Arg.(
     value & opt int 1
     & info [ "group-commit" ] ~docv:"N"
-        ~doc:"Flush the WAL once N appends are pending (1 = fsync every append).")
+        ~doc:"Commit the WAL once N appends are pending (1 = a commit, and at most one fsync, per append).")
 
 let cache_capacity_arg =
   Arg.(

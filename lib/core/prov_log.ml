@@ -231,9 +231,8 @@ module Segmented = struct
   (* WAL health metrics: every durability-relevant action ticks a
      counter, so `provctl stats` can report appends/fsyncs/rotations/
      compactions and recovery outcomes without bespoke accounting.
-     [m_fsyncs] ticks once per fsync(2): every sink flush, and the close
-     of each snapshot and manifest file.  Closing a segment after its
-     last commit has nothing left to sync. *)
+     [m_fsyncs] ticks once per fsync(2), at the call: [fsync] below is
+     the WAL's only sync site. *)
   let m_appends = Obs.Metrics.counter Obs.Names.wal_appends
   let m_fsyncs = Obs.Metrics.counter Obs.Names.wal_fsyncs
   let m_rotations = Obs.Metrics.counter Obs.Names.wal_rotations
@@ -245,6 +244,9 @@ module Segmented = struct
   let m_recovered_segments = Obs.Metrics.counter Obs.Names.wal_recovered_segments
   let m_recoveries_truncated = Obs.Metrics.counter Obs.Names.wal_recoveries_truncated
   let h_batch_ops = Obs.Metrics.histogram Obs.Names.wal_batch_ops
+  let h_sync_ns = Obs.Metrics.histogram Obs.Names.wal_sync_ns
+  let h_commit_lag_ns = Obs.Metrics.histogram Obs.Names.wal_commit_lag_ns
+  let h_batches_per_sync = Obs.Metrics.histogram Obs.Names.wal_batches_per_sync
   let g_fsyncs_per_append = Obs.Metrics.gauge Obs.Names.wal_fsyncs_per_append
 
   type config = {
@@ -253,8 +255,7 @@ module Segmented = struct
     group_commit_bytes : int;
   }
 
-  (* group_commit_ops = 1 keeps the historical contract: every append
-     is durable before [append] returns. *)
+  (* group_commit_ops = 1 commits every append as it is made. *)
   let default_config =
     { max_segment_bytes = 256 * 1024; group_commit_ops = 1; group_commit_bytes = 64 * 1024 }
 
@@ -308,20 +309,88 @@ module Segmented = struct
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
+  let ns_since t0 = Int64.to_int (Int64.sub (Provkit_util.Timing.now_ns ()) t0)
+
+  (* The WAL's one fsync site.  The committer thread calls it for
+     commits; the owner calls it for segment headers, snapshot and
+     manifest files and the directory, and only after [durable], while
+     the committer waits for work.  So the counter and the histogram
+     have one writer at a time, ordered by the committer's lock. *)
+  let fsync sync =
+    let t0 = Provkit_util.Timing.now_ns () in
+    sync ();
+    Obs.Metrics.incr m_fsyncs;
+    Obs.Metrics.observe h_sync_ns (ns_since t0)
+
+  let fsync_dir dir = fsync (fun () -> Fio.sync_dir dir)
+
+  (* Write, sync and close a file the WAL writes in one go. *)
+  let persist_file path bytes =
+    let sink = Fio.to_file path in
+    Fio.write sink bytes;
+    Fio.flush sink;
+    fsync (fun () -> Fio.sync (Fio.syncer sink));
+    Fio.close sink
+
   (* The manifest is tiny and names the live files, so it is replaced
      atomically (write-then-rename): a crash leaves either the old or
-     the new manifest, never a torn one.  The sink's close syncs the
-     new file before the rename makes it the manifest. *)
+     the new manifest, never a torn one.  The new file is synced before
+     the rename makes it the manifest, and the directory after it. *)
   let write_manifest ~dir m =
     let buf = Buffer.create 160 in
     Buffer.add_string buf manifest_magic;
     Frame.write Varint buf (encode_manifest m);
     let tmp = Filename.concat dir (manifest_file ^ ".tmp") in
-    let sink = Fio.to_file tmp in
-    Fio.write sink (Buffer.contents buf);
-    Fio.close sink;
-    Obs.Metrics.incr m_fsyncs;
-    Sys.rename tmp (Filename.concat dir manifest_file)
+    persist_file tmp (Buffer.contents buf);
+    Sys.rename tmp (Filename.concat dir manifest_file);
+    fsync_dir dir
+
+  (* What the owner and the committer thread share, under [lock].  The
+     owner hands off a commit once its bytes reached write(2); the
+     committer takes every commit handed off so far, syncs the active
+     segment once for all of them, and publishes [synced]. *)
+  type commits = {
+    lock : Mutex.t;
+    work : Condition.t;  (* a commit was handed off, or [stop] *)
+    progress : Condition.t;  (* [synced] advanced, or a sync failed *)
+    mutable target : Fio.syncer;  (* the active segment's sync half *)
+    mutable handed_off : int;  (* ops whose bytes reached write(2) *)
+    mutable waiting : int64 list;  (* handoff times of unsynced commits *)
+    mutable synced : int;  (* ops known durable *)
+    mutable syncs : int;  (* commit syncs so far *)
+    mutable failure : exn option;  (* a failed sync; sticky *)
+    mutable stop : bool;
+  }
+
+  let rec committer c =
+    Mutex.lock c.lock;
+    while c.waiting = [] && not c.stop do
+      Condition.wait c.work c.lock
+    done;
+    match c.waiting with
+    | [] -> Mutex.unlock c.lock
+    | group ->
+      let upto = c.handed_off and target = c.target in
+      c.waiting <- [];
+      Mutex.unlock c.lock;
+      (match fsync (fun () -> Fio.sync target) with
+      | () ->
+        let now = Provkit_util.Timing.now_ns () in
+        List.iter
+          (fun t -> Obs.Metrics.observe h_commit_lag_ns (Int64.to_int (Int64.sub now t)))
+          group;
+        Obs.Metrics.observe h_batches_per_sync (List.length group);
+        Mutex.protect c.lock (fun () ->
+            c.synced <- upto;
+            c.syncs <- c.syncs + 1;
+            Obs.Metrics.set_gauge g_fsyncs_per_append
+              (float_of_int c.syncs /. float_of_int (max 1 upto));
+            Condition.broadcast c.progress)
+      | exception e ->
+        Mutex.protect c.lock (fun () ->
+            c.failure <- Some e;
+            Condition.broadcast c.progress));
+      committer c
 
   type handle = {
     dir : string;
@@ -331,26 +400,33 @@ module Segmented = struct
     mutable active_bytes : int;
     mutable next_index : int;
     mutable appended : int;
-    mutable pending_ops : int;  (* appends written but not yet flushed *)
+    mutable pending_ops : int;  (* appends written to the sink, not yet committed *)
     mutable pending_bytes : int;
-    mutable batch_fsyncs : int;  (* append-driven fsyncs (headers excluded) *)
+    commits : commits;
+    mutable thread : Thread.t option;  (* the committer; [None] once closed *)
     scratch : Buffer.t;
   }
 
   let segment_file i = Printf.sprintf "segment-%06d.log" i
   let snapshot_file gen = Printf.sprintf "snapshot-%06d.db" gen
 
+  (* Only ever called after [durable] (or before any append): no commit
+     is in flight, so the committer is idle while the target changes. *)
   let start_segment h =
     let name = segment_file h.next_index in
     h.next_index <- h.next_index + 1;
     let sink = Fio.to_file (Filename.concat h.dir name) in
     Fio.write sink magic_v2;
     Fio.flush sink;
-    Obs.Metrics.incr m_fsyncs;
+    let target = Fio.syncer sink in
+    fsync (fun () -> Fio.sync target);
+    (* The segment's directory entry is durable before a manifest names
+       it, and so before any commit in it can be reported synced. *)
+    fsync_dir h.dir;
     Obs.Metrics.add m_bytes (String.length magic_v2);
     h.active <- sink;
+    Mutex.protect h.commits.lock (fun () -> h.commits.target <- target);
     h.active_bytes <- String.length magic_v2;
-    (* Segment file exists before the manifest names it. *)
     h.manifest <- { h.manifest with segments = h.manifest.segments @ [ name ] };
     write_manifest ~dir:h.dir h.manifest
 
@@ -372,18 +448,34 @@ module Segmented = struct
   let open_ ?(config = default_config) dir =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let manifest = read_manifest dir in
+    let placeholder = Fio.to_buffer (Buffer.create 1) in
+    let commits =
+      {
+        lock = Mutex.create ();
+        work = Condition.create ();
+        progress = Condition.create ();
+        target = Fio.syncer placeholder;
+        handed_off = 0;
+        waiting = [];
+        synced = 0;
+        syncs = 0;
+        failure = None;
+        stop = false;
+      }
+    in
     let h =
       {
         dir;
         config;
         manifest;
-        active = Fio.to_buffer (Buffer.create 1);
+        active = placeholder;
         active_bytes = 0;
         next_index = next_index_of manifest;
         appended = 0;
         pending_ops = 0;
         pending_bytes = 0;
-        batch_fsyncs = 0;
+        commits;
+        thread = None;
         scratch = Buffer.create 128;
       }
     in
@@ -391,6 +483,7 @@ module Segmented = struct
        bytes after a torn frame are unreachable to recovery.  A fresh
        segment keeps every new record behind a verified prefix. *)
     start_segment h;
+    h.thread <- Some (Thread.create committer commits);
     h
 
   let active_sink h = h.active
@@ -398,12 +491,14 @@ module Segmented = struct
   let generation h = h.manifest.generation
   let appended h = h.appended
   let pending h = h.pending_ops
+  let synced h = Mutex.protect h.commits.lock (fun () -> h.commits.synced)
 
-  (* Group commit: persist every written-but-unflushed append with one
-     sink flush.  The batch-size histogram and the fsyncs-per-append
-     gauge are the ground truth the bench rows and provctl stats report
-     — a flush of k ops is one fsync amortized over k appends. *)
-  let flush_pending h =
+  (* The one commit path.  The write half runs here: the bytes appended
+     since the last commit go to write(2) once.  The sync half is handed
+     to the committer thread, and commits handed off while a sync is in
+     flight share the next one.  The batch-size histogram counts ops per
+     commit. *)
+  let commit h =
     if h.pending_ops > 0 then begin
       let ops = h.pending_ops in
       if ops > 1 then
@@ -413,18 +508,28 @@ module Segmented = struct
       else Fio.flush h.active;
       h.pending_ops <- 0;
       h.pending_bytes <- 0;
-      h.batch_fsyncs <- h.batch_fsyncs + 1;
-      Obs.Metrics.incr m_fsyncs;
       Obs.Metrics.observe h_batch_ops ops;
-      if h.appended > 0 then
-        Obs.Metrics.set_gauge g_fsyncs_per_append
-          (float_of_int h.batch_fsyncs /. float_of_int h.appended)
+      let c = h.commits and now = Provkit_util.Timing.now_ns () in
+      Mutex.protect c.lock (fun () ->
+          c.handed_off <- h.appended;
+          c.waiting <- now :: c.waiting;
+          Condition.signal c.work)
     end
 
-  let durable h = flush_pending h
+  let durable h =
+    commit h;
+    let c = h.commits in
+    let failure =
+      Mutex.protect c.lock (fun () ->
+          while c.synced < c.handed_off && Option.is_none c.failure do
+            Condition.wait c.progress c.lock
+          done;
+          c.failure)
+    in
+    Option.iter raise failure
 
   let rotate h =
-    flush_pending h;
+    durable h;
     Fio.close h.active;
     Obs.Metrics.incr m_rotations;
     start_segment h
@@ -433,7 +538,7 @@ module Segmented = struct
     if
       h.pending_ops >= h.config.group_commit_ops
       || h.pending_bytes >= h.config.group_commit_bytes
-    then flush_pending h;
+    then commit h;
     if h.active_bytes >= h.config.max_segment_bytes then rotate h
 
   let append h op =
@@ -449,7 +554,7 @@ module Segmented = struct
     Obs.Timeseries.pulse ();
     maybe_commit h
 
-  (* One sink write and (at most) one flush for the whole list: the
+  (* One sink write and (at most) one commit for the whole list: the
      batch ingest path.  A crash mid-batch tears within that single
      write, so recovery keeps a frame-aligned prefix of it. *)
   let append_batch h ops =
@@ -472,24 +577,23 @@ module Segmented = struct
 
   let write_snapshot h store =
     let name = snapshot_file (h.manifest.generation + 1) in
-    let sink = Fio.to_file (Filename.concat h.dir name) in
-    Fio.write sink snapshot_magic;
     let buf = Buffer.create 4096 in
+    Buffer.add_string buf snapshot_magic;
     Frame.write Varint buf (Relstore.Database.to_bytes (Prov_schema.to_database store));
-    Fio.write sink (Buffer.contents buf);
-    Fio.close sink;
-    Obs.Metrics.incr m_fsyncs;
+    persist_file (Filename.concat h.dir name) (Buffer.contents buf);
     Obs.Metrics.incr m_snapshots;
-    Obs.Metrics.add m_bytes (String.length snapshot_magic + Buffer.length buf);
+    Obs.Metrics.add m_bytes (Buffer.length buf);
     name
 
   (* Compaction: persist the live store as a checksummed snapshot, then
      truncate the tail — old segments (and the previous snapshot) are
-     dropped and appending continues into a fresh, empty segment. *)
+     dropped and appending continues into a fresh, empty segment.  The
+     new segment's directory sync also persists the snapshot's entry,
+     before the manifest names either. *)
   let compact h store =
     Obs.Trace.with_span Obs.Names.span_wal_compact ~attrs:[ ("dir", h.dir) ] (fun () ->
         let old = h.manifest in
-        flush_pending h;
+        durable h;
         let snap = write_snapshot h store in
         Fio.close h.active;
         h.manifest <-
@@ -501,10 +605,19 @@ module Segmented = struct
         in
         List.iter remove old.segments;
         Option.iter remove old.snapshot;
+        fsync_dir h.dir;
         Obs.Metrics.incr m_compactions)
 
   let close h =
-    flush_pending h;
+    durable h;
+    Option.iter
+      (fun thread ->
+        Mutex.protect h.commits.lock (fun () ->
+            h.commits.stop <- true;
+            Condition.signal h.commits.work);
+        Thread.join thread;
+        h.thread <- None)
+      h.thread;
     Fio.close h.active
 
   type recovery = {

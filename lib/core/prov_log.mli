@@ -120,10 +120,21 @@ val compact : Prov_store.t -> Relstore.Database.t * t
     truncates the tail.
 
     Every file is written through one append-only
-    {!Provkit_util.Faulty_io} sink.  A commit writes only the bytes
-    appended since the previous commit, once, and [fsync]s the segment;
-    snapshot and manifest files are synced when their sink closes,
-    before the manifest rename publishes them.  The same sinks carry the
+    {!Provkit_util.Faulty_io} sink.  Commits are pipelined, as database
+    group commit is.  A commit has two halves: the caller's thread (the
+    owner) writes the bytes appended since the previous commit to the
+    segment once, with [write(2)], and hands the sync off; a committer
+    thread in the same domain [fsync]s the segment.  Commits handed off
+    while a sync is in flight join the next sync, so one [fsync] can
+    cover several commits.  {!Segmented.append} therefore returns
+    before its commit is durable; {!Segmented.synced} says how many ops
+    are, and {!Segmented.durable} waits for all of them.
+
+    Segment headers, snapshot and manifest files are synced by the
+    owner before the manifest rename publishes them, and the directory
+    is synced after each segment is created, after each manifest rename
+    and after compaction removes files, so no commit is reported synced
+    before its segment's directory entry is.  The same sinks carry the
     fault model, so tests (and [provctl wal --inject-fault]) can crash,
     tear, or flip the stream and measure what {!Segmented.recover}
     salvages. *)
@@ -132,61 +143,71 @@ module Segmented : sig
   type config = {
     max_segment_bytes : int;  (** rotate beyond this size *)
     group_commit_ops : int;
-        (** commit (write + [fsync]) once at least this many appends
-            are pending; [1] (the default) makes every append
-            individually durable before {!append} returns *)
+        (** commit once at least this many appends are pending; [1]
+            (the default) commits every append as it is made *)
     group_commit_bytes : int;
         (** ... or once this many pending bytes accumulate, whichever
             trigger fires first *)
   }
 
   val default_config : config
-  (** 256 KiB segments, group-commit off ([group_commit_ops = 1],
-      [group_commit_bytes = 64] KiB). *)
+  (** 256 KiB segments, a commit per append ([group_commit_ops = 1],
+      [group_commit_bytes = 64] KiB).  An append is durable once
+      {!synced} counts it, not when {!append} returns. *)
 
   type handle
 
   val open_ : ?config:config -> string -> handle
-  (** Open (creating if needed) a WAL directory for appending.  A fresh
-      active segment is always started: recovered segments may end in a
-      torn frame, and nothing may be appended after unverifiable
-      bytes. *)
+  (** Open (creating if needed) a WAL directory for appending, and start
+      the handle's committer thread.  A fresh active segment is always
+      started: recovered segments may end in a torn frame, and nothing
+      may be appended after unverifiable bytes. *)
 
   val append : handle -> op -> unit
-  (** Frame, checksum, and write one operation; flushed according to the
-      group-commit triggers ([group_commit_ops = 1] flushes before
-      returning, the historical behaviour).  Rotates the active segment
-      when the size budget is exceeded (pending appends are flushed
-      first: a rotation never strands undurable ops in a closed
-      segment). *)
+  (** Frame, checksum, and write one operation to the sink; when a
+      group-commit trigger fires, commit: [write(2)] the pending bytes
+      and hand their sync to the committer.  Returns once the commit is
+      handed off, before it is durable.  Rotates the active segment
+      when the size budget is exceeded (waiting for {!durable} first: a
+      rotation never strands unsynced ops in a closed segment). *)
 
   val append_batch : handle -> op list -> unit
-  (** Append a whole list with one sink write and at most one flush —
+  (** Append a whole list with one sink write and at most one commit —
       the amortized ingest path.  A crash mid-batch can tear the batch;
       recovery keeps a frame-aligned prefix of it. *)
 
   val durable : handle -> unit
-  (** Barrier: flush any pending appends now.  After [durable] returns,
-      every append made so far survives a crash (modulo injected
-      faults).  A no-op when nothing is pending. *)
+  (** Barrier: commit any pending appends, then wait until every commit
+      handed off so far is synced.  After [durable] returns, every
+      append made so far survives a crash (modulo injected faults).
+      Raises the error of a failed [fsync], if any. *)
+
+  val synced : handle -> int
+  (** Ops known durable: every op up to this count was covered by a
+      completed [fsync] of its segment.  Callable from any thread. *)
 
   val pending : handle -> int
-  (** Appends written to the active sink but not yet flushed — what a
-      crash right now would lose. *)
+  (** Appends written to the active sink but not yet committed: no
+      sync covers them until the next commit hands them off. *)
 
   val attach : handle -> Prov_store.t -> unit
   (** Mirror every subsequent mutation of the store into the WAL. *)
 
   val rotate : handle -> unit
-  (** Force a segment boundary (normally automatic). *)
+  (** Force a segment boundary (normally automatic).  Calls {!durable}
+      first. *)
 
   val compact : handle -> Prov_store.t -> unit
-  (** Write a checksummed snapshot of [store], point the manifest at it,
-      drop all previous segments and snapshot, and continue appending
-      into an empty segment. *)
+  (** Wait for {!durable}, write a checksummed snapshot of [store],
+      point the manifest at it, drop all previous segments and
+      snapshot, and continue appending into an empty segment. *)
 
   val close : handle -> unit
-  (** Flushes pending appends, then closes the active sink. *)
+  (** Wait for {!durable}, stop and join the committer thread, then
+      close the active sink.  A handle that is never closed (a crash
+      test abandoning it) keeps its idle committer thread: that does
+      not keep the process from exiting, but a domain cannot be joined
+      while it runs one. *)
 
   val segments : handle -> string list
   (** Live segment file names, oldest first. *)

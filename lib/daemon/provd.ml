@@ -239,43 +239,55 @@ let ingest_loop ctl =
       owner_jobs = 0;
     }
   in
+  (* One batch, traced as [daemon.batch] with one child span per stage:
+     capture, fold (matviews and the live image), the WAL write and, on
+     the publish cadence, the snapshot.  The WAL stage ends once the
+     batch's bytes are written and its sync is handed off: the snapshot
+     publishes without waiting for that sync (see provd.mli). *)
+  let ingest_batch batch =
+    let ops =
+      Obs.Trace.with_span Obs.Names.span_daemon_capture (fun () ->
+          pending := [];
+          Core.Capture.handle_batch capture batch;
+          List.rev !pending)
+    in
+    Obs.Trace.with_span Obs.Names.span_daemon_fold (fun () ->
+        Relstore.Matview.feed_batch views ops;
+        List.iter (Core.Prov_schema.apply image) ops);
+    Option.iter
+      (fun h ->
+        Obs.Trace.with_span Obs.Names.span_daemon_wal (fun () -> PL.Segmented.append_batch h ops))
+      wal;
+    state.applied_rev <- List.rev_append batch state.applied_rev;
+    state.seq <- state.seq + List.length batch;
+    state.batches <- state.batches + 1;
+    state.batch_seqs_rev <- state.seq :: state.batch_seqs_rev;
+    Obs.Metrics.add m_events (List.length batch);
+    Obs.Metrics.incr m_batches;
+    Obs.Metrics.set_gauge g_depth (float_of_int (Event_queue.depth ctl.c_queue));
+    (* Owner jobs requested by the background runner run here, at a
+       batch boundary, so they can never interleave with a batch. *)
+    (if Atomic.exchange ctl.c_compact_req false then
+       match wal with
+       | Some h ->
+         PL.Segmented.compact h store;
+         state.owner_jobs <- state.owner_jobs + 1;
+         Obs.Metrics.incr m_jobs
+       | None -> ());
+    if Atomic.exchange ctl.c_rebuild_req false then begin
+      Relstore.Matview.rebuild views (PL.ops_of_store store);
+      state.owner_jobs <- state.owner_jobs + 1;
+      Obs.Metrics.incr m_jobs
+    end;
+    if state.batches mod cfg.snapshot_every = 0 then publish state ctl image
+  in
   let rec loop () =
     match Event_queue.pop_batch ctl.c_queue ~max:cfg.batch_size with
     | [] -> ()
     | batch ->
       Obs.Trace.with_span Obs.Names.span_daemon_batch
         ~attrs:[ ("events", string_of_int (List.length batch)) ]
-        (fun () ->
-          pending := [];
-          Core.Capture.handle_batch capture batch;
-          let ops = List.rev !pending in
-          Relstore.Matview.feed_batch views ops;
-          List.iter (Core.Prov_schema.apply image) ops;
-          match wal with
-          | Some h -> PL.Segmented.append_batch h ops
-          | None -> ());
-      state.applied_rev <- List.rev_append batch state.applied_rev;
-      state.seq <- state.seq + List.length batch;
-      state.batches <- state.batches + 1;
-      state.batch_seqs_rev <- state.seq :: state.batch_seqs_rev;
-      Obs.Metrics.add m_events (List.length batch);
-      Obs.Metrics.incr m_batches;
-      Obs.Metrics.set_gauge g_depth (float_of_int (Event_queue.depth ctl.c_queue));
-      (* Owner jobs requested by the background runner run here, at a
-         batch boundary, so they can never interleave with a batch. *)
-      (if Atomic.exchange ctl.c_compact_req false then
-         match wal with
-         | Some h ->
-           PL.Segmented.compact h store;
-           state.owner_jobs <- state.owner_jobs + 1;
-           Obs.Metrics.incr m_jobs
-         | None -> ());
-      if Atomic.exchange ctl.c_rebuild_req false then begin
-        Relstore.Matview.rebuild views (PL.ops_of_store store);
-        state.owner_jobs <- state.owner_jobs + 1;
-        Obs.Metrics.incr m_jobs
-      end;
-      if state.batches mod cfg.snapshot_every = 0 then publish state ctl image;
+        (fun () -> ingest_batch batch);
       Mutex.protect ctl.c_bg_lock (fun () ->
           ctl.c_bg_batches <- state.batches;
           Condition.signal ctl.c_bg_cond);
@@ -283,8 +295,8 @@ let ingest_loop ctl =
   in
   loop ();
   (* The queue is closed and drained: publish the final snapshot (so
-     readers and the equivalence tests see every event), make the WAL
-     durable, and hand the owner state to the supervisor. *)
+     readers and the equivalence tests see every event), wait until the
+     WAL is durable, and hand the owner state to the supervisor. *)
   publish state ctl image;
   Obs.Metrics.set_gauge g_depth 0.0;
   let wal_appended =

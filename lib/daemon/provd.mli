@@ -14,8 +14,20 @@
     {!start} reuses it ({!Worker_pool}).
 
     {!wait} runs the clean shutdown: sessions finish, the queue closes,
-    the ingest loop drains every remaining event and makes the WAL
-    durable, then background and readers stop.  Nothing is dropped. *)
+    the ingest loop drains every remaining event and waits until the
+    WAL is durable, then background and readers stop.  Nothing is
+    dropped.
+
+    {b Durability versus publication.}  The ingest loop writes each
+    batch's WAL commit and hands its [fsync] to the WAL's committer
+    thread ({!Core.Prov_log.Segmented}), then goes on to the next batch
+    while the sync runs.  A snapshot publishes without waiting for
+    that sync, so a reader can see a batch that a power cut would still
+    lose.  That is safe because every reader is a domain of this same
+    process: no reader outlives a crash that loses a non-durable batch,
+    and after a restart the first snapshot is the recovered prefix.
+    Each report is made only after [Segmented.durable], so its
+    [r_wal_appended] ops are all durable. *)
 
 type config = {
   sessions : int;

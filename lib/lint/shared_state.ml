@@ -38,6 +38,8 @@ let manifest =
       "monotonic-clamp fallback state; any thread reading the clock races the clamp";
     e "lib/util/faulty_io.ml" "fault_hook" Single_writer
       "installed once by the test harness / flight recorder before I/O starts";
+    e "lib/util/faulty_io.ml" "sync_hook" Single_writer
+      "installed by a test before the syncs it observes, then only read (also by committer threads)";
     (* webmodel — constant palettes; arrays are mutable-typed, so they
        belong in the audit even though nothing ever writes them *)
     e "lib/webmodel/topic.ml" "onsets" Read_only_after_init "constant syllable palette";

@@ -40,6 +40,9 @@ let wal_recovered_segments = "prov.wal.recoveries.segments"
 let wal_recoveries_truncated = "prov.wal.recoveries.truncated"
 let wal_batch_ops = "prov.wal.batch.ops"
 let wal_fsyncs_per_append = "prov.wal.fsyncs.per_append"
+let wal_sync_ns = "prov.wal.sync_ns"
+let wal_commit_lag_ns = "prov.wal.commit_lag_ns"
+let wal_batches_per_sync = "prov.wal.batches_per_sync"
 
 (* --- query execution --- *)
 
@@ -136,6 +139,9 @@ let all =
     wal_recoveries_truncated;
     wal_batch_ops;
     wal_fsyncs_per_append;
+    wal_sync_ns;
+    wal_commit_lag_ns;
+    wal_batches_per_sync;
     query_count;
     query_full_scan;
     query_index_eq;
@@ -196,6 +202,9 @@ let span_wal_flush = "wal.flush"
 let span_stats_analyze = "stats.analyze"
 let span_daemon_batch = "daemon.batch"
 let span_daemon_snapshot = "daemon.snapshot"
+let span_daemon_capture = "daemon.capture"
+let span_daemon_fold = "daemon.fold"
+let span_daemon_wal = "daemon.wal"
 
 (* --- alert rule ids --- *)
 

@@ -32,8 +32,10 @@ val wal_appends : string
 (** Ops appended to a segmented WAL. *)
 
 val wal_fsyncs : string
-(** [fsync(2)] calls issued by the segmented WAL: one per commit and
-    one per snapshot or manifest file written. *)
+(** [fsync(2)] calls issued by the segmented WAL, counted where each is
+    made: commit syncs (one covers every commit handed off while the
+    previous one ran), one per segment header, snapshot or manifest
+    file written, and one per directory sync. *)
 
 val wal_rotations : string
 
@@ -54,12 +56,23 @@ val wal_recoveries_truncated : string
 (** Recoveries that stopped at a damaged frame. *)
 
 val wal_batch_ops : string
-(** Histogram of ops persisted per group-commit flush. *)
+(** Histogram of ops per commit (one group-commit trigger). *)
 
 val wal_fsyncs_per_append : string
-(** Gauge: fsyncs issued per op appended over a handle's lifetime; 1.0
-    means one fsync for every append, lower means group-commit is
-    amortizing. *)
+(** Gauge: commit syncs per op synced over a handle's lifetime; 1.0
+    means one fsync for every append, lower means group commit and
+    sync coalescing are amortizing. *)
+
+val wal_sync_ns : string
+(** Histogram: wall time of each WAL [fsync(2)], in nanoseconds. *)
+
+val wal_commit_lag_ns : string
+(** Histogram: per commit, nanoseconds from its handoff to the
+    committer thread until the sync covering it returned. *)
+
+val wal_batches_per_sync : string
+(** Histogram: commits covered by each commit sync — above 1 when
+    commits queued while the previous sync ran. *)
 
 val query_count : string
 (** Query_exec operations executed (select/count/join/group_count). *)
@@ -210,7 +223,19 @@ val span_stats_analyze : string
 (** Statistics-catalog analyze passes ([Relstore.Stats.analyze]). *)
 
 val span_daemon_batch : string
-(** One provd ingest batch: drain, capture, WAL group commit. *)
+(** One provd ingest batch; its children are {!span_daemon_capture},
+    {!span_daemon_fold}, {!span_daemon_wal} and, every
+    [snapshot_every] batches, {!span_daemon_snapshot}. *)
+
+val span_daemon_capture : string
+(** [Capture.handle_batch] of one provd batch. *)
+
+val span_daemon_fold : string
+(** The matview feed and live-image apply of one provd batch. *)
+
+val span_daemon_wal : string
+(** The WAL append of one provd batch: frame encoding, the [write(2)]
+    and the handoff of its sync, not the sync itself. *)
 
 val span_daemon_snapshot : string
 (** Publication of a fresh provd read snapshot. *)

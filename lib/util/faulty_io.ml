@@ -20,7 +20,6 @@ type sink = {
   mutable final_write : int;  (* stream offset of the final write; -1 before any *)
   mutable on_disk : int;  (* bytes the destination holds *)
   mutable flipped : int list;  (* offsets the destination holds complemented *)
-  mutable dirty : bool;  (* destination changed since the last fsync *)
   mutable closed : bool;
 }
 
@@ -34,7 +33,6 @@ let create ?(faults = []) dest =
     final_write = -1;
     on_disk = 0;
     flipped = [];
-    dirty = false;
     closed = false;
   }
 
@@ -55,8 +53,7 @@ let append t b =
   (match t.dest with
   | To_buffer buf -> Buffer.add_bytes buf b
   | To_file { fd; _ } -> ignore (Unix.write fd b 0 (Bytes.length b)));
-  t.on_disk <- t.on_disk + Bytes.length b;
-  t.dirty <- true
+  t.on_disk <- t.on_disk + Bytes.length b
 
 let cut t n =
   (match t.dest with
@@ -65,8 +62,7 @@ let cut t n =
     Unix.ftruncate fd n;
     ignore (Unix.lseek fd n Unix.SEEK_SET));
   t.on_disk <- n;
-  t.flipped <- List.filter (fun k -> k < n) t.flipped;
-  t.dirty <- true
+  t.flipped <- List.filter (fun k -> k < n) t.flipped
 
 (* Complement one byte already on the destination (a flip armed after
    its offset was persisted, or a repeated flip undoing it). *)
@@ -85,12 +81,7 @@ let toggle t k =
     Bytes.set b 0 (flip (Bytes.get b 0));
     ignore (Unix.lseek fd k Unix.SEEK_SET);
     ignore (Unix.write fd b 0 1);
-    ignore (Unix.lseek fd t.on_disk Unix.SEEK_SET));
-  t.dirty <- true
-
-let sync t =
-  (match t.dest with To_buffer _ -> () | To_file { fd; _ } -> Unix.fsync fd);
-  t.dirty <- false
+    ignore (Unix.lseek fd t.on_disk Unix.SEEK_SET))
 
 (* Bring the destination to [stream[0, len) ^ extra], cut at the
    crash point, with the armed flips applied.  Faults only accumulate,
@@ -145,8 +136,29 @@ let flush t =
   fail_closed t "flush";
   settle t ~len:t.written ~extra:"";
   t.flushed <- t.written;
-  Buffer.clear t.pending;
-  sync t
+  Buffer.clear t.pending
+
+(* --- the sync half: touches only the file descriptor --- *)
+
+type synced = File of string | Dir of string
+type syncer = (string * Unix.file_descr) option
+
+let syncer t = match t.dest with To_file { path; fd } -> Some (path, fd) | To_buffer _ -> None
+
+let sync_hook : (synced -> unit) option ref = ref None
+let set_sync_hook f = sync_hook := f
+
+(* Every fsync(2) this module makes goes through here, so the hook sees
+   each syscall once, on whichever thread issued it. *)
+let fsync fd what =
+  Unix.fsync fd;
+  match !sync_hook with None -> () | Some h -> h what
+
+let sync = Option.iter (fun (path, fd) -> fsync fd (File path))
+
+let sync_dir path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> fsync fd (Dir path))
 
 (* Observers (e.g. the flight recorder) register here to learn that an
    armed fault was actually applied.  A plain hook keeps the dependency
@@ -174,7 +186,6 @@ let close t =
       else ""
     in
     settle t ~len ~extra;
-    if t.dirty then sync t;
     (match t.dest with To_buffer _ -> () | To_file { fd; _ } -> Unix.close fd);
     Buffer.reset t.pending;
     t.closed <- true;

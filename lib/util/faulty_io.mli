@@ -2,10 +2,18 @@
 
     A {!sink} is a file opened for writing — {!write}, {!flush},
     {!close}.  {!write} only buffers; {!flush} hands the bytes written
-    since the previous flush to [write(2)] once and then [fsync]s the
-    file, so its cost is the new bytes plus one sync, whatever the file
-    already holds.  {!close} does the same for anything still buffered
-    and closes the descriptor.  Nothing already on disk is rewritten.
+    since the previous flush to [write(2)] once, so its cost is the new
+    bytes, whatever the file already holds.  {!close} does the same for
+    anything still buffered and closes the descriptor.  Nothing already
+    on disk is rewritten.
+
+    Durability is the separate sync half.  {!syncer} takes the sink's
+    file descriptor and nothing else, so {!sync} may run on another
+    thread while the sink's owner keeps writing: every piece of sink
+    bookkeeping stays with the owner.  [write]/[flush]/[close] are not
+    thread-safe and never [fsync]; a caller that needs bytes durable
+    flushes them and then syncs.  {!sync_dir} persists a directory's
+    entries (a created or renamed file).
 
     The same sink can be told to damage its output the way real storage
     stacks do under failure: die mid-stream, tear the final write, flip
@@ -15,7 +23,8 @@
     truncating it, complementing a byte in place, or appending.  The
     durability tests and [provctl wal --inject-fault] drive the WAL
     through this one sink, so they exercise the write path production
-    runs. *)
+    runs.  The fault model covers file contents only: a lost directory
+    entry is not modelled. *)
 
 type fault =
   | Crash_after_bytes of int
@@ -50,13 +59,41 @@ val write : sink -> string -> unit
 (** Buffer bytes; nothing reaches the destination before a flush. *)
 
 val flush : sink -> unit
-(** Write the bytes since the last flush (fault-adjusted), then [fsync].
+(** The write half of a commit: hand the bytes since the last flush
+    (fault-adjusted) to [write(2)].  No [fsync] — see {!sync}.
     Close-time faults — torn final write, duplicated flush tail — are
-    not yet applied. *)
+    not yet applied.  Owner only. *)
+
+type syncer
+(** A sink's sync half: its file descriptor, nothing else. *)
+
+val syncer : sink -> syncer
+(** Valid until the sink is closed.  A buffer sink's syncer does
+    nothing. *)
+
+val sync : syncer -> unit
+(** [fsync(2)] the file: every byte flushed before the call is durable
+    when it returns.  Touches no sink state, so one other thread may
+    call it while the owner writes and flushes; [Unix.fsync] releases
+    the runtime lock while it waits. *)
+
+val sync_dir : string -> unit
+(** [fsync(2)] a directory, making the entries created, renamed or
+    removed in it so far durable. *)
+
+type synced = File of string | Dir of string  (** the path synced *)
+
+val set_sync_hook : (synced -> unit) option -> unit
+(** Register an observer called after every successful [fsync(2)] this
+    module makes, on the thread that made it ({!sync} may run on a
+    committer thread, so the observer must be thread-safe).  Tests use
+    it to count the syscalls and to see their order; [None]
+    unregisters. *)
 
 val close : sink -> unit
-(** Apply close-time faults and write what is still buffered; [fsync]
-    if that changed the destination; close the file.  Idempotent. *)
+(** Apply close-time faults, write what is still buffered and close the
+    file.  No [fsync]: sync before closing whatever must be durable.
+    Idempotent. *)
 
 val contents : sink -> string
 (** The bytes the destination currently holds. *)

@@ -159,12 +159,16 @@ let test_wal_counters_ground_truth () =
   let rec_ops0 = count Names.wal_recovered_ops in
   let rec_segs0 = count Names.wal_recovered_segments in
   let truncated0 = count Names.wal_recoveries_truncated in
-  let handle = Seg.open_ ~config:{ Seg.default_config with Seg.max_segment_bytes = 2048 } dir in
-  let store = Store.create () in
-  Seg.attach handle store;
-  let rng = Test_seed.prng ~salt:81 in
-  drive store rng 150;
-  Seg.close handle;
+  let handle, syncs =
+    Test_wal.with_sync_log (fun events ->
+        let handle = Seg.open_ ~config:{ Seg.default_config with Seg.max_segment_bytes = 2048 } dir in
+        let store = Store.create () in
+        Seg.attach handle store;
+        let rng = Test_seed.prng ~salt:81 in
+        drive store rng 150;
+        Seg.close handle;
+        (handle, events ()))
+  in
   let appended = Seg.appended handle in
   let live_segments = List.length (Seg.segments handle) in
   Alcotest.(check int) "append counter = ops the WAL accepted" appended
@@ -172,8 +176,26 @@ let test_wal_counters_ground_truth () =
   Alcotest.(check int) "one rotation per segment after the first"
     (live_segments - 1)
     (count Names.wal_rotations - rotations0);
-  Alcotest.(check bool) "an fsync for every append (plus headers)" true
-    (count Names.wal_fsyncs - fsyncs0 >= appended);
+  (* Commits coalesce while a sync runs, so the commit syncs number
+     between one and one per append (the default config commits every
+     append); each segment adds its header sync and two directory
+     syncs, and its manifest one more. *)
+  Alcotest.(check int) "fsync counter = fsync syscalls" (List.length syncs)
+    (count Names.wal_fsyncs - fsyncs0);
+  let segment_syncs =
+    List.length
+      (List.filter
+         (function
+           | Provkit_util.Faulty_io.File p -> Filename.check_suffix p ".log"
+           | Provkit_util.Faulty_io.Dir _ -> false)
+         syncs)
+  in
+  let commit_syncs = segment_syncs - live_segments in
+  Alcotest.(check bool) "at most one fsync per commit" true
+    (commit_syncs >= 1 && commit_syncs <= appended);
+  Alcotest.(check int) "a header, a manifest and two directory syncs per segment"
+    (4 * live_segments)
+    (List.length syncs - commit_syncs);
   let on_disk =
     List.fold_left
       (fun acc entry ->

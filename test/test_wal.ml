@@ -59,6 +59,23 @@ let with_metrics_on f =
   Provkit_obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Provkit_obs.Metrics.set_enabled was) f
 
+(* Every fsync(2) Faulty_io makes while [f] runs, in order, as the
+   sync hook reports them (from the owner and the committer thread). *)
+let with_sync_log f =
+  let lock = Mutex.create () and log = ref [] in
+  F.set_sync_hook (Some (fun e -> Mutex.protect lock (fun () -> log := e :: !log)));
+  let events () = Mutex.protect lock (fun () -> List.rev !log) in
+  Fun.protect ~finally:(fun () -> F.set_sync_hook None) (fun () -> f events)
+
+let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs
+
+(* Commits handed off so far: one [prov.wal.batch.ops] sample each. *)
+let commits () =
+  Provkit_obs.Metrics.hist_count
+    (Provkit_obs.Metrics.histogram Provkit_obs.Names.wal_batch_ops)
+
+let dir_syncs events = List.length (List.filter (function F.Dir _ -> true | F.File _ -> false) events)
+
 let check_parity ~msg live recovered =
   Alcotest.(check int) (msg ^ ": node parity") (Store.node_count live)
     (Store.node_count recovered);
@@ -98,22 +115,34 @@ let test_compaction () =
           feed event;
           if i = half then begin
             let before = List.length (Seg.segments handle) in
-            let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs in
+            (* Settle the commits in flight first, so every sync below
+               belongs to the compaction or the rotation. *)
+            Seg.durable handle;
             with_metrics_on (fun () ->
-                let c0 = fsyncs () in
-                Seg.compact handle store;
-                (* Snapshot close, new segment header, manifest close;
-                   the old segment was synced by its last commit. *)
-                Alcotest.(check int) "compaction syncs snapshot, segment and manifest" 3
-                  (fsyncs () - c0));
+                with_sync_log (fun events ->
+                    let c0 = fsyncs () in
+                    Seg.compact handle store;
+                    (* Snapshot, new segment header and manifest files;
+                       the directory after the segment is created, after
+                       the manifest rename and after the removals. *)
+                    Alcotest.(check int) "compaction syncs three files and the directory thrice" 6
+                      (fsyncs () - c0);
+                    Alcotest.(check int) "compaction's directory syncs" 3 (dir_syncs (events ()));
+                    Alcotest.(check int) "fsync counter = fsync syscalls" (List.length (events ()))
+                      (fsyncs () - c0)));
             Alcotest.(check int) "compaction bumps the generation" 1 (Seg.generation handle);
             Alcotest.(check bool) "compaction drops old segments" true
               (List.length (Seg.segments handle) < before);
+            Seg.durable handle;
             with_metrics_on (fun () ->
-                let c0 = fsyncs () in
-                Seg.rotate handle;
-                Alcotest.(check int) "rotation syncs segment header and manifest" 2
-                  (fsyncs () - c0))
+                with_sync_log (fun events ->
+                    let c0 = fsyncs () in
+                    Seg.rotate handle;
+                    Alcotest.(check int) "rotation syncs header, manifest and the directory twice" 4
+                      (fsyncs () - c0);
+                    Alcotest.(check int) "rotation's directory syncs" 2 (dir_syncs (events ()));
+                    Alcotest.(check int) "fsync counter = fsync syscalls" (List.length (events ()))
+                      (fsyncs () - c0)))
           end)
         events;
       Seg.close handle;
@@ -303,9 +332,11 @@ let make_ops ~salt rounds =
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-(* One fsync per [group_commit_ops] appends, counted against the obs
-   counter (the acceptance criterion's ground truth), plus the explicit
-   [durable] barrier for the tail. *)
+(* A commit per [group_commit_ops] appends, and at most one fsync per
+   commit: commits handed off while a sync runs share the next one, so
+   the sync count itself depends on thread timing.  What stays exact:
+   the commits each trigger requests, the counter against the syscalls
+   made, and [synced] after the [durable] barrier. *)
 let test_group_commit_fsync_count () =
   with_temp_dir (fun dir ->
       with_metrics_on (fun () ->
@@ -320,19 +351,25 @@ let test_group_commit_fsync_count () =
             }
           in
           let h = Seg.open_ ~config dir in
-          let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs in
-          let c0 = fsyncs () in
-          List.iter (Seg.append h) ops;
-          Alcotest.(check int) "20 appends at G=8 cost 2 fsyncs" 2 (fsyncs () - c0);
-          Alcotest.(check int) "the tail of the third batch is pending" 4 (Seg.pending h);
-          Seg.durable h;
-          Alcotest.(check int) "durable flushes the pending tail" 0 (Seg.pending h);
-          Alcotest.(check int) "durable cost exactly one more fsync" 3 (fsyncs () - c0);
-          Alcotest.(check (float 1e-9)) "fsyncs-per-append gauge is batch/append truth"
-            (3.0 /. 20.0)
-            (Provkit_obs.Metrics.gauge_value Provkit_obs.Names.wal_fsyncs_per_append);
-          Seg.durable h;
-          Alcotest.(check int) "durable with nothing pending is free" 3 (fsyncs () - c0);
+          with_sync_log (fun events ->
+              let c0 = fsyncs () and k0 = commits () in
+              List.iter (Seg.append h) ops;
+              Alcotest.(check int) "20 appends at G=8 hand off 2 commits" 2 (commits () - k0);
+              Alcotest.(check int) "the tail of the third batch is pending" 4 (Seg.pending h);
+              Alcotest.(check bool) "at most one fsync per commit so far" true (fsyncs () - c0 <= 2);
+              Seg.durable h;
+              Alcotest.(check int) "durable commits the pending tail" 0 (Seg.pending h);
+              Alcotest.(check int) "durable hands off one more commit" 3 (commits () - k0);
+              Alcotest.(check int) "durable waits until every op is synced" 20 (Seg.synced h);
+              let syncs = fsyncs () - c0 in
+              Alcotest.(check bool) "between one fsync and one per commit" true
+                (syncs >= 1 && syncs <= 3);
+              Alcotest.(check int) "fsync counter = fsync syscalls" (List.length (events ())) syncs;
+              Alcotest.(check (float 1e-9)) "fsyncs-per-append gauge is syncs/appends truth"
+                (float_of_int syncs /. 20.0)
+                (Provkit_obs.Metrics.gauge_value Provkit_obs.Names.wal_fsyncs_per_append);
+              Seg.durable h;
+              Alcotest.(check int) "durable with nothing pending is free" syncs (fsyncs () - c0));
           Seg.close h;
           let r = Seg.recover ~dir () in
           Alcotest.(check bool) "clean recovery" false r.Seg.truncated;
@@ -394,20 +431,23 @@ let test_group_commit_torn_batch () =
           Alcotest.(check int) "exactly one incident for the truncated load" 1
             (Provkit_obs.Flight.recorded () - incidents_before)))
 
-(* append_batch at the default (per-append durability) config still
-   costs exactly one fsync for the whole batch: the trigger fires once,
-   after the single sink write. *)
+(* append_batch at the default (commit per append) config still hands
+   off exactly one commit for the whole batch: the trigger fires once,
+   after the single sink write.  A lone commit is exactly one fsync. *)
 let test_append_batch_default_config () =
   with_temp_dir (fun dir ->
       with_metrics_on (fun () ->
           let ops = take 20 (make_ops ~salt:24 30) in
           let h = Seg.open_ ~config:{ Seg.default_config with Seg.max_segment_bytes = 1 lsl 20 } dir in
-          let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs in
-          let c0 = fsyncs () in
+          let c0 = fsyncs () and k0 = commits () in
           Seg.append_batch h ops;
-          Alcotest.(check int) "one fsync for the whole batch" 1 (fsyncs () - c0);
+          Alcotest.(check int) "one commit for the whole batch" 1 (commits () - k0);
           Alcotest.(check int) "nothing left pending" 0 (Seg.pending h);
+          Seg.durable h;
+          Alcotest.(check int) "one fsync for the whole batch" 1 (fsyncs () - c0);
+          Alcotest.(check int) "the batch is synced" 20 (Seg.synced h);
           Seg.append_batch h [];
+          Seg.durable h;
           Alcotest.(check int) "empty batch is free" 1 (fsyncs () - c0);
           Seg.close h;
           let r = Seg.recover ~dir () in
@@ -418,11 +458,92 @@ let test_append_batch_default_config () =
           List.iter (PL.apply_op store) ops;
           check_parity ~msg:"batch ingest" store r.Seg.store))
 
+(* Directory syncs: no commit is reported synced before the directory
+   entry of its segment is durable.  Every append records which segment
+   it went to; every time [synced] is read, the sync log read just
+   before must already hold a directory sync after the first sync of
+   the segment holding the last synced op (its header, synced when the
+   segment was created). *)
+let test_synced_after_directory_sync () =
+  with_temp_dir (fun dir ->
+      let ops = make_ops ~salt:29 200 in
+      let config =
+        { Seg.max_segment_bytes = 1024; Seg.group_commit_ops = 4; Seg.group_commit_bytes = 1 lsl 20 }
+      in
+      with_sync_log (fun events ->
+          let h = Seg.open_ ~config dir in
+          let seg_of_op = Array.make (List.length ops) "" in
+          let active () = Filename.concat dir (List.nth (Seg.segments h) (List.length (Seg.segments h) - 1)) in
+          let entry_synced log seg =
+            let rec go seen = function
+              | [] -> false
+              | F.File p :: rest -> go (seen || p = seg) rest
+              | F.Dir d :: rest -> (seen && d = dir) || go seen rest
+            in
+            go false log
+          in
+          let check () =
+            let log = events () in
+            let k = Seg.synced h in
+            if k > 0 && not (entry_synced log seg_of_op.(k - 1)) then
+              Alcotest.failf "op %d reported synced before the directory entry of %s" k
+                seg_of_op.(k - 1)
+          in
+          List.iteri
+            (fun i op ->
+              seg_of_op.(i) <- active ();
+              Seg.append h op;
+              check ())
+            ops;
+          Seg.durable h;
+          check ();
+          Alcotest.(check int) "every op synced" (List.length ops) (Seg.synced h);
+          Alcotest.(check bool) "the ops spanned several segments" true
+            (List.length (Seg.segments h) > 2);
+          Seg.close h))
+
+(* Pipelined [append_batch] across a rotation and a compaction: batches
+   keep being handed off while syncs run, the barrier comes only at the
+   end, and recovery returns every op. *)
+let test_pipelined_batches_recover () =
+  with_temp_dir (fun dir ->
+      let config =
+        { Seg.max_segment_bytes = 2048; Seg.group_commit_ops = 16; Seg.group_commit_bytes = 1 lsl 20 }
+      in
+      let h = Seg.open_ ~config dir in
+      let capture, _feed = Core.Capture.observer () in
+      let store = Core.Capture.store capture in
+      let pending = ref [] in
+      Store.set_observer store (fun m -> pending := m :: !pending);
+      let _web, engine, _api, _trace = Core_fixtures.simulated ~seed:19 ~days:1 () in
+      let events = Array.of_list (Browser.Engine.event_log engine) in
+      let n = Array.length events and batch = 16 in
+      let after_compaction = ref 0 in
+      for b = 0 to (n - 1) / batch do
+        let evs = Array.to_list (Array.sub events (b * batch) (min batch (n - (b * batch)))) in
+        pending := [];
+        Core.Capture.handle_batch capture evs;
+        Seg.append_batch h (List.rev !pending);
+        if b = n / batch / 2 then begin
+          Seg.compact h store;
+          after_compaction := Seg.appended h
+        end
+      done;
+      Alcotest.(check bool) "batches rotated segments" true (List.length (Seg.segments h) > 1);
+      Seg.durable h;
+      Alcotest.(check int) "durable: every op synced" (Seg.appended h) (Seg.synced h);
+      let r = Seg.recover ~dir () in
+      Alcotest.(check bool) "clean recovery" false r.Seg.truncated;
+      Alcotest.(check int) "the tail replays every op since the compaction"
+        (Seg.appended h - !after_compaction) r.Seg.ops_applied;
+      check_parity ~msg:"snapshot + pipelined tail" store r.Seg.store;
+      Seg.close h)
+
 (* Kill the writer between commits on the real sink.  One child process
    (wal_writer.exe) appends a saved op list at group_commit_ops = 8 and
-   reports every commit; SIGKILL lands after a few reports.  Recovery
-   must return an op-prefix of the list that holds every op the child
-   reported committed. *)
+   reports every advance of [Seg.synced]; SIGKILL lands after a few
+   reports.  Recovery must return an op-prefix of the list that holds
+   every op the child reported synced. *)
 let test_kill_writer () =
   with_temp_dir (fun dir ->
       let ops = make_ops ~salt:28 2000 in
@@ -440,13 +561,13 @@ let test_kill_writer () =
       Unix.close child_in;
       Unix.close child_out;
       let ic = Unix.in_channel_of_descr from_child in
-      let committed = ref 0 in
+      let synced = ref 0 in
       let rec read_reports n =
         if n > 0 then
           match In_channel.input_line ic with
           | None | Some "done" -> ()
           | Some line ->
-            committed := int_of_string line;
+            synced := int_of_string line;
             read_reports (n - 1)
       in
       read_reports 4;
@@ -457,14 +578,14 @@ let test_kill_writer () =
       close_in ic;
       Unix.close to_child;
       Alcotest.(check bool) "writer died of SIGKILL" true (status = Unix.WSIGNALED Sys.sigkill);
-      Alcotest.(check bool) "writer reported commits" true (!committed > 0);
+      Alcotest.(check bool) "writer reported synced ops" true (!synced > 0);
       let r = Seg.recover ~dir:wal () in
       let k = r.Seg.ops_applied in
-      Printf.printf "killed after %d reported commits; recovered %d of %d ops\n" !committed k
+      Printf.printf "killed after %d ops reported synced; recovered %d of %d ops\n" !synced k
         (List.length ops);
-      if k < !committed || k > List.length ops then
-        Alcotest.failf "recovered %d ops; %d were reported committed, %d appended at most" k
-          !committed (List.length ops);
+      if k < !synced || k > List.length ops then
+        Alcotest.failf "recovered %d ops; %d were reported synced, %d appended at most" k
+          !synced (List.length ops);
       let expected = Store.create () in
       List.iteri (fun i op -> if i < k then PL.apply_op expected op) ops;
       Alcotest.(check bool) "recovered store is the first k ops" true
@@ -487,4 +608,7 @@ let suite =
     Alcotest.test_case "group commit: torn batch" `Quick test_group_commit_torn_batch;
     Alcotest.test_case "append_batch at default config" `Quick test_append_batch_default_config;
     Alcotest.test_case "kill the writer between commits" `Quick test_kill_writer;
+    Alcotest.test_case "synced after the directory sync" `Quick test_synced_after_directory_sync;
+    Alcotest.test_case "pipelined batches across rotation and compaction" `Quick
+      test_pipelined_batches_recover;
   ]
