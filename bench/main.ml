@@ -698,9 +698,10 @@ let run_snapshot measured =
 
 (* The "-words" rows reuse the ns_per_op field, like the estimate-error
    rows, to carry a count: minor-heap words allocated per call over the
-   quick dataset's inputs — Contextual_search.search over its search
-   queries (E3-contextual-words) and Lineage.first_recognizable over
-   its downloads (E7-lineage-words).  A first pass warms lazily built
+   quick dataset's inputs — Contextual_search.search and
+   Personalize.expand over its search queries (E3-contextual-words,
+   E4-personalize-words) and Lineage.first_recognizable over its
+   downloads (E7-lineage-words).  A first pass warms lazily built
    state (the walk scratch, the time index view), so the measured pass
    allocates the same words on every run and bench_smoke.sh can gate
    the count without the noise of a timing pair. *)
@@ -726,10 +727,10 @@ let measure_words () =
         Core.Prov_store.download_node store d.Browser.User_model.download_id)
       trace.Browser.User_model.downloads
   in
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
   [
-    words_per_call "E3-contextual-words"
-      (Core.Contextual_search.search (Core.Api.text_index ds.Harness.Dataset.api))
-      queries;
+    words_per_call "E3-contextual-words" (Core.Contextual_search.search index) queries;
+    words_per_call "E4-personalize-words" (Core.Personalize.expand index) queries;
     words_per_call "E7-lineage-words" (Core.Lineage.first_recognizable store) downloads;
   ]
 

@@ -38,45 +38,76 @@ let page_target store id (n : Prov_node.t) =
   | Prov_node.Bookmark { url; _ } -> Option.bind (Prov_store.page_of_url store url) visible
   | Prov_node.Search_term _ | Prov_node.Download _ | Prov_node.Form_submission _ -> None
 
-(* A page's running score, its text part and its graph part. *)
-type sums = { mutable total : float; mutable text : float; mutable graph : float }
+(* Every page's running score, its text part and its graph part, in
+   arrays indexed by page id: a page has sums in this response iff
+   [stamp.(page) = gen], and the first [count] entries of [pages] list
+   those pages.  Each domain has its own; nothing a response calls
+   starts another on the same domain. *)
+type sums = {
+  mutable stamp : int array;
+  mutable total : float array;
+  mutable text : float array;
+  mutable graph : float array;
+  mutable pages : int array;
+  mutable count : int;
+  mutable gen : int;
+}
 
-(* The sums of [page], zero when it has none yet. *)
-let sums_of scored page =
-  match Hashtbl.find_opt scored page with
-  | Some r -> r
-  | None ->
-    let r = { total = 0.0; text = 0.0; graph = 0.0 } in
-    Hashtbl.add scored page r;
-    r
+let sums_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = [||]; total = [||]; text = [||]; graph = [||]; pages = [||]; count = 0; gen = 0 })
 
-let rank_results ?(limit = 10) scored =
-  let all = Hashtbl.fold (fun page r acc -> (page, r) :: acc) scored [] in
-  let sorted =
-    List.sort
-      (fun (pa, a) (pb, b) ->
-        let c = Float.compare b.total a.total in
-        if c <> 0 then c else Int.compare pa pb)
-      all
-  in
-  List.filteri (fun i _ -> i < limit)
-    (List.map
-       (fun (page, r) -> { page; score = r.total; text_score = r.text; graph_score = r.graph })
-       sorted)
+(* This domain's sums, emptied and sized for every node of [store]. *)
+let fresh_sums store =
+  let s = Domain.DLS.get sums_key in
+  let bound = Provgraph.Digraph.bound (Prov_store.graph store) and have = Array.length s.stamp in
+  if have < bound then begin
+    let n = max bound (2 * have) in
+    s.stamp <- Array.make n 0;
+    s.total <- Array.make n 0.0;
+    s.text <- Array.make n 0.0;
+    s.graph <- Array.make n 0.0;
+    s.pages <- Array.make n 0
+  end;
+  s.gen <- s.gen + 1;
+  s.count <- 0;
+  s
+
+(* Gives [page] zero sums the first time it is summed. *)
+let touch s page =
+  if s.stamp.(page) <> s.gen then begin
+    s.stamp.(page) <- s.gen;
+    s.total.(page) <- 0.0;
+    s.text.(page) <- 0.0;
+    s.graph.(page) <- 0.0;
+    s.pages.(s.count) <- page;
+    s.count <- s.count + 1
+  end
+
+let rank_results ?(limit = 10) s =
+  let pages = Array.sub s.pages 0 s.count in
+  Array.sort
+    (fun pa pb ->
+      let c = Float.compare s.total.(pb) s.total.(pa) in
+      if c <> 0 then c else Int.compare pa pb)
+    pages;
+  List.init (max 0 (min limit s.count)) (fun i ->
+      let page = pages.(i) in
+      { page; score = s.total.(page); text_score = s.text.(page); graph_score = s.graph.(page) })
 
 let textual_only ?(limit = 10) index query =
   let store = Prov_text_index.store index in
-  let scored = Hashtbl.create 32 in
+  let s = fresh_sums store in
   List.iter
-    (fun (node, s) ->
+    (fun (node, score) ->
       match page_target store node (Prov_store.node store node) with
       | Some page ->
-        let r = sums_of scored page in
-        r.total <- r.total +. s;
-        r.text <- r.text +. s
+        touch s page;
+        s.total.(page) <- s.total.(page) +. score;
+        s.text.(page) <- s.text.(page) +. score
       | None -> ())
     (Prov_text_index.search ~limit:(limit * 4) index query);
-  rank_results ~limit scored
+  rank_results ~limit s
 
 (* The edges the config lets graph scoring walk. *)
 let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
@@ -120,17 +151,18 @@ let focused_subgraph config ~budget_nodes store seeds =
 (* Shared post-processing for every algorithm: combine text scores and
    a graph score table onto visible pages. *)
 let respond config ~limit ~running ~truncated store hits graph_scores =
-  let scored = Hashtbl.create 64 in
+  let s = fresh_sums store in
   let bump page ~text ~graph_mass =
-    let r = sums_of scored page in
-    r.total <- r.total +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass);
-    r.text <- r.text +. text;
-    r.graph <- r.graph +. graph_mass
+    touch s page;
+    s.total.(page) <-
+      s.total.(page) +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass);
+    s.text.(page) <- s.text.(page) +. text;
+    s.graph.(page) <- s.graph.(page) +. graph_mass
   in
   List.iter
-    (fun (node, s) ->
+    (fun (node, score) ->
       match page_target store node (Prov_store.node store node) with
-      | Some page -> bump page ~text:s ~graph_mass:0.0
+      | Some page -> bump page ~text:score ~graph_mass:0.0
       | None -> ())
     hits;
   Hashtbl.iter
@@ -144,7 +176,7 @@ let respond config ~limit ~running ~truncated store hits graph_scores =
       end)
     graph_scores;
   {
-    results = rank_results ~limit scored;
+    results = rank_results ~limit s;
     truncated = Query_budget.was_truncated running truncated;
     elapsed_ms = Query_budget.elapsed_ms running;
   }

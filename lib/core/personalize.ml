@@ -32,10 +32,11 @@ let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index q
   let tally = Hashtbl.create 64 in
   List.iter
     (fun (r : Contextual_search.result) ->
-      let n = Prov_store.node store r.Contextual_search.page in
       (* Each distinct term counts once per page, weighted by how
          relevant the page is to the query. *)
-      let terms = List.sort_uniq String.compare (Prov_node.text_terms n) in
+      let terms =
+        Prov_text_index.distinct_terms index (Prov_store.node store r.Contextual_search.page)
+      in
       List.iter
         (fun term ->
           if String.length term > 2 && not (is_query_term term) then begin

@@ -25,6 +25,12 @@ val score : t -> terms:string list -> node:int -> float
     the text ranking.  Staged: [score t ~terms] looks the terms up once
     for all the nodes it then scores. *)
 
+val distinct_terms : t -> Prov_node.t -> string list
+(** The node's distinct {!Prov_node.text_terms}, ascending.  Read from
+    the index when it was built from this very record ([==]); a record
+    the store has replaced since (a page retitled after the last
+    {!refresh}) or never indexed is tokenized afresh. *)
+
 val idf : t -> string -> float
 (** Corpus rarity of a term within the user's own history — used to pick
     distinctive personalization terms. *)

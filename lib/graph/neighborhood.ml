@@ -48,6 +48,9 @@ let expand ?(config = default_config) ?follow g ~seeds =
      edges [keep] admits: the neighbors its received mass is split
      among, counted before any is visited. *)
   let current = ref 0 and hop = ref 0 and fanout = ref 0 in
+  (* decay^h and edge_weight^h for every hop h the walk can reach. *)
+  let powers x = Array.init (max 0 (config.max_hops + 1)) (fun h -> Float.pow x (float_of_int h)) in
+  let decay_pow = powers config.decay and weight_pow = powers config.edge_weight in
   let count next e = if keep !current next e then incr fanout in
   List.iter
     (fun (seed, seed_score) ->
@@ -71,10 +74,7 @@ let expand ?(config = default_config) ?follow g ~seeds =
               if config.degree_normalize then
                 s.mass.(!current) *. config.decay *. config.edge_weight
                 /. float_of_int (max 1 !fanout)
-              else
-                seed_score
-                *. Float.pow config.decay (float_of_int hop)
-                *. Float.pow config.edge_weight (float_of_int hop)
+              else seed_score *. decay_pow.(hop) *. weight_pow.(hop)
             in
             s.mass.(next) <- mass;
             bump s ~call next mass;

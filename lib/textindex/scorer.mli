@@ -14,6 +14,11 @@ val score_document : t -> Inverted_index.t -> terms:string list -> doc:int -> fl
     [score_document s index ~terms] looks the terms and their idf up
     once, and the function it returns scores documents against them. *)
 
-val scores : t -> Inverted_index.t -> terms:string list -> (int * float) list
-(** All documents with a positive score, descending; ties broken by
-    ascending doc id for determinism. *)
+val scores : ?limit:int -> t -> Inverted_index.t -> terms:string list -> (int * float) list
+(** The [limit] (default: all) documents with the highest positive
+    scores, descending; ties broken by ascending doc id for determinism.
+
+    Scores are summed into this domain's dense per-doc accumulator, and
+    only the top [limit] hits are picked from it.  Each doc's score sums
+    the distinct query terms in ascending order, starting from
+    [0.0 +. _], so the floats do not depend on the order of [terms]. *)

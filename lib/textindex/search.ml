@@ -12,14 +12,8 @@ let index_terms t doc terms = Inverted_index.add_document t.index doc terms
 let remove_document t doc = Inverted_index.remove_document t.index doc
 let document_count t = Inverted_index.document_count t.index
 
-let truncate limit hits =
-  match limit with
-  | None -> hits
-  | Some n -> List.filteri (fun i _ -> i < n) hits
-
 let query_terms ?limit t terms =
-  let hits = Scorer.scores t.scorer t.index ~terms in
-  truncate limit (List.map (fun (doc, score) -> { doc; score }) hits)
+  List.map (fun (doc, score) -> { doc; score }) (Scorer.scores ?limit t.scorer t.index ~terms)
 
 let query ?limit t text = query_terms ?limit t (Tokenizer.terms text)
 

@@ -116,6 +116,33 @@ let test_personalize_empty_history () =
   Alcotest.(check string) "no context, no expansion" "rosebud"
     expansion.Core.Personalize.expanded
 
+(* A page retitled after the index was built must lend personalization
+   the terms of its current title, not the ones the index holds. *)
+let test_personalize_reads_current_title () =
+  let store = Store.create () in
+  let url = "http://garden.example/roses" in
+  ignore (Store.add_page store ~url ~title:"rosebud garden tips" ~time:1);
+  ignore (Store.add_page store ~url:"http://news.example/daily" ~title:"daily news" ~time:2);
+  ignore (Store.add_page store ~url:"http://film.example/kane" ~title:"citizen kane" ~time:3);
+  let index = Core.Prov_text_index.build store in
+  let page = Option.get (Store.page_of_url store url) in
+  let stale = Store.node store page in
+  ignore (Store.add_page store ~url ~title:"rosebud orchid care" ~time:4);
+  let current = Store.node store page in
+  Alcotest.(check bool) "the store replaced the record" false (stale == current);
+  let config = { Core.Personalize.default_config with Core.Personalize.expansion_terms = 10 } in
+  let expansion = Core.Personalize.expand ~config index "rosebud" in
+  let added = List.map fst expansion.Core.Personalize.added_terms in
+  let terms n = Core.Prov_node.text_terms n in
+  Alcotest.(check bool) "terms added" true (added <> []);
+  List.iter
+    (fun term ->
+      Alcotest.(check bool) (term ^ " is in the current title or url") true
+        (List.mem term (terms current)))
+    added;
+  Alcotest.(check bool) "a term only the new title has" true
+    (List.exists (fun term -> not (List.mem term (terms stale))) added)
+
 (* --- time-contextual search (S2.3) --- *)
 
 let test_time_search_co_open_beats_far () =
@@ -349,6 +376,8 @@ let suite =
     Alcotest.test_case "contextual empty query" `Quick test_contextual_empty_query;
     Alcotest.test_case "personalize topical terms" `Quick test_personalize_picks_topical_terms;
     Alcotest.test_case "personalize empty history" `Quick test_personalize_empty_history;
+    Alcotest.test_case "personalize reads a retitled page" `Quick
+      test_personalize_reads_current_title;
     Alcotest.test_case "time search co-open wins" `Quick test_time_search_co_open_beats_far;
     Alcotest.test_case "time search window" `Quick test_time_search_window;
     Alcotest.test_case "lineage ancestors" `Quick test_lineage_ancestors;

@@ -36,6 +36,7 @@ let () =
       ("relstore.corruption", Test_corruption.suite);
       ("compat", Test_compat.suite);
       ("textindex", Test_textindex.suite);
+      ("textindex.model", Test_textindex_model.suite);
       ("graph.digraph", Test_digraph.suite);
       ("graph.algorithms", Test_graph_algorithms.suite);
       ("graph.model", Test_graph_model.suite);

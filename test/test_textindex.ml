@@ -59,8 +59,11 @@ let test_inverted_index_basics () =
   Alcotest.(check int) "doc length" 3 (T.Inverted_index.document_length idx 1);
   Alcotest.(check (float 1e-9)) "avg length" 2.5 (T.Inverted_index.average_length idx);
   Alcotest.(check int) "vocab" 3 (T.Inverted_index.vocabulary_size idx);
+  let p = T.Inverted_index.postings idx "wine" in
   Alcotest.(check (list (pair int int))) "postings" [ (1, 2); (2, 1) ]
-    (T.Inverted_index.postings idx "wine")
+    (List.init p.T.Inverted_index.len (fun i ->
+         (p.T.Inverted_index.docs.(i), p.T.Inverted_index.tfs.(i))));
+  Alcotest.(check (list string)) "distinct terms" [ "red"; "wine" ] (T.Inverted_index.terms idx 1)
 
 let test_inverted_index_remove () =
   let idx = T.Inverted_index.create () in

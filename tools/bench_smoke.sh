@@ -39,7 +39,7 @@ for row in hot-select-cold hot-select-cached wal-ingest-unbatched wal-ingest-bat
            stats-analyze estimate-error-heuristic estimate-error-stats \
            lint-full-tree alert-eval \
            daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index \
-           E3-contextual-words E7-lineage-words; do
+           E3-contextual-words E4-personalize-words E7-lineage-words; do
   grep -q "\"name\":\"$row\"" "$work/base.json" ||
     { echo "bench_smoke: artifact missing expected row $row"; exit 1; }
 done
@@ -74,10 +74,20 @@ awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
 # E3-contextual-words stores a count (minor words allocated per
 # contextual search over the quick dataset's queries), not a latency.
 # The count repeats exactly, so it is gated against a fixed ceiling:
-# half of the 16,615 words/query the hash-table graph walks allocated.
+# the 3,343 words/query this row measures with array postings, a dense
+# BM25 accumulator and dense page sums (7,725 with Imap postings and
+# Hashtbl sums; 16,615 with the hash-table graph walks before that).
 words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 16615 / 2) }' ||
-  { echo "bench_smoke: E3-contextual-words ($words words/query) above 8307 (half of 16615)"; exit 1; }
+awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 3343) }' ||
+  { echo "bench_smoke: E3-contextual-words ($words words/query) above 3343"; exit 1; }
+
+# E4-personalize-words is the same kind of count for
+# Personalize.expand over the same queries, gated at the 5,114
+# words/query this row measures when personalization reads each result
+# page's terms from the text index (17,777 when it tokenized them).
+personalize_words="$(grep '"name":"E4-personalize-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
+awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 5114) }' ||
+  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 5114"; exit 1; }
 
 # E7-lineage-words is the same kind of count for download lineage
 # (Lineage.first_recognizable over the quick dataset's downloads),
