@@ -700,8 +700,10 @@ let run_snapshot measured =
    rows, to carry a count: minor-heap words allocated per call over the
    quick dataset's inputs — Contextual_search.search and
    Personalize.expand over its search queries (E3-contextual-words,
-   E4-personalize-words) and Lineage.first_recognizable over its
-   downloads (E7-lineage-words).  A first pass warms lazily built
+   E4-personalize-words), Lineage.first_recognizable over its
+   downloads (E7-lineage-words), and E12's search_pagerank and
+   search_hits over the search queries (E12-pagerank-words,
+   E12-hits-words).  A first pass warms lazily built
    state (the walk scratch, the time index view), so the measured pass
    allocates the same words on every run and bench_smoke.sh can gate
    the count without the noise of a timing pair. *)
@@ -732,6 +734,8 @@ let measure_words () =
     words_per_call "E3-contextual-words" (Core.Contextual_search.search index) queries;
     words_per_call "E4-personalize-words" (Core.Personalize.expand index) queries;
     words_per_call "E7-lineage-words" (Core.Lineage.first_recognizable store) downloads;
+    words_per_call "E12-pagerank-words" (Core.Contextual_search.search_pagerank index) queries;
+    words_per_call "E12-hits-words" (Core.Contextual_search.search_hits index) queries;
   ]
 
 let run_words measured =

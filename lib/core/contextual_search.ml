@@ -121,10 +121,7 @@ let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
   | Prov_edge.Reload -> true
 
 (* The Kleinberg-style focused subgraph: the seeds plus everything
-   within [max_hops], with only the edges the config permits.  Edges
-   are added by source in ascending id, each source's oldest first —
-   the order [Digraph.iter_edges] walks the whole graph in — since the
-   PageRank and HITS float sums follow it. *)
+   within [max_hops], with only the edges the config permits. *)
 let focused_subgraph config ~budget_nodes store seeds =
   let graph = Prov_store.graph store in
   let follow = follow config in
@@ -133,23 +130,12 @@ let focused_subgraph config ~budget_nodes store seeds =
       ~max_depth:config.max_hops ?budget:budget_nodes ~follow graph
       ~roots:(List.map fst seeds)
   in
-  let members = List.sort Int.compare (List.map fst outcome.Provgraph.Traversal.visited) in
-  (* Sized once for the largest member id: growing by doubling would
-     copy every id-indexed array on the way up. *)
-  let sub =
-    Provgraph.Digraph.create ~initial_capacity:(1 + List.fold_left max 0 members) ()
-  in
-  List.iter (fun id -> Provgraph.Digraph.add_node sub id (Prov_store.node store id)) members;
-  List.iter
-    (fun src ->
-      Provgraph.Digraph.iter_out graph src (fun dst e ->
-          if Provgraph.Digraph.mem_node sub dst && follow ~src ~dst e then
-            Provgraph.Digraph.add_edge sub ~src ~dst e))
-    members;
-  (sub, outcome.Provgraph.Traversal.truncated)
+  ( Provgraph.Subgraph.induce graph ~follow (List.map fst outcome.Provgraph.Traversal.visited),
+    outcome.Provgraph.Traversal.truncated )
 
 (* Shared post-processing for every algorithm: combine text scores and
-   a graph score table onto visible pages. *)
+   a graph score table (whose keys are nodes of the store) onto visible
+   pages. *)
 let respond config ~limit ~running ~truncated store hits graph_scores =
   let s = fresh_sums store in
   let bump page ~text ~graph_mass =
@@ -167,13 +153,9 @@ let respond config ~limit ~running ~truncated store hits graph_scores =
     hits;
   Hashtbl.iter
     (fun node mass ->
-      match Prov_store.node_opt store node with
-      | None -> ()
-      | Some n -> begin
-        match page_target store node n with
-        | Some page -> bump page ~text:0.0 ~graph_mass:mass
-        | None -> ()
-      end)
+      match page_target store node (Prov_store.node store node) with
+      | Some page -> bump page ~text:0.0 ~graph_mass:mass
+      | None -> ())
     graph_scores;
   {
     results = rank_results ~limit s;
@@ -183,8 +165,12 @@ let respond config ~limit ~running ~truncated store hits graph_scores =
 
 let seeds_of config hits = List.filteri (fun i _ -> i < config.seed_count) hits
 
-let search_pagerank ?(config = default_config) ?(budget = Query_budget.unlimited)
-    ?(limit = 10) ?(damping = 0.85) index query =
+(* Ranks the focused subgraph around the text seeds: [rank sub seeds]
+   gives each member's graph score by local id.  The scores reach
+   [respond] in a table made for the member count and filled in
+   ascending node order, which iterates in the order the Hashtbl-based
+   rankers' tables did, so each page's sum keeps its order. *)
+let search_focused config ~budget ~limit index query rank =
   let running = Query_budget.start budget in
   let store = Prov_text_index.store index in
   let hits = Prov_text_index.search ~limit:(max (limit * 4) (config.seed_count * 4)) index query in
@@ -192,32 +178,28 @@ let search_pagerank ?(config = default_config) ?(budget = Query_budget.unlimited
   let sub, truncated =
     focused_subgraph config ~budget_nodes:(Query_budget.remaining_nodes running) store seeds
   in
-  Query_budget.consume_nodes running (Provgraph.Digraph.node_count sub);
-  let pr = Provgraph.Pagerank.run ~damping ~personalization:seeds sub in
-  (* Scale the rank mass so its magnitude is comparable to text scores. *)
-  let graph_scores = Hashtbl.create (Hashtbl.length pr) in
-  let scale = float_of_int (max 1 (Provgraph.Digraph.node_count sub)) in
-  Hashtbl.iter (fun id v -> Hashtbl.replace graph_scores id (v *. scale /. 10.0)) pr;
+  let n = Provgraph.Subgraph.size sub in
+  Query_budget.consume_nodes running n;
+  let score = rank sub seeds in
+  let graph_scores = Hashtbl.create n in
+  Array.iteri
+    (fun i id -> Hashtbl.replace graph_scores id (score i))
+    sub.Provgraph.Subgraph.members;
   respond config ~limit ~running ~truncated store hits graph_scores
+
+let search_pagerank ?(config = default_config) ?(budget = Query_budget.unlimited)
+    ?(limit = 10) index query =
+  search_focused config ~budget ~limit index query (fun sub seeds ->
+      let pr = Provgraph.Pagerank.run ~personalization:seeds sub in
+      (* Scale the rank mass so its magnitude is comparable to text scores. *)
+      let scale = float_of_int (max 1 (Provgraph.Subgraph.size sub)) in
+      fun i -> pr.(i) *. scale /. 10.0)
 
 let search_hits ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit = 10)
     index query =
-  let running = Query_budget.start budget in
-  let store = Prov_text_index.store index in
-  let hits = Prov_text_index.search ~limit:(max (limit * 4) (config.seed_count * 4)) index query in
-  let seeds = seeds_of config hits in
-  let sub, truncated =
-    focused_subgraph config ~budget_nodes:(Query_budget.remaining_nodes running) store seeds
-  in
-  Query_budget.consume_nodes running (Provgraph.Digraph.node_count sub);
-  let scores = Provgraph.Hits.run sub in
-  let graph_scores = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id authority ->
-      let hub = Option.value ~default:0.0 (Hashtbl.find_opt scores.Provgraph.Hits.hub id) in
-      Hashtbl.replace graph_scores id (authority +. (0.5 *. hub)))
-    scores.Provgraph.Hits.authority;
-  respond config ~limit ~running ~truncated store hits graph_scores
+  search_focused config ~budget ~limit index query (fun sub _ ->
+      let { Provgraph.Hits.hub; authority } = Provgraph.Hits.run sub in
+      fun i -> authority.(i) +. (0.5 *. hub.(i)))
 
 let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit = 10)
     index query =

@@ -61,12 +61,13 @@ val search_pagerank :
   ?config:config ->
   ?budget:Query_budget.t ->
   ?limit:int ->
-  ?damping:float ->
   Prov_text_index.t ->
   string ->
   response
-(** Personalized PageRank restarted at the text seeds, run over the
-    seeds' [max_hops]-neighborhood subgraph. *)
+(** Personalized PageRank ({!Provgraph.Pagerank.run}) restarted at the
+    text seeds, run over the subgraph the seeds' [max_hops]-neighborhood
+    induces ({!Provgraph.Subgraph}); a page's graph score is its nodes'
+    rank mass times the member count over 10. *)
 
 val search_hits :
   ?config:config ->
@@ -75,5 +76,6 @@ val search_hits :
   Prov_text_index.t ->
   string ->
   response
-(** HITS over the focused subgraph; pages ranked by authority combined
-    with their text score. *)
+(** HITS ({!Provgraph.Hits.run}) over the same induced subgraph; a
+    page's graph score is its nodes' authority plus half their hub
+    score. *)

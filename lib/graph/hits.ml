@@ -1,80 +1,45 @@
-type scores = { hub : (int, float) Hashtbl.t; authority : (int, float) Hashtbl.t }
+type scores = { hub : float array; authority : float array }
 
-let run ?(iterations = 30) ?(epsilon = 1e-8) ?subset g =
-  let members =
-    match subset with
-    | None -> Digraph.nodes g
-    | Some ids -> List.sort_uniq Int.compare (List.filter (Digraph.mem_node g) ids)
-  in
-  let in_set = Hashtbl.create (List.length members) in
-  List.iter (fun id -> Hashtbl.replace in_set id ()) members;
-  let hub = Hashtbl.create 64 and authority = Hashtbl.create 64 in
-  List.iter
-    (fun id ->
-      Hashtbl.replace hub id 1.0;
-      Hashtbl.replace authority id 1.0)
-    members;
-  let get tbl id = Option.value ~default:0.0 (Hashtbl.find_opt tbl id) in
-  let normalize tbl =
-    let norm =
-      sqrt (Hashtbl.fold (fun _ v acc -> acc +. (v *. v)) tbl 0.0)
-    in
-    if norm > 0.0 then
-      Hashtbl.iter (fun id v -> Hashtbl.replace tbl id (v /. norm)) (Hashtbl.copy tbl)
-  in
-  let step () =
-    (* authority(v) = sum of hub(u) over in-neighbors u in the subset *)
-    let delta = ref 0.0 in
-    let new_auth =
-      List.map
-        (fun v ->
-          let s =
-            List.fold_left
-              (fun acc (u, _) -> if Hashtbl.mem in_set u then acc +. get hub u else acc)
-              0.0 (Digraph.in_edges g v)
-          in
-          (v, s))
-        members
-    in
-    List.iter (fun (v, s) -> Hashtbl.replace authority v s) new_auth;
+let iterations = 30
+let epsilon = 1e-8
+
+(* Scales [a] to unit L2 norm, its squares summed over ascending ids. *)
+let normalize a =
+  let sq = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    sq := !sq +. (a.(i) *. a.(i))
+  done;
+  let norm = sqrt !sq in
+  if norm > 0.0 then
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- a.(i) /. norm
+    done
+
+let run (sub : Subgraph.t) =
+  let { Subgraph.out_start; out_dst; in_start; in_src; _ } = sub in
+  let n = Subgraph.size sub in
+  let hub = Array.make n 1.0 and authority = Array.make n 1.0 in
+  let i = ref 0 in
+  while !i < iterations do
+    (* authority(v) = the sum of hub(u) over v's in-edges *)
+    for v = 0 to n - 1 do
+      let s = ref 0.0 in
+      for k = in_start.(v) to in_start.(v + 1) - 1 do
+        s := !s +. hub.(in_src.(k))
+      done;
+      authority.(v) <- !s
+    done;
     normalize authority;
-    let new_hub =
-      List.map
-        (fun v ->
-          let s =
-            List.fold_left
-              (fun acc (w, _) ->
-                if Hashtbl.mem in_set w then acc +. get authority w else acc)
-              0.0 (Digraph.out_edges g v)
-          in
-          (v, s))
-        members
-    in
-    List.iter
-      (fun (v, s) ->
-        delta := !delta +. Float.abs (s -. get hub v);
-        Hashtbl.replace hub v s)
-      new_hub;
+    let delta = ref 0.0 in
+    for v = 0 to n - 1 do
+      let s = ref 0.0 in
+      for k = out_start.(v) to out_start.(v + 1) - 1 do
+        s := !s +. authority.(out_dst.(k))
+      done;
+      delta := !delta +. Float.abs (!s -. hub.(v));
+      hub.(v) <- !s
+    done;
     normalize hub;
-    !delta
-  in
-  let rec iterate i =
-    if i < iterations then begin
-      let delta = step () in
-      if delta > epsilon then iterate (i + 1)
-    end
-  in
-  iterate 0;
+    i := if !delta > epsilon then !i + 1 else iterations
+  done;
   { hub; authority }
-
-let top scores which n =
-  let tbl = match which with `Hub -> scores.hub | `Authority -> scores.authority in
-  let all = Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl [] in
-  let sorted =
-    List.sort
-      (fun (ia, va) (ib, vb) ->
-        let c = Float.compare vb va in
-        if c <> 0 then c else Int.compare ia ib)
-      all
-  in
-  List.filteri (fun i _ -> i < n) sorted

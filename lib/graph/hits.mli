@@ -1,18 +1,13 @@
-(** Kleinberg's HITS over a node subset — the style of algorithm the
-    paper cites for contextual history search (§2.1, [Kleinberg 99]). *)
+(** Kleinberg's HITS over an induced subgraph — the style of algorithm
+    the paper cites for contextual history search (§2.1, [Kleinberg 99]);
+    the subgraph is the "focused subgraph". *)
 
-type scores = { hub : (int, float) Hashtbl.t; authority : (int, float) Hashtbl.t }
+type scores = { hub : float array; authority : float array }
+(** Indexed by local id. *)
 
-val run :
-  ?iterations:int ->
-  ?epsilon:float ->
-  ?subset:int list ->
-  ('n, 'e) Digraph.t ->
-  scores
-(** Power iteration ([iterations] default 30) until the L1 change drops
-    below [epsilon] (default 1e-8).  With [subset], only edges between
-    subset members participate — the standard "focused subgraph" setup.
-    Scores are normalized to unit L2 norm. *)
-
-val top : scores -> [ `Hub | `Authority ] -> int -> (int * float) list
-(** Highest-scoring nodes, descending; ties by ascending id. *)
+val run : Subgraph.t -> scores
+(** Power iteration from all-ones scores, at most 30 rounds, until the
+    L1 change of the hub scores is at most 1e-8.  Each round sums every
+    authority over its in-edges and every hub over its out-edges, then
+    scales each vector to unit L2 norm, its squares summed over
+    ascending ids. *)

@@ -1,72 +1,50 @@
-let run ?(damping = 0.85) ?(iterations = 50) ?(epsilon = 1e-10) ?personalization g =
-  let nodes = Digraph.nodes g in
-  let n = List.length nodes in
-  if n = 0 then Hashtbl.create 1
-  else begin
-    let restart = Hashtbl.create n in
-    (match personalization with
-    | None ->
-      let u = 1.0 /. float_of_int n in
-      List.iter (fun id -> Hashtbl.replace restart id u) nodes
-    | Some weights ->
-      let valid = List.filter (fun (id, w) -> Digraph.mem_node g id && w > 0.0) weights in
-      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 valid in
-      if total <= 0.0 then begin
-        let u = 1.0 /. float_of_int n in
-        List.iter (fun id -> Hashtbl.replace restart id u) nodes
-      end
-      else
-        List.iter (fun (id, w) ->
-            let prev = Option.value ~default:0.0 (Hashtbl.find_opt restart id) in
-            Hashtbl.replace restart id (prev +. (w /. total)))
-          valid);
-    let restart_of id = Option.value ~default:0.0 (Hashtbl.find_opt restart id) in
-    let rank = Hashtbl.create n in
-    List.iter (fun id -> Hashtbl.replace rank id (restart_of id)) nodes;
-    let get tbl id = Option.value ~default:0.0 (Hashtbl.find_opt tbl id) in
-    let rec iterate i =
-      if i < iterations then begin
-        let next = Hashtbl.create n in
-        (* Dangling nodes donate their mass to the restart vector. *)
-        let dangling =
-          List.fold_left
-            (fun acc id -> if Digraph.out_degree g id = 0 then acc +. get rank id else acc)
-            0.0 nodes
-        in
-        List.iter
-          (fun id ->
-            let flow =
-              List.fold_left
-                (fun acc (src, _) ->
-                  let deg = Digraph.out_degree g src in
-                  if deg > 0 then acc +. (get rank src /. float_of_int deg) else acc)
-                0.0 (Digraph.in_edges g id)
-            in
-            let r = restart_of id in
-            Hashtbl.replace next id
-              (((1.0 -. damping) *. r) +. (damping *. (flow +. (dangling *. r)))))
-          nodes;
-        let delta =
-          List.fold_left
-            (fun acc id -> acc +. Float.abs (get next id -. get rank id))
-            0.0 nodes
-        in
-        Hashtbl.reset rank;
-        Hashtbl.iter (fun id v -> Hashtbl.replace rank id v) next;
-        if delta > epsilon then iterate (i + 1)
-      end
-    in
-    iterate 0;
-    rank
-  end
+let damping = 0.85
+let iterations = 50
+let epsilon = 1e-10
 
-let top rank n =
-  let all = Hashtbl.fold (fun id v acc -> (id, v) :: acc) rank [] in
-  let sorted =
-    List.sort
-      (fun (ia, va) (ib, vb) ->
-        let c = Float.compare vb va in
-        if c <> 0 then c else Int.compare ia ib)
-      all
-  in
-  List.filteri (fun i _ -> i < n) sorted
+let run ?personalization (sub : Subgraph.t) =
+  let { Subgraph.out_start; in_start; in_src; _ } = sub in
+  let n = Subgraph.size sub in
+  let restart = Array.make n (1.0 /. float_of_int n) in
+  Option.iter
+    (fun weights ->
+      let valid =
+        List.filter_map
+          (fun (id, w) ->
+            let i = Subgraph.local sub id in
+            if i >= 0 && w > 0.0 then Some (i, w) else None)
+          weights
+      in
+      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 valid in
+      if total > 0.0 then begin
+        Array.fill restart 0 n 0.0;
+        List.iter (fun (i, w) -> restart.(i) <- restart.(i) +. (w /. total)) valid
+      end)
+    personalization;
+  let rank = ref (Array.copy restart) and next = ref (Array.make n 0.0) in
+  (* [share.(u)] is what [u] sends along each out-edge this round. *)
+  let share = Array.make n 0.0 in
+  let i = ref 0 in
+  while !i < iterations do
+    let r = !rank and x = !next in
+    (* Dangling nodes donate their mass to the restart vector. *)
+    let dangling = ref 0.0 in
+    for u = 0 to n - 1 do
+      let deg = out_start.(u + 1) - out_start.(u) in
+      if deg = 0 then dangling := !dangling +. r.(u) else share.(u) <- r.(u) /. float_of_int deg
+    done;
+    let delta = ref 0.0 in
+    for v = 0 to n - 1 do
+      let flow = ref 0.0 in
+      for k = in_start.(v) to in_start.(v + 1) - 1 do
+        flow := !flow +. share.(in_src.(k))
+      done;
+      let p = restart.(v) in
+      x.(v) <- ((1.0 -. damping) *. p) +. (damping *. (!flow +. (!dangling *. p)));
+      delta := !delta +. Float.abs (x.(v) -. r.(v))
+    done;
+    rank := x;
+    next := r;
+    i := if !delta > epsilon then !i + 1 else iterations
+  done;
+  !rank

@@ -2,7 +2,8 @@
    [Digraph] and the Hashtbl-based [Neighborhood.expand] and
    [Traversal.bfs] that the id-indexed arrays replaced, and the
    hand-rolled breadth-first search [Lineage.first_recognizable] ran
-   before it moved onto [Traversal.first_match].  They are kept as
+   before it moved onto [Traversal.first_match], and in [Rank] E12's
+   Hashtbl PageRank and HITS over a sub-Digraph.  They are kept as
    written then, so the properties in Test_graph_model can compare the
    arrays against the structure whose orders and float sums the §2
    answers were first pinned with.  Enumerations here follow hash
@@ -221,3 +222,157 @@ let first_match ~direction ?budget ?follow g ~start recognize =
   done;
   let rec build acc v = if v = start then v :: acc else build (v :: acc) (Hashtbl.find parent v) in
   (Option.map (fun (node, distance) -> (node, distance, build [] node)) !found, !truncated, !expansions)
+
+(* E12's rankers before they moved onto Provgraph.Subgraph: the
+   focused subgraph as an id-indexed Digraph holding the members and
+   their followed edges, source by ascending id, and PageRank and HITS
+   over it in Hashtbls.  [sub_digraph] expects the members a
+   breadth-first walk visits: distinct nodes of [graph]. *)
+module Rank = struct
+  module Digraph = Provgraph.Digraph
+
+  let sub_digraph graph ~follow members =
+    let members = List.sort Int.compare members in
+    (* Sized once for the largest member id: growing by doubling would
+       copy every id-indexed array on the way up. *)
+    let sub = Digraph.create ~initial_capacity:(1 + List.fold_left max 0 members) () in
+    List.iter (fun id -> Digraph.add_node sub id (Digraph.node graph id)) members;
+    List.iter
+      (fun src ->
+        Digraph.iter_out graph src (fun dst e ->
+            if Digraph.mem_node sub dst && follow ~src ~dst e then
+              Digraph.add_edge sub ~src ~dst e))
+      members;
+    sub
+
+  let pagerank ?(damping = 0.85) ?(iterations = 50) ?(epsilon = 1e-10) ?personalization g =
+    let nodes = Digraph.nodes g in
+    let n = List.length nodes in
+    if n = 0 then Hashtbl.create 1
+    else begin
+      let restart = Hashtbl.create n in
+      (match personalization with
+      | None ->
+        let u = 1.0 /. float_of_int n in
+        List.iter (fun id -> Hashtbl.replace restart id u) nodes
+      | Some weights ->
+        let valid = List.filter (fun (id, w) -> Digraph.mem_node g id && w > 0.0) weights in
+        let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 valid in
+        if total <= 0.0 then begin
+          let u = 1.0 /. float_of_int n in
+          List.iter (fun id -> Hashtbl.replace restart id u) nodes
+        end
+        else
+          List.iter (fun (id, w) ->
+              let prev = Option.value ~default:0.0 (Hashtbl.find_opt restart id) in
+              Hashtbl.replace restart id (prev +. (w /. total)))
+            valid);
+      let restart_of id = Option.value ~default:0.0 (Hashtbl.find_opt restart id) in
+      let rank = Hashtbl.create n in
+      List.iter (fun id -> Hashtbl.replace rank id (restart_of id)) nodes;
+      let get tbl id = Option.value ~default:0.0 (Hashtbl.find_opt tbl id) in
+      let rec iterate i =
+        if i < iterations then begin
+          let next = Hashtbl.create n in
+          (* Dangling nodes donate their mass to the restart vector. *)
+          let dangling =
+            List.fold_left
+              (fun acc id -> if Digraph.out_degree g id = 0 then acc +. get rank id else acc)
+              0.0 nodes
+          in
+          List.iter
+            (fun id ->
+              let flow =
+                List.fold_left
+                  (fun acc (src, _) ->
+                    let deg = Digraph.out_degree g src in
+                    if deg > 0 then acc +. (get rank src /. float_of_int deg) else acc)
+                  0.0 (Digraph.in_edges g id)
+              in
+              let r = restart_of id in
+              Hashtbl.replace next id
+                (((1.0 -. damping) *. r) +. (damping *. (flow +. (dangling *. r)))))
+            nodes;
+          let delta =
+            List.fold_left
+              (fun acc id -> acc +. Float.abs (get next id -. get rank id))
+              0.0 nodes
+          in
+          Hashtbl.reset rank;
+          Hashtbl.iter (fun id v -> Hashtbl.replace rank id v) next;
+          if delta > epsilon then iterate (i + 1)
+        end
+      in
+      iterate 0;
+      rank
+    end
+
+  type scores = { hub : (int, float) Hashtbl.t; authority : (int, float) Hashtbl.t }
+
+  let hits ?(iterations = 30) ?(epsilon = 1e-8) ?subset g =
+    let members =
+      match subset with
+      | None -> Digraph.nodes g
+      | Some ids -> List.sort_uniq Int.compare (List.filter (Digraph.mem_node g) ids)
+    in
+    let in_set = Hashtbl.create (List.length members) in
+    List.iter (fun id -> Hashtbl.replace in_set id ()) members;
+    let hub = Hashtbl.create 64 and authority = Hashtbl.create 64 in
+    List.iter
+      (fun id ->
+        Hashtbl.replace hub id 1.0;
+        Hashtbl.replace authority id 1.0)
+      members;
+    let get tbl id = Option.value ~default:0.0 (Hashtbl.find_opt tbl id) in
+    let normalize tbl =
+      let norm =
+        sqrt (Hashtbl.fold (fun _ v acc -> acc +. (v *. v)) tbl 0.0)
+      in
+      if norm > 0.0 then
+        Hashtbl.iter (fun id v -> Hashtbl.replace tbl id (v /. norm)) (Hashtbl.copy tbl)
+    in
+    let step () =
+      (* authority(v) = sum of hub(u) over in-neighbors u in the subset *)
+      let delta = ref 0.0 in
+      let new_auth =
+        List.map
+          (fun v ->
+            let s =
+              List.fold_left
+                (fun acc (u, _) -> if Hashtbl.mem in_set u then acc +. get hub u else acc)
+                0.0 (Digraph.in_edges g v)
+            in
+            (v, s))
+          members
+      in
+      List.iter (fun (v, s) -> Hashtbl.replace authority v s) new_auth;
+      normalize authority;
+      let new_hub =
+        List.map
+          (fun v ->
+            let s =
+              List.fold_left
+                (fun acc (w, _) ->
+                  if Hashtbl.mem in_set w then acc +. get authority w else acc)
+                0.0 (Digraph.out_edges g v)
+            in
+            (v, s))
+          members
+      in
+      List.iter
+        (fun (v, s) ->
+          delta := !delta +. Float.abs (s -. get hub v);
+          Hashtbl.replace hub v s)
+        new_hub;
+      normalize hub;
+      !delta
+    in
+    let rec iterate i =
+      if i < iterations then begin
+        let delta = step () in
+        if delta > epsilon then iterate (i + 1)
+      end
+    in
+    iterate 0;
+    { hub; authority }
+end

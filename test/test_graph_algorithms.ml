@@ -206,6 +206,18 @@ let test_sccs () =
 
 (* --- HITS / PageRank --- *)
 
+module Sub = Provgraph.Subgraph
+
+let induced ids g = Sub.induce g ~follow:(fun ~src:_ ~dst:_ _ -> true) ids
+let whole g = induced (G.nodes g) g
+let score sub scores id = scores.(Sub.local sub id)
+
+(* The [n] best-scoring node ids, ascending. *)
+let best sub scores n =
+  let by_score a b = Float.compare (score sub scores b) (score sub scores a) in
+  let ids = List.sort by_score (Array.to_list sub.Sub.members) in
+  List.sort Int.compare (List.filteri (fun i _ -> i < n) ids)
+
 let test_hits_hub_authority () =
   (* 1 and 2 point at 3 and 4; 3,4 are authorities, 1,2 hubs. *)
   let g = G.create () in
@@ -213,35 +225,62 @@ let test_hits_hub_authority () =
   List.iter
     (fun (s, d) -> G.add_edge g ~src:s ~dst:d ())
     [ (1, 3); (1, 4); (2, 3); (2, 4) ];
-  let scores = Provgraph.Hits.run g in
-  let top_auth = Provgraph.Hits.top scores `Authority 2 in
-  let top_hub = Provgraph.Hits.top scores `Hub 2 in
-  Alcotest.(check (list int)) "authorities" [ 3; 4 ] (List.sort compare (List.map fst top_auth));
-  Alcotest.(check (list int)) "hubs" [ 1; 2 ] (List.sort compare (List.map fst top_hub))
+  let sub = whole g in
+  let scores = Provgraph.Hits.run sub in
+  Alcotest.(check (list int)) "authorities" [ 3; 4 ] (best sub scores.Provgraph.Hits.authority 2);
+  Alcotest.(check (list int)) "hubs" [ 1; 2 ] (best sub scores.Provgraph.Hits.hub 2)
 
 let test_hits_subset () =
-  let g = diamond () in
-  let scores = Provgraph.Hits.run ~subset:[ 1; 2 ] g in
-  Alcotest.(check int) "only subset scored" 2 (List.length (Provgraph.Hits.top scores `Hub 10))
+  let scores = Provgraph.Hits.run (induced [ 1; 2 ] (diamond ())) in
+  Alcotest.(check int) "only subset scored" 2 (Array.length scores.Provgraph.Hits.hub)
+
+let test_empty_subgraph () =
+  let sub = induced [ 99; -1 ] (diamond ()) in
+  Alcotest.(check int) "no members" 0 (Sub.size sub);
+  let pr = Provgraph.Pagerank.run ~personalization:[ (99, 1.0) ] sub in
+  Alcotest.(check int) "no ranks" 0 (Array.length pr);
+  let scores = Provgraph.Hits.run sub in
+  Alcotest.(check (pair int int)) "no hub or authority scores" (0, 0)
+    (Array.length scores.Provgraph.Hits.hub, Array.length scores.Provgraph.Hits.authority)
 
 let test_pagerank_sums_to_one () =
   let rng = Prng.create 3 in
-  let g = random_dag rng 30 0.1 in
-  let pr = Provgraph.Pagerank.run g in
-  let total = Hashtbl.fold (fun _ v acc -> acc +. v) pr 0.0 in
+  let pr = Provgraph.Pagerank.run (whole (random_dag rng 30 0.1)) in
+  let total = Array.fold_left ( +. ) 0.0 pr in
   if Float.abs (total -. 1.0) > 1e-6 then Alcotest.failf "mass %f" total
 
 let test_pagerank_sink_attracts () =
-  let g = chain 3 in
-  let pr = Provgraph.Pagerank.run g in
-  let get n = Option.value ~default:0.0 (Hashtbl.find_opt pr n) in
-  Alcotest.(check bool) "downstream outranks upstream" true (get 3 > get 1)
+  let sub = whole (chain 3) in
+  let pr = Provgraph.Pagerank.run sub in
+  Alcotest.(check bool) "downstream outranks upstream" true (score sub pr 3 > score sub pr 1)
 
 let test_personalized_pagerank () =
-  let g = diamond () in
-  let pr = Provgraph.Pagerank.run ~personalization:[ (2, 1.0) ] g in
-  let get n = Option.value ~default:0.0 (Hashtbl.find_opt pr n) in
-  Alcotest.(check bool) "restart node favored over sibling" true (get 2 > get 3)
+  let sub = whole (diamond ()) in
+  let pr = Provgraph.Pagerank.run ~personalization:[ (2, 1.0) ] sub in
+  Alcotest.(check bool) "restart node favored over sibling" true (score sub pr 2 > score sub pr 3)
+
+let test_pagerank_non_member_restart () =
+  let sub = induced [ 1; 2; 4 ] (diamond ()) in
+  let bits pr = Array.to_list (Array.map Int64.bits_of_float pr) in
+  Alcotest.(check (list int64)) "uniform restart"
+    (bits (Provgraph.Pagerank.run sub))
+    (bits (Provgraph.Pagerank.run ~personalization:[ (3, 1.0); (99, 2.0); (-1, 1.0) ] sub))
+
+module CS = Core.Contextual_search
+
+let test_rankers_without_text_hits () =
+  let web, engine, api = Core_fixtures.make ~seed:25 () in
+  let tab = Browser.Engine.open_tab engine ~time:10 () in
+  ignore (Browser.Engine.visit_typed engine ~time:20 ~tab (Core_fixtures.article web));
+  let index = Core.Api.text_index api in
+  List.iter
+    (fun (name, (resp : CS.response)) ->
+      Alcotest.(check int) (name ^ ": no results") 0 (List.length resp.CS.results);
+      Alcotest.(check bool) (name ^ ": not truncated") false resp.CS.truncated)
+    [
+      ("pagerank", CS.search_pagerank index "qqzzxv");
+      ("hits", CS.search_hits index "qqzzxv");
+    ]
 
 (* --- neighborhood --- *)
 
@@ -358,9 +397,12 @@ let suite =
     Alcotest.test_case "SCCs" `Quick test_sccs;
     Alcotest.test_case "HITS hubs/authorities" `Quick test_hits_hub_authority;
     Alcotest.test_case "HITS subset" `Quick test_hits_subset;
+    Alcotest.test_case "empty subgraph" `Quick test_empty_subgraph;
     Alcotest.test_case "pagerank mass" `Quick test_pagerank_sums_to_one;
     Alcotest.test_case "pagerank sink" `Quick test_pagerank_sink_attracts;
     Alcotest.test_case "personalized pagerank" `Quick test_personalized_pagerank;
+    Alcotest.test_case "pagerank restart at non-members" `Quick test_pagerank_non_member_restart;
+    Alcotest.test_case "rankers without text hits" `Quick test_rankers_without_text_hits;
     Alcotest.test_case "neighborhood decay" `Quick test_neighborhood_decay;
     Alcotest.test_case "neighborhood additive" `Quick test_neighborhood_additive_seeds;
     Alcotest.test_case "neighborhood ranked" `Quick test_neighborhood_ranked;

@@ -18,7 +18,14 @@
 
    Traversal.first_match must find what lineage's hand-rolled search
    found (node, distance, path, truncation, expansions) and ask the
-   recognizer about the same nodes in the same order. *)
+   recognizer about the same nodes in the same order.
+
+   E12: Subgraph.induce over random ids and follow filters must hold
+   the model sub-Digraph's members and, for each member, its out- and
+   in-edges in the same order; Pagerank.run must equal the Hashtbl
+   PageRank bit for bit under uniform, personalized, all-zero and
+   non-member restarts, and Hits.run the Hashtbl HITS within 1e-12
+   relative error (its L2 norms are summed in another order). *)
 
 module G = Provgraph.Digraph
 module M = Graph_model.Digraph
@@ -289,6 +296,106 @@ let test_nested_walk () =
       | _ -> Alcotest.fail "inner walk lost its root")
     !inner
 
+(* --- E12's induced subgraph and rankers --- *)
+
+module Sub = Provgraph.Subgraph
+module Rank = Graph_model.Rank
+
+(* A subgraph of random ids (absent, negative, past the graph and
+   repeated ones among them) with a random follow filter, and the
+   sub-Digraph the model builds from the same members. *)
+let random_induced rng p =
+  let ids = List.init (Prng.int rng (p.ids + 3)) (fun _ -> Prng.int rng (p.ids + 2) - 1) in
+  let follow = Option.value (random_follow rng) ~default:(fun ~src:_ ~dst:_ _ -> true) in
+  let members = List.sort_uniq Int.compare (List.filter (G.mem_node p.g) ids) in
+  (Sub.induce p.g ~follow ids, Rank.sub_digraph p.g ~follow members, ids)
+
+(* Local [i]'s edges in one compressed row, as node ids. *)
+let row sub starts ends i =
+  List.init (starts.(i + 1) - starts.(i)) (fun k -> sub.Sub.members.(ends.(starts.(i) + k)))
+
+let check_induced ~where rng p =
+  let sub, want, ids = random_induced rng p in
+  let where =
+    Printf.sprintf "%s: induce [%s]" where (String.concat " " (List.map string_of_int ids))
+  in
+  let members = G.nodes want in
+  Alcotest.(check (list int)) (where ^ ": members") members (Array.to_list sub.Sub.members);
+  Alcotest.(check int) (where ^ ": size") (G.node_count want) (Sub.size sub);
+  Alcotest.(check int) (where ^ ": edges") (G.edge_count want) (Array.length sub.Sub.in_src);
+  for id = -1 to p.ids do
+    let rank = if G.mem_node want id then List.length (List.filter (( > ) id) members) else -1 in
+    Alcotest.(check int) (Printf.sprintf "%s: local %d" where id) rank (Sub.local sub id)
+  done;
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: out-edges of %d" where id)
+        (List.map fst (G.out_edges want id))
+        (row sub sub.Sub.out_start sub.Sub.out_dst i);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: in-edges of %d" where id)
+        (List.map fst (G.in_edges want id))
+        (row sub sub.Sub.in_start sub.Sub.in_src i))
+    sub.Sub.members
+
+let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+(* PageRank under every kind of restart, bit for bit, and HITS within
+   1e-12 relative error.  Returns how many members are dangling. *)
+let check_rankers ~where rng p =
+  let sub, want, _ = random_induced rng p in
+  let members = Array.to_list sub.Sub.members in
+  let some_members = List.filter (fun _ -> Prng.bool rng) members in
+  let restarts =
+    [
+      ("uniform", None);
+      ("random seeds", Some (random_seeds rng p));
+      ("personalized", Some (List.map (fun id -> (id, 0.5 +. float_of_int id)) some_members));
+      ("all-zero weights", Some (List.map (fun id -> (id, 0.0)) members));
+      ("seeds outside", Some [ (-1, 1.0); (p.ids, 2.0); (p.ids + 1, 0.5) ]);
+    ]
+  in
+  List.iter
+    (fun (name, personalization) ->
+      let want = Rank.pagerank ?personalization want in
+      let got = Provgraph.Pagerank.run ?personalization sub in
+      let where = Printf.sprintf "%s: pagerank, %s" where name in
+      Alcotest.(check int) (where ^ ": size") (Hashtbl.length want) (Array.length got);
+      Array.iteri
+        (fun i id ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: rank of %d, bit for bit" where id)
+            (Int64.bits_of_float (Hashtbl.find want id))
+            (Int64.bits_of_float got.(i)))
+        sub.Sub.members)
+    restarts;
+  let want = Rank.hits want and got = Provgraph.Hits.run sub in
+  let check what tbl scores =
+    Array.iteri
+      (fun i id ->
+        let a = Hashtbl.find tbl id in
+        if not (close a scores.(i)) then
+          Alcotest.failf "%s: hits %s of %d: %h against %h" where what id scores.(i) a)
+      sub.Sub.members
+  in
+  check "hub" want.Rank.hub got.Provgraph.Hits.hub;
+  check "authority" want.Rank.authority got.Provgraph.Hits.authority;
+  let dangling = ref 0 in
+  for i = 0 to Sub.size sub - 1 do
+    if sub.Sub.out_start.(i + 1) = sub.Sub.out_start.(i) then incr dangling
+  done;
+  !dangling
+
+let test_induced_against_model = walks_against_model ~salt:0x5b6a check_induced
+
+let test_rankers_against_model () =
+  let dangling = ref 0 in
+  walks_against_model ~salt:0x9a6e
+    (fun ~where rng p -> dangling := !dangling + check_rankers ~where rng p)
+    ();
+  Alcotest.(check bool) "some subgraphs had dangling members" true (!dangling > 0)
+
 let suite =
   [
     Alcotest.test_case "random ops: every view equals the model" `Quick test_ops_against_model;
@@ -297,4 +404,8 @@ let suite =
     Alcotest.test_case "first_match equals lineage's search" `Quick
       test_first_match_against_model;
     Alcotest.test_case "a walk inside a walk's callback" `Quick test_nested_walk;
+    Alcotest.test_case "induced subgraph equals the sub-Digraph" `Quick
+      test_induced_against_model;
+    Alcotest.test_case "PageRank and HITS equal the Hashtbl rankers" `Quick
+      test_rankers_against_model;
   ]

@@ -126,8 +126,118 @@ let test_e12_answers () =
   check_golden ~file:"e12_answers.txt" ~write_env:"PROV_WRITE_E12_ANSWERS"
     (e12_answers (Harness.Dataset.with_days days))
 
+(* --- E12 against the Hashtbl rankers ---
+
+   E12 as it ran before PageRank and HITS moved onto the induced
+   subgraph: the same text seeds and walk (default config, no budget),
+   Graph_model.Rank's sub-Digraph and Hashtbl rankers, the graph-score
+   table each search filled, and [respond]'s page sums and ranking. *)
+
+let page_target store id =
+  let module S = Core.Prov_store in
+  let visible page = if S.page_hidden store page then None else Some page in
+  match Option.map (fun (n : Core.Prov_node.t) -> n.Core.Prov_node.kind) (S.node_opt store id) with
+  | Some (Core.Prov_node.Page _) -> visible id
+  | Some (Core.Prov_node.Visit _) -> Option.bind (S.page_of_visit store id) visible
+  | Some (Core.Prov_node.Bookmark { url; _ }) -> Option.bind (S.page_of_url store url) visible
+  | _ -> None
+
+let reference_e12 rank index query =
+  let config = CS.default_config and limit = 10 in
+  let store = Core.Prov_text_index.store index in
+  let hits =
+    Core.Prov_text_index.search ~limit:(max (limit * 4) (config.CS.seed_count * 4)) index query
+  in
+  let seeds = List.filteri (fun i _ -> i < config.CS.seed_count) hits in
+  let graph = Core.Prov_store.graph store in
+  (* The default config follows every edge but the time edges. *)
+  let follow ~src:_ ~dst:_ (e : Core.Prov_edge.t) =
+    e.Core.Prov_edge.kind <> Core.Prov_edge.Same_time
+  in
+  let walk =
+    Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~max_depth:config.CS.max_hops
+      ~follow graph ~roots:(List.map fst seeds)
+  in
+  let members = List.map fst walk.Provgraph.Traversal.visited in
+  let sub = Graph_model.Rank.sub_digraph graph ~follow members in
+  let sums = Hashtbl.create 64 in
+  let bump page ~text ~graph_mass =
+    let total, t, g = Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt sums page) in
+    Hashtbl.replace sums page
+      ( total +. (config.CS.text_weight *. text) +. (config.CS.graph_weight *. graph_mass),
+        t +. text,
+        g +. graph_mass )
+  in
+  List.iter
+    (fun (node, score) -> Option.iter (bump ~text:score ~graph_mass:0.0) (page_target store node))
+    hits;
+  Hashtbl.iter
+    (fun node mass -> Option.iter (bump ~text:0.0 ~graph_mass:mass) (page_target store node))
+    (rank sub seeds);
+  let by_score (pa, (a, _, _)) (pb, (b, _, _)) =
+    let c = Float.compare b a in
+    if c <> 0 then c else Int.compare pa pb
+  in
+  let pages = List.sort by_score (Hashtbl.fold (fun page s acc -> (page, s) :: acc) sums []) in
+  let result (page, (score, text_score, graph_score)) =
+    { CS.page; score; text_score; graph_score }
+  in
+  {
+    CS.results = List.map result (List.filteri (fun i _ -> i < limit) pages);
+    truncated = walk.Provgraph.Traversal.truncated;
+    elapsed_ms = 0.0;
+  }
+
+let reference_pagerank sub seeds =
+  let pr = Graph_model.Rank.pagerank ~damping:0.85 ~personalization:seeds sub in
+  let graph_scores = Hashtbl.create (Hashtbl.length pr) in
+  let scale = float_of_int (max 1 (Provgraph.Digraph.node_count sub)) in
+  Hashtbl.iter (fun id v -> Hashtbl.replace graph_scores id (v *. scale /. 10.0)) pr;
+  graph_scores
+
+let reference_hits sub _ =
+  let scores = Graph_model.Rank.hits sub in
+  let graph_scores = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun id authority ->
+      let hub = Option.value ~default:0.0 (Hashtbl.find_opt scores.Graph_model.Rank.hub id) in
+      Hashtbl.replace graph_scores id (authority +. (0.5 *. hub)))
+    scores.Graph_model.Rank.authority;
+  graph_scores
+
+(* PageRank answers must be bit-identical; HITS answers must rank the
+   same pages in the same order, with every score within 1e-12
+   relative error (the new HITS sums its L2 norms over ascending ids,
+   the Hashtbl one in bucket order). *)
+let test_e12_against_reference () =
+  let ds = Harness.Dataset.with_days days in
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) in
+  List.iter
+    (fun (e : UM.search_episode) ->
+      let q = e.UM.query in
+      Alcotest.(check string) ("pagerank " ^ q)
+        (ranked (reference_e12 reference_pagerank index q))
+        (ranked (CS.search_pagerank index q));
+      let want = reference_e12 reference_hits index q and got = CS.search_hits index q in
+      Alcotest.(check bool) ("hits truncated " ^ q) want.CS.truncated got.CS.truncated;
+      Alcotest.(check (list int)) ("hits pages " ^ q)
+        (List.map (fun (r : CS.result) -> r.CS.page) want.CS.results)
+        (List.map (fun (r : CS.result) -> r.CS.page) got.CS.results);
+      List.iter2
+        (fun (w : CS.result) (g : CS.result) ->
+          if
+            not
+              (close w.CS.score g.CS.score
+              && close w.CS.text_score g.CS.text_score
+              && close w.CS.graph_score g.CS.graph_score)
+          then Alcotest.failf "hits %S: %s against %s" q (ranked got) (ranked want))
+        want.CS.results got.CS.results)
+    ds.Harness.Dataset.trace.UM.searches
+
 let suite =
   [
     Alcotest.test_case "every pool input, digest per answer" `Quick test_answers;
     Alcotest.test_case "E12 PageRank and HITS answers" `Quick test_e12_answers;
+    Alcotest.test_case "E12 against the Hashtbl rankers" `Quick test_e12_against_reference;
   ]

@@ -39,7 +39,8 @@ for row in hot-select-cold hot-select-cached wal-ingest-unbatched wal-ingest-bat
            stats-analyze estimate-error-heuristic estimate-error-stats \
            lint-full-tree alert-eval \
            daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index \
-           E3-contextual-words E4-personalize-words E7-lineage-words; do
+           E3-contextual-words E4-personalize-words E7-lineage-words \
+           E12-pagerank-words E12-hits-words; do
   grep -q "\"name\":\"$row\"" "$work/base.json" ||
     { echo "bench_smoke: artifact missing expected row $row"; exit 1; }
 done
@@ -74,20 +75,24 @@ awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
 # E3-contextual-words stores a count (minor words allocated per
 # contextual search over the quick dataset's queries), not a latency.
 # The count repeats exactly, so it is gated against a fixed ceiling:
-# the 3,343 words/query this row measures with array postings, a dense
-# BM25 accumulator and dense page sums (7,725 with Imap postings and
-# Hashtbl sums; 16,615 with the hash-table graph walks before that).
+# the 3,091 words/query this row measures once page sums read each
+# graph-scored node without an option (3,343 before that, with array
+# postings, a dense BM25 accumulator and dense page sums; 7,725 with
+# Imap postings and Hashtbl sums; 16,615 with the hash-table graph
+# walks before that).
 words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 3343) }' ||
-  { echo "bench_smoke: E3-contextual-words ($words words/query) above 3343"; exit 1; }
+awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 3091) }' ||
+  { echo "bench_smoke: E3-contextual-words ($words words/query) above 3091"; exit 1; }
 
 # E4-personalize-words is the same kind of count for
-# Personalize.expand over the same queries, gated at the 5,114
+# Personalize.expand over the same queries, gated at the 4,862
 # words/query this row measures when personalization reads each result
-# page's terms from the text index (17,777 when it tokenized them).
+# page's terms from the text index and page sums take no option per
+# graph-scored node (5,114 with the option; 17,777 when it tokenized
+# the terms).
 personalize_words="$(grep '"name":"E4-personalize-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 5114) }' ||
-  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 5114"; exit 1; }
+awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 4862) }' ||
+  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 4862"; exit 1; }
 
 # E7-lineage-words is the same kind of count for download lineage
 # (Lineage.first_recognizable over the quick dataset's downloads),
@@ -96,6 +101,18 @@ awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 5114) }' ||
 lineage_words="$(grep '"name":"E7-lineage-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
 awk -v w="$lineage_words" 'BEGIN { exit !(w > 0 && w <= 335) }' ||
   { echo "bench_smoke: E7-lineage-words ($lineage_words words/query) above 335"; exit 1; }
+
+# E12-pagerank-words and E12-hits-words are the same kind of count for
+# E12's search_pagerank and search_hits over the quick dataset's
+# queries, gated at the 10,414 and 10,092 words/query these rows
+# measure with PageRank and HITS over the array-backed induced subgraph
+# (286,672 and 328,250 with Hashtbl scores over a sub-Digraph).
+for gate in E12-pagerank-words:10414 E12-hits-words:10092; do
+  row="${gate%%:*}" ceiling="${gate##*:}"
+  w="$(grep "\"name\":\"$row\"" "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
+  awk -v w="$w" -v c="$ceiling" 'BEGIN { exit !(w > 0 && w <= c) }' ||
+    { echo "bench_smoke: $row ($w words/query) above $ceiling"; exit 1; }
+done
 
 # Alert rules run on every pulse point; evaluation must stay cheap in
 # absolute terms (ns per rule per point — 20 us is already two orders
