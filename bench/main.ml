@@ -700,7 +700,8 @@ let run_snapshot measured =
    rows, to carry a count: minor-heap words allocated per call over the
    quick dataset's inputs — Contextual_search.search and
    Personalize.expand over its search queries (E3-contextual-words,
-   E4-personalize-words), Lineage.first_recognizable over its
+   E4-personalize-words), Time_search.search over its dual-topic
+   contexts (E3-timectx-words), Lineage.first_recognizable over its
    downloads (E7-lineage-words), and E12's search_pagerank and
    search_hits over the search queries (E12-pagerank-words,
    E12-hits-words).  A first pass warms lazily built
@@ -729,10 +730,22 @@ let measure_words () =
         Core.Prov_store.download_node store d.Browser.User_model.download_id)
       trace.Browser.User_model.downloads
   in
+  let contexts =
+    List.map
+      (fun (d : Browser.User_model.dual_episode) ->
+        ( Webmodel.Topic.name
+            (Webmodel.Web_graph.topic ds.Harness.Dataset.web d.Browser.User_model.focus_topic),
+          d.Browser.User_model.other_term ))
+      trace.Browser.User_model.duals
+  in
   let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let time_index = Harness.Dataset.time_index ds in
   [
     words_per_call "E3-contextual-words" (Core.Contextual_search.search index) queries;
     words_per_call "E4-personalize-words" (Core.Personalize.expand index) queries;
+    words_per_call "E3-timectx-words"
+      (fun (query, context) -> Core.Time_search.search index time_index ~query ~context)
+      contexts;
     words_per_call "E7-lineage-words" (Core.Lineage.first_recognizable store) downloads;
     words_per_call "E12-pagerank-words" (Core.Contextual_search.search_pagerank index) queries;
     words_per_call "E12-hits-words" (Core.Contextual_search.search_hits index) queries;

@@ -1,4 +1,5 @@
 module Neighborhood = Provgraph.Neighborhood
+module Scratch = Provkit_util.Scratch
 
 type config = {
   seed_count : int;
@@ -27,85 +28,60 @@ type result = { page : int; score : float; text_score : float; graph_score : flo
 
 type response = { results : result list; truncated : bool; elapsed_ms : float }
 
-(* Map any scored node onto the page it speaks about.  Pages that were
+(* The page a scored node speaks about, -1 for none.  Pages that were
    only ever embedded content or redirect hops are hidden from results,
    exactly as Places hides them from history search. *)
-let page_target store id (n : Prov_node.t) =
-  let visible page = if Prov_store.page_hidden store page then None else Some page in
-  match n.Prov_node.kind with
-  | Prov_node.Page _ -> visible id
-  | Prov_node.Visit _ -> Option.bind (Prov_store.page_of_visit store id) visible
-  | Prov_node.Bookmark { url; _ } -> Option.bind (Prov_store.page_of_url store url) visible
-  | Prov_node.Search_term _ | Prov_node.Download _ | Prov_node.Form_submission _ -> None
+let page_target store id =
+  let page =
+    match (Prov_store.node store id).Prov_node.kind with
+    | Prov_node.Page _ -> id
+    | Prov_node.Visit _ -> Prov_store.page_of_visit store id
+    | Prov_node.Bookmark { url; _ } ->
+      Option.value ~default:(-1) (Prov_store.page_of_url store url)
+    | Prov_node.Search_term _ | Prov_node.Download _ | Prov_node.Form_submission _ -> -1
+  in
+  if page >= 0 && not (Prov_store.page_hidden store page) then page else -1
 
-(* Every page's running score, its text part and its graph part, in
-   arrays indexed by page id: a page has sums in this response iff
-   [stamp.(page) = gen], and the first [count] entries of [pages] list
-   those pages.  Each domain has its own; nothing a response calls
-   starts another on the same domain. *)
-type sums = {
-  mutable stamp : int array;
-  mutable total : float array;
-  mutable text : float array;
-  mutable graph : float array;
-  mutable pages : int array;
-  mutable count : int;
-  mutable gen : int;
-}
+(* Every page's running score, its text part and its graph part, by
+   page id; the scratch's members are the pages summed so far. *)
+type sums = { pages : Scratch.t; total : float array; text : float array; graph : float array }
 
-let sums_key =
-  Domain.DLS.new_key (fun () ->
-      { stamp = [||]; total = [||]; text = [||]; graph = [||]; pages = [||]; count = 0; gen = 0 })
-
-(* This domain's sums, emptied and sized for every node of [store]. *)
-let fresh_sums store =
-  let s = Domain.DLS.get sums_key in
-  let bound = Provgraph.Digraph.bound (Prov_store.graph store) and have = Array.length s.stamp in
-  if have < bound then begin
-    let n = max bound (2 * have) in
-    s.stamp <- Array.make n 0;
-    s.total <- Array.make n 0.0;
-    s.text <- Array.make n 0.0;
-    s.graph <- Array.make n 0.0;
-    s.pages <- Array.make n 0
-  end;
-  s.gen <- s.gen + 1;
-  s.count <- 0;
-  s
+let with_sums store f =
+  Scratch.with_ ~bound:(Provgraph.Digraph.bound (Prov_store.graph store)) @@ fun pages ->
+  f
+    {
+      pages;
+      total = Scratch.floats pages 0;
+      text = Scratch.floats pages 1;
+      graph = Scratch.floats pages 2;
+    }
 
 (* Gives [page] zero sums the first time it is summed. *)
 let touch s page =
-  if s.stamp.(page) <> s.gen then begin
-    s.stamp.(page) <- s.gen;
+  if not (Scratch.mem s.pages page) then begin
+    Scratch.add s.pages page;
     s.total.(page) <- 0.0;
     s.text.(page) <- 0.0;
-    s.graph.(page) <- 0.0;
-    s.pages.(s.count) <- page;
-    s.count <- s.count + 1
+    s.graph.(page) <- 0.0
   end
 
-let rank_results ?(limit = 10) s =
-  let pages = Array.sub s.pages 0 s.count in
-  Array.sort
-    (fun pa pb ->
-      let c = Float.compare s.total.(pb) s.total.(pa) in
-      if c <> 0 then c else Int.compare pa pb)
-    pages;
-  List.init (max 0 (min limit s.count)) (fun i ->
-      let page = pages.(i) in
+let rank_results ~limit s =
+  let n = Scratch.top s.pages s.total limit in
+  List.init n (fun i ->
+      let page = s.pages.Scratch.heap.(i) in
       { page; score = s.total.(page); text_score = s.text.(page); graph_score = s.graph.(page) })
 
 let textual_only ?(limit = 10) index query =
   let store = Prov_text_index.store index in
-  let s = fresh_sums store in
+  with_sums store @@ fun s ->
   List.iter
     (fun (node, score) ->
-      match page_target store node (Prov_store.node store node) with
-      | Some page ->
+      let page = page_target store node in
+      if page >= 0 then begin
         touch s page;
         s.total.(page) <- s.total.(page) +. score;
         s.text.(page) <- s.text.(page) +. score
-      | None -> ())
+      end)
     (Prov_text_index.search ~limit:(limit * 4) index query);
   rank_results ~limit s
 
@@ -133,30 +109,29 @@ let focused_subgraph config ~budget_nodes store seeds =
   ( Provgraph.Subgraph.induce graph ~follow (List.map fst outcome.Provgraph.Traversal.visited),
     outcome.Provgraph.Traversal.truncated )
 
+let[@inline] bump config s page ~text ~graph_mass =
+  touch s page;
+  s.total.(page) <-
+    s.total.(page) +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass);
+  s.text.(page) <- s.text.(page) +. text;
+  s.graph.(page) <- s.graph.(page) +. graph_mass
+
 (* Shared post-processing for every algorithm: combine text scores and
-   a graph score table (whose keys are nodes of the store) onto visible
-   pages. *)
-let respond config ~limit ~running ~truncated store hits graph_scores =
-  let s = fresh_sums store in
-  let bump page ~text ~graph_mass =
-    touch s page;
-    s.total.(page) <-
-      s.total.(page) +. (config.text_weight *. text) +. (config.graph_weight *. graph_mass);
-    s.text.(page) <- s.text.(page) +. text;
-    s.graph.(page) <- s.graph.(page) +. graph_mass
-  in
+   graph scores onto visible pages.  The graph-scored nodes are
+   [nodes.(0 .. count - 1)], in the order their masses are summed, and
+   [masses.(node)] is each one's score. *)
+let respond config ~limit ~running ~truncated store hits ~nodes ~count ~masses =
+  with_sums store @@ fun s ->
   List.iter
     (fun (node, score) ->
-      match page_target store node (Prov_store.node store node) with
-      | Some page -> bump page ~text:score ~graph_mass:0.0
-      | None -> ())
+      let page = page_target store node in
+      if page >= 0 then bump config s page ~text:score ~graph_mass:0.0)
     hits;
-  Hashtbl.iter
-    (fun node mass ->
-      match page_target store node (Prov_store.node store node) with
-      | Some page -> bump page ~text:0.0 ~graph_mass:mass
-      | None -> ())
-    graph_scores;
+  for i = 0 to count - 1 do
+    let node = nodes.(i) in
+    let page = page_target store node in
+    if page >= 0 then bump config s page ~text:0.0 ~graph_mass:masses.(node)
+  done;
   {
     results = rank_results ~limit s;
     truncated = Query_budget.was_truncated running truncated;
@@ -167,9 +142,10 @@ let seeds_of config hits = List.filteri (fun i _ -> i < config.seed_count) hits
 
 (* Ranks the focused subgraph around the text seeds: [rank sub seeds]
    gives each member's graph score by local id.  The scores reach
-   [respond] in a table made for the member count and filled in
-   ascending node order, which iterates in the order the Hashtbl-based
-   rankers' tables did, so each page's sum keeps its order. *)
+   [respond] in the order a table made for the member count and filled
+   in ascending node order iterates, which is the order the
+   Hashtbl-based rankers' tables did, so each page's sum keeps its
+   order. *)
 let search_focused config ~budget ~limit index query rank =
   let running = Query_budget.start budget in
   let store = Prov_text_index.store index in
@@ -185,7 +161,15 @@ let search_focused config ~budget ~limit index query rank =
   Array.iteri
     (fun i id -> Hashtbl.replace graph_scores id (score i))
     sub.Provgraph.Subgraph.members;
-  respond config ~limit ~running ~truncated store hits graph_scores
+  Scratch.with_ ~bound:(Provgraph.Digraph.bound (Prov_store.graph store)) @@ fun scored ->
+  let masses = Scratch.floats scored 0 in
+  Hashtbl.iter
+    (fun id mass ->
+      Scratch.add scored id;
+      masses.(id) <- mass)
+    graph_scores;
+  respond config ~limit ~running ~truncated store hits ~nodes:scored.Scratch.ids
+    ~count:scored.Scratch.count ~masses
 
 let search_pagerank ?(config = default_config) ?(budget = Query_budget.unlimited)
     ?(limit = 10) index query =
@@ -207,24 +191,21 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
   let store = Prov_text_index.store index in
   let hits = Prov_text_index.search ~limit:(max (limit * 4) (config.seed_count * 4)) index query in
   let seeds = seeds_of config hits in
-  let expansion, truncated =
-    if Query_budget.out_of_time running then (Hashtbl.create 1, true)
-    else begin
-      let nconfig =
-        {
-          Neighborhood.default_config with
-          Neighborhood.decay = config.decay;
-          max_hops = config.max_hops;
-          node_budget = Query_budget.remaining_nodes running;
-          degree_normalize = config.degree_normalize;
-        }
-      in
-      let scores, truncated =
-        Neighborhood.expand ~config:nconfig ~follow:(follow config) (Prov_store.graph store)
-          ~seeds
-      in
-      Query_budget.consume_nodes running (Hashtbl.length scores);
-      (scores, truncated)
-    end
-  in
-  respond config ~limit ~running ~truncated store hits expansion
+  if Query_budget.out_of_time running then
+    respond config ~limit ~running ~truncated:true store hits ~nodes:[||] ~count:0 ~masses:[||]
+  else begin
+    let nconfig =
+      {
+        Neighborhood.default_config with
+        Neighborhood.decay = config.decay;
+        max_hops = config.max_hops;
+        node_budget = Query_budget.remaining_nodes running;
+        degree_normalize = config.degree_normalize;
+      }
+    in
+    Neighborhood.expand ~config:nconfig ~follow:(follow config) (Prov_store.graph store) ~seeds
+    @@ fun { Neighborhood.reached; scores; truncated } ->
+    Query_budget.consume_nodes running reached.Scratch.count;
+    respond config ~limit ~running ~truncated store hits ~nodes:reached.Scratch.ids
+      ~count:reached.Scratch.count ~masses:scores
+  end

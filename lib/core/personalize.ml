@@ -21,6 +21,8 @@ type expansion = {
   elapsed_ms : float;
 }
 
+type tally = { mutable mass : float }
+
 let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index query =
   let store = Prov_text_index.store index in
   let response =
@@ -29,6 +31,8 @@ let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index q
   in
   let query_terms = Textindex.Tokenizer.terms query in
   let is_query_term term = List.mem term query_terms in
+  (* Each term's mass in a float record, so adding to it allocates
+     nothing. *)
   let tally = Hashtbl.create 64 in
   List.iter
     (fun (r : Contextual_search.result) ->
@@ -39,27 +43,36 @@ let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index q
       in
       List.iter
         (fun term ->
-          if String.length term > 2 && not (is_query_term term) then begin
-            let prev = Option.value ~default:0.0 (Hashtbl.find_opt tally term) in
-            Hashtbl.replace tally term (prev +. r.Contextual_search.score)
-          end)
+          if String.length term > 2 && not (is_query_term term) then
+            match Hashtbl.find tally term with
+            | t -> t.mass <- t.mass +. r.Contextual_search.score
+            | exception Not_found -> Hashtbl.add tally term { mass = r.Contextual_search.score })
         terms)
     response.Contextual_search.results;
-  let weighted =
+  let by_weight (ta, wa) (tb, wb) =
+    let c = Float.compare wb wa in
+    if c <> 0 then c else String.compare ta tb
+  in
+  (* The [expansion_terms] heaviest terms, ties by name, kept worst
+     first: a term joins them when they are too few or it beats the
+     worst. *)
+  let worst_first a b = by_weight b a in
+  let kept =
     Hashtbl.fold
-      (fun term mass acc ->
+      (fun term t kept ->
         let idf = Prov_text_index.idf index term in
-        if idf >= config.min_idf then (term, mass *. idf) :: acc else acc)
+        if idf < config.min_idf then kept
+        else begin
+          let x = (term, t.mass *. idf) in
+          if List.length kept < config.expansion_terms then List.merge worst_first [ x ] kept
+          else
+            match kept with
+            | worst :: rest when by_weight x worst < 0 -> List.merge worst_first [ x ] rest
+            | _ -> kept
+        end)
       tally []
   in
-  let ranked =
-    List.sort
-      (fun (ta, wa) (tb, wb) ->
-        let c = Float.compare wb wa in
-        if c <> 0 then c else String.compare ta tb)
-      weighted
-  in
-  let added_terms = List.filteri (fun i _ -> i < config.expansion_terms) ranked in
+  let added_terms = List.rev kept in
   let expanded =
     match added_terms with
     | [] -> query

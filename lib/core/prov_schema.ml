@@ -255,14 +255,10 @@ let of_database db =
     Provgraph.Digraph.fold_nodes g ~init:[] ~f:(fun acc id n ->
         match n.Prov_node.kind with
         | Prov_node.Visit v -> begin
-          match Prov_store.page_of_visit store id with
-          | Some page -> begin
-            match (Prov_store.node store page).Prov_node.kind with
-            | Prov_node.Page { url; title } ->
-              { n with Prov_node.kind = Prov_node.Visit { v with url; title } } :: acc
-            | _ -> acc
-          end
-          | None -> acc
+          match Prov_store.node_opt store (Prov_store.page_of_visit store id) with
+          | Some { Prov_node.kind = Prov_node.Page { url; title }; _ } ->
+            { n with Prov_node.kind = Prov_node.Visit { v with url; title } } :: acc
+          | _ -> acc
         end
         | _ -> acc)
   in

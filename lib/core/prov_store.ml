@@ -200,10 +200,7 @@ let term_node t query = Hashtbl.find_opt t.term_by_query (String.lowercase_ascii
 (* Ids at or past the facts' length have no [Instance] edge. *)
 let has_facts t id = id >= 0 && id < Array.length t.facts.visits
 
-let page_of_visit t visit =
-  if has_facts t visit && t.facts.page_of_visit.(visit) >= 0 then
-    Some t.facts.page_of_visit.(visit)
-  else None
+let page_of_visit t visit = if has_facts t visit then t.facts.page_of_visit.(visit) else -1
 
 let visits_of_page t page =
   List.sort Int.compare

@@ -95,9 +95,9 @@ val term_node : t -> string -> int option
     All but {!visits_of_page} are kept current by every edge insert,
     live or restored, so each is O(1) and never rescans the graph. *)
 
-val page_of_visit : t -> int -> int option
+val page_of_visit : t -> int -> int
 (** The page node this visit instantiates: the source of its first
-    [Instance] edge. *)
+    [Instance] edge; -1 for a node that instantiates none. *)
 
 val visits_of_page : t -> int -> int list
 (** Visit instances of a page node, ascending node id (one entry per

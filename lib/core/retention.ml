@@ -18,7 +18,9 @@ let endpoint_mapper ~cutoff store =
     match Prov_store.node_opt store id with
     | None -> None
     | Some n ->
-      if expired_visit ~cutoff n then Prov_store.page_of_visit store id else Some id
+      if not (expired_visit ~cutoff n) then Some id
+      else if Prov_store.page_of_visit store id >= 0 then Some (Prov_store.page_of_visit store id)
+      else None
 
 let plan ~cutoff store =
   let g = Prov_store.graph store in

@@ -68,8 +68,8 @@ let matching ?(limit = 5) index sessions query =
   let session_score s =
     List.fold_left
       (fun acc visit ->
-        match Prov_store.page_of_visit store visit with
-        | Some page -> acc +. Option.value ~default:0.0 (Hashtbl.find_opt page_score page)
+        match Hashtbl.find_opt page_score (Prov_store.page_of_visit store visit) with
+        | Some score -> acc +. score
         | None -> acc)
       0.0 s.visits
   in

@@ -34,55 +34,51 @@ let suggest ?(config = default_config) ?(limit = 6) ?(context = []) store typed 
   if String.trim typed = "" then []
   else begin
     let candidates = matching_pages store ~typed in
-    (* Context proximity: decayed expansion from the context nodes.  The
-       candidates are few, but the expansion is shared, so do it once. *)
-    let context_mass =
-      match context with
-      | [] -> Hashtbl.create 1
-      | _ ->
-        let seeds = List.map (fun node -> (node, 1.0)) context in
-        let nconfig =
-          {
-            Neighborhood.default_config with
-            Neighborhood.max_hops = config.max_hops;
-            decay = config.decay;
-          }
-        in
-        (* Never follow Same_time edges for suggestions: the context IS
-           the present, temporal neighbors of the past add noise. *)
-        let follow ~src:_ ~dst:_ (e : Prov_edge.t) =
-          Prov_edge.is_causal e.Prov_edge.kind
-        in
-        fst (Neighborhood.expand ~config:nconfig ~follow (Prov_store.graph store) ~seeds)
+    (* [mass node] is a node's proximity to the context; a page's mass
+       may have landed on the page node or on its visit instances. *)
+    let rank mass =
+      let context_of page =
+        List.fold_left (fun acc v -> acc +. mass v) (mass page) (Prov_store.visits_of_page store page)
+      in
+      let scored =
+        List.map
+          (fun (page, url, title) ->
+            let base = log (1.0 +. float_of_int (Prov_store.page_visit_count store page)) in
+            let ctx = context_of page in
+            {
+              page;
+              url;
+              title;
+              base_score = base;
+              context_score = ctx;
+              score = (config.frecency_weight *. base) +. (config.context_weight *. ctx);
+            })
+          candidates
+      in
+      List.filteri
+        (fun i _ -> i < limit)
+        (List.sort
+           (fun a b ->
+             let c = Float.compare b.score a.score in
+             if c <> 0 then c else Int.compare a.page b.page)
+           scored)
     in
-    let context_of page =
-      (* Mass may have landed on the page node or on its visit instances. *)
-      let own = Option.value ~default:0.0 (Hashtbl.find_opt context_mass page) in
-      List.fold_left
-        (fun acc v -> acc +. Option.value ~default:0.0 (Hashtbl.find_opt context_mass v))
-        own
-        (Prov_store.visits_of_page store page)
-    in
-    let scored =
-      List.map
-        (fun (page, url, title) ->
-          let base = log (1.0 +. float_of_int (Prov_store.page_visit_count store page)) in
-          let ctx = context_of page in
-          {
-            page;
-            url;
-            title;
-            base_score = base;
-            context_score = ctx;
-            score = (config.frecency_weight *. base) +. (config.context_weight *. ctx);
-          })
-        candidates
-    in
-    List.filteri
-      (fun i _ -> i < limit)
-      (List.sort
-         (fun a b ->
-           let c = Float.compare b.score a.score in
-           if c <> 0 then c else Int.compare a.page b.page)
-         scored)
+    match context with
+    | [] -> rank (fun _ -> 0.0)
+    | _ ->
+      (* One decayed expansion from the context nodes, shared by every
+         candidate. *)
+      let seeds = List.map (fun node -> (node, 1.0)) context in
+      let nconfig =
+        {
+          Neighborhood.default_config with
+          Neighborhood.max_hops = config.max_hops;
+          decay = config.decay;
+        }
+      in
+      (* Never follow Same_time edges for suggestions: the context IS
+         the present, temporal neighbors of the past add noise. *)
+      let follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind in
+      Neighborhood.expand ~config:nconfig ~follow (Prov_store.graph store) ~seeds (fun e ->
+          rank (Neighborhood.score e))
   end

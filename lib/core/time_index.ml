@@ -119,15 +119,6 @@ let in_window t ~start ~stop =
   iter_window t ~start ~stop (fun node -> hits := node :: !hits);
   List.sort Int.compare !hits
 
-let currently_open t ~at = in_window t ~start:at ~stop:at
-
-let co_open t ~node =
-  match interval t node with
-  | None -> []
-  | Some (o, c) ->
-    let stop = match c with None -> max_int | Some c -> c in
-    List.filter (fun other -> other <> node) (in_window t ~start:o ~stop)
-
 let overlap t a b =
   match (interval t a, interval t b) with
   | Some (oa, ca), Some (ob, cb) ->

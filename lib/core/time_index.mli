@@ -23,13 +23,6 @@ val interval : t -> int -> (int * int option) option
 
 val size : t -> int
 
-val currently_open : t -> at:int -> int list
-(** Nodes whose interval contains [at] (unclosed intervals extend to
-    infinity), ascending node id. *)
-
-val co_open : t -> node:int -> int list
-(** Nodes whose interval overlaps the given node's, excluding itself. *)
-
 val in_window : t -> start:int -> stop:int -> int list
 (** Nodes whose interval intersects \[start, stop\], ascending. *)
 

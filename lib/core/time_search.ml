@@ -1,3 +1,5 @@
+module Scratch = Provkit_util.Scratch
+
 type config = {
   candidate_limit : int;
   context_limit : int;
@@ -125,12 +127,16 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
      neighborhood of the context (the page the user half-remembers need
      not be a top-ranked text hit; being open next to the plane-ticket
      search is what identifies it). *)
-  (* Every page scored so far, with 0.0 for one that does not match the
-     query, so no page is scored twice. *)
-  let primary = Hashtbl.create 64 in
+  (* The candidates are the scratch's members, each scored once, with
+     0.0 for one that does not match the query. *)
+  Scratch.with_ ~bound:(Provgraph.Digraph.bound (Prov_store.graph store)) @@ fun candidates ->
+  let text_score = Scratch.floats candidates 0 in
   let score = Prov_text_index.score index ~terms:query_terms in
   let consider page =
-    if not (Hashtbl.mem primary page) then Hashtbl.replace primary page (score ~node:page)
+    if not (Scratch.mem candidates page) then begin
+      Scratch.add candidates page;
+      text_score.(page) <- score ~node:page
+    end
   in
   List.iter
     (fun (node, _) ->
@@ -154,7 +160,8 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
      stretch of the time index is read twice. *)
   let reach = int_of_float (3.0 *. config.proximity_tau) in
   let consider_visit visit =
-    match Prov_store.page_of_visit store visit with Some page -> consider page | None -> ()
+    let page = Prov_store.page_of_visit store visit in
+    if page >= 0 then consider page
   in
   let rec scan = function
     | (s1, e1) :: (s2, e2) :: rest when s2 <= e1 -> scan ((s1, max e1 e2) :: rest)
@@ -171,53 +178,20 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
           context_intervals));
   let truncated = Query_budget.out_of_time running in
   let context = context_of context_intervals in
-  let results =
-    Hashtbl.fold
-      (fun page text_score acc ->
-        if not (text_score > 0.0) then acc
-        else
-          match best_gap store time_index context page with
-          | None -> acc
-          | Some gap ->
-            { page; score = text_score *. proximity config gap; text_score; best_gap = Some gap }
-            :: acc)
-      primary []
-  in
+  let results = ref [] in
+  for i = 0 to candidates.Scratch.count - 1 do
+    let page = candidates.Scratch.ids.(i) in
+    let text_score = text_score.(page) in
+    if text_score > 0.0 then
+      match best_gap store time_index context page with
+      | None -> ()
+      | Some gap ->
+        results :=
+          { page; score = text_score *. proximity config gap; text_score; best_gap = Some gap }
+          :: !results
+  done;
   {
-    results = rank ~limit results;
+    results = rank ~limit !results;
     truncated;
-    elapsed_ms = Query_budget.elapsed_ms running;
-  }
-
-let search_window ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~query
-    ~start ~stop =
-  let running = Query_budget.start budget in
-  let store = Prov_text_index.store index in
-  let in_window = Time_index.in_window time_index ~start ~stop in
-  let window_set = Hashtbl.create (List.length in_window) in
-  List.iter (fun v -> Hashtbl.replace window_set v ()) in_window;
-  let results =
-    List.filter_map
-      (fun (node, text_score) ->
-        match page_of_hit store node with
-        | None -> None
-        | Some page ->
-          let visits = Prov_store.visits_of_page store page in
-          if List.exists (Hashtbl.mem window_set) visits then
-            Some { page; score = text_score; text_score; best_gap = Some 0 }
-          else None)
-      (Prov_text_index.search ~limit:(limit * 5) index query)
-  in
-  (* Deduplicate pages, keeping the best score. *)
-  let dedup = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt dedup r.page with
-      | Some prev when prev.score >= r.score -> ()
-      | _ -> Hashtbl.replace dedup r.page r)
-    results;
-  {
-    results = rank ~limit (Hashtbl.fold (fun _ r acc -> r :: acc) dedup []);
-    truncated = Query_budget.out_of_time running;
     elapsed_ms = Query_budget.elapsed_ms running;
   }

@@ -37,15 +37,3 @@ val search :
   response
 (** Pages matching [query], re-ranked by temporal proximity of their
     visits to visits of pages matching [context]. *)
-
-val search_window :
-  ?budget:Query_budget.t ->
-  ?limit:int ->
-  Prov_text_index.t ->
-  Time_index.t ->
-  query:string ->
-  start:int ->
-  stop:int ->
-  response
-(** "What was I looking at about X between t1 and t2": pages matching
-    [query] with a visit open in the window. *)

@@ -2,15 +2,11 @@ module Digraph = Provgraph.Digraph
 module Cycle = Provgraph.Cycle
 module R = Relstore
 
-let causal_projection store =
-  let g = Prov_store.graph store in
-  let out = Digraph.create ~initial_capacity:(Digraph.node_count g) () in
-  Digraph.iter_nodes g (fun id n -> Digraph.add_node out id n);
-  Digraph.iter_edges g (fun src dst (e : Prov_edge.t) ->
-      if Prov_edge.is_causal e.Prov_edge.kind then Digraph.add_edge out ~src ~dst e);
-  out
-
-let is_acyclic store = not (Cycle.has_cycle (causal_projection store))
+let is_acyclic store =
+  not
+    (Cycle.has_cycle
+       ~follow:(fun ~src:_ ~dst:_ (e : Prov_edge.t) -> Prov_edge.is_causal e.Prov_edge.kind)
+       (Prov_store.graph store))
 
 type page_graph = {
   graph : (string, Prov_edge.t) Digraph.t;
@@ -25,7 +21,8 @@ let page_projection store =
     | None -> None
     | Some n ->
       if Prov_node.is_page n then Some id
-      else if Prov_node.is_visit n then Prov_store.page_of_visit store id
+      else if Prov_node.is_visit n && Prov_store.page_of_visit store id >= 0 then
+        Some (Prov_store.page_of_visit store id)
       else None
   in
   Digraph.iter_nodes g (fun id n ->

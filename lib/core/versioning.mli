@@ -8,13 +8,10 @@
     by {!page_projection} so the two designs can be compared on
     acyclicity, size and query behaviour. *)
 
-val causal_projection :
-  Prov_store.t -> (Prov_node.t, Prov_edge.t) Provgraph.Digraph.t
-(** The store's graph restricted to causal edges (drops [Same_time]). *)
-
 val is_acyclic : Prov_store.t -> bool
-(** True iff the causal projection is a DAG.  The versioned store must
-    always satisfy this; it is asserted by the test suite. *)
+(** True iff the store's causal edges (all but [Same_time]) form a
+    DAG.  The versioned store must always satisfy this; it is asserted
+    by the test suite. *)
 
 (** {2 The edge-timestamp alternative} *)
 

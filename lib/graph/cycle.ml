@@ -1,41 +1,45 @@
-(* Iterative three-color DFS; recursion would overflow on 100k-node
-   histories. *)
-let find_cycle g =
-  let color = Hashtbl.create 64 in
-  (* 1 = on stack (gray), 2 = done (black) *)
-  let cycle = ref None in
-  let parent = Hashtbl.create 64 in
-  let rec process (stack : [ `Enter of int * int option | `Exit of int ] list) =
-    match stack with
-    | [] -> ()
-    | _ when !cycle <> None -> ()
-    | `Exit id :: rest ->
-      Hashtbl.replace color id 2;
-      process rest
-    | `Enter (id, from) :: rest -> begin
-      match Hashtbl.find_opt color id with
-      | Some 1 ->
-        (* Gray hit: reconstruct the cycle from [from] back to [id]. *)
-        let rec build acc v = if v = id then v :: acc else build (v :: acc) (Hashtbl.find parent v) in
-        let witness = match from with None -> [ id ] | Some f -> build [] f in
-        cycle := Some witness;
-        ()
-      | Some _ -> process rest
-      | None ->
-        Hashtbl.replace color id 1;
-        (match from with None -> () | Some f -> Hashtbl.replace parent id f);
-        let children =
-          List.map (fun next -> `Enter (next, Some id)) (Digraph.succ g id)
-        in
-        process (children @ (`Exit id :: rest))
+(* Three-colour DFS over an explicit stack of frames, each a node on
+   the current path with the successors it has still to try; recursion
+   would overflow on 100k-node histories.  Colours ('\000' white,
+   '\001' on the path, '\002' done) and DFS parents are indexed by
+   node id. *)
+let find_cycle ?(follow = fun ~src:_ ~dst:_ _ -> true) g =
+  let colour = Bytes.make (Digraph.bound g) '\000' and parent = Array.make (Digraph.bound g) 0 in
+  (* Distinct successors over followed edges, ascending. *)
+  let children id =
+    let acc = ref [] in
+    Digraph.iter_out g id (fun dst e -> if follow ~src:id ~dst e then acc := dst :: !acc);
+    List.sort_uniq Int.compare !acc
+  in
+  let enter id =
+    Bytes.set colour id '\001';
+    (id, children id)
+  in
+  let rec walk = function
+    | [] -> None
+    | (id, []) :: rest ->
+      Bytes.set colour id '\002';
+      walk rest
+    | (id, next :: later) :: rest -> begin
+      let stack = (id, later) :: rest in
+      match Bytes.get colour next with
+      | '\001' ->
+        (* An edge back onto the path: the cycle runs from [next] down
+           the path to [id]. *)
+        let rec build acc v = if v = next then v :: acc else build (v :: acc) parent.(v) in
+        Some (build [] id)
+      | '\002' -> walk stack
+      | _ ->
+        parent.(next) <- id;
+        walk (enter next :: stack)
     end
   in
-  List.iter
-    (fun id -> if not (Hashtbl.mem color id) then process [ `Enter (id, None) ])
-    (Digraph.nodes g);
-  !cycle
+  Digraph.fold_nodes g ~init:None ~f:(fun found id _ ->
+      match found with
+      | Some _ -> found
+      | None -> if Bytes.get colour id = '\000' then walk [ enter id ] else None)
 
-let has_cycle g = find_cycle g <> None
+let has_cycle ?follow g = find_cycle ?follow g <> None
 
 let topological_sort g =
   let indeg = Hashtbl.create 64 in

@@ -1,3 +1,5 @@
+module Scratch = Provkit_util.Scratch
+
 type config = {
   decay : float;
   max_hops : int;
@@ -17,20 +19,22 @@ let default_config =
     degree_normalize = false;
   }
 
-(* Adds [v] to a node's score, recording the node the first time. *)
-let[@inline] bump (s : Walk_scratch.t) ~call id v =
-  if s.seen.(id) = call then s.score.(id) <- s.score.(id) +. v
+type expansion = { reached : Scratch.t; scores : float array; truncated : bool }
+
+let score e id = if Scratch.mem e.reached id then e.scores.(id) else 0.0
+
+(* Adds [v] to a node's score, making the node reached the first time. *)
+let[@inline] bump reached scores id v =
+  if Scratch.mem reached id then scores.(id) <- scores.(id) +. v
   else begin
-    s.seen.(id) <- call;
-    s.score.(id) <- 0.0 +. v;
-    s.order.(s.scored) <- id;
-    s.scored <- s.scored + 1
+    Scratch.add reached id;
+    scores.(id) <- 0.0 +. v
   end
 
-let expand ?(config = default_config) ?follow g ~seeds =
-  Walk_scratch.with_scratch ~bound:(Digraph.bound g) @@ fun s ->
-  let call = Walk_scratch.next_gen s in
-  s.scored <- 0;
+let expand ?(config = default_config) ?follow g ~seeds k =
+  let bound = Digraph.bound g in
+  Scratch.with_ ~bound @@ fun reached ->
+  let scores = Scratch.floats reached 0 in
   let keep =
     match follow with None -> fun _ _ _ -> true | Some f -> fun src dst e -> f ~src ~dst e
   in
@@ -52,69 +56,54 @@ let expand ?(config = default_config) ?follow g ~seeds =
   let powers x = Array.init (max 0 (config.max_hops + 1)) (fun h -> Float.pow x (float_of_int h)) in
   let decay_pow = powers config.decay and weight_pow = powers config.edge_weight in
   let count next e = if keep !current next e then incr fanout in
-  List.iter
-    (fun (seed, seed_score) ->
-      if Digraph.mem_node g seed && seed_score > 0.0 then begin
-        bump s ~call seed seed_score;
-        let gen = Walk_scratch.next_gen s in
-        s.stamp.(seed) <- gen;
-        s.depth.(seed) <- 0;
-        (* In flow mode [mass] is what reached each node along its BFS
-           discovery; it is what the node splits among its own
-           neighbors. *)
-        s.mass.(seed) <- seed_score;
-        s.queue.(0) <- seed;
-        let head = ref 0 and tail = ref 1 in
-        let visit next e =
-          if keep !current next e && s.stamp.(next) <> gen then begin
-            let hop = !hop in
-            s.stamp.(next) <- gen;
-            s.depth.(next) <- hop;
-            let mass =
-              if config.degree_normalize then
-                s.mass.(!current) *. config.decay *. config.edge_weight
-                /. float_of_int (max 1 !fanout)
-              else seed_score *. decay_pow.(hop) *. weight_pow.(hop)
+  (* One seed's BFS: the walk scratch's members are the nodes it
+     reached, its [ids] the queue; [depth] is each one's hop count and,
+     in flow mode, [mass] what reached it along its BFS discovery,
+     which it splits among its own neighbors. *)
+  Scratch.with_ ~bound (fun walk ->
+      let depth = Scratch.ints walk 0 and mass = Scratch.floats walk 0 in
+      List.iter
+        (fun (seed, seed_score) ->
+          if Digraph.mem_node g seed && seed_score > 0.0 then begin
+            bump reached scores seed seed_score;
+            Scratch.clear walk;
+            Scratch.add walk seed;
+            depth.(seed) <- 0;
+            mass.(seed) <- seed_score;
+            let head = ref 0 in
+            let visit next e =
+              if keep !current next e && not (Scratch.mem walk next) then begin
+                let hop = !hop in
+                Scratch.add walk next;
+                depth.(next) <- hop;
+                let m =
+                  if config.degree_normalize then
+                    mass.(!current) *. config.decay *. config.edge_weight
+                    /. float_of_int (max 1 !fanout)
+                  else seed_score *. decay_pow.(hop) *. weight_pow.(hop)
+                in
+                mass.(next) <- m;
+                bump reached scores next m
+              end
             in
-            s.mass.(next) <- mass;
-            bump s ~call next mass;
-            s.queue.(!tail) <- next;
-            incr tail
-          end
-        in
-        let continue = ref true in
-        while !continue && !head < !tail do
-          if not (budget_ok ()) then continue := false
-          else begin
-            current := s.queue.(!head);
-            incr head;
-            incr expansions;
-            let d = s.depth.(!current) in
-            if d < config.max_hops then begin
-              hop := d + 1;
-              if config.degree_normalize then begin
-                fanout := 0;
-                neighbors !current count
-              end;
-              neighbors !current visit
-            end
-          end
-        done
-      end)
-    seeds;
-  (* Filled in first-reach order, the table iterates exactly as one
-     built by bumping it along the walk would. *)
-  let scores = Hashtbl.create 128 in
-  for i = 0 to s.scored - 1 do
-    let id = s.order.(i) in
-    Hashtbl.add scores id s.score.(id)
-  done;
-  (scores, !truncated)
-
-let ranked scores =
-  let all = Hashtbl.fold (fun id v acc -> (id, v) :: acc) scores [] in
-  List.sort
-    (fun (ia, va) (ib, vb) ->
-      let c = Float.compare vb va in
-      if c <> 0 then c else Int.compare ia ib)
-    all
+            let continue = ref true in
+            while !continue && !head < walk.Scratch.count do
+              if not (budget_ok ()) then continue := false
+              else begin
+                current := walk.Scratch.ids.(!head);
+                incr head;
+                incr expansions;
+                let d = depth.(!current) in
+                if d < config.max_hops then begin
+                  hop := d + 1;
+                  if config.degree_normalize then begin
+                    fanout := 0;
+                    neighbors !current count
+                  end;
+                  neighbors !current visit
+                end
+              end
+            done
+          end)
+        seeds);
+  k { reached; scores; truncated = !truncated }

@@ -21,25 +21,33 @@ type config = {
 
 val default_config : config
 
+type expansion = {
+  reached : Provkit_util.Scratch.t;
+      (** its members are the reached nodes; [ids] lists them in the
+          order they were first reached *)
+  scores : float array;  (** [scores.(id)]: a reached node's score *)
+  truncated : bool;  (** the node budget stopped expansion *)
+}
+
 val expand :
   ?config:config ->
   ?follow:(src:int -> dst:int -> 'e -> bool) ->
   ('n, 'e) Digraph.t ->
   seeds:(int * float) list ->
-  (int, float) Hashtbl.t * bool
-(** Propagate seed mass outward: a node at hop [h] from a seed with score
-    [s] receives [s *. decay^h *. edge_weight^h], summed over seeds and
-    shortest hops.  Returns the score table and a truncation flag (true
-    when the node budget stopped expansion).
+  (expansion -> 'a) ->
+  'a
+(** [expand g ~seeds k] propagates seed mass outward: a node at hop [h]
+    from a seed with score [s] receives [s *. decay^h *. edge_weight^h],
+    summed over seeds and shortest hops, in seed order and then BFS
+    order.  [k] gets the reached nodes and their scores, read straight
+    off this domain's scratch: they are valid only until [k] returns.
 
-    The walk allocates nothing per edge: it runs over this domain's
-    {!Walk_scratch} (visited stamps, depths, an int-array queue and a
-    dense score array), and only at the end fills the returned table,
-    created with [Hashtbl.create 128], in the order nodes were first
-    reached.  That table therefore iterates, and its scores sum, exactly
-    as one bumped node by node along the walk.  [follow] may be called
+    The walk allocates nothing per node or edge: each seed's BFS runs
+    over a second {!Provkit_util.Scratch} (visited stamps, depths, the
+    queue), and scores sum into dense arrays.  [follow] may be called
     more than once per edge (in flow mode, once to count a node's
-    fan-out and once to visit), so it should be pure. *)
+    fan-out and once to visit), so it should be pure.  [follow] and [k]
+    may expand again: a nested expansion takes scratches of its own. *)
 
-val ranked : (int, float) Hashtbl.t -> (int * float) list
-(** Descending scores, ties by ascending id. *)
+val score : expansion -> int -> float
+(** A node's score, 0.0 for a node the expansion did not reach. *)

@@ -1,3 +1,5 @@
+module Scratch = Provkit_util.Scratch
+
 type t = {
   members : int array;
   out_start : int array;
@@ -19,23 +21,39 @@ let rec search members (id : int) lo hi =
 let local t id = search t.members id 0 (size t)
 
 let induce g ~follow ids =
-  let members = Array.of_list (List.sort_uniq Int.compare (List.filter (Digraph.mem_node g) ids)) in
+  Scratch.with_ ~bound:(Digraph.bound g) @@ fun s ->
+  List.iter
+    (fun id -> if Digraph.mem_node g id && not (Scratch.mem s id) then Scratch.add s id)
+    ids;
+  Scratch.sort s;
+  let members = Array.sub s.Scratch.ids 0 s.Scratch.count in
   let n = Array.length members in
-  (* Out-edges first, in room for all the members' out-edges, while
-     [in_start.(j + 1)] counts [j]'s in-edges. *)
-  let out_dst = Array.make (Array.fold_left (fun m s -> m + Digraph.out_degree g s) 0 members) 0 in
+  (* The members' local ids, by node id. *)
+  let local = Scratch.ints s 0 in
+  Array.iteri (fun i id -> local.(id) <- i) members;
+  let kept src dst e = Scratch.mem s dst && follow ~src ~dst e in
+  (* Count the kept edges first, with [in_start.(j + 1)] counting [j]'s
+     in-edges, so the out-edges fill an array of their own size. *)
   let out_start = Array.make (n + 1) 0 and in_start = Array.make (n + 1) 0 in
   Array.iteri
     (fun i src ->
       let m = ref out_start.(i) in
       Digraph.iter_out g src (fun dst e ->
-          let j = search members dst 0 n in
-          if j >= 0 && follow ~src ~dst e then begin
-            out_dst.(!m) <- j;
+          if kept src dst e then begin
             incr m;
-            in_start.(j + 1) <- in_start.(j + 1) + 1
+            in_start.(local.(dst) + 1) <- in_start.(local.(dst) + 1) + 1
           end);
       out_start.(i + 1) <- !m)
+    members;
+  let out_dst = Array.make out_start.(n) 0 in
+  Array.iteri
+    (fun i src ->
+      let m = ref out_start.(i) in
+      Digraph.iter_out g src (fun dst e ->
+          if kept src dst e then begin
+            out_dst.(!m) <- local.(dst);
+            incr m
+          end))
     members;
   for j = 1 to n do
     in_start.(j) <- in_start.(j) + in_start.(j - 1)
@@ -49,4 +67,4 @@ let induce g ~follow ids =
       next.(j) <- next.(j) + 1
     done
   done;
-  { members; out_start; out_dst = Array.sub out_dst 0 out_start.(n); in_start; in_src }
+  { members; out_start; out_dst; in_start; in_src }

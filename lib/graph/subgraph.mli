@@ -3,8 +3,8 @@
     rank.
 
     Local id [i] is the [i]th smallest member of [members]; {!local}
-    maps back by binary search, so nothing is sized to the largest node
-    id.  Edges are two compressed sparse rows of local ids: [i]'s
+    maps back by binary search, so nothing a subgraph keeps is sized to
+    the largest node id.  Edges are two compressed sparse rows of local ids: [i]'s
     out-edges are [out_dst] from [out_start.(i)] to [out_start.(i + 1)]
     (exclusive), its in-edges [in_src] likewise from [in_start].
     Multi-edges are kept.  Out-edges are oldest first; each member's
@@ -21,8 +21,11 @@ type t = private {
 
 val induce : ('n, 'e) Digraph.t -> follow:(src:int -> dst:int -> 'e -> bool) -> int list -> t
 (** Members are the listed ids that are nodes of the graph; edges are
-    its edges between members that [follow] keeps ([follow] is asked
-    only about those). *)
+    its edges between members that [follow] keeps.  [follow] is asked
+    only about those, twice each (once to count, once to fill the
+    arrays), so it should be pure.  Node ids map to local ids through a
+    {!Provkit_util.Scratch} of this domain, one array read per
+    out-edge. *)
 
 val size : t -> int
 

@@ -1,3 +1,5 @@
+module Scratch = Provkit_util.Scratch
+
 type direction = Forward | Backward | Both
 
 type 'a outcome = { visited : 'a; expansions : int; truncated : bool }
@@ -15,66 +17,66 @@ let iter_neighbors direction g id f =
 (* The one breadth-first loop.  It reaches [roots] at depth 0, then
    expands queued nodes in order until the queue runs dry, [budget]
    expansions are spent, or [stop] accepts a newly reached non-root node
-   (asked as each is reached).  [finish] then reads the scratch:
-   [queue.(0 .. visited - 1)] holds every reached node in reach order,
-   each with its [depth] and [parent].  [follow] receives traversal
+   (asked as each is reached).  [finish] then reads the scratch: its
+   members are the reached nodes, [ids.(0 .. visited - 1)] lists them
+   in reach order (it is the queue), and [depth] and [parent] hold each
+   one's hop count and the node it was reached from (a root's is
+   itself).  [follow] receives traversal
    endpoints oriented src=expanded node, dst=candidate, regardless of
    edge direction. *)
 let walk ?(direction = Forward) ?max_depth ?budget ?follow ?(stop = fun _ -> false) g ~roots
     finish =
-  Walk_scratch.with_scratch ~bound:(Digraph.bound g) @@ fun s ->
-  let gen = Walk_scratch.next_gen s in
-  let head = ref 0 and tail = ref 0 in
-  let reach id ~parent d =
-    s.stamp.(id) <- gen;
-    s.depth.(id) <- d;
-    s.parent.(id) <- parent;
-    s.queue.(!tail) <- id;
-    incr tail
+  Scratch.with_ ~bound:(Digraph.bound g) @@ fun s ->
+  let depth = Scratch.ints s 0 and parent = Scratch.ints s 1 in
+  let reach id ~from d =
+    Scratch.add s id;
+    depth.(id) <- d;
+    parent.(id) <- from
   in
   List.iter
     (fun root ->
-      if Digraph.mem_node g root && s.stamp.(root) <> gen then reach root ~parent:root 0)
+      if Digraph.mem_node g root && not (Scratch.mem s root) then
+        reach root ~from:root 0)
     roots;
-  let current = ref 0 and stopped = ref false and truncated = ref false in
+  let head = ref 0 and current = ref 0 and stopped = ref false and truncated = ref false in
   let visit next e =
     if
       (not !stopped)
-      && s.stamp.(next) <> gen
+      && (not (Scratch.mem s next))
       && match follow with None -> true | Some f -> f ~src:!current ~dst:next e
     then begin
-      reach next ~parent:!current (s.depth.(!current) + 1);
+      reach next ~from:!current (depth.(!current) + 1);
       stopped := stop next
     end
   in
-  while (not !stopped) && !head < !tail do
+  while (not !stopped) && !head < s.count do
     match budget with
     | Some b when !head >= b ->
       truncated := true;
       stopped := true
     | _ -> (
-      current := s.queue.(!head);
+      current := s.ids.(!head);
       incr head;
       match max_depth with
-      | Some m when s.depth.(!current) >= m -> truncated := true
+      | Some m when depth.(!current) >= m -> truncated := true
       | _ -> iter_neighbors direction g !current visit)
   done;
-  finish s { visited = !tail; expansions = !head; truncated = !truncated }
+  finish ~depth ~parent s { visited = s.count; expansions = !head; truncated = !truncated }
 
 let bfs ?direction ?max_depth ?budget ?follow g ~roots =
-  walk ?direction ?max_depth ?budget ?follow g ~roots @@ fun s o ->
-  { o with visited = List.init o.visited (fun i -> (s.queue.(i), s.depth.(s.queue.(i)))) }
+  walk ?direction ?max_depth ?budget ?follow g ~roots @@ fun ~depth ~parent:_ s o ->
+  { o with visited = List.init o.visited (fun i -> (s.ids.(i), depth.(s.ids.(i)))) }
 
 let first_match ?direction ?budget ?follow g ~root matches =
   let hit = ref (-1) in
   let stop id = if matches id then (hit := id; true) else false in
-  walk ?direction ?budget ?follow ~stop g ~roots:[ root ] @@ fun s o ->
-  let rec path acc id = if id = root then root :: acc else path (id :: acc) s.parent.(id) in
+  walk ?direction ?budget ?follow ~stop g ~roots:[ root ] @@ fun ~depth ~parent _ o ->
+  let rec path acc id = if id = root then root :: acc else path (id :: acc) parent.(id) in
   let found = !hit in
   {
     o with
     visited =
-      (if found < 0 then None else Some { node = found; depth = s.depth.(found); path = path [] found });
+      (if found < 0 then None else Some { node = found; depth = depth.(found); path = path [] found });
   }
 
 let without_root root outcome =

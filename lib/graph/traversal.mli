@@ -6,9 +6,9 @@
     whether the walk was truncated.
 
     {!bfs} and {!first_match} share one breadth-first loop.  It marks
-    visited nodes in this domain's {!Walk_scratch} with a fresh
-    generation stamp, queues them in its int array and keeps each one's
-    BFS parent there, so a walk allocates per visited node only its
+    visited nodes in a {!Provkit_util.Scratch} of this domain, queues
+    them in its member list and keeps each one's depth and BFS parent in
+    its int arrays, so a walk allocates per visited node only its
     result, never per edge. *)
 
 type direction = Forward | Backward | Both

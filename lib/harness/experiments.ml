@@ -1032,8 +1032,8 @@ let graph_downloads_with_referrer store =
     (fun d ->
       List.find_map
         (fun (src, (e : Core.Prov_edge.t)) ->
-          if e.Core.Prov_edge.kind = Core.Prov_edge.Download_source then
-            Core.Prov_store.page_of_visit store src
+          let page = Core.Prov_store.page_of_visit store src in
+          if e.Core.Prov_edge.kind = Core.Prov_edge.Download_source && page >= 0 then Some page
           else None)
         (Provgraph.Digraph.in_edges (Core.Prov_store.graph store) d))
     downloads

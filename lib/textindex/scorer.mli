@@ -15,10 +15,12 @@ val score_document : t -> Inverted_index.t -> terms:string list -> doc:int -> fl
     once, and the function it returns scores documents against them. *)
 
 val scores : ?limit:int -> t -> Inverted_index.t -> terms:string list -> (int * float) list
-(** The [limit] (default: all) documents with the highest positive
-    scores, descending; ties broken by ascending doc id for determinism.
+(** The [limit] (default: all) documents with the highest scores,
+    descending; ties broken by ascending doc id for determinism.  Only
+    documents holding a query term score, and every score is positive:
+    each term adds its positive idf times a positive tf weight.
 
-    Scores are summed into this domain's dense per-doc accumulator, and
-    only the top [limit] hits are picked from it.  Each doc's score sums
+    Scores are summed into a {!Provkit_util.Scratch} of this domain, by
+    doc id, and only the top [limit] hits are picked from it.  Each doc's score sums
     the distinct query terms in ascending order, starting from
     [0.0 +. _], so the floats do not depend on the order of [terms]. *)

@@ -59,6 +59,21 @@ module Digraph = struct
   let node_count t = Hashtbl.length t.payload
   let edge_count t = t.edges
   let nodes t = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.payload [])
+
+  (* A real graph's model: the same nodes, and each node's out- and
+     in-edges in the same order. *)
+  let of_digraph g =
+    let t = create () in
+    let append tbl id edge =
+      let cell = adj tbl id in
+      cell := edge :: !cell
+    in
+    Provgraph.Digraph.iter_nodes g (fun id n -> add_node t id n);
+    Provgraph.Digraph.iter_nodes g (fun id _ ->
+        Provgraph.Digraph.iter_out g id (fun dst e -> append t.out_adj id (dst, e));
+        Provgraph.Digraph.iter_in g id (fun src e -> append t.in_adj id (src, e)));
+    t.edges <- Provgraph.Digraph.edge_count g;
+    t
 end
 
 type direction = Provgraph.Traversal.direction = Forward | Backward | Both

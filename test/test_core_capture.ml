@@ -53,7 +53,7 @@ let test_instance_edges () =
   let tab = Engine.open_tab engine ~time:10 () in
   let v = Engine.visit_typed engine ~time:20 ~tab (F.article web) in
   let n = visit_node store v in
-  let page = Option.get (Store.page_of_visit store n) in
+  let page = Store.page_of_visit store n in
   Alcotest.(check bool) "instance edge" true (List.mem PE.Instance (edges_between store page n))
 
 let test_search_capture () =

@@ -182,23 +182,109 @@ let test_time_search_co_open_beats_far () =
     Alcotest.(check (option int)) "top result gap 0" (Some 0) top.TS.best_gap
   | [] -> Alcotest.fail "no results"
 
-let test_time_search_window () =
-  let web, engine, api = F.make ~seed:7 () in
-  let a = F.article web in
-  let tab = Engine.open_tab engine ~time:5000 () in
-  let _ = Engine.visit_typed engine ~time:5010 ~tab a in
-  Engine.close_tab engine ~time:5100 tab;
-  let title = (Web.page web a).Page.title in
-  let query = String.concat " " (Textindex.Tokenizer.terms ~stem:false title) in
+(* --- the read path's scratches --- *)
+
+let render_cs (r : CS.response) =
+  String.concat ";"
+    (string_of_bool r.CS.truncated
+    :: List.map
+         (fun (x : CS.result) ->
+           Printf.sprintf "%d %h %h %h" x.CS.page x.CS.score x.CS.text_score x.CS.graph_score)
+         r.CS.results)
+
+let render_ts (r : TS.response) =
+  String.concat ";"
+    (string_of_bool r.TS.truncated
+    :: List.map (fun (x : TS.result) -> Printf.sprintf "%d %h" x.TS.page x.TS.score) r.TS.results)
+
+(* An expansion's reached nodes in reach order, each with its score's
+   bits. *)
+let reached (e : Provgraph.Neighborhood.expansion) =
+  let r = e.Provgraph.Neighborhood.reached in
+  List.init r.Provkit_util.Scratch.count (fun i ->
+      let id = r.Provkit_util.Scratch.ids.(i) in
+      (id, Int64.bits_of_float e.Provgraph.Neighborhood.scores.(id)))
+
+(* A contextual search started from inside an expansion's callbacks
+   runs on scratches of its own: it answers as a search on its own
+   does, and the expansion around it is undisturbed. *)
+let test_search_inside_expansion () =
+  let _web, _engine, api, trace = F.simulated ~days:2 () in
   let index = Core.Api.text_index api in
-  let ti = Core.Api.time_index api in
-  let hit = TS.search_window index ti ~query ~start:5000 ~stop:5200 in
-  Alcotest.(check bool) "found in window" true
-    (List.exists (fun (r : TS.result) -> Core.Api.page_url api r.TS.page = page_url web a)
-       hit.TS.results);
-  let miss = TS.search_window index ti ~query ~start:9000 ~stop:9999 in
-  Alcotest.(check (list unit)) "not found outside window" []
-    (List.map (fun _ -> ()) miss.TS.results)
+  let graph = Store.graph (Core.Api.store api) in
+  let q = (List.hd trace.Browser.User_model.searches).Browser.User_model.query in
+  let alone = render_cs (CS.search index q) in
+  let seeds = List.filteri (fun i _ -> i < 3) (Core.Prov_text_index.search index q) in
+  let nested = ref 0 in
+  let follow ~src:_ ~dst:_ _ =
+    incr nested;
+    Alcotest.(check string) "search inside follow" alone (render_cs (CS.search index q));
+    true
+  in
+  let plain = Provgraph.Neighborhood.expand graph ~seeds reached in
+  let outer =
+    Provgraph.Neighborhood.expand ~follow graph ~seeds (fun e ->
+        Alcotest.(check string) "search inside the continuation" alone (render_cs (CS.search index q));
+        reached e)
+  in
+  Alcotest.(check bool) "follow ran searches" true (!nested > 0);
+  Alcotest.(check (list (pair int int64))) "outer expansion" plain outer
+
+(* A domain's scratches are sized to the largest graph it has queried.
+   Queries after the store grows past that answer as on a fresh
+   domain. *)
+let test_search_after_growth () =
+  let web, engine, api = F.make ~seed:13 () in
+  let tab = Engine.open_tab engine ~time:10 () in
+  let clock = ref 10 in
+  let browse topic =
+    List.iter
+      (fun p ->
+        if Page.is_navigable (Web.page web p) then begin
+          clock := !clock + 30;
+          ignore (Engine.visit_typed engine ~time:!clock ~tab p)
+        end)
+      (Web.pages_of_topic web topic)
+  in
+  browse 0;
+  Core.Api.refresh api;
+  let queries =
+    List.concat_map
+      (fun topic ->
+        List.filteri (fun i _ -> i < 3)
+          (List.map (fun p -> (Web.page web p).Page.title) (Web.pages_of_topic web topic)))
+      [ 0; 1; 2; 3 ]
+  in
+  let answers () =
+    let index = Core.Api.text_index api and ti = Core.Api.time_index api in
+    List.concat_map
+      (fun q ->
+        [
+          render_cs (CS.search index q);
+          render_cs (CS.search_pagerank index q);
+          render_ts (TS.search index ti ~query:q ~context:(List.hd queries));
+        ])
+      queries
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let bound () = Provgraph.Digraph.bound (Store.graph (Core.Api.store api)) in
+  let small = bound () in
+  let grown =
+    on_fresh_domain (fun () ->
+        ignore (answers ());
+        List.iter browse [ 1; 2; 3 ];
+        Core.Api.refresh api;
+        answers ())
+  in
+  Alcotest.(check bool) "the graph grew" true (bound () > small);
+  Alcotest.(check bool) "an answer reaches past the old bound" true
+    (List.exists
+       (fun q ->
+         List.exists
+           (fun (r : CS.result) -> r.CS.page >= small)
+           (CS.search (Core.Api.text_index api) q).CS.results)
+       queries);
+  Alcotest.(check (list string)) "answers as on a fresh domain" (on_fresh_domain answers) grown
 
 (* --- download lineage (S2.4) --- *)
 
@@ -379,7 +465,8 @@ let suite =
     Alcotest.test_case "personalize reads a retitled page" `Quick
       test_personalize_reads_current_title;
     Alcotest.test_case "time search co-open wins" `Quick test_time_search_co_open_beats_far;
-    Alcotest.test_case "time search window" `Quick test_time_search_window;
+    Alcotest.test_case "search inside an expansion" `Quick test_search_inside_expansion;
+    Alcotest.test_case "search after the graph grows" `Quick test_search_after_growth;
     Alcotest.test_case "lineage ancestors" `Quick test_lineage_ancestors;
     Alcotest.test_case "first recognizable" `Quick test_first_recognizable;
     Alcotest.test_case "downloads descending" `Quick test_downloads_descending;

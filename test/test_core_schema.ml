@@ -141,15 +141,23 @@ let test_page_projection_mapping () =
   Alcotest.(check (option int)) "page maps to itself" (Some p1)
     (pg.Core.Versioning.page_of_store_node p1)
 
-let test_causal_projection_strips_time_edges () =
+(* Time edges are not provenance: a cycle they close leaves the store
+   acyclic, while the same cycle closed by a causal edge does not. *)
+let test_acyclicity_ignores_time_edges () =
   let _web, _engine, api, _trace = F.simulated ~days:1 () in
   let store = Core.Api.store api in
-  let causal = Core.Versioning.causal_projection store in
-  let found = ref false in
-  Digraph.iter_edges causal (fun _ _ (e : PE.t) ->
-      if e.PE.kind = PE.Same_time then found := true);
-  Alcotest.(check bool) "no same-time edges" false !found;
-  Alcotest.(check int) "nodes preserved" (Store.node_count store) (Digraph.node_count causal)
+  Alcotest.(check bool) "versioned store acyclic" true (Core.Versioning.is_acyclic store);
+  let page, visit =
+    Digraph.fold_edges (Store.graph store) ~init:None ~f:(fun acc src dst (e : PE.t) ->
+        match acc with
+        | None when e.PE.kind = PE.Instance -> Some (src, dst)
+        | _ -> acc)
+    |> Option.get
+  in
+  Store.add_edge store ~src:visit ~dst:page PE.Same_time ~time:0;
+  Alcotest.(check bool) "a time edge closes no cycle" true (Core.Versioning.is_acyclic store);
+  Store.add_edge store ~src:visit ~dst:page PE.Link_traversal ~time:0;
+  Alcotest.(check bool) "a causal edge does" false (Core.Versioning.is_acyclic store)
 
 (* --- derived time edges --- *)
 
@@ -263,7 +271,7 @@ let suite =
     Alcotest.test_case "apply maps each op" `Quick test_apply_maps_each_op;
     Alcotest.test_case "versioning comparison" `Quick test_versioned_store_acyclic_projection_not;
     Alcotest.test_case "page projection mapping" `Quick test_page_projection_mapping;
-    Alcotest.test_case "causal projection" `Quick test_causal_projection_strips_time_edges;
+    Alcotest.test_case "acyclicity ignores time edges" `Quick test_acyclicity_ignores_time_edges;
     Alcotest.test_case "derived time edges" `Quick test_derive_same_time_counts;
     Alcotest.test_case "queries survive roundtrip" `Quick test_queries_survive_roundtrip;
     Alcotest.test_case "rebuilt time index" `Quick test_rebuild_time_index_matches;

@@ -71,7 +71,7 @@ let test_store_visits_and_instances () =
   let page = Option.get (Store.page_of_url s "http://x/1") in
   Alcotest.(check (list int)) "instances" [ v1; v2 ] (Store.visits_of_page s page);
   Alcotest.(check int) "visit count" 2 (Store.page_visit_count s page);
-  Alcotest.(check (option int)) "page of visit" (Some page) (Store.page_of_visit s v1);
+  Alcotest.(check int) "page of visit" page (Store.page_of_visit s v1);
   Alcotest.(check (option int)) "engine id mapping" (Some v1) (Store.visit_node s 10);
   Alcotest.(check (option int)) "unknown engine id" None (Store.visit_node s 999)
 
@@ -135,7 +135,7 @@ let test_store_restore () =
     };
   Store.restore_edge s ~src:7 ~dst:9 { PE.kind = PE.Instance; time = 2 };
   Alcotest.(check (option int)) "url lookup restored" (Some 7) (Store.page_of_url s "http://x");
-  Alcotest.(check (option int)) "instance restored" (Some 7) (Store.page_of_visit s 9);
+  Alcotest.(check int) "instance restored" 7 (Store.page_of_visit s 9);
   (* Fresh ids continue above restored ones. *)
   let p = Store.add_page s ~url:"http://y" ~title:"" ~time:3 in
   Alcotest.(check bool) "next id above max" true (p > 9)
@@ -152,10 +152,9 @@ let test_time_index_intervals () =
   Alcotest.(check (option (pair int (option int)))) "interval" (Some (100, Some 200))
     (TI.interval ti 1);
   Alcotest.(check int) "size" 3 (TI.size ti);
-  Alcotest.(check (list int)) "open at 170" [ 1; 2 ] (TI.currently_open ti ~at:170);
-  Alcotest.(check (list int)) "open at 350" [] (TI.currently_open ti ~at:350);
-  Alcotest.(check (list int)) "unclosed extends" [ 3 ] (TI.currently_open ti ~at:10_000);
-  Alcotest.(check (list int)) "co-open of 1" [ 2 ] (TI.co_open ti ~node:1);
+  Alcotest.(check (list int)) "open at 170" [ 1; 2 ] (TI.in_window ti ~start:170 ~stop:170);
+  Alcotest.(check (list int)) "open at 350" [] (TI.in_window ti ~start:350 ~stop:350);
+  Alcotest.(check (list int)) "unclosed extends" [ 3 ] (TI.in_window ti ~start:10_000 ~stop:10_000);
   Alcotest.(check bool) "overlap symmetric" true (TI.overlap ti 1 2 && TI.overlap ti 2 1);
   Alcotest.(check bool) "no overlap" false (TI.overlap ti 1 3);
   Alcotest.(check (list int)) "window query" [ 1; 2 ] (TI.in_window ti ~start:0 ~stop:320);

@@ -289,31 +289,26 @@ let test_neighborhood_decay () =
   let config =
     { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 3; decay = 0.5; direction = Tr.Forward }
   in
-  let scores, truncated = Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0) ] in
-  Alcotest.(check bool) "not truncated" false truncated;
-  let get n = Option.value ~default:0.0 (Hashtbl.find_opt scores n) in
+  Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0) ] @@ fun e ->
+  Alcotest.(check bool) "not truncated" false e.Provgraph.Neighborhood.truncated;
+  let get = Provgraph.Neighborhood.score e in
+  Alcotest.(check (list int)) "first-reach order" [ 1; 2; 3; 4 ]
+    (List.init e.Provgraph.Neighborhood.reached.Provkit_util.Scratch.count (fun i ->
+         e.Provgraph.Neighborhood.reached.Provkit_util.Scratch.ids.(i)));
   Alcotest.(check (float 1e-9)) "seed" 1.0 (get 1);
   Alcotest.(check (float 1e-9)) "hop 1" 0.5 (get 2);
   Alcotest.(check (float 1e-9)) "hop 2" 0.25 (get 3);
-  Alcotest.(check (float 1e-9)) "hop 3" 0.125 (get 4)
+  Alcotest.(check (float 1e-9)) "hop 3" 0.125 (get 4);
+  Alcotest.(check (float 0.0)) "unreached" 0.0 (get 0)
 
 let test_neighborhood_additive_seeds () =
   let g = chain 3 in
   let config =
     { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 2; decay = 0.5; direction = Tr.Both }
   in
-  let scores, _ = Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0); (3, 1.0) ] in
-  let get n = Option.value ~default:0.0 (Hashtbl.find_opt scores n) in
+  Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0); (3, 1.0) ] @@ fun e ->
   (* node 2 receives 0.5 from each side *)
-  Alcotest.(check (float 1e-9)) "mass adds" 1.0 (get 2)
-
-let test_neighborhood_ranked () =
-  let scores = Hashtbl.create 4 in
-  Hashtbl.replace scores 1 0.3;
-  Hashtbl.replace scores 2 0.9;
-  Hashtbl.replace scores 3 0.9;
-  Alcotest.(check (list int)) "rank order with tie" [ 2; 3; 1 ]
-    (List.map fst (Provgraph.Neighborhood.ranked scores))
+  Alcotest.(check (float 1e-9)) "mass adds" 1.0 (Provgraph.Neighborhood.score e 2)
 
 (* --- properties on random DAGs --- *)
 
@@ -405,7 +400,6 @@ let suite =
     Alcotest.test_case "rankers without text hits" `Quick test_rankers_without_text_hits;
     Alcotest.test_case "neighborhood decay" `Quick test_neighborhood_decay;
     Alcotest.test_case "neighborhood additive" `Quick test_neighborhood_additive_seeds;
-    Alcotest.test_case "neighborhood ranked" `Quick test_neighborhood_ranked;
     QCheck_alcotest.to_alcotest prop_random_dag_acyclic_and_sortable;
     QCheck_alcotest.to_alcotest prop_bfs_depth_is_shortest;
     QCheck_alcotest.to_alcotest prop_scc_partition;

@@ -16,6 +16,12 @@
    queries as E12 calls them, without a budget, pinned the same way in
    data/e12_answers.txt.
 
+   Two differential cases keep the pipelines these answers were first
+   pinned with: E12 against the Hashtbl rankers, and contextual and
+   personalized search against the Hashtbl expansion and page sums.
+   They allow only float-rounding differences, so an answer that moves
+   in its last bits can be re-pinned once they pass.
+
    To rewrite a file from the code under test (only when an answer is
    meant to change), run the suite with PROV_WRITE_ANSWERS (or
    PROV_WRITE_E12_ANSWERS) set to the output path. *)
@@ -138,28 +144,16 @@ let page_target store id =
   let visible page = if S.page_hidden store page then None else Some page in
   match Option.map (fun (n : Core.Prov_node.t) -> n.Core.Prov_node.kind) (S.node_opt store id) with
   | Some (Core.Prov_node.Page _) -> visible id
-  | Some (Core.Prov_node.Visit _) -> Option.bind (S.page_of_visit store id) visible
+  | Some (Core.Prov_node.Visit _) ->
+    let page = S.page_of_visit store id in
+    if page >= 0 then visible page else None
   | Some (Core.Prov_node.Bookmark { url; _ }) -> Option.bind (S.page_of_url store url) visible
   | _ -> None
 
-let reference_e12 rank index query =
-  let config = CS.default_config and limit = 10 in
-  let store = Core.Prov_text_index.store index in
-  let hits =
-    Core.Prov_text_index.search ~limit:(max (limit * 4) (config.CS.seed_count * 4)) index query
-  in
-  let seeds = List.filteri (fun i _ -> i < config.CS.seed_count) hits in
-  let graph = Core.Prov_store.graph store in
-  (* The default config follows every edge but the time edges. *)
-  let follow ~src:_ ~dst:_ (e : Core.Prov_edge.t) =
-    e.Core.Prov_edge.kind <> Core.Prov_edge.Same_time
-  in
-  let walk =
-    Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~max_depth:config.CS.max_hops
-      ~follow graph ~roots:(List.map fst seeds)
-  in
-  let members = List.map fst walk.Provgraph.Traversal.visited in
-  let sub = Graph_model.Rank.sub_digraph graph ~follow members in
+(* [respond] as it was: page sums in a Hashtbl, the graph scores
+   summed in [graph_scores]' iteration order. *)
+let reference_respond ~limit ~truncated store hits graph_scores =
+  let config = CS.default_config in
   let sums = Hashtbl.create 64 in
   let bump page ~text ~graph_mass =
     let total, t, g = Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt sums page) in
@@ -173,7 +167,7 @@ let reference_e12 rank index query =
     hits;
   Hashtbl.iter
     (fun node mass -> Option.iter (bump ~text:0.0 ~graph_mass:mass) (page_target store node))
-    (rank sub seeds);
+    graph_scores;
   let by_score (pa, (a, _, _)) (pb, (b, _, _)) =
     let c = Float.compare b a in
     if c <> 0 then c else Int.compare pa pb
@@ -182,11 +176,31 @@ let reference_e12 rank index query =
   let result (page, (score, text_score, graph_score)) =
     { CS.page; score; text_score; graph_score }
   in
-  {
-    CS.results = List.map result (List.filteri (fun i _ -> i < limit) pages);
-    truncated = walk.Provgraph.Traversal.truncated;
-    elapsed_ms = 0.0;
-  }
+  { CS.results = List.map result (List.filteri (fun i _ -> i < limit) pages); truncated; elapsed_ms = 0.0 }
+
+(* The default config follows every edge but the time edges. *)
+let follow_default ~src:_ ~dst:_ (e : Core.Prov_edge.t) = e.Core.Prov_edge.kind <> Core.Prov_edge.Same_time
+
+let text_hits ~limit index query =
+  let config = CS.default_config in
+  let hits =
+    Core.Prov_text_index.search ~limit:(max (limit * 4) (config.CS.seed_count * 4)) index query
+  in
+  (hits, List.filteri (fun i _ -> i < config.CS.seed_count) hits)
+
+let reference_e12 rank index query =
+  let config = CS.default_config in
+  let store = Core.Prov_text_index.store index in
+  let hits, seeds = text_hits ~limit:10 index query in
+  let graph = Core.Prov_store.graph store in
+  let walk =
+    Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~max_depth:config.CS.max_hops
+      ~follow:follow_default graph ~roots:(List.map fst seeds)
+  in
+  let members = List.map fst walk.Provgraph.Traversal.visited in
+  let sub = Graph_model.Rank.sub_digraph graph ~follow:follow_default members in
+  reference_respond ~limit:10 ~truncated:walk.Provgraph.Traversal.truncated store hits
+    (rank sub seeds)
 
 let reference_pagerank sub seeds =
   let pr = Graph_model.Rank.pagerank ~damping:0.85 ~personalization:seeds sub in
@@ -235,9 +249,127 @@ let test_e12_against_reference () =
         want.CS.results got.CS.results)
     ds.Harness.Dataset.trace.UM.searches
 
+(* --- contextual and personalized search against the Hashtbl expansion ---
+
+   Contextual search as it ran before the expansion handed back dense
+   arrays: Graph_model's Hashtbl expansion over a model of the store's
+   graph (each node's edges in the same order), the same budget, and
+   [reference_respond], whose page sums follow the table's bucket
+   order. *)
+
+let reference_contextual ~limit model index query =
+  let config = CS.default_config in
+  let running = Core.Query_budget.start budget in
+  let store = Core.Prov_text_index.store index in
+  let hits, seeds = text_hits ~limit index query in
+  let scores, truncated =
+    if Core.Query_budget.out_of_time running then (Hashtbl.create 1, true)
+    else begin
+      let nconfig =
+        {
+          Provgraph.Neighborhood.default_config with
+          Provgraph.Neighborhood.decay = config.CS.decay;
+          max_hops = config.CS.max_hops;
+          node_budget = Core.Query_budget.remaining_nodes running;
+          degree_normalize = config.CS.degree_normalize;
+        }
+      in
+      let scores, truncated =
+        Graph_model.expand ~config:nconfig ~follow:follow_default model ~seeds
+      in
+      Core.Query_budget.consume_nodes running (Hashtbl.length scores);
+      (scores, truncated)
+    end
+  in
+  reference_respond ~limit ~truncated:(Core.Query_budget.was_truncated running truncated) store
+    hits scores
+
+(* Personalize.expand's term mining over the reference's results. *)
+let reference_personalize model index query =
+  let config = Core.Personalize.default_config in
+  let store = Core.Prov_text_index.store index in
+  let response = reference_contextual ~limit:config.Core.Personalize.context_pages model index query in
+  let query_terms = Textindex.Tokenizer.terms query in
+  let tally = Hashtbl.create 64 in
+  List.iter
+    (fun (r : CS.result) ->
+      List.iter
+        (fun term ->
+          if String.length term > 2 && not (List.mem term query_terms) then begin
+            let prev = Option.value ~default:0.0 (Hashtbl.find_opt tally term) in
+            Hashtbl.replace tally term (prev +. r.CS.score)
+          end)
+        (Core.Prov_text_index.distinct_terms index (Core.Prov_store.node store r.CS.page)))
+    response.CS.results;
+  let weighted =
+    Hashtbl.fold
+      (fun term mass acc ->
+        let idf = Core.Prov_text_index.idf index term in
+        if idf >= config.Core.Personalize.min_idf then (term, mass *. idf) :: acc else acc)
+      tally []
+  in
+  let ranked =
+    List.sort
+      (fun (ta, wa) (tb, wb) ->
+        let c = Float.compare wb wa in
+        if c <> 0 then c else String.compare ta tb)
+      weighted
+  in
+  let added = List.filteri (fun i _ -> i < config.Core.Personalize.expansion_terms) ranked in
+  let expanded =
+    match added with [] -> query | _ -> query ^ " " ^ String.concat " " (List.map fst added)
+  in
+  (response.CS.truncated, expanded, added)
+
+let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+(* [got] answers as [want] does up to float rounding: the same
+   truncation flag and length; at each rank scores within 1e-12, so
+   pages trade places only with near-tied pages; a page both rank with
+   all three scores within 1e-12; and a page only one ranks tied with
+   the other's last, so it swapped places with a near-tied page at the
+   limit cut. *)
+let check_near ~what (want : CS.response) (got : CS.response) =
+  let fail () = Alcotest.failf "%s: %s against %s" what (ranked got) (ranked want) in
+  let wr = want.CS.results and gr = got.CS.results in
+  if want.CS.truncated <> got.CS.truncated || List.length wr <> List.length gr then fail ();
+  List.iter2 (fun (w : CS.result) (g : CS.result) -> if not (close w.CS.score g.CS.score) then fail ()) wr gr;
+  let matched rs (r : CS.result) =
+    match List.find_opt (fun (o : CS.result) -> o.CS.page = r.CS.page) rs with
+    | Some o ->
+      close o.CS.score r.CS.score && close o.CS.text_score r.CS.text_score
+      && close o.CS.graph_score r.CS.graph_score
+    | None -> close r.CS.score (List.nth rs (List.length rs - 1)).CS.score
+  in
+  List.iter (fun g -> if not (matched wr g) then fail ()) gr;
+  List.iter (fun w -> if not (matched gr w) then fail ()) wr
+
+let test_contextual_against_reference () =
+  let ds = Harness.Dataset.with_days days in
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let model = Graph_model.Digraph.of_digraph (Core.Prov_store.graph (Harness.Dataset.store ds)) in
+  List.iter
+    (fun (e : UM.search_episode) ->
+      let q = e.UM.query in
+      check_near ~what:("contextual " ^ q) (reference_contextual ~limit:10 model index q)
+        (CS.search ~budget index q);
+      let truncated, expanded, added = reference_personalize model index q in
+      let got = Core.Personalize.expand ~budget index q in
+      Alcotest.(check bool) ("personalize truncated " ^ q) truncated got.Core.Personalize.truncated;
+      Alcotest.(check string) ("personalize " ^ q) expanded got.Core.Personalize.expanded;
+      Alcotest.(check (list string)) ("personalize terms " ^ q) (List.map fst added)
+        (List.map fst got.Core.Personalize.added_terms);
+      List.iter2
+        (fun (_, w) (_, g) ->
+          if not (close w g) then Alcotest.failf "personalize %S: term weight %h against %h" q g w)
+        added got.Core.Personalize.added_terms)
+    ds.Harness.Dataset.trace.UM.searches
+
 let suite =
   [
     Alcotest.test_case "every pool input, digest per answer" `Quick test_answers;
     Alcotest.test_case "E12 PageRank and HITS answers" `Quick test_e12_answers;
     Alcotest.test_case "E12 against the Hashtbl rankers" `Quick test_e12_against_reference;
+    Alcotest.test_case "contextual and personalize against the Hashtbl expansion" `Quick
+      test_contextual_against_reference;
   ]

@@ -93,7 +93,8 @@ let check_facts ~where store =
   let absent = 1 + List.fold_left max 0 (Digraph.nodes (Store.graph store)) in
   List.iter
     (fun id ->
-      if Store.page_of_visit store id <> ref_page_of_visit store id then fail id "page_of_visit";
+      if Store.page_of_visit store id <> Option.value ~default:(-1) (ref_page_of_visit store id)
+      then fail id "page_of_visit";
       if Store.page_hidden store id <> ref_page_hidden store id then fail id "page_hidden";
       if Store.page_visit_count store id <> List.length (ref_instances store id) then
         fail id "page_visit_count";
@@ -124,7 +125,7 @@ let corner_cases store =
     Store.add_visit store ~engine_visit:(-3) ~url:"http://dup.example/" ~title:"dup"
       ~transition:Transition.Link ~tab:1 ~time:(time + 3)
   in
-  let dup = Option.get (Store.page_of_visit store shown) in
+  let dup = Store.page_of_visit store shown in
   Store.add_edge store ~src:dup ~dst:shown PE.Instance ~time:(time + 3);
   Store.add_edge store ~src:dup ~dst:hop PE.Instance ~time:(time + 4)
 

@@ -39,7 +39,7 @@ for row in hot-select-cold hot-select-cached wal-ingest-unbatched wal-ingest-bat
            stats-analyze estimate-error-heuristic estimate-error-stats \
            lint-full-tree alert-eval \
            daemon-ingest daemon-query-p99 range-strict-full-scan range-strict-index \
-           E3-contextual-words E4-personalize-words E7-lineage-words \
+           E3-contextual-words E4-personalize-words E3-timectx-words E7-lineage-words \
            E12-pagerank-words E12-hits-words; do
   grep -q "\"name\":\"$row\"" "$work/base.json" ||
     { echo "bench_smoke: artifact missing expected row $row"; exit 1; }
@@ -75,24 +75,33 @@ awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
 # E3-contextual-words stores a count (minor words allocated per
 # contextual search over the quick dataset's queries), not a latency.
 # The count repeats exactly, so it is gated against a fixed ceiling:
-# the 3,091 words/query this row measures once page sums read each
-# graph-scored node without an option (3,343 before that, with array
-# postings, a dense BM25 accumulator and dense page sums; 7,725 with
-# Imap postings and Hashtbl sums; 16,615 with the hash-table graph
-# walks before that).
+# the 986 words/query this row measures once the expansion hands its
+# reached nodes to the page sums as dense arrays (3,091 with a Hashtbl
+# of them; 3,343 before that, with array postings, a dense BM25
+# accumulator and dense page sums; 7,725 with Imap postings and Hashtbl
+# sums; 16,615 with the hash-table graph walks before that).
 words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 3091) }' ||
-  { echo "bench_smoke: E3-contextual-words ($words words/query) above 3091"; exit 1; }
+awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 986) }' ||
+  { echo "bench_smoke: E3-contextual-words ($words words/query) above 986"; exit 1; }
 
 # E4-personalize-words is the same kind of count for
-# Personalize.expand over the same queries, gated at the 4,862
-# words/query this row measures when personalization reads each result
-# page's terms from the text index and page sums take no option per
-# graph-scored node (5,114 with the option; 17,777 when it tokenized
-# the terms).
+# Personalize.expand over the same queries, gated at the 2,009
+# words/query this row measures with the dense expansion and the
+# expansion terms picked without sorting every candidate term (4,862
+# with a Hashtbl expansion and a sort; 5,114 with an option per
+# graph-scored node; 17,777 when it tokenized the terms).
 personalize_words="$(grep '"name":"E4-personalize-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 4862) }' ||
-  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 4862"; exit 1; }
+awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 2009) }' ||
+  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 2009"; exit 1; }
+
+# E3-timectx-words is the same kind of count for Time_search.search
+# over the quick dataset's dual-topic contexts, gated at the 12,735
+# words/query it measures with the candidate pages in a dense scratch
+# and each one's text score summed without allocating (21,862 with a
+# Hashtbl of candidates and a fold per score).
+timectx_words="$(grep '"name":"E3-timectx-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
+awk -v w="$timectx_words" 'BEGIN { exit !(w > 0 && w <= 12735) }' ||
+  { echo "bench_smoke: E3-timectx-words ($timectx_words words/query) above 12735"; exit 1; }
 
 # E7-lineage-words is the same kind of count for download lineage
 # (Lineage.first_recognizable over the quick dataset's downloads),
@@ -104,10 +113,12 @@ awk -v w="$lineage_words" 'BEGIN { exit !(w > 0 && w <= 335) }' ||
 
 # E12-pagerank-words and E12-hits-words are the same kind of count for
 # E12's search_pagerank and search_hits over the quick dataset's
-# queries, gated at the 10,414 and 10,092 words/query these rows
-# measure with PageRank and HITS over the array-backed induced subgraph
-# (286,672 and 328,250 with Hashtbl scores over a sub-Digraph).
-for gate in E12-pagerank-words:10414 E12-hits-words:10092; do
+# queries, gated at the 6,963 and 6,641 words/query these rows measure
+# with PageRank and HITS over the array-backed induced subgraph, its
+# members gathered in a scratch rather than a sorted list, and page
+# sums that map nodes to pages as ints (10,414 and 10,092 before that;
+# 286,672 and 328,250 with Hashtbl scores over a sub-Digraph).
+for gate in E12-pagerank-words:6963 E12-hits-words:6641; do
   row="${gate%%:*}" ceiling="${gate##*:}"
   w="$(grep "\"name\":\"$row\"" "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
   awk -v w="$w" -v c="$ceiling" 'BEGIN { exit !(w > 0 && w <= c) }' ||
