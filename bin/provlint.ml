@@ -1,5 +1,6 @@
 (* provlint: AST-accurate static analysis over this repository's own
-   sources (lib/ and bin/).  See LINTING.md for the check catalogue and
+   sources (lib/ and bin/, with the lib/ interfaces and bench/,
+   perfbench/ and examples/ read for unused-export).  See LINTING.md for the check catalogue and
    the [@provlint.allow "check-id"] suppression attribute.
 
    Exit status: 0 clean, 1 findings, 124 usage error (cmdliner). *)

@@ -73,6 +73,3 @@ let suggest ?(limit = 6) t typed =
            if c <> 0 then c else Int.compare a.place_id b.place_id)
          scored)
   end
-
-let accept t ~input ~place_id =
-  Places_db.record_input_choice t.places ~place_id ~input

@@ -30,7 +30,3 @@ val suggest : ?limit:int -> t -> string -> suggestion list
     awesome bar's dropdown).  Empty input yields nothing.  Always
     reflects the current store: a stale snapshot (the store mutated
     since it was built) is rebuilt before matching. *)
-
-val accept : t -> input:string -> place_id:int -> unit
-(** Record that the user picked a suggestion: future [suggest] calls for
-    the same (or extending) input rank it adaptively. *)

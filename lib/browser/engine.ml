@@ -62,7 +62,6 @@ let web t = t.web
 let places t = t.places
 let event_log t = List.rev t.log
 let visit_info t id = Hashtbl.find t.visits id
-let visit_count t = Hashtbl.length t.visits
 
 let fresh_visit t = let id = t.next_visit in t.next_visit <- id + 1; id
 

@@ -29,8 +29,6 @@ val event_log : t -> Event.t list
 val visit_info : t -> int -> visit_info
 (** Raises [Not_found] on unknown visit ids. *)
 
-val visit_count : t -> int
-
 (** {2 Tabs} *)
 
 val open_tab : t -> time:int -> ?opener:int -> unit -> int

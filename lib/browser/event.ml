@@ -48,23 +48,3 @@ let time = function
   | Search s -> s.time
   | Download_started d -> d.time
   | Form_submitted f -> f.time
-
-let describe = function
-  | Visit v ->
-    Printf.sprintf "[%d] visit #%d tab=%d %s %S via %s" v.time v.visit_id v.tab
-      (Webmodel.Url.to_string v.url) v.title (Transition.name v.transition)
-  | Close c -> Printf.sprintf "[%d] close visit #%d tab=%d" c.time c.visit_id c.tab
-  | Tab_opened t ->
-    Printf.sprintf "[%d] tab %d opened%s" t.time t.tab
-      (match t.opener_tab with None -> "" | Some o -> Printf.sprintf " (from tab %d)" o)
-  | Tab_closed t -> Printf.sprintf "[%d] tab %d closed" t.time t.tab
-  | Bookmark_added b ->
-    Printf.sprintf "[%d] bookmark #%d on visit #%d %S" b.time b.bookmark_id b.visit_id b.title
-  | Search s ->
-    Printf.sprintf "[%d] search #%d %S (serp visit #%d)" s.time s.search_id s.query s.serp_visit
-  | Download_started d ->
-    Printf.sprintf "[%d] download #%d -> %s (visit #%d from #%d)" d.time d.download_id
-      d.target_path d.visit_id d.source_visit
-  | Form_submitted f ->
-    Printf.sprintf "[%d] form #%d submitted from visit #%d -> visit #%d" f.time f.form_id
-      f.source_visit f.result_visit

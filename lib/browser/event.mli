@@ -56,5 +56,3 @@ type t =
     }
 
 val time : t -> int
-val describe : t -> string
-(** One-line human-readable rendering, used by example programs. *)

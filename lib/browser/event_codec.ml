@@ -162,12 +162,6 @@ let to_bytes events =
     events;
   Buffer.contents buf
 
-let to_bytes_v1 events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic_v1;
-  List.iter (encode_event buf) events;
-  Buffer.contents buf
-
 let read_prefix s =
   match format_version s with
   | Some 1 -> Frame.walk ~magic:magic_v1 decode_event s

@@ -19,10 +19,6 @@ val format_version : string -> int option
 val to_bytes : Event.t list -> string
 (** The v2 (framed, checksummed) image. *)
 
-val to_bytes_v1 : Event.t list -> string
-(** The legacy unframed image, kept for overhead measurement and the
-    compatibility tests. *)
-
 val read_prefix : string -> Event.t Provkit_util.Frame.prefix
 (** Decode a v1 or v2 trace up to its first record that fails
     verification; [clean] says whether anything was cut.  Raises

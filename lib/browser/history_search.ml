@@ -16,7 +16,6 @@ let build_index places =
   search
 
 let build places = { places; search = build_index places }
-let refresh t = t.search <- build_index t.places
 
 let search ?(limit = 10) t query =
   let hits = Textindex.Search.query ~limit:(limit * 5) t.search query in

@@ -14,8 +14,6 @@ val build : Places_db.t -> t
 (** Index the current contents of the Places store.  Rebuild after bulk
     history changes ({!refresh}). *)
 
-val refresh : t -> unit
-
 val search : ?limit:int -> t -> string -> result list
 (** Ranked places ([limit] defaults to 10). *)
 

@@ -291,7 +291,7 @@ let record_visit t (v : Event.visit) =
   assert (rowid = v.visit_id);
   recompute_frecency t place_id
 
-let record_input t ~place_id ~input ~time:_ =
+let record_input t ~place_id ~input =
   let tbl = table t "moz_inputhistory" in
   match
     R.Table.find_one_by tbl ~columns:[ "place_id"; "input" ] [ vint place_id; vtext input ]
@@ -304,8 +304,6 @@ let record_input t ~place_id ~input ~time:_ =
       (R.Table.insert_fields tbl
          [ ("place_id", vint place_id); ("input", vtext input); ("use_count", vreal 1.0) ])
 
-let record_input_choice t ~place_id ~input = record_input t ~place_id ~input ~time:0
-
 let apply_event t event =
   match (event : Event.t) with
   | Event.Visit v -> record_visit t v
@@ -317,11 +315,11 @@ let apply_event t event =
     ignore
       (R.Table.insert_fields (table t "moz_bookmarks")
          [ ("place_id", vint place_id); ("title", vtext title); ("date_added", vint time) ])
-  | Event.Search { time; search_id = _; query; serp_visit } -> begin
+  | Event.Search { time = _; search_id = _; query; serp_visit } -> begin
     (* The query text lands in input history against the SERP's place —
        present, but disconnected from the result clicks (§3.3). *)
     match visit t serp_visit with
-    | Some vr -> record_input t ~place_id:vr.place_id ~input:query ~time
+    | Some vr -> record_input t ~place_id:vr.place_id ~input:query
     | None -> ()
   end
   | Event.Download_started { time; download_id; visit_id; source_visit = _; url; target_path } ->

@@ -70,11 +70,6 @@ val downloads : t -> (int * string * string * int) list
 val input_history : t -> (int * string * float) list
 (** [(place_id, typed_input, use_count)]. *)
 
-val record_input_choice : t -> place_id:int -> input:string -> unit
-(** The adaptive awesomebar feedback loop: the user typed [input] and
-    chose this place, so bump (or create) the [moz_inputhistory] row —
-    what Firefox does when a location-bar suggestion is accepted. *)
-
 val recompute_frecency : t -> int -> unit
 (** Recompute one place's frecency from its recent visits (simplified
     Places algorithm: type-weighted, recency-bucketed sample). *)

@@ -12,8 +12,6 @@ type download_origin = {
   referrer_url : string option;
 }
 
-let table places name = R.Database.table (Places_db.database places) name
-
 (* Walk a visit's from_visit chain upward, returning the place ids seen,
    nearest first.  The chain stops wherever Firefox dropped the
    relationship. *)
@@ -83,31 +81,6 @@ let downloads_with_referrers places =
       in
       { download_target = target; source_url = source; referrer_url })
     (Places_db.downloads places)
-
-let top_referrers ?(limit = 10) places =
-  let visits = table places "moz_historyvisits" in
-  (* Self-join: each visit's from_visit resolves to the referring
-     visit's place. *)
-  let counts = Hashtbl.create 64 in
-  R.Table.iter visits (fun _rowid row ->
-      let schema = R.Table.schema visits in
-      match R.Row.int_opt schema row "from_visit" with
-      | None -> ()
-      | Some parent -> begin
-        match Places_db.visit places parent with
-        | None -> ()
-        | Some prow ->
-          let url = (Places_db.place places prow.Places_db.place_id).Places_db.url in
-          Hashtbl.replace counts url (1 + Option.value ~default:0 (Hashtbl.find_opt counts url))
-      end);
-  let all = Hashtbl.fold (fun url n acc -> (url, n) :: acc) counts [] in
-  List.filteri
-    (fun i _ -> i < limit)
-    (List.sort
-       (fun (ua, na) (ub, nb) ->
-         let c = Int.compare nb na in
-         if c <> 0 then c else String.compare ua ub)
-       all)
 
 let dead_end_rate places =
   let hidden_places = Hashtbl.create 64 in

@@ -33,11 +33,6 @@ val downloads_with_referrers : Places_db.t -> download_origin list
     source URL) -> moz_places -> moz_historyvisits -> from_visit ->
     moz_places. *)
 
-val top_referrers : ?limit:int -> Places_db.t -> (string * int) list
-(** "Which pages do I navigate away from most?" — self-join of
-    moz_historyvisits on from_visit, grouped by the referring place's
-    URL, descending ([limit] defaults to 10). *)
-
 val dead_end_rate : Places_db.t -> float
 (** Fraction of non-hidden visits with no [from_visit] — the paper's
     "sparsely connected metadata": every typed/bookmark navigation is a

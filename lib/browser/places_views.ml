@@ -431,8 +431,6 @@ let frecency_top t = R.Matview.value t.v_frecency
 let host_visits t = R.Matview.value t.v_hosts
 let download_referrers t = R.Matview.value t.v_downloads
 let recent_visits t = R.Matview.value t.v_recent
-let place_visit_groups t = R.Matview.value t.v_place_visits
 
 let status t = R.Matview.status t.registry
 let revisit_stats t = (t.first_visits, t.revisits)
-let seen_urls t = t.seen_urls

@@ -62,10 +62,6 @@ val download_referrers : t -> (string * int) list
 val recent_visits : t -> int
 (** Visits whose day falls within the last 7 days of the watermark. *)
 
-val place_visit_groups : t -> int * (Relstore.Value.t * int) list
-(** Total visit rows, and per-place counts shaped exactly like
-    [Query_exec.group_count ~by:"place_id"] output. *)
-
 (** {2 Cold recomputations (differential baselines)} *)
 
 val cold_frecency_top : top_n:int -> Places_db.t -> (int * string * float) list
@@ -80,5 +76,3 @@ val revisit_stats : t -> int * int
 (** [(first_visits, revisits)] as judged by the bloom filter (a false
     positive misclassifies a first visit as a revisit at the filter's
     configured rate; there are no false negatives). *)
-
-val seen_urls : t -> Relstore.Remember.t

@@ -19,8 +19,6 @@ let close_tab t tab =
   let _ = state t tab in
   Hashtbl.remove t.open_tabs tab
 
-let is_open t tab = Hashtbl.mem t.open_tabs tab
-
 let open_tabs t =
   List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.open_tabs [])
 

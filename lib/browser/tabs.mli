@@ -11,7 +11,6 @@ val open_tab : t -> ?opener:int -> unit -> int
 val close_tab : t -> int -> unit
 (** Raises [Invalid_argument] on an unknown or already-closed tab. *)
 
-val is_open : t -> int -> bool
 val open_tabs : t -> int list
 (** Ascending. *)
 

@@ -47,11 +47,6 @@ let name = function
   | Form_submit -> "form-submit"
   | Reload -> "reload"
 
-let is_redirect = function
-  | Redirect_permanent | Redirect_temporary -> true
-  | Link | Typed | Bookmark | Embed | Download | Framed_link | Form_submit | Reload ->
-    false
-
 let hidden = function
   | Embed | Redirect_permanent | Redirect_temporary -> true
   | Link | Typed | Bookmark | Download | Framed_link | Form_submit | Reload -> false
@@ -61,11 +56,5 @@ let displayed = function
   | Link | Typed | Bookmark | Redirect_permanent | Redirect_temporary | Framed_link
   | Form_submit | Reload -> true
 
-let is_user_initiated = function
-  | Link | Typed | Bookmark | Download | Form_submit | Reload -> true
-  | Embed | Redirect_permanent | Redirect_temporary | Framed_link -> false
-
 let all =
   [ Link; Typed; Bookmark; Embed; Redirect_permanent; Redirect_temporary; Download; Framed_link; Form_submit; Reload ]
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -22,8 +22,6 @@ val of_code : int -> t
 
 val name : t -> string
 
-val is_redirect : t -> bool
-
 val hidden : t -> bool
 (** True for embeds and redirect hops: the visits Places marks [hidden]
     and keeps out of history search.  A page all of whose visits are
@@ -33,10 +31,6 @@ val displayed : t -> bool
 (** True for visits the user saw as a top-level page: everything but
     embeds and downloads (a redirect hop is displayed, if briefly). *)
 
-val is_user_initiated : t -> bool
-(** True for transitions caused by an explicit user action (link, typed,
-    bookmark, download, form submit); false for redirects and embeds —
-    the distinction §3.2 says personalization algorithms care about. *)
-
-val all : t list
-val pp : Format.formatter -> t -> unit
+val all : t list [@@provlint.allow "unused-export"]
+(** Every transition.  No program enumerates them; the codec and
+    matview tests do, so a new constructor cannot slip past them. *)

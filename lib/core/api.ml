@@ -38,11 +38,6 @@ let personalize_web_search ?budget t query =
 let time_contextual_search ?budget ?limit t ~query ~context =
   Time_search.search ?budget ?limit (text_index t) (time_index t) ~query ~context
 
-let download_lineage ?budget t ~download_id =
-  match Prov_store.download_node (store t) download_id with
-  | None -> None
-  | Some node -> Lineage.first_recognizable ?budget (store t) node
-
 let downloads_from_page ?budget t ~url =
   match Prov_store.page_of_url (store t) url with
   | None ->

@@ -19,10 +19,11 @@ val text_index : t -> Prov_text_index.t
 (** The text index over provenance nodes; built lazily on first use and
     after each {!refresh}. *)
 
-val refresh : t -> unit
+val refresh : t -> unit [@@provlint.allow "unused-export"]
 (** Re-index after browsing added history.  Queries call this
     automatically when the store grew by more than 10 % since the last
-    build. *)
+    build.
+    Only tests force the rebuild; it goes with the lazy 10% rebuild rule (ROADMAP item 3). *)
 
 (** {2 The four §2 use cases} *)
 
@@ -39,10 +40,6 @@ val time_contextual_search :
   query:string ->
   context:string ->
   Time_search.response
-
-val download_lineage :
-  ?budget:Query_budget.t -> t -> download_id:int -> Lineage.origin option
-(** [download_id] is the engine's download id. *)
 
 val downloads_from_page : ?budget:Query_budget.t -> t -> url:string -> Lineage.descendants
 (** All downloads descending from the page with this URL.  Unknown URLs

@@ -294,4 +294,3 @@ let observer ?(config = full) () =
 let config t = t.config
 let store t = t.store
 let time_index t = t.time_index
-let visit_node t engine_id = Prov_store.visit_node t.store engine_id

@@ -47,6 +47,3 @@ val handle_batch : t -> Browser.Event.t list -> unit
 val config : t -> config
 val store : t -> Prov_store.t
 val time_index : t -> Time_index.t
-
-val visit_node : t -> int -> int option
-(** Provenance node for an engine visit id (convenience re-export). *)

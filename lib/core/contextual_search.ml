@@ -196,7 +196,6 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
   else begin
     let nconfig =
       {
-        Neighborhood.default_config with
         Neighborhood.decay = config.decay;
         max_hops = config.max_hops;
         node_budget = Query_budget.remaining_nodes running;

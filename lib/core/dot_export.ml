@@ -30,56 +30,11 @@ let node_attributes (n : Prov_node.t) =
   in
   [ ("label", short label); ("shape", shape) ] @ extra
 
-let edge_attributes (e : Prov_edge.t) =
-  let style =
-    match e.Prov_edge.kind with
-    | Prov_edge.Redirect | Prov_edge.Embed -> [ ("style", "dashed") ]
-    | Prov_edge.Same_time -> [ ("style", "dotted"); ("dir", "none") ]
-    | Prov_edge.Instance -> [ ("style", "solid"); ("color", "gray") ]
-    | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
-    | Prov_edge.Bookmarked_from | Prov_edge.Form_source | Prov_edge.Form_result
-    | Prov_edge.Download_source | Prov_edge.Download_fetch | Prov_edge.Search_query
-    | Prov_edge.Searched_from | Prov_edge.Tab_spawn | Prov_edge.Reload -> []
-  in
-  ("label", Prov_edge.kind_name e.Prov_edge.kind) :: style
-
 let attr_string attrs =
   String.concat ", "
     (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape v)) attrs)
 
 let header = "digraph provenance {\n  rankdir=LR;\n  node [fontsize=9];\n  edge [fontsize=8];\n"
-
-let export ?(max_nodes = 150) ?(include_time_edges = false) store ~roots =
-  let graph = Prov_store.graph store in
-  let follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind in
-  let outcome =
-    Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~budget:max_nodes ~follow
-      graph ~roots
-  in
-  let members = Hashtbl.create 64 in
-  List.iteri
-    (fun i (node, _) -> if i < max_nodes then Hashtbl.replace members node ())
-    outcome.Provgraph.Traversal.visited;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf header;
-  Hashtbl.iter
-    (fun id () ->
-      match Prov_store.node_opt store id with
-      | Some n ->
-        Buffer.add_string buf (Printf.sprintf "  n%d [%s];\n" id (attr_string (node_attributes n)))
-      | None -> ())
-    members;
-  Provgraph.Digraph.iter_edges graph (fun src dst e ->
-      if Hashtbl.mem members src && Hashtbl.mem members dst then begin
-        let keep =
-          if e.Prov_edge.kind = Prov_edge.Same_time then include_time_edges else true
-        in
-        if keep then
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [%s];\n" src dst (attr_string (edge_attributes e)))
-      end);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
 
 let export_lineage store (origin : Lineage.origin) =
   let buf = Buffer.create 1024 in

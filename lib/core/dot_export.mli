@@ -9,19 +9,6 @@
 val node_attributes : Prov_node.t -> (string * string) list
 (** shape/label/style per node kind — exposed for testing. *)
 
-val edge_attributes : Prov_edge.t -> (string * string) list
-
-val export :
-  ?max_nodes:int ->
-  ?include_time_edges:bool ->
-  Prov_store.t ->
-  roots:int list ->
-  string
-(** The causal neighborhood around [roots] (both directions, breadth
-    first, up to [max_nodes] nodes, default 150) as a DOT digraph.
-    [include_time_edges] (default false) also draws [Same_time] edges
-    among included nodes. *)
-
 val export_lineage : Prov_store.t -> Lineage.origin -> string
 (** Just a lineage path, as a DOT chain — the "how did I get this file"
     picture. *)

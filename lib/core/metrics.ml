@@ -22,30 +22,3 @@ let hit_at k ranks =
       List.length (List.filter (function Some r -> r <= k | None -> false) ranks)
     in
     float_of_int hits /. float_of_int (List.length ranks)
-
-let precision_recall ~relevant ~retrieved =
-  let module Iset = Set.Make (Int) in
-  let rel = Iset.of_list relevant and ret = Iset.of_list retrieved in
-  let inter = Iset.cardinal (Iset.inter rel ret) in
-  let precision =
-    if Iset.is_empty ret then if Iset.is_empty rel then 1.0 else 0.0
-    else float_of_int inter /. float_of_int (Iset.cardinal ret)
-  in
-  let recall =
-    if Iset.is_empty rel then 1.0
-    else float_of_int inter /. float_of_int (Iset.cardinal rel)
-  in
-  (precision, recall)
-
-let f1 ~precision ~recall =
-  if precision +. recall = 0.0 then 0.0
-  else 2.0 *. precision *. recall /. (precision +. recall)
-
-let mean_rank ranks =
-  let found = List.filter_map Fun.id ranks in
-  match found with
-  | [] -> None
-  | _ ->
-    Some
-      (List.fold_left (fun acc r -> acc +. float_of_int r) 0.0 found
-      /. float_of_int (List.length found))

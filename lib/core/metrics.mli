@@ -15,12 +15,3 @@ val mrr : int option list -> float
 
 val hit_at : int -> int option list -> float
 (** Fraction of queries whose rank is within [k]. *)
-
-val precision_recall : relevant:int list -> retrieved:int list -> float * float
-(** Set precision and recall (both 1.0 when [relevant] and [retrieved]
-    are empty). *)
-
-val f1 : precision:float -> recall:float -> float
-
-val mean_rank : int option list -> float option
-(** Mean of the found ranks; [None] if nothing was found. *)

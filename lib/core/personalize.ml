@@ -1,17 +1,8 @@
-type config = {
-  context_pages : int;
-  contextual : Contextual_search.config;
-  expansion_terms : int;
-  min_idf : float;
-}
+let context_pages = 15 (* contextual-search results mined for terms *)
+let expansion_terms = 2 (* terms added to the query *)
 
-let default_config =
-  {
-    context_pages = 15;
-    contextual = Contextual_search.default_config;
-    expansion_terms = 2;
-    min_idf = 0.2;
-  }
+(* Terms too common in the user's history to discriminate are dropped. *)
+let min_idf = 0.2
 
 type expansion = {
   original : string;
@@ -23,12 +14,9 @@ type expansion = {
 
 type tally = { mutable mass : float }
 
-let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index query =
+let expand ?(budget = Query_budget.unlimited) index query =
   let store = Prov_text_index.store index in
-  let response =
-    Contextual_search.search ~config:config.contextual ~budget
-      ~limit:config.context_pages index query
-  in
+  let response = Contextual_search.search ~budget ~limit:context_pages index query in
   let query_terms = Textindex.Tokenizer.terms query in
   let is_query_term term = List.mem term query_terms in
   (* Each term's mass in a float record, so adding to it allocates
@@ -61,10 +49,10 @@ let expand ?(config = default_config) ?(budget = Query_budget.unlimited) index q
     Hashtbl.fold
       (fun term t kept ->
         let idf = Prov_text_index.idf index term in
-        if idf < config.min_idf then kept
+        if idf < min_idf then kept
         else begin
           let x = (term, t.mass *. idf) in
-          if List.length kept < config.expansion_terms then List.merge worst_first [ x ] kept
+          if List.length kept < expansion_terms then List.merge worst_first [ x ] kept
           else
             match kept with
             | worst :: rest when by_weight x worst < 0 -> List.merge worst_first [ x ] rest

@@ -8,16 +8,6 @@
     expanded query string, never the history (the paper's privacy
     argument). *)
 
-type config = {
-  context_pages : int;  (** contextual-search results mined for terms *)
-  contextual : Contextual_search.config;
-  expansion_terms : int;  (** how many terms to add *)
-  min_idf : float;
-      (** drop terms too common in the user's history to discriminate *)
-}
-
-val default_config : config
-
 type expansion = {
   original : string;
   expanded : string;  (** original plus the chosen terms *)
@@ -26,8 +16,10 @@ type expansion = {
   elapsed_ms : float;
 }
 
-val expand :
-  ?config:config -> ?budget:Query_budget.t -> Prov_text_index.t -> string -> expansion
+val expand : ?budget:Query_budget.t -> Prov_text_index.t -> string -> expansion
 (** [expand index query] mines the provenance neighborhood of [query]
-    and returns the expanded query.  When history holds no usable
+    and returns the expanded query: the terms of the top 15
+    contextual-search results ({!Contextual_search.default_config}),
+    weighted by result score times IDF, skipping terms with IDF below
+    0.2, and the 2 heaviest appended.  When history holds no usable
     context the expansion equals the original query. *)

@@ -77,11 +77,3 @@ let is_traversal = function
   | Link_traversal | Typed_traversal | Bookmark_traversal | Bookmarked_from | Redirect
   | Embed | Form_source | Form_result | Download_source | Download_fetch | Search_query
   | Searched_from | Tab_spawn | Reload -> true
-
-let is_user_action = function
-  | Link_traversal | Typed_traversal | Bookmark_traversal | Bookmarked_from
-  | Form_source | Form_result | Download_source | Download_fetch | Search_query
-  | Searched_from | Tab_spawn | Reload -> true
-  | Redirect | Embed | Instance | Same_time -> false
-
-let pp ppf t = Format.fprintf ppf "%s@%d" (kind_name t.kind) t.time

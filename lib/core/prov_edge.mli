@@ -45,10 +45,4 @@ val is_traversal : kind -> bool
     structural [Instance] link and the derived [Same_time] relation.
     Connectivity and versioning analyses follow only these. *)
 
-val is_user_action : kind -> bool
-(** Edges generated by an explicit user action; redirects, embeds and
-    instance/time edges are not (§3.2: personalization may exclude
-    them). *)
-
 val all_kinds : kind list
-val pp : Format.formatter -> t -> unit

@@ -209,20 +209,6 @@ let replay t =
   List.iter (apply_op store) (ops t);
   store
 
-let save t ~path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_bytes t))
-
-let load ~path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_bytes (really_input_string ic len))
-
-let compact store = (Prov_schema.to_database store, create ())
-
 (* --- segmented write-ahead log --- *)
 
 module Segmented = struct

@@ -10,8 +10,6 @@
       happens;
     - {!replay} rebuilds a store from a log, tolerating a damaged tail
       (the crash case: recovery stops at the last verified record);
-    - {!compact} rewrites the log as a relational snapshot plus an empty
-      tail, bounding log growth;
     - {!Segmented} is the durable on-disk form: rotating checksummed
       segments under a manifest, with compaction and crash recovery.
 
@@ -100,16 +98,6 @@ val ops_of_store : Prov_store.t -> op list
     it into a matview registry leaves the views snapshot-consistent
     with the store. *)
 
-val save : t -> path:string -> unit
-val load : path:string -> t
-
-(** {2 Compaction} *)
-
-val compact : Prov_store.t -> Relstore.Database.t * t
-(** Snapshot the store relationally and return the empty journal that
-    replaces the log — [of_database snapshot] + replaying the (empty)
-    tail equals the original store. *)
-
 (** {2 Segmented write-ahead log}
 
     The durable form of the journal: a directory holding an atomically
@@ -182,13 +170,16 @@ module Segmented : sig
       append made so far survives a crash (modulo injected faults).
       Raises the error of a failed [fsync], if any. *)
 
-  val synced : handle -> int
+  val synced : handle -> int [@@provlint.allow "unused-export"]
   (** Ops known durable: every op up to this count was covered by a
-      completed [fsync] of its segment.  Callable from any thread. *)
+      completed [fsync] of its segment.  Callable from any thread.
+      Test seam: the group-commit and SIGKILL tests read how far the
+      committer has made the log durable. *)
 
-  val pending : handle -> int
+  val pending : handle -> int [@@provlint.allow "unused-export"]
   (** Appends written to the active sink but not yet committed: no
-      sync covers them until the next commit hands them off. *)
+      sync covers them until the next commit hands them off.
+      Test seam: the group-commit tests read how many appends await a commit. *)
 
   val attach : handle -> Prov_store.t -> unit
   (** Mirror every subsequent mutation of the store into the WAL. *)

@@ -50,12 +50,9 @@ let display t =
 let is_page t = match t.kind with Page _ -> true | _ -> false
 let is_visit t = match t.kind with Visit _ -> true | _ -> false
 let is_download t = match t.kind with Download _ -> true | _ -> false
-let is_search_term t = match t.kind with Search_term _ -> true | _ -> false
 
 let url_of t =
   match t.kind with
   | Page { url; _ } | Visit { url; _ } | Bookmark { url; _ } -> Some url
   | Download { source_url; _ } -> Some source_url
   | Search_term _ | Form_submission _ -> None
-
-let pp ppf t = Format.fprintf ppf "#%d %s" t.id (display t)

@@ -43,9 +43,6 @@ val display : t -> string
 val is_page : t -> bool
 val is_visit : t -> bool
 val is_download : t -> bool
-val is_search_term : t -> bool
 
 val url_of : t -> string option
 (** The URL carried by page/visit/bookmark/download nodes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -53,7 +53,6 @@ let create () =
   }
 
 let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
 let notify t m = match t.observer with None -> () | Some f -> f m
 
 let graph t = t.graph

@@ -59,8 +59,6 @@ type mutation =
 val set_observer : t -> (mutation -> unit) -> unit
 (** At most one observer; setting replaces. *)
 
-val clear_observer : t -> unit
-
 (** {2 Restoration (persistence layer only)}
 
     Re-insert nodes/edges with their original ids when loading from the

@@ -19,7 +19,6 @@ let build_index store =
   { index; source }
 
 let build store = { store; built = build_index store }
-let refresh t = t.built <- build_index t.store
 let store t = t.store
 let bm25 = Textindex.Scorer.default_bm25
 
@@ -37,4 +36,3 @@ let distinct_terms t (n : Prov_node.t) =
   | Some _ | None -> List.sort_uniq String.compare (Prov_node.text_terms n)
 
 let idf t term = Textindex.Scorer.idf t.built.index term
-let indexed_count t = Textindex.Inverted_index.document_count t.built.index

@@ -10,9 +10,6 @@ type t
 val build : Prov_store.t -> t
 (** Snapshot index of the store's current nodes. *)
 
-val refresh : t -> unit
-(** Re-index after the store has grown. *)
-
 val store : t -> Prov_store.t
 
 val search : ?limit:int -> t -> string -> (int * float) list
@@ -34,5 +31,3 @@ val distinct_terms : t -> Prov_node.t -> string list
 val idf : t -> string -> float
 (** Corpus rarity of a term within the user's own history — used to pick
     distinctive personalization terms. *)
-
-val indexed_count : t -> int

@@ -75,16 +75,3 @@ let expire ~cutoff store =
     summary_edges = Hashtbl.length summaries;
     kept_nodes = List.length kept;
   }
-
-let summarized_page_edges ~cutoff store =
-  let _, _, _, summaries = plan ~cutoff store in
-  let pairs =
-    Hashtbl.fold
-      (fun (src, dst, _) time acc ->
-        match (Prov_store.node_opt store src, Prov_store.node_opt store dst) with
-        | Some a, Some b when Prov_node.is_page a && Prov_node.is_page b ->
-          (src, dst, time) :: acc
-        | _ -> acc)
-      summaries []
-  in
-  List.sort compare pairs

@@ -29,8 +29,3 @@ val expire : cutoff:int -> Prov_store.t -> outcome
     forms are never dropped (they are small and are the recognizable
     anchors); edges incident to expired visits are summarized at page
     level.  Edges among kept nodes are preserved verbatim. *)
-
-val summarized_page_edges :
-  cutoff:int -> Prov_store.t -> (int * int * int) list
-(** The [(src_page, dst_page, time)] summaries [expire] would add —
-    exposed for testing. *)

@@ -32,9 +32,6 @@ let detect ?(gap = 1800) store =
   in
   go visits None []
 
-let at sessions ~time =
-  List.find_opt (fun s -> s.start <= time && time <= s.stop) sessions
-
 let visit_count s = List.length s.visits
 let duration s = s.stop - s.start
 

@@ -17,9 +17,6 @@ val detect : ?gap:int -> Prov_store.t -> t list
 (** Segment the store's displayed visits ([gap] defaults to 1800 s of
     idle time).  Chronological. *)
 
-val at : t list -> time:int -> t option
-(** The session covering an instant, if any. *)
-
 val visit_count : t -> int
 val duration : t -> int
 

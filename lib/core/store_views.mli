@@ -24,8 +24,10 @@ val standard :
 
 (** {2 Cold baselines} *)
 
-val cold_node_kinds : Prov_store.t -> (int * int) list
+val cold_node_kinds : Prov_store.t -> (int * int) list [@@provlint.allow "unused-export"]
 (** [group_count ~by:"kind"] over the [prov_node] table of
-    {!Prov_schema.to_database}. *)
+    {!Prov_schema.to_database}.
+    Reference oracle: the differential tests compare the incremental view against it. *)
 
-val cold_edge_kinds : Prov_store.t -> (int * int) list
+val cold_edge_kinds : Prov_store.t -> (int * int) list [@@provlint.allow "unused-export"]
+(** Reference oracle: the differential tests compare the incremental view against it. *)

@@ -1,15 +1,9 @@
 module Digraph = Provgraph.Digraph
 module Neighborhood = Provgraph.Neighborhood
 
-type config = {
-  frecency_weight : float;
-  context_weight : float;
-  max_hops : int;
-  decay : float;
-}
-
-let default_config =
-  { frecency_weight = 1.0; context_weight = 4.0; max_hops = 2; decay = 0.5 }
+(* Weight of graph proximity to the context, against the visit-count
+   prior's 1. *)
+let context_weight = 4.0
 
 type suggestion = {
   page : int;
@@ -30,7 +24,7 @@ let matching_pages store ~typed =
              && not (Prov_store.page_hidden store id) -> (id, url, title) :: acc
       | _ -> acc)
 
-let suggest ?(config = default_config) ?(limit = 6) ?(context = []) store typed =
+let suggest ?(limit = 6) ?(context = []) store typed =
   if String.trim typed = "" then []
   else begin
     let candidates = matching_pages store ~typed in
@@ -51,7 +45,7 @@ let suggest ?(config = default_config) ?(limit = 6) ?(context = []) store typed 
               title;
               base_score = base;
               context_score = ctx;
-              score = (config.frecency_weight *. base) +. (config.context_weight *. ctx);
+              score = base +. (context_weight *. ctx);
             })
           candidates
       in
@@ -69,16 +63,9 @@ let suggest ?(config = default_config) ?(limit = 6) ?(context = []) store typed 
       (* One decayed expansion from the context nodes, shared by every
          candidate. *)
       let seeds = List.map (fun node -> (node, 1.0)) context in
-      let nconfig =
-        {
-          Neighborhood.default_config with
-          Neighborhood.max_hops = config.max_hops;
-          decay = config.decay;
-        }
-      in
       (* Never follow Same_time edges for suggestions: the context IS
          the present, temporal neighbors of the past add noise. *)
       let follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind in
-      Neighborhood.expand ~config:nconfig ~follow (Prov_store.graph store) ~seeds (fun e ->
+      Neighborhood.expand ~follow (Prov_store.graph store) ~seeds (fun e ->
           rank (Neighborhood.score e))
   end

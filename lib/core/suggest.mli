@@ -10,15 +10,6 @@
     This is the §2.2 personalization idea pointed at the §1 location
     bar, computed entirely locally. *)
 
-type config = {
-  frecency_weight : float;  (** weight of the visit-count prior *)
-  context_weight : float;  (** weight of graph proximity to the context *)
-  max_hops : int;
-  decay : float;
-}
-
-val default_config : config
-
 type suggestion = {
   page : int;  (** page node id *)
   url : string;
@@ -29,7 +20,6 @@ type suggestion = {
 }
 
 val suggest :
-  ?config:config ->
   ?limit:int ->
   ?context:int list ->
   Prov_store.t ->
@@ -39,5 +29,8 @@ val suggest :
     contains [typed] (case-insensitive).  [context] is a list of store
     nodes representing what the user is currently looking at (visit or
     page nodes — typically the current tabs' visits); graph proximity to
-    them re-ranks the candidates.  Without context this degrades to the
-    frecency-style baseline.  [limit] defaults to 6. *)
+    them re-ranks the candidates: a candidate scores [log (1 + visits)]
+    plus 4 times the mass a {!Provgraph.Neighborhood.default_config}
+    expansion from the context, over causal edges, puts on the page and
+    its visits.  Without context this degrades to the frecency-style
+    baseline.  [limit] defaults to 6. *)

@@ -58,8 +58,6 @@ let interval t node =
   else if Bytes.get t.state node = '\002' then Some (t.opened.(node), Some t.closed.(node))
   else Some (t.opened.(node), None)
 
-let size t = t.size
-
 let view t =
   match t.view with
   | Some v -> v
@@ -126,9 +124,3 @@ let overlap t a b =
     let stop_b = match cb with None -> max_int | Some c -> c in
     oa <= stop_b && ob <= stop_a
   | _ -> false
-
-let direction t a b =
-  match (interval t a, interval t b) with
-  | Some (oa, _), Some (ob, _) ->
-    if oa <= ob then Some (a, b) else Some (b, a)
-  | _ -> None

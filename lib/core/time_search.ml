@@ -117,8 +117,8 @@ let rank ?(limit = 10) results =
   in
   List.filteri (fun i _ -> i < limit) sorted
 
-let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit = 10)
-    index time_index ~query ~context =
+let search ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~query ~context =
+  let config = default_config in
   let running = Query_budget.start budget in
   let store = Prov_text_index.store index in
   let query_terms = Textindex.Tokenizer.terms query in

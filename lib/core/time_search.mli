@@ -27,7 +27,6 @@ type result = {
 type response = { results : result list; truncated : bool; elapsed_ms : float }
 
 val search :
-  ?config:config ->
   ?budget:Query_budget.t ->
   ?limit:int ->
   Prov_text_index.t ->
@@ -36,4 +35,5 @@ val search :
   context:string ->
   response
 (** Pages matching [query], re-ranked by temporal proximity of their
-    visits to visits of pages matching [context]. *)
+    visits to visits of pages matching [context], as {!default_config}
+    sets it. *)

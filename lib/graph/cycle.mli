@@ -1,4 +1,4 @@
-(** Cycle detection and topological ordering.
+(** Cycle detection.
 
     Provenance is acyclic by definition (§3.1); these checks verify that
     the versioning schemes in [Core.Versioning] actually deliver a DAG,
@@ -11,12 +11,3 @@ val find_cycle : ?follow:(src:int -> dst:int -> 'e -> bool) -> ('n, 'e) Digraph.
 (** Some witness cycle as a node sequence [v0; ...; vk] with an edge
     vk -> v0, or [None] for a DAG.  Depth-first from each node in
     ascending id order, successors in ascending id order. *)
-
-val topological_sort : ('n, 'e) Digraph.t -> int list option
-(** Kahn's algorithm; [None] when the graph has a cycle.  Deterministic:
-    ties resolved by ascending node id. *)
-
-val strongly_connected_components : ('n, 'e) Digraph.t -> int list list
-(** Tarjan's SCCs; singleton components without self-loops are the
-    trivial ones.  Each component sorted ascending; components in
-    reverse topological order of the condensation. *)

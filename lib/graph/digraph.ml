@@ -113,9 +113,6 @@ let iter_side s id f =
 let iter_out t id f = if mem_node t id then iter_side t.out_adj id f
 let iter_in t id f = if mem_node t id then iter_side t.in_adj id f
 
-let fold_both t id ~init ~f =
-  if mem_node t id then fold_side t.in_adj id ~init:(fold_side t.out_adj id ~init ~f) ~f else init
-
 let edge_list s id =
   let ends = s.ends.(id) and labs = s.labs.(id) in
   let rec build i acc = if i < 0 then acc else build (i - 1) ((ends.(i), labs.(i)) :: acc) in
@@ -124,13 +121,6 @@ let edge_list s id =
 let out_edges t id = if mem_node t id then edge_list t.out_adj id else []
 let in_edges t id = if mem_node t id then edge_list t.in_adj id else []
 
-let distinct_endpoints edges =
-  List.sort_uniq Int.compare (List.map fst edges)
-
-let succ t id = distinct_endpoints (out_edges t id)
-let pred t id = distinct_endpoints (in_edges t id)
-let out_degree t id = if mem_node t id then t.out_adj.lens.(id) else 0
-let in_degree t id = if mem_node t id then t.in_adj.lens.(id) else 0
 let node_count t = t.nodes
 let edge_count t = t.edges
 

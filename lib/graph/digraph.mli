@@ -18,9 +18,9 @@
     {!iter_edges} and {!fold_edges} walk sources by ascending id and each
     source's out-edges oldest first; per-node adjacency is oldest first.
 
-    {b Allocation.} {!iter_out}, {!iter_in} and {!fold_both} allocate
-    nothing of their own; the list-returning {!out_edges}, {!in_edges},
-    {!succ} and {!pred} build a fresh list per call. *)
+    {b Allocation.} {!iter_out} and {!iter_in} allocate
+    nothing of their own; the list-returning {!out_edges} and
+    {!in_edges} build a fresh list per call. *)
 
 type ('n, 'e) t
 
@@ -54,26 +54,11 @@ val iter_out : ('n, 'e) t -> int -> (int -> 'e -> unit) -> unit
 val iter_in : ('n, 'e) t -> int -> (int -> 'e -> unit) -> unit
 (** [f src label] for each in-edge, oldest first. *)
 
-val fold_both : ('n, 'e) t -> int -> init:'a -> f:('a -> int -> 'e -> 'a) -> 'a
-(** The out-edges as {!iter_out} gives them, then the in-edges as
-    {!iter_in} gives them: [out_edges @ in_edges] without the lists. *)
-
 val out_edges : ('n, 'e) t -> int -> (int * 'e) list
 (** [(dst, label)] pairs, oldest first.  Empty for unknown nodes. *)
 
 val in_edges : ('n, 'e) t -> int -> (int * 'e) list
 (** [(src, label)] pairs, oldest first. *)
-
-val succ : ('n, 'e) t -> int -> int list
-(** Distinct successors, ascending. *)
-
-val pred : ('n, 'e) t -> int -> int list
-(** Distinct predecessors, ascending. *)
-
-val out_degree : ('n, 'e) t -> int -> int
-(** Number of out-edges (multi-edges counted). *)
-
-val in_degree : ('n, 'e) t -> int -> int
 
 val node_count : ('n, 'e) t -> int
 val edge_count : ('n, 'e) t -> int

@@ -3,8 +3,6 @@ module Scratch = Provkit_util.Scratch
 type config = {
   decay : float;
   max_hops : int;
-  direction : Traversal.direction;
-  edge_weight : float;
   node_budget : int option;
   degree_normalize : bool;
 }
@@ -13,8 +11,6 @@ let default_config =
   {
     decay = 0.5;
     max_hops = 2;
-    direction = Traversal.Both;
-    edge_weight = 1.0;
     node_budget = None;
     degree_normalize = false;
   }
@@ -38,7 +34,7 @@ let expand ?(config = default_config) ?follow g ~seeds k =
   let keep =
     match follow with None -> fun _ _ _ -> true | Some f -> fun src dst e -> f ~src ~dst e
   in
-  let neighbors = Traversal.iter_neighbors config.direction g in
+  let neighbors = Traversal.iter_neighbors Traversal.Both g in
   (* Per-seed BFS keeps "shortest hop from this seed" semantics additive
      across seeds.  Seeds are few (top-k text hits), so this stays cheap. *)
   let truncated = ref false in
@@ -52,9 +48,10 @@ let expand ?(config = default_config) ?follow g ~seeds k =
      edges [keep] admits: the neighbors its received mass is split
      among, counted before any is visited. *)
   let current = ref 0 and hop = ref 0 and fanout = ref 0 in
-  (* decay^h and edge_weight^h for every hop h the walk can reach. *)
-  let powers x = Array.init (max 0 (config.max_hops + 1)) (fun h -> Float.pow x (float_of_int h)) in
-  let decay_pow = powers config.decay and weight_pow = powers config.edge_weight in
+  (* decay^h for every hop h the walk can reach. *)
+  let decay_pow =
+    Array.init (max 0 (config.max_hops + 1)) (fun h -> Float.pow config.decay (float_of_int h))
+  in
   let count next e = if keep !current next e then incr fanout in
   (* One seed's BFS: the walk scratch's members are the nodes it
      reached, its [ids] the queue; [depth] is each one's hop count and,
@@ -78,9 +75,8 @@ let expand ?(config = default_config) ?follow g ~seeds k =
                 depth.(next) <- hop;
                 let m =
                   if config.degree_normalize then
-                    mass.(!current) *. config.decay *. config.edge_weight
-                    /. float_of_int (max 1 !fanout)
-                  else seed_score *. decay_pow.(hop) *. weight_pow.(hop)
+                    mass.(!current) *. config.decay /. float_of_int (max 1 !fanout)
+                  else seed_score *. decay_pow.(hop)
                 in
                 mass.(next) <- m;
                 bump reached scores next m

@@ -8,8 +8,6 @@
 type config = {
   decay : float;  (** per-hop multiplier, in (0, 1\]; default 0.5 *)
   max_hops : int;  (** expansion radius; default 2 *)
-  direction : Traversal.direction;  (** default [Both] *)
-  edge_weight : float;  (** weight applied per traversed edge; default 1.0 *)
   node_budget : int option;  (** cap on expanded nodes; None = unbounded *)
   degree_normalize : bool;
       (** flow semantics: a node splits its received mass among its
@@ -36,9 +34,9 @@ val expand :
   seeds:(int * float) list ->
   (expansion -> 'a) ->
   'a
-(** [expand g ~seeds k] propagates seed mass outward: a node at hop [h]
-    from a seed with score [s] receives [s *. decay^h *. edge_weight^h],
-    summed over seeds and shortest hops, in seed order and then BFS
+(** [expand g ~seeds k] propagates seed mass outward over edges in both
+    directions: a node at hop [h] from a seed with score [s] receives
+    [s *. decay^h], summed over seeds and shortest hops, in seed order and then BFS
     order.  [k] gets the reached nodes and their scores, read straight
     off this domain's scratch: they are valid only until [k] returns.
 

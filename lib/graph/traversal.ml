@@ -84,29 +84,3 @@ let without_root root outcome =
 
 let ancestors ?max_depth ?budget ?follow g id =
   without_root id (bfs ~direction:Backward ?max_depth ?budget ?follow g ~roots:[ id ])
-
-let descendants ?max_depth ?budget g id =
-  without_root id (bfs ~direction:Forward ?max_depth ?budget g ~roots:[ id ])
-
-let dfs_postorder g ~roots =
-  let visited = Hashtbl.create 64 in
-  let order = ref [] in
-  (* Explicit stack with an expansion marker for iterative postorder. *)
-  let stack = Stack.create () in
-  List.iter
-    (fun root -> if Digraph.mem_node g root then Stack.push (`Enter root) stack)
-    roots;
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
-    | `Exit id -> order := id :: !order
-    | `Enter id ->
-      if not (Hashtbl.mem visited id) then begin
-        Hashtbl.replace visited id ();
-        Stack.push (`Exit id) stack;
-        List.iter
-          (fun next ->
-            if not (Hashtbl.mem visited next) then Stack.push (`Enter next) stack)
-          (Digraph.succ g id)
-      end
-  done;
-  List.rev !order

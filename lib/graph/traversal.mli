@@ -63,13 +63,6 @@ val ancestors :
 (** BFS over in-edges, excluding the start node: the transitive sources
     this node was derived from, with distances. *)
 
-val descendants :
-  ?max_depth:int -> ?budget:int -> ('n, 'e) Digraph.t -> int -> (int * int) list outcome
-(** BFS over out-edges, excluding the start node. *)
-
-val dfs_postorder : ('n, 'e) Digraph.t -> roots:int list -> int list
-(** Iterative postorder over out-edges; each reachable node once. *)
-
 val iter_neighbors : direction -> ('n, 'e) Digraph.t -> int -> (int -> 'e -> unit) -> unit
 (** [f other label] for each edge the direction follows out of a node:
     out-edges, in-edges, or out-edges then in-edges ({!Digraph.iter_out},

@@ -93,7 +93,22 @@ let span_registry_of structure =
 
 type uses = { mutable idents : SSet.t; mutable literals : SSet.t }
 
-let scan_uses structure uses =
+type registered = { metrics : SSet.t; alerts : SSet.t; health : SSet.t; spans : SSet.t }
+
+let is_trace_fn path fn =
+  (fn = "record" || fn = "with_span")
+  && match List.rev (Longident.flatten path) with "Trace" :: _ -> true | _ -> false
+
+(* One walk over a file: record its [Names.x] references and string
+   literals into [uses], and flag unregistered name-shaped literals and
+   (in lib/) literal span names at [Trace.record] / [Trace.with_span]
+   sites. *)
+let scan ~file structure uses reg =
+  let findings = ref [] in
+  let flag loc fmt s =
+    findings := Source.finding ~check:id ~file loc (Printf.sprintf fmt s) :: !findings
+  in
+  let spans_checked = Registry.in_lib file in
   let it =
     {
       Ast_iterator.default_iterator with
@@ -108,72 +123,25 @@ let scan_uses structure uses =
           | Pexp_constant (Pconst_string (s, _, _)) ->
             (* All literals, not just metric-shaped ones: span constants
                are matched by their literal value too. *)
-            uses.literals <- SSet.add s uses.literals
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.structure it structure
-
-let literal_findings ~file structure ~registered ~alert_registered ~health_registered =
-  let findings = ref [] in
-  let flag loc fmt s =
-    findings := Source.finding ~check:id ~file loc (Printf.sprintf fmt s) :: !findings
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_constant (Pconst_string (s, _, _)) ->
-            if Registry.is_metric_literal s && not (SSet.mem s registered) then
+            uses.literals <- SSet.add s uses.literals;
+            if Registry.is_metric_literal s && not (SSet.mem s reg.metrics) then
               flag e.pexp_loc "unregistered metric name %S: add it to lib/obs/names.ml" s
-            else if Registry.is_alert_literal s && not (SSet.mem s alert_registered) then
+            else if Registry.is_alert_literal s && not (SSet.mem s reg.alerts) then
               flag e.pexp_loc
-                "unregistered alert rule id %S: add an alert_* constant to lib/obs/names.ml \
-                 (and Names.alert_ids)"
-                s
-            else if Registry.is_health_literal s && not (SSet.mem s health_registered) then
+                "unregistered alert rule id %S: add an alert_* constant to lib/obs/names.ml" s
+            else if Registry.is_health_literal s && not (SSet.mem s reg.health) then
               flag e.pexp_loc
                 "unregistered health check name %S: add a health_* constant to \
-                 lib/obs/names.ml (and Names.health_names)"
+                 lib/obs/names.ml"
                 s
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.structure it structure;
-  !findings
-
-(* Literal span names at lib/ [Trace.record] / [Trace.with_span] sites
-   that are not registered constants. *)
-let span_site_findings ~file structure span_registered =
-  let is_trace_fn path fn =
-    (fn = "record" || fn = "with_span")
-    &&
-    match List.rev (Longident.flatten path) with
-    | "Trace" :: _ -> true
-    | _ -> false
-  in
-  let findings = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
           | Pexp_apply
               ({ pexp_desc = Pexp_ident { txt = Longident.Ldot (path, fn); _ }; _ }, args)
-            when is_trace_fn path fn -> begin
+            when spans_checked && is_trace_fn path fn -> begin
             match List.find_opt (fun (lbl, _) -> lbl = Asttypes.Nolabel) args with
             | Some (_, { pexp_desc = Pexp_constant (Pconst_string (s, _, _)); pexp_loc; _ })
-              when not (SSet.mem s span_registered) ->
-              findings :=
-                Source.finding ~check:id ~file pexp_loc
-                  (Printf.sprintf
-                     "unregistered span name %S: add a span_* constant to lib/obs/names.ml" s)
-                :: !findings
+              when not (SSet.mem s reg.spans) ->
+              flag pexp_loc "unregistered span name %S: add a span_* constant to lib/obs/names.ml"
+                s
             | _ -> ()
           end
           | _ -> ());
@@ -189,36 +157,29 @@ let run files =
   | None -> []
   | Some (names_rel, names_structure) ->
     let registry = registry_of names_structure in
-    let registered = SSet.of_list (List.map (fun (_, s, _) -> s) registry) in
     let others =
       List.filter
         (fun (rel, _) ->
           rel <> names_rel && (Registry.in_lib rel || Registry.in_bin rel))
         files
     in
-    let uses = { idents = SSet.empty; literals = SSet.empty } in
-    List.iter (fun (_, structure) -> scan_uses structure uses) others;
     let span_registry = span_registry_of names_structure in
-    let span_registered = SSet.of_list (List.map (fun (_, s, _) -> s) span_registry) in
     let alert_registry = shaped_registry_of ~shaped:Registry.is_alert_literal names_structure in
-    let alert_registered = SSet.of_list (List.map (fun (_, s, _) -> s) alert_registry) in
     let health_registry =
       shaped_registry_of ~shaped:Registry.is_health_literal names_structure
     in
-    let health_registered = SSet.of_list (List.map (fun (_, s, _) -> s) health_registry) in
-    let unregistered =
-      List.concat_map
-        (fun (rel, structure) ->
-          literal_findings ~file:rel structure ~registered ~alert_registered
-            ~health_registered)
-        others
+    let literals reg = SSet.of_list (List.map (fun (_, s, _) -> s) reg) in
+    let reg =
+      {
+        metrics = literals registry;
+        alerts = literals alert_registry;
+        health = literals health_registry;
+        spans = literals span_registry;
+      }
     in
-    let span_sites =
-      List.concat_map
-        (fun (rel, structure) ->
-          if Registry.in_lib rel then span_site_findings ~file:rel structure span_registered
-          else [])
-        others
+    let uses = { idents = SSet.empty; literals = SSet.empty } in
+    let unregistered =
+      List.concat_map (fun (rel, structure) -> scan ~file:rel structure uses reg) others
     in
     let span_unused =
       List.filter_map
@@ -255,6 +216,6 @@ let run files =
                     what name literal)))
         reg
     in
-    unregistered @ span_sites @ unused @ span_unused
+    unregistered @ unused @ span_unused
     @ unused_shaped "alert rule" alert_registry
     @ unused_shaped "health check" health_registry

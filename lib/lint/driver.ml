@@ -13,6 +13,7 @@ let all_checks =
     (Check_wal.id, "WAL appends reach a commit point; close/rotate/compact flush pending first");
     (Check_matview.id, "view folds stay deterministic: no Faulty_io/Timing/Random/printing/globals");
     (Check_shared_state.id, "toplevel mutable state in lib/ is declared in the shared-state manifest");
+    (Check_unused_export.id, "every val in a lib/ .mli is used by a program, not only by tests");
   ]
 
 let check_ids = List.map fst all_checks
@@ -47,7 +48,8 @@ let rec walk root rel acc =
         let rel = rel ^ "/" ^ entry in
         let path = Filename.concat root rel in
         if Sys.is_directory path then walk root rel acc
-        else if Filename.check_suffix entry ".ml" then rel :: acc
+        else if Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli" then
+          rel :: acc
         else acc
       end)
     acc
@@ -55,20 +57,28 @@ let rec walk root rel acc =
      Array.sort String.compare entries;
      entries)
 
+(* Every check lints the .ml files under lib/ and bin/; unused-export
+   also reads the lib/ interfaces and the other program directories'
+   implementations, as uses. *)
+let is_intf rel = Filename.check_suffix rel ".mli"
+let linted rel = (not (is_intf rel)) && (Registry.in_lib rel || Registry.in_bin rel)
+
 let tree_files ~root =
   List.sort String.compare
-    (List.fold_left
-       (fun acc top ->
-         if Sys.file_exists (Filename.concat root top) then walk root top acc else acc)
-       [] [ "lib"; "bin" ])
+    (List.filter
+       (fun rel -> (not (is_intf rel)) || Registry.in_lib rel)
+       (List.fold_left
+          (fun acc dir ->
+            let top = String.sub dir 0 (String.length dir - 1) in
+            if Sys.file_exists (Filename.concat root top) then walk root top acc else acc)
+          [] Registry.program_dirs))
 
 (* --- linting --- *)
 
 let selected checks (f : Finding.t) =
   f.Finding.check = "parse-error" || List.mem f.Finding.check checks
 
-let finish ~checks per_file_findings parsed =
-  let spans = List.map (fun (rel, structure) -> (rel, Suppress.collect structure)) parsed in
+let finish ~checks per_file_findings spans =
   let kept =
     List.filter
       (fun (f : Finding.t) ->
@@ -89,18 +99,20 @@ let lint_files_timed ?(checks = check_ids) ~root rels =
     timings := (id, Sys.time () -. t0) :: !timings;
     r
   in
-  let parsed, parse_findings =
-    timed "parse" (fun () ->
-        List.fold_left
-          (fun (parsed, errs) rel ->
-            match
-              Source.parse_string ~filename:rel (Source.read_file (Filename.concat root rel))
-            with
-            | Ok structure -> ((rel, structure) :: parsed, errs)
-            | Error f -> (parsed, f :: errs))
-          ([], []) rels)
+  let parse parser rels =
+    List.fold_left
+      (fun (trees, errs) rel ->
+        match parser ~filename:rel (Source.read_file (Filename.concat root rel)) with
+        | Ok tree -> ((rel, tree) :: trees, errs)
+        | Error f -> (trees, f :: errs))
+      ([], []) (List.rev rels)
   in
-  let parsed = List.rev parsed in
+  let intf_rels, impl_rels = List.partition is_intf rels in
+  let (impls, impl_errs), (intfs, intf_errs) =
+    timed "parse" (fun () ->
+        (parse Source.parse_string impl_rels, parse Source.parse_interface intf_rels))
+  in
+  let parsed = List.filter (fun (rel, _) -> linted rel) impls in
   let per_file_findings =
     List.concat_map
       (fun (id, run) ->
@@ -115,8 +127,19 @@ let lint_files_timed ?(checks = check_ids) ~root rels =
       (fun (id, run) -> if List.mem id checks then timed id (fun () -> run parsed) else [])
       cross_file_runners
   in
-  let findings = per_file_findings @ cross_file_findings @ parse_findings in
-  (finish ~checks findings parsed, List.rev !timings)
+  let unused_findings =
+    if List.mem Check_unused_export.id checks then
+      timed Check_unused_export.id (fun () -> Check_unused_export.run ~impls ~intfs)
+    else []
+  in
+  let spans =
+    List.map (fun (rel, st) -> (rel, Suppress.collect st)) parsed
+    @ List.map (fun (rel, sg) -> (rel, Suppress.collect_signature sg)) intfs
+  in
+  let findings =
+    per_file_findings @ cross_file_findings @ unused_findings @ impl_errs @ intf_errs
+  in
+  (finish ~checks findings spans, List.rev !timings)
 
 let lint_files ?checks ~root rels = fst (lint_files_timed ?checks ~root rels)
 let lint_tree_timed ?checks ~root () = lint_files_timed ?checks ~root (tree_files ~root)
@@ -131,7 +154,7 @@ let lint_source ?(checks = check_ids) ~filename source =
         (fun (id, run) -> if List.mem id checks then run ~file:filename structure else [])
         per_file_runners
     in
-    finish ~checks findings [ (filename, structure) ]
+    finish ~checks findings [ (filename, Suppress.collect structure) ]
 
 (* --- rendering --- *)
 

@@ -8,12 +8,18 @@ val all_checks : (string * string) list
 val check_ids : string list
 
 val tree_files : root:string -> string list
-(** Every [.ml] file under [root/lib] and [root/bin], as sorted
-    root-relative paths. *)
+(** As sorted root-relative paths: every [.ml] file under [root/lib],
+    [root/bin], [root/bench], [root/perfbench] and [root/examples], and
+    every [.mli] under [root/lib].  Every check lints the [.ml] files of
+    [lib/] and [bin/]; [unused-export] also reads the rest. *)
 
 val lint_files : ?checks:string list -> root:string -> string list -> Finding.t list
-(** Lint the given root-relative files.  Cross-file checks (obs-names,
-    matview-purity, shared-state-registry) see exactly this file set. *)
+[@@provlint.allow "unused-export"]
+(** Lint the given root-relative files.  The checks lint the [.ml]
+    files among them under [lib/] and [bin/] (cross-file checks see
+    exactly that set); [unused-export] also reads the [.mli] files and
+    the other program directories' [.ml] files among them.
+    Test seam: the cross-file fixture tests lint scratch trees through it. *)
 
 val lint_files_timed :
   ?checks:string list -> root:string -> string list -> Finding.t list * (string * float) list
@@ -29,9 +35,11 @@ val lint_tree_timed :
   ?checks:string list -> root:string -> unit -> Finding.t list * (string * float) list
 
 val lint_source : ?checks:string list -> filename:string -> string -> Finding.t list
+[@@provlint.allow "unused-export"]
 (** Lint one in-memory source.  [filename] drives file classification
     (lib/ vs bin/, codec module, the epoch/WAL dataflow scopes); only
-    per-file checks run.  Used by the fixture tests. *)
+    per-file checks run.  Test seam: the per-file fixture tests lint
+    in-memory sources through it. *)
 
 val render_text : Finding.t list -> string
 

@@ -67,6 +67,10 @@ let has_suffix ~suffix s =
 
 let in_lib rel = has_prefix ~prefix:"lib/" rel
 let in_bin rel = has_prefix ~prefix:"bin/" rel
+(* Program files: the code whose uses keep an export alive
+   (unused-export).  test/ is deliberately absent. *)
+let program_dirs = [ "lib/"; "bin/"; "bench/"; "perfbench/"; "examples/" ]
+
 let is_metric_names_file rel = has_suffix ~suffix:"obs/names.ml" rel
 
 (* --- dataflow checks (epoch-discipline / wal-durability /

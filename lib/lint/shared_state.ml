@@ -58,7 +58,6 @@ let manifest =
       "hot-path observations from every instrumented subsystem";
     e "lib/obs/trace.ml" "ring" Needs_lock
       "span Ring written on every span end; guarded by Trace.lock";
-    e "lib/obs/trace.ml" "sink" Single_writer "JSONL sink installed by the CLI before tracing";
     e "lib/obs/trace.ml" "id_rng" Needs_lock
       "id stream advanced on every span start; guarded by Trace.lock";
     e "lib/obs/flight.ml" "ring" Needs_lock
@@ -67,7 +66,6 @@ let manifest =
       "incident counter paired with the ring; guarded by Flight.lock";
     e "lib/obs/flight.ml" "context" Single_writer
       "ambient context set by the CLI entry point before work starts";
-    e "lib/obs/timeseries.ml" "interval" Single_writer "snapshot cadence config knob";
     e "lib/obs/timeseries.ml" "pulse_count" Needs_lock
       "ticked by capture and WAL ingest on every event; guarded by Timeseries.pulse_lock";
     e "lib/obs/timeseries.ml" "observers" Single_writer
@@ -107,6 +105,10 @@ let manifest =
     (* lint *)
     e "lib/lint/source.ml" "parse_cache" Single_writer
       "parse-once memo; provlint is a single-threaded batch tool";
+    e "lib/lint/source.ml" "intf_cache" Single_writer
+      "parse-once memo for interfaces; provlint is a single-threaded batch tool";
+    e "lib/lint/check_unused_export.ml" "index_cache" Single_writer
+      "per-file use index memo; provlint is a single-threaded batch tool";
   ]
 
 let find ~file ~name =

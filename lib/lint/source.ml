@@ -24,11 +24,13 @@ let flatten_last2 lid =
   | [ name ] -> ("", name)
   | [] -> ("", "")
 
-let parse_uncached ~filename source =
+(* [parse] is [Parse.implementation] or [Parse.interface]; a syntax or
+   lexical error becomes a [parse-error] finding at its position. *)
+let parse_uncached parse ~filename source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf filename;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
+  match parse lexbuf with
+  | tree -> Ok tree
   | exception Syntaxerr.Error _ ->
     let p = lexbuf.Lexing.lex_curr_p in
     Error
@@ -38,17 +40,23 @@ let parse_uncached ~filename source =
   | exception Lexer.Error (_, loc) ->
     Error (finding ~check:"parse-error" ~file:filename loc "lexical error")
 
-(* Parse-once cache: one Parsetree.structure per (filename, contents),
-   shared by every check in a run — and across runs inside one process
-   (the fixture tests and the bench loop re-lint the same sources).  The
-   stored source string guards against a file changing between runs. *)
+(* Parse-once caches: one tree per (filename, contents), shared by every
+   check in a run — and across runs inside one process (the fixture
+   tests and the bench loop re-lint the same sources).  The stored
+   source string guards against a file changing between runs. *)
+let memo cache parse ~filename source =
+  match Hashtbl.find_opt cache filename with
+  | Some (cached_src, res) when String.equal cached_src source -> res
+  | _ ->
+    let res = parse_uncached parse ~filename source in
+    Hashtbl.replace cache filename (source, res);
+    res
+
 let parse_cache : (string, string * (Parsetree.structure, Finding.t) result) Hashtbl.t =
   Hashtbl.create 64
 
-let parse_string ~filename source =
-  match Hashtbl.find_opt parse_cache filename with
-  | Some (cached_src, res) when String.equal cached_src source -> res
-  | _ ->
-    let res = parse_uncached ~filename source in
-    Hashtbl.replace parse_cache filename (source, res);
-    res
+let intf_cache : (string, string * (Parsetree.signature, Finding.t) result) Hashtbl.t =
+  Hashtbl.create 64
+
+let parse_string ~filename source = memo parse_cache Parse.implementation ~filename source
+let parse_interface ~filename source = memo intf_cache Parse.interface ~filename source

@@ -40,6 +40,13 @@ let spans_of_attrs attrs (loc : Location.t) acc =
           (payload_checks attr.attr_payload))
     acc attrs
 
+(* A floating [@@@provlint.allow] covers the whole file. *)
+let whole_file attr acc =
+  List.fold_left
+    (fun acc check -> { check; start_line = 1; end_line = max_int } :: acc)
+    acc
+    (payload_checks attr.attr_payload)
+
 let collect structure =
   let spans = ref [] in
   let it =
@@ -61,16 +68,35 @@ let collect structure =
         (fun it item ->
           (match item.pstr_desc with
           | Pstr_attribute attr when attr.attr_name.txt = attr_name ->
-            spans :=
-              List.fold_left
-                (fun acc check -> { check; start_line = 1; end_line = max_int } :: acc)
-                !spans
-                (payload_checks attr.attr_payload)
+            spans := whole_file attr !spans
           | _ -> ());
           Ast_iterator.default_iterator.structure_item it item);
     }
   in
   it.structure it structure;
+  !spans
+
+(* The same for an interface: [[@@provlint.allow]] on a [val] covers
+   that declaration, a floating one covers the whole file. *)
+let collect_signature signature =
+  let spans = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      value_description =
+        (fun it vd ->
+          spans := spans_of_attrs vd.pval_attributes vd.pval_loc !spans;
+          Ast_iterator.default_iterator.value_description it vd);
+      signature_item =
+        (fun it item ->
+          (match item.psig_desc with
+          | Psig_attribute attr when attr.attr_name.txt = attr_name ->
+            spans := whole_file attr !spans
+          | _ -> ());
+          Ast_iterator.default_iterator.signature_item it item);
+    }
+  in
+  it.signature it signature;
   !spans
 
 let suppressed spans (f : Finding.t) =

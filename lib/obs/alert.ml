@@ -102,10 +102,8 @@ let register rule =
   in
   rules := List.filter (fun (id, _) -> id <> rule.r_id) !rules @ [ (rule.r_id, st) ]
 
-let unregister id = rules := List.filter (fun (id', _) -> id' <> id) !rules
 let states () = List.map snd !rules
 let firing () = List.filter (fun st -> st.st_firing) (states ())
-let find id = List.assoc_opt id !rules
 
 let transitions () = Provkit_util.Ring.to_list log
 let transitions_recorded () = !log_total

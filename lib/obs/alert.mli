@@ -43,8 +43,8 @@ type condition =
 type rule = {
   r_id : string;
       (** dotted ["alert.<subsystem>.<what>"]; lib/bin ids must be
-          registered in {!Names.alert_ids} (enforced by the obs-names
-          lint).  Doubles as the flight-recorder dedup key. *)
+          registered as [alert_*] constants in {!Names} (enforced by
+          the obs-names lint).  Doubles as the flight-recorder dedup key. *)
   r_signal : signal;
   r_condition : condition;
   r_for_ns : int64;  (** hysteresis window, both to fire and to resolve *)
@@ -82,8 +82,6 @@ val kind_name : kind -> string
 val register : rule -> unit
 (** Add (or replace, resetting its state) a rule. *)
 
-val unregister : string -> unit
-val find : string -> state option
 val states : unit -> state list
 (** All rule states, registration order. *)
 
@@ -139,7 +137,8 @@ val add_transition_hook : (transition -> unit) -> unit
 (** Called (in registration order) on every live fire/resolve; not
     called during {!replay_history}. *)
 
-val clear_transition_hooks : unit -> unit
+val clear_transition_hooks : unit -> unit [@@provlint.allow "unused-export"]
+(** Test seam: tests detach the hooks they installed on this process-global list. *)
 
 (** {2 Rendering} *)
 

@@ -43,8 +43,9 @@ val incidents : unit -> incident list
 
 val latest : unit -> incident option
 
-val clear : unit -> unit
-(** Drop kept incidents.  {!recorded} keeps counting. *)
+val clear : unit -> unit [@@provlint.allow "unused-export"]
+(** Drop kept incidents.  {!recorded} keeps counting.
+    Test seam: tests empty the process-global incident ring between cases. *)
 
 val set_context : (string * string) list -> unit
 (** Merge key/value context (seed, argv, config) into every future
@@ -63,4 +64,5 @@ val install_fault_hook : unit -> unit
 (** Route [Provkit_util.Faulty_io] fault applications into {!record}
     (reason ["io.fault.injected"], attr [fault=<spec>]). *)
 
-val uninstall_fault_hook : unit -> unit
+val uninstall_fault_hook : unit -> unit [@@provlint.allow "unused-export"]
+(** Test seam: tests detach the hook they installed. *)

@@ -32,7 +32,6 @@ let register name f =
   else checks := !checks @ [ (name, f) ]
 
 let unregister name = checks := List.filter (fun (n, _) -> n <> name) !checks
-let registered () = List.map fst !checks
 
 let run () =
   let results =

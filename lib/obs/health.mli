@@ -34,10 +34,8 @@ val register : string -> (unit -> verdict * string) -> unit
     every {!run}; an exception it raises reads as [Failing] with the
     exception text as detail. *)
 
-val unregister : string -> unit
-
-val registered : unit -> string list
-(** Registered check names, registration order. *)
+val unregister : string -> unit [@@provlint.allow "unused-export"]
+(** Test seam: tests remove the checks they registered in the process-global registry. *)
 
 val run : unit -> report
 

@@ -18,7 +18,6 @@ let create ?(precision = 12) () =
   { p = precision; m = 1 lsl precision; regs = Bytes.make (1 lsl precision) '\000' }
 
 let precision t = t.p
-let registers t = t.m
 
 (* FNV-1a 64-bit, then the splitmix64 finalizer: FNV alone has poor
    high-bit avalanche, and HLL reads both ends of the word (the top p
@@ -33,12 +32,6 @@ let[@inline] fnv h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0
 
 (* Plain loops over a local ref let the compiler keep [h] unboxed; a
    closure capturing it would box a fresh int64 for every byte. *)
-let hash_string s =
-  let h = ref fnv_basis in
-  for i = 0 to String.length s - 1 do
-    h := fnv !h (String.unsafe_get s i)
-  done;
-  mix64 !h
 
 let[@inline] hash_buffer b =
   let h = ref fnv_basis in
@@ -68,7 +61,6 @@ let[@inline] add_hash t hash =
   if rank > Char.code (Bytes.get t.regs idx) then
     Bytes.set t.regs idx (Char.chr rank)
 
-let add_string t s = add_hash t (hash_string s)
 let add_buffer t b = add_hash t (hash_buffer b)
 
 let alpha m =
@@ -91,20 +83,3 @@ let estimate t =
      linear counting over the empty-register fraction is exact-ish
      there.  No large-range correction — 64-bit hashes don't saturate. *)
   if raw <= 2.5 *. m && !zeros > 0 then m *. log (m /. float_of_int !zeros) else raw
-
-let error_bound t = 1.04 /. sqrt (float_of_int t.m)
-
-let merge dst src =
-  if dst.p <> src.p then invalid_arg "Hyperloglog.merge: precision mismatch";
-  for i = 0 to dst.m - 1 do
-    if Char.code (Bytes.get src.regs i) > Char.code (Bytes.get dst.regs i) then
-      Bytes.set dst.regs i (Bytes.get src.regs i)
-  done
-
-let reset t = Bytes.fill t.regs 0 t.m '\000'
-
-let serialized t =
-  let buf = Buffer.create (t.m + 1) in
-  Buffer.add_char buf (Char.chr t.p);
-  Buffer.add_bytes buf t.regs;
-  Buffer.contents buf

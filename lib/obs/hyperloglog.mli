@@ -17,40 +17,15 @@ val create : ?precision:int -> unit -> t
 
 val precision : t -> int
 
-val registers : t -> int
-(** [2^precision]. *)
-
 val add_hash : t -> int64 -> unit
 (** Feed one pre-hashed item.  The hash must be uniform over 64 bits —
-    use {!hash_string} (or any mixer of splitmix64 quality); feeding
+    use a mixer of splitmix64 quality, as {!add_buffer} does; feeding
     raw small integers will wreck the estimate. *)
 
-val add_string : t -> string -> unit
-(** [add_hash t (hash_string s)]. *)
-
-val hash_string : string -> int64
-(** FNV-1a over the bytes, finalized with the splitmix64 mixer —
-    deterministic across runs and platforms. *)
-
 val add_buffer : t -> Buffer.t -> unit
-(** [add_string t (Buffer.contents b)] without copying the bytes. *)
+(** Hash the buffer's bytes and feed the hash, without copying them. *)
 
 val estimate : t -> float
 (** Estimated number of distinct items added.  Uses the standard
     HyperLogLog estimator with the linear-counting correction for
     small cardinalities, so the estimate is usable from 0 upward. *)
-
-val error_bound : t -> float
-(** The sketch's relative standard error, [1.04 / sqrt (registers t)].
-    Tests assert estimates within a few multiples of this. *)
-
-val merge : t -> t -> unit
-(** [merge dst src] folds [src] into [dst] (pointwise register max).
-    Raises [Invalid_argument] when precisions differ.  The result
-    estimates the cardinality of the union of both streams. *)
-
-val reset : t -> unit
-
-val serialized : t -> string
-(** Compact register image (1 byte per register, precision header),
-    for embedding sketches in artifacts. *)

@@ -27,8 +27,9 @@ val incr : counter -> unit
 
 val value : counter -> int
 
-val counter_value : string -> int
-(** Current value by name; [0] when the counter was never interned. *)
+val counter_value : string -> int [@@provlint.allow "unused-export"]
+(** Current value by name; [0] when the counter was never interned.
+    Test seam: tests read counters by name. *)
 
 (** {2 Gauges} *)
 
@@ -38,7 +39,8 @@ val gauge : string -> gauge
 
 val set_gauge : gauge -> float -> unit
 
-val gauge_value : string -> float
+val gauge_value : string -> float [@@provlint.allow "unused-export"]
+(** Test seam: tests read gauges by name. *)
 
 (** {2 Histograms}
 
@@ -63,7 +65,8 @@ val quantile : histogram -> float -> float
     the rank-⌈q·n⌉ order statistic, i.e. an estimate [e] with
     [true_q <= e <= true_q * (1 + 1/16) + 1].  [0.0] when empty. *)
 
-val hist_count : histogram -> int
+val hist_count : histogram -> int [@@provlint.allow "unused-export"]
+(** Test seam: tests read how many samples a histogram holds. *)
 
 val bucket_of_value : int -> int
 (** The bucket index a sample maps to (exposed for the property tests). *)
@@ -93,9 +96,10 @@ val snapshot : unit -> snapshot
 (** Every registered metric, each section sorted by name — so two
     processes that performed the same work render identical snapshots. *)
 
-val reset : unit -> unit
+val reset : unit -> unit [@@provlint.allow "unused-export"]
 (** Zero every metric in place.  Interned handles remain valid and
-    registered (they reappear in the next snapshot at zero). *)
+    registered (they reappear in the next snapshot at zero).
+    Test seam: tests zero the process-global registry between cases. *)
 
 val render : snapshot -> string
 (** Aligned text tables (counters, gauges, histograms). *)

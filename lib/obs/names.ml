@@ -114,78 +114,6 @@ let daemon_reads = "prov.daemon.reads.served"
 let daemon_read_ns = "prov.daemon.read.latency_ns"
 let daemon_jobs = "prov.daemon.jobs.total"
 
-let all =
-  [
-    browser_events;
-    capture_events;
-    capture_visit;
-    capture_close;
-    capture_tab_opened;
-    capture_tab_closed;
-    capture_bookmark;
-    capture_search;
-    capture_download;
-    capture_form;
-    journal_appends;
-    wal_appends;
-    wal_fsyncs;
-    wal_rotations;
-    wal_compactions;
-    wal_snapshots;
-    wal_bytes_written;
-    wal_recoveries;
-    wal_recovered_ops;
-    wal_recovered_segments;
-    wal_recoveries_truncated;
-    wal_batch_ops;
-    wal_fsyncs_per_append;
-    wal_sync_ns;
-    wal_commit_lag_ns;
-    wal_batches_per_sync;
-    query_count;
-    query_full_scan;
-    query_index_eq;
-    query_index_range;
-    query_rows_scanned;
-    query_rows_returned;
-    query_latency_ns;
-    query_cache_hits;
-    query_cache_misses;
-    query_cache_evictions;
-    query_cache_invalidations;
-    trace_spans;
-    trace_dropped;
-    flight_incidents;
-    matview_updates;
-    matview_refreshes;
-    matview_staleness;
-    matview_update_ns;
-    matview_serves;
-    stats_analyzes;
-    stats_analyze_ns;
-    stats_estimates;
-    stats_misestimates;
-    slowlog_notes;
-    slowlog_evictions;
-    timeseries_points;
-    alert_fires;
-    alert_resolves;
-    alert_evaluations;
-    alert_firing_open;
-    telemetry_journal_appends;
-    telemetry_journal_replays;
-    telemetry_journal_truncations;
-    daemon_events_ingested;
-    daemon_batches;
-    daemon_queue_depth;
-    daemon_snapshots;
-    daemon_reads;
-    daemon_read_ns;
-    daemon_jobs;
-  ]
-
-let registered name = List.mem name all
-
 (* --- trace span names --- *)
 
 (* Span names are dotted lower-case constants, registered here for the
@@ -221,18 +149,6 @@ let alert_matview_staleness = "alert.matview.staleness"
 let alert_stats_misestimate_burn = "alert.stats.misestimate_burn"
 let alert_capture_stalled = "alert.capture.stalled"
 
-let alert_ids =
-  [
-    alert_query_p99;
-    alert_wal_fsync_per_append;
-    alert_cache_hit_ratio;
-    alert_matview_staleness;
-    alert_stats_misestimate_burn;
-    alert_capture_stalled;
-  ]
-
-let alert_registered id = List.mem id alert_ids
-
 (* --- health check names --- *)
 
 (* Health checks compose into the provd readiness verdict; their names
@@ -244,14 +160,3 @@ let health_stats_fresh = "health.stats.fresh"
 let health_alerts_clear = "health.alerts.clear"
 let health_epochs_consistent = "health.epochs.consistent"
 let health_daemon_queue = "health.daemon.queue"
-
-let health_names =
-  [
-    health_wal_manifest;
-    health_stats_fresh;
-    health_alerts_clear;
-    health_epochs_consistent;
-    health_daemon_queue;
-  ]
-
-let health_registered name = List.mem name health_names

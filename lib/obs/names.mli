@@ -196,12 +196,6 @@ val daemon_jobs : string
 (** Background maintenance jobs (analyze, pulse, compaction, matview
     rebuild) completed by provd. *)
 
-val all : string list
-(** Every registered metric name, in declaration order (span names are
-    not metrics and are not listed). *)
-
-val registered : string -> bool
-
 (** {2 Trace span names}
 
     Registered here for the same reason metric names are: the
@@ -267,11 +261,6 @@ val alert_stats_misestimate_burn : string
 val alert_capture_stalled : string
 (** Capture-event signal absent (ingest stalled mid-run). *)
 
-val alert_ids : string list
-(** Every registered alert rule id, in declaration order. *)
-
-val alert_registered : string -> bool
-
 (** {2 Health check names}
 
     Dotted ["health.<subsystem>.<what>"] constants, linted both ways
@@ -292,8 +281,3 @@ val health_epochs_consistent : string
 
 val health_daemon_queue : string
 (** The provd session queue is accepting events and not saturated. *)
-
-val health_names : string list
-(** Every registered health check name, in declaration order. *)
-
-val health_registered : string -> bool

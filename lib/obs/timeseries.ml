@@ -50,8 +50,6 @@ let record ?now_ns t =
   pt
 
 let points t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.to_list t.q)
-let length t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.length t.q)
-let clear t = Mutex.protect t.lock (fun () -> Provkit_util.Ring.clear t.q)
 
 (* --- deltas and rates --- *)
 
@@ -129,16 +127,8 @@ let render rows =
 
 let default = create ()
 
-let interval = ref 1024
+let pulse_interval = 1024
 let pulse_count = ref 0
-
-let pulse_interval () = !interval
-
-let set_pulse_interval n =
-  if n <= 0 then invalid_arg "Timeseries.set_pulse_interval: must be positive";
-  interval := n
-
-let pulses () = !pulse_count
 
 (* Guards only the pulse counter: the recorded point itself is covered
    by [default]'s own lock inside [record]. *)
@@ -149,7 +139,7 @@ let pulse () =
     let due =
       Mutex.protect pulse_lock (fun () ->
           incr pulse_count;
-          !pulse_count mod !interval = 0)
+          !pulse_count mod pulse_interval = 0)
     in
     if due then ignore (record default)
   end

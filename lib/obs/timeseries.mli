@@ -11,7 +11,7 @@
 
     The capture and WAL layers drive the default ring through
     {!pulse}: every ingest event ticks a counter, and every
-    [pulse_interval]-th tick records a point — so sustained-load runs
+    1024th tick records a point — so sustained-load runs
     leave an evenly spaced series without any timer thread. *)
 
 type point = {
@@ -54,14 +54,12 @@ val add_observer : (point -> unit) -> unit
     point {!record} captures, into any ring.  The alert engine and the
     durable telemetry journal attach here. *)
 
-val clear_observers : unit -> unit
-(** Drop every registered observer (test teardown). *)
+val clear_observers : unit -> unit [@@provlint.allow "unused-export"]
+(** Drop every registered observer (test teardown).
+    Test seam: tests detach the observers they registered. *)
 
 val points : t -> point list
 (** Ring contents, oldest first. *)
-
-val length : t -> int
-val clear : t -> unit
 
 val deltas_between : point -> point -> series list
 (** Per-metric deltas and rates from the older to the newer point:
@@ -82,19 +80,10 @@ val default : t
 (** The process-wide ring the ingest layers feed. *)
 
 val pulse : unit -> unit
-(** Tick the pulse counter; every [pulse_interval]-th tick records a
-    point into {!default}.  One branch when {!Metrics.enabled} is
+(** Tick the pulse counter; every 1024th tick records a point into
+    {!default}.  One branch when {!Metrics.enabled} is
     false.  Capture calls this per ingested event, the segmented WAL
     per appended op. *)
-
-val pulse_interval : unit -> int
-
-val set_pulse_interval : int -> unit
-(** Default 1024 pulses per point.  Raises [Invalid_argument] when
-    non-positive. *)
-
-val pulses : unit -> int
-(** Total pulses seen (independent of the recording interval). *)
 
 (** {2 Prometheus text exposition} *)
 

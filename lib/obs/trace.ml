@@ -1,6 +1,5 @@
 (* Span-based tracing: structured (name, attrs, start, duration) events
-   kept in a bounded in-memory ring, with an optional sink for streaming
-   each span out (e.g. as JSONL) the moment it closes.  Recording obeys
+   kept in a bounded in-memory ring.  Recording obeys
    the same global switch as the metrics registry, so traced hot paths
    cost one branch when observability is off.
 
@@ -41,18 +40,7 @@ let ring : (unit, span) Provkit_util.Ring.t = Provkit_util.Ring.create default_c
    every domain, and an unguarded ring update would tear. *)
 let lock = Mutex.create ()
 
-let sink : (span -> unit) option ref = ref None
-
-let set_sink f = sink := f
-
-let capacity () = Mutex.protect lock (fun () -> Provkit_util.Ring.capacity ring)
 let clear () = Mutex.protect lock (fun () -> Provkit_util.Ring.clear ring)
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  Mutex.protect lock (fun () ->
-      Provkit_util.Ring.clear ring;
-      ignore (Provkit_util.Ring.resize ring n))
 
 (* --- span ids --- *)
 
@@ -99,8 +87,7 @@ let open_spans () =
 let push s =
   Mutex.protect lock (fun () ->
       if Option.is_some (Provkit_util.Ring.push ring s) then Metrics.incr m_dropped);
-  Metrics.incr m_spans;
-  match !sink with None -> () | Some f -> f s
+  Metrics.incr m_spans
 
 let record ?(attrs = []) name ~start_ns ~dur_ns =
   if Metrics.enabled () then begin
@@ -135,7 +122,6 @@ let with_span ?(attrs = []) name f =
   else f ()
 
 let recent () = Mutex.protect lock (fun () -> Provkit_util.Ring.to_list ring)
-let recorded () = Mutex.protect lock (fun () -> Provkit_util.Ring.pushed ring)
 
 (* --- tree assembly --- *)
 
@@ -164,29 +150,6 @@ let assemble spans =
     spans;
   let orphans = Hashtbl.fold (fun _ ts acc -> List.rev_append ts acc) pending [] in
   List.rev_append !roots orphans
-
-(* Parent/child pairs where the child's [start, start+dur] interval is
-   not contained in the parent's.  Empty on anything the tracer itself
-   produced; exposed so tests can state the invariant. *)
-let enclosure_violations spans =
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.span_id s) spans;
-  List.filter_map
-    (fun s ->
-      match s.parent_id with
-      | None -> None
-      | Some pid -> (
-          match Hashtbl.find_opt by_id pid with
-          | None -> None
-          | Some p ->
-              let end_ns x = Int64.add x.start_ns x.dur_ns in
-              if Int64.compare s.start_ns p.start_ns < 0 || Int64.compare (end_ns s) (end_ns p) > 0
-              then
-                Some
-                  (Printf.sprintf "span %S [%Ld,%Ld] not enclosed by parent %S [%Ld,%Ld]" s.name
-                     s.start_ns (end_ns s) p.name p.start_ns (end_ns p))
-              else None))
-    spans
 
 (* --- folded stacks --- *)
 
@@ -357,32 +320,5 @@ module Jsonl_reader = struct
         else scalars := (key, if peek t = Some '"' then string t else scalar t) :: !scalars);
     (!scalars, List.rev !attrs)
 end
-
-let span_of_json line =
-  match Jsonl_reader.fields line with
-  | exception Jsonl_reader.Bad -> None
-  | scalars, attrs -> (
-      let find k = List.assoc_opt k scalars in
-      let id_of s = Int64.of_string ("0x" ^ s) in
-      match (find "name", find "start_ns", find "dur_ns") with
-      | Some name, Some start_ns, Some dur_ns -> (
-          try
-            let trace_id = match find "trace_id" with None -> 0L | Some s -> id_of s in
-            let span_id = match find "span_id" with None -> 0L | Some s -> id_of s in
-            let parent_id =
-              match find "parent_id" with None | Some "null" -> None | Some s -> Some (id_of s)
-            in
-            Some
-              {
-                name;
-                attrs;
-                start_ns = Int64.of_string start_ns;
-                dur_ns = Int64.of_string dur_ns;
-                trace_id;
-                span_id;
-                parent_id;
-              }
-          with Failure _ -> None)
-      | _, _, _ -> None)
 
 let dump_jsonl oc = List.iter (fun s -> output_string oc (span_to_json s ^ "\n")) (recent ())

@@ -104,9 +104,3 @@ let write_row buf row =
 let read_row s pos =
   let n = read_count s pos in
   Array.init n (fun _ -> read_value s pos)
-
-let row_size row =
-  Array.fold_left
-    (fun acc v -> acc + Value.serialized_size v)
-    (Provkit_util.Varint.size_unsigned (Array.length row))
-    row

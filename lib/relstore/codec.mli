@@ -24,9 +24,6 @@ val write_row : Buffer.t -> Value.t array -> unit
 
 val read_row : string -> int ref -> Value.t array
 
-val row_size : Value.t array -> int
-(** Exact encoded byte length of {!write_row}'s output. *)
-
 val read_count : string -> int ref -> int
 (** A varint element count, validated against the bytes that remain:
     every encoded element occupies at least one byte, so a larger (or

@@ -6,7 +6,3 @@ let accepts t v =
   match Value.type_of v with
   | None -> t.nullable
   | Some ty -> ty = t.ty
-
-let pp ppf t =
-  Format.fprintf ppf "%s %s%s" t.name (Value.ty_name t.ty)
-    (if t.nullable then "" else " NOT NULL")

@@ -7,5 +7,3 @@ val make : ?nullable:bool -> string -> Value.ty -> t
 
 val accepts : t -> Value.t -> bool
 (** Type/nullability check for one cell. *)
-
-val pp : Format.formatter -> t -> unit

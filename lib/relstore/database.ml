@@ -29,10 +29,6 @@ let tables t =
   let all = Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.tables [] in
   List.sort (fun a b -> String.compare (Table.name a) (Table.name b)) all
 
-let drop_table t tname =
-  if not (Hashtbl.mem t.tables tname) then raise (Errors.No_such_table tname);
-  Hashtbl.remove t.tables tname
-
 let to_bytes t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
@@ -107,17 +103,5 @@ let header_size t =
   + String.length t.name
   + Provkit_util.Varint.size_unsigned (Hashtbl.length t.tables)
 
-let data_size t =
-  List.fold_left (fun acc tbl -> acc + Table.data_size tbl) (header_size t) (tables t)
-
 let total_size t =
   List.fold_left (fun acc tbl -> acc + Table.total_size tbl) (header_size t) (tables t)
-
-let pp_stats ppf t =
-  Format.fprintf ppf "database %s: %d tables, %d bytes total@." t.name
-    (Hashtbl.length t.tables) (total_size t);
-  List.iter
-    (fun b ->
-      Format.fprintf ppf "  %-24s %8d rows %10d data B %10d index B@." b.table_name
-        b.rows b.data_bytes b.index_bytes)
-    (size_breakdown t)

@@ -22,9 +22,6 @@ val table_opt : t -> string -> Table.t option
 val tables : t -> Table.t list
 (** Sorted by table name. *)
 
-val drop_table : t -> string -> unit
-(** Raises {!Errors.No_such_table}. *)
-
 val snapshot : t -> t
 (** {!Table.snapshot} of every table: O(tables + indexes), independent
     of the row count, and unaffected by later writes to [t]. *)
@@ -50,7 +47,4 @@ type size_breakdown = {
 val total_size : t -> int
 (** Data plus index bytes across all tables (plus the catalog header). *)
 
-val data_size : t -> int
 val size_breakdown : t -> size_breakdown list
-
-val pp_stats : Format.formatter -> t -> unit

@@ -115,8 +115,6 @@ let fold_range ?lo ?(lo_inclusive = true) ?hi ?(hi_inclusive = true) t ~init ~f 
   in
   go init seq
 
-let cardinal t = t.cardinal
-
 let serialized_size t =
   Kmap.fold
     (fun key set acc ->

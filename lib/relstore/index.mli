@@ -50,9 +50,6 @@ val fold_range :
     unless its [_inclusive] flag (default true) is false.  Visits keys
     in ascending order and row ids ascending within a key. *)
 
-val cardinal : t -> int
-(** Number of (key, rowid) entries. *)
-
 val serialized_size : t -> int
 (** Exact byte cost of persisting this index: per entry, the encoded key
     plus a varint row id.  Counted in database size accounting because a

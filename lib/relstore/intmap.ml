@@ -72,8 +72,6 @@ let add ~edit k v t =
   in
   update own k (Value v) (grow t)
 
-let remove ~edit k t = if mem k t then update edit.stamp k Empty t else t
-
 let fold f t acc =
   let rec go node key shift acc =
     match node with

@@ -39,9 +39,6 @@ val add : edit:edit -> int -> 'a -> 'a t -> 'a t
     sharing the map: no later write touches what the shared version
     holds.  A fresh token gives a fully persistent update. *)
 
-val remove : edit:edit -> int -> 'a t -> 'a t
-(** As {!add}. *)
-
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Ascending key order. *)
 

@@ -64,8 +64,6 @@ let register t spec =
   { h_spec = spec; h_state = state; h_slot = slot }
 
 let value h = h.h_spec.finalize !(h.h_state)
-let folded h = h.h_slot.s_folded
-let events_seen t = t.events_seen
 
 let max_staleness t =
   List.fold_left (fun acc s -> max acc (t.events_seen - s.s_folded)) 0 t.slots

@@ -46,12 +46,6 @@ val rebuild : 'ev t -> 'ev list -> unit
 val value : ('ev, 'st, 'out) handle -> 'out
 (** [finalize] applied to the view's current state. *)
 
-val folded : ('ev, 'st, 'out) handle -> int
-(** The view's modification epoch: events folded since registration or
-    the last rebuild. *)
-
-val events_seen : 'ev t -> int
-
 val max_staleness : 'ev t -> int
 (** [events_seen] minus the laggiest view's fold count. *)
 

@@ -28,7 +28,6 @@ let create ?(capacity = 512) () =
   { lock = Mutex.create (); capacity; ring }
 
 let capacity t = Mutex.protect t.lock (fun () -> t.capacity)
-let length t = Mutex.protect t.lock (fun () -> Ring.length t.ring)
 let clear t = Mutex.protect t.lock (fun () -> Ring.clear t.ring)
 
 let set_capacity t n =

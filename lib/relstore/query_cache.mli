@@ -26,9 +26,6 @@ val capacity : 'k t -> int
 val set_capacity : 'k t -> int -> unit
 (** Shrinking evicts cold entries immediately. *)
 
-val length : 'k t -> int
-(** Live entries (including ones whose epoch is already stale). *)
-
 val clear : 'k t -> unit
 
 type lookup =

@@ -245,8 +245,6 @@ let cache_enabled = ref true
 
 let set_cache_enabled b = cache_enabled := b
 let set_cache_capacity n = Query_cache.set_capacity cache n
-let cache_capacity () = Query_cache.capacity cache
-let cache_length () = Query_cache.length cache
 let clear_cache () = Query_cache.clear cache
 
 (* Serve a query's payload from the cache, or run [cold] and fill. *)
@@ -290,7 +288,6 @@ let register_matview_source ~table ~shape ~fresh ~payload =
     :: List.filter (fun s -> compare s.mv_key key <> 0) !matview_sources
 
 let clear_matview_sources () = matview_sources := []
-let matview_source_count () = List.length !matview_sources
 
 (* --- the pipeline ------------------------------------------------------ *)
 
@@ -319,8 +316,7 @@ type _ level =
    time since the previous lap to a slot.  Consecutive laps share a
    timestamp, so the slots tile the run exactly however finely the fused
    fold interleaves them.  Slots: probe, fetch, filter (or aggregate),
-   sort, limit; a join uses the first three for its left input, hash
-   build and probe. *)
+   sort, limit. *)
 type meter = {
   timed : bool;
   spent : int array;
@@ -529,67 +525,6 @@ let run_table shape where table ~timed =
       in
       ((payload, profile), plan_of_access access, m.scanned, returned))
 
-(* The reported plan is the right side's probe path — the decision this
-   executor makes (each input select records its own).  Rows scanned
-   counts the probed or hashed right rows. *)
-let run_join ~input ~where_left ~where_right ~on left right ~timed =
-  let left_cols = List.map fst on and right_cols = List.map snd on in
-  let lschema = Table.schema left and rschema = Table.schema right in
-  executed ~op:"join" ~table_name:(Table.name right)
-    ~detail:(fun () -> "on " ^ String.concat "," right_cols)
-    (fun () ->
-      let m = meter ~timed in
-      let left_rows = input where_left left in
-      let n_left = List.length left_rows in
-      lap m 0;
-      let plan, right_matches =
-        match Table.find_index_on right right_cols with
-        | Some idx ->
-          let test = Predicate.compile where_right rschema in
-          ( Index_eq (Index.name idx),
-            fun key ->
-              List.filter_map
-                (fun rowid ->
-                  m.scanned <- m.scanned + 1;
-                  let row = Table.get right rowid in
-                  if test row then Some (rowid, row) else None)
-                (Index.find idx key) )
-        | None ->
-          let tbl = Hashtbl.create 256 in
-          List.iter
-            (fun (rowid, row) ->
-              m.scanned <- m.scanned + 1;
-              Hashtbl.add tbl (List.map (Row.get rschema row) right_cols) (rowid, row))
-            (input where_right right);
-          lap m 1;
-          (Full_scan, fun key -> List.rev (Hashtbl.find_all tbl key))
-      in
-      let pairs =
-        List.concat_map
-          (fun ((_, row) as l) ->
-            List.map (fun r -> (l, r)) (right_matches (List.map (Row.get lschema row) left_cols)))
-          left_rows
-      in
-      lap m 2;
-      let n_pairs = List.length pairs in
-      let profile =
-        if not timed then untimed
-        else fun () ->
-          root m "join"
-            (Printf.sprintf "%s x %s" (Table.name left) (Table.name right))
-            n_left n_pairs
-            (leaf m "left_input" (Table.name left) (Table.row_count left) n_left 0
-            ::
-            (match plan with
-            | Index_eq name -> [ leaf m "probe" ("index_eq(" ^ name ^ ")") n_left n_pairs 2 ]
-            | Full_scan | Index_range _ ->
-              [
-                leaf m "build" "hash_table" m.scanned m.scanned 1;
-                leaf m "probe" "hash_probe" n_left n_pairs 2;
-              ]))
-      in
-      ((pairs, profile), plan, m.scanned, n_pairs))
-
 (* --- entry points ------------------------------------------------------ *)
 
 (* A single-table query at a level: at Off a fresh matview source, then
@@ -639,22 +574,6 @@ let select ?where ?order_by ?limit table = fst (select_at Off ?where ?order_by ?
 let count ?where table = fst (count_at Off ?where table)
 let group_count ~by ?where table = fst (group_count_at Off ~by ?where table)
 
-(* A join's inputs follow its caching: served from the cache at Off,
-   run cold at Stats and Profile, so an instrumented join never times a
-   cache hit as its input. *)
-let join_at (type i) (level : i level) ?(where_left = Predicate.True)
-    ?(where_right = Predicate.True) ~on left right : _ * i =
-  let run = run_join ~where_left ~where_right ~on left right in
-  let cold where table = fst (select_at Stats ~where table) in
-  match level with
-  | Off -> (fst (fst (run ~input:(fun where table -> select ~where table) ~timed:false)), ())
-  | Stats -> (match run ~input:cold ~timed:false with (pairs, _), stats -> (pairs, stats))
-  | Profile ->
-    (match run ~input:cold ~timed:true with (pairs, profile), stats -> (pairs, (stats, profile ())))
-
-let join ?where_left ?where_right ~on left right =
-  fst (join_at Off ?where_left ?where_right ~on left right)
-
 (* --- profile rendering ---------------------------------------------- *)
 
 let rec profile_to_json p =
@@ -686,12 +605,3 @@ let render_profile p =
   in
   go 0 p;
   Buffer.contents buf
-
-let fold_profile p =
-  let rec go prefix n acc =
-    let path = match prefix with "" -> n.op | _ -> prefix ^ ";" ^ n.op in
-    let child_ns = List.fold_left (fun a c -> a + c.dur_ns) 0 n.children in
-    let acc = (path, max 0 (n.dur_ns - child_ns)) :: acc in
-    List.fold_left (fun acc c -> go path c acc) acc n.children
-  in
-  List.rev (go "" p [])

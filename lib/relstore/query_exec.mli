@@ -1,5 +1,5 @@
 (** Query execution over tables: selection with index acceleration,
-    ordering, limits, counts, grouped counts and equi-joins.
+    ordering, limits, counts and grouped counts.
 
     Each operation has one implementation, a pipeline run at an
     instrumentation {!level}: its plain entry point ([select], …) runs
@@ -16,10 +16,11 @@ type plan =
   | Index_eq of string  (** index name used for an equality probe *)
   | Index_range of string
 
-val plan_for : Table.t -> Predicate.t -> plan
+val plan_for : Table.t -> Predicate.t -> plan [@@provlint.allow "unused-export"]
 (** The access path {!select} will use for this predicate: an exact-match
     index over a prefix of the predicate's conjunctive equalities, else a
-    range index, else a scan. *)
+    range index, else a scan.  No program asks for the plan without
+    running the query; the planner tests read it here. *)
 
 val plan_name : plan -> string
 (** ["full_scan"], ["index_eq"] or ["index_range"] — the label used in
@@ -142,34 +143,6 @@ val group_count_at :
   'i level -> by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * 'i
 (** Profile children: [probe; fetch; aggregate; sort]. *)
 
-val join :
-  ?where_left:Predicate.t ->
-  ?where_right:Predicate.t ->
-  on:(string * string) list ->
-  Table.t ->
-  Table.t ->
-  ((int * Row.t) * (int * Row.t)) list
-(** Equi-join: pairs where each [on] column of the left row equals the
-    matching column of the right row.  Probes a right-table index when
-    one covers the join columns, else builds a hash table on the fly. *)
-
-val join_at :
-  'i level ->
-  ?where_left:Predicate.t ->
-  ?where_right:Predicate.t ->
-  on:(string * string) list ->
-  Table.t ->
-  Table.t ->
-  ((int * Row.t) * (int * Row.t)) list * 'i
-(** {!join} at a level.  The reported plan is the right side's probe
-    path ([Index_eq] when an index covers the join columns, else
-    [Full_scan] for the hash build); [rows_scanned] counts the right
-    rows probed or hashed.  The input selects follow the join's
-    caching: at [Off] they may be cache hits, at [Stats] and [Profile]
-    they execute (uninstrumented by the profile clock).  Profile
-    children: [left_input; probe] on the index path,
-    [left_input; build; probe] on the hash path. *)
-
 val profile_to_json : profile -> string
 (** One nested JSON object
     [{"op":..,"detail":..,"rows_in":..,"rows_out":..,"dur_ns":..,
@@ -178,11 +151,6 @@ val profile_to_json : profile -> string
 val render_profile : profile -> string
 (** Indented operator tree: one line per node with rows in/out, percent
     of the root's duration, and milliseconds. *)
-
-val fold_profile : profile -> (string * int) list
-(** Folded-stack lines [("select;probe", self_ns); ..] — self time is a
-    node's duration minus its children's, clamped at zero — in the
-    format flamegraph tooling consumes (pre-order). *)
 
 val set_query_span_threshold_ns : int -> unit
 (** Adjust the slow-query span threshold (default 100 µs): queries at
@@ -218,11 +186,6 @@ val set_cache_capacity : int -> unit
 (** Default 512 entries; shrinking evicts immediately; [0] caches
     nothing. *)
 
-val cache_capacity : unit -> int
-
-val cache_length : unit -> int
-(** Entries currently stored. *)
-
 val clear_cache : unit -> unit
 
 (** {2 Materialized-view sources}
@@ -246,5 +209,3 @@ val register_matview_source :
     feed path disqualify it. *)
 
 val clear_matview_sources : unit -> unit
-
-val matview_source_count : unit -> int

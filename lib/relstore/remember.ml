@@ -13,7 +13,6 @@ type t = {
   bit_size : int;
   hash_count : int;
   target_rate : float;
-  mutable inserted : int;
 }
 
 let ln2 = log 2.0
@@ -32,7 +31,6 @@ let create ?(false_positive_rate = 0.01) ~expected () =
     bit_size = m;
     hash_count = k;
     target_rate = p;
-    inserted = 0;
   }
 
 (* Two seeded hashes drive the double-hashing probe sequence; [lor 1]
@@ -55,8 +53,7 @@ let add t key =
   let probe = probes t key in
   for i = 0 to t.hash_count - 1 do
     set_bit t (probe i)
-  done;
-  t.inserted <- t.inserted + 1
+  done
 
 let mem t key =
   let probe = probes t key in
@@ -68,14 +65,4 @@ let remember t key =
   add t key;
   seen
 
-let inserted t = t.inserted
-let bit_size t = t.bit_size
-let hash_count t = t.hash_count
 let false_positive_rate t = t.target_rate
-
-let fill_ratio t =
-  let set = ref 0 in
-  for pos = 0 to t.bit_size - 1 do
-    if get_bit t pos then incr set
-  done;
-  float_of_int !set /. float_of_int t.bit_size

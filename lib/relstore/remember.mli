@@ -19,13 +19,5 @@ val remember : t -> string -> bool
 (** [mem] then [add] in one step: returns whether the key was (probably)
     already present, and records it either way. *)
 
-val inserted : t -> int
-(** Number of [add]/[remember] calls made, duplicates included. *)
-
-val bit_size : t -> int
-val hash_count : t -> int
 val false_positive_rate : t -> float
 (** The configured target rate, not a measurement. *)
-
-val fill_ratio : t -> float
-(** Fraction of bits set — a saturation diagnostic. *)

@@ -24,13 +24,3 @@ let set schema row name v =
   let row' = Array.copy row in
   row'.(Schema.column_index schema name) <- v;
   row'
-
-let pp schema ppf row =
-  Format.fprintf ppf "{";
-  Array.iteri
-    (fun i v ->
-      let c = (Schema.columns schema).(i) in
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%s=%a" c.Column.name Value.pp v)
-    row;
-  Format.fprintf ppf "}"

@@ -21,5 +21,3 @@ val bool : Schema.t -> t -> string -> bool
 
 val set : Schema.t -> t -> string -> Value.t -> t
 (** Functional update by column name. *)
-
-val pp : Schema.t -> Format.formatter -> t -> unit

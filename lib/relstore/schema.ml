@@ -25,9 +25,6 @@ let column_index t cname =
   | Some i -> i
   | None -> raise (Errors.No_such_column (t.name ^ "." ^ cname))
 
-let column t cname = t.columns.(column_index t cname)
-let has_column t cname = Hashtbl.mem t.by_name cname
-
 let validate_row t row =
   if Array.length row <> arity t then
     Errors.type_mismatch "table %s: row arity %d, expected %d" t.name
@@ -86,15 +83,3 @@ let deserialize s pos =
         Column.make ~nullable cname ty)
   in
   make ~name cols
-
-let serialized_size t =
-  let buf = Buffer.create 64 in
-  serialize buf t;
-  Buffer.length buf
-
-let pp ppf t =
-  Format.fprintf ppf "TABLE %s (%a)" t.name
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Column.pp)
-    t.columns

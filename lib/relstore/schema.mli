@@ -16,17 +16,9 @@ val arity : t -> int
 val column_index : t -> string -> int
 (** Raises {!Errors.No_such_column}. *)
 
-val column : t -> string -> Column.t
-(** Raises {!Errors.No_such_column}. *)
-
-val has_column : t -> string -> bool
-
 val validate_row : t -> Value.t array -> unit
 (** Checks arity and per-cell type/nullability; raises
     {!Errors.Type_mismatch} or {!Errors.Constraint_violation}. *)
 
 val serialize : Buffer.t -> t -> unit
 val deserialize : string -> int ref -> t
-val serialized_size : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -57,8 +57,6 @@ let () =
   | None -> ()
   | Some s -> ( match threshold_of_env_string s with Some n -> threshold := n | None -> ())
 
-let capacity () = Mutex.protect lock (fun () -> Provkit_util.Ring.capacity ring)
-
 let fingerprint ~table ~op ~plan ~detail =
   (* Length-prefixed so ("a","bc") and ("ab","c") cannot collide by
      construction; CRC-32 keeps the key a small printable int. *)
@@ -70,10 +68,6 @@ let fingerprint ~table ~op ~plan ~detail =
       Buffer.add_string buf s)
     [ table; op; plan; detail ];
   Provkit_util.Crc32.digest (Buffer.contents buf)
-
-let set_capacity n =
-  if n <= 0 then invalid_arg "Slowlog.set_capacity: must be positive";
-  Mutex.protect lock (fun () -> Obs.Metrics.add m_evictions (Provkit_util.Ring.resize ring n))
 
 let note ~table ~op ~plan ~detail ~elapsed_ns ~rows_scanned ~rows_returned =
   let fp = fingerprint ~table ~op ~plan ~detail in
@@ -115,7 +109,6 @@ let entries () =
   Mutex.protect lock (fun () -> Provkit_util.Ring.to_list ring)
   |> List.sort (fun a b -> Int.compare b.e_total_ns a.e_total_ns)
 
-let length () = Mutex.protect lock (fun () -> Provkit_util.Ring.length ring)
 let clear () = Mutex.protect lock (fun () -> Provkit_util.Ring.clear ring)
 
 (* --- serialization --- *)

@@ -45,12 +45,6 @@ val threshold_of_env_string : string -> int option
     environment variable once at module load; exposed pure so tests
     cover the guard without touching the process environment. *)
 
-val capacity : unit -> int
-val set_capacity : int -> unit
-(** Distinct fingerprints retained (default 128).  Shrinking evicts
-    oldest-last-seen immediately.  Raises [Invalid_argument] when
-    non-positive. *)
-
 val note :
   table:string ->
   op:string ->
@@ -69,8 +63,8 @@ val fingerprint : table:string -> op:string -> plan:string -> detail:string -> i
 val entries : unit -> entry list
 (** Current entries, worst first (descending total time). *)
 
-val length : unit -> int
-val clear : unit -> unit
+val clear : unit -> unit [@@provlint.allow "unused-export"]
+(** Test seam: tests empty the process-global log between cases. *)
 
 (** {2 Serialization} *)
 

@@ -491,11 +491,6 @@ let plan_to_string = function
   | Query_exec.Index_eq name -> Printf.sprintf "index %s (eq)" name
   | Query_exec.Index_range name -> Printf.sprintf "index %s (range)" name
 
-let explain db input =
-  let ast = parse input in
-  let table = Database.table db ast.table in
-  plan_to_string (Query_exec.plan_for table ast.where)
-
 type explain_report = {
   table : string;
   plan : Query_exec.plan;

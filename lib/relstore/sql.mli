@@ -64,10 +64,6 @@ val render : result -> string
 val plan_to_string : Query_exec.plan -> string
 (** ["full scan"] or ["index <name> (eq|range)"]. *)
 
-val explain : Database.t -> string -> string
-(** The access path the planner chose, without executing:
-    [plan_to_string (Query_exec.plan_for ...)] on the parsed query. *)
-
 type explain_report = {
   table : string;
   plan : Query_exec.plan;  (** always equals [Query_exec.plan_for] on the query *)

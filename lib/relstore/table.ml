@@ -124,13 +124,6 @@ let update_field t rowid column v =
   let row = get t rowid in
   update t rowid (Row.set t.schema row column v)
 
-let delete t rowid =
-  let row = get t rowid in
-  List.iter (fun idx -> Index.remove idx rowid row) t.indexes;
-  t.rows <- Intmap.remove ~edit:t.edit rowid t.rows;
-  t.count <- t.count - 1;
-  bump t
-
 let iter t f = Intmap.iter f t.rows
 let fold t ~init ~f = Intmap.fold (fun rowid row acc -> f acc rowid row) t.rows init
 let rows t = Intmap.bindings t.rows
@@ -145,7 +138,6 @@ let add_index ?unique t ~name:iname ~columns =
      results were computed under. *)
   bump t
 
-let index t iname = List.find (fun idx -> Index.name idx = iname) t.indexes
 let indexes t = t.indexes
 
 let find_index_on t columns =
@@ -208,8 +200,8 @@ let deserialize s pos =
   done;
   (* Never trust the stored counter below the loaded rows: a corrupt or
      hand-edited image would otherwise make later inserts land on live
-     rowids.  Values above max+1 are kept — deletes legitimately leave
-     the counter past the surviving rows. *)
+     rowids.  Values above max+1 are kept: an image may carry a counter
+     past its rows. *)
   t.next_id <- max next_id (!max_rowid + 1);
   let nidx = Codec.read_count s pos in
   for _ = 1 to nidx do

@@ -23,8 +23,8 @@ val uid : t -> int
 (** Process-unique table identity (never reused), for keying caches. *)
 
 val epoch : t -> int
-(** Modification epoch: bumped by every {!insert}, {!update},
-    {!delete} and {!add_index}.  A cached query result tagged with the
+(** Modification epoch: bumped by every {!insert}, {!update} and
+    {!add_index}.  A cached query result tagged with the
     epoch it was computed at is valid exactly while the epoch is
     unchanged. *)
 
@@ -50,9 +50,6 @@ val update : t -> int -> Row.t -> unit
 val update_field : t -> int -> string -> Value.t -> unit
 (** Point update of one column. *)
 
-val delete : t -> int -> unit
-(** Raises {!Errors.No_such_row}. *)
-
 val iter : t -> (int -> Row.t -> unit) -> unit
 (** Visits rows in ascending row id order. *)
 
@@ -67,9 +64,6 @@ val rows : t -> (int * Row.t) list
 val add_index : ?unique:bool -> t -> name:string -> columns:string list -> unit
 (** Builds the index over existing rows.  Raises [Invalid_argument] on a
     duplicate index name. *)
-
-val index : t -> string -> Index.t
-(** Raises [Not_found]. *)
 
 val indexes : t -> Index.t list
 

@@ -127,4 +127,3 @@ let term_frequency t ~term =
     if i < p.len && p.docs.(i) = doc then p.tfs.(i) else 0
 
 let document_frequency t term = (postings t term).len
-let vocabulary_size t = Hashtbl.length t.table

@@ -49,5 +49,3 @@ val document_frequency : t -> string -> int
 
 val postings : t -> string -> postings
 (** The term's postings; empty for an unknown term. *)
-
-val vocabulary_size : t -> int

@@ -8,21 +8,12 @@ type result = { doc : int; score : float }
 val create : ?scorer:Scorer.t -> unit -> t
 (** [scorer] defaults to {!Scorer.default_bm25}. *)
 
-val index_document : t -> int -> text:string -> unit
-(** Tokenizes [text] through {!Tokenizer.terms} and (re)indexes it. *)
-
 val index_terms : t -> int -> string list -> unit
 (** Index pre-tokenized terms (callers that mix title/URL/body fields
     tokenize each field themselves). *)
-
-val remove_document : t -> int -> unit
-val document_count : t -> int
 
 val query : ?limit:int -> t -> string -> result list
 (** Parse the query through the same term pipeline and rank. *)
 
 val query_terms : ?limit:int -> t -> string list -> result list
 (** Rank against pre-normalized terms (no tokenization applied). *)
-
-val index : t -> Inverted_index.t
-(** The underlying inverted index (shared, not a copy). *)

@@ -26,4 +26,3 @@ let set =
   tbl
 
 let is_stopword w = Hashtbl.mem set w
-let all () = words

@@ -2,5 +2,3 @@
 
 val is_stopword : string -> bool
 (** Expects an already-lowercased token. *)
-
-val all : unit -> string list

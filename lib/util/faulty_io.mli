@@ -83,23 +83,26 @@ val sync_dir : string -> unit
 
 type synced = File of string | Dir of string  (** the path synced *)
 
-val set_sync_hook : (synced -> unit) option -> unit
+val set_sync_hook : (synced -> unit) option -> unit [@@provlint.allow "unused-export"]
 (** Register an observer called after every successful [fsync(2)] this
     module makes, on the thread that made it ({!sync} may run on a
     committer thread, so the observer must be thread-safe).  Tests use
     it to count the syscalls and to see their order; [None]
-    unregisters. *)
+    unregisters.
+    Test seam: the WAL tests count and order the fsyncs through it. *)
 
 val close : sink -> unit
 (** Apply close-time faults, write what is still buffered and close the
     file.  No [fsync]: sync before closing whatever must be durable.
     Idempotent. *)
 
-val contents : sink -> string
-(** The bytes the destination currently holds. *)
+val contents : sink -> string [@@provlint.allow "unused-export"]
+(** The bytes the destination currently holds.
+    Test seam: the fault-model tests read what the destination holds. *)
 
-val bytes_written : sink -> int
-(** Total bytes offered by [write] calls, before any fault. *)
+val bytes_written : sink -> int [@@provlint.allow "unused-export"]
+(** Total bytes offered by [write] calls, before any fault.
+    Test seam: the fault-model tests arm faults at offered-byte offsets. *)
 
 val set_fault_hook : (fault -> unit) option -> unit
 (** Register an observer called once per armed fault when a sink

@@ -34,9 +34,6 @@ let read length s pos =
   pos := payload_pos + n;
   String.sub s payload_pos n
 
-let size length n =
-  (match length with Varint -> Varint.size_unsigned n | U32_le -> 4) + 4 + n
-
 type 'a prefix = { records : 'a list; clean_bytes : int; clean : bool }
 
 let walk ~magic ?frames decode s =

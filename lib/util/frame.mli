@@ -21,9 +21,6 @@ val read : length -> string -> int ref -> string
     {!Varint.Corrupt} if the frame is truncated, overruns the input, or
     fails its checksum; [pos] then still points into the frame. *)
 
-val size : length -> int -> int
-(** Encoded size of a frame holding an [n]-byte payload. *)
-
 type 'a prefix = {
   records : 'a list;  (** decoded records of the clean prefix, in order *)
   clean_bytes : int;  (** length of the verified prefix, magic included *)

@@ -17,8 +17,6 @@ let split t =
   let s = bits64 t in
   { state = mix64 s }
 
-let copy t = { state = t.state }
-
 (* Non-negative 63-bit int from the top bits. *)
 let bits63 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 1)
 
@@ -44,23 +42,10 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
 
-let geometric t p =
-  assert (p > 0.0 && p <= 1.0);
-  if p >= 1.0 then 0
-  else
-    let u = max 1e-300 (float t 1.0) in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1.0 -. p)))
-
 let exponential t lambda =
   assert (lambda > 0.0);
   let u = max 1e-300 (float t 1.0) in
   -.log u /. lambda
-
-let gaussian t ~mean ~stddev =
-  let u1 = max 1e-300 (float t 1.0) in
-  let u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mean +. (stddev *. z)
 
 let pick t arr =
   assert (Array.length arr > 0);
@@ -70,19 +55,6 @@ let pick_list t l =
   match l with
   | [] -> invalid_arg "Prng.pick_list: empty list"
   | _ -> List.nth l (int t (List.length l))
-
-let weighted_index t w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if total <= 0.0 then invalid_arg "Prng.weighted_index: non-positive total";
-  let target = float t total in
-  let n = Array.length w in
-  let rec scan i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

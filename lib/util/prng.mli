@@ -18,9 +18,6 @@ val split : t -> t
     sampler…) its own stream so adding draws in one place does not
     perturb the others. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -39,25 +36,14 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val geometric : t -> float -> int
-(** [geometric t p] counts Bernoulli([p]) failures before the first
-    success; mean [(1-p)/p].  Requires [0 < p <= 1]. *)
-
 val exponential : t -> float -> float
 (** [exponential t lambda] draws from Exp(lambda); mean [1/lambda]. *)
-
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal draw. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)
 
 val pick_list : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list. *)
-
-val weighted_index : t -> float array -> int
-(** [weighted_index t w] samples index [i] with probability proportional
-    to [w.(i)].  Weights must be non-negative with a positive sum. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

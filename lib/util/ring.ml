@@ -10,7 +10,6 @@ type ('k, 'a) t = {
   mutable newest : 'a node option;
   mutable length : int;
   mutable capacity : int;
-  mutable pushed : int;
 }
 
 let check n = if n < 1 then invalid_arg "Ring: capacity must be positive"
@@ -18,7 +17,7 @@ let check n = if n < 1 then invalid_arg "Ring: capacity must be positive"
 let create ?(key = fun _ -> None) capacity =
   check capacity;
   let index = Hashtbl.create 16 in
-  { key; index; oldest = None; newest = None; length = 0; capacity; pushed = 0 }
+  { key; index; oldest = None; newest = None; length = 0; capacity }
 
 let unlink t n =
   (match n.older with None -> t.oldest <- n.newer | Some o -> o.newer <- n.newer);
@@ -42,7 +41,6 @@ let push t v =
   link_newest t n;
   Option.iter (fun k -> Hashtbl.replace t.index k n) (t.key v);
   t.length <- t.length + 1;
-  t.pushed <- t.pushed + 1;
   evicted
 
 let find t k = Option.map (fun n -> n.v) (Hashtbl.find_opt t.index k)
@@ -60,16 +58,13 @@ let to_list t =
   let rec go acc = function None -> acc | Some n -> go (n.v :: acc) n.older in
   go [] t.newest
 
-let length t = t.length
 let capacity t = t.capacity
-let pushed t = t.pushed
 
 let clear t =
   t.oldest <- None;
   t.newest <- None;
   Hashtbl.reset t.index;
-  t.length <- 0;
-  t.pushed <- 0
+  t.length <- 0
 
 let resize t n =
   check n;

@@ -24,11 +24,7 @@ val remove : ('k, 'a) t -> 'k -> unit
 val to_list : ('k, 'a) t -> 'a list
 (** Oldest first. *)
 
-val length : ('k, 'a) t -> int
 val capacity : ('k, 'a) t -> int
-
-val pushed : ('k, 'a) t -> int
-(** Pushes since creation or {!clear}, evicted ones included. *)
 
 val clear : ('k, 'a) t -> unit
 

@@ -55,16 +55,3 @@ let summarize xs =
       p90 = percentile 90.0 xs;
       p99 = percentile 99.0 xs;
     }
-
-let histogram ~buckets xs =
-  let bounds = List.sort compare buckets @ [ infinity ] in
-  let counts = Array.make (List.length bounds) 0 in
-  let place x =
-    let rec go i = function
-      | [] -> ()
-      | b :: rest -> if x <= b then counts.(i) <- counts.(i) + 1 else go (i + 1) rest
-    in
-    go 0 bounds
-  in
-  List.iter place xs;
-  List.mapi (fun i b -> (b, counts.(i))) bounds

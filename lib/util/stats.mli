@@ -24,9 +24,3 @@ val percentile : float -> float list -> float
 
 val summarize : float list -> summary
 (** Full summary.  Raises [Invalid_argument] on empty input. *)
-
-val histogram : buckets:float list -> float list -> (float * int) list
-(** [histogram ~buckets xs] counts samples [<=] each bucket upper bound,
-    cumulative-exclusive: each sample lands in the first bucket whose
-    bound is >= it; samples above the last bound are dropped into an
-    implicit [infinity] bucket appended to the result. *)

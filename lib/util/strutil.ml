@@ -1,19 +1,3 @@
-let lowercase_ascii = String.lowercase_ascii
-
-let split_on_chars ~chars s =
-  let is_sep c = List.mem c chars in
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if is_sep c then flush () else Buffer.add_char buf c) s;
-  flush ();
-  List.rev !out
-
 let is_prefix ~prefix s =
   let lp = String.length prefix in
   String.length s >= lp && String.sub s 0 lp = prefix
@@ -39,8 +23,6 @@ let truncate n s =
   if String.length s <= n then s
   else if n <= 3 then String.sub s 0 n
   else String.sub s 0 (n - 3) ^ "..."
-
-let join ~sep parts = String.concat sep parts
 
 let pad_right w s =
   let l = String.length s in

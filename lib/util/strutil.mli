@@ -1,11 +1,5 @@
 (** Small string helpers shared across the repository. *)
 
-val lowercase_ascii : string -> string
-(** Alias of [String.lowercase_ascii], provided for discoverability. *)
-
-val split_on_chars : chars:char list -> string -> string list
-(** Split on any of [chars]; empty fields are dropped. *)
-
 val is_prefix : prefix:string -> string -> bool
 val is_suffix : suffix:string -> string -> bool
 
@@ -15,8 +9,6 @@ val contains_substring : needle:string -> string -> bool
 val truncate : int -> string -> string
 (** [truncate n s] is [s] limited to [n] bytes, with a trailing ellipsis
     when shortened. *)
-
-val join : sep:string -> string list -> string
 
 val pad_right : int -> string -> string
 (** Pad with spaces to at least the given width. *)

@@ -14,9 +14,6 @@ let create ~n ~s =
   cdf.(n - 1) <- 1.0;
   { n; s; cdf }
 
-let size t = t.n
-let exponent t = t.s
-
 let sample t rng =
   let u = Prng.float rng 1.0 in
   (* First index whose cumulative mass covers u. *)

@@ -10,12 +10,10 @@ val create : n:int -> s:float -> t
 (** [create ~n ~s] builds a distribution with [n] ranks and exponent [s]
     (typical web exponents: 0.8 – 1.2).  Requires [n >= 1], [s >= 0]. *)
 
-val size : t -> int
-val exponent : t -> float
-
 val sample : t -> Prng.t -> int
 (** Draw a rank; rank 0 is most probable.  O(log n) by binary search on
     the precomputed CDF. *)
 
-val probability : t -> int -> float
-(** [probability t k] is the mass of rank [k]. *)
+val probability : t -> int -> float [@@provlint.allow "unused-export"]
+(** [probability t k] is the mass of rank [k].  No program reads it: it
+    is the reference the sampler's frequency test compares against. *)

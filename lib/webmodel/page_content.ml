@@ -12,14 +12,6 @@ type t = {
   embeds : int array;
 }
 
-let kind_name = function
-  | Article -> "article"
-  | Hub -> "hub"
-  | Redirect -> "redirect"
-  | Image -> "image"
-  | Download_host -> "download-host"
-  | File -> "file"
-
 let text_terms t =
   let title_terms = Textindex.Tokenizer.terms t.title in
   let url_terms = Textindex.Tokenizer.terms_of_url (Url.to_string t.url) in
@@ -29,6 +21,3 @@ let text_terms t =
   title_terms @ title_terms @ url_terms @ body_terms
 
 let is_navigable t = t.kind <> Image
-
-let pp ppf t =
-  Format.fprintf ppf "#%d [%s] %S <%a>" t.id (kind_name t.kind) t.title Url.pp t.url

@@ -20,13 +20,9 @@ type t = {
   embeds : int array;  (** [Image] page ids loaded inline *)
 }
 
-val kind_name : kind -> string
-
 val text_terms : t -> string list
 (** Terms a search engine indexes for this page: normalized title, URL
     and body terms (title terms counted twice as a field boost). *)
 
 val is_navigable : t -> bool
 (** Users can end up *viewing* this page (everything but [Image]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,26 +18,11 @@ let build web =
 
 let encode_query q = String.concat "+" (String.split_on_char ' ' (String.trim q))
 
-let decode_query q = String.concat " " (String.split_on_char '+' q)
-
 let serp_url query =
   Url.make ~path:[ "search" ] ~query:[ ("q", encode_query query) ] engine_host
-
-let query_of_serp (url : Url.t) =
-  if url.Url.host = engine_host && url.Url.path = [ "search" ] then
-    Option.map decode_query (List.assoc_opt "q" url.Url.query)
-  else None
 
 let search ?(limit = 10) t query =
   List.map
     (fun (r : Textindex.Search.result) ->
       { page = r.Textindex.Search.doc; score = r.Textindex.Search.score })
     (Textindex.Search.query ~limit t.search query)
-
-let rank_of ?(limit = 50) t query page =
-  let results = search ~limit t query in
-  let rec scan i = function
-    | [] -> None
-    | r :: rest -> if r.page = page then Some i else scan (i + 1) rest
-  in
-  scan 1 results

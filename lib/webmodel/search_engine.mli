@@ -22,12 +22,5 @@ val serp_url : string -> Url.t
 (** The result-page URL for a raw query string, e.g.
     [http://search.example/search?q=rosebud+flower]. *)
 
-val query_of_serp : Url.t -> string option
-(** Inverse of {!serp_url}; [None] for non-SERP URLs. *)
-
 val search : ?limit:int -> t -> string -> result list
 (** Ranked results ([limit] defaults to 10). *)
-
-val rank_of : ?limit:int -> t -> string -> int -> int option
-(** 1-based rank of a page in the results for a query, scanning up to
-    [limit] (default 50) results. *)

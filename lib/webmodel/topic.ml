@@ -38,20 +38,13 @@ let generate ~rng ~id ~name ~vocab_size =
 
 let id t = t.id
 let name t = t.name
-let vocabulary t = t.vocab
 
 let sample_term t rng = t.vocab.(Zipf.sample t.zipf rng)
 let sample_terms t rng n = List.init n (fun _ -> sample_term t rng)
 
-let core_term t k =
-  assert (k >= 0 && k < Array.length t.vocab);
-  t.vocab.(k)
-
 let add_term t term =
   t.vocab <- Array.append t.vocab [| term |];
   t.zipf <- Zipf.create ~n:(Array.length t.vocab) ~s:1.0
-
-let mem_term t term = Array.exists (String.equal term) t.vocab
 
 let default_names =
   [|

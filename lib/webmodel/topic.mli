@@ -15,23 +15,16 @@ val generate :
 
 val id : t -> int
 val name : t -> string
-val vocabulary : t -> string array
 
 val sample_term : t -> Provkit_util.Prng.t -> string
 (** Zipf-weighted term draw. *)
 
 val sample_terms : t -> Provkit_util.Prng.t -> int -> string list
 
-val core_term : t -> int -> string
-(** [core_term t k] is the k-th most probable vocabulary word —
-    stable handles for building ground-truth scenarios. *)
-
 val add_term : t -> string -> unit
 (** Inject a term (e.g. a planted ambiguous word) into the vocabulary at
     tail rank.  Generators that need a planted term to appear often put
     it into page titles explicitly rather than relying on sampling. *)
-
-val mem_term : t -> string -> bool
 
 val default_names : string array
 (** A palette of human-readable topic names ("wine", "gardening",

@@ -65,21 +65,3 @@ let of_string s =
   { scheme; host; path; query }
 
 let host t = t.host
-
-let domain_of t =
-  let labels = String.split_on_char '.' t.host in
-  match List.rev labels with
-  | tld :: dom :: _ -> dom ^ "." ^ tld
-  | _ -> t.host
-
-let normalize t =
-  {
-    scheme = String.lowercase_ascii t.scheme;
-    host = String.lowercase_ascii t.host;
-    path = List.filter (fun seg -> seg <> "") t.path;
-    query = List.sort (fun (a, _) (b, _) -> String.compare a b) t.query;
-  }
-
-let compare a b = String.compare (to_string (normalize a)) (to_string (normalize b))
-let equal a b = compare a b = 0
-let pp ppf t = Format.pp_print_string ppf (to_string t)

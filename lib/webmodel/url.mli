@@ -20,13 +20,3 @@ val of_string : string -> t
     empty host. *)
 
 val host : t -> string
-val domain_of : t -> string
-(** The registrable-ish domain: last two host labels. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val normalize : t -> t
-(** Lowercase scheme/host, drop empty path segments, sort query keys. *)
-
-val pp : Format.formatter -> t -> unit

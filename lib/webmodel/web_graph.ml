@@ -47,10 +47,8 @@ type t = {
   config : config;
   topics : Topic.t array;
   mutable pages : Page_content.t array;
-  by_url : (string, int) Hashtbl.t;
   per_topic_pages : int list array;  (* navigable, ascending *)
   per_topic_hubs : int list array;
-  per_topic_files : int list array;
   all_download_hosts : int list;
   ambiguity_list : ambiguity list;
 }
@@ -300,11 +298,6 @@ let generate ?(config = default_config) ~seed () =
       end
     end
   done;
-  let by_url = Hashtbl.create (Array.length pages) in
-  Array.iter
-    (fun (p : Page_content.t) ->
-      Hashtbl.replace by_url (Url.to_string (Url.normalize p.Page_content.url)) p.Page_content.id)
-    pages;
   let navigable ti =
     List.sort Int.compare
       (per_topic_hubs.(ti) @ per_topic_articles.(ti) @ per_topic_download_hosts.(ti))
@@ -313,10 +306,8 @@ let generate ?(config = default_config) ~seed () =
     config = cfg;
     topics;
     pages;
-    by_url;
     per_topic_pages = Array.init cfg.n_topics navigable;
     per_topic_hubs = Array.map (List.sort Int.compare) (Array.map (fun l -> l) per_topic_hubs);
-    per_topic_files = Array.map (List.sort Int.compare) (Array.map (fun l -> l) per_topic_files);
     all_download_hosts =
       List.sort Int.compare (Array.to_list per_topic_download_hosts |> List.concat);
     ambiguity_list = List.rev !ambiguity_list;
@@ -334,12 +325,8 @@ let pages t = t.pages
 let topic_count t = Array.length t.topics
 let topic t i = t.topics.(i)
 
-let find_by_url t url =
-  Hashtbl.find_opt t.by_url (Url.to_string (Url.normalize url))
-
 let pages_of_topic t ti = t.per_topic_pages.(ti)
 let hubs_of_topic t ti = t.per_topic_hubs.(ti)
-let files_of_topic t ti = t.per_topic_files.(ti)
 let download_hosts t = t.all_download_hosts
 let ambiguities t = t.ambiguity_list
 

@@ -51,12 +51,10 @@ val pages : t -> Page_content.t array
 
 val topic_count : t -> int
 val topic : t -> int -> Topic.t
-val find_by_url : t -> Url.t -> int option
 val pages_of_topic : t -> int -> int list
 (** Navigable pages of a topic (hubs, articles, download hosts). *)
 
 val hubs_of_topic : t -> int -> int list
-val files_of_topic : t -> int -> int list
 val download_hosts : t -> int list
 val ambiguities : t -> ambiguity list
 

@@ -114,15 +114,6 @@ let slow_entries : Relstore.Slowlog.entry list =
     entry 678 "prov_edge" "count" "index-range" "time < 5\ttab" 1 1_200_000;
   ]
 
-(* A span line as the first tracer wrote it: no "v" marker, no ids. *)
-let span_v1_line = {|{"name":"capture.event","start_ns":100,"dur_ns":20,"attrs":{"kind":"visit"}}|}
-
-let span_v1 : Provkit_obs.Trace.span =
-  {
-    name = "capture.event"; attrs = [ ("kind", "visit") ]; start_ns = 100L; dur_ns = 20L;
-    trace_id = 0L; span_id = 0L; parent_id = None;
-  }
-
 let spans_v2 : Provkit_obs.Trace.span list =
   [
     {

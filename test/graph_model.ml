@@ -47,15 +47,7 @@ module Digraph = struct
 
   let out_edges t id = edge_list t.out_adj id
   let in_edges t id = edge_list t.in_adj id
-  let distinct_endpoints edges = List.sort_uniq Int.compare (List.map fst edges)
-  let succ t id = distinct_endpoints (out_edges t id)
-  let pred t id = distinct_endpoints (in_edges t id)
 
-  let degree tbl id =
-    match Hashtbl.find_opt tbl id with None -> 0 | Some cell -> List.length !cell
-
-  let out_degree t id = degree t.out_adj id
-  let in_degree t id = degree t.in_adj id
   let node_count t = Hashtbl.length t.payload
   let edge_count t = t.edges
   let nodes t = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.payload [])
@@ -119,7 +111,7 @@ let expand ~(config : Provgraph.Neighborhood.config) ?follow g ~seeds =
               let nbrs =
                 List.filter
                   (fun (next, e) -> keep current next e)
-                  (neighbors config.direction g current)
+                  (neighbors Both g current)
               in
               let fanout = float_of_int (max 1 (List.length nbrs)) in
               List.iter
@@ -129,12 +121,8 @@ let expand ~(config : Provgraph.Neighborhood.config) ?follow g ~seeds =
                     Hashtbl.replace depth next hop;
                     let mass =
                       if config.degree_normalize then
-                        Hashtbl.find received current *. config.decay
-                        *. config.edge_weight /. fanout
-                      else
-                        seed_score
-                        *. Float.pow config.decay (float_of_int hop)
-                        *. Float.pow config.edge_weight (float_of_int hop)
+                        Hashtbl.find received current *. config.decay /. fanout
+                      else seed_score *. Float.pow config.decay (float_of_int hop)
                     in
                     Hashtbl.replace received next mass;
                     bump next mass;
@@ -292,7 +280,7 @@ module Rank = struct
           (* Dangling nodes donate their mass to the restart vector. *)
           let dangling =
             List.fold_left
-              (fun acc id -> if Digraph.out_degree g id = 0 then acc +. get rank id else acc)
+              (fun acc id -> if Digraph.out_edges g id = [] then acc +. get rank id else acc)
               0.0 nodes
           in
           List.iter
@@ -300,7 +288,7 @@ module Rank = struct
               let flow =
                 List.fold_left
                   (fun acc (src, _) ->
-                    let deg = Digraph.out_degree g src in
+                    let deg = List.length (Digraph.out_edges g src) in
                     if deg > 0 then acc +. (get rank src /. float_of_int deg) else acc)
                   0.0 (Digraph.in_edges g id)
               in

@@ -54,11 +54,7 @@ let test_transition_codes () =
     (try
        ignore (Transition.of_code 99);
        false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "redirect classified" true
-    (Transition.is_redirect Transition.Redirect_temporary);
-  Alcotest.(check bool) "embed not user initiated" false
-    (Transition.is_user_initiated Transition.Embed)
+     with Invalid_argument _ -> true)
 
 (* --- tabs --- *)
 
@@ -73,7 +69,7 @@ let test_tabs () =
   B.Tabs.set_current_visit tabs t1 42;
   Alcotest.(check (option int)) "current set" (Some 42) (B.Tabs.current_visit tabs t1);
   B.Tabs.close_tab tabs t1;
-  Alcotest.(check bool) "closed" false (B.Tabs.is_open tabs t1);
+  Alcotest.(check bool) "closed" false (List.mem t1 (B.Tabs.open_tabs tabs));
   Alcotest.(check bool) "closing twice rejected" true
     (try
        B.Tabs.close_tab tabs t1;
@@ -136,7 +132,11 @@ let test_engine_redirect_follow () =
     Alcotest.(check bool) "redirect transition recorded" true
       (List.exists
          (function
-           | Event.Visit v -> Transition.is_redirect v.Event.transition
+           | Event.Visit
+               {
+                 Event.transition = Transition.Redirect_permanent | Transition.Redirect_temporary;
+                 _;
+               } -> true
            | _ -> false)
          (Engine.event_log engine))
 

@@ -62,8 +62,7 @@ let test_event_codec () =
       Alcotest.(check bool) (file ^ " clean") true p.F.clean;
       Alcotest.(check bool) (file ^ " events") true (p.F.records = V.events))
     [ ("browsevt1.bin", 1); ("browsevt2.bin", 2) ];
-  Alcotest.(check string) "v2 writer" (read (data "browsevt2.bin")) (EC.to_bytes V.events);
-  Alcotest.(check string) "v1 writer" (read (data "browsevt1.bin")) (EC.to_bytes_v1 V.events)
+  Alcotest.(check string) "v2 writer" (read (data "browsevt2.bin")) (EC.to_bytes V.events)
 
 let test_telemetry_journal () =
   let rp = TL.replay ~path:(data "telemetry.ptj") in
@@ -87,11 +86,7 @@ let test_slowlog_jsonl () =
     (String.concat "" (List.map (fun e -> Slowlog.to_json e ^ "\n") V.slow_entries))
 
 let test_span_jsonl () =
-  Alcotest.(check bool) "v1 line" true
-    (List.map Trace.span_of_json (lines (read (data "spans_v1.jsonl"))) = [ Some V.span_v1 ]);
   let file = read (data "spans_v2.jsonl") in
-  Alcotest.(check bool) "v2 lines" true
-    (List.map Trace.span_of_json (lines file) = List.map Option.some V.spans_v2);
   Alcotest.(check string) "v2 writer" file
     (String.concat "" (List.map (fun s -> Trace.span_to_json s ^ "\n") V.spans_v2))
 

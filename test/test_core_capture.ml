@@ -7,6 +7,8 @@ module Engine = Browser.Engine
 module Store = Core.Prov_store
 module PE = Core.Prov_edge
 module PN = Core.Prov_node
+
+let is_search_term n = match n.PN.kind with PN.Search_term _ -> true | _ -> false
 module Digraph = Provgraph.Digraph
 module Transition = Browser.Transition
 
@@ -68,7 +70,7 @@ let test_search_capture () =
   Alcotest.(check bool) "term -> serp2" true (List.mem PE.Search_query (edges_between store term s2));
   (* One term node for both searches. *)
   Alcotest.(check int) "term deduped" 1
-    (List.length (Store.nodes_of_kind store PN.is_search_term))
+    (List.length (Store.nodes_of_kind store is_search_term))
 
 let test_searched_from_only_on_fresh_terms () =
   let web, engine, api = F.make () in
@@ -190,7 +192,7 @@ let test_firefox_capture_drops_everything_extra () =
   let _b = Engine.add_bookmark engine ~time:40 ~tab in
   Engine.close_tab engine ~time:50 tab;
   Alcotest.(check (list int)) "no term nodes" []
-    (Store.nodes_of_kind store PN.is_search_term);
+    (Store.nodes_of_kind store is_search_term);
   Alcotest.(check (list int)) "no bookmark nodes" []
     (Store.nodes_of_kind store (fun n -> match n.PN.kind with PN.Bookmark _ -> true | _ -> false));
   let n = visit_node store v in

@@ -130,8 +130,7 @@ let test_personalize_reads_current_title () =
   ignore (Store.add_page store ~url ~title:"rosebud orchid care" ~time:4);
   let current = Store.node store page in
   Alcotest.(check bool) "the store replaced the record" false (stale == current);
-  let config = { Core.Personalize.default_config with Core.Personalize.expansion_terms = 10 } in
-  let expansion = Core.Personalize.expand ~config index "rosebud" in
+  let expansion = Core.Personalize.expand index "rosebud" in
   let added = List.map fst expansion.Core.Personalize.added_terms in
   let terms n = Core.Prov_node.text_terms n in
   Alcotest.(check bool) "terms added" true (added <> []);
@@ -393,13 +392,6 @@ let test_lineage_never_follows_time_edges () =
   Alcotest.(check bool) "co-open page not in lineage" false
     (List.mem (page_url web unrelated) ancestor_pages)
 
-let test_api_download_lineage_wrapper () =
-  let _web, _engine, api, _host, _hub, download_id = scripted_download () in
-  Alcotest.(check bool) "wrapper finds origin" true
-    (Core.Api.download_lineage api ~download_id <> None);
-  Alcotest.(check bool) "unknown download None" true
-    (Core.Api.download_lineage api ~download_id:999 = None)
-
 (* --- metrics --- *)
 
 let test_metrics () =
@@ -411,18 +403,7 @@ let test_metrics () =
   Alcotest.(check (float 1e-9)) "mrr" 0.75 (M.mrr [ Some 1; Some 2 ]);
   Alcotest.(check (float 1e-9)) "mrr empty" 0.0 (M.mrr []);
   Alcotest.(check (float 1e-9)) "hit@1" 0.5 (M.hit_at 1 [ Some 1; Some 3 ]);
-  Alcotest.(check (float 1e-9)) "hit@3" 1.0 (M.hit_at 3 [ Some 1; Some 3 ]);
-  let p, r = M.precision_recall ~relevant:[ 1; 2; 3 ] ~retrieved:[ 2; 3; 4; 5 ] in
-  Alcotest.(check (float 1e-9)) "precision" 0.5 p;
-  Alcotest.(check (float 1e-9)) "recall" (2.0 /. 3.0) r;
-  let p0, r0 = M.precision_recall ~relevant:[] ~retrieved:[] in
-  Alcotest.(check (float 1e-9)) "empty precision" 1.0 p0;
-  Alcotest.(check (float 1e-9)) "empty recall" 1.0 r0;
-  Alcotest.(check (float 1e-9)) "f1" 0.5 (M.f1 ~precision:0.5 ~recall:0.5);
-  Alcotest.(check (float 1e-9)) "f1 zero" 0.0 (M.f1 ~precision:0.0 ~recall:0.0);
-  Alcotest.(check (option (float 1e-9))) "mean rank" (Some 2.0)
-    (M.mean_rank [ Some 1; Some 3; None ]);
-  Alcotest.(check (option (float 1e-9))) "mean rank all missing" None (M.mean_rank [ None ])
+  Alcotest.(check (float 1e-9)) "hit@3" 1.0 (M.hit_at 3 [ Some 1; Some 3 ])
 
 (* --- api housekeeping --- *)
 
@@ -431,18 +412,17 @@ let test_api_index_refresh () =
   let tab = Engine.open_tab engine ~time:10 () in
   let a = F.article web in
   let _ = Engine.visit_typed engine ~time:20 ~tab a in
-  let index1 = Core.Api.text_index api in
-  Alcotest.(check bool) "indexed something" true (Core.Prov_text_index.indexed_count index1 > 0);
+  let found index title = Core.Prov_text_index.search index title <> [] in
+  Alcotest.(check bool) "indexed something" true
+    (found (Core.Api.text_index api) (Web.page web a).Page.title);
   (* Browsing a lot more forces a lazy rebuild on next access. *)
-  List.iter
-    (fun p ->
-      if Page.is_navigable (Web.page web p) then
-        ignore (Engine.visit_typed engine ~time:(100 + p) ~tab p))
-    (Web.pages_of_topic web 1);
+  let later =
+    List.filter (fun p -> Page.is_navigable (Web.page web p)) (Web.pages_of_topic web 1)
+  in
+  List.iter (fun p -> ignore (Engine.visit_typed engine ~time:(100 + p) ~tab p)) later;
   Core.Api.refresh api;
-  let index2 = Core.Api.text_index api in
   Alcotest.(check bool) "index grew" true
-    (Core.Prov_text_index.indexed_count index2 > Core.Prov_text_index.indexed_count index1)
+    (List.for_all (fun p -> found (Core.Api.text_index api) (Web.page web p).Page.title) later)
 
 let test_api_persist () =
   let _web, _engine, api, _ambiguity, _clicked, _onward = rosebud_session () in
@@ -471,7 +451,6 @@ let suite =
     Alcotest.test_case "first recognizable" `Quick test_first_recognizable;
     Alcotest.test_case "downloads descending" `Quick test_downloads_descending;
     Alcotest.test_case "lineage ignores time edges" `Quick test_lineage_never_follows_time_edges;
-    Alcotest.test_case "api lineage wrapper" `Quick test_api_download_lineage_wrapper;
     Alcotest.test_case "metrics" `Quick test_metrics;
     Alcotest.test_case "api index refresh" `Quick test_api_index_refresh;
     Alcotest.test_case "api persist" `Quick test_api_persist;

@@ -136,7 +136,7 @@ let test_page_projection_mapping () =
   let p1 = Option.get (pg.Core.Versioning.page_of_store_node n1) in
   let p2 = Option.get (pg.Core.Versioning.page_of_store_node n2) in
   Alcotest.(check bool) "projected edge exists" true
-    (List.mem p2 (Digraph.succ pg.Core.Versioning.graph p1));
+    (List.mem_assoc p2 (Digraph.out_edges pg.Core.Versioning.graph p1));
   (* A page maps to itself. *)
   Alcotest.(check (option int)) "page maps to itself" (Some p1)
     (pg.Core.Versioning.page_of_store_node p1)
@@ -213,8 +213,8 @@ let test_rebuild_time_index_matches () =
   let store = Core.Api.store api in
   let live = Core.Api.time_index api in
   let rebuilt = Core.Time_edges.rebuild_time_index store in
-  Alcotest.(check int) "same interval count" (Core.Time_index.size live)
-    (Core.Time_index.size rebuilt)
+  let all ti = Core.Time_index.in_window ti ~start:0 ~stop:max_int in
+  Alcotest.(check (list int)) "same intervals" (all live) (all rebuilt)
 
 (* The op fold, one op kind at a time. *)
 let test_apply_maps_each_op () =

@@ -41,8 +41,7 @@ let test_edge_kind_codes_roundtrip () =
     (fun k -> Alcotest.(check bool) "roundtrip" true (PE.kind_of_code (PE.kind_code k) = k))
     PE.all_kinds;
   Alcotest.(check bool) "same_time not causal" false (PE.is_causal PE.Same_time);
-  Alcotest.(check bool) "link causal" true (PE.is_causal PE.Link_traversal);
-  Alcotest.(check bool) "redirect not user action" false (PE.is_user_action PE.Redirect)
+  Alcotest.(check bool) "link causal" true (PE.is_causal PE.Link_traversal)
 
 (* --- store --- *)
 
@@ -151,17 +150,12 @@ let test_time_index_intervals () =
   TI.add ti ~node:3 ~opened:400;
   Alcotest.(check (option (pair int (option int)))) "interval" (Some (100, Some 200))
     (TI.interval ti 1);
-  Alcotest.(check int) "size" 3 (TI.size ti);
   Alcotest.(check (list int)) "open at 170" [ 1; 2 ] (TI.in_window ti ~start:170 ~stop:170);
   Alcotest.(check (list int)) "open at 350" [] (TI.in_window ti ~start:350 ~stop:350);
   Alcotest.(check (list int)) "unclosed extends" [ 3 ] (TI.in_window ti ~start:10_000 ~stop:10_000);
   Alcotest.(check bool) "overlap symmetric" true (TI.overlap ti 1 2 && TI.overlap ti 2 1);
   Alcotest.(check bool) "no overlap" false (TI.overlap ti 1 3);
-  Alcotest.(check (list int)) "window query" [ 1; 2 ] (TI.in_window ti ~start:0 ~stop:320);
-  Alcotest.(check (option (pair int int))) "direction by open order" (Some (1, 2))
-    (TI.direction ti 1 2);
-  Alcotest.(check (option (pair int int))) "direction reversed args" (Some (1, 2))
-    (TI.direction ti 2 1)
+  Alcotest.(check (list int)) "window query" [ 1; 2 ] (TI.in_window ti ~start:0 ~stop:320)
 
 let test_time_index_close_clamps () =
   let ti = TI.create () in

@@ -91,18 +91,11 @@ let test_bfs_multiple_roots_and_unknown () =
   let r = Tr.bfs g ~roots:[ 2; 3; 99 ] in
   Alcotest.(check int) "union of reachability" 3 (List.length r.Tr.visited)
 
-let test_ancestors_descendants () =
+let test_ancestors () =
   let g = diamond () in
   let anc = Tr.ancestors g 4 in
   Alcotest.(check (list int)) "ancestors exclude self" [ 2; 3; 1 ]
-    (List.map fst anc.Tr.visited);
-  let desc = Tr.descendants g 1 in
-  Alcotest.(check (list int)) "descendants" [ 2; 3; 4 ] (List.map fst desc.Tr.visited)
-
-let test_dfs_postorder () =
-  let g = chain 4 in
-  Alcotest.(check (list int)) "postorder of a chain" [ 4; 3; 2; 1 ]
-    (Tr.dfs_postorder g ~roots:[ 1 ])
+    (List.map fst anc.Tr.visited)
 
 (* --- first match --- *)
 
@@ -184,25 +177,6 @@ let test_self_loop_cycle () =
   G.add_node g 1 ();
   G.add_edge g ~src:1 ~dst:1 ();
   Alcotest.(check bool) "self loop is a cycle" true (C.has_cycle g)
-
-let test_topological_sort () =
-  (match C.topological_sort (diamond ()) with
-  | Some [ 1; 2; 3; 4 ] -> ()
-  | Some other -> Alcotest.failf "order %s" (String.concat "," (List.map string_of_int other))
-  | None -> Alcotest.fail "diamond should sort");
-  Alcotest.(check bool) "cyclic graph has no topo order" true
-    (C.topological_sort (cycle3 ()) = None)
-
-let test_sccs () =
-  let g = G.create () in
-  List.iter (fun n -> G.add_node g n ()) [ 1; 2; 3; 4 ];
-  G.add_edge g ~src:1 ~dst:2 ();
-  G.add_edge g ~src:2 ~dst:1 ();
-  G.add_edge g ~src:2 ~dst:3 ();
-  G.add_edge g ~src:3 ~dst:4 ();
-  let sccs = C.strongly_connected_components g in
-  let sorted = List.sort compare sccs in
-  Alcotest.(check (list (list int))) "components" [ [ 1; 2 ]; [ 3 ]; [ 4 ] ] sorted
 
 (* --- HITS / PageRank --- *)
 
@@ -287,7 +261,7 @@ let test_rankers_without_text_hits () =
 let test_neighborhood_decay () =
   let g = chain 4 in
   let config =
-    { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 3; decay = 0.5; direction = Tr.Forward }
+    { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 3; decay = 0.5 }
   in
   Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0) ] @@ fun e ->
   Alcotest.(check bool) "not truncated" false e.Provgraph.Neighborhood.truncated;
@@ -304,7 +278,7 @@ let test_neighborhood_decay () =
 let test_neighborhood_additive_seeds () =
   let g = chain 3 in
   let config =
-    { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 2; decay = 0.5; direction = Tr.Both }
+    { Provgraph.Neighborhood.default_config with Provgraph.Neighborhood.max_hops = 2; decay = 0.5 }
   in
   Provgraph.Neighborhood.expand ~config g ~seeds:[ (1, 1.0); (3, 1.0) ] @@ fun e ->
   (* node 2 receives 0.5 from each side *)
@@ -318,23 +292,11 @@ let dag_gen =
       (fun seed n -> (seed, 2 + n))
       int (int_bound 28))
 
-let prop_random_dag_acyclic_and_sortable =
-  QCheck.Test.make ~name:"random DAGs: acyclic, topo-sortable, topo order respects edges"
-    ~count:60
-    (QCheck.make dag_gen) (fun (seed, n) ->
+let prop_random_dag_acyclic =
+  QCheck.Test.make ~name:"random DAGs are acyclic" ~count:60 (QCheck.make dag_gen)
+    (fun (seed, n) ->
       let rng = Prng.create seed in
-      let g = random_dag rng n 0.15 in
-      (not (C.has_cycle g))
-      &&
-      match C.topological_sort g with
-      | None -> false
-      | Some order ->
-        let pos = Hashtbl.create n in
-        List.iteri (fun i id -> Hashtbl.replace pos id i) order;
-        let ok = ref (List.length order = n) in
-        G.iter_edges g (fun s d _ ->
-            if Hashtbl.find pos s >= Hashtbl.find pos d then ok := false);
-        !ok)
+      not (C.has_cycle (random_dag rng n 0.15)))
 
 (* The oracle is the reference model's own breadth-first search for
    each node, over a list-and-Hashtbl copy of the graph. *)
@@ -356,20 +318,6 @@ let prop_bfs_depth_is_shortest =
       let r = Tr.bfs g ~roots:[ 1 ] in
       List.for_all (fun (node, depth) -> distance node = Some depth) r.Tr.visited)
 
-let prop_scc_partition =
-  QCheck.Test.make ~name:"SCCs partition the node set" ~count:40 (QCheck.make dag_gen)
-    (fun (seed, n) ->
-      let rng = Prng.create seed in
-      (* add some back edges to create non-trivial SCCs *)
-      let g = random_dag rng n 0.15 in
-      let nodes = G.nodes g in
-      List.iter
-        (fun id -> if Prng.bernoulli rng 0.2 && id > 1 then G.add_edge g ~src:id ~dst:1 ())
-        nodes;
-      let sccs = C.strongly_connected_components g in
-      let flattened = List.sort Int.compare (List.concat sccs) in
-      flattened = nodes)
-
 let suite =
   [
     Alcotest.test_case "bfs depths" `Quick test_bfs_depths;
@@ -379,8 +327,7 @@ let suite =
     Alcotest.test_case "bfs budget" `Quick test_bfs_budget;
     Alcotest.test_case "bfs follow filter" `Quick test_bfs_follow_filter;
     Alcotest.test_case "bfs multi-root" `Quick test_bfs_multiple_roots_and_unknown;
-    Alcotest.test_case "ancestors/descendants" `Quick test_ancestors_descendants;
-    Alcotest.test_case "dfs postorder" `Quick test_dfs_postorder;
+    Alcotest.test_case "ancestors" `Quick test_ancestors;
     Alcotest.test_case "first match" `Quick test_first_match;
     Alcotest.test_case "first match paths" `Quick test_first_match_paths;
     Alcotest.test_case "first match budget" `Quick test_first_match_budget;
@@ -388,8 +335,6 @@ let suite =
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "cycle witness" `Quick test_find_cycle_witness;
     Alcotest.test_case "self loop" `Quick test_self_loop_cycle;
-    Alcotest.test_case "topological sort" `Quick test_topological_sort;
-    Alcotest.test_case "SCCs" `Quick test_sccs;
     Alcotest.test_case "HITS hubs/authorities" `Quick test_hits_hub_authority;
     Alcotest.test_case "HITS subset" `Quick test_hits_subset;
     Alcotest.test_case "empty subgraph" `Quick test_empty_subgraph;
@@ -400,7 +345,6 @@ let suite =
     Alcotest.test_case "rankers without text hits" `Quick test_rankers_without_text_hits;
     Alcotest.test_case "neighborhood decay" `Quick test_neighborhood_decay;
     Alcotest.test_case "neighborhood additive" `Quick test_neighborhood_additive_seeds;
-    QCheck_alcotest.to_alcotest prop_random_dag_acyclic_and_sortable;
+    QCheck_alcotest.to_alcotest prop_random_dag_acyclic;
     QCheck_alcotest.to_alcotest prop_bfs_depth_is_shortest;
-    QCheck_alcotest.to_alcotest prop_scc_partition;
   ]

@@ -267,7 +267,6 @@ let reference_contextual ~limit model index query =
     else begin
       let nconfig =
         {
-          Provgraph.Neighborhood.default_config with
           Provgraph.Neighborhood.decay = config.CS.decay;
           max_hops = config.CS.max_hops;
           node_budget = Core.Query_budget.remaining_nodes running;
@@ -286,9 +285,9 @@ let reference_contextual ~limit model index query =
 
 (* Personalize.expand's term mining over the reference's results. *)
 let reference_personalize model index query =
-  let config = Core.Personalize.default_config in
   let store = Core.Prov_text_index.store index in
-  let response = reference_contextual ~limit:config.Core.Personalize.context_pages model index query in
+  (* Personalize's constants: 15 context pages, IDF floor 0.2, 2 terms. *)
+  let response = reference_contextual ~limit:15 model index query in
   let query_terms = Textindex.Tokenizer.terms query in
   let tally = Hashtbl.create 64 in
   List.iter
@@ -305,7 +304,7 @@ let reference_personalize model index query =
     Hashtbl.fold
       (fun term mass acc ->
         let idf = Core.Prov_text_index.idf index term in
-        if idf >= config.Core.Personalize.min_idf then (term, mass *. idf) :: acc else acc)
+        if idf >= 0.2 then (term, mass *. idf) :: acc else acc)
       tally []
   in
   let ranked =
@@ -315,7 +314,7 @@ let reference_personalize model index query =
         if c <> 0 then c else String.compare ta tb)
       weighted
   in
-  let added = List.filteri (fun i _ -> i < config.Core.Personalize.expansion_terms) ranked in
+  let added = List.filteri (fun i _ -> i < 2) ranked in
   let expanded =
     match added with [] -> query | _ -> query ^ " " ^ String.concat " " (List.map fst added)
   in

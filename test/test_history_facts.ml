@@ -146,7 +146,7 @@ let capture_ops ~after_op =
       after_op (List.length !ops) store);
   List.iter feed (Lazy.force events);
   corner_cases store;
-  Store.clear_observer store;
+  Store.set_observer store (fun _ -> ());
   List.rev !ops
 
 let ops = lazy (capture_ops ~after_op:(fun _ _ -> ()))

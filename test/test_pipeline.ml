@@ -4,8 +4,8 @@
 
    Every case is one (operation, predicate shape, access path) triple.
    The reference is deliberately naive — Table.rows filtered by
-   Predicate.eval, sorted and grouped by hand, joined by nested loops —
-   so it shares nothing with the pipeline but the predicate evaluator.
+   Predicate.eval, sorted and grouped by hand — so it shares nothing
+   with the pipeline but the predicate evaluator.
    Each case pins, at every level:
    - the result, equal to the reference's;
    - the plan, written out per shape for the indexed table (the
@@ -25,9 +25,9 @@ let schema name =
 
 let vals = [| "ant"; "bee"; "cat"; "dog"; "eel" |]
 
-(* 48 inserts with k out of rowid order, then deletes and point updates,
-   so rowids have gaps and the index has been maintained, not just
-   built.  With [indexed] the index exists before the first insert. *)
+(* 48 inserts with k out of rowid order, then point updates, so the
+   index has been maintained, not just built.  With [indexed] the index
+   exists before the first insert. *)
 let fixture ~indexed =
   let t = R.Table.create (schema "kv") in
   if indexed then R.Table.add_index t ~name:"by_k" ~columns:[ "k" ];
@@ -38,23 +38,8 @@ let fixture ~indexed =
   in
   List.iter
     (fun (i, id) ->
-      if i mod 6 = 1 then R.Table.delete t id
-      else if i mod 9 = 4 then R.Table.update_field t id "k" (Value.Int ((i * 5 mod 8) + 3)))
+      if i mod 9 = 4 then R.Table.update_field t id "k" (Value.Int ((i * 5 mod 8) + 3)))
     ids;
-  t
-
-(* The join's left side: unindexed, with repeated keys and a key (9)
-   the fixture never holds. *)
-let partner () =
-  let t = R.Table.create (schema "partner") in
-  List.iter
-    (fun (k, v) ->
-      ignore (R.Table.insert_fields t [ ("k", Value.Int k); ("v", v) ]))
-    [
-      (0, Value.Text "ant"); (1, Value.Null); (2, Value.Text "cat"); (3, Value.Text "dog");
-      (3, Value.Text "bee"); (5, Value.Null); (6, Value.Text "eel"); (9, Value.Text "ant");
-      (1, Value.Text "cat"); (4, Value.Text "eel");
-    ];
   t
 
 let k n = Value.Int n
@@ -122,15 +107,6 @@ let ref_group_count t where =
     (fun (ka, na) (kb, nb) -> if na <> nb then Int.compare nb na else Value.compare ka kb)
     groups
 
-let ref_join left right where =
-  List.concat_map
-    (fun ((_, lrow) as l) ->
-      List.filter_map
-        (fun ((_, rrow) as r) ->
-          if Value.equal (get left lrow "k") (get right rrow "k") then Some (l, r) else None)
-        (matching right where))
-    (matching left where)
-
 (* --- checks --- *)
 
 let plan_t =
@@ -146,7 +122,7 @@ type 'r runner = { run : 'i. 'i Q.level -> 'r * 'i }
 
 (* Every level returns [expected]; Stats and Profile report [plan],
    [scanned] and [returned]; the profile accounts for them. *)
-let check_levels { run } ~expected ~returned ~plan ~scanned ~single_table =
+let check_levels { run } ~expected ~returned ~plan ~scanned =
   let off = fst (run Q.Off) in
   let off_again = fst (run Q.Off) in
   let stats_result, stats = run Q.Stats in
@@ -162,27 +138,20 @@ let check_levels { run } ~expected ~returned ~plan ~scanned ~single_table =
       Alcotest.(check int) (level ^ " rows_returned") returned s.Q.rows_returned)
     [ ("Stats", stats); ("Profile", profile_stats) ];
   Alcotest.(check int) "profile root emits the returned rows" returned profile.Q.rows_out;
-  if single_table then
-    match profile.Q.children with
-    | { Q.op = "probe"; rows_out; _ } :: _ ->
-      Alcotest.(check int) "probe leaf emits the scanned rows" scanned rows_out
-    | _ -> Alcotest.fail "a single-table profile leads with its probe leaf"
+  match profile.Q.children with
+  | { Q.op = "probe"; rows_out; _ } :: _ ->
+    Alcotest.(check int) "probe leaf emits the scanned rows" scanned rows_out
+  | _ -> Alcotest.fail "a profile leads with its probe leaf"
 
-type op = Select | Count | Group_count | Join
+type op = Select | Count | Group_count
 
-let op_name = function
-  | Select -> "select"
-  | Count -> "count"
-  | Group_count -> "group_count"
-  | Join -> "join"
+let op_name = function Select -> "select" | Count -> "count" | Group_count -> "group_count"
 
 let run_case op ~indexed (where, plan, probe) () =
   let t = fixture ~indexed in
   let plan = if indexed then plan else Q.Full_scan in
   let scanned = List.length (matching t (if indexed then probe else P.True)) in
-  let single runner ~expected ~returned =
-    check_levels runner ~expected ~returned ~plan ~scanned ~single_table:true
-  in
+  let single runner ~expected ~returned = check_levels runner ~expected ~returned ~plan ~scanned in
   match op with
   | Select ->
     let expected = ref_select t where in
@@ -195,26 +164,6 @@ let run_case op ~indexed (where, plan, probe) () =
     let expected = ref_group_count t where in
     single ~expected ~returned:(List.length expected)
       { run = (fun level -> Q.group_count_at level ~by:"v" ~where t) }
-  | Join ->
-    (* The fixture is the right side: indexed, the join probes by_k once
-       per passing left row; unindexed, it hashes the fixture's passing
-       rows. *)
-    let left = partner () in
-    let expected = ref_join left t where in
-    let plan, scanned =
-      if indexed then
-        ( Q.Index_eq "by_k",
-          List.fold_left
-            (fun acc (_, lrow) -> acc + List.length (matching t (P.Eq ("k", get left lrow "k"))))
-            0 (matching left where) )
-      else (Q.Full_scan, List.length (matching t where))
-    in
-    check_levels ~expected ~returned:(List.length expected) ~plan ~scanned ~single_table:false
-      {
-        run =
-          (fun level ->
-            Q.join_at level ~where_left:where ~where_right:where ~on:[ ("k", "k") ] left t);
-      }
 
 (* The executor tests rows with [Predicate.compile]; the reference
    above uses [Predicate.eval].  They agree on every fixture row. *)
@@ -244,4 +193,4 @@ let suite =
                 `Quick (run_case op ~indexed shape))
             shapes)
         [ true; false ])
-    [ Select; Count; Group_count; Join ]
+    [ Select; Count; Group_count ]

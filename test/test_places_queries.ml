@@ -50,15 +50,6 @@ let test_downloads_with_referrers () =
       (Provkit_util.Strutil.is_prefix ~prefix:"/home/user/downloads/" d.PQ.download_target)
   | other -> Alcotest.failf "expected one download, got %d" (List.length other)
 
-let test_top_referrers () =
-  let _web, engine = scripted () in
-  let tops = PQ.top_referrers ~limit:3 (Engine.places engine) in
-  Alcotest.(check bool) "some referrers" true (tops <> []);
-  List.iter (fun (_, n) -> Alcotest.(check bool) "positive counts" true (n > 0)) tops;
-  (* Descending. *)
-  let counts = List.map snd tops in
-  Alcotest.(check bool) "sorted" true (List.sort (fun a b -> Int.compare b a) counts = counts)
-
 let test_dead_end_rate () =
   let _web, engine = scripted () in
   let rate = PQ.dead_end_rate (Engine.places engine) in
@@ -81,7 +72,6 @@ let suite =
   [
     Alcotest.test_case "bookmarks from search" `Quick test_bookmarks_reached_from_search;
     Alcotest.test_case "downloads with referrers" `Quick test_downloads_with_referrers;
-    Alcotest.test_case "top referrers" `Quick test_top_referrers;
     Alcotest.test_case "dead-end rate" `Quick test_dead_end_rate;
     Alcotest.test_case "empty places" `Quick test_empty_places;
   ]

@@ -139,17 +139,6 @@ let test_count_group_profiles () =
     (ops gp);
   Alcotest.(check int) "4 tab groups" 4 (List.length groups)
 
-let test_join_profile () =
-  let left = fixture () in
-  let right = fixture () in
-  let _, (_, jp) = Q.join_at Q.Profile ~on:[ ("day", "day") ] left right in
-  check_tiling ~pct:5 jp.Q.op jp;
-  let spine = ops jp in
-  Alcotest.(check bool) "join spine starts with the left input" true
-    (match spine with "left_input" :: _ -> true | _ -> false);
-  Alcotest.(check bool) "join probes via index or hash" true
-    (List.mem "probe" spine)
-
 (* --- the SQL surface: analyze_query on all three plan kinds ------------- *)
 
 let db_fixture () =
@@ -179,18 +168,9 @@ let test_analyze_all_plan_kinds () =
   analyze db "SELECT * FROM visits WHERE day BETWEEN 2 AND 5 ORDER BY day DESC LIMIT 5"
     (Q.Index_range "by_day")
 
-let test_profile_render_and_fold () =
+let test_profile_render () =
   let t = fixture () in
   let _, (_, profile) = Q.select_at Q.Profile ~where:(P.Eq ("day", Value.Int 4)) t in
-  let folded = Q.fold_profile profile in
-  Alcotest.(check bool) "fold is pre-order from the root" true
-    (match folded with (root, _) :: _ -> root = profile.Q.op | [] -> false);
-  Alcotest.(check bool) "fold reaches the probe" true
-    (List.exists (fun (path, _) -> path = profile.Q.op ^ ";probe") folded);
-  List.iter
-    (fun (path, self) ->
-      if self < 0 then Alcotest.failf "%s: negative self time %d" path self)
-    folded;
   let json = Q.profile_to_json profile in
   Alcotest.(check bool) "json nests children" true
     (Provkit_util.Strutil.contains_substring ~needle:"\"children\":[" json)
@@ -202,7 +182,6 @@ let suite =
     Alcotest.test_case "index range profile" `Quick test_index_range_profile;
     Alcotest.test_case "sort + limit profile" `Quick test_sort_limit_profile;
     Alcotest.test_case "count + group profiles" `Quick test_count_group_profiles;
-    Alcotest.test_case "join profile" `Quick test_join_profile;
     Alcotest.test_case "analyze across plan kinds" `Quick test_analyze_all_plan_kinds;
-    Alcotest.test_case "profile render + fold" `Quick test_profile_render_and_fold;
+    Alcotest.test_case "profile render" `Quick test_profile_render;
   ]

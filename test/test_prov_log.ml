@@ -115,27 +115,6 @@ let test_journal_under_full_capture () =
   Alcotest.(check bool) "replayed store still acyclic" true
     (Core.Versioning.is_acyclic replayed)
 
-let test_save_load_file () =
-  let j = PL.create () in
-  List.iter (PL.append j) sample_ops;
-  let path = Filename.temp_file "provlog_test" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      PL.save j ~path;
-      let j' = PL.load ~path in
-      Alcotest.(check int) "ops survive disk" (PL.length j) (PL.length j'))
-
-let test_compact () =
-  let store, journal = PL.recording_store () in
-  let _ = Store.add_page store ~url:"http://a" ~title:"A" ~time:1 in
-  let snapshot, fresh = PL.compact store in
-  Alcotest.(check int) "fresh journal empty" 0 (PL.length fresh);
-  let restored = Core.Prov_schema.of_database snapshot in
-  Alcotest.(check int) "snapshot holds the store" (Store.node_count store)
-    (Store.node_count restored);
-  ignore journal
-
 let op_gen : PL.op QCheck.Gen.t =
   let open QCheck.Gen in
   let str = string_size ~gen:(char_range 'a' 'z') (int_range 0 12) in
@@ -204,8 +183,6 @@ let suite =
     Alcotest.test_case "bad magic" `Quick test_bad_magic;
     Alcotest.test_case "recording and replay" `Quick test_recording_and_replay;
     Alcotest.test_case "journal under capture" `Quick test_journal_under_full_capture;
-    Alcotest.test_case "save/load file" `Quick test_save_load_file;
-    Alcotest.test_case "compact" `Quick test_compact;
     QCheck_alcotest.to_alcotest prop_random_ops_roundtrip;
     QCheck_alcotest.to_alcotest prop_any_truncation_recovers_prefix;
   ]

@@ -633,6 +633,101 @@ let shared_state_stale_entry () =
        (fun f -> Provkit_util.Strutil.contains_substring ~needle:"gone" f.Finding.message)
        fs)
 
+(* --- unused-export (cross-file, on a scratch tree) -------------------- *)
+
+let unused_files = [ "lib/util/widget.mli"; "lib/util/widget.ml"; "test/test_widget.ml" ]
+
+let unused_export_flagging () =
+  let root =
+    scratch_tree "unused_flag"
+      [
+        ("lib/util/widget.mli", "val used : int -> int\nval only_tested : int -> int\n");
+        ("lib/util/widget.ml", "let used x = x + 1\nlet only_tested x = x * 2\n");
+        ("bin/tool.ml", "let () = print_int (Provkit_util.Widget.used 1)\n");
+        ("test/test_widget.ml", "let () = assert (Widget.only_tested 2 = 4)\n");
+      ]
+  in
+  let fs =
+    Driver.lint_files ~checks:[ "unused-export" ] ~root ("bin/tool.ml" :: unused_files)
+  in
+  check_count "a val used only from test/ is flagged" "unused-export" 1 fs;
+  Alcotest.(check bool) "names Widget.only_tested" true
+    (List.exists
+       (fun f ->
+         f.Finding.file = "lib/util/widget.mli"
+         && Provkit_util.Strutil.contains_substring ~needle:"Widget.only_tested" f.Finding.message)
+       fs)
+
+let unused_export_suppressed () =
+  let root =
+    scratch_tree "unused_supp"
+      [
+        ( "lib/util/widget.mli",
+          "val only_tested : int -> int [@@provlint.allow \"unused-export\"]\n\
+           (** Test seam. *)\n" );
+        ("lib/util/widget.ml", "let only_tested x = x * 2\n");
+        ("test/test_widget.ml", "let () = assert (Widget.only_tested 2 = 4)\n");
+      ]
+  in
+  check_count "suppressed" "unused-export" 0
+    (Driver.lint_files ~checks:[ "unused-export" ] ~root unused_files)
+
+(* A use from bench/, perfbench/ or examples/ counts; so does one inside
+   the val's own module (through an alias of a nested module too); a val
+   in a nested signature is checked like a toplevel one. *)
+let unused_export_scope () =
+  let root =
+    scratch_tree "unused_scope"
+      [
+        ( "lib/util/widget.mli",
+          {|val by_bench : int
+val by_perfbench : int
+val by_example : int
+val helper : int -> int
+val recursive : int -> int
+module Inner : sig
+  val by_own_alias : int
+  val dead : int
+end
+|} );
+        ( "lib/util/widget.ml",
+          {|let by_bench = 1
+let by_perfbench = 2
+let by_example = 3
+let helper x = x + 1
+let recursive x = if x <= 0 then helper 0 else recursive (x - 1)
+module Inner = struct
+  let by_own_alias = 4
+  let dead = 5
+end
+module I = Inner
+let _ = I.by_own_alias
+|} );
+        ("bench/main.ml", "let () = print_int Provkit_util.Widget.by_bench\n");
+        ( "perfbench/history.ml",
+          "module W = Provkit_util.Widget\nlet () = print_int W.by_perfbench\n" );
+        ("examples/demo.ml", "open Provkit_util.Widget\nlet () = print_int by_example\n");
+      ]
+  in
+  let fs =
+    Driver.lint_files ~checks:[ "unused-export" ] ~root
+      [
+        "lib/util/widget.mli"; "lib/util/widget.ml"; "bench/main.ml"; "perfbench/history.ml";
+        "examples/demo.ml";
+      ]
+  in
+  let flagged =
+    List.sort compare
+      (List.filter_map
+         (fun f ->
+           List.find_opt
+             (fun name -> Provkit_util.Strutil.contains_substring ~needle:name f.Finding.message)
+             [ "Widget.recursive"; "Widget.Inner.dead" ])
+         fs)
+  in
+  check_count "only the self-recursive and the nested dead val" "unused-export" 2 fs;
+  Alcotest.(check (list string)) "which ones" [ "Widget.Inner.dead"; "Widget.recursive" ] flagged
+
 (* --- rendering ------------------------------------------------------- *)
 
 let json_rendering () =
@@ -727,6 +822,9 @@ let suite =
     Alcotest.test_case "shared-state-registry flags" `Quick shared_state_flagging;
     Alcotest.test_case "shared-state-registry suppressed" `Quick shared_state_suppressed;
     Alcotest.test_case "shared-state-registry stale entry" `Quick shared_state_stale_entry;
+    Alcotest.test_case "unused-export flags" `Quick unused_export_flagging;
+    Alcotest.test_case "unused-export suppressed" `Quick unused_export_suppressed;
+    Alcotest.test_case "unused-export scope" `Quick unused_export_scope;
     Alcotest.test_case "json rendering" `Quick json_rendering;
     Alcotest.test_case "sarif rendering" `Quick sarif_rendering;
     Alcotest.test_case "timing rows" `Quick timing_reported;

@@ -8,7 +8,6 @@ module R = Relstore
 type op =
   | Insert of string * int
   | Update of int * int  (* pick rowid by position modulo live rows; new qty *)
-  | Delete of int
   | Lookup_qty of int  (* find_by qty *)
 
 let op_gen =
@@ -17,14 +16,12 @@ let op_gen =
     [
       (5, map2 (fun s n -> Insert (s, n)) (string_size ~gen:(char_range 'a' 'z') (return 3)) (int_bound 5));
       (2, map2 (fun i n -> Update (i, n)) (int_bound 50) (int_bound 5));
-      (2, map (fun i -> Delete i) (int_bound 50));
       (2, map (fun n -> Lookup_qty n) (int_bound 5));
     ]
 
 let print_op = function
   | Insert (s, n) -> Printf.sprintf "Insert(%s,%d)" s n
   | Update (i, n) -> Printf.sprintf "Update(%d,%d)" i n
-  | Delete i -> Printf.sprintf "Delete(%d)" i
   | Lookup_qty n -> Printf.sprintf "Lookup(%d)" n
 
 let schema () =
@@ -49,11 +46,6 @@ let apply_model m = function
     | Some (rowid, name, _) ->
       m.rows <- List.map (fun (r, n, q) -> if r = rowid then (r, name, qty) else (r, n, q)) m.rows
   end
-  | Delete i -> begin
-    match model_pick m i with
-    | None -> ()
-    | Some (rowid, _, _) -> m.rows <- List.filter (fun (r, _, _) -> r <> rowid) m.rows
-  end
   | Lookup_qty _ -> ()
 
 let apply_table table m op =
@@ -67,11 +59,6 @@ let apply_table table m op =
     match model_pick m i with
     | None -> ()
     | Some (rowid, _, _) -> R.Table.update_field table rowid "qty" (R.Value.Int qty)
-  end
-  | Delete i -> begin
-    match model_pick m i with
-    | None -> ()
-    | Some (rowid, _, _) -> R.Table.delete table rowid
   end
   | Lookup_qty _ -> ()
 

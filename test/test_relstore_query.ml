@@ -144,43 +144,6 @@ let test_group_count () =
     Alcotest.(check int) "remaining groups" 3 (List.length rest)
   | _ -> Alcotest.fail "expected qty=5 group first with count 2"
 
-(* --- join --- *)
-
-let test_join () =
-  let orders_schema =
-    R.Schema.make ~name:"orders"
-      [ R.Column.make "item" R.Value.Ttext; R.Column.make "n" R.Value.Tint ]
-  in
-  let orders = R.Table.create orders_schema in
-  List.iter
-    (fun (i, n) ->
-      ignore (R.Table.insert_fields orders [ ("item", R.Value.Text i); ("n", R.Value.Int n) ]))
-    [ ("apple", 2); ("apple", 1); ("cherry", 7); ("ghost", 1) ];
-  let items = sample_table () in
-  let pairs = R.Query_exec.join ~on:[ ("item", "name") ] orders items in
-  Alcotest.(check int) "three matches" 3 (List.length pairs);
-  (* ghost has no matching item *)
-  List.iter
-    (fun ((_, orow), (_, irow)) ->
-      Alcotest.(check string) "join key equal" (R.Value.to_text orow.(0)) (R.Value.to_text irow.(0)))
-    pairs;
-  (* Same result when the right side has no usable index. *)
-  let bare = sample_table ~indexed:false () in
-  let pairs' = R.Query_exec.join ~on:[ ("item", "name") ] orders bare in
-  Alcotest.(check int) "hash join agrees" 3 (List.length pairs')
-
-let test_join_with_filters () =
-  let t = sample_table () in
-  let pairs =
-    R.Query_exec.join
-      ~where_left:(R.Predicate.Eq ("name", R.Value.Text "apple"))
-      ~where_right:(R.Predicate.Not_null "note")
-      ~on:[ ("qty", "qty") ] t t
-  in
-  (* apple(qty 5) joins rows with qty 5 and a note: apple only (date has
-     no note). *)
-  Alcotest.(check int) "filtered join" 1 (List.length pairs)
-
 (* --- database --- *)
 
 let test_database_roundtrip () =
@@ -194,10 +157,7 @@ let test_database_roundtrip () =
   Alcotest.(check string) "name" "testdb" (R.Database.name db');
   let t' = R.Database.table db' "items" in
   Alcotest.(check int) "rows" 2 (R.Table.row_count t');
-  Alcotest.(check int) "sizes equal" (R.Database.total_size db) (R.Database.total_size db');
-  Alcotest.(check int) "bytes measured exactly"
-    (String.length bytes)
-    (R.Database.data_size db)
+  Alcotest.(check int) "sizes equal" (R.Database.total_size db) (R.Database.total_size db')
 
 let test_database_save_load_file () =
   let db = R.Database.create ~name:"ondisk" in
@@ -225,9 +185,7 @@ let test_database_errors () =
   (try
      ignore (R.Database.of_bytes "not a database");
      Alcotest.fail "expected Corrupt"
-   with R.Errors.Corrupt _ -> ());
-  R.Database.drop_table db "items";
-  Alcotest.(check bool) "dropped" true (R.Database.table_opt db "items" = None)
+   with R.Errors.Corrupt _ -> ())
 
 let suite =
   [
@@ -238,8 +196,6 @@ let suite =
     Alcotest.test_case "order/limit" `Quick test_select_order_limit;
     Alcotest.test_case "count" `Quick test_count;
     Alcotest.test_case "group_count" `Quick test_group_count;
-    Alcotest.test_case "join" `Quick test_join;
-    Alcotest.test_case "join with filters" `Quick test_join_with_filters;
     Alcotest.test_case "database roundtrip" `Quick test_database_roundtrip;
     Alcotest.test_case "database file save/load" `Quick test_database_save_load_file;
     Alcotest.test_case "database errors" `Quick test_database_errors;

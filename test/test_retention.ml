@@ -84,16 +84,6 @@ let test_expire_everything_leaves_projection () =
        cyclic — exactly the S3.1 trade-off; assert it loads and walks. *)
     (Store.node_count r.R.store > 0)
 
-let test_summarized_page_edges_exposed () =
-  let web, api, hub, host, _download_id, _recent = build_history () in
-  let store = Core.Api.store api in
-  let pairs = R.summarized_page_edges ~cutoff:500_000 store in
-  let hub_page = page_node api web hub and host_page = page_node api web host in
-  Alcotest.(check bool) "hub->host summary present" true
-    (List.exists (fun (s, d, _) -> s = hub_page && d = host_page) pairs);
-  (* Summary keeps the earliest action time. *)
-  List.iter (fun (_, _, t) -> Alcotest.(check bool) "old era times" true (t < 500_000)) pairs
-
 let test_expired_store_persists () =
   let _web, _engine, api, _trace = F.simulated ~seed:94 ~days:1 () in
   let store = Core.Api.store api in
@@ -112,6 +102,5 @@ let suite =
     Alcotest.test_case "descendants survive expiry" `Quick test_expire_preserves_descendant_reachability;
     Alcotest.test_case "cutoff 0 is identity" `Quick test_expire_keeps_recent_era_verbatim;
     Alcotest.test_case "full expiry leaves projection" `Quick test_expire_everything_leaves_projection;
-    Alcotest.test_case "summaries exposed" `Quick test_summarized_page_edges_exposed;
     Alcotest.test_case "expired store persists" `Quick test_expired_store_persists;
   ]

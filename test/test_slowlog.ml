@@ -8,21 +8,20 @@ module Slowlog = Relstore.Slowlog
 module Metrics = Provkit_obs.Metrics
 module Names = Provkit_obs.Names
 
-let with_slowlog ?(threshold = 1_000_000) ?(cap = 128) f =
+let with_slowlog ?(threshold = 1_000_000) f =
   let saved_threshold = Slowlog.threshold_ns () in
-  let saved_cap = Slowlog.capacity () in
   let saved_enabled = Metrics.enabled () in
   Slowlog.clear ();
   Slowlog.set_threshold_ns threshold;
-  Slowlog.set_capacity cap;
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Slowlog.clear ();
       Slowlog.set_threshold_ns saved_threshold;
-      Slowlog.set_capacity saved_cap;
       Metrics.set_enabled saved_enabled)
     f
+
+let length () = List.length (Slowlog.entries ())
 
 let note_nth ?(elapsed = 2_000_000) n =
   Slowlog.note ~table:"t" ~op:"select"
@@ -39,7 +38,7 @@ let test_dedup_merges () =
   note 2_000_000;
   note 5_000_000;
   note 3_000_000;
-  Alcotest.check Alcotest.int "one entry" 1 (Slowlog.length ());
+  Alcotest.check Alcotest.int "one entry" 1 (length ());
   let e = List.hd (Slowlog.entries ()) in
   Alcotest.check Alcotest.int "count merged" 3 e.Slowlog.e_count;
   Alcotest.check Alcotest.int "total accumulates" 10_000_000 e.Slowlog.e_total_ns;
@@ -60,35 +59,26 @@ let test_distinct_fingerprints () =
     ~elapsed_ns:9_000_000 ~rows_scanned:1 ~rows_returned:1;
   Slowlog.note ~table:"b" ~op:"select" ~plan:"full_scan" ~detail:"d"
     ~elapsed_ns:4_000_000 ~rows_scanned:1 ~rows_returned:1;
-  Alcotest.check Alcotest.int "three entries" 3 (Slowlog.length ());
+  Alcotest.check Alcotest.int "three entries" 3 (length ());
   (* entries () orders worst-first by accumulated time *)
   let ops = List.map (fun e -> e.Slowlog.e_op) (Slowlog.entries ()) in
   Alcotest.(check (list string)) "worst first" [ "count"; "select"; "select" ] ops
 
+(* The log keeps 128 distinct fingerprints. *)
 let test_capacity_eviction () =
-  with_slowlog ~cap:4 @@ fun () ->
+  with_slowlog @@ fun () ->
   let evictions_before = Metrics.counter_value Names.slowlog_evictions in
-  for i = 1 to 7 do
+  for i = 1 to 131 do
     note_nth i
   done;
-  Alcotest.check Alcotest.int "bounded at capacity" 4 (Slowlog.length ());
+  Alcotest.check Alcotest.int "bounded at capacity" 128 (length ());
   Alcotest.check Alcotest.int "evictions ticked" (evictions_before + 3)
     (Metrics.counter_value Names.slowlog_evictions);
-  (* Oldest-last-seen go first: plans 1-3 evicted, 4-7 retained. *)
-  let plans =
-    List.sort String.compare (List.map (fun e -> e.Slowlog.e_plan) (Slowlog.entries ()))
-  in
-  Alcotest.(check (list string)) "newest retained"
-    [ "plan4"; "plan5"; "plan6"; "plan7" ]
-    plans
-
-let test_shrinking_capacity_evicts () =
-  with_slowlog ~cap:8 @@ fun () ->
-  for i = 1 to 6 do
-    note_nth i
-  done;
-  Slowlog.set_capacity 2;
-  Alcotest.check Alcotest.int "shrunk immediately" 2 (Slowlog.length ())
+  (* Oldest-last-seen go first: plans 1-3 evicted, 4-131 retained. *)
+  let plans = List.map (fun e -> e.Slowlog.e_plan) (Slowlog.entries ()) in
+  Alcotest.(check (list bool)) "oldest evicted, newest retained"
+    [ false; false; false; true; true ]
+    (List.map (fun p -> List.mem p plans) [ "plan1"; "plan2"; "plan3"; "plan4"; "plan131" ])
 
 let test_json_round_trip () =
   with_slowlog @@ fun () ->
@@ -152,9 +142,6 @@ let test_invalid_knobs () =
   Alcotest.check_raises "negative threshold"
     (Invalid_argument "Slowlog.set_threshold_ns: must be non-negative") (fun () ->
       Slowlog.set_threshold_ns (-1));
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Slowlog.set_capacity: must be positive") (fun () ->
-      Slowlog.set_capacity 0);
   Alcotest.check_raises "threshold above the 1-hour ceiling"
     (Invalid_argument
        "Slowlog.set_threshold_ns: above the 1-hour ceiling (expected nanoseconds)")
@@ -208,33 +195,12 @@ let test_executor_feeds_log () =
   Alcotest.check Alcotest.int "distinct predicate, distinct entry" 2
     (List.length selects)
 
-(* One join, whatever the instrumentation level, is one slow-log entry:
-   every level notes the same "on <cols>" detail. *)
-let test_join_levels_share_fingerprint () =
-  with_slowlog ~threshold:0 @@ fun () ->
-  let days () =
-    let t = R.Table.create (R.Schema.make ~name:"days" [ R.Column.make "day" R.Value.Tint ]) in
-    for i = 1 to 12 do
-      ignore (R.Table.insert_fields t [ ("day", R.Value.Int (i mod 4)) ])
-    done;
-    t
-  in
-  let left = days () and right = days () in
-  let on = [ ("day", "day") ] in
-  ignore (R.Query_exec.(join_at Stats) ~on left right);
-  ignore (R.Query_exec.(join_at Profile) ~on left right);
-  match List.filter (fun e -> String.equal e.Slowlog.e_op "join") (Slowlog.entries ()) with
-  | [ e ] ->
-    Alcotest.check Alcotest.int "both runs merged" 2 e.Slowlog.e_count;
-    Alcotest.check Alcotest.string "detail names the join columns" "on day" e.Slowlog.e_detail
-  | joins -> Alcotest.failf "expected one join entry, got %d" (List.length joins)
-
 let test_threshold_filters () =
   with_slowlog ~threshold:Slowlog.max_threshold_ns @@ fun () ->
   let t = R.Table.create (R.Schema.make ~name:"items" [ R.Column.make "qty" R.Value.Tint ]) in
   ignore (R.Table.insert_fields t [ ("qty", R.Value.Int 1) ]);
   ignore (R.Query_exec.(select_at Stats) t);
-  Alcotest.check Alcotest.int "fast queries not noted" 0 (Slowlog.length ())
+  Alcotest.check Alcotest.int "fast queries not noted" 0 (length ())
 
 (* Metrics.json_escape writes every control byte as \u00XX; the
    reader must turn each one back into its byte. *)
@@ -261,15 +227,11 @@ let suite =
     Alcotest.test_case "distinct fingerprints, worst first" `Quick
       test_distinct_fingerprints;
     Alcotest.test_case "capacity evicts oldest-last-seen" `Quick test_capacity_eviction;
-    Alcotest.test_case "shrinking capacity evicts now" `Quick
-      test_shrinking_capacity_evicts;
     Alcotest.test_case "to_json/of_json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "dump/load jsonl round-trip" `Quick test_jsonl_dump_load;
     Alcotest.test_case "malformed json rejected" `Quick test_malformed_json;
     Alcotest.test_case "invalid knobs rejected" `Quick test_invalid_knobs;
     Alcotest.test_case "PROV_SLOWLOG_NS parsing" `Quick test_threshold_env_parsing;
     Alcotest.test_case "executor feeds the log" `Quick test_executor_feeds_log;
-    Alcotest.test_case "join levels share a fingerprint" `Quick
-      test_join_levels_share_fingerprint;
     Alcotest.test_case "threshold filters fast queries" `Quick test_threshold_filters;
   ]

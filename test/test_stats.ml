@@ -44,24 +44,6 @@ let test_summarize_monotone_percentiles () =
     (s.Stats.p50 <= s.Stats.p90 && s.Stats.p90 <= s.Stats.p99 && s.Stats.p99 <= s.Stats.max);
   Alcotest.check Alcotest.bool "min<=p50" true (s.Stats.min <= s.Stats.p50)
 
-let test_histogram () =
-  let h = Stats.histogram ~buckets:[ 10.0; 20.0 ] [ 1.0; 5.0; 15.0; 25.0; 100.0 ] in
-  match h with
-  | [ (b1, c1); (b2, c2); (binf, cinf) ] ->
-    Alcotest.check feq "bucket 1 bound" 10.0 b1;
-    Alcotest.check Alcotest.int "bucket 1 count" 2 c1;
-    Alcotest.check feq "bucket 2 bound" 20.0 b2;
-    Alcotest.check Alcotest.int "bucket 2 count" 1 c2;
-    Alcotest.check Alcotest.bool "last bucket infinite" true (binf = infinity);
-    Alcotest.check Alcotest.int "overflow count" 2 cinf
-  | _ -> Alcotest.fail "unexpected histogram shape"
-
-let test_histogram_total () =
-  let xs = List.init 100 (fun i -> float_of_int i) in
-  let h = Stats.histogram ~buckets:[ 25.0; 50.0; 75.0 ] xs in
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 h in
-  Alcotest.check Alcotest.int "every sample lands somewhere" 100 total
-
 let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
@@ -70,6 +52,4 @@ let suite =
     Alcotest.test_case "percentile empty" `Quick test_percentile_empty;
     Alcotest.test_case "summarize" `Quick test_summarize;
     Alcotest.test_case "percentiles monotone" `Quick test_summarize_monotone_percentiles;
-    Alcotest.test_case "histogram" `Quick test_histogram;
-    Alcotest.test_case "histogram conserves mass" `Quick test_histogram_total;
   ]

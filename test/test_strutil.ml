@@ -4,12 +4,6 @@ let check_sl = Alcotest.check (Alcotest.list Alcotest.string)
 let check_s = Alcotest.check Alcotest.string
 let check_b = Alcotest.check Alcotest.bool
 
-let test_split () =
-  check_sl "basic" [ "a"; "b"; "c" ] (S.split_on_chars ~chars:[ ' ' ] "a b c");
-  check_sl "multiple seps" [ "a"; "b" ] (S.split_on_chars ~chars:[ ' '; ',' ] "a, b");
-  check_sl "empty fields dropped" [ "x" ] (S.split_on_chars ~chars:[ '/' ] "//x//");
-  check_sl "empty string" [] (S.split_on_chars ~chars:[ ' ' ] "")
-
 let test_prefix_suffix () =
   check_b "prefix yes" true (S.is_prefix ~prefix:"http" "http://x");
   check_b "prefix no" false (S.is_prefix ~prefix:"https" "http://x");
@@ -40,15 +34,11 @@ let test_repeat () =
   check_s "three" "ababab" (S.repeat 3 "ab");
   check_s "zero" "" (S.repeat 0 "x")
 
-let test_join () = check_s "join" "a,b,c" (S.join ~sep:"," [ "a"; "b"; "c" ])
-
 let suite =
   [
-    Alcotest.test_case "split_on_chars" `Quick test_split;
     Alcotest.test_case "prefix/suffix" `Quick test_prefix_suffix;
     Alcotest.test_case "contains_substring" `Quick test_contains;
     Alcotest.test_case "truncate" `Quick test_truncate;
     Alcotest.test_case "pad" `Quick test_pad;
     Alcotest.test_case "repeat" `Quick test_repeat;
-    Alcotest.test_case "join" `Quick test_join;
   ]

@@ -53,26 +53,29 @@ let test_awesomebar_empty_and_nonsense () =
   Alcotest.(check (list unit)) "nonsense input" []
     (List.map (fun _ -> ()) (AB.suggest bar "zzzzqqqq"))
 
+(* A search records its query in input history against the SERP's
+   place: the bar then ranks that place first for the same typed input,
+   and for a prefix of it, over the more-visited sense. *)
 let test_awesomebar_adaptive_learning () =
-  let web, engine, _api, ambiguity, _sense_a, sense_b, _ctx = ambiguous_history () in
+  let _web, engine, _api, ambiguity, _sense_a, _sense_b, _ctx = ambiguous_history () in
   let places = Engine.places engine in
-  let bar = AB.build places in
-  let sense_b_place =
-    match Browser.Places_db.place_by_url places (page_url web sense_b) with
+  let tab = Engine.open_tab engine ~time:10_000 () in
+  ignore (Engine.search engine ~time:10_030 ~tab ambiguity.Web.term);
+  let serp_place =
+    let url = Webmodel.Url.to_string (Webmodel.Search_engine.serp_url ambiguity.Web.term) in
+    match Browser.Places_db.place_by_url places url with
     | Some p -> p.Browser.Places_db.place_id
-    | None -> Alcotest.fail "place missing"
+    | None -> Alcotest.fail "SERP place missing"
   in
-  (* The user picks the gardening sense once; it now dominates for the
-     same typed input, and for extensions of it. *)
-  AB.accept bar ~input:ambiguity.Web.term ~place_id:sense_b_place;
+  let bar = AB.build places in
   (match AB.suggest bar ambiguity.Web.term with
   | top :: _ ->
-    Alcotest.(check int) "adaptive override" sense_b_place top.AB.place_id;
+    Alcotest.(check int) "adaptive override" serp_place top.AB.place_id;
     Alcotest.(check bool) "flagged adaptive" true top.AB.adaptive
   | [] -> Alcotest.fail "no suggestions");
   let prefix = String.sub ambiguity.Web.term 0 3 in
   match AB.suggest bar prefix with
-  | top :: _ -> Alcotest.(check int) "prefix inherits the choice" sense_b_place top.AB.place_id
+  | top :: _ -> Alcotest.(check int) "prefix inherits the choice" serp_place top.AB.place_id
   | [] -> Alcotest.fail "no prefix suggestions"
 
 let test_awesomebar_limit () =
@@ -161,7 +164,7 @@ let test_suggest_empty_input () =
 
 (* Suggest as it was, its context mass looked up in Graph_model's
    Hashtbl expansion over a model of the store's graph. *)
-let reference_suggest ~config model store ~context typed =
+let reference_suggest model store ~context typed =
   let limit = 6 in
   let needle = String.lowercase_ascii typed in
   let matches s = Provkit_util.Strutil.contains_substring ~needle (String.lowercase_ascii s) in
@@ -173,16 +176,10 @@ let reference_suggest ~config model store ~context typed =
           (id, url, title) :: acc
         | _ -> acc)
   in
-  let nconfig =
-    {
-      Provgraph.Neighborhood.default_config with
-      Provgraph.Neighborhood.max_hops = config.Suggest.max_hops;
-      decay = config.Suggest.decay;
-    }
-  in
   let follow ~src:_ ~dst:_ (e : Core.Prov_edge.t) = Core.Prov_edge.is_causal e.Core.Prov_edge.kind in
   let mass, _ =
-    Graph_model.expand ~config:nconfig ~follow model ~seeds:(List.map (fun n -> (n, 1.0)) context)
+    Graph_model.expand ~config:Provgraph.Neighborhood.default_config ~follow model
+      ~seeds:(List.map (fun n -> (n, 1.0)) context)
   in
   let get id = Option.value ~default:0.0 (Hashtbl.find_opt mass id) in
   let scored =
@@ -196,7 +193,7 @@ let reference_suggest ~config model store ~context typed =
           title;
           base_score = base;
           context_score = ctx;
-          score = (config.Suggest.frecency_weight *. base) +. (config.Suggest.context_weight *. ctx);
+          score = base +. (4.0 *. ctx);
         })
       candidates
   in
@@ -217,10 +214,9 @@ let render (ss : Suggest.suggestion list) =
 
 (* On the 20-day history, contexts of one to three random visits and
    the first four letters of each search episode's first term typed:
-   the same suggestions, bit for bit.  With the default decay of 0.5
-   every mass is a power of two times a seed's, so its sums are exact
-   in any order; a decay of 0.3 makes the order of each page's sum
-   show. *)
+   the same suggestions, bit for bit.  With the decay of 0.5 every mass
+   is a power of two times a seed's, so its sums are exact in any
+   order. *)
 let test_suggest_against_reference () =
   let ds = Harness.Dataset.with_days 20 in
   let store = Harness.Dataset.store ds in
@@ -240,14 +236,11 @@ let test_suggest_against_reference () =
   List.iter
     (fun typed ->
       let context = List.init (1 + Provkit_util.Prng.int rng 3) (fun _ -> Provkit_util.Prng.pick rng visits) in
-      List.iter
-        (fun config ->
-          let got = Suggest.suggest ~config ~context store typed in
-          Alcotest.(check (list string)) ("suggest " ^ typed)
-            (render (reference_suggest ~config model store ~context typed)) (render got);
-          if List.exists (fun (s : Suggest.suggestion) -> s.Suggest.context_score > 0.0) got then
-            incr with_context)
-        [ Suggest.default_config; { Suggest.default_config with Suggest.decay = 0.3 } ])
+      let got = Suggest.suggest ~context store typed in
+      Alcotest.(check (list string)) ("suggest " ^ typed)
+        (render (reference_suggest model store ~context typed)) (render got);
+      if List.exists (fun (s : Suggest.suggestion) -> s.Suggest.context_score > 0.0) got then
+        incr with_context)
     typed;
   Alcotest.(check bool) "context moved some suggestions" true (!with_context > 0)
 

@@ -176,7 +176,7 @@ let test_replay_into_uses_push () =
   let ring = Ts.create ~capacity:3 () in
   let rp = TL.replay_into ring ~path in
   Alcotest.(check int) "five points decoded" 5 (List.length rp.TL.rp_points);
-  Alcotest.(check int) "ring keeps the newest up to capacity" 3 (Ts.length ring);
+  Alcotest.(check int) "ring keeps the newest up to capacity" 3 (List.length (Ts.points ring));
   Alcotest.(check bool) "newest three in order" true
     (Ts.points ring = [ sample_point 2; sample_point 3; sample_point 4 ]);
   Alcotest.(check int) "observers never re-triggered" 0 !notified
@@ -240,7 +240,11 @@ let test_attach_wires_stream_and_transitions () =
     };
   Alert.replay_history rp.TL.rp_points;
   Alcotest.(check int) "history primed the engine" 2
-    (match Alert.find "alert.test.journal" with
+    (match
+       List.find_opt
+         (fun st -> st.Alert.st_rule.Alert.r_id = "alert.test.journal")
+         (Alert.states ())
+     with
     | Some st -> if Int64.equal st.Alert.st_last_ns 0L then 0 else 2
     | None -> 0)
 

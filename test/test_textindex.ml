@@ -42,8 +42,7 @@ let test_stemmer_idempotent_on_common_words () =
 let test_stopwords () =
   Alcotest.(check bool) "the" true (T.Stopwords.is_stopword "the");
   Alcotest.(check bool) "www" true (T.Stopwords.is_stopword "www");
-  Alcotest.(check bool) "wine" false (T.Stopwords.is_stopword "wine");
-  Alcotest.(check bool) "list non-empty" true (T.Stopwords.all () <> [])
+  Alcotest.(check bool) "wine" false (T.Stopwords.is_stopword "wine")
 
 (* --- inverted index --- *)
 
@@ -58,7 +57,6 @@ let test_inverted_index_basics () =
   Alcotest.(check int) "df absent" 0 (T.Inverted_index.document_frequency idx "beer");
   Alcotest.(check int) "doc length" 3 (T.Inverted_index.document_length idx 1);
   Alcotest.(check (float 1e-9)) "avg length" 2.5 (T.Inverted_index.average_length idx);
-  Alcotest.(check int) "vocab" 3 (T.Inverted_index.vocabulary_size idx);
   let p = T.Inverted_index.postings idx "wine" in
   Alcotest.(check (list (pair int int))) "postings" [ (1, 2); (2, 1) ]
     (List.init p.T.Inverted_index.len (fun i ->
@@ -125,32 +123,31 @@ let test_multi_term_beats_single () =
 
 (* --- search facade --- *)
 
+let index_text s d text = T.Search.index_terms s d (T.Tokenizer.terms text)
+
 let test_search_facade () =
   let s = T.Search.create () in
-  T.Search.index_document s 1 ~text:"Gardening tips for rose bushes";
-  T.Search.index_document s 2 ~text:"Citizen Kane film analysis";
-  Alcotest.(check int) "docs" 2 (T.Search.document_count s);
+  index_text s 1 "Gardening tips for rose bushes";
+  index_text s 2 "Citizen Kane film analysis";
   (match T.Search.query s "gardening roses" with
   | { T.Search.doc = 1; _ } :: _ -> ()
   | _ -> Alcotest.fail "gardening doc should win");
   (* Stemming bridges query and document morphology. *)
   (match T.Search.query s "garden" with
   | { T.Search.doc = 1; _ } :: _ -> ()
-  | _ -> Alcotest.fail "stemmed match failed");
-  T.Search.remove_document s 1;
-  Alcotest.(check int) "after removal" 0 (List.length (T.Search.query s "gardening"))
+  | _ -> Alcotest.fail "stemmed match failed")
 
 let test_search_limit () =
   let s = T.Search.create () in
   for d = 1 to 20 do
-    T.Search.index_document s d ~text:"same text everywhere"
+    index_text s d "same text everywhere"
   done;
   Alcotest.(check int) "limit respected" 5 (List.length (T.Search.query ~limit:5 s "text"))
 
 let test_search_deterministic_ties () =
   let s = T.Search.create () in
   for d = 1 to 5 do
-    T.Search.index_document s d ~text:"identical words"
+    index_text s d "identical words"
   done;
   let docs r = List.map (fun (x : T.Search.result) -> x.T.Search.doc) r in
   Alcotest.(check (list int)) "ties by doc id" [ 1; 2; 3; 4; 5 ]

@@ -75,8 +75,6 @@ let check_index ~where p =
   let at what x = Printf.sprintf "%s: %s %s" where what x in
   Alcotest.(check int) (where ^ ": document_count")
     (MI.document_count p.model) (I.document_count p.idx);
-  Alcotest.(check int) (where ^ ": vocabulary_size")
-    (MI.vocabulary_size p.model) (I.vocabulary_size p.idx);
   Alcotest.(check int64) (where ^ ": average_length")
     (bits (MI.average_length p.model)) (bits (I.average_length p.idx));
   Array.iter

@@ -71,14 +71,12 @@ let test_capacity_eviction () =
   for i = 1 to 5 do
     ignore (Ts.record ~now_ns:(Int64.of_int (i * 1_000_000)) ring)
   done;
-  Alcotest.check Alcotest.int "bounded" 3 (Ts.length ring);
+  Alcotest.check Alcotest.int "bounded" 3 (List.length (Ts.points ring));
   let stamps = List.map (fun (p : Ts.point) -> p.Ts.pt_ns) (Ts.points ring) in
   Alcotest.(check (list int64)) "oldest evicted, order kept"
     [ 3_000_000L; 4_000_000L; 5_000_000L ]
     stamps;
-  Ts.clear ring;
-  Alcotest.check Alcotest.int "cleared" 0 (Ts.length ring);
-  match Ts.last_deltas ring with
+  match Ts.last_deltas (Ts.create ()) with
   | None -> ()
   | Some _ -> Alcotest.fail "last_deltas on an empty ring"
 
@@ -87,34 +85,27 @@ let test_invalid_capacity () =
     (Invalid_argument "Timeseries.create: capacity must be positive") (fun () ->
       ignore (Ts.create ~capacity:0 ()))
 
+(* Every 1024th pulse records a point: 2048 pulses cross the boundary
+   exactly twice, whatever the global counter's residue. *)
 let test_pulse_interval () =
   with_metrics_enabled @@ fun () ->
-  let saved = Ts.pulse_interval () in
-  Fun.protect ~finally:(fun () -> Ts.set_pulse_interval saved) @@ fun () ->
-  Ts.set_pulse_interval 5;
-  let before = Ts.length Ts.default in
-  let pulses_before = Ts.pulses () in
-  for _ = 1 to 12 do
+  let points () = Metrics.counter_value Provkit_obs.Names.timeseries_points in
+  let before = points () in
+  for _ = 1 to 2048 do
     Ts.pulse ()
   done;
-  Alcotest.check Alcotest.int "pulses counted" (pulses_before + 12) (Ts.pulses ());
-  let recorded = Ts.length Ts.default - before in
-  (* 12 pulses at interval 5 cross the boundary 2 or 3 times depending on
-     the global counter's residue coming into the test. *)
-  if recorded < 2 || recorded > 3 then
-    Alcotest.failf "expected 2-3 recorded points, got %d" recorded
+  Alcotest.check Alcotest.int "two points recorded" (before + 2) (points ())
 
 let test_pulse_disabled_is_silent () =
   let saved = Metrics.enabled () in
   Metrics.set_enabled false;
   Fun.protect ~finally:(fun () -> Metrics.set_enabled saved) @@ fun () ->
-  let before = Ts.length Ts.default in
-  let pulses_before = Ts.pulses () in
-  for _ = 1 to 50 do
+  let length () = List.length (Ts.points Ts.default) in
+  let before = length () in
+  for _ = 1 to 2048 do
     Ts.pulse ()
   done;
-  Alcotest.check Alcotest.int "no points recorded" before (Ts.length Ts.default);
-  Alcotest.check Alcotest.int "no pulses counted" pulses_before (Ts.pulses ())
+  Alcotest.check Alcotest.int "no points recorded" before (length ())
 
 let test_prometheus_exposition () =
   with_metrics_enabled @@ fun () ->
@@ -308,7 +299,9 @@ let test_alert_state_gauge_roundtrip () =
       | None -> Alcotest.failf "rule %s missing from exposition" id)
     (Alert.states ());
   Alcotest.(check bool) "the loud rule is firing" true
-    (match Alert.find "alert.test.ts_loud" with Some st -> st.Alert.st_firing | None -> false)
+    (List.exists
+       (fun st -> st.Alert.st_rule.Alert.r_id = "alert.test.ts_loud" && st.Alert.st_firing)
+       (Alert.states ()))
 
 let suite =
   [

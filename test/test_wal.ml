@@ -235,31 +235,6 @@ let test_v1_journal_still_loads () =
   Alcotest.(check bool) "v2 journal loads identically" true
     (PL.ops (PL.of_bytes v2) = PL.ops journal)
 
-let test_v1_event_trace_still_loads () =
-  let events =
-    List.init 30 (fun i ->
-        Browser.Event.Visit
-          {
-            Browser.Event.visit_id = i;
-            time = 100 + i;
-            tab = i mod 3;
-            page = (if i mod 2 = 0 then Some i else None);
-            url = Webmodel.Url.of_string (Printf.sprintf "http://site%d.example/" i);
-            title = Printf.sprintf "page %d" i;
-            transition = Browser.Transition.Link;
-            referrer = (if i > 0 then Some (i - 1) else None);
-            via_bookmark = None;
-          })
-  in
-  let v1 = Browser.Event_codec.to_bytes_v1 events in
-  let v2 = Browser.Event_codec.to_bytes events in
-  Alcotest.(check (option int)) "v1 magic" (Some 1) (Browser.Event_codec.format_version v1);
-  Alcotest.(check (option int)) "v2 magic" (Some 2) (Browser.Event_codec.format_version v2);
-  Alcotest.(check bool) "v1 trace loads identically" true
-    (Browser.Event_codec.of_bytes v1 = events);
-  Alcotest.(check bool) "v2 trace loads identically" true
-    (Browser.Event_codec.of_bytes v2 = events)
-
 (* The satellite sweep: cut a >= 1000-op journal at EVERY byte offset and
    demand that recovery yields an op-sequence prefix. *)
 let test_crash_point_sweep () =
@@ -550,7 +525,8 @@ let test_kill_writer () =
       let journal = PL.create () in
       List.iter (PL.append journal) ops;
       let journal_path = Filename.concat dir "ops.journal" in
-      PL.save journal ~path:journal_path;
+      Out_channel.with_open_bin journal_path (fun oc ->
+          Out_channel.output_string oc (PL.to_bytes journal));
       let wal = Filename.concat dir "wal" in
       let helper = Filename.concat (Filename.dirname Sys.executable_name) "wal_writer.exe" in
       let child_in, to_child = Unix.pipe ~cloexec:true () in
@@ -600,7 +576,6 @@ let suite =
     Alcotest.test_case "no append after torn tail" `Quick test_no_append_after_torn_tail;
     Alcotest.test_case "empty WAL" `Quick test_recover_missing_dir_and_empty;
     Alcotest.test_case "v1 journal compatibility" `Quick test_v1_journal_still_loads;
-    Alcotest.test_case "v1 event trace compatibility" `Quick test_v1_event_trace_still_loads;
     Alcotest.test_case "crash-point sweep (every byte offset)" `Slow test_crash_point_sweep;
     Alcotest.test_case "group commit: fsync counting" `Quick test_group_commit_fsync_count;
     Alcotest.test_case "group commit: crash loses only pending tail" `Quick

@@ -35,17 +35,6 @@ let test_url_lenient () =
   Alcotest.(check string) "default scheme" "http" u.Url.scheme;
   Alcotest.(check string) "host" "bare.host" u.Url.host
 
-let test_url_normalize_equal () =
-  let a = Url.of_string "HTTP://Example.COM/a?b=2&a=1" in
-  let b = Url.of_string "http://example.com/a?a=1&b=2" in
-  Alcotest.(check bool) "normalized equal" true (Url.equal a b)
-
-let test_url_domain () =
-  Alcotest.(check string) "domain" "wine.example"
-    (Url.domain_of (Url.of_string "http://site3.wine.example/x"));
-  Alcotest.(check string) "short host" "localhost"
-    (Url.domain_of (Url.of_string "http://localhost/x"))
-
 let test_url_empty_host_rejected () =
   Alcotest.(check bool) "rejects empty host" true
     (try
@@ -55,14 +44,18 @@ let test_url_empty_host_rejected () =
 
 (* --- topics --- *)
 
+(* The vocabulary holds [vocab_size] distinct words: enough draws see
+   every rank (the rarest of 50 has mass ~0.4%), and a duplicate word
+   would show as fewer distinct samples. *)
 let test_topic_vocabulary () =
   let rng = Prng.create 1 in
   let t = Topic.generate ~rng ~id:0 ~name:"wine" ~vocab_size:50 in
-  Alcotest.(check int) "size" 50 (Array.length (Topic.vocabulary t));
-  Alcotest.(check string) "name leads vocab" "wine" (Topic.core_term t 0);
-  Alcotest.(check bool) "mem" true (Topic.mem_term t "wine");
-  let distinct = List.sort_uniq String.compare (Array.to_list (Topic.vocabulary t)) in
-  Alcotest.(check int) "all distinct" 50 (List.length distinct)
+  let seen = Hashtbl.create 64 in
+  for _ = 1 to 20_000 do
+    Hashtbl.replace seen (Topic.sample_term t rng) ()
+  done;
+  Alcotest.(check int) "all distinct" 50 (Hashtbl.length seen);
+  Alcotest.(check bool) "name in vocab" true (Hashtbl.mem seen "wine")
 
 let test_topic_sampling () =
   let rng = Prng.create 2 in
@@ -70,7 +63,6 @@ let test_topic_sampling () =
   let counts = Hashtbl.create 20 in
   for _ = 1 to 5000 do
     let w = Topic.sample_term t rng in
-    Alcotest.(check bool) "sampled from vocab" true (Topic.mem_term t w);
     Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w))
   done;
   let name_count = Option.value ~default:0 (Hashtbl.find_opt counts "film") in
@@ -81,8 +73,8 @@ let test_topic_add_term () =
   let rng = Prng.create 3 in
   let t = Topic.generate ~rng ~id:0 ~name:"x" ~vocab_size:5 in
   Topic.add_term t "rosebud";
-  Alcotest.(check bool) "added" true (Topic.mem_term t "rosebud");
-  Alcotest.(check int) "grown" 6 (Array.length (Topic.vocabulary t))
+  let sampled = List.init 2000 (fun _ -> Topic.sample_term t rng) in
+  Alcotest.(check bool) "added term is sampled" true (List.mem "rosebud" sampled)
 
 (* --- web graph --- *)
 
@@ -118,12 +110,11 @@ let test_web_structure () =
 
 let test_web_urls_unique_and_resolvable () =
   let web = small_web () in
-  Array.iter
-    (fun (p : Page.t) ->
-      match Web.find_by_url web p.Page.url with
-      | Some id -> Alcotest.(check int) "url resolves to page" p.Page.id id
-      | None -> Alcotest.failf "url not resolvable: %s" (Url.to_string p.Page.url))
-    (Web.pages web)
+  let urls =
+    Array.to_list (Array.map (fun (p : Page.t) -> Url.to_string p.Page.url) (Web.pages web))
+  in
+  Alcotest.(check int) "one page per url" (List.length urls)
+    (List.length (List.sort_uniq String.compare urls))
 
 let test_web_redirects () =
   let web = small_web () in
@@ -152,11 +143,7 @@ let test_web_topic_partitions () =
         let p = Web.page web pid in
         Alcotest.(check int) "topic matches" ti p.Page.topic;
         Alcotest.(check bool) "navigable kinds" true (Page.is_navigable p))
-      (Web.pages_of_topic web ti);
-    List.iter
-      (fun fid ->
-        Alcotest.(check bool) "file kind" true ((Web.page web fid).Page.kind = Page.File))
-      (Web.files_of_topic web ti)
+      (Web.pages_of_topic web ti)
   done
 
 let test_web_download_hosts_link_files () =
@@ -226,27 +213,14 @@ let test_search_engine_excludes_hidden_kinds () =
 
 let test_serp_url_roundtrip () =
   let u = SE.serp_url "plane tickets cheap" in
-  Alcotest.(check (option string)) "query recovered" (Some "plane tickets cheap")
-    (SE.query_of_serp u);
-  Alcotest.(check (option string)) "non-serp" None
-    (SE.query_of_serp (Url.of_string "http://example.com/search"))
-
-let test_rank_of () =
-  let web = small_web () in
-  let se = SE.build web in
-  match SE.search ~limit:3 se "rosebud" with
-  | top :: _ ->
-    Alcotest.(check (option int)) "rank of top" (Some 1) (SE.rank_of se "rosebud" top.SE.page);
-    Alcotest.(check (option int)) "rank of absent" None (SE.rank_of ~limit:5 se "rosebud" (-1))
-  | [] -> Alcotest.fail "no results"
+  Alcotest.(check (option string)) "query encoded" (Some "plane+tickets+cheap")
+    (List.assoc_opt "q" u.Url.query)
 
 let suite =
   [
     Alcotest.test_case "url roundtrip" `Quick test_url_roundtrip;
     Alcotest.test_case "url parts" `Quick test_url_parse_parts;
     Alcotest.test_case "url lenient" `Quick test_url_lenient;
-    Alcotest.test_case "url normalize" `Quick test_url_normalize_equal;
-    Alcotest.test_case "url domain" `Quick test_url_domain;
     Alcotest.test_case "url empty host" `Quick test_url_empty_host_rejected;
     Alcotest.test_case "topic vocabulary" `Quick test_topic_vocabulary;
     Alcotest.test_case "topic sampling" `Quick test_topic_sampling;
@@ -261,5 +235,4 @@ let suite =
     Alcotest.test_case "search finds planted" `Quick test_search_engine_finds_planted;
     Alcotest.test_case "search excludes hidden kinds" `Quick test_search_engine_excludes_hidden_kinds;
     Alcotest.test_case "serp url roundtrip" `Quick test_serp_url_roundtrip;
-    Alcotest.test_case "rank_of" `Quick test_rank_of;
   ]

@@ -53,11 +53,6 @@ let test_singleton () =
   Alcotest.check Alcotest.int "only rank" 0 (Zipf.sample z rng);
   Alcotest.check (Alcotest.float 1e-9) "unit mass" 1.0 (Zipf.probability z 0)
 
-let test_accessors () =
-  let z = Zipf.create ~n:12 ~s:0.8 in
-  Alcotest.check Alcotest.int "size" 12 (Zipf.size z);
-  Alcotest.check (Alcotest.float 1e-9) "exponent" 0.8 (Zipf.exponent z)
-
 let suite =
   [
     Alcotest.test_case "mass sums to 1" `Quick test_probabilities_sum;
@@ -66,5 +61,4 @@ let suite =
     Alcotest.test_case "samples in range" `Quick test_samples_in_range;
     Alcotest.test_case "sampling matches mass" `Quick test_sampling_matches_mass;
     Alcotest.test_case "singleton" `Quick test_singleton;
-    Alcotest.test_case "accessors" `Quick test_accessors;
   ]

@@ -87,7 +87,6 @@ module Inverted_index = struct
     | None -> []
     | Some docs -> Imap.bindings docs
 
-  let vocabulary_size t = Hashtbl.length t.table
   let terms t doc = distinct (Option.value ~default:[] (Hashtbl.find_opt t.doc_terms doc))
 end
 

@@ -31,7 +31,7 @@ let () =
       (fun op ->
         Seg.append h op;
         report ())
-      (PL.ops (PL.load ~path:journal));
+      (PL.ops (PL.of_bytes (In_channel.with_open_bin journal In_channel.input_all)));
     Seg.durable h;
     report ();
     print_endline "done";
