@@ -71,6 +71,20 @@ let shapes =
     ("not", scan (P.Not (P.Eq ("k", k 2))));
     ("is null", scan (P.Is_null "v"));
     ("custom", scan (P.Custom ("odd_k", fun s row -> R.Row.int s row "k" mod 2 = 1)));
+    ("point window", self (P.Between ("k", k 3, k 3)) range);
+    ( "tighter exclusive bound",
+      self (P.And [ P.Cmp (P.Ge, "k", k 3); P.Cmp (P.Gt, "k", k 3) ]) range );
+    ( "nested window",
+      self (P.And [ P.And [ P.Cmp (P.Ge, "k", k 2) ]; P.Cmp (P.Lt, "k", k 6) ]) range );
+    (* An equality outranks a range on the same index. *)
+    ("eq over range", (P.And [ P.Cmp (P.Gt, "k", k 1); P.Eq ("k", k 3) ], eq, P.Eq ("k", k 3)));
+    (* The first equality on the column is the probe key; the other is
+       a residual no candidate passes. *)
+    ("conflicting eqs", (P.And [ P.Eq ("k", k 2); P.Eq ("k", k 3) ], eq, P.Eq ("k", k 2)));
+    ("eq on unindexed column", scan (P.Eq ("v", Value.Text "cat")));
+    (* The first range-constrained column decides, and [v] has no index. *)
+    ( "unindexed range first",
+      scan (P.And [ P.Cmp (P.Gt, "v", Value.Text "bee"); P.Cmp (P.Ge, "k", k 4) ]) );
   ]
 
 (* --- the reference evaluator --- *)
@@ -92,6 +106,11 @@ let ref_select t where =
       if c <> 0 then c else Int.compare ia ib
   in
   List.filteri (fun i _ -> i < limit) (List.sort cmp (matching t where))
+
+(* No order_by: ascending rowid, whatever order the access path
+   yields candidates in (a range probe yields one rowid run per key). *)
+let ref_select_rowid t where =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (matching t where)
 
 let ref_group_count t where =
   let groups =
@@ -143,9 +162,13 @@ let check_levels { run } ~expected ~returned ~plan ~scanned =
     Alcotest.(check int) "probe leaf emits the scanned rows" scanned rows_out
   | _ -> Alcotest.fail "a profile leads with its probe leaf"
 
-type op = Select | Count | Group_count
+type op = Select | Select_rowid | Count | Group_count
 
-let op_name = function Select -> "select" | Count -> "count" | Group_count -> "group_count"
+let op_name = function
+  | Select -> "select"
+  | Select_rowid -> "select rowid order"
+  | Count -> "count"
+  | Group_count -> "group_count"
 
 let run_case op ~indexed (where, plan, probe) () =
   let t = fixture ~indexed in
@@ -157,6 +180,10 @@ let run_case op ~indexed (where, plan, probe) () =
     let expected = ref_select t where in
     single ~expected ~returned:(List.length expected)
       { run = (fun level -> Q.select_at level ~where ~order_by ~limit t) }
+  | Select_rowid ->
+    let expected = ref_select_rowid t where in
+    single ~expected ~returned:(List.length expected)
+      { run = (fun level -> Q.select_at level ~where t) }
   | Count ->
     single ~expected:(List.length (matching t where)) ~returned:1
       { run = (fun level -> Q.count_at level ~where t) }
@@ -193,4 +220,4 @@ let suite =
                 `Quick (run_case op ~indexed shape))
             shapes)
         [ true; false ])
-    [ Select; Count; Group_count ]
+    [ Select; Select_rowid; Count; Group_count ]
