@@ -465,12 +465,16 @@ let run_stats measured =
 
 (* The lint pass is part of every `dune runtest` (and of editor loops
    via `dune build @lint`), so its full-tree wall time is a developer-facing
-   latency.  One row keeps it visible in the telemetry artifact: a
+   latency.  Two rows keep it visible in the telemetry artifact, so a
    parse-cache regression or an accidentally quadratic check shows up in
-   bench_compare.sh like any other slowdown.  The tree is located the
-   same way the lint integration test finds it (walk up from cwd); when
-   the bench runs somewhere without sources, a 0 ns row keeps the
-   artifact shape stable and bench_compare skips it. *)
+   bench_compare.sh like any other slowdown: lint-full-tree re-lints
+   with every tree in the parse caches, as the fixture tests do, and
+   lint-full-tree-cold empties the caches before each pass, so it pays
+   the parse that one `provlint` run (and `dune build @lint`) pays.
+   The tree is located the same way the lint integration test finds it
+   (walk up from cwd); when the bench runs somewhere without sources,
+   0 ns rows keep the artifact shape stable and bench_compare skips
+   them. *)
 let rec find_lint_root dir depth =
   if depth > 6 then None
   else if Sys.file_exists (Filename.concat dir "lib/obs/names.ml") then Some dir
@@ -478,13 +482,17 @@ let rec find_lint_root dir depth =
 
 let measure_lint () =
   match find_lint_root (Sys.getcwd ()) 0 with
-  | None -> [ ("lint-full-tree", 0, 0.0) ]
+  | None -> [ ("lint-full-tree", 0, 0.0); ("lint-full-tree-cold", 0, 0.0) ]
   | Some root ->
     let iters = if quick then 2 else 5 in
-    let ns =
-      time_per_op iters 1 (fun () -> ignore (Provkit_lint.Driver.lint_tree ~root ()))
+    let lint () = ignore (Provkit_lint.Driver.lint_tree ~root ()) in
+    let warm = time_per_op iters 1 lint in
+    let cold =
+      time_per_op iters 1 (fun () ->
+          Provkit_lint.Driver.clear_caches ();
+          lint ())
     in
-    [ ("lint-full-tree", iters, ns) ]
+    [ ("lint-full-tree", iters, warm); ("lint-full-tree-cold", iters, cold) ]
 
 let run_lint measured =
   print_endline "== provlint (full lib/ + bin/ tree, all checks; ns/pass) ==\n";

@@ -1,4 +1,4 @@
-type t = { places : Places_db.t; mutable search : Textindex.Search.t }
+type t = { places : Places_db.t; index : Textindex.Inverted_index.t }
 
 type result = { place_id : int; score : float }
 
@@ -7,28 +7,27 @@ let place_terms (p : Places_db.place) =
   @ Textindex.Tokenizer.terms_of_url p.Places_db.url
 
 let build_index places =
-  let search = Textindex.Search.create () in
+  let index = Textindex.Inverted_index.create () in
   List.iter
     (fun (p : Places_db.place) ->
       if not p.Places_db.hidden then
-        Textindex.Search.index_terms search p.Places_db.place_id (place_terms p))
+        Textindex.Inverted_index.add_document index p.Places_db.place_id (place_terms p))
     (Places_db.places places);
-  search
+  index
 
-let build places = { places; search = build_index places }
+let build places = { places; index = build_index places }
 
 let search ?(limit = 10) t query =
-  let hits = Textindex.Search.query ~limit:(limit * 5) t.search query in
+  let hits =
+    Textindex.Scorer.scores ~limit:(limit * 5) t.index ~terms:(Textindex.Tokenizer.terms query)
+  in
   let scored =
     List.map
-      (fun (r : Textindex.Search.result) ->
-        let p = Places_db.place t.places r.Textindex.Search.doc in
+      (fun (place_id, score) ->
+        let p = Places_db.place t.places place_id in
         (* Frecency boost mirrors the awesome bar: text match gates,
            frecency orders among matches. *)
-        {
-          place_id = r.Textindex.Search.doc;
-          score = r.Textindex.Search.score *. (1.0 +. log (1.0 +. max 0.0 p.Places_db.frecency));
-        })
+        { place_id; score = score *. (1.0 +. log (1.0 +. max 0.0 p.Places_db.frecency)) })
       hits
   in
   let sorted =

@@ -12,7 +12,7 @@ type result = { place_id : int; score : float }
 
 val build : Places_db.t -> t
 (** Index the current contents of the Places store.  Rebuild after bulk
-    history changes ({!refresh}). *)
+    history changes. *)
 
 val search : ?limit:int -> t -> string -> result list
 (** Ranked places ([limit] defaults to 10). *)

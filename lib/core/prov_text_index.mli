@@ -15,18 +15,20 @@ val store : t -> Prov_store.t
 val search : ?limit:int -> t -> string -> (int * float) list
 (** Ranked node ids ([limit] defaults to 20). *)
 
-val score : t -> terms:string list -> node:int -> float
-(** Text relevance of one indexed node to a term bag (0.0 for nodes that
-    are not indexed).  Lets time-contextual search score candidate pages
-    that come from the temporal neighborhood rather than from the top of
-    the text ranking.  Staged: [score t ~terms] looks the terms up once
-    for all the nodes it then scores. *)
+val with_scores : t -> string -> (Textindex.Scorer.sums -> 'a) -> 'a
+(** [with_scores t query k] scores every node against the query in one
+    pass and hands the scores to [k], valid until [k] returns: its top
+    hits ({!Textindex.Scorer.top}) and, in O(1), any node's relevance
+    (0.0 for a node that matches no term or is not indexed).  Lets
+    time-contextual search score candidate pages that come from the
+    temporal neighborhood rather than from the top of the text
+    ranking, off the pass that found the top. *)
 
 val distinct_terms : t -> Prov_node.t -> string list
 (** The node's distinct {!Prov_node.text_terms}, ascending.  Read from
     the index when it was built from this very record ([==]); a record
-    the store has replaced since (a page retitled after the last
-    {!refresh}) or never indexed is tokenized afresh. *)
+    the store has replaced since (a page retitled after the {!build})
+    or never indexed is tokenized afresh. *)
 
 val idf : t -> string -> float
 (** Corpus rarity of a term within the user's own history — used to pick

@@ -107,41 +107,13 @@ let proximity config gap =
   if gap = 0 then config.co_open_bonus
   else exp (-.float_of_int gap /. config.proximity_tau)
 
-let rank ?(limit = 10) results =
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = Float.compare b.score a.score in
-        if c <> 0 then c else Int.compare a.page b.page)
-      results
-  in
-  List.filteri (fun i _ -> i < limit) sorted
-
 let search ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~query ~context =
   let config = default_config in
   let running = Query_budget.start budget in
   let store = Prov_text_index.store index in
-  let query_terms = Textindex.Tokenizer.terms query in
-  (* Candidate pages come from two directions: the top text hits for the
-     primary query, and — crucially — every page visited in the temporal
-     neighborhood of the context (the page the user half-remembers need
-     not be a top-ranked text hit; being open next to the plane-ticket
-     search is what identifies it). *)
-  (* The candidates are the scratch's members, each scored once, with
-     0.0 for one that does not match the query. *)
-  Scratch.with_ ~bound:(Provgraph.Digraph.bound (Prov_store.graph store)) @@ fun candidates ->
-  let text_score = Scratch.floats candidates 0 in
-  let score = Prov_text_index.score index ~terms:query_terms in
-  let consider page =
-    if not (Scratch.mem candidates page) then begin
-      Scratch.add candidates page;
-      text_score.(page) <- score ~node:page
-    end
-  in
-  List.iter
-    (fun (node, _) ->
-      match page_of_hit store node with Some page -> consider page | None -> ())
-    (Prov_text_index.search ~limit:config.candidate_limit index query);
+  (* One pass over the query's postings gives both the top text hits
+     and the text score of any page. *)
+  Prov_text_index.with_scores index query @@ fun text ->
   (* Context visit intervals, best text hits first, capped so pathological
      contexts ("the" matching everything) stay bounded. *)
   let context_hits = Prov_text_index.search ~limit:config.context_limit index context in
@@ -155,6 +127,34 @@ let search ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~qu
              (context_visits store node))
          context_hits)
   in
+  let context = context_of context_intervals in
+  (* The ranked pages are the scratch's members: each page that matches
+     the query and has a visit to measure joins once, with its score
+     and best gap.  A page that does not stays out, and is looked up again
+     each time the scan meets it. *)
+  Scratch.with_ ~bound:(Provgraph.Digraph.bound (Prov_store.graph store)) @@ fun ranked ->
+  let score = Scratch.floats ranked 0 and gap = Scratch.ints ranked 0 in
+  let consider page =
+    if not (Scratch.mem ranked page) then begin
+      let text_score = Textindex.Scorer.score text page in
+      if text_score > 0.0 then
+        match best_gap store time_index context page with
+        | None -> ()
+        | Some g ->
+          Scratch.add ranked page;
+          gap.(page) <- g;
+          score.(page) <- text_score *. proximity config g
+    end
+  in
+  (* Candidate pages come from two directions: the top text hits for the
+     primary query, and — crucially — every page visited in the temporal
+     neighborhood of the context (the page the user half-remembers need
+     not be a top-ranked text hit; being open next to the plane-ticket
+     search is what identifies it). *)
+  List.iter
+    (fun (node, _) ->
+      match page_of_hit store node with Some page -> consider page | None -> ())
+    (Textindex.Scorer.top text config.candidate_limit);
   (* Temporal-neighborhood candidates: every visit open within [reach]
      of a context visit.  Overlapping windows are merged first, so no
      stretch of the time index is read twice. *)
@@ -177,21 +177,15 @@ let search ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~qu
             (opened - reach, Option.value ~default:opened closed + reach))
           context_intervals));
   let truncated = Query_budget.out_of_time running in
-  let context = context_of context_intervals in
-  let results = ref [] in
-  for i = 0 to candidates.Scratch.count - 1 do
-    let page = candidates.Scratch.ids.(i) in
-    let text_score = text_score.(page) in
-    if text_score > 0.0 then
-      match best_gap store time_index context page with
-      | None -> ()
-      | Some gap ->
-        results :=
-          { page; score = text_score *. proximity config gap; text_score; best_gap = Some gap }
-          :: !results
-  done;
-  {
-    results = rank ~limit !results;
-    truncated;
-    elapsed_ms = Query_budget.elapsed_ms running;
-  }
+  let n = Scratch.top ranked score limit in
+  let results =
+    List.init n (fun i ->
+        let page = ranked.Scratch.heap.(i) in
+        {
+          page;
+          score = score.(page);
+          text_score = Textindex.Scorer.score text page;
+          best_gap = Some gap.(page);
+        })
+  in
+  { results; truncated; elapsed_ms = Query_budget.elapsed_ms running }

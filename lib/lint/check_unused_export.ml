@@ -160,6 +160,7 @@ let index_of structure =
    like the parse itself: per file, valid while the cache hands back the
    physically same tree. *)
 let index_cache : (string, structure * index) Hashtbl.t = Hashtbl.create 64
+let clear_cache () = Hashtbl.reset index_cache
 
 let index ~file structure =
   match Hashtbl.find_opt index_cache file with

@@ -141,6 +141,10 @@ let lint_files_timed ?(checks = check_ids) ~root rels =
   in
   (finish ~checks findings spans, List.rev !timings)
 
+let clear_caches () =
+  Source.clear_caches ();
+  Check_unused_export.clear_cache ()
+
 let lint_files ?checks ~root rels = fst (lint_files_timed ?checks ~root rels)
 let lint_tree_timed ?checks ~root () = lint_files_timed ?checks ~root (tree_files ~root)
 let lint_tree ?checks ~root () = fst (lint_tree_timed ?checks ~root ())

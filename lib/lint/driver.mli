@@ -28,6 +28,12 @@ val lint_files_timed :
     selected check, in run order.  Backs [provlint --timing] and the
     [lint-full-tree] bench row. *)
 
+val clear_caches : unit -> unit
+(** Empties the parse caches and [unused-export]'s index cache, which
+    otherwise keep every tree across runs in one process, so the next
+    run parses and indexes every file afresh, as one [provlint] run
+    does. *)
+
 val lint_tree : ?checks:string list -> root:string -> unit -> Finding.t list
 (** [lint_files] over [tree_files]. *)
 

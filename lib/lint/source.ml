@@ -58,5 +58,9 @@ let parse_cache : (string, string * (Parsetree.structure, Finding.t) result) Has
 let intf_cache : (string, string * (Parsetree.signature, Finding.t) result) Hashtbl.t =
   Hashtbl.create 64
 
+let clear_caches () =
+  Hashtbl.reset parse_cache;
+  Hashtbl.reset intf_cache
+
 let parse_string ~filename source = memo parse_cache Parse.implementation ~filename source
 let parse_interface ~filename source = memo intf_cache Parse.interface ~filename source

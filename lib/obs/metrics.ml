@@ -49,7 +49,6 @@ let add c by =
 
 let incr c = add c 1
 let value c = c.c_value
-let counter_value name = match Hashtbl.find_opt counters name with Some c -> c.c_value | None -> 0
 
 (* --- gauges --- *)
 

@@ -27,10 +27,6 @@ val incr : counter -> unit
 
 val value : counter -> int
 
-val counter_value : string -> int [@@provlint.allow "unused-export"]
-(** Current value by name; [0] when the counter was never interned.
-    Test seam: tests read counters by name. *)
-
 (** {2 Gauges} *)
 
 type gauge

@@ -120,10 +120,4 @@ let add_document t doc terms =
 let postings t term =
   match Hashtbl.find_opt t.table term with Some p -> p | None -> empty ()
 
-let term_frequency t ~term =
-  let p = postings t term in
-  fun ~doc ->
-    let i = search p doc in
-    if i < p.len && p.docs.(i) = doc then p.tfs.(i) else 0
-
 let document_frequency t term = (postings t term).len

@@ -3,11 +3,10 @@
 
     Each term's postings are a sorted pair of int arrays (doc ids and
     term frequencies), so a term's document frequency is the length of
-    its postings and a term frequency is a binary search.  Document
-    lengths and each document's distinct terms live in arrays indexed by
-    doc id.  Ids that ascend, as they do while an index is built, make
-    every add an append; an out-of-order id or a re-add shifts the
-    postings it lands in. *)
+    its postings.  Document lengths and each document's distinct terms
+    live in arrays indexed by doc id.  Ids that ascend, as they do while
+    an index is built, make every add an append; an out-of-order id or
+    a re-add shifts the postings it lands in. *)
 
 type t
 
@@ -39,10 +38,6 @@ val bound : t -> int
 
 val terms : t -> int -> string list
 (** The document's distinct terms, ascending; [] if unknown. *)
-
-val term_frequency : t -> term:string -> doc:int -> int
-(** Staged: [term_frequency t ~term] finds the term once, and the
-    function it returns binary-searches its postings. *)
 
 val document_frequency : t -> string -> int
 (** O(1): the length of the term's postings. *)

@@ -1,8 +1,7 @@
 module Scratch = Provkit_util.Scratch
 
-type t = Tf_idf | Bm25 of { k1 : float; b : float }
-
-let default_bm25 = Bm25 { k1 = 1.2; b = 0.75 }
+let k1 = 1.2
+let b = 0.75
 
 let idf index term =
   let n = Inverted_index.document_count index in
@@ -12,30 +11,17 @@ let idf index term =
     log (1.0 +. ((float_of_int n -. df +. 0.5) /. (df +. 0.5)))
   end
 
-(* [avg] is [max 1.0 (Inverted_index.average_length index)], taken once
-   per query. *)
-let[@inline] tf_weight scorer index ~avg ~doc tf =
+(* BM25's saturating tf weight.  [avg] is
+   [max 1.0 (Inverted_index.average_length index)], taken once per
+   query. *)
+let[@inline] tf_weight index ~avg ~doc tf =
   let tf = float_of_int tf in
-  match scorer with
-  | Tf_idf -> if tf > 0.0 then 1.0 +. log tf else 0.0
-  | Bm25 { k1; b } ->
-    let len = float_of_int (Inverted_index.document_length index doc) in
-    tf *. (k1 +. 1.0) /. (tf +. (k1 *. (1.0 -. b +. (b *. len /. avg))))
+  let len = float_of_int (Inverted_index.document_length index doc) in
+  tf *. (k1 +. 1.0) /. (tf +. (k1 *. (1.0 -. b +. (b *. len /. avg))))
 
-let score_document scorer index ~terms =
-  let avg = max 1.0 (Inverted_index.average_length index) in
-  let per_term =
-    Array.of_list
-      (List.map (fun term -> (Inverted_index.term_frequency index ~term, idf index term)) terms)
-  in
-  fun ~doc ->
-    let acc = ref 0.0 in
-    for i = 0 to Array.length per_term - 1 do
-      let tf_of, idf = per_term.(i) in
-      let tf = tf_of ~doc in
-      if tf <> 0 then acc := !acc +. (idf *. tf_weight scorer index ~avg ~doc tf)
-    done;
-    !acc
+(* The members are the docs holding a query term, [floats 0] their
+   scores. *)
+type sums = Scratch.t
 
 (* Adds [w] to [doc]'s sum, making the doc a member the first time. *)
 let[@inline] bump docs sum doc w =
@@ -45,8 +31,8 @@ let[@inline] bump docs sum doc w =
     sum.(doc) <- 0.0 +. w
   end
 
-let scores ?limit scorer index ~terms =
-  Scratch.with_ ~bound:(Inverted_index.bound index) @@ fun docs ->
+(* Sums every doc's score into [docs], one pass over the postings. *)
+let sum_into index ~terms docs =
   let sum = Scratch.floats docs 0 in
   let avg = max 1.0 (Inverted_index.average_length index) in
   (* Distinct query terms in ascending order, each summed into every doc
@@ -64,13 +50,32 @@ let scores ?limit scorer index ~terms =
         let p = Inverted_index.postings index term in
         for i = 0 to p.Inverted_index.len - 1 do
           let doc = p.Inverted_index.docs.(i) in
-          bump docs sum doc (weight *. tf_weight scorer index ~avg ~doc p.Inverted_index.tfs.(i))
+          bump docs sum doc (weight *. tf_weight index ~avg ~doc p.Inverted_index.tfs.(i))
         done
       end;
       sum_terms rest
   in
-  sum_terms (List.sort String.compare terms);
-  let n = Scratch.top docs sum (match limit with None -> docs.Scratch.count | Some k -> k) in
+  sum_terms (List.sort String.compare terms)
+
+let with_scores index ~terms k =
+  Scratch.with_ ~bound:(Inverted_index.bound index) @@ fun docs ->
+  sum_into index ~terms docs;
+  k docs
+
+let score s doc =
+  if doc < Array.length s.Scratch.stamp && Scratch.mem s doc then (Scratch.floats s 0).(doc)
+  else 0.0
+
+let top s k =
+  let sum = Scratch.floats s 0 in
+  let n = Scratch.top s sum k in
   List.init n (fun i ->
-      let doc = docs.Scratch.heap.(i) in
+      let doc = s.Scratch.heap.(i) in
       (doc, sum.(doc)))
+
+(* [with_scores] with [top] inline, which spares a query the
+   continuation's closure. *)
+let scores ?limit index ~terms =
+  Scratch.with_ ~bound:(Inverted_index.bound index) @@ fun docs ->
+  sum_into index ~terms docs;
+  top docs (match limit with None -> docs.Scratch.count | Some k -> k)

@@ -297,7 +297,7 @@ let test_replay_history_is_quiet () =
   Alert.add_transition_hook (fun _ -> incr hook_calls);
   Fun.protect ~finally:Alert.clear_transition_hooks @@ fun () ->
   let recorded0 = Flight.recorded () in
-  let fires0 = Metrics.counter_value Provkit_obs.Names.alert_fires in
+  let fires0 = Metrics.value (Metrics.counter Provkit_obs.Names.alert_fires) in
   Alert.replay_history [ point ~ns:100 20.0; point ~ns:200 20.0; point ~ns:300 5.0 ];
   let st = state "alert.test.replayed" in
   Alcotest.(check int) "state replayed" 1 st.Alert.st_fires;
@@ -305,7 +305,7 @@ let test_replay_history_is_quiet () =
   Alcotest.(check int) "no hooks during replay" 0 !hook_calls;
   Alcotest.(check int) "no flight incidents" 0 (Flight.recorded () - recorded0);
   Alcotest.(check int) "no metric ticks" fires0
-    (Metrics.counter_value Provkit_obs.Names.alert_fires);
+    (Metrics.value (Metrics.counter Provkit_obs.Names.alert_fires));
   (* Live feeding continues from the replayed cursor and is loud again. *)
   Alert.feed (point ~ns:400 20.0);
   Alert.feed (point ~ns:500 20.0);

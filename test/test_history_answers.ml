@@ -16,11 +16,12 @@
    queries as E12 calls them, without a budget, pinned the same way in
    data/e12_answers.txt.
 
-   Two differential cases keep the pipelines these answers were first
-   pinned with: E12 against the Hashtbl rankers, and contextual and
-   personalized search against the Hashtbl expansion and page sums.
-   They allow only float-rounding differences, so an answer that moves
-   in its last bits can be re-pinned once they pass.
+   Three differential cases keep the pipelines these answers were first
+   pinned with: E12 against the Hashtbl rankers, contextual and
+   personalized search against the Hashtbl expansion and page sums, and
+   time-contextual search against the per-document scorer.  They allow
+   only float-rounding differences, so an answer that moves in its last
+   bits can be re-pinned once they pass.
 
    To rewrite a file from the code under test (only when an answer is
    meant to change), run the suite with PROV_WRITE_ANSWERS (or
@@ -364,6 +365,173 @@ let test_contextual_against_reference () =
         added got.Core.Personalize.added_terms)
     ds.Harness.Dataset.trace.UM.searches
 
+(* --- time-contextual search against the per-document scorer ---
+
+   Time-contextual search as it ran before it read its candidates' text
+   scores off the pass that found its text hits: Textindex_model's
+   index over the same nodes, its ranked hits, its per-document
+   [score_document] for every candidate page, every visit of each
+   context window read with no windows merged, each page's best gap
+   tried against every context interval, and a sort. *)
+
+module MI = Textindex_model.Inverted_index
+module MS = Textindex_model.Scorer
+
+let model_index store =
+  let index = MI.create () in
+  Provgraph.Digraph.iter_nodes (Core.Prov_store.graph store) (fun id (n : Core.Prov_node.t) ->
+      match n.Core.Prov_node.kind with
+      | Core.Prov_node.Page _ | Core.Prov_node.Search_term _ | Core.Prov_node.Bookmark _ ->
+        MI.add_document index id (Core.Prov_node.text_terms n)
+      | _ -> ());
+  index
+
+let reference_timectx ~limit model store time_index ~query ~context =
+  let module S = Core.Prov_store in
+  let config = TS.default_config in
+  let hits text k =
+    MS.truncate (Some k) (MS.scores model ~terms:(Textindex.Tokenizer.terms text))
+  in
+  let kind node =
+    Option.map (fun (n : Core.Prov_node.t) -> n.Core.Prov_node.kind) (S.node_opt store node)
+  in
+  let page_of_url url = Option.to_list (S.page_of_url store url) in
+  let pages_of_hit node =
+    match kind node with
+    | Some (Core.Prov_node.Page _) -> [ node ]
+    | Some (Core.Prov_node.Bookmark { url; _ }) -> page_of_url url
+    | _ -> []
+  in
+  let context_visits node =
+    match kind node with
+    | Some (Core.Prov_node.Page _) -> S.visits_of_page store node
+    | Some (Core.Prov_node.Search_term _) ->
+      List.filter_map
+        (fun (dst, (e : Core.Prov_edge.t)) ->
+          if e.Core.Prov_edge.kind = Core.Prov_edge.Search_query then Some dst else None)
+        (Provgraph.Digraph.out_edges (S.graph store) node)
+    | Some (Core.Prov_node.Bookmark { url; _ }) ->
+      List.concat_map (S.visits_of_page store) (page_of_url url)
+    | _ -> []
+  in
+  let context_intervals =
+    List.filteri
+      (fun i _ -> i < 4 * config.TS.context_limit)
+      (List.concat_map
+         (fun (node, _) ->
+           List.filter_map (Core.Time_index.interval time_index) (context_visits node))
+         (hits context config.TS.context_limit))
+  in
+  let candidates = Hashtbl.create 64 in
+  List.iter
+    (fun (node, _) ->
+      List.iter (fun page -> Hashtbl.replace candidates page ()) (pages_of_hit node))
+    (hits query config.TS.candidate_limit);
+  let reach = int_of_float (3.0 *. config.TS.proximity_tau) in
+  List.iter
+    (fun (opened, closed) ->
+      List.iter
+        (fun visit ->
+          let page = S.page_of_visit store visit in
+          if page >= 0 then Hashtbl.replace candidates page ())
+        (Core.Time_index.in_window time_index ~start:(opened - reach)
+           ~stop:(Option.value ~default:opened closed + reach)))
+    context_intervals;
+  let close_of c = Option.value ~default:max_int c in
+  let gap (o1, c1) (o2, c2) =
+    let c1 = close_of c1 and c2 = close_of c2 in
+    if o2 > c1 then o2 - c1 else if o1 > c2 then o1 - c2 else 0
+  in
+  let best_gap page =
+    let gaps =
+      List.concat_map
+        (fun visit ->
+          match Core.Time_index.interval time_index visit with
+          | None -> []
+          | Some own -> List.map (gap own) context_intervals)
+        (S.visits_of_page store page)
+    in
+    match gaps with [] -> None | g :: rest -> Some (List.fold_left Int.min g rest)
+  in
+  let score_document = MS.score_document model ~terms:(Textindex.Tokenizer.terms query) in
+  let results =
+    Hashtbl.fold
+      (fun page () acc ->
+        let text_score = score_document ~doc:page in
+        match best_gap page with
+        | Some g when text_score > 0.0 ->
+          let proximity =
+            if g = 0 then config.TS.co_open_bonus
+            else exp (-.float_of_int g /. config.TS.proximity_tau)
+          in
+          { TS.page; score = text_score *. proximity; text_score; best_gap = Some g } :: acc
+        | _ -> acc)
+      candidates []
+  in
+  List.filteri
+    (fun i _ -> i < limit)
+    (List.sort
+       (fun (a : TS.result) (b : TS.result) ->
+         let c = Float.compare b.TS.score a.TS.score in
+         if c <> 0 then c else Int.compare a.TS.page b.TS.page)
+       results)
+
+(* Every dual-topic context, and each again with its context word
+   appended to the query, with every ranked page compared, not only the
+   top 10.  A one-term query sums one float per page on
+   either path, so it must match bit for bit; with more terms the
+   accumulator sums them in another order, so scores may move within
+   1e-12 but pages, their order and their gaps may not. *)
+let test_timectx_against_reference () =
+  let ds = Harness.Dataset.with_days days in
+  let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let store = Harness.Dataset.store ds in
+  let time_index = Harness.Dataset.time_index ds in
+  let model = model_index store in
+  let web = ds.Harness.Dataset.web in
+  let render results =
+    String.concat ";"
+      (List.map
+         (fun (x : TS.result) ->
+           Printf.sprintf "%d %h %h %s" x.TS.page x.TS.score x.TS.text_score
+             (match x.TS.best_gap with None -> "-" | Some g -> string_of_int g))
+         results)
+  in
+  let check ~query ~context =
+    let what = query ^ " | " ^ context in
+    let want = reference_timectx ~limit:max_int model store time_index ~query ~context in
+    let got = (TS.search ~limit:max_int index time_index ~query ~context).TS.results in
+    if want = [] then Alcotest.failf "timectx %S: no answer to compare" what;
+    if List.length (Textindex.Tokenizer.terms query) = 1 then
+      Alcotest.(check string) ("timectx " ^ what) (render want) (render got)
+    else begin
+      let fail () = Alcotest.failf "timectx %S: %s against %s" what (render got) (render want) in
+      if List.length want <> List.length got then fail ();
+      List.iter2
+        (fun (w : TS.result) (g : TS.result) ->
+          if
+            not
+              (w.TS.page = g.TS.page
+              && w.TS.best_gap = g.TS.best_gap
+              && close w.TS.score g.TS.score
+              && close w.TS.text_score g.TS.text_score)
+          then fail ())
+        want got
+    end
+  in
+  let multi = ref 0 in
+  List.iter
+    (fun (d : UM.dual_episode) ->
+      let query = Webmodel.Topic.name (Webmodel.Web_graph.topic web d.UM.focus_topic) in
+      let context = d.UM.other_term in
+      check ~query ~context;
+      let query = query ^ " " ^ context in
+      if List.length (Textindex.Tokenizer.terms query) > 1 then incr multi;
+      check ~query ~context)
+    ds.Harness.Dataset.trace.UM.duals;
+  Alcotest.(check int) "every widened query has more than one term"
+    (List.length ds.Harness.Dataset.trace.UM.duals) !multi
+
 let suite =
   [
     Alcotest.test_case "every pool input, digest per answer" `Quick test_answers;
@@ -371,4 +539,6 @@ let suite =
     Alcotest.test_case "E12 against the Hashtbl rankers" `Quick test_e12_against_reference;
     Alcotest.test_case "contextual and personalize against the Hashtbl expansion" `Quick
       test_contextual_against_reference;
+    Alcotest.test_case "time-contextual against the per-document scorer" `Quick
+      test_timectx_against_reference;
   ]

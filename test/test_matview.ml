@@ -456,7 +456,7 @@ let test_query_fastpath () =
   in
   PV.ingest_batch mv evs;
   let visits = R.Database.table (PDB.database places) "moz_historyvisits" in
-  let serves () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.matview_serves in
+  let serves () = Provkit_obs.Metrics.(value (counter Provkit_obs.Names.matview_serves)) in
   let s0 = serves () in
   Alcotest.(check int) "count served from the view" 40 (R.Query_exec.count visits);
   Alcotest.(check bool) "group_count served from the view" true

@@ -115,7 +115,7 @@ let test_off_switch () =
   M.add c 10;
   M.observe h 42;
   T.record "test.span" ~start_ns:0L ~dur_ns:1L;
-  let spans_before = M.counter_value Names.trace_spans in
+  let spans_before = M.value (M.counter Names.trace_spans) in
   M.set_enabled true;
   Alcotest.(check int) "counter untouched while off" 0 (M.value c);
   Alcotest.(check int) "histogram untouched while off" 0 (M.hist_count h);
@@ -123,7 +123,7 @@ let test_off_switch () =
   T.record "test.span" ~start_ns:0L ~dur_ns:1L;
   M.set_enabled true;
   Alcotest.(check int) "tracer obeys the switch" spans_before
-    (M.counter_value Names.trace_spans)
+    (M.value (M.counter Names.trace_spans))
 
 (* --- snapshots --------------------------------------------------------- *)
 
@@ -204,8 +204,8 @@ let test_trace_ring () =
      List.sort compare starts = starts);
   Alcotest.(check string) "newest span survives" "1030"
     (match List.rev spans with s :: _ -> List.assoc "i" s.T.attrs | [] -> "");
-  Alcotest.(check int) "drops counted" 6 (M.counter_value Names.trace_dropped);
-  Alcotest.(check int) "recorded counts every span" 1030 (M.counter_value Names.trace_spans)
+  Alcotest.(check int) "drops counted" 6 (M.value (M.counter Names.trace_dropped));
+  Alcotest.(check int) "recorded counts every span" 1030 (M.value (M.counter Names.trace_spans))
 
 let test_trace_json () =
   with_enabled @@ fun () ->

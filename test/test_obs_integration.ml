@@ -114,7 +114,7 @@ let test_explain_matches_plan_for () =
 let test_query_counters_tick () =
   with_enabled @@ fun () ->
   let db = fixture_db () in
-  let count name = M.counter_value name in
+  let count name = M.value (M.counter name) in
   let queries0 = count Names.query_count in
   let eq0 = count Names.query_full_scan + count Names.query_index_eq in
   let range0 = count Names.query_index_range in
@@ -150,7 +150,7 @@ let drive store rng rounds =
 let test_wal_counters_ground_truth () =
   with_enabled @@ fun () ->
   with_temp_dir @@ fun dir ->
-  let count name = M.counter_value name in
+  let count name = M.value (M.counter name) in
   let appends0 = count Names.wal_appends in
   let fsyncs0 = count Names.wal_fsyncs in
   let rotations0 = count Names.wal_rotations in
@@ -226,7 +226,7 @@ let test_wal_counters_ground_truth () =
 let test_wal_truncation_counter () =
   with_enabled @@ fun () ->
   with_temp_dir @@ fun dir ->
-  let truncated0 = M.counter_value Names.wal_recoveries_truncated in
+  let truncated0 = M.value (M.counter Names.wal_recoveries_truncated) in
   let handle = Seg.open_ ~config:{ Seg.default_config with Seg.max_segment_bytes = 1_000_000 } dir in
   let store = Store.create () in
   Seg.attach handle store;
@@ -238,13 +238,13 @@ let test_wal_truncation_counter () =
   let r = Seg.recover ~dir () in
   Alcotest.(check bool) "the tear truncated recovery" true r.Seg.truncated;
   Alcotest.(check int) "truncated recovery counted" 1
-    (M.counter_value Names.wal_recoveries_truncated - truncated0)
+    (M.value (M.counter Names.wal_recoveries_truncated) - truncated0)
 
 (* --- capture counters --------------------------------------------------- *)
 
 let test_capture_counters () =
   with_enabled @@ fun () ->
-  let count name = M.counter_value name in
+  let count name = M.value (M.counter name) in
   let total0 = count Names.capture_events in
   let visits0 = count Names.capture_visit in
   let closes0 = count Names.capture_close in

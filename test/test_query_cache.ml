@@ -86,7 +86,7 @@ let test_lru_capacity () =
 
 (* --- Query_exec integration --- *)
 
-let counter name () = Provkit_obs.Metrics.counter_value name
+let counter name () = Provkit_obs.Metrics.value (Provkit_obs.Metrics.counter name)
 
 let test_select_hit_miss_invalidate_counters () =
   with_clean_cache @@ fun () ->

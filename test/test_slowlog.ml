@@ -30,7 +30,7 @@ let note_nth ?(elapsed = 2_000_000) n =
 
 let test_dedup_merges () =
   with_slowlog @@ fun () ->
-  let notes_before = Metrics.counter_value Names.slowlog_notes in
+  let notes_before = Metrics.value (Metrics.counter Names.slowlog_notes) in
   let note elapsed =
     Slowlog.note ~table:"events" ~op:"select" ~plan:"full_scan"
       ~detail:"Eq(kind, 3)" ~elapsed_ns:elapsed ~rows_scanned:100 ~rows_returned:7
@@ -49,7 +49,7 @@ let test_dedup_merges () =
        ~detail:"Eq(kind, 3)")
     e.Slowlog.e_fingerprint;
   Alcotest.check Alcotest.int "notes counter ticks" (notes_before + 3)
-    (Metrics.counter_value Names.slowlog_notes)
+    (Metrics.value (Metrics.counter Names.slowlog_notes))
 
 let test_distinct_fingerprints () =
   with_slowlog @@ fun () ->
@@ -67,13 +67,13 @@ let test_distinct_fingerprints () =
 (* The log keeps 128 distinct fingerprints. *)
 let test_capacity_eviction () =
   with_slowlog @@ fun () ->
-  let evictions_before = Metrics.counter_value Names.slowlog_evictions in
+  let evictions_before = Metrics.value (Metrics.counter Names.slowlog_evictions) in
   for i = 1 to 131 do
     note_nth i
   done;
   Alcotest.check Alcotest.int "bounded at capacity" 128 (length ());
   Alcotest.check Alcotest.int "evictions ticked" (evictions_before + 3)
-    (Metrics.counter_value Names.slowlog_evictions);
+    (Metrics.value (Metrics.counter Names.slowlog_evictions));
   (* Oldest-last-seen go first: plans 1-3 evicted, 4-131 retained. *)
   let plans = List.map (fun e -> e.Slowlog.e_plan) (Slowlog.entries ()) in
   Alcotest.(check (list bool)) "oldest evicted, newest retained"

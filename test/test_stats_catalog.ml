@@ -261,11 +261,11 @@ let test_freshness_and_fallback () =
   | None -> ()
   | Some _ -> Alcotest.fail "fresh before any analyze");
   ignore (Stats.analyze t);
-  let estimates_before = Metrics.counter_value Names.stats_estimates in
+  let estimates_before = Metrics.value (Metrics.counter Names.stats_estimates) in
   let p = R.Predicate.Eq ("k", R.Value.Int 1) in
   let d = R.Query_exec.plan_detail t p in
   if not d.R.Query_exec.est_from_stats then Alcotest.fail "fresh stats unused";
-  if Metrics.counter_value Names.stats_estimates <= estimates_before then
+  if Metrics.value (Metrics.counter Names.stats_estimates) <= estimates_before then
     Alcotest.fail "stats estimate did not tick the counter";
   (* Any mutation bumps the epoch: the entry goes stale but stays
      inspectable, and the planner falls back to the heuristic. *)
@@ -314,12 +314,12 @@ let test_misestimate_detector () =
      only has 1/ndv ~ 20 rows — the true hitter count is ~40x that,
      far beyond the 10x default threshold. *)
   let where = R.Predicate.Eq ("zip2", R.Value.Int 0) in
-  let mis_before = Metrics.counter_value Names.stats_misestimates in
+  let mis_before = Metrics.value (Metrics.counter Names.stats_misestimates) in
   let incidents_before = Flight.recorded () in
   let rows, (_, profile) = R.Query_exec.(select_at Profile) ~where t in
   Alcotest.check Alcotest.int "hitter rows returned"
     (actual_rows t where) (List.length rows);
-  if Metrics.counter_value Names.stats_misestimates <= mis_before then
+  if Metrics.value (Metrics.counter Names.stats_misestimates) <= mis_before then
     Alcotest.fail "misestimate counter did not tick";
   if Flight.recorded () <= incidents_before then
     Alcotest.fail "no flight-recorder incident";
@@ -331,10 +331,10 @@ let test_misestimate_detector () =
           (List.length rows)
   | None -> Alcotest.fail "profiled run with fresh stats lost est_rows");
   (* A well-estimated query must not trip the detector. *)
-  let mis_mid = Metrics.counter_value Names.stats_misestimates in
+  let mis_mid = Metrics.value (Metrics.counter Names.stats_misestimates) in
   ignore (R.Query_exec.(select_at Profile) ~where:(R.Predicate.Eq ("rank", R.Value.Int 0)) t);
   Alcotest.check Alcotest.int "accurate estimate stays quiet" mis_mid
-    (Metrics.counter_value Names.stats_misestimates);
+    (Metrics.value (Metrics.counter Names.stats_misestimates));
   Stats.invalidate t
 
 (* The detector fires on a ratio strictly above 10 and on nothing else.
@@ -353,9 +353,9 @@ let test_misestimate_threshold () =
     let ratio = Float.max (act /. est) (est /. act) in
     if ratio > 5.0 && ratio <= 10.0 then incr near_below;
     if ratio > 10.0 && ratio <= 20.0 then incr near_above;
-    let before = Metrics.counter_value Names.stats_misestimates in
+    let before = Metrics.value (Metrics.counter Names.stats_misestimates) in
     ignore (R.Query_exec.(select_at Profile) ~where t);
-    let ticked = Metrics.counter_value Names.stats_misestimates > before in
+    let ticked = Metrics.value (Metrics.counter Names.stats_misestimates) > before in
     if ticked <> (ratio > 10.0) then
       Alcotest.failf "zip2 = %d: ratio %.2f, detector %s" v ratio
         (if ticked then "fired" else "stayed quiet")

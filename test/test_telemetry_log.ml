@@ -128,7 +128,7 @@ let test_torn_tail_flight_dedup () =
   write_file path (String.sub raw 0 (String.length raw - 3));
   let recorded0 = Flight.recorded () in
   let truncations0 =
-    Metrics.counter_value Provkit_obs.Names.telemetry_journal_truncations
+    Metrics.value (Metrics.counter Provkit_obs.Names.telemetry_journal_truncations)
   in
   let rp1 = TL.replay ~path in
   Alcotest.(check bool) "tail detected" true rp1.TL.rp_truncated;
@@ -145,7 +145,7 @@ let test_torn_tail_flight_dedup () =
   | l -> Alcotest.failf "expected 1 deduped incident, got %d" (List.length l));
   Alcotest.(check int) "both occurrences counted" 2 (Flight.recorded () - recorded0);
   Alcotest.(check int) "truncation metric ticked twice" 2
-    (Metrics.counter_value Provkit_obs.Names.telemetry_journal_truncations - truncations0)
+    (Metrics.value (Metrics.counter Provkit_obs.Names.telemetry_journal_truncations) - truncations0)
 
 let test_open_recovers_then_appends () =
   Test_wal.with_temp_dir @@ fun dir ->

@@ -1,4 +1,4 @@
-(* Tokenizer, stemmer, inverted index, scorers and the search facade. *)
+(* Tokenizer, stemmer, inverted index and the BM25 scorer. *)
 
 module T = Textindex
 
@@ -51,7 +51,6 @@ let test_inverted_index_basics () =
   T.Inverted_index.add_document idx 1 [ "wine"; "red"; "wine" ];
   T.Inverted_index.add_document idx 2 [ "wine"; "white" ];
   Alcotest.(check int) "docs" 2 (T.Inverted_index.document_count idx);
-  Alcotest.(check int) "tf" 2 (T.Inverted_index.term_frequency idx ~term:"wine" ~doc:1);
   Alcotest.(check int) "df" 2 (T.Inverted_index.document_frequency idx "wine");
   Alcotest.(check int) "df rare" 1 (T.Inverted_index.document_frequency idx "red");
   Alcotest.(check int) "df absent" 0 (T.Inverted_index.document_frequency idx "beer");
@@ -97,61 +96,71 @@ let test_scores_ranking () =
   T.Inverted_index.add_document idx 1 [ "wine"; "wine"; "wine" ];
   T.Inverted_index.add_document idx 2 [ "wine"; "cheese"; "bread" ];
   T.Inverted_index.add_document idx 3 [ "beer" ];
-  List.iter
-    (fun scorer ->
-      match T.Scorer.scores scorer idx ~terms:[ "wine" ] with
-      | (top, s1) :: (snd_, s2) :: [] ->
-        Alcotest.(check int) "most wine-y first" 1 top;
-        Alcotest.(check int) "other wine doc second" 2 snd_;
-        Alcotest.(check bool) "scores ordered" true (s1 >= s2)
-      | other -> Alcotest.failf "expected 2 hits, got %d" (List.length other))
-    [ T.Scorer.Tf_idf; T.Scorer.default_bm25 ]
+  match T.Scorer.scores idx ~terms:[ "wine" ] with
+  | (top, s1) :: (snd_, s2) :: [] ->
+    Alcotest.(check int) "most wine-y first" 1 top;
+    Alcotest.(check int) "other wine doc second" 2 snd_;
+    Alcotest.(check bool) "scores ordered" true (s1 >= s2)
+  | other -> Alcotest.failf "expected 2 hits, got %d" (List.length other)
 
 let test_scores_empty_query () =
   let idx = T.Inverted_index.create () in
   T.Inverted_index.add_document idx 1 [ "x" ];
-  Alcotest.(check int) "no terms, no hits" 0
-    (List.length (T.Scorer.scores T.Scorer.default_bm25 idx ~terms:[]))
+  Alcotest.(check int) "no terms, no hits" 0 (List.length (T.Scorer.scores idx ~terms:[]))
 
 let test_multi_term_beats_single () =
   let idx = T.Inverted_index.create () in
   T.Inverted_index.add_document idx 1 [ "red"; "wine" ];
   T.Inverted_index.add_document idx 2 [ "red"; "carpet" ];
-  match T.Scorer.scores T.Scorer.default_bm25 idx ~terms:[ "red"; "wine" ] with
+  match T.Scorer.scores idx ~terms:[ "red"; "wine" ] with
   | (top, _) :: _ -> Alcotest.(check int) "both terms wins" 1 top
   | [] -> Alcotest.fail "no hits"
 
-(* --- search facade --- *)
+(* One pass serves both the top hits and any document's score. *)
+let test_score_lookup () =
+  let idx = T.Inverted_index.create () in
+  T.Inverted_index.add_document idx 1 [ "red"; "wine" ];
+  T.Inverted_index.add_document idx 2 [ "red"; "carpet" ];
+  T.Inverted_index.add_document idx 3 [ "beer" ];
+  T.Scorer.with_scores idx ~terms:[ "wine"; "red" ] (fun s ->
+      let top = T.Scorer.top s 10 in
+      Alcotest.(check (list int)) "top" [ 1; 2 ] (List.map fst top);
+      List.iter
+        (fun (doc, score) -> Alcotest.(check (float 0.0)) "lookup = top" score (T.Scorer.score s doc))
+        top;
+      Alcotest.(check (list int)) "top 1" [ 1 ] (List.map fst (T.Scorer.top s 1));
+      List.iter
+        (fun doc -> Alcotest.(check (float 0.0)) "no query term" 0.0 (T.Scorer.score s doc))
+        [ 0; 3; 4; 1000 ])
 
-let index_text s d text = T.Search.index_terms s d (T.Tokenizer.terms text)
+(* --- ranked text search: tokenized documents and queries --- *)
 
-let test_search_facade () =
-  let s = T.Search.create () in
-  index_text s 1 "Gardening tips for rose bushes";
-  index_text s 2 "Citizen Kane film analysis";
-  (match T.Search.query s "gardening roses" with
-  | { T.Search.doc = 1; _ } :: _ -> ()
+let index_text idx d text = T.Inverted_index.add_document idx d (T.Tokenizer.terms text)
+let query ?limit idx text = List.map fst (T.Scorer.scores ?limit idx ~terms:(T.Tokenizer.terms text))
+
+let test_search_stemmed () =
+  let idx = T.Inverted_index.create () in
+  index_text idx 1 "Gardening tips for rose bushes";
+  index_text idx 2 "Citizen Kane film analysis";
+  (match query idx "gardening roses" with
+  | 1 :: _ -> ()
   | _ -> Alcotest.fail "gardening doc should win");
   (* Stemming bridges query and document morphology. *)
-  (match T.Search.query s "garden" with
-  | { T.Search.doc = 1; _ } :: _ -> ()
-  | _ -> Alcotest.fail "stemmed match failed")
+  match query idx "garden" with 1 :: _ -> () | _ -> Alcotest.fail "stemmed match failed"
 
 let test_search_limit () =
-  let s = T.Search.create () in
+  let idx = T.Inverted_index.create () in
   for d = 1 to 20 do
-    index_text s d "same text everywhere"
+    index_text idx d "same text everywhere"
   done;
-  Alcotest.(check int) "limit respected" 5 (List.length (T.Search.query ~limit:5 s "text"))
+  Alcotest.(check int) "limit respected" 5 (List.length (query ~limit:5 idx "text"))
 
 let test_search_deterministic_ties () =
-  let s = T.Search.create () in
+  let idx = T.Inverted_index.create () in
   for d = 1 to 5 do
-    index_text s d "identical words"
+    index_text idx d "identical words"
   done;
-  let docs r = List.map (fun (x : T.Search.result) -> x.T.Search.doc) r in
-  Alcotest.(check (list int)) "ties by doc id" [ 1; 2; 3; 4; 5 ]
-    (docs (T.Search.query s "identical"))
+  Alcotest.(check (list int)) "ties by doc id" [ 1; 2; 3; 4; 5 ] (query idx "identical")
 
 let suite =
   [
@@ -168,7 +177,8 @@ let suite =
     Alcotest.test_case "scores ranking" `Quick test_scores_ranking;
     Alcotest.test_case "empty query" `Quick test_scores_empty_query;
     Alcotest.test_case "multi-term ranking" `Quick test_multi_term_beats_single;
-    Alcotest.test_case "search facade" `Quick test_search_facade;
+    Alcotest.test_case "score lookup" `Quick test_score_lookup;
+    Alcotest.test_case "stemmed query" `Quick test_search_stemmed;
     Alcotest.test_case "search limit" `Quick test_search_limit;
     Alcotest.test_case "deterministic ties" `Quick test_search_deterministic_ties;
   ]

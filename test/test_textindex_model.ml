@@ -4,14 +4,15 @@
 
    Index: after every add (fresh ids, re-adds, ids in any order) and
    remove (present ids, absent ids, and removals that leave a term with
-   no postings), the postings, document frequencies, term frequencies,
-   document lengths, distinct terms, document count, vocabulary size and
-   average length must equal the model's.
+   no postings), the postings (with their term frequencies), document
+   frequencies, document lengths, distinct terms, document count,
+   vocabulary size and average length must equal the model's.
 
-   Scoring: Scorer.scores with and without a limit, under both scorers
-   and queries that repeat terms or name absent ones, must return the
-   model's ranked hits with every score equal when rendered with %h;
-   so must score_document for every id. *)
+   Scoring: Scorer.scores with and without a limit, for queries that
+   repeat terms or name absent ones, must return the model's ranked
+   hits with every score equal when rendered with %h; so must
+   Scorer.score's lookup for every id, 0.0 for one the model does not
+   rank, ids past the index's bound included. *)
 
 module I = Textindex.Inverted_index
 module S = Textindex.Scorer
@@ -82,11 +83,7 @@ let check_index ~where p =
       Alcotest.(check (list (pair int int)))
         (at "postings" term) (MI.postings p.model term) (postings p.idx term);
       Alcotest.(check int) (at "df" term)
-        (MI.document_frequency p.model term) (I.document_frequency p.idx term);
-      let want = MI.term_frequency p.model ~term and got = I.term_frequency p.idx ~term in
-      for doc = -1 to p.ids do
-        Alcotest.(check int) (at "tf" (Printf.sprintf "%s in %d" term doc)) (want ~doc) (got ~doc)
-      done)
+        (MI.document_frequency p.model term) (I.document_frequency p.idx term))
     (Array.append vocabulary [| absent |]);
   for doc = -1 to p.ids do
     let id = string_of_int doc in
@@ -99,7 +96,6 @@ let check_index ~where p =
 let render hits = List.map (fun (doc, s) -> Printf.sprintf "%d %h" doc s) hits
 
 let check_scores ~where rng p =
-  let scorer = Prng.pick rng [| S.default_bm25; S.Tf_idf; S.Bm25 { k1 = 2.0; b = 0.3 } |] in
   let terms =
     List.init (Prng.int rng 6) (fun _ ->
         match Prng.int rng 8 with
@@ -109,22 +105,20 @@ let check_scores ~where rng p =
   in
   let limit = Prng.pick rng [| None; None; Some 0; Some 1; Some 3; Some 10 |] in
   let where =
-    Printf.sprintf "%s: %s [%s] limit %s" where
-      (match scorer with
-      | S.Tf_idf -> "tf-idf"
-      | S.Bm25 { k1; b } -> Printf.sprintf "bm25 %g %g" k1 b)
-      (String.concat " " terms)
+    Printf.sprintf "%s: [%s] limit %s" where (String.concat " " terms)
       (match limit with None -> "none" | Some k -> string_of_int k)
   in
+  let want = MS.scores p.model ~terms in
   Alcotest.(check (list string)) (where ^ ": scores")
-    (render (MS.truncate limit (MS.scores scorer p.model ~terms)))
-    (render (S.scores ?limit scorer p.idx ~terms));
-  let want = MS.score_document scorer p.model ~terms
-  and got = S.score_document scorer p.idx ~terms in
-  for doc = -1 to p.ids do
-    Alcotest.(check string) (Printf.sprintf "%s: score_document %d" where doc)
-      (Printf.sprintf "%h" (want ~doc)) (Printf.sprintf "%h" (got ~doc))
-  done
+    (render (MS.truncate limit want))
+    (render (S.scores ?limit p.idx ~terms));
+  S.with_scores p.idx ~terms (fun s ->
+      List.iter
+        (fun doc ->
+          Alcotest.(check string) (Printf.sprintf "%s: score %d" where doc)
+            (Printf.sprintf "%h" (Option.value ~default:0.0 (List.assoc_opt doc want)))
+            (Printf.sprintf "%h" (S.score s doc)))
+        (max_int :: List.init (max p.ids (I.bound p.idx) + 1) Fun.id))
 
 let test_ops_against_model () =
   let rng = Test_seed.prng ~salt:0x7e47 in

@@ -89,7 +89,7 @@ let test_invalid_capacity () =
    exactly twice, whatever the global counter's residue. *)
 let test_pulse_interval () =
   with_metrics_enabled @@ fun () ->
-  let points () = Metrics.counter_value Provkit_obs.Names.timeseries_points in
+  let points () = Metrics.value (Metrics.counter Provkit_obs.Names.timeseries_points) in
   let before = points () in
   for _ = 1 to 2048 do
     Ts.pulse ()

@@ -67,7 +67,7 @@ let with_sync_log f =
   let events () = Mutex.protect lock (fun () -> List.rev !log) in
   Fun.protect ~finally:(fun () -> F.set_sync_hook None) (fun () -> f events)
 
-let fsyncs () = Provkit_obs.Metrics.counter_value Provkit_obs.Names.wal_fsyncs
+let fsyncs () = Provkit_obs.Metrics.(value (counter Provkit_obs.Names.wal_fsyncs))
 
 (* Commits handed off so far: one [prov.wal.batch.ops] sample each. *)
 let commits () =
@@ -261,7 +261,7 @@ let test_crash_point_sweep () =
   @@ fun () ->
   for cut = 0 to String.length bytes do
     let appends_before =
-      Provkit_obs.Metrics.counter_value Provkit_obs.Names.journal_appends
+      Provkit_obs.Metrics.(value (counter Provkit_obs.Names.journal_appends))
     in
     let incidents_before = Provkit_obs.Flight.recorded () in
     let loaded =
@@ -273,7 +273,7 @@ let test_crash_point_sweep () =
       Alcotest.failf "cut at byte %d/%d recovered a non-prefix (%d ops)" cut
         (String.length bytes) (List.length recovered);
     let appends_delta =
-      Provkit_obs.Metrics.counter_value Provkit_obs.Names.journal_appends
+      Provkit_obs.Metrics.(value (counter Provkit_obs.Names.journal_appends))
       - appends_before
     in
     if appends_delta <> List.length recovered then

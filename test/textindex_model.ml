@@ -5,7 +5,12 @@
    structure whose float sums the §2 answers were first pinned with.
    Two functions were added to the old code: [Inverted_index.terms], the
    view the arrays' index gained, and [Scorer.truncate], the cut to a
-   limit that [Search.query_terms] made after sorting every hit. *)
+   limit that the search facade made after sorting every hit.  The
+   scorer has lost its tf-idf variant and its [k1] and [b] parameters
+   with the code under test: BM25 at k1 = 1.2, b = 0.75 is all it ever
+   ran with.  [Scorer.score_document], the per-document scorer that
+   time-contextual search once ran on its candidates, is the reference
+   core.history_answers scores that search's candidates with. *)
 
 module Imap = Map.Make (Int)
 
@@ -91,7 +96,8 @@ module Inverted_index = struct
 end
 
 module Scorer = struct
-  type t = Textindex.Scorer.t = Tf_idf | Bm25 of { k1 : float; b : float }
+  let k1 = 1.2
+  let b = 0.75
 
   let idf index term =
     let n = Inverted_index.document_count index in
@@ -101,16 +107,13 @@ module Scorer = struct
       log (1.0 +. ((float_of_int n -. df +. 0.5) /. (df +. 0.5)))
     end
 
-  let tf_weight scorer index ~doc tf =
+  let tf_weight index ~doc tf =
     let tf = float_of_int tf in
-    match scorer with
-    | Tf_idf -> if tf > 0.0 then 1.0 +. log tf else 0.0
-    | Bm25 { k1; b } ->
-      let len = float_of_int (Inverted_index.document_length index doc) in
-      let avg = max 1.0 (Inverted_index.average_length index) in
-      tf *. (k1 +. 1.0) /. (tf +. (k1 *. (1.0 -. b +. (b *. len /. avg))))
+    let len = float_of_int (Inverted_index.document_length index doc) in
+    let avg = max 1.0 (Inverted_index.average_length index) in
+    tf *. (k1 +. 1.0) /. (tf +. (k1 *. (1.0 -. b +. (b *. len /. avg))))
 
-  let score_document scorer index ~terms =
+  let score_document index ~terms =
     let per_term =
       List.map (fun term -> (Inverted_index.term_frequency index ~term, idf index term)) terms
     in
@@ -118,10 +121,10 @@ module Scorer = struct
       List.fold_left
         (fun acc (tf_of, idf) ->
           let tf = tf_of ~doc in
-          if tf = 0 then acc else acc +. (idf *. tf_weight scorer index ~doc tf))
+          if tf = 0 then acc else acc +. (idf *. tf_weight index ~doc tf))
         0.0 per_term
 
-  let scores scorer index ~terms =
+  let scores index ~terms =
     let acc = Hashtbl.create 64 in
     let query_terms = List.sort_uniq String.compare terms in
     (* Count duplicates in the query as term boosts. *)
@@ -134,7 +137,7 @@ module Scorer = struct
             (fun (doc, tf) ->
               let prev = Option.value ~default:0.0 (Hashtbl.find_opt acc doc) in
               Hashtbl.replace acc doc
-                (prev +. (weight *. tf_weight scorer index ~doc tf)))
+                (prev +. (weight *. tf_weight index ~doc tf)))
             (Inverted_index.postings index term))
       query_terms;
     let hits = Hashtbl.fold (fun doc s l -> (doc, s) :: l) acc [] in
