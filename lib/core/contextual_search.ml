@@ -32,14 +32,7 @@ type response = { results : result list; truncated : bool; elapsed_ms : float }
    only ever embedded content or redirect hops are hidden from results,
    exactly as Places hides them from history search. *)
 let page_target store id =
-  let page =
-    match (Prov_store.node store id).Prov_node.kind with
-    | Prov_node.Page _ -> id
-    | Prov_node.Visit _ -> Prov_store.page_of_visit store id
-    | Prov_node.Bookmark { url; _ } ->
-      Option.value ~default:(-1) (Prov_store.page_of_url store url)
-    | Prov_node.Search_term _ | Prov_node.Download _ | Prov_node.Form_submission _ -> -1
-  in
+  let page = Prov_store.page_target store id in
   if page >= 0 && not (Prov_store.page_hidden store page) then page else -1
 
 (* Every page's running score, its text part and its graph part, by
@@ -85,9 +78,8 @@ let textual_only ?(limit = 10) index query =
     (Prov_text_index.search ~limit:(limit * 4) index query);
   rank_results ~limit s
 
-(* The edges the config lets graph scoring walk. *)
-let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
-  match e.Prov_edge.kind with
+(* The edge kinds the config lets graph scoring walk. *)
+let follows config = function
   | Prov_edge.Same_time -> config.follow_time_edges
   | Prov_edge.Redirect | Prov_edge.Embed -> config.follow_non_user_edges
   | Prov_edge.Link_traversal | Prov_edge.Typed_traversal | Prov_edge.Bookmark_traversal
@@ -96,17 +88,19 @@ let follow config ~src:_ ~dst:_ (e : Prov_edge.t) =
   | Prov_edge.Searched_from | Prov_edge.Instance | Prov_edge.Tab_spawn
   | Prov_edge.Reload -> true
 
+let mask config = Prov_edge.mask_of (follows config)
+
 (* The Kleinberg-style focused subgraph: the seeds plus everything
    within [max_hops], with only the edges the config permits. *)
 let focused_subgraph config ~budget_nodes store seeds =
   let graph = Prov_store.graph store in
-  let follow = follow config in
+  let mask = mask config in
   let outcome =
     Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both
-      ~max_depth:config.max_hops ?budget:budget_nodes ~follow graph
+      ~max_depth:config.max_hops ?budget:budget_nodes ~mask graph
       ~roots:(List.map fst seeds)
   in
-  ( Provgraph.Subgraph.induce graph ~follow (List.map fst outcome.Provgraph.Traversal.visited),
+  ( Provgraph.Subgraph.induce ~mask graph (List.map fst outcome.Provgraph.Traversal.visited),
     outcome.Provgraph.Traversal.truncated )
 
 let[@inline] bump config s page ~text ~graph_mass =
@@ -202,7 +196,7 @@ let search ?(config = default_config) ?(budget = Query_budget.unlimited) ?(limit
         degree_normalize = config.degree_normalize;
       }
     in
-    Neighborhood.expand ~config:nconfig ~follow:(follow config) (Prov_store.graph store) ~seeds
+    Neighborhood.expand ~config:nconfig ~mask:(mask config) (Prov_store.graph store) ~seeds
     @@ fun { Neighborhood.reached; scores; truncated } ->
     Query_budget.consume_nodes running reached.Scratch.count;
     respond config ~limit ~running ~truncated store hits ~nodes:reached.Scratch.ids

@@ -16,15 +16,13 @@ let default_recognizer ?(min_visits = 3) store id =
     | Prov_node.Visit _ | Prov_node.Download _ | Prov_node.Form_submission _ -> false
   end
 
-let causal_follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind
-
 type ancestry = { ancestors : (int * int) list; truncated : bool; elapsed_ms : float }
 
 let ancestors ?(budget = Query_budget.unlimited) ?max_depth store id =
   let running = Query_budget.start budget in
   let outcome =
     Traversal.ancestors ?max_depth ?budget:(Query_budget.remaining_nodes running)
-      ~follow:causal_follow (Prov_store.graph store) id
+      ~mask:Prov_edge.causal_mask (Prov_store.graph store) id
   in
   {
     ancestors = outcome.Traversal.visited;
@@ -50,7 +48,7 @@ let first_recognizable ?(budget = Query_budget.unlimited) ?recognizer store id =
   in
   let outcome =
     Traversal.first_match ~direction:Traversal.Backward
-      ?budget:(Query_budget.remaining_nodes running) ~follow:causal_follow
+      ?budget:(Query_budget.remaining_nodes running) ~mask:Prov_edge.causal_mask
       (Prov_store.graph store) ~root:id recognize
   in
   Query_budget.consume_nodes running outcome.Traversal.expansions;
@@ -71,7 +69,7 @@ let downloads_descending ?(budget = Query_budget.unlimited) store id =
   let running = Query_budget.start budget in
   let outcome =
     Traversal.bfs ~direction:Traversal.Forward
-      ?budget:(Query_budget.remaining_nodes running) ~follow:causal_follow
+      ?budget:(Query_budget.remaining_nodes running) ~mask:Prov_edge.causal_mask
       (Prov_store.graph store) ~roots:[ id ]
   in
   let downloads =

@@ -43,6 +43,9 @@ let all_kinds =
     Searched_from; Instance; Tab_spawn; Same_time; Reload;
   ]
 
+let mask_of keep =
+  List.fold_left (fun m k -> if keep k then m lor (1 lsl kind_code k) else m) 0 all_kinds
+
 let kind_of_code c =
   match List.find_opt (fun k -> kind_code k = c) all_kinds with
   | Some k -> k
@@ -77,3 +80,5 @@ let is_traversal = function
   | Link_traversal | Typed_traversal | Bookmark_traversal | Bookmarked_from | Redirect
   | Embed | Form_source | Form_result | Download_source | Download_fetch | Search_query
   | Searched_from | Tab_spawn | Reload -> true
+
+let causal_mask = mask_of is_causal

@@ -46,3 +46,15 @@ val is_traversal : kind -> bool
     Connectivity and versioning analyses follow only these. *)
 
 val all_kinds : kind list
+
+(** {2 Tags}
+
+    The store's graph tags every edge with its {!kind_code}, 0 to 15,
+    so walks filter kinds by a mask of tags
+    ({!Provgraph.Digraph.admits}). *)
+
+val mask_of : (kind -> bool) -> int
+(** The mask of the kinds [keep] accepts. *)
+
+val causal_mask : int
+(** [mask_of is_causal]: what lineage walks follow. *)

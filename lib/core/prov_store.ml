@@ -9,8 +9,11 @@ type mutation =
    [Instance] edges arrive, in arrays indexed by node id: every visit
    instance, the ones that are not embeds or redirect hops, the ones the
    user saw, and whether any of its visits was typed.  [page_of_visit]
-   holds -1 for a node that is no visit instance. *)
+   holds -1 for a node that is no visit instance.  [target] holds the
+   page each node speaks about ([page_target]), kept current as nodes
+   and [Instance] edges arrive. *)
 type facts = {
+  mutable target : int array;
   mutable page_of_visit : int array;
   mutable visits : int array;
   mutable shown : int array;
@@ -23,6 +26,7 @@ type t = {
   facts : facts;
   mutable next_id : int;
   page_by_url : (string, int) Hashtbl.t;
+  bookmarks_by_url : (string, int list) Hashtbl.t;  (* every bookmark node, by URL *)
   visit_by_engine : (int, int) Hashtbl.t;
   bookmark_by_engine : (int, int) Hashtbl.t;
   download_by_engine : (int, int) Hashtbl.t;
@@ -33,9 +37,10 @@ type t = {
 
 let create () =
   {
-    graph = Digraph.create ();
+    graph = Digraph.create ~tag:(fun (e : Prov_edge.t) -> Prov_edge.kind_code e.Prov_edge.kind) ();
     facts =
       {
+        target = [||];
         page_of_visit = [||];
         visits = [||];
         shown = [||];
@@ -44,6 +49,7 @@ let create () =
       };
     next_id = 1;
     page_by_url = Hashtbl.create 1024;
+    bookmarks_by_url = Hashtbl.create 64;
     visit_by_engine = Hashtbl.create 4096;
     bookmark_by_engine = Hashtbl.create 64;
     download_by_engine = Hashtbl.create 64;
@@ -62,10 +68,65 @@ let fresh t =
   t.next_id <- id + 1;
   id
 
+(* Room for facts about every node id below [n]. *)
+let reserve_facts f n =
+  let have = Array.length f.visits in
+  if n > have then begin
+    let n = max n (2 * have) in
+    let extend a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 have;
+      b
+    in
+    f.target <- extend f.target (-1);
+    f.page_of_visit <- extend f.page_of_visit (-1);
+    f.visits <- extend f.visits 0;
+    f.shown <- extend f.shown 0;
+    f.displayed <- extend f.displayed 0;
+    let typed = Bytes.make n '\000' in
+    Bytes.blit f.typed 0 typed 0 have;
+    f.typed <- typed
+  end
+
+(* Every node enters the store through here, live or restored, except
+   the payload replacements that keep a node's kind and URL (a page's
+   fresher title, a visit's close stamp): they change no lookup and no
+   page target. *)
+let note_node t (n : Prov_node.t) =
+  let id = n.Prov_node.id in
+  Digraph.add_node t.graph id n;
+  t.next_id <- max t.next_id (id + 1);
+  let f = t.facts in
+  reserve_facts f (id + 1);
+  match n.Prov_node.kind with
+  | Prov_node.Page { url; _ } ->
+    Hashtbl.replace t.page_by_url url id;
+    f.target.(id) <- id;
+    (* The bookmarks of this URL now speak about this page. *)
+    begin match Hashtbl.find_opt t.bookmarks_by_url url with
+    | None -> ()
+    | Some marks ->
+      List.iter
+        (fun b ->
+          match (Digraph.node t.graph b).Prov_node.kind with
+          | Prov_node.Bookmark { url = u; _ } when u = url -> f.target.(b) <- id
+          | _ -> ())
+        marks
+    end
+  | Prov_node.Visit _ -> f.target.(id) <- f.page_of_visit.(id)
+  | Prov_node.Bookmark { url; _ } ->
+    let marks = Option.value ~default:[] (Hashtbl.find_opt t.bookmarks_by_url url) in
+    if not (List.mem id marks) then Hashtbl.replace t.bookmarks_by_url url (id :: marks);
+    f.target.(id) <- Option.value ~default:(-1) (Hashtbl.find_opt t.page_by_url url)
+  | Prov_node.Search_term { query } ->
+    Hashtbl.replace t.term_by_query query id;
+    f.target.(id) <- -1
+  | Prov_node.Download _ | Prov_node.Form_submission _ -> f.target.(id) <- -1
+
 let insert t kind ~time =
   let id = fresh t in
   let node = { Prov_node.id; kind; time = Some time; close_time = None } in
-  Digraph.add_node t.graph id node;
+  note_node t node;
   notify t (Add_node node);
   id
 
@@ -81,29 +142,7 @@ let add_page t ~url ~title ~time =
       notify t (Add_node updated)
     | _ -> ());
     id
-  | None ->
-    let id = insert t (Prov_node.Page { url; title }) ~time in
-    Hashtbl.replace t.page_by_url url id;
-    id
-
-(* Room for facts about every node id below [n]. *)
-let reserve_facts f n =
-  let have = Array.length f.visits in
-  if n > have then begin
-    let n = max n (2 * have) in
-    let extend a fill =
-      let b = Array.make n fill in
-      Array.blit a 0 b 0 have;
-      b
-    in
-    f.page_of_visit <- extend f.page_of_visit (-1);
-    f.visits <- extend f.visits 0;
-    f.shown <- extend f.shown 0;
-    f.displayed <- extend f.displayed 0;
-    let typed = Bytes.make n '\000' in
-    Bytes.blit f.typed 0 typed 0 have;
-    f.typed <- typed
-  end
+  | None -> insert t (Prov_node.Page { url; title }) ~time
 
 (* Every edge enters the store through here, live or restored.  The
    store never removes a node or an edge and a visit's transition never
@@ -112,13 +151,13 @@ let note_edge t ~src ~dst (e : Prov_edge.t) =
   Digraph.add_edge t.graph ~src ~dst e;
   if e.Prov_edge.kind = Prov_edge.Instance then begin
     let f = t.facts in
-    reserve_facts f (Digraph.bound t.graph);
     (* A visit belongs to its first page: only there is it typed. *)
     let first = f.page_of_visit.(dst) < 0 in
     if first then f.page_of_visit.(dst) <- src;
     f.visits.(src) <- f.visits.(src) + 1;
     match (Digraph.node t.graph dst).Prov_node.kind with
     | Prov_node.Visit { transition; _ } ->
+      if first then f.target.(dst) <- src;
       if not (Browser.Transition.hidden transition) then f.shown.(src) <- f.shown.(src) + 1;
       if Browser.Transition.displayed transition then
         f.displayed.(src) <- f.displayed.(src) + 1;
@@ -160,24 +199,14 @@ let add_search_term t ~query ~time =
   let key = String.lowercase_ascii (String.trim query) in
   match Hashtbl.find_opt t.term_by_query key with
   | Some id -> id
-  | None ->
-    let id = insert t (Prov_node.Search_term { query = key }) ~time in
-    Hashtbl.replace t.term_by_query key id;
-    id
+  | None -> insert t (Prov_node.Search_term { query = key }) ~time
 
 let add_form t ~engine_form ~fields ~time =
   let id = insert t (Prov_node.Form_submission { fields }) ~time in
   Hashtbl.replace t.form_by_engine engine_form id;
   id
 
-let restore_node t (n : Prov_node.t) =
-  Digraph.add_node t.graph n.Prov_node.id n;
-  t.next_id <- max t.next_id (n.Prov_node.id + 1);
-  match n.Prov_node.kind with
-  | Prov_node.Page { url; _ } -> Hashtbl.replace t.page_by_url url n.Prov_node.id
-  | Prov_node.Search_term { query } -> Hashtbl.replace t.term_by_query query n.Prov_node.id
-  | Prov_node.Visit _ | Prov_node.Bookmark _ | Prov_node.Download _
-  | Prov_node.Form_submission _ -> ()
+let restore_node = note_node
 
 let restore_edge = note_edge
 
@@ -196,17 +225,21 @@ let bookmark_node t engine_id = Hashtbl.find_opt t.bookmark_by_engine engine_id
 let download_node t engine_id = Hashtbl.find_opt t.download_by_engine engine_id
 let term_node t query = Hashtbl.find_opt t.term_by_query (String.lowercase_ascii (String.trim query))
 
-(* Ids at or past the facts' length have no [Instance] edge. *)
+(* Ids at or past the facts' length are no nodes. *)
 let has_facts t id = id >= 0 && id < Array.length t.facts.visits
 
 let page_of_visit t visit = if has_facts t visit then t.facts.page_of_visit.(visit) else -1
+let page_target t id = if has_facts t id then t.facts.target.(id) else -1
 
-let visits_of_page t page =
-  List.sort Int.compare
-    (List.filter_map
-       (fun (dst, (e : Prov_edge.t)) ->
-         if e.Prov_edge.kind = Prov_edge.Instance then Some dst else None)
-       (Digraph.out_edges t.graph page))
+let out_of_kind t id kind =
+  let mask = 1 lsl Prov_edge.kind_code kind in
+  let adj = Digraph.out_adj t.graph id and acc = ref [] in
+  for i = Digraph.out_degree t.graph id - 1 downto 0 do
+    if Digraph.admits mask adj.(i) then acc := Digraph.other adj.(i) :: !acc
+  done;
+  !acc
+
+let visits_of_page t page = List.sort Int.compare (out_of_kind t page Prov_edge.Instance)
 
 let page_visit_count t page = if has_facts t page then t.facts.visits.(page) else 0
 
@@ -219,7 +252,7 @@ let page_hidden t page =
   has_facts t page
   && t.facts.visits.(page) > 0
   && t.facts.shown.(page) = 0
-  && match node_opt t page with Some n -> Prov_node.is_page n | None -> false
+  && Prov_node.is_page (Digraph.node t.graph page)
 
 let nodes_of_kind t pred = Digraph.filter_nodes t.graph (fun _ n -> pred n)
 let node_count t = Digraph.node_count t.graph

@@ -88,14 +88,26 @@ val bookmark_node : t -> int -> int option
 val download_node : t -> int -> int option
 val term_node : t -> string -> int option
 
+val out_of_kind : t -> int -> Prov_edge.kind -> int list
+(** The destinations of a node's out-edges of one kind, oldest first,
+    picked by their tags. *)
+
 (** {2 Page facts}
 
-    All but {!visits_of_page} are kept current by every edge insert,
-    live or restored, so each is O(1) and never rescans the graph. *)
+    All but {!visits_of_page} are kept current by every node and edge
+    insert, live or restored, so each is O(1), allocates nothing and
+    never rescans the graph. *)
 
 val page_of_visit : t -> int -> int
 (** The page node this visit instantiates: the source of its first
     [Instance] edge; -1 for a node that instantiates none. *)
+
+val page_target : t -> int -> int
+(** The page a node speaks about: a page node itself, a visit's
+    {!page_of_visit}, the page of a bookmark's URL ({!page_of_url});
+    -1 for any other node, a bookmark whose URL has no page yet, or an
+    id that is no node.  Hidden pages are targets too: the caller
+    checks {!page_hidden}. *)
 
 val visits_of_page : t -> int -> int list
 (** Visit instances of a page node, ascending node id (one entry per

@@ -65,7 +65,6 @@ let suggest ?(limit = 6) ?(context = []) store typed =
       let seeds = List.map (fun node -> (node, 1.0)) context in
       (* Never follow Same_time edges for suggestions: the context IS
          the present, temporal neighbors of the past add noise. *)
-      let follow ~src:_ ~dst:_ (e : Prov_edge.t) = Prov_edge.is_causal e.Prov_edge.kind in
-      Neighborhood.expand ~follow (Prov_store.graph store) ~seeds (fun e ->
+      Neighborhood.expand ~mask:Prov_edge.causal_mask (Prov_store.graph store) ~seeds (fun e ->
           rank (Neighborhood.score e))
   end

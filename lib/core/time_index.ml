@@ -53,6 +53,10 @@ let close t ~node ~closed =
     t.view <- None
   end
 
+let mem = known
+let opened t node = t.opened.(node)
+let closed t node = if Bytes.get t.state node = '\002' then t.closed.(node) else max_int
+
 let interval t node =
   if not (known t node) then None
   else if Bytes.get t.state node = '\002' then Some (t.opened.(node), Some t.closed.(node))

@@ -21,6 +21,18 @@ val close : t -> node:int -> closed:int -> unit
 val interval : t -> int -> (int * int option) option
 (** [(opened, closed)] for a node. *)
 
+(** {2 Allocation-free reads} *)
+
+val mem : t -> int -> bool
+(** Whether the node has an interval. *)
+
+val opened : t -> int -> int
+(** The open time of a node {!mem} accepts. *)
+
+val closed : t -> int -> int
+(** The close time of a node {!mem} accepts, [max_int] while it is
+    open. *)
+
 val in_window : t -> start:int -> stop:int -> int list
 (** Nodes whose interval intersects \[start, stop\], ascending. *)
 

@@ -32,11 +32,7 @@ let context_visits store node =
   | Some n -> begin
     match n.Prov_node.kind with
     | Prov_node.Page _ -> Prov_store.visits_of_page store node
-    | Prov_node.Search_term _ ->
-      List.filter_map
-        (fun (dst, (e : Prov_edge.t)) ->
-          if e.Prov_edge.kind = Prov_edge.Search_query then Some dst else None)
-        (Provgraph.Digraph.out_edges (Prov_store.graph store) node)
+    | Prov_node.Search_term _ -> Prov_store.out_of_kind store node Prov_edge.Search_query
     | Prov_node.Bookmark { url; _ } -> begin
       match Prov_store.page_of_url store url with
       | Some page -> Prov_store.visits_of_page store page
@@ -89,19 +85,27 @@ let gap_to ctx ~opened ~closed =
   in
   Int.min before after
 
-(* The page's best gap over its visit instances, [None] when it has no
+let instance_mask = Prov_edge.mask_of (( = ) Prov_edge.Instance)
+
+(* The page's best gap over its visit instances, -1 when it has no
    visit interval or the context none. *)
 let best_gap store time_index ctx page =
-  let best = ref max_int and any = ref false in
-  if Array.length ctx.opens > 0 then
-    Provgraph.Digraph.iter_out (Prov_store.graph store) page (fun v (e : Prov_edge.t) ->
-        if e.Prov_edge.kind = Prov_edge.Instance then
-          match Time_index.interval time_index v with
-          | Some (opened, closed) ->
-            any := true;
-            best := Int.min !best (gap_to ctx ~opened ~closed:(Option.value ~default:max_int closed))
-          | None -> ());
-  if !any then Some !best else None
+  let best = ref (-1) in
+  if Array.length ctx.opens > 0 then begin
+    let g = Prov_store.graph store in
+    let adj = Provgraph.Digraph.out_adj g page in
+    for i = 0 to Provgraph.Digraph.out_degree g page - 1 do
+      let e = adj.(i) in
+      let v = Provgraph.Digraph.other e in
+      if Provgraph.Digraph.admits instance_mask e && Time_index.mem time_index v then begin
+        let gap =
+          gap_to ctx ~opened:(Time_index.opened time_index v) ~closed:(Time_index.closed time_index v)
+        in
+        if !best < 0 || gap < !best then best := gap
+      end
+    done
+  end;
+  !best
 
 let proximity config gap =
   if gap = 0 then config.co_open_bonus
@@ -138,12 +142,12 @@ let search ?(budget = Query_budget.unlimited) ?(limit = 10) index time_index ~qu
     if not (Scratch.mem ranked page) then begin
       let text_score = Textindex.Scorer.score text page in
       if text_score > 0.0 then
-        match best_gap store time_index context page with
-        | None -> ()
-        | Some g ->
+        let g = best_gap store time_index context page in
+        if g >= 0 then begin
           Scratch.add ranked page;
           gap.(page) <- g;
           score.(page) <- text_score *. proximity config g
+        end
     end
   in
   (* Candidate pages come from two directions: the top text hits for the

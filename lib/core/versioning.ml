@@ -2,11 +2,7 @@ module Digraph = Provgraph.Digraph
 module Cycle = Provgraph.Cycle
 module R = Relstore
 
-let is_acyclic store =
-  not
-    (Cycle.has_cycle
-       ~follow:(fun ~src:_ ~dst:_ (e : Prov_edge.t) -> Prov_edge.is_causal e.Prov_edge.kind)
-       (Prov_store.graph store))
+let is_acyclic store = not (Cycle.has_cycle ~mask:Prov_edge.causal_mask (Prov_store.graph store))
 
 type page_graph = {
   graph : (string, Prov_edge.t) Digraph.t;

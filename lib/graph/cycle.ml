@@ -3,12 +3,14 @@
    would overflow on 100k-node histories.  Colours ('\000' white,
    '\001' on the path, '\002' done) and DFS parents are indexed by
    node id. *)
-let find_cycle ?(follow = fun ~src:_ ~dst:_ _ -> true) g =
+let find_cycle ?(mask = Digraph.all_tags) g =
   let colour = Bytes.make (Digraph.bound g) '\000' and parent = Array.make (Digraph.bound g) 0 in
-  (* Distinct successors over followed edges, ascending. *)
+  (* Distinct successors over the edges the mask admits, ascending. *)
   let children id =
-    let acc = ref [] in
-    Digraph.iter_out g id (fun dst e -> if follow ~src:id ~dst e then acc := dst :: !acc);
+    let adj = Digraph.out_adj g id and acc = ref [] in
+    for i = 0 to Digraph.out_degree g id - 1 do
+      if Digraph.admits mask adj.(i) then acc := Digraph.other adj.(i) :: !acc
+    done;
     List.sort_uniq Int.compare !acc
   in
   let enter id =
@@ -39,4 +41,4 @@ let find_cycle ?(follow = fun ~src:_ ~dst:_ _ -> true) g =
       | Some _ -> found
       | None -> if Bytes.get colour id = '\000' then walk [ enter id ] else None)
 
-let has_cycle ?follow g = find_cycle ?follow g <> None
+let has_cycle ?mask g = find_cycle ?mask g <> None

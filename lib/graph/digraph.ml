@@ -1,8 +1,9 @@
 (* One direction of adjacency for every node: node [id]'s edges are
-   [ends.(id)] (the other endpoints) and [labs.(id)], oldest first, of
-   which the first [lens.(id)] slots are used. *)
+   [adj.(id)] (each the other endpoint and the edge's tag, packed) and
+   [labs.(id)], oldest first, of which the first [lens.(id)] slots are
+   used. *)
 type 'e side = {
-  mutable ends : int array array;
+  mutable adj : int array array;
   mutable labs : 'e array array;
   mutable lens : int array;
 }
@@ -18,11 +19,18 @@ type ('n, 'e) t = {
   mutable edges : int;
   mutable bound : int;  (* one more than the largest id added *)
   initial_capacity : int;
+  tag : 'e -> int;
 }
 
-let side () = { ends = [||]; labs = [||]; lens = [||] }
+let tag_bits = 4
+let all_tags = (1 lsl (1 lsl tag_bits)) - 1
+let max_id = max_int lsr tag_bits
+let[@inline] other packed = packed lsr tag_bits
+let[@inline] admits mask packed = mask land (1 lsl (packed land ((1 lsl tag_bits) - 1))) <> 0
 
-let create ?(initial_capacity = 256) () =
+let side () = { adj = [||]; labs = [||]; lens = [||] }
+
+let create ?(initial_capacity = 256) ?(tag = fun _ -> 0) () =
   {
     payload = [||];
     present = Bytes.empty;
@@ -32,6 +40,7 @@ let create ?(initial_capacity = 256) () =
     edges = 0;
     bound = 0;
     initial_capacity = max 1 initial_capacity;
+    tag;
   }
 
 let mem_node t id =
@@ -47,7 +56,7 @@ let extend a n fill =
   b
 
 let extend_side s n =
-  s.ends <- extend s.ends n [||];
+  s.adj <- extend s.adj n [||];
   s.labs <- extend s.labs n [||];
   s.lens <- extend s.lens n 0
 
@@ -66,6 +75,7 @@ let reserve t id filler =
 
 let add_node t id payload =
   if id < 0 then invalid_arg "Digraph.add_node: negative id";
+  if id > max_id then invalid_arg "Digraph.add_node: id too large";
   reserve t id payload;
   t.payload.(id) <- payload;
   if not (mem_node t id) then begin
@@ -76,46 +86,45 @@ let add_node t id payload =
     if id >= t.bound then t.bound <- id + 1
   end
 
-let push s id other label =
+let push s id packed label =
   let n = s.lens.(id) in
-  if n = Array.length s.ends.(id) then begin
+  if n = Array.length s.adj.(id) then begin
     let cap = max 4 (2 * n) in
-    s.ends.(id) <- extend s.ends.(id) cap 0;
+    s.adj.(id) <- extend s.adj.(id) cap 0;
     s.labs.(id) <- extend s.labs.(id) cap label
   end;
-  s.ends.(id).(n) <- other;
+  s.adj.(id).(n) <- packed;
   s.labs.(id).(n) <- label;
   s.lens.(id) <- n + 1
 
 let add_edge t ~src ~dst label =
   if not (mem_node t src) then invalid_arg "Digraph.add_edge: unknown src";
   if not (mem_node t dst) then invalid_arg "Digraph.add_edge: unknown dst";
-  push t.out_adj src dst label;
-  push t.in_adj dst src label;
+  let tag = t.tag label in
+  if tag < 0 || tag lsr tag_bits <> 0 then invalid_arg "Digraph.add_edge: tag out of range";
+  push t.out_adj src ((dst lsl tag_bits) lor tag) label;
+  push t.in_adj dst ((src lsl tag_bits) lor tag) label;
   t.edges <- t.edges + 1
 
 let bound t = t.bound
 
+let out_adj t id = if mem_node t id then t.out_adj.adj.(id) else [||]
+let in_adj t id = if mem_node t id then t.in_adj.adj.(id) else [||]
+let out_degree t id = if mem_node t id then t.out_adj.lens.(id) else 0
+let in_degree t id = if mem_node t id then t.in_adj.lens.(id) else 0
+
 (* Callers check [mem_node] first: slots past the bound do not exist. *)
 let fold_side s id ~init ~f =
-  let acc = ref init and ends = s.ends.(id) and labs = s.labs.(id) in
+  let acc = ref init and adj = s.adj.(id) and labs = s.labs.(id) in
   for i = 0 to s.lens.(id) - 1 do
-    acc := f !acc (Array.unsafe_get ends i) (Array.unsafe_get labs i)
+    acc := f !acc (other (Array.unsafe_get adj i)) (Array.unsafe_get labs i)
   done;
   !acc
 
-let iter_side s id f =
-  let ends = s.ends.(id) and labs = s.labs.(id) in
-  for i = 0 to s.lens.(id) - 1 do
-    f (Array.unsafe_get ends i) (Array.unsafe_get labs i)
-  done
-
-let iter_out t id f = if mem_node t id then iter_side t.out_adj id f
-let iter_in t id f = if mem_node t id then iter_side t.in_adj id f
 
 let edge_list s id =
-  let ends = s.ends.(id) and labs = s.labs.(id) in
-  let rec build i acc = if i < 0 then acc else build (i - 1) ((ends.(i), labs.(i)) :: acc) in
+  let adj = s.adj.(id) and labs = s.labs.(id) in
+  let rec build i acc = if i < 0 then acc else build (i - 1) ((other adj.(i), labs.(i)) :: acc) in
   build (s.lens.(id) - 1) []
 
 let out_edges t id = if mem_node t id then edge_list t.out_adj id else []

@@ -27,14 +27,10 @@ let[@inline] bump reached scores id v =
     scores.(id) <- 0.0 +. v
   end
 
-let expand ?(config = default_config) ?follow g ~seeds k =
+let expand ?(config = default_config) ?(mask = Digraph.all_tags) g ~seeds k =
   let bound = Digraph.bound g in
   Scratch.with_ ~bound @@ fun reached ->
   let scores = Scratch.floats reached 0 in
-  let keep =
-    match follow with None -> fun _ _ _ -> true | Some f -> fun src dst e -> f ~src ~dst e
-  in
-  let neighbors = Traversal.iter_neighbors Traversal.Both g in
   (* Per-seed BFS keeps "shortest hop from this seed" semantics additive
      across seeds.  Seeds are few (top-k text hits), so this stays cheap. *)
   let truncated = ref false in
@@ -44,15 +40,18 @@ let expand ?(config = default_config) ?follow g ~seeds k =
     | None -> true
     | Some b -> if !expansions >= b then (truncated := true; false) else true
   in
-  (* The node being expanded, its depth, and in flow mode how many of its
-     edges [keep] admits: the neighbors its received mass is split
-     among, counted before any is visited. *)
-  let current = ref 0 and hop = ref 0 and fanout = ref 0 in
   (* decay^h for every hop h the walk can reach. *)
   let decay_pow =
     Array.init (max 0 (config.max_hops + 1)) (fun h -> Float.pow config.decay (float_of_int h))
   in
-  let count next e = if keep !current next e then incr fanout in
+  (* How many of a node's first [n] packed edges [adj] the mask admits. *)
+  let admitted adj n =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      if Digraph.admits mask (Array.unsafe_get adj i) then incr c
+    done;
+    !c
+  in
   (* One seed's BFS: the walk scratch's members are the nodes it
      reached, its [ids] the queue; [depth] is each one's hop count and,
      in flow mode, [mass] what reached it along its BFS discovery,
@@ -68,35 +67,42 @@ let expand ?(config = default_config) ?follow g ~seeds k =
             depth.(seed) <- 0;
             mass.(seed) <- seed_score;
             let head = ref 0 in
-            let visit next e =
-              if keep !current next e && not (Scratch.mem walk next) then begin
-                let hop = !hop in
-                Scratch.add walk next;
-                depth.(next) <- hop;
-                let m =
-                  if config.degree_normalize then
-                    mass.(!current) *. config.decay /. float_of_int (max 1 !fanout)
-                  else seed_score *. decay_pow.(hop)
-                in
-                mass.(next) <- m;
-                bump reached scores next m
-              end
-            in
             let continue = ref true in
             while !continue && !head < walk.Scratch.count do
               if not (budget_ok ()) then continue := false
               else begin
-                current := walk.Scratch.ids.(!head);
+                let current = walk.Scratch.ids.(!head) in
                 incr head;
                 incr expansions;
-                let d = depth.(!current) in
+                let d = depth.(current) in
                 if d < config.max_hops then begin
-                  hop := d + 1;
-                  if config.degree_normalize then begin
-                    fanout := 0;
-                    neighbors !current count
-                  end;
-                  neighbors !current visit
+                  let hop = d + 1 in
+                  let out = Digraph.out_adj g current and n_out = Digraph.out_degree g current in
+                  let inc = Digraph.in_adj g current and n_in = Digraph.in_degree g current in
+                  (* In flow mode a node splits its mass among the
+                     edges the mask admits, counted before any is
+                     visited. *)
+                  let m =
+                    if config.degree_normalize then
+                      let fanout = admitted out n_out + admitted inc n_in in
+                      mass.(current) *. config.decay /. float_of_int (max 1 fanout)
+                    else seed_score *. decay_pow.(hop)
+                  in
+                  (* Out-edges, then in-edges, in one loop so [m] stays
+                     an unboxed float. *)
+                  for k = 0 to n_out + n_in - 1 do
+                    let e =
+                      if k < n_out then Array.unsafe_get out k
+                      else Array.unsafe_get inc (k - n_out)
+                    in
+                    let next = Digraph.other e in
+                    if Digraph.admits mask e && not (Scratch.mem walk next) then begin
+                      Scratch.add walk next;
+                      depth.(next) <- hop;
+                      mass.(next) <- m;
+                      bump reached scores next m
+                    end
+                  done
                 end
               end
             done

@@ -29,7 +29,7 @@ type expansion = {
 
 val expand :
   ?config:config ->
-  ?follow:(src:int -> dst:int -> 'e -> bool) ->
+  ?mask:int ->
   ('n, 'e) Digraph.t ->
   seeds:(int * float) list ->
   (expansion -> 'a) ->
@@ -40,11 +40,11 @@ val expand :
     order.  [k] gets the reached nodes and their scores, read straight
     off this domain's scratch: they are valid only until [k] returns.
 
-    The walk allocates nothing per node or edge: each seed's BFS runs
-    over a second {!Provkit_util.Scratch} (visited stamps, depths, the
-    queue), and scores sum into dense arrays.  [follow] may be called
-    more than once per edge (in flow mode, once to count a node's
-    fan-out and once to visit), so it should be pure.  [follow] and [k]
+    The walk follows the edges whose tag [mask] holds (default
+    {!Digraph.all_tags}), out-edges then in-edges, in plain loops over
+    the packed adjacency.  It allocates nothing per node or edge: each
+    seed's BFS runs over a second {!Provkit_util.Scratch} (visited
+    stamps, depths, the queue), and scores sum into dense arrays.  [k]
     may expand again: a nested expansion takes scratches of its own. *)
 
 val score : expansion -> int -> float

@@ -20,7 +20,7 @@ let rec search members (id : int) lo hi =
 
 let local t id = search t.members id 0 (size t)
 
-let induce g ~follow ids =
+let induce ?(mask = Digraph.all_tags) g ids =
   Scratch.with_ ~bound:(Digraph.bound g) @@ fun s ->
   List.iter
     (fun id -> if Digraph.mem_node g id && not (Scratch.mem s id) then Scratch.add s id)
@@ -31,30 +31,33 @@ let induce g ~follow ids =
   (* The members' local ids, by node id. *)
   let local = Scratch.ints s 0 in
   Array.iteri (fun i id -> local.(id) <- i) members;
-  let kept src dst e = Scratch.mem s dst && follow ~src ~dst e in
+  let kept e = Digraph.admits mask e && Scratch.mem s (Digraph.other e) in
   (* Count the kept edges first, with [in_start.(j + 1)] counting [j]'s
      in-edges, so the out-edges fill an array of their own size. *)
   let out_start = Array.make (n + 1) 0 and in_start = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i src ->
-      let m = ref out_start.(i) in
-      Digraph.iter_out g src (fun dst e ->
-          if kept src dst e then begin
-            incr m;
-            in_start.(local.(dst) + 1) <- in_start.(local.(dst) + 1) + 1
-          end);
-      out_start.(i + 1) <- !m)
-    members;
+  for i = 0 to n - 1 do
+    let adj = Digraph.out_adj g members.(i) and m = ref out_start.(i) in
+    for k = 0 to Digraph.out_degree g members.(i) - 1 do
+      let e = adj.(k) in
+      if kept e then begin
+        incr m;
+        let j = local.(Digraph.other e) in
+        in_start.(j + 1) <- in_start.(j + 1) + 1
+      end
+    done;
+    out_start.(i + 1) <- !m
+  done;
   let out_dst = Array.make out_start.(n) 0 in
-  Array.iteri
-    (fun i src ->
-      let m = ref out_start.(i) in
-      Digraph.iter_out g src (fun dst e ->
-          if kept src dst e then begin
-            out_dst.(!m) <- local.(dst);
-            incr m
-          end))
-    members;
+  for i = 0 to n - 1 do
+    let adj = Digraph.out_adj g members.(i) and m = ref out_start.(i) in
+    for k = 0 to Digraph.out_degree g members.(i) - 1 do
+      let e = adj.(k) in
+      if kept e then begin
+        out_dst.(!m) <- local.(Digraph.other e);
+        incr m
+      end
+    done
+  done;
   for j = 1 to n do
     in_start.(j) <- in_start.(j) + in_start.(j - 1)
   done;

@@ -19,11 +19,10 @@ type t = private {
   in_src : int array;
 }
 
-val induce : ('n, 'e) Digraph.t -> follow:(src:int -> dst:int -> 'e -> bool) -> int list -> t
+val induce : ?mask:int -> ('n, 'e) Digraph.t -> int list -> t
 (** Members are the listed ids that are nodes of the graph; edges are
-    its edges between members that [follow] keeps.  [follow] is asked
-    only about those, twice each (once to count, once to fill the
-    arrays), so it should be pure.  Node ids map to local ids through a
+    its edges between members whose tag [mask] holds (default
+    {!Digraph.all_tags}).  Node ids map to local ids through a
     {!Provkit_util.Scratch} of this domain, one array read per
     out-edge. *)
 

@@ -5,6 +5,9 @@
     fixed latency (§4).  Results report how many nodes were expanded and
     whether the walk was truncated.
 
+    Every walk follows the edges whose tag its [mask] holds (default
+    {!Digraph.all_tags}), reading them off the graph's packed adjacency.
+
     {!bfs} and {!first_match} share one breadth-first loop.  It marks
     visited nodes in a {!Provkit_util.Scratch} of this domain, queues
     them in its member list and keeps each one's depth and BFS parent in
@@ -23,12 +26,12 @@ val bfs :
   ?direction:direction ->
   ?max_depth:int ->
   ?budget:int ->
-  ?follow:(src:int -> dst:int -> 'e -> bool) ->
+  ?mask:int ->
   ('n, 'e) Digraph.t ->
   roots:int list ->
   (int * int) list outcome
-(** [(node, depth)] pairs in visit order, roots at depth 0.  [follow]
-    filters which edges are traversed (default all).  Unknown roots are
+(** [(node, depth)] pairs in visit order, roots at depth 0.  [Both]
+    follows a node's out-edges, then its in-edges.  Unknown roots are
     ignored. *)
 
 type hit = {
@@ -40,7 +43,7 @@ type hit = {
 val first_match :
   ?direction:direction ->
   ?budget:int ->
-  ?follow:(src:int -> dst:int -> 'e -> bool) ->
+  ?mask:int ->
   ('n, 'e) Digraph.t ->
   root:int ->
   (int -> bool) ->
@@ -56,14 +59,9 @@ val first_match :
 val ancestors :
   ?max_depth:int ->
   ?budget:int ->
-  ?follow:(src:int -> dst:int -> 'e -> bool) ->
+  ?mask:int ->
   ('n, 'e) Digraph.t ->
   int ->
   (int * int) list outcome
 (** BFS over in-edges, excluding the start node: the transitive sources
     this node was derived from, with distances. *)
-
-val iter_neighbors : direction -> ('n, 'e) Digraph.t -> int -> (int -> 'e -> unit) -> unit
-(** [f other label] for each edge the direction follows out of a node:
-    out-edges, in-edges, or out-edges then in-edges ({!Digraph.iter_out},
-    {!Digraph.iter_in}), without allocating. *)

@@ -626,22 +626,25 @@ let connectivity store =
       end);
   if !displayed = 0 then 0.0 else float_of_int !connected /. float_of_int !displayed
 
+(* Connected components of the visits under traversal edges between
+   visits, either way round: a union-find over the edges. *)
 let visit_components store =
   let g = Core.Prov_store.graph store in
   let is_visit id = Core.Prov_node.is_visit (Provgraph.Digraph.node g id) in
-  let follow ~src:_ ~dst (e : Core.Prov_edge.t) =
-    Core.Prov_edge.is_traversal e.Core.Prov_edge.kind && is_visit dst
+  let parent = Array.init (Provgraph.Digraph.bound g) Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
   in
-  let seen = Array.make (Provgraph.Digraph.bound g) false in
-  Provgraph.Digraph.fold_nodes g ~init:0 ~f:(fun components root n ->
-      if (not (Core.Prov_node.is_visit n)) || seen.(root) then components
-      else begin
-        List.iter
-          (fun (id, _) -> seen.(id) <- true)
-          (Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~follow g ~roots:[ root ])
-            .Provgraph.Traversal.visited;
-        components + 1
-      end)
+  Provgraph.Digraph.iter_edges g (fun src dst (e : Core.Prov_edge.t) ->
+      if Core.Prov_edge.is_traversal e.Core.Prov_edge.kind && is_visit src && is_visit dst then
+        parent.(find src) <- find dst);
+  Provgraph.Digraph.fold_nodes g ~init:0 ~f:(fun components id n ->
+      if Core.Prov_node.is_visit n && find id = id then components + 1 else components)
 
 let e11_capture_ablation ?(max_episodes = 150) (ds : Dataset.t) =
   let full_store = Dataset.store ds in

@@ -2,8 +2,11 @@
    [Digraph] and the Hashtbl-based [Neighborhood.expand] and
    [Traversal.bfs] that the id-indexed arrays replaced, and the
    hand-rolled breadth-first search [Lineage.first_recognizable] ran
-   before it moved onto [Traversal.first_match], and in [Rank] E12's
-   Hashtbl PageRank and HITS over a sub-Digraph.  They are kept as
+   before it moved onto [Traversal.first_match], [Cycle.find_cycle]
+   over a closure filter, and in [Rank] E12's Hashtbl PageRank and
+   HITS over a sub-Digraph.  Every walk here filters edges with a
+   closure over the label, as the real walks did before they read
+   packed tag masks.  They are kept as
    written then, so the properties in Test_graph_model can compare the
    arrays against the structure whose orders and float sums the §2
    answers were first pinned with.  Enumerations here follow hash
@@ -62,8 +65,8 @@ module Digraph = struct
     in
     Provgraph.Digraph.iter_nodes g (fun id n -> add_node t id n);
     Provgraph.Digraph.iter_nodes g (fun id _ ->
-        Provgraph.Digraph.iter_out g id (fun dst e -> append t.out_adj id (dst, e));
-        Provgraph.Digraph.iter_in g id (fun src e -> append t.in_adj id (src, e)));
+        List.iter (append t.out_adj id) (Provgraph.Digraph.out_edges g id);
+        List.iter (append t.in_adj id) (Provgraph.Digraph.in_edges g id));
     t.edges <- Provgraph.Digraph.edge_count g;
     t
 end
@@ -76,10 +79,17 @@ let neighbors direction g id =
   | Backward -> Digraph.in_edges g id
   | Both -> Digraph.out_edges g id @ Digraph.in_edges g id
 
-let expand ~(config : Provgraph.Neighborhood.config) ?follow g ~seeds =
+(* [reached] hears each node as it is first scored. *)
+let expand ~(config : Provgraph.Neighborhood.config) ?follow ?(reached = ignore) g ~seeds =
   let scores = Hashtbl.create 128 in
   let bump id v =
-    let prev = Option.value ~default:0.0 (Hashtbl.find_opt scores id) in
+    let prev =
+      match Hashtbl.find_opt scores id with
+      | Some prev -> prev
+      | None ->
+        reached id;
+        0.0
+    in
     Hashtbl.replace scores id (prev +. v)
   in
   let keep src dst e = match follow with None -> true | Some f -> f ~src ~dst e in
@@ -226,6 +236,46 @@ let first_match ~direction ?budget ?follow g ~start recognize =
   let rec build acc v = if v = start then v :: acc else build (v :: acc) (Hashtbl.find parent v) in
   (Option.map (fun (node, distance) -> (node, distance, build [] node)) !found, !truncated, !expansions)
 
+(* Cycle.find_cycle as it ran over closure filters: three-colour DFS
+   from each node in ascending id order, each node's distinct followed
+   successors in ascending order, over an explicit stack. *)
+let find_cycle ?(follow = fun ~src:_ ~dst:_ _ -> true) g =
+  let colour = Hashtbl.create 64 and parent = Hashtbl.create 64 in
+  let colour_of id = Option.value ~default:0 (Hashtbl.find_opt colour id) in
+  let children id =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun (dst, e) -> if follow ~src:id ~dst e then Some dst else None)
+         (Digraph.out_edges g id))
+  in
+  let enter id =
+    Hashtbl.replace colour id 1;
+    (id, children id)
+  in
+  let rec walk = function
+    | [] -> None
+    | (id, []) :: rest ->
+      Hashtbl.replace colour id 2;
+      walk rest
+    | (id, next :: later) :: rest -> begin
+      let stack = (id, later) :: rest in
+      match colour_of next with
+      | 1 ->
+        let rec build acc v = if v = next then v :: acc else build (v :: acc) (Hashtbl.find parent v) in
+        Some (build [] id)
+      | 2 -> walk stack
+      | _ ->
+        Hashtbl.replace parent next id;
+        walk (enter next :: stack)
+    end
+  in
+  List.fold_left
+    (fun found id ->
+      match found with
+      | Some _ -> found
+      | None -> if colour_of id = 0 then walk [ enter id ] else None)
+    None (Digraph.nodes g)
+
 (* E12's rankers before they moved onto Provgraph.Subgraph: the
    focused subgraph as an id-indexed Digraph holding the members and
    their followed edges, source by ascending id, and PageRank and HITS
@@ -242,9 +292,11 @@ module Rank = struct
     List.iter (fun id -> Digraph.add_node sub id (Digraph.node graph id)) members;
     List.iter
       (fun src ->
-        Digraph.iter_out graph src (fun dst e ->
+        List.iter
+          (fun (dst, e) ->
             if Digraph.mem_node sub dst && follow ~src ~dst e then
-              Digraph.add_edge sub ~src ~dst e))
+              Digraph.add_edge sub ~src ~dst e)
+          (Digraph.out_edges graph src))
       members;
     sub
 

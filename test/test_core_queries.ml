@@ -204,7 +204,7 @@ let reached (e : Provgraph.Neighborhood.expansion) =
       let id = r.Provkit_util.Scratch.ids.(i) in
       (id, Int64.bits_of_float e.Provgraph.Neighborhood.scores.(id)))
 
-(* A contextual search started from inside an expansion's callbacks
+(* A contextual search started from inside an expansion's continuation
    runs on scratches of its own: it answers as a search on its own
    does, and the expansion around it is undisturbed. *)
 let test_search_inside_expansion () =
@@ -214,19 +214,13 @@ let test_search_inside_expansion () =
   let q = (List.hd trace.Browser.User_model.searches).Browser.User_model.query in
   let alone = render_cs (CS.search index q) in
   let seeds = List.filteri (fun i _ -> i < 3) (Core.Prov_text_index.search index q) in
-  let nested = ref 0 in
-  let follow ~src:_ ~dst:_ _ =
-    incr nested;
-    Alcotest.(check string) "search inside follow" alone (render_cs (CS.search index q));
-    true
-  in
   let plain = Provgraph.Neighborhood.expand graph ~seeds reached in
   let outer =
-    Provgraph.Neighborhood.expand ~follow graph ~seeds (fun e ->
+    Provgraph.Neighborhood.expand graph ~seeds (fun e ->
         Alcotest.(check string) "search inside the continuation" alone (render_cs (CS.search index q));
         reached e)
   in
-  Alcotest.(check bool) "follow ran searches" true (!nested > 0);
+  Alcotest.(check bool) "the expansion reached nodes" true (plain <> []);
   Alcotest.(check (list (pair int int64))) "outer expansion" plain outer
 
 (* A domain's scratches are sized to the largest graph it has queried.

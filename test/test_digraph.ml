@@ -69,8 +69,51 @@ let test_iteration () =
   Alcotest.(check (list int)) "filter nodes" [ 1; 2 ]
     (G.filter_nodes g (fun id _ -> id <= 2))
 
+(* Tags ride in the packed adjacency beside the endpoints: a tag
+   outside 0..15 is refused before anything is stored, and endpoints
+   well past 2^16 come back whole, whatever the tag. *)
+let test_packed_tags () =
+  let g = G.create ~tag:Fun.id () in
+  let big = (1 lsl 17) + 3 in
+  G.add_node g 0 ();
+  G.add_node g big ();
+  List.iter
+    (fun tag ->
+      Alcotest.check_raises (Printf.sprintf "tag %d refused" tag)
+        (Invalid_argument "Digraph.add_edge: tag out of range") (fun () ->
+          G.add_edge g ~src:0 ~dst:big tag))
+    [ 16; -1; 1 lsl 20 ];
+  Alcotest.(check int) "refused edges are not stored" 0 (G.edge_count g);
+  Alcotest.(check int) "nor in the adjacency" 0 (G.out_degree g 0);
+  G.add_edge g ~src:0 ~dst:big 15;
+  G.add_edge g ~src:big ~dst:0 0;
+  G.add_edge g ~src:big ~dst:big 7;
+  Alcotest.(check (list (pair int int))) "out-edges" [ (big, 15) ] (G.out_edges g 0);
+  Alcotest.(check (list (pair int int))) "in-edges" [ (0, 15); (big, 7) ] (G.in_edges g big);
+  Alcotest.(check (list (pair int int))) "out-edges of the large id" [ (0, 0); (big, 7) ]
+    (G.out_edges g big);
+  let packed = G.out_adj g big in
+  Alcotest.(check int) "out-degree" 2 (G.out_degree g big);
+  Alcotest.(check int) "in-degree" 2 (G.in_degree g big);
+  Alcotest.(check (list int)) "endpoints round-trip" [ 0; big ]
+    [ G.other packed.(0); G.other packed.(1) ];
+  Alcotest.(check (list bool)) "tag 0 and tag 7 by mask" [ true; false; false; true ]
+    [
+      G.admits 1 packed.(0);
+      G.admits (1 lsl 7) packed.(0);
+      G.admits 1 packed.(1);
+      G.admits (1 lsl 7) packed.(1);
+    ];
+  Alcotest.(check bool) "tag 15" true (G.admits (1 lsl 15) (G.out_adj g 0).(0));
+  Alcotest.(check bool) "every tag" true (G.admits G.all_tags (G.in_adj g 0).(0));
+  Alcotest.(check bool) "no tag" false (G.admits 0 (G.in_adj g 0).(0));
+  Alcotest.check_raises "an id past max_id" (Invalid_argument "Digraph.add_node: id too large")
+    (fun () -> G.add_node g (G.max_id + 1) ());
+  Alcotest.(check int) "unknown nodes have no edges" 0 (G.in_degree g 5)
+
 let suite =
   [
+    Alcotest.test_case "packed tags and large ids" `Quick test_packed_tags;
     Alcotest.test_case "nodes and payloads" `Quick test_nodes_and_payloads;
     Alcotest.test_case "payload replace" `Quick test_payload_replace;
     Alcotest.test_case "adjacency" `Quick test_adjacency;

@@ -78,13 +78,25 @@ let test_bfs_budget () =
   Alcotest.(check bool) "budget truncates" true r.Tr.truncated;
   Alcotest.(check bool) "bounded visits" true (List.length r.Tr.visited <= 12)
 
-let test_bfs_follow_filter () =
-  let g = G.create () in
+(* A diamond whose edges at 2 carry tag 1, the others tag 0. *)
+let tagged_diamond () =
+  let g = G.create ~tag:Fun.id () in
+  List.iter (fun n -> G.add_node g n ()) [ 1; 2; 3; 4 ];
+  G.add_edge g ~src:1 ~dst:2 1;
+  G.add_edge g ~src:1 ~dst:3 0;
+  G.add_edge g ~src:2 ~dst:4 1;
+  G.add_edge g ~src:3 ~dst:4 0;
+  g
+
+let test_bfs_mask () =
+  let g = G.create ~tag:(fun e -> if e = "keep" then 3 else 9) () in
   List.iter (fun n -> G.add_node g n ()) [ 1; 2; 3 ];
   G.add_edge g ~src:1 ~dst:2 "keep";
   G.add_edge g ~src:1 ~dst:3 "skip";
-  let r = Tr.bfs ~follow:(fun ~src:_ ~dst:_ e -> e = "keep") g ~roots:[ 1 ] in
-  Alcotest.(check (list (pair int int))) "filtered" [ (1, 0); (2, 1) ] r.Tr.visited
+  let r = Tr.bfs ~mask:(1 lsl 3) g ~roots:[ 1 ] in
+  Alcotest.(check (list (pair int int))) "filtered" [ (1, 0); (2, 1) ] r.Tr.visited;
+  let r = Tr.bfs ~mask:0 g ~roots:[ 1 ] in
+  Alcotest.(check (list (pair int int))) "the empty mask keeps the roots" [ (1, 0) ] r.Tr.visited
 
 let test_bfs_multiple_roots_and_unknown () =
   let g = diamond () in
@@ -124,8 +136,8 @@ let test_first_match_paths () =
     (hit (Tr.first_match g ~root:1 (( = ) 4)));
   Alcotest.(check hit_opt) "backward: the path runs against the edges" (Some (1, 2, [ 4; 2; 1 ]))
     (hit (Tr.first_match ~direction:Tr.Backward g ~root:4 (( = ) 1)));
-  Alcotest.(check hit_opt) "follow steers the path" (Some (4, 2, [ 1; 3; 4 ]))
-    (hit (Tr.first_match ~follow:(fun ~src:_ ~dst _ -> dst <> 2) g ~root:1 (( = ) 4)));
+  Alcotest.(check hit_opt) "the mask steers the path" (Some (4, 2, [ 1; 3; 4 ]))
+    (hit (Tr.first_match ~mask:1 (tagged_diamond ()) ~root:1 (( = ) 4)));
   let g = cycle3 () in
   Alcotest.(check hit_opt) "a cycle: the simple path" (Some (3, 2, [ 1; 2; 3 ]))
     (hit (Tr.first_match g ~root:1 (( = ) 3)));
@@ -152,9 +164,9 @@ let test_first_match_budget () =
       (10, Some (3, 3, [ 6; 5; 4; 3 ]), 3, false);
     ]
 
-let test_ancestors_follow () =
-  let g = diamond () in
-  let anc = Tr.ancestors ~follow:(fun ~src:_ ~dst _ -> dst <> 2) g 4 in
+let test_ancestors_mask () =
+  let g = tagged_diamond () in
+  let anc = Tr.ancestors ~mask:1 g 4 in
   Alcotest.(check (list (pair int int))) "the filtered branch is not walked"
     [ (3, 1); (1, 2) ]
     anc.Tr.visited
@@ -182,7 +194,7 @@ let test_self_loop_cycle () =
 
 module Sub = Provgraph.Subgraph
 
-let induced ids g = Sub.induce g ~follow:(fun ~src:_ ~dst:_ _ -> true) ids
+let induced ids g = Sub.induce g ids
 let whole g = induced (G.nodes g) g
 let score sub scores id = scores.(Sub.local sub id)
 
@@ -325,13 +337,13 @@ let suite =
     Alcotest.test_case "bfs both" `Quick test_bfs_both;
     Alcotest.test_case "bfs max depth" `Quick test_bfs_max_depth;
     Alcotest.test_case "bfs budget" `Quick test_bfs_budget;
-    Alcotest.test_case "bfs follow filter" `Quick test_bfs_follow_filter;
+    Alcotest.test_case "bfs tag mask" `Quick test_bfs_mask;
     Alcotest.test_case "bfs multi-root" `Quick test_bfs_multiple_roots_and_unknown;
     Alcotest.test_case "ancestors" `Quick test_ancestors;
     Alcotest.test_case "first match" `Quick test_first_match;
     Alcotest.test_case "first match paths" `Quick test_first_match_paths;
     Alcotest.test_case "first match budget" `Quick test_first_match_budget;
-    Alcotest.test_case "ancestors follow filter" `Quick test_ancestors_follow;
+    Alcotest.test_case "ancestors tag mask" `Quick test_ancestors_mask;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "cycle witness" `Quick test_find_cycle_witness;
     Alcotest.test_case "self loop" `Quick test_self_loop_cycle;

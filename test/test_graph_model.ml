@@ -8,24 +8,33 @@
    enumeration orders the interface promises (ascending ids, out-edges
    oldest first).
 
-   Walks: Neighborhood.expand in every direction, with and without
-   degree normalization, a follow filter and a truncating node budget,
-   must return the model's score table bit for bit and in the model's
-   iteration order; Traversal.bfs must return the model's visit list.
-   Walks alternate between two graphs, and one of them grows between
-   walks, so a scratch reused with stale stamps or a stale size
-   shows.
+   Every edge carries a random tag, 0 and 15 among them, and every walk
+   takes a random tag mask; the models take the same filter as a
+   closure over the edge's label, as the walks did before they read
+   packed tags.
+
+   Walks: Neighborhood.expand, with and without degree normalization,
+   a mask and a truncating node budget, must return the model's score
+   table bit for bit, the order the model first scored its nodes in,
+   and its truncated flag; Traversal.bfs in every direction, with budgets
+   none/0/1/4 and a max depth, must return the model's visit list,
+   expansions and truncated flag.  Walks alternate between two graphs,
+   and one of them grows between walks, so a scratch reused with stale
+   stamps or a stale size shows.
 
    Traversal.first_match must find what lineage's hand-rolled search
    found (node, distance, path, truncation, expansions) and ask the
    recognizer about the same nodes in the same order.
 
-   E12: Subgraph.induce over random ids and follow filters must hold
-   the model sub-Digraph's members and, for each member, its out- and
-   in-edges in the same order; Pagerank.run must equal the Hashtbl
-   PageRank bit for bit under uniform, personalized, all-zero and
-   non-member restarts, and Hits.run the Hashtbl HITS within 1e-12
-   relative error (its L2 norms are summed in another order). *)
+   Cycle.find_cycle under a mask must return the closure-filtered
+   depth-first search's witness.
+
+   E12: Subgraph.induce over random ids and masks must hold the model
+   sub-Digraph's members and, for each member, its out- and in-edges
+   in the same order; Pagerank.run must equal the Hashtbl PageRank bit
+   for bit under uniform, personalized, all-zero and non-member
+   restarts, and Hits.run the Hashtbl HITS within 1e-12 relative error
+   (its L2 norms are summed in another order). *)
 
 module G = Provgraph.Digraph
 module M = Graph_model.Digraph
@@ -34,20 +43,27 @@ module Tr = Provgraph.Traversal
 module Prng = Provkit_util.Prng
 
 (* A graph and its model, fed the same ops.  Labels are distinct per
-   edge so orders are visible. *)
+   edge so orders are visible; a label's low 4 bits are its edge's
+   tag. *)
 type pair = { g : (string, int) G.t; m : (string, int) M.t; mutable next_label : int; ids : int }
 
-let pair ids = { g = G.create ~initial_capacity:4 (); m = M.create (); next_label = 0; ids }
+let tag_of label = label land 15
+
+let pair ids =
+  { g = G.create ~initial_capacity:4 ~tag:tag_of (); m = M.create (); next_label = 0; ids }
 
 let add_node p id payload =
   G.add_node p.g id payload;
   M.add_node p.m id payload
 
-let add_edge p ~src ~dst =
-  let l = p.next_label in
-  p.next_label <- l + 1;
+let add_edge p ~src ~dst ~tag =
+  let l = (p.next_label lsl 4) lor tag in
+  p.next_label <- p.next_label + 1;
   G.add_edge p.g ~src ~dst l;
   M.add_edge p.m ~src ~dst l
+
+(* Any tag, the extremes 0 and 15 more often. *)
+let random_tag rng = Prng.pick rng [| 0; 15; Prng.int rng 16 |]
 
 (* One random op: mostly edges between present nodes (often repeating a
    recent pair), sometimes a node that is new or replaces a payload. *)
@@ -62,14 +78,19 @@ let random_op rng p =
     let a = Array.of_list present in
     let src = Prng.pick rng a and dst = Prng.pick rng a in
     let times = if Prng.int rng 5 = 0 then 2 else 1 in
-    for _ = 1 to times do add_edge p ~src ~dst done;
+    for _ = 1 to times do add_edge p ~src ~dst ~tag:(random_tag rng) done;
     Printf.sprintf "add_edge %d->%d x%d" src dst times
   end
 
-let collect iter g id =
-  let acc = ref [] in
-  iter g id (fun other e -> acc := (other, e) :: !acc);
-  List.rev !acc
+(* A node's packed edges in one direction as (other endpoint, tag),
+   each tag read back as the one single-tag mask that admits it. *)
+let packed adj degree g id =
+  let a = adj g id in
+  let tag e = List.filter (fun t -> G.admits (1 lsl t) e) (List.init 16 Fun.id) in
+  List.init (degree g id) (fun i ->
+      match tag a.(i) with
+      | [ t ] -> (G.other a.(i), t)
+      | _ -> Alcotest.failf "packed edge %x: not exactly one tag" a.(i))
 
 let edges = Alcotest.(list (pair int int))
 
@@ -108,8 +129,12 @@ let check_graph ~where p =
     let out = M.out_edges m id and inc = M.in_edges m id in
     Alcotest.check edges (at "out_edges" id) out (G.out_edges g id);
     Alcotest.check edges (at "in_edges" id) inc (G.in_edges g id);
-    Alcotest.check edges (at "iter_out" id) out (collect G.iter_out g id);
-    Alcotest.check edges (at "iter_in" id) inc (collect G.iter_in g id)
+    Alcotest.check edges (at "packed out-edges" id)
+      (List.map (fun (dst, e) -> (dst, tag_of e)) out)
+      (packed G.out_adj G.out_degree g id);
+    Alcotest.check edges (at "packed in-edges" id)
+      (List.map (fun (src, e) -> (src, tag_of e)) inc)
+      (packed G.in_adj G.in_degree g id)
   done;
   Alcotest.(check bool) (where ^ ": bound covers every node") true
     (List.for_all (fun id -> id < G.bound g) (M.nodes m))
@@ -166,30 +191,45 @@ let print_config (c : Nb.config) =
     (match c.Nb.node_budget with None -> "none" | Some b -> string_of_int b)
     c.Nb.decay
 
-(* Drops edges whose label is a multiple of [k]. *)
-let random_follow rng =
-  match Prng.int rng 3 with
-  | 0 -> None
-  | _ ->
-    let k = 2 + Prng.int rng 3 in
-    Some (fun ~src:_ ~dst:_ e -> e mod k <> 0)
+(* A mask for the walk, with its description and the closure filter
+   the models take for it: every tag, none, one tag, all but one, or
+   any set of tags. *)
+let random_mask rng =
+  let t = Prng.int rng 16 in
+  let mask =
+    match Prng.int rng 6 with
+    | 0 -> G.all_tags
+    | 1 -> 0
+    | 2 -> 1 lsl t
+    | 3 -> G.all_tags lxor (1 lsl t)
+    | _ -> Prng.int rng (G.all_tags + 1)
+  in
+  (mask, Printf.sprintf "mask %04x" mask, fun ~src:_ ~dst:_ e -> mask land (1 lsl tag_of e) <> 0)
 
 let random_seeds rng p =
   List.init (Prng.int rng 5) (fun _ ->
       (Prng.int rng (p.ids + 2) - 1, Prng.pick rng [| 1.0; 0.5; 2.25; 0.0; -1.0 |]))
 
 let check_expand ~where rng p =
-  let config = random_expand_config rng and follow = random_follow rng in
+  let config = random_expand_config rng and mask, shown, follow = random_mask rng in
   let seeds = random_seeds rng p in
-  let want, want_trunc = Graph_model.expand ~config ?follow p.m ~seeds in
-  let got, got_trunc =
-    Nb.expand ~config ?follow p.g ~seeds (fun e -> (expansion_bindings e, e.Nb.truncated))
+  let order = ref [] in
+  let want, want_trunc =
+    Graph_model.expand ~config ~follow ~reached:(fun id -> order := id :: !order) p.m ~seeds
+  in
+  let got, got_trunc, got_order =
+    Nb.expand ~config ~mask p.g ~seeds (fun e ->
+        let r = e.Nb.reached in
+        ( expansion_bindings e,
+          e.Nb.truncated,
+          List.init r.Provkit_util.Scratch.count (fun i -> r.Provkit_util.Scratch.ids.(i)) ))
   in
   let where =
-    Printf.sprintf "%s: expand [%s] from %s" where (print_config config)
+    Printf.sprintf "%s: expand [%s, %s] from %s" where (print_config config) shown
       (String.concat " " (List.map (fun (s, v) -> Printf.sprintf "%d:%g" s v) seeds))
   in
   Alcotest.(check bool) (where ^ ": truncated") want_trunc got_trunc;
+  Alcotest.(check (list int)) (where ^ ": first-reach order") (List.rev !order) got_order;
   Alcotest.(check (list (pair int int64)))
     (where ^ ": scores, bit for bit")
     (bindings want) got
@@ -197,12 +237,14 @@ let check_expand ~where rng p =
 let check_bfs ~where rng p =
   let direction = Prng.pick rng [| Tr.Forward; Tr.Backward; Tr.Both |] in
   let max_depth = Prng.pick rng [| None; Some 0; Some 1; Some 2 |] in
-  let budget = Prng.pick rng [| None; None; Some 1; Some 4 |] in
-  let follow = random_follow rng in
+  let budget = Prng.pick rng [| None; Some 0; Some 1; Some 4 |] in
+  let mask, shown, follow = random_mask rng in
   let roots = List.init (Prng.int rng 4) (fun _ -> Prng.int rng (p.ids + 2) - 1) in
-  let want = Graph_model.bfs ~direction ?max_depth ?budget ?follow p.m ~roots in
-  let got = Tr.bfs ~direction ?max_depth ?budget ?follow p.g ~roots in
-  let where = Printf.sprintf "%s: bfs from [%s]" where (String.concat " " (List.map string_of_int roots)) in
+  let want = Graph_model.bfs ~direction ?max_depth ?budget ~follow p.m ~roots in
+  let got = Tr.bfs ~direction ?max_depth ?budget ~mask p.g ~roots in
+  let where =
+    Printf.sprintf "%s: bfs from [%s], %s" where (String.concat " " (List.map string_of_int roots)) shown
+  in
   Alcotest.(check bool) (where ^ ": truncated") want.Tr.truncated got.Tr.truncated;
   Alcotest.(check int) (where ^ ": expansions") want.Tr.expansions got.Tr.expansions;
   Alcotest.(check (list (pair int int))) (where ^ ": visited") want.Tr.visited got.Tr.visited
@@ -220,19 +262,20 @@ let logged recognize =
 let check_first_match ~where rng p =
   let direction = Prng.pick rng [| Tr.Backward; Tr.Backward; Tr.Forward; Tr.Both |] in
   let budget = Prng.pick rng [| None; None; Some 0; Some 1; Some 4 |] in
-  let follow = random_follow rng in
+  let mask, shown, follow = random_mask rng in
   let recognize = random_recognizer rng p in
   (* Now and then an id that is not in the graph, or not even an id. *)
   let start = Prng.int rng (p.ids + 2) - 1 in
   let model_recognize, model_asked = logged recognize in
   let want, want_trunc, want_exp =
-    Graph_model.first_match ~direction ?budget ?follow p.m ~start model_recognize
+    Graph_model.first_match ~direction ?budget ~follow p.m ~start model_recognize
   in
   let walk_recognize, walk_asked = logged recognize in
-  let got = Tr.first_match ~direction ?budget ?follow p.g ~root:start walk_recognize in
+  let got = Tr.first_match ~direction ?budget ~mask p.g ~root:start walk_recognize in
   let where =
-    Printf.sprintf "%s: first_match from %d, budget %s" where start
+    Printf.sprintf "%s: first_match from %d, budget %s, %s" where start
       (match budget with None -> "none" | Some b -> string_of_int b)
+      shown
   in
   Alcotest.(check (option (triple int int (list int))))
     (where ^ ": match")
@@ -274,30 +317,42 @@ let test_walks_against_model =
 
 let test_first_match_against_model = walks_against_model ~salt:0x11e4 check_first_match
 
-(* A walk started from inside another walk's follow callback must
-   neither disturb the outer walk nor be disturbed by it. *)
+(* A walk started from inside another walk's callback (first_match's
+   predicate, an expansion's continuation) must neither disturb the
+   outer walk nor be disturbed by it. *)
 let test_nested_walk () =
   let rng = Test_seed.prng ~salt:0x7e57 in
   let p = pair 20 in
   grow rng p 80;
   let config = { Nb.default_config with Nb.max_hops = 3 } in
-  let seeds = [ (List.hd (M.nodes p.m), 1.0) ] in
-  let inner = ref [] in
-  let follow ~src ~dst:_ _ =
-    inner := (Tr.bfs ~direction:Tr.Both p.g ~roots:[ src ]).Tr.visited :: !inner;
-    true
-  in
+  let root = List.hd (M.nodes p.m) in
+  let seeds = [ (root, 1.0) ] in
   let want, _ = Graph_model.expand ~config p.m ~seeds in
-  let got = Nb.expand ~config ~follow p.g ~seeds expansion_bindings in
-  Alcotest.(check (list (pair int int64))) "outer scores" (bindings want) got;
+  let inner = ref [] in
+  let recognize id =
+    inner := (id, Nb.expand ~config p.g ~seeds:[ (id, 1.0) ] expansion_bindings) :: !inner;
+    false
+  in
+  let outer = Tr.first_match ~direction:Tr.Both p.g ~root recognize in
+  let order = List.map fst (Graph_model.bfs ~direction:Tr.Both p.m ~roots:[ root ]).Tr.visited in
+  Alcotest.(check (list int)) "outer walk asks in BFS order" (List.tl order) (List.rev_map fst !inner);
+  Alcotest.(check int) "outer expansions" (List.length order) outer.Tr.expansions;
+  Alcotest.(check bool) "outer walk ran dry" true (outer.Tr.visited = None);
   List.iter
-    (fun visited ->
-      match visited with
-      | (root, 0) :: _ ->
+    (fun (id, got) ->
+      let want, _ = Graph_model.expand ~config p.m ~seeds:[ (id, 1.0) ] in
+      Alcotest.(check (list (pair int int64))) (Printf.sprintf "inner expansion from %d" id)
+        (bindings want) got)
+    !inner;
+  let got =
+    Nb.expand ~config p.g ~seeds (fun e ->
+        let visited = (Tr.bfs ~direction:Tr.Both p.g ~roots:[ root ]).Tr.visited in
         Alcotest.(check (list (pair int int)))
-          "inner walk" (Graph_model.bfs ~direction:Tr.Both p.m ~roots:[ root ]).Tr.visited visited
-      | _ -> Alcotest.fail "inner walk lost its root")
-    !inner
+          "a walk inside the continuation"
+          (Graph_model.bfs ~direction:Tr.Both p.m ~roots:[ root ]).Tr.visited visited;
+        expansion_bindings e)
+  in
+  Alcotest.(check (list (pair int int64))) "outer scores" (bindings want) got
 
 (* --- E12's induced subgraph and rankers --- *)
 
@@ -305,22 +360,22 @@ module Sub = Provgraph.Subgraph
 module Rank = Graph_model.Rank
 
 (* A subgraph of random ids (absent, negative, past the graph and
-   repeated ones among them) with a random follow filter, and the
-   sub-Digraph the model builds from the same members. *)
+   repeated ones among them) under a random mask, and the sub-Digraph
+   the model builds from the same members under its closure. *)
 let random_induced rng p =
   let ids = List.init (Prng.int rng (p.ids + 3)) (fun _ -> Prng.int rng (p.ids + 2) - 1) in
-  let follow = Option.value (random_follow rng) ~default:(fun ~src:_ ~dst:_ _ -> true) in
+  let mask, shown, follow = random_mask rng in
   let members = List.sort_uniq Int.compare (List.filter (G.mem_node p.g) ids) in
-  (Sub.induce p.g ~follow ids, Rank.sub_digraph p.g ~follow members, ids)
+  (Sub.induce ~mask p.g ids, Rank.sub_digraph p.g ~follow members, ids, shown)
 
 (* Local [i]'s edges in one compressed row, as node ids. *)
 let row sub starts ends i =
   List.init (starts.(i + 1) - starts.(i)) (fun k -> sub.Sub.members.(ends.(starts.(i) + k)))
 
 let check_induced ~where rng p =
-  let sub, want, ids = random_induced rng p in
+  let sub, want, ids, shown = random_induced rng p in
   let where =
-    Printf.sprintf "%s: induce [%s]" where (String.concat " " (List.map string_of_int ids))
+    Printf.sprintf "%s: induce [%s], %s" where (String.concat " " (List.map string_of_int ids)) shown
   in
   let members = G.nodes want in
   Alcotest.(check (list int)) (where ^ ": members") members (Array.to_list sub.Sub.members);
@@ -347,7 +402,7 @@ let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) 
 (* PageRank under every kind of restart, bit for bit, and HITS within
    1e-12 relative error.  Returns how many members are dangling. *)
 let check_rankers ~where rng p =
-  let sub, want, _ = random_induced rng p in
+  let sub, want, _, _ = random_induced rng p in
   let members = Array.to_list sub.Sub.members in
   let some_members = List.filter (fun _ -> Prng.bool rng) members in
   let restarts =
@@ -392,6 +447,23 @@ let check_rankers ~where rng p =
 
 let test_induced_against_model = walks_against_model ~salt:0x5b6a check_induced
 
+(* --- cycles --- *)
+
+let check_cycle ~where rng p =
+  let mask, shown, follow = random_mask rng in
+  let want = Graph_model.find_cycle ~follow p.m in
+  let where = Printf.sprintf "%s: find_cycle, %s" where shown in
+  Alcotest.(check (option (list int))) (where ^ ": witness") want (Provgraph.Cycle.find_cycle ~mask p.g);
+  Alcotest.(check bool) (where ^ ": has_cycle") (want <> None) (Provgraph.Cycle.has_cycle ~mask p.g);
+  want = None
+
+let test_cycles_against_model () =
+  let acyclic = ref 0 and cyclic = ref 0 in
+  walks_against_model ~salt:0xc1c1
+    (fun ~where rng p -> incr (if check_cycle ~where rng p then acyclic else cyclic))
+    ();
+  Alcotest.(check bool) "some masks left a DAG, some a cycle" true (!acyclic > 0 && !cyclic > 0)
+
 let test_rankers_against_model () =
   let dangling = ref 0 in
   walks_against_model ~salt:0x9a6e
@@ -409,6 +481,8 @@ let suite =
     Alcotest.test_case "a walk inside a walk's callback" `Quick test_nested_walk;
     Alcotest.test_case "induced subgraph equals the sub-Digraph" `Quick
       test_induced_against_model;
+    Alcotest.test_case "find_cycle under a mask equals the filtered DFS" `Quick
+      test_cycles_against_model;
     Alcotest.test_case "PageRank and HITS equal the Hashtbl rankers" `Quick
       test_rankers_against_model;
   ]

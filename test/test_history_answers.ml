@@ -189,14 +189,14 @@ let text_hits ~limit index query =
   in
   (hits, List.filteri (fun i _ -> i < config.CS.seed_count) hits)
 
-let reference_e12 rank index query =
+let reference_e12 rank model index query =
   let config = CS.default_config in
   let store = Core.Prov_text_index.store index in
   let hits, seeds = text_hits ~limit:10 index query in
   let graph = Core.Prov_store.graph store in
   let walk =
-    Provgraph.Traversal.bfs ~direction:Provgraph.Traversal.Both ~max_depth:config.CS.max_hops
-      ~follow:follow_default graph ~roots:(List.map fst seeds)
+    Graph_model.bfs ~direction:Graph_model.Both ~max_depth:config.CS.max_hops
+      ~follow:follow_default model ~roots:(List.map fst seeds)
   in
   let members = List.map fst walk.Provgraph.Traversal.visited in
   let sub = Graph_model.Rank.sub_digraph graph ~follow:follow_default members in
@@ -227,14 +227,15 @@ let reference_hits sub _ =
 let test_e12_against_reference () =
   let ds = Harness.Dataset.with_days days in
   let index = Core.Api.text_index ds.Harness.Dataset.api in
+  let model = Graph_model.Digraph.of_digraph (Core.Prov_store.graph (Harness.Dataset.store ds)) in
   let close a b = a = b || Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b) in
   List.iter
     (fun (e : UM.search_episode) ->
       let q = e.UM.query in
       Alcotest.(check string) ("pagerank " ^ q)
-        (ranked (reference_e12 reference_pagerank index q))
+        (ranked (reference_e12 reference_pagerank model index q))
         (ranked (CS.search_pagerank index q));
-      let want = reference_e12 reference_hits index q and got = CS.search_hits index q in
+      let want = reference_e12 reference_hits model index q and got = CS.search_hits index q in
       Alcotest.(check bool) ("hits truncated " ^ q) want.CS.truncated got.CS.truncated;
       Alcotest.(check (list int)) ("hits pages " ^ q)
         (List.map (fun (r : CS.result) -> r.CS.page) want.CS.results)

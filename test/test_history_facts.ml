@@ -1,10 +1,10 @@
 (* The facts the §2 history queries read without rescanning the graph.
 
    Page facts: after every op prefix of a quick capture, the store's
-   page_of_visit / page_hidden / visit counts / default recognizer must
-   equal a cold reference computed here by full scans of the graph, on
-   the live store, its Prov_log replay, its Prov_schema restore and a
-   Retention output.
+   page_of_visit / page_target / page_hidden / visit counts / default
+   recognizer must equal a cold reference computed here by full scans
+   of the graph, on the live store, its Prov_log replay, its
+   Prov_schema restore and a Retention output.
 
    Time windows: Time_index.in_window against a linear scan over random
    windows, interleaved with the adds and closes that invalidate its
@@ -61,6 +61,28 @@ let ref_page_hidden store page =
     visits <> [] && List.for_all (ref_hop_only store) visits
   | _ -> false
 
+(* The page a node speaks about, as contextual search mapped it before
+   the store kept it: a page itself, a visit's page, the page of a
+   bookmark's URL (found by scanning for it); -1 otherwise. *)
+let ref_page_target store id =
+  match Store.node_opt store id with
+  | None -> -1
+  | Some n -> begin
+    match n.PN.kind with
+    | PN.Page _ -> id
+    | PN.Visit _ -> Option.value ~default:(-1) (ref_page_of_visit store id)
+    | PN.Bookmark { url; _ } ->
+      Digraph.fold_nodes (Store.graph store) ~init:(-1) ~f:(fun found page p ->
+          match p.PN.kind with PN.Page { url = u; _ } when u = url -> page | _ -> found)
+    | PN.Search_term _ | PN.Download _ | PN.Form_submission _ -> -1
+  end
+
+(* What contextual search sums a node's score onto: its page target,
+   unless that page is hidden. *)
+let ref_result_page store id =
+  let page = ref_page_target store id in
+  if page >= 0 && not (ref_page_hidden store page) then page else -1
+
 let ref_displayed_count store page =
   List.length (List.filter (ref_displayed store) (ref_instances store page))
 
@@ -95,6 +117,12 @@ let check_facts ~where store =
     (fun id ->
       if Store.page_of_visit store id <> Option.value ~default:(-1) (ref_page_of_visit store id)
       then fail id "page_of_visit";
+      if Store.page_target store id <> ref_page_target store id then fail id "page_target";
+      let page = Store.page_target store id in
+      if
+        (if page >= 0 && not (Store.page_hidden store page) then page else -1)
+        <> ref_result_page store id
+      then fail id "page_target of a visible page";
       if Store.page_hidden store id <> ref_page_hidden store id then fail id "page_hidden";
       if Store.page_visit_count store id <> List.length (ref_instances store id) then
         fail id "page_visit_count";
@@ -107,10 +135,16 @@ let check_facts ~where store =
 (* --- the op stream: a quick capture plus hand-made corner cases --- *)
 
 (* A page reached only by a redirect hop (hidden), a typed visit that
-   also gets a second [Instance] page, and a page with a duplicated
-   [Instance] edge. *)
+   also gets a second [Instance] page, a page with a duplicated
+   [Instance] edge, a bookmark whose URL's page appears only later, and
+   a page that an embed and a redirect hop, all its visits, make
+   hidden. *)
 let corner_cases store =
   let time = 10_000_000 in
+  let _ =
+    Store.add_bookmark store ~engine_bookmark:(-1) ~url:"http://later.example/" ~title:"later"
+      ~time
+  in
   let hop =
     Store.add_visit store ~engine_visit:(-1) ~url:"http://hop.example/r" ~title:""
       ~transition:Transition.Redirect_temporary ~tab:1 ~time
@@ -127,7 +161,16 @@ let corner_cases store =
   in
   let dup = Store.page_of_visit store shown in
   Store.add_edge store ~src:dup ~dst:shown PE.Instance ~time:(time + 3);
-  Store.add_edge store ~src:dup ~dst:hop PE.Instance ~time:(time + 4)
+  Store.add_edge store ~src:dup ~dst:hop PE.Instance ~time:(time + 4);
+  List.iter
+    (fun (engine_visit, transition) ->
+      ignore
+        (Store.add_visit store ~engine_visit ~url:"http://framed.example/" ~title:"framed"
+           ~transition ~tab:1 ~time:(time + 5)))
+    [ (-4, Transition.Embed); (-5, Transition.Redirect_permanent) ];
+  ignore
+    (Store.add_visit store ~engine_visit:(-6) ~url:"http://later.example/" ~title:"later"
+       ~transition:Transition.Link ~tab:1 ~time:(time + 6))
 
 let events =
   lazy
@@ -205,7 +248,22 @@ let test_corner_cases_present () =
   Alcotest.(check bool) "second page of a typed visit is not typed" false
     (Store.page_typed store (page "http://other.example/"));
   Alcotest.(check int) "duplicate instance counted" 3
-    (Store.page_visit_count store (page "http://dup.example/"))
+    (Store.page_visit_count store (page "http://dup.example/"));
+  let framed = page "http://framed.example/" in
+  Alcotest.(check (pair int bool)) "a page all-hidden visits make hidden" (2, true)
+    (Store.page_visit_count store framed, Store.page_hidden store framed);
+  let later = page "http://later.example/" in
+  let bookmark =
+    match
+      Store.nodes_of_kind store (fun n ->
+          match n.PN.kind with PN.Bookmark { url; _ } -> url = "http://later.example/" | _ -> false)
+    with
+    | [ b ] -> b
+    | _ -> Alcotest.fail "one bookmark of the later page"
+  in
+  Alcotest.(check bool) "the bookmark came before its page" true (bookmark < later);
+  Alcotest.(check int) "a bookmark targets the page that came later" later
+    (Store.page_target store bookmark)
 
 (* --- Time_index.in_window against a linear scan --- *)
 

@@ -75,51 +75,57 @@ awk -v h="$heur_err" -v s="$stats_err" 'BEGIN { exit !(s >= 1 && h > s) }' ||
 # E3-contextual-words stores a count (minor words allocated per
 # contextual search over the quick dataset's queries), not a latency.
 # The count repeats exactly, so it is gated against a fixed ceiling:
-# the 986 words/query this row measures once the expansion hands its
-# reached nodes to the page sums as dense arrays (3,091 with a Hashtbl
-# of them; 3,343 before that, with array postings, a dense BM25
-# accumulator and dense page sums; 7,725 with Imap postings and Hashtbl
-# sums; 16,615 with the hash-table graph walks before that).
+# the 764 words/query this row measures once walks filter edges by the
+# tags packed into the adjacency and the page sums map nodes through the
+# store's dense page targets (952 with closure filters and a page
+# lookup that allocated an option; 986 before one BM25 pass served every
+# text query; 3,091 with a Hashtbl of reached nodes; 3,343 before that,
+# with array postings, a dense BM25 accumulator and dense page sums;
+# 7,725 with Imap postings and Hashtbl sums; 16,615 with the hash-table
+# graph walks before that).
 words="$(grep '"name":"E3-contextual-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 986) }' ||
-  { echo "bench_smoke: E3-contextual-words ($words words/query) above 986"; exit 1; }
+awk -v w="$words" 'BEGIN { exit !(w > 0 && w <= 764) }' ||
+  { echo "bench_smoke: E3-contextual-words ($words words/query) above 764"; exit 1; }
 
 # E4-personalize-words is the same kind of count for
-# Personalize.expand over the same queries, gated at the 2,009
-# words/query this row measures with the dense expansion and the
-# expansion terms picked without sorting every candidate term (4,862
-# with a Hashtbl expansion and a sort; 5,114 with an option per
-# graph-scored node; 17,777 when it tokenized the terms).
+# Personalize.expand over the same queries, gated at the 1,778
+# words/query this row measures with tag-mask walks and dense page
+# targets (1,970 before them; 2,009 before one BM25 pass; 4,862 with a
+# Hashtbl expansion and a sort of every candidate term; 5,114 with an
+# option per graph-scored node; 17,777 when it tokenized the terms).
 personalize_words="$(grep '"name":"E4-personalize-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 2009) }' ||
-  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 2009"; exit 1; }
+awk -v w="$personalize_words" 'BEGIN { exit !(w > 0 && w <= 1778) }' ||
+  { echo "bench_smoke: E4-personalize-words ($personalize_words words/query) above 1778"; exit 1; }
 
 # E3-timectx-words is the same kind of count for Time_search.search
-# over the quick dataset's dual-topic contexts, gated at the 9,218
-# words/query it measures once the candidates' text scores are read off
-# the one BM25 pass that found the text hits and the ranked pages sit
-# in a dense scratch (12,735 with a second, per-candidate scorer;
-# 21,862 with a Hashtbl of candidates and a fold per score).
+# over the quick dataset's dual-topic contexts, gated at the 4,378
+# words/query it measures once a page's best gap reads its visits by
+# tag and their open and close times without allocating (9,218 with an
+# option, a tuple and an inner option per visit; 12,735 with a second,
+# per-candidate scorer; 21,862 with a Hashtbl of candidates and a fold
+# per score).
 timectx_words="$(grep '"name":"E3-timectx-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$timectx_words" 'BEGIN { exit !(w > 0 && w <= 9218) }' ||
-  { echo "bench_smoke: E3-timectx-words ($timectx_words words/query) above 9218"; exit 1; }
+awk -v w="$timectx_words" 'BEGIN { exit !(w > 0 && w <= 4378) }' ||
+  { echo "bench_smoke: E3-timectx-words ($timectx_words words/query) above 4378"; exit 1; }
 
 # E7-lineage-words is the same kind of count for download lineage
 # (Lineage.first_recognizable over the quick dataset's downloads),
-# gated at the 335 words/query the hand-rolled Hashtbl/Queue search
-# allocated, as measured by this row.
+# gated at the 124 words/query this row measures with the tag-mask walk
+# (127 with a closure filter; 335 with the hand-rolled Hashtbl/Queue
+# search).
 lineage_words="$(grep '"name":"E7-lineage-words"' "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
-awk -v w="$lineage_words" 'BEGIN { exit !(w > 0 && w <= 335) }' ||
-  { echo "bench_smoke: E7-lineage-words ($lineage_words words/query) above 335"; exit 1; }
+awk -v w="$lineage_words" 'BEGIN { exit !(w > 0 && w <= 124) }' ||
+  { echo "bench_smoke: E7-lineage-words ($lineage_words words/query) above 124"; exit 1; }
 
 # E12-pagerank-words and E12-hits-words are the same kind of count for
 # E12's search_pagerank and search_hits over the quick dataset's
-# queries, gated at the 6,963 and 6,641 words/query these rows measure
-# with PageRank and HITS over the array-backed induced subgraph, its
-# members gathered in a scratch rather than a sorted list, and page
-# sums that map nodes to pages as ints (10,414 and 10,092 before that;
-# 286,672 and 328,250 with Hashtbl scores over a sub-Digraph).
-for gate in E12-pagerank-words:6963 E12-hits-words:6641; do
+# queries, gated at the 4,122 and 3,800 words/query these rows measure
+# once the walk and the induced subgraph filter edges by packed tags and
+# the page sums read dense page targets (6,961 and 6,639 before that;
+# 6,963 and 6,641 before one BM25 pass; 10,414 and 10,092 before the
+# members were gathered in a scratch and pages mapped as ints; 286,672
+# and 328,250 with Hashtbl scores over a sub-Digraph).
+for gate in E12-pagerank-words:4122 E12-hits-words:3800; do
   row="${gate%%:*}" ceiling="${gate##*:}"
   w="$(grep "\"name\":\"$row\"" "$work/base.json" | sed 's/.*"ns_per_op":\([0-9.]*\).*/\1/')"
   awk -v w="$w" -v c="$ceiling" 'BEGIN { exit !(w > 0 && w <= c) }' ||
